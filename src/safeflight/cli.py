@@ -45,6 +45,7 @@ from .simverify import (
     verify_plan,
     verify_span_minima,
 )
+from .socp import MAX_TOL
 from .tracker import CbfParams, PdGains, TrackingState, check_initial_conditions
 
 EXIT_OK = 0
@@ -352,12 +353,25 @@ def load_scenario(source: str) -> ScenarioFile:
 
 
 def _effective_tol(scenario: PlanningScenario, flag: float | None) -> float:
-    if flag is not None:
-        return flag
+    """The --tol flag, else the environment variable, else the scenario's value.
+
+    Raises:
+        ScenarioError: if the chosen value is not a number in (0, MAX_TOL).
+    """
     env = os.environ.get(TOL_ENV_VAR)
-    if env:
-        return float(env)
-    return scenario.solver_tol
+    if flag is not None:
+        source, value = "--tol", flag
+    elif env:
+        source, value = TOL_ENV_VAR, env
+    else:
+        source, value = "solver_tol", scenario.solver_tol
+    try:
+        tol = float(value)
+    except ValueError:
+        tol = np.nan
+    if not 0 < tol < MAX_TOL:
+        raise ScenarioError(f"{source} must be a number in (0, {MAX_TOL:g}), got {value!r}")
+    return tol
 
 
 def _load_plan_doc(path: str) -> TrajectoryPlan:

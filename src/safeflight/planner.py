@@ -19,8 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .flatness import GRAVITY
 from .socp import OPTIMAL, ConeProgram, Solution
-from .splines import KnotVector, SplineCurve, basis_eval, clamped_uniform_knots, snap_gram
+from .splines import (
+    KnotVector,
+    SplineCurve,
+    basis_eval,
+    basis_matrix,
+    clamped_uniform_knots,
+    snap_gram,
+)
 from .tracker import CbfParams
 
 
@@ -236,7 +244,7 @@ class PlanningScenario:
     zeta_mode: str = "per-span"
     cbf: CbfParams | None = None
     apply_tracking_margins: bool = False
-    gravity: float = 9.81
+    gravity: float = GRAVITY
     solver_tol: float = 1e-8
 
     def __post_init__(self):
@@ -347,72 +355,72 @@ class PlanAssembly:
     """Cone-program builder over the spline coefficient layout.
 
     Exposes the compile_* steps individually so constraint families can be
-    tested in isolation; plan() runs the standard full pipeline.
+    tested in isolation; plan() runs the standard full pipeline. Every
+    family reaches the cone program as one batch per cone kind.
     """
 
-    def __init__(self, kv: KnotVector, gravity: float = 9.81):
+    def __init__(self, kv: KnotVector, gravity: float = GRAVITY):
         self.kv = kv
         self.g = float(gravity)
         self.n = kv.n
-        self.cp = ConeProgram(3 * (kv.n + 1))
-        self.zeta_cols = np.zeros(0, dtype=int)
-        self.epigraph_cols: list[int] = []
+        self.ctrl_cols = np.arange(3 * (kv.n + 1))
+        self.cp = ConeProgram(self.ctrl_cols.size)
 
     # -- variable addressing
-
-    def point_cols(self, j: int) -> np.ndarray:
-        """Variable indices of control point j across the three axes."""
-        stride = self.n + 1
-        return np.array([j, stride + j, 2 * stride + j])
-
-    def all_point_cols(self) -> np.ndarray:
-        return np.arange(3 * (self.n + 1))
 
     def axis_cols(self, axis: int) -> np.ndarray:
         stride = self.n + 1
         return np.arange(axis * stride, (axis + 1) * stride)
 
-    def stacked_rows(self, w: np.ndarray) -> np.ndarray:
-        """3 x 3(n+1) matrix applying the coefficient row w on each axis."""
-        m = np.zeros((3, 3 * (self.n + 1)))
-        for axis in range(3):
-            m[axis, self.axis_cols(axis)] = w
-        return m
+    def _axis_rows(self, W: np.ndarray) -> np.ndarray:
+        """Rows (k, 3, 3(n+1)) applying coefficient row W[k] on each axis."""
+        rows = np.zeros((W.shape[0], 3, 3, self.n + 1))
+        rows[:, [0, 1, 2], [0, 1, 2]] = W[:, None]
+        return rows.reshape(W.shape[0], 3, self.ctrl_cols.size)
 
-    def dpoint_rows(self, r: int, j: int) -> np.ndarray:
-        """Rows selecting derivative control point j of order r, all axes."""
-        return self.stacked_rows(self.kv.derivative_matrix(r)[:, j])
+    def point_rows(self, r: int, js) -> np.ndarray:
+        """Rows picking derivative control points js of order r on every axis.
 
-    # -- membership of one linear point expression in a region
+        Row [k, a] applied to the control-point columns gives
+        (ctrl @ derivative_matrix(r)[:, js])[a, k].
+        """
+        return self._axis_rows(self.kv.derivative_matrix(r)[:, np.asarray(js, dtype=int)].T)
 
-    def _add_membership(self, rows: np.ndarray, region: ConvexRegion, label: str) -> None:
-        cols = self.all_point_cols()
-        for cone in region.cones:
-            if cone.is_linear:
-                self.cp.add_inequality(-(cone.c @ rows), cols, cone.d, label)
+    def _add_membership(self, js: np.ndarray, cones: list[SocSet], label: str) -> None:
+        """Control point js[i] inside cones[i], for every i.
+
+        Linear cones become one batch of inequalities, the others one batch
+        of second-order cones per row count of their A.
+        """
+        rows = self.point_rows(0, js)
+        groups: dict[int, list[int]] = {}  # row count (-1 if linear) -> indices
+        for i, cone in enumerate(cones):
+            groups.setdefault(-1 if cone.is_linear else cone.A.shape[0], []).append(i)
+        for m, pick in groups.items():
+            sets, picked = [cones[i] for i in pick], rows[pick]
+            c_rows = (np.array([s.c for s in sets])[:, None] @ picked)[:, 0]
+            d = np.array([s.d for s in sets])
+            if m < 0:
+                self.cp.add_inequality(-c_rows, self.ctrl_cols, d, label)
             else:
-                self.cp.add_soc(cone.A @ rows, cone.b, rows.T @ cone.c, cone.d, cols, label)
+                A = np.array([s.A for s in sets]) @ picked
+                b = np.array([s.b for s in sets])
+                self.cp.add_soc(A, b, c_rows, d, self.ctrl_cols, label)
 
     # -- constraint families
 
     def compile_position(self, regions, js=None, label: str = "position") -> None:
         """Every control point (or the given ones) inside every region."""
-        if js is None:
-            js = range(self.n + 1)
-        eye = np.eye(self.n + 1)
-        for j in js:
-            rows = self.stacked_rows(eye[:, j])
-            for region in regions:
-                self._add_membership(rows, region, label)
+        js = np.arange(self.n + 1) if js is None else np.asarray(js, dtype=int)
+        cones = [cone for region in regions for cone in region.cones]
+        self._add_membership(np.repeat(js, len(cones)), cones * js.size, label)
 
     def compile_velocity(self, v_max: float, js=None, label: str = "velocity") -> None:
         """||velocity point j|| <= v_max for j in 1..n (or the given ones)."""
-        if js is None:
-            js = range(1, self.n + 1)
-        cols = self.all_point_cols()
-        for j in js:
-            rows = self.dpoint_rows(1, j)
-            self.cp.add_soc(rows, np.zeros(3), np.zeros(cols.size), v_max, cols, label)
+        rows = self.point_rows(1, range(1, self.n + 1) if js is None else js)
+        k, cols = rows.shape[0], self.ctrl_cols
+        zeros = np.zeros((k, cols.size))
+        self.cp.add_soc(rows, np.zeros((k, 3)), zeros, np.full(k, v_max), cols, label)
 
     def compile_tilt_cone(self, tilt_max: float, margin: float = 0.0) -> None:
         """Acceleration points inside the tilt cone of half-angle tilt_max.
@@ -423,22 +431,21 @@ class PlanAssembly:
         if margin >= self.g:
             raise MarginInfeasibleError(f"tilt margin {margin:.3f} exceeds gravity")
         cot = abs(1.0 / np.tan(tilt_max))
-        cols = self.all_point_cols()
-        for j in range(2, self.n + 1):
-            rows = self.dpoint_rows(2, j)
-            self.cp.add_soc(cot * rows[:2], np.zeros(2), rows[2], self.g - margin, cols, "tilt")
+        rows = self.point_rows(2, range(2, self.n + 1))
+        k = rows.shape[0]
+        d = np.full(k, self.g - margin)
+        self.cp.add_soc(cot * rows[:, :2], np.zeros((k, 2)), rows[:, 2], d, self.ctrl_cols, "tilt")
 
     def compile_thrust(self, thrust_min: float, thrust_max: float) -> None:
         """Thrust band on acceleration points j = 2..n.
 
         ||V_j + g e3|| <= thrust_max and V_j,z >= thrust_min - g.
         """
-        cols = self.all_point_cols()
-        b = np.array([0.0, 0.0, self.g])
-        for j in range(2, self.n + 1):
-            rows = self.dpoint_rows(2, j)
-            self.cp.add_soc(rows, b, np.zeros(cols.size), thrust_max, cols, "thrust-upper")
-            self.cp.add_inequality(-rows[2], cols, self.g - thrust_min, "thrust-lower")
+        rows = self.point_rows(2, range(2, self.n + 1))
+        k, cols = rows.shape[0], self.ctrl_cols
+        b, zeros = np.tile([0.0, 0.0, self.g], (k, 1)), np.zeros((k, cols.size))
+        self.cp.add_soc(rows, b, zeros, np.full(k, thrust_max), cols, "thrust-upper")
+        self.cp.add_inequality(-rows[:, 2], cols, np.full(k, self.g - thrust_min), "thrust-lower")
 
     def compile_rate(self, omega_max: float, zeta_mode: str) -> np.ndarray:
         """Body-rate cones with thrust-floor variables zeta.
@@ -447,60 +454,57 @@ class PlanAssembly:
         and ||jerk point j|| <= omega_max * zeta_k for its jerk points. The
         scalar mode shares one zeta across all spans.
         """
-        d = self.kv.degree
         if zeta_mode == "scalar":
-            zeta = self.cp.add_variables(1)
-            groups = [(int(zeta[0]), range(2, self.n + 1), range(3, self.n + 1))]
+            last, width = np.array([self.n]), self.n  # one group over all spans
         else:
-            spans = list(self.kv.nonempty_spans())
-            zeta = self.cp.add_variables(len(spans))
-            groups = [
-                (int(zeta[k]), range(l - d + 2, l + 1), range(l - d + 3, l + 1))
-                for k, l in enumerate(spans)
-            ]
-        pcols = self.all_point_cols()
-        for z_col, lin_js, soc_js in groups:
-            for j in lin_js:
-                # zeta - V_j,z <= g
-                row = np.zeros(pcols.size + 1)
-                row[: pcols.size] = -self.dpoint_rows(2, j)[2]
-                row[-1] = 1.0
-                self.cp.add_inequality(row, np.concatenate([pcols, [z_col]]), self.g, "rate-floor")
-            for j in soc_js:
-                rows = np.zeros((3, pcols.size + 1))
-                rows[:, : pcols.size] = self.dpoint_rows(3, j)
-                c = np.zeros(pcols.size + 1)
-                c[-1] = omega_max
-                self.cp.add_soc(
-                    rows, np.zeros(3), c, 0.0, np.concatenate([pcols, [z_col]]), "rate-jerk"
-                )
-        self.zeta_cols = zeta
+            last, width = np.arange(self.kv.degree, self.n + 1), self.kv.degree
+        zeta = self.cp.add_variables(last.size)
+
+        def points(r):
+            """Rows of points last - width + r .. last of each group, and their columns."""
+            offsets = np.arange(r - width, 1)
+            js = (last[:, None] + offsets).ravel()
+            cols = np.broadcast_to(self.ctrl_cols, (js.size, self.ctrl_cols.size))
+            return self.point_rows(r, js), np.column_stack([cols, np.repeat(zeta, offsets.size)])
+
+        rows, cols = points(2)  # zeta - V_j,z <= g
+        k = rows.shape[0]
+        floor = np.column_stack([-rows[:, 2], np.ones(k)])
+        self.cp.add_inequality(floor, cols, np.full(k, self.g), "rate-floor")
+        rows, cols = points(3)
+        k = rows.shape[0]
+        A = np.concatenate([rows, np.zeros((k, 3, 1))], axis=2)
+        c = np.zeros((k, cols.shape[1]))
+        c[:, -1] = omega_max
+        self.cp.add_soc(A, np.zeros((k, 3)), c, np.zeros(k), cols, "rate-jerk")
         return zeta
 
     def compile_waypoints(self, waypoints) -> None:
         """Curve within each waypoint ball at its time (equality if radius 0)."""
-        kv = self.kv
-        for wp in waypoints:
-            lam = basis_eval(kv, kv.degree, wp.time)
-            rows = self.stacked_rows(lam)
-            cols = self.all_point_cols()
-            if wp.radius == 0.0:
-                self.cp.add_equality(rows, cols, wp.position, "waypoint")
-            else:
-                self.cp.add_soc(
-                    rows, -wp.position, np.zeros(cols.size), wp.radius, cols, "waypoint"
-                )
+        if not waypoints:
+            return
+        times = np.array([wp.time for wp in waypoints])
+        rows = self._axis_rows(basis_matrix(self.kv, self.kv.degree, times))
+        pos = np.array([wp.position for wp in waypoints])
+        radius = np.array([wp.radius for wp in waypoints])
+        pin, ball = radius == 0.0, radius != 0.0
+        cols = self.ctrl_cols
+        self.cp.add_equality(rows[pin], cols, pos[pin], "waypoint")
+        c = np.zeros((int(ball.sum()), cols.size))
+        self.cp.add_soc(rows[ball], -pos[ball], c, radius[ball], cols, "waypoint")
 
     def compile_endpoints(self, pins: EndpointPins) -> None:
         """Equality pins on derivatives at t0 and tf."""
         kv = self.kv
-        for t_m, values in ((kv.t0, pins.initial), (kv.tf, pins.final)):
-            for r, value in enumerate(values):
+        weights, values = [], []
+        for t_m, pinned in ((kv.t0, pins.initial), (kv.tf, pins.final)):
+            for r, value in enumerate(pinned):
                 if r > kv.degree:
                     raise ValueError(f"cannot pin derivative order {r} of degree {kv.degree}")
-                lam = basis_eval(kv, kv.degree - r, t_m)
-                w = kv.derivative_matrix(r) @ lam
-                self.cp.add_equality(self.stacked_rows(w), self.all_point_cols(), value, "endpoint")
+                weights.append(kv.derivative_matrix(r) @ basis_eval(kv, kv.degree - r, t_m))
+                values.append(value)
+        rows = self._axis_rows(np.reshape(weights, (-1, self.n + 1)))
+        self.cp.add_equality(rows, self.ctrl_cols, np.reshape(values, (-1, 3)), "endpoint")
 
     def compile_corridor(self, sets) -> None:
         """Sequential membership: control point j-1 in S_l for j = l..l+d.
@@ -514,8 +518,11 @@ class PlanAssembly:
             raise ValueError(
                 f"corridor with {len(sets)} sets needs n = {len(sets) + d - 1}, got {self.n}"
             )
+        js, cones = [], []
         for l, region in enumerate(sets, start=1):
-            self.compile_position([region], js=range(l - 1, l + d), label="corridor")
+            js.append(np.repeat(np.arange(l - 1, l + d), len(region.cones)))
+            cones += list(region.cones) * (d + 1)
+        self._add_membership(np.concatenate(js), cones, "corridor")
 
     def compile_interval(self, ic: IntervalConstraint) -> range:
         """Window constraint via outward rounding to whole knot spans.
@@ -537,7 +544,6 @@ class PlanAssembly:
         for axis in range(3):
             s = self.cp.add_quadratic_epigraph(G, self.axis_cols(axis), "snap-epigraph")
             self.cp.add_objective([s], [1.0])
-            self.epigraph_cols.append(s)
         if zeta_cols.size:
             self.cp.add_objective(zeta_cols, -np.ones(zeta_cols.size))
 
@@ -556,7 +562,9 @@ def interval_window_columns(kv: KnotVector, t_start: float, t_end: float, r: int
     return range(lo - kv.degree + r, hi)
 
 
-def compile_tracking_margins(bounds: SafetyBounds, cbf: CbfParams) -> SafetyBounds:
+def compile_tracking_margins(
+    bounds: SafetyBounds, cbf: CbfParams, gravity: float = GRAVITY
+) -> SafetyBounds:
     """Shrink planning bounds so tracked flight still meets the originals.
 
     The filtered tracker deviates from the reference acceleration by at most
@@ -570,15 +578,14 @@ def compile_tracking_margins(bounds: SafetyBounds, cbf: CbfParams) -> SafetyBoun
     dev = 4.0 * cbf.delta * cbf.a2
     ball = float(np.sqrt(3.0) * dev)
     tilt_margin = float(dev * (1.0 + np.sqrt(2.0) * abs(1.0 / np.tan(bounds.tilt_max))))
-    g = 9.81
     new_max = bounds.thrust_max - ball
     new_min = bounds.thrust_min + ball if bounds.thrust_min > 0 else bounds.thrust_min
     problems = []
-    if new_max < g:
+    if new_max < gravity:
         problems.append(f"thrust_max - sqrt(3)*4*delta*a2 = {new_max:.3f} < g")
-    if new_min > g:
+    if new_min > gravity:
         problems.append(f"thrust_min + sqrt(3)*4*delta*a2 = {new_min:.3f} > g")
-    if bounds.tilt_margin + tilt_margin >= g:
+    if bounds.tilt_margin + tilt_margin >= gravity:
         problems.append(f"tilt margin {tilt_margin:.3f} >= g")
     if problems:
         raise MarginInfeasibleError("; ".join(problems))
@@ -590,17 +597,16 @@ def compile_tracking_margins(bounds: SafetyBounds, cbf: CbfParams) -> SafetyBoun
     )
 
 
-def plan(scenario: PlanningScenario) -> TrajectoryPlan:
-    """Compile and solve the full planning program for a scenario.
+def compile_plan(scenario: PlanningScenario) -> tuple[PlanAssembly, np.ndarray]:
+    """The full planning program of a scenario, and the columns of its zeta.
 
     Raises:
-        PlanInfeasibleError: infeasible, unbounded, or failed solve.
         MarginInfeasibleError: tracking margins leave no feasible band.
     """
     kv = clamped_uniform_knots(scenario.t0, scenario.tf, scenario.n, scenario.degree)
     bounds = scenario.bounds
     if scenario.apply_tracking_margins:
-        bounds = compile_tracking_margins(bounds, scenario.cbf)
+        bounds = compile_tracking_margins(bounds, scenario.cbf, scenario.gravity)
 
     asm = PlanAssembly(kv, gravity=scenario.gravity)
     if bounds.regions:
@@ -616,7 +622,18 @@ def plan(scenario: PlanningScenario) -> TrajectoryPlan:
     for ic in scenario.intervals:
         asm.compile_interval(ic)
     asm.compile_objective(zeta_cols)
+    return asm, zeta_cols
 
+
+def plan(scenario: PlanningScenario) -> TrajectoryPlan:
+    """Compile and solve the full planning program for a scenario.
+
+    Raises:
+        PlanInfeasibleError: infeasible, unbounded, or failed solve.
+        MarginInfeasibleError: tracking margins leave no feasible band.
+    """
+    asm, zeta_cols = compile_plan(scenario)
+    kv = asm.kv
     sol: Solution = asm.cp.solve(tol=scenario.solver_tol)
     if sol.status != OPTIMAL:
         raise PlanInfeasibleError(sol.status, asm.cp.block_counts())

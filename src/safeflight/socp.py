@@ -1,23 +1,27 @@
-"""Second-order cone programs: explicit blocks, assembly, conic solve.
+"""Second-order cone programs: a canonical constraint store and a conic solve.
 
-The planner compiles every mission constraint into one of three block kinds
-over a flat variable vector x:
+The planner compiles every mission constraint into one of three kinds over
+a flat variable vector x:
 
 - equality        E x = g
 - inequality      a' x <= beta
 - second-order    ||A x + b|| <= c' x + d
 
-Blocks are stored against explicit column indices, so variables can be
-appended after constraints exist (the quadratic epigraph below does this).
-The numerical solve is the primal-dual interior-point method at the end of
-this module; solution quality is always re-checked by direct residual
-evaluation, never taken from the solver's own report.
+ConeProgram stores each constraint on arrival in the form the solver reads,
+A x + s = b with s in K: per cone kind, sparse (row, column, value) triplets
+and right-hand sides, plus one label per constraint. Every add_* method takes
+one constraint or k alike ones on a leading axis, so a constraint family is
+stored in one call. Variables can be appended after constraints exist (the
+quadratic epigraph below does this). The numerical solve is the primal-dual
+interior-point method at the end of this module; solution quality is always
+re-checked by direct residual evaluation, never taken from the solver's own
+report.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, sparse
@@ -28,13 +32,16 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NUMERICAL_FAILURE = "numerical-failure"
 
+#: Solver tolerances must lie in the open interval (0, MAX_TOL).
+MAX_TOL = 1e-2
+
 
 @dataclass(frozen=True)
 class Solution:
     """Outcome of a conic solve.
 
     max_residual is computed by this module from the returned point and the
-    stored blocks; it is meaningful only when status is "optimal".
+    stored constraints; it is meaningful only when status is "optimal".
     """
 
     status: str
@@ -46,26 +53,43 @@ class Solution:
     solver_status: str
 
 
-@dataclass
-class _Block:
-    kind: str  # "eq" | "ineq" | "soc"
-    label: str
-    cols: np.ndarray
-    A: np.ndarray  # eq: (m,k) coeffs; ineq: (1,k) row; soc: (m,k)
-    b: np.ndarray  # eq: rhs (m,); ineq: (ub,); soc: offset (m,)
-    c: np.ndarray | None = None  # soc only, (k,)
-    d: float = 0.0  # soc only
+class _Rows:
+    """The constraints of one cone kind as triplets of A x + s = b.
+
+    Row indices count from the kind's first row; sizes holds the row count of
+    each constraint and codes the label index of each row.
+    """
+
+    def __init__(self):
+        empty = np.zeros(0, dtype=int)
+        self.rows, self.cols, self.sizes, self.codes = [empty], [empty], [empty], [empty]
+        self.vals, self.rhs = [np.zeros(0)], [np.zeros(0)]
+        self.num_rows = 0
+
+    def add(self, coeffs: np.ndarray, cols: np.ndarray, rhs: np.ndarray, code: int) -> None:
+        """Append k constraints: coeffs (k, m, c) over cols (k, c), rhs (k, m)."""
+        k, m, _ = coeffs.shape
+        i, r, c = np.nonzero(coeffs)
+        self.rows.append(self.num_rows + i * m + r)
+        self.cols.append(cols[i, c])
+        self.vals.append(coeffs[i, r, c])
+        self.rhs.append(rhs.ravel())
+        self.sizes.append(np.full(k, m))
+        self.codes.append(np.full(k * m, code))
+        self.num_rows += k * m
 
 
 class ConeProgram:
-    """Mutable SOCP model: minimize f'x subject to cone blocks."""
+    """Mutable SOCP model: minimize f'x subject to A x + s = b, s in K."""
 
     def __init__(self, num_vars: int):
         if num_vars < 1:
             raise ValueError("need at least one variable")
         self.num_vars = int(num_vars)
         self._f = np.zeros(self.num_vars)
-        self._blocks: list[_Block] = []
+        self._kinds = {"eq": _Rows(), "ineq": _Rows(), "soc": _Rows()}
+        self._labels: dict[str, int] = {}  # label -> code, in order of first use
+        self._codes: list[int] = []  # label code of each constraint, in order added
 
     # ------------------------------------------------------------------ model
 
@@ -80,38 +104,50 @@ class ConeProgram:
 
     def add_objective(self, cols, coeffs) -> None:
         """Accumulate linear objective terms f[cols] += coeffs."""
-        cols = self._check_cols(cols)
+        cols = self._check_cols(cols)[0]
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != cols.shape:
             raise ValueError("objective coeffs and cols must match")
         np.add.at(self._f, cols, coeffs)
 
     def add_equality(self, A, cols, rhs, label: str = "eq") -> None:
-        """Add rows A x[cols] = rhs."""
-        cols = self._check_cols(cols)
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        if A.shape != (rhs.size, cols.size):
-            raise ValueError(f"equality block shape {A.shape} != ({rhs.size}, {cols.size})")
-        self._blocks.append(_Block("eq", label, cols, A, rhs))
+        """Add rows A x[cols] = rhs.
 
-    def add_inequality(self, row, cols, ub: float, label: str = "ineq") -> None:
-        """Add one row row' x[cols] <= ub."""
-        cols = self._check_cols(cols)
-        row = np.atleast_2d(np.asarray(row, dtype=float))
-        if row.shape != (1, cols.size):
-            raise ValueError(f"inequality row shape {row.shape} != (1, {cols.size})")
-        self._blocks.append(_Block("ineq", label, cols, row, np.array([float(ub)])))
+        A batch of k passes A as (k, m, c) and rhs as (k, m); cols is (c,)
+        for the whole batch or (k, c).
+        """
+        A, rhs = np.asarray(A, dtype=float), np.asarray(rhs, dtype=float)
+        if rhs.ndim < 2:
+            A, rhs = np.atleast_2d(A)[None], np.atleast_1d(rhs)[None]
+        cols = self._check_cols(cols, rhs.shape[0])
+        if A.shape != rhs.shape + cols.shape[1:]:
+            raise ValueError(f"equality shape {A.shape} != {rhs.shape + cols.shape[1:]}")
+        self._add("eq", A, cols, rhs, label)
 
-    def add_soc(self, A, b, c, d: float, cols, label: str = "soc") -> None:
-        """Add ||A x[cols] + b|| <= c' x[cols] + d."""
-        cols = self._check_cols(cols)
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        c = np.asarray(c, dtype=float)
-        if A.shape[1] != cols.size or b.size != A.shape[0] or c.shape != (cols.size,):
-            raise ValueError("second-order block dimensions do not match")
-        self._blocks.append(_Block("soc", label, cols, A, b, c, float(d)))
+    def add_inequality(self, row, cols, ub, label: str = "ineq") -> None:
+        """Add one row row' x[cols] <= ub, or k rows (k, c) with ub of shape (k,)."""
+        row, ub = np.asarray(row, dtype=float), np.asarray(ub, dtype=float)
+        if ub.ndim == 0:
+            row, ub = np.atleast_2d(row), ub[None]
+        cols = self._check_cols(cols, ub.shape[0])
+        if ub.ndim != 1 or row.shape != cols.shape:
+            raise ValueError(f"inequality rows shape {row.shape} != {cols.shape}")
+        self._add("ineq", row[:, None], cols, ub[:, None], label)
+
+    def add_soc(self, A, b, c, d, cols, label: str = "soc") -> None:
+        """Add ||A x[cols] + b|| <= c' x[cols] + d.
+
+        A batch of k passes A as (k, m, c), b as (k, m), c as (k, c) and d as
+        (k,); cols is (c,) for the whole batch or (k, c).
+        """
+        A, b, c, d = (np.asarray(v, dtype=float) for v in (A, b, c, d))
+        if d.ndim == 0:
+            A, b, c, d = np.atleast_2d(A)[None], np.atleast_1d(b)[None], c[None], d[None]
+        cols = self._check_cols(cols, d.shape[0])
+        if A.ndim != 3 or b.shape != A.shape[:2] or not A.shape[::2] == c.shape == cols.shape:
+            raise ValueError("second-order constraint dimensions do not match")
+        coeffs = -np.concatenate([c[:, None], A], axis=1)  # s = (c'x + d, A x + b)
+        self._add("soc", coeffs, cols, np.concatenate([d[:, None], b], axis=1), label)
 
     def add_quadratic_epigraph(self, G, cols, label: str = "epigraph") -> int:
         """Add a variable s with x' G'G x <= s; returns the index of s.
@@ -119,91 +155,68 @@ class ConeProgram:
         Encoded as the second-order constraint ||(2 G x, s - 1)|| <= s + 1,
         which is equivalent for s >= 0 (and forces s >= 0).
         """
-        cols = self._check_cols(cols)
+        cols = self._check_cols(cols)[0]
         G = np.atleast_2d(np.asarray(G, dtype=float))
         if G.shape[1] != cols.size:
             raise ValueError(f"factor has {G.shape[1]} columns, expected {cols.size}")
         s_idx = int(self.add_variables(1)[0])
         m = G.shape[0]
-        all_cols = np.concatenate([cols, [s_idx]])
-        A = np.zeros((m + 1, cols.size + 1))
-        A[:m, : cols.size] = 2.0 * G
-        A[m, cols.size] = 1.0
-        b = np.zeros(m + 1)
-        b[m] = -1.0
-        c = np.zeros(cols.size + 1)
-        c[cols.size] = 1.0
-        self._blocks.append(_Block("soc", label, all_cols, A, b, c, 1.0))
+        e = np.eye(cols.size + 1)[-1]  # unit vector on s
+        A = np.vstack([np.column_stack([2.0 * G, np.zeros(m)]), e])
+        b = np.concatenate([np.zeros(m), [-1.0]])
+        self.add_soc(A, b, e, 1.0, np.concatenate([cols, [s_idx]]), label)
         return s_idx
 
-    def _check_cols(self, cols) -> np.ndarray:
-        cols = np.atleast_1d(np.asarray(cols, dtype=int))
-        if cols.size == 0 or np.any(cols < 0) or np.any(cols >= self.num_vars):
+    def _check_cols(self, cols, k: int = 1) -> np.ndarray:
+        """Column indices as a (k, c) array; a single row serves the whole batch."""
+        cols = np.atleast_2d(np.asarray(cols, dtype=int))
+        if cols.ndim != 2 or cols.shape[0] not in (1, k):
+            raise ValueError(f"column index rows {cols.shape} do not fit a batch of {k}")
+        if cols.shape[1] == 0 or np.any(cols < 0) or np.any(cols >= self.num_vars):
             raise ValueError(f"column indices out of range [0, {self.num_vars})")
-        if np.unique(cols).size != cols.size:
-            raise ValueError("column indices must be unique within a block")
-        return cols
+        if np.any(np.diff(np.sort(cols, axis=1), axis=1) == 0):
+            raise ValueError("column indices must be unique within a constraint")
+        return np.broadcast_to(cols, (k, cols.shape[1]))
+
+    def _add(self, kind: str, coeffs, cols, rhs, label: str) -> None:
+        if not rhs.shape[0]:
+            return
+        code = self._labels.setdefault(label, len(self._labels))
+        self._codes += [code] * rhs.shape[0]
+        self._kinds[kind].add(coeffs, cols, rhs, code)
 
     # ------------------------------------------------------------- inspection
 
     def block_labels(self) -> list[str]:
-        return [blk.label for blk in self._blocks]
+        """The label of each constraint, in the order they were added."""
+        names = list(self._labels)
+        return [names[code] for code in self._codes]
 
     def block_counts(self) -> dict[str, int]:
-        """Number of blocks per label, for infeasibility diagnostics."""
-        counts: dict[str, int] = {}
-        for blk in self._blocks:
-            counts[blk.label] = counts.get(blk.label, 0) + 1
-        return counts
+        """Number of constraints per label, for infeasibility diagnostics."""
+        counts = np.bincount(self._codes, minlength=len(self._labels))
+        return dict(zip(self._labels, counts.tolist()))
 
     def residuals(self, x: np.ndarray) -> dict[str, float]:
-        """Worst violation per block label at the point x.
+        """Worst violation per label at the point x.
 
-        Equalities contribute max |E x - g|, inequalities (a'x - ub)+, and
-        second-order blocks (||A x + b|| - c'x - d)+.
+        With s = b - A x, equality rows contribute |s|, inequality rows (-s)+
+        and each second-order cone (||s_1|| - s_0)+, which for its constraint
+        is (||A x + b|| - c'x - d)+.
         """
-        x = np.asarray(x, dtype=float)
-        worst: dict[str, float] = {}
-        for blk in self._blocks:
-            xs = x[blk.cols]
-            if blk.kind == "eq":
-                res = float(np.abs(blk.A @ xs - blk.b).max())
-            elif blk.kind == "ineq":
-                res = float(max(0.0, blk.A[0] @ xs - blk.b[0]))
-            else:
-                res = float(max(0.0, np.linalg.norm(blk.A @ xs + blk.b) - blk.c @ xs - blk.d))
-            worst[blk.label] = max(worst.get(blk.label, 0.0), res)
-        return worst
+        A, b, cones = self._assemble()
+        s = b - A @ np.asarray(x, dtype=float)
+        lin = cones.zero + cones.nonneg
+        alg = _ConeAlgebra(0, cones.soc)
+        cone = np.sqrt(alg.tail_dot(s[lin:], s[lin:])) - s[lin:][alg.starts]
+        violation = np.concatenate([np.abs(s[: cones.zero]), -s[cones.zero : lin], cone[alg.cone]])
+        codes = np.concatenate([c for part in self._kinds.values() for c in part.codes])
+        worst = np.zeros(len(self._labels))
+        np.maximum.at(worst, codes, violation)
+        return dict(zip(self._labels, worst.tolist()))
 
     def max_residual(self, x: np.ndarray) -> float:
-        res = self.residuals(x)
-        return max(res.values()) if res else 0.0
-
-    def dump(self) -> str:
-        """Plain-text listing of the model, block by block.
-
-        Small blocks (up to 6 rows) print their full coefficients; larger
-        ones print shapes and magnitudes only.
-        """
-        lines = [f"cone program: {self.num_vars} variables, {len(self._blocks)} blocks"]
-        nz = np.flatnonzero(self._f)
-        lines.append(f"objective nonzeros: {[(int(i), float(self._f[i])) for i in nz]}")
-        for k, blk in enumerate(self._blocks):
-            m = blk.A.shape[0] if blk.kind != "ineq" else 1
-            head = f"[{k}] {blk.kind} '{blk.label}' rows={m} cols={blk.cols.tolist()}"
-            lines.append(head)
-            if m <= 6 and blk.cols.size <= 12:
-                lines.append(f"    A={np.array2string(blk.A, precision=6, suppress_small=True)}")
-                lines.append(f"    b={np.array2string(blk.b, precision=6)}")
-                if blk.kind == "soc":
-                    lines.append(
-                        f"    c={np.array2string(blk.c, precision=6)} d={blk.d:.6g}"
-                    )
-            else:
-                lines.append(
-                    f"    |A|max={np.abs(blk.A).max():.3g} |b|max={np.abs(blk.b).max() if blk.b.size else 0:.3g}"
-                )
-        return "\n".join(lines)
+        return max(self.residuals(x).values(), default=0.0)
 
     # ------------------------------------------------------------------ solve
 
@@ -213,11 +226,11 @@ class ConeProgram:
         Returns a Solution; never raises for infeasible or unbounded models,
         only for malformed input.
         """
-        if not 0 < tol < 1e-2:
+        if not 0 < tol < MAX_TOL:
             raise ValueError(f"tolerance {tol} out of range")
         if max_iter < 0:
             raise ValueError(f"max_iter {max_iter} is negative")
-        if not self._blocks:
+        if not self._codes:
             raise ValueError("cone program has no constraints")
 
         A, b, cones = self._assemble()
@@ -226,69 +239,34 @@ class ConeProgram:
             raw_status, x, iterations = _interior_point(self._f, A, b, cones, tol, int(max_iter))
         dt = time.perf_counter() - t0
 
-        mapping = {
-            "Solved": OPTIMAL,
-            "PrimalInfeasible": INFEASIBLE,
-            "AlmostPrimalInfeasible": INFEASIBLE,
-            "DualInfeasible": UNBOUNDED,
-            "AlmostDualInfeasible": UNBOUNDED,
-        }
+        mapping = {"Solved": OPTIMAL, "PrimalInfeasible": INFEASIBLE, "DualInfeasible": UNBOUNDED}
         status = mapping.get(raw_status, NUMERICAL_FAILURE)
         if status == OPTIMAL:
-            return Solution(
-                status=status,
-                x=x,
-                objective=float(self._f @ x),
-                max_residual=self.max_residual(x),
-                solve_time=dt,
-                iterations=iterations,
-                solver_status=raw_status,
-            )
-        return Solution(
-            status=status,
-            x=None,
-            objective=np.nan,
-            max_residual=np.inf,
-            solve_time=dt,
-            iterations=iterations,
-            solver_status=raw_status,
-        )
+            objective, max_residual = float(self._f @ x), self.max_residual(x)
+        else:
+            x, objective, max_residual = None, np.nan, np.inf
+        return Solution(status, x, objective, max_residual, dt, iterations, raw_status)
 
     def _assemble(self) -> tuple[sparse.csc_matrix, np.ndarray, _Cones]:
-        """Stack blocks into the canonical A x + s = b, s in K form.
+        """The canonical A x + s = b, s in K, concatenated from the stores.
 
         Rows come in the order of _Cones: all equality rows, then all
-        inequality rows, then one second-order cone per block, each written
-        as s = (c'x + d, A x + b).
+        inequality rows, then one second-order cone per constraint, written
+        as s = (c'x + d, A x + b). Each kind keeps the order of its adds.
         """
-        groups = {"eq": [], "ineq": [], "soc": []}
-        for blk in self._blocks:
-            groups[blk.kind].append(blk)
-        rows, cols, vals, rhs = [], [], [], []
-        offset = 0
-
-        def emit(coeffs, blk_cols, b_part):
-            nonlocal offset
-            r, c = np.nonzero(coeffs)
-            rows.append(r + offset)
-            cols.append(blk_cols[c])
-            vals.append(coeffs[r, c])
-            rhs.append(b_part)
-            offset += coeffs.shape[0]
-
-        for blk in groups["eq"] + groups["ineq"]:
-            emit(blk.A, blk.cols, blk.b)
-        for blk in groups["soc"]:
-            emit(-np.vstack([blk.c, blk.A]), blk.cols, np.concatenate([[blk.d], blk.b]))
+        rows, cols, vals, rhs, offset = [], [], [], [], 0
+        for part in self._kinds.values():
+            rows += [r + offset for r in part.rows]
+            cols += part.cols
+            vals += part.vals
+            rhs += part.rhs
+            offset += part.num_rows
         A = sparse.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(offset, self.num_vars),
         )
-        cones = _Cones(
-            zero=sum(blk.b.size for blk in groups["eq"]),
-            nonneg=len(groups["ineq"]),
-            soc=tuple(blk.A.shape[0] + 1 for blk in groups["soc"]),
-        )
+        eq, ineq, soc = self._kinds.values()
+        cones = _Cones(eq.num_rows, ineq.num_rows, tuple(np.concatenate(soc.sizes).tolist()))
         return A, np.concatenate(rhs), cones
 
 

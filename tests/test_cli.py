@@ -141,6 +141,19 @@ class TestSolverTol:
         tol = _effective_tol(hover_scenario.planning, None)
         assert tol == hover_scenario.planning.solver_tol
 
+    def test_out_of_range_flag_exits_parse(self, capsys):
+        assert main(["plan", "--scenario", "hover", "--tol", "0.5"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "--tol" in err
+        assert "unexpected" not in err
+
+    def test_non_numeric_env_exits_parse(self, monkeypatch, capsys):
+        monkeypatch.setenv(TOL_ENV_VAR, "abc")
+        assert main(["plan", "--scenario", "hover"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert TOL_ENV_VAR in err
+        assert "unexpected" not in err
+
 
 class TestPlanCommand:
     def test_list_prints_bundled_names(self, capsys):

@@ -1,9 +1,12 @@
 """Planner: regions, windows, margins, assembly, and full solves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from safeflight.cli import load_scenario
 from safeflight.planner import (
     ConvexRegion,
     EndpointPins,
@@ -16,6 +19,7 @@ from safeflight.planner import (
     SocSet,
     TrajectoryPlan,
     Waypoint,
+    compile_plan,
     compile_tracking_margins,
     interval_window_columns,
     plan,
@@ -185,6 +189,16 @@ class TestTrackingMargins:
         with pytest.raises(MarginInfeasibleError, match="tilt"):
             compile_tracking_margins(bounds, self.CBF)
 
+    def test_scenario_gravity_sets_the_hover_check(self):
+        # thrust_max - sqrt(3) * 3.2 = 6.457 holds up g = 5 but not g = 9.81;
+        # at 80 degrees the tilt cone retreats by 4.0 < 5.
+        ps = load_scenario("margin_demo").planning
+        bounds = dataclasses.replace(ps.bounds, thrust_max=12.0, tilt_max=np.deg2rad(80.0))
+        low = dataclasses.replace(ps, bounds=bounds, gravity=5.0)
+        assert plan(low).solve_stats.status == "optimal"
+        with pytest.raises(MarginInfeasibleError, match="6.457 < g"):
+            plan(dataclasses.replace(low, gravity=G))
+
     def test_tilt_cone_margin_cannot_reach_gravity(self):
         kv = clamped_uniform_knots(0.0, 4.0, 10, 5)
         asm = PlanAssembly(kv)
@@ -247,17 +261,78 @@ class TestAssemblyLayout:
     def test_point_and_axis_columns(self):
         kv = clamped_uniform_knots(0.0, 4.0, 10, 5)
         asm = PlanAssembly(kv)
-        assert asm.point_cols(3).tolist() == [3, 14, 25]
         assert asm.axis_cols(2).tolist() == list(range(22, 33))
-        assert asm.all_point_cols().size == 33
+        assert asm.ctrl_cols.tolist() == list(range(33))
+        assert asm.point_rows(1, range(1, 11)).shape == (10, 3, 33)
 
-    def test_stacked_rows_apply_per_axis(self, rng):
+    def test_point_rows_pick_derivative_points(self, rng):
         kv = clamped_uniform_knots(0.0, 4.0, 10, 5)
         asm = PlanAssembly(kv)
-        w = rng.uniform(-1, 1, size=11)
         ctrl = rng.uniform(-1, 1, size=(3, 11))
-        out = asm.stacked_rows(w) @ ctrl.reshape(-1)
-        assert_allclose(out, ctrl @ w)
+        for r, js in [(0, range(11)), (1, range(1, 11)), (2, [2, 7, 10]), (3, [4]), (4, [])]:
+            rows = asm.point_rows(r, js)
+            want = ctrl @ kv.derivative_matrix(r)[:, list(js)]
+            assert rows.shape == (len(js), 3, 33)
+            assert_allclose(rows @ ctrl.reshape(-1), want.T, rtol=1e-13, atol=1e-13)
+
+
+class TestCensus:
+    """Constraint counts of a model with every family, in closed form.
+
+    n = 10, degree 5 over [0, 4]: six spans of 2/3 s, spans l = 5..10. The
+    [1.0, 1.9] window rounds out to spans 6 and 7, so it is governed by
+    position points 1..7 (7) and velocity points 2..7 (6).
+    """
+
+    BOX = ConvexRegion.box([-5.0, -5.0, -5.0], [5.0, 5.0, 5.0])  # 6 linear cones
+    BALL = ConvexRegion.ball([0.0, 0.0, 0.0], 5.0)  # 1 cone of 3 rows
+    TUBE = ConvexRegion(  # cones of 3 and 2 rows, batched separately
+        BALL.cones + (SocSet(np.eye(3)[:2], np.zeros(2), np.zeros(3), 4.0),)
+    )
+
+    def scenario(self, zeta_mode):
+        return small_scenario(
+            n=10,
+            zeta_mode=zeta_mode,
+            bounds=small_bounds(regions=(self.BOX,)),
+            waypoints=(
+                Waypoint(position=[0.5, 0.0, 0.5], time=2.0),
+                Waypoint(position=[0.5, 0.0, 0.5], time=3.0, radius=0.1),
+            ),
+            intervals=(
+                IntervalConstraint(1.0, 1.9, "position", region=self.TUBE),
+                IntervalConstraint(1.0, 1.9, "speed", bound=0.5),
+            ),
+            corridor=(self.BOX, self.BALL, self.BOX, self.BALL, self.BOX, self.BALL),
+        )
+
+    @pytest.mark.parametrize("zeta_mode, zeta", [("per-span", 6), ("scalar", 1)])
+    def test_counts_in_closed_form(self, zeta_mode, zeta):
+        n, d = 10, 5
+        asm, zeta_cols = compile_plan(self.scenario(zeta_mode))
+        rate = (n - 1, n - 2) if zeta_mode == "scalar" else ((d - 1) * zeta, (d - 2) * zeta)
+        assert asm.cp.block_counts() == {
+            "position": (n + 1) * 6,
+            "velocity": n,
+            "tilt": n - 1,
+            "thrust-upper": n - 1,
+            "thrust-lower": n - 1,
+            "rate-floor": rate[0],
+            "rate-jerk": rate[1],
+            "waypoint": 2,
+            "endpoint": 6,
+            "corridor": (d + 1) * 3 * (6 + 1),
+            "window-position": 7 * 2,
+            "window-speed": 6,
+            "snap-epigraph": 3,
+        }
+        assert zeta_cols.size == zeta
+        assert asm.cp.num_vars == 3 * (n + 1) + zeta + 3
+        # Linear cones and the thrust and rate floors are inequalities.
+        _, _, cones = asm.cp._assemble()
+        soc = n + (n - 1) + (n - 1) + rate[1] + 1 + (d + 1) * 3 + 7 * 2 + 6 + 3
+        nonneg = (n + 1) * 6 + (n - 1) + rate[0] + (d + 1) * 3 * 6
+        assert (cones.zero, cones.nonneg, len(cones.soc)) == (3 * (1 + 6), nonneg, soc)
 
 
 class TestFullSolves:
@@ -300,8 +375,6 @@ class TestFullSolves:
             assert example1_plan.zeta[k] >= cap - 1e-5
 
     def test_scalar_rate_floor(self, hover_scenario):
-        import dataclasses
-
         pl = plan(dataclasses.replace(hover_scenario.planning, zeta_mode="scalar"))
         assert pl.zeta.size == 1
         assert pl.zeta_for_span(7) == pl.zeta_for_span(12) == float(pl.zeta[0])

@@ -81,16 +81,6 @@ class TestModelValidation:
         assert prog.block_labels() == ["box", "box", "pin", "ball"]
         assert prog.block_counts() == {"box": 2, "pin": 1, "ball": 1}
 
-    def test_dump_lists_blocks(self):
-        prog = ConeProgram(2)
-        prog.add_objective([0], [1.0])
-        prog.add_inequality([1.0], [0], 1.0, label="lid")
-        prog.add_equality(np.ones((8, 2)).repeat(7, axis=0)[:8], [0, 1], np.zeros(8), label="big")
-        text = prog.dump()
-        assert "2 variables" in text
-        assert "'lid'" in text
-        assert "|A|max" in text  # large blocks print magnitudes only
-
 
 class TestResiduals:
     def test_per_label_worst_violation(self):
@@ -110,6 +100,75 @@ class TestResiduals:
         prog.add_inequality([1.0], [0], 1.0)
         ball_soc(prog, [0, 1], 1.0)
         assert prog.max_residual(np.array([0.2, 0.3])) == 0.0
+
+
+class TestBatches:
+    """k alike constraints on a leading axis act as k single calls."""
+
+    @staticmethod
+    def build(rng, batched):
+        E, g = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 2))
+        rows, ub = rng.normal(size=(4, 4)), rng.normal(size=4)
+        A, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3))
+        c, d = rng.normal(size=(2, 4)), rng.uniform(1.0, 2.0, size=2)
+        cols = np.array([[0, 1, 2, 3], [3, 4, 5, 0]])  # one row per second-order cone
+        prog = ConeProgram(6)
+        if batched:
+            prog.add_soc(A, b, c, d, cols, label="cone")
+            prog.add_equality(E, [0, 2, 4, 5], g, label="pin")
+            prog.add_inequality(rows, [1, 2, 3, 4], ub, label="lid")
+        else:
+            for k in range(2):
+                prog.add_soc(A[k], b[k], c[k], d[k], cols[k], label="cone")
+            for k in range(3):
+                prog.add_equality(E[k], [0, 2, 4, 5], g[k], label="pin")
+            for k in range(4):
+                prog.add_inequality(rows[k], [1, 2, 3, 4], ub[k], label="lid")
+        return prog
+
+    def test_batch_equals_single_calls(self):
+        one = self.build(np.random.default_rng(5), batched=True)
+        many = self.build(np.random.default_rng(5), batched=False)
+        (A1, b1, c1), (A2, b2, c2) = one._assemble(), many._assemble()
+        assert c1 == c2
+        assert (c1.zero, c1.nonneg, c1.soc) == (6, 4, (4, 4))
+        assert np.array_equal(A1.toarray(), A2.toarray())
+        assert np.array_equal(b1, b2)
+        assert one.block_labels() == many.block_labels()
+        assert one.block_counts() == {"cone": 2, "pin": 3, "lid": 4}
+        x = np.random.default_rng(6).normal(size=6)
+        assert one.residuals(x) == many.residuals(x)
+
+    def test_rejects_mismatched_batch_lengths(self):
+        prog = ConeProgram(3)
+        with pytest.raises(ValueError):
+            prog.add_equality(np.ones((2, 1, 3)), [0, 1, 2], np.zeros((3, 1)))
+        with pytest.raises(ValueError):
+            prog.add_inequality(np.ones((3, 3)), [0, 1, 2], np.zeros(2))
+        A, b, c = np.ones((2, 2, 3)), np.zeros((2, 2)), np.zeros((2, 3))
+        for args in ((A[[0, 1, 1]], b, c, np.ones(2)), (A, b[[0, 1, 1]], c, np.ones(2))):
+            with pytest.raises(ValueError):
+                prog.add_soc(*args, [0, 1, 2])
+        with pytest.raises(ValueError):
+            prog.add_soc(A, b, c, np.ones(3), [0, 1, 2])
+        with pytest.raises(ValueError):  # three rows of columns for a batch of two
+            prog.add_inequality(np.ones((2, 1)), [[0], [1], [2]], np.zeros(2))
+        assert prog.block_counts() == {}
+
+    def test_rejects_bad_columns_in_any_row(self):
+        prog = ConeProgram(3)
+        with pytest.raises(ValueError):
+            prog.add_inequality(np.ones((2, 2)), [[0, 1], [1, 3]], np.zeros(2))
+        with pytest.raises(ValueError):
+            prog.add_inequality(np.ones((2, 2)), [[0, 1], [-1, 2]], np.zeros(2))
+        with pytest.raises(ValueError):
+            prog.add_inequality(np.ones((2, 2)), [[0, 1], [2, 2]], np.zeros(2))
+
+    def test_empty_batch_adds_nothing(self):
+        prog = ConeProgram(3)
+        prog.add_soc(np.ones((0, 2, 3)), np.zeros((0, 2)), np.zeros((0, 3)), np.ones(0), [0, 1, 2])
+        assert prog.block_counts() == {}
+        assert prog.residuals(np.zeros(3)) == {}
 
 
 class TestLinearPrograms:
