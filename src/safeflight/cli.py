@@ -24,6 +24,7 @@ import jsonschema
 import numpy as np
 import yaml
 
+from .flatness import GRAVITY, tilt_thrust_rates
 from .planner import (
     ConvexRegion,
     EndpointPins,
@@ -277,6 +278,10 @@ def load_scenario(source: str) -> ScenarioFile:
 
     spline = doc["spline"]
     degree = int(spline["degree"])
+    if degree < 4:
+        raise ScenarioError(
+            f"{desc}: spline.degree must be >= 4 for the snap objective, got {degree}"
+        )
     corridor = None
     if "corridor" in doc:
         corridor = tuple(_region_from_spec(s) for s in doc["corridor"])
@@ -341,7 +346,7 @@ def load_scenario(source: str) -> ScenarioFile:
             zeta_mode=doc.get("zeta_mode", "per-span"),
             cbf=tracking.cbf if tracking else None,
             apply_tracking_margins=bool(doc.get("apply_tracking_margins", False)),
-            gravity=float(doc.get("gravity", 9.81)),
+            gravity=float(doc.get("gravity", GRAVITY)),
             solver_tol=float(doc.get("solver_tol", 1e-8)),
         )
     except ValueError as exc:
@@ -523,8 +528,6 @@ def cmd_export(args) -> int:
             fh.write("\n")
         print(f"plan document written to {args.out}")
         return EXIT_OK
-
-    from .flatness import tilt_thrust_rates
 
     kv = pl.curve.knots
     parts = [

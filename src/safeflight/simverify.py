@@ -1,10 +1,10 @@
 """Closed-loop simulation and dense constraint verification.
 
-Simulation integrates the translational double integrator under a
-zero-order-hold virtual input with classic RK4 substeps between control
-ticks. Verification re-derives every planned bound from curve samples and
-the flatness maps alone -- no planner data structures are trusted -- and
-reports the worst signed margin per constraint family.
+Simulation advances the translational double integrator exactly under a
+zero-order-hold virtual input, r += r1 h + mu h^2 / 2 and r1 += mu h per
+control tick. Verification re-derives every planned bound from curve
+samples and the flatness maps alone -- no planner data structures are
+trusted -- and reports the worst signed margin per constraint family.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .flatness import InvertedFlightError, attitude_from_virtual, tilt_thrust_rates
+from .flatness import GRAVITY, InvertedFlightError, attitude_from_virtual, tilt_thrust_rates
 from .planner import ConvexRegion, EndpointPins, IntervalConstraint, SafetyBounds, TrajectoryPlan, Waypoint
 from .tracker import (
     CbfParams,
@@ -38,8 +38,9 @@ from .tracker import (
 class SimConfig:
     """Closed-loop timing plus the starting state.
 
-    The command is held constant between control ticks; each tick is split
-    into `substeps` RK4 steps. If initial_state is None the run starts on
+    The command is held constant between control ticks, across which the
+    state takes the exact double-integrator step; `substeps` (validated >= 1)
+    no longer affects the result. If initial_state is None the run starts on
     the reference, shifted by the two offsets.
     """
 
@@ -124,25 +125,6 @@ class SimTrace:
                 writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
 
 
-def rk4_step(r: np.ndarray, r1: np.ndarray, mu: np.ndarray, dt: float):
-    """One RK4 step of the double integrator under constant input.
-
-    RK4 is exact here (the flow is polynomial in time of degree 2), so the
-    step reproduces r + r1 dt + mu dt^2 / 2 to rounding error.
-    """
-
-    def f(state):
-        return np.concatenate([state[3:], mu])
-
-    x = np.concatenate([r, r1])
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return x[:3], x[3:]
-
-
 def plan_reference(plan: TrajectoryPlan) -> Callable[[float], ReferencePoint]:
     """Reference sampler clamped to the plan's time range (hold at the ends)."""
     kv = plan.curve.knots
@@ -157,7 +139,7 @@ def plan_reference(plan: TrajectoryPlan) -> Callable[[float], ReferencePoint]:
 
 
 def make_filtered_controller(
-    params: CbfParams, gains: PdGains, psi: float = 0.0, g: float = 9.81
+    params: CbfParams, gains: PdGains, psi: float = 0.0, g: float = GRAVITY
 ) -> Callable:
     """Nominal PD wrapped in the barrier filter."""
 
@@ -168,7 +150,7 @@ def make_filtered_controller(
 
 
 def make_unfiltered_controller(
-    params: CbfParams, gains: PdGains, psi: float = 0.0, g: float = 9.81
+    params: CbfParams, gains: PdGains, psi: float = 0.0, g: float = GRAVITY
 ) -> Callable:
     """Nominal PD passed straight through; barriers still recorded."""
 
@@ -203,15 +185,15 @@ def simulate(
 ) -> SimTrace:
     """Run the closed loop and record one row per control tick.
 
-    The command computed at tick i acts on [t_i, t_{i+1}); the recorded
-    state is the one the controller saw at t_i.
+    The command computed at tick i acts on [t_i, t_{i+1}), where the state
+    takes the exact zero-order-hold step; the recorded state is the one the
+    controller saw at t_i. The reference is called once per tick.
     """
     span = duration if duration is not None else cfg.duration
     if span is None or span <= 0:
         raise ValueError("simulation needs a positive duration")
     h = 1.0 / cfg.control_rate
     steps = int(round(span * cfg.control_rate))
-    sub = h / cfg.substeps
 
     if cfg.initial_state is not None:
         r = np.array(cfg.initial_state.r, dtype=float)
@@ -260,8 +242,7 @@ def simulate(
             out["theta"][i] = np.nan
         out["barriers"][i] = cmd.barriers
         out["active"][i] = cmd.active
-        for _ in range(cfg.substeps):
-            r, r1 = rk4_step(r, r1, cmd.mu, sub)
+        r, r1 = r + r1 * h + 0.5 * cmd.mu * h * h, r1 + cmd.mu * h
     return SimTrace(**out)
 
 

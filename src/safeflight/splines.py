@@ -11,9 +11,10 @@ Conventions. A knot vector has v + 1 entries tau_0 <= ... <= tau_v with the
 first and last knot repeated degree + 1 times and uniformly spaced interior
 breakpoints. A curve of degree d over it has n + 1 control points, where
 n = v - d - 1. Basis functions of degree k are indexed 0..v-k-1 and follow
-the Cox-de Boor recursion with the 0/0 := 0 convention; evaluation at the
-right endpoint returns left limits, so curves are defined on all of
-[tau_0, tau_v].
+the Cox-de Boor recursion. Only the k + 1 functions l-k..l are nonzero on a
+span [tau_l, tau_{l+1}), so evaluation builds just those, row by row of de
+Boor's triangle, on the nonempty spans d..n; evaluation at the right
+endpoint returns left limits, so curves are defined on all of [tau_0, tau_v].
 """
 
 from __future__ import annotations
@@ -99,8 +100,12 @@ class KnotVector:
     def span_index(self, t: float) -> int:
         """Index of the nonempty span containing t; tf maps to the last one."""
         self._check_range(t)
-        l = int(np.searchsorted(self.tau, t, side="right") - 1)
-        return min(max(l, self.degree), self.n)
+        return int(self._spans(np.array([t], dtype=float))[0])
+
+    def _spans(self, ts: np.ndarray) -> np.ndarray:
+        """Nonempty span index of every time in ts (unchecked)."""
+        l = self.tau.searchsorted(ts, side="right") - 1
+        return np.minimum(np.maximum(l, self.degree), self.n)
 
     def derivative_matrix(self, r: int) -> np.ndarray:
         """Memoized build_derivative_matrix(self, r). The array is read-only."""
@@ -112,8 +117,41 @@ class KnotVector:
 
     def _check_range(self, t) -> None:
         t = np.asarray(t)
-        if np.any(t < self.tau[0]) or np.any(t > self.tau[-1]):
+        if (t < self.tau[0]).any() or (t > self.tau[-1]).any():
             raise ValueError(f"evaluation time outside [{self.t0}, {self.tf}]")
+
+
+def _local_basis(knots: KnotVector, degree: int, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Span indices and the degree + 1 nonzero basis values of every time.
+
+    De Boor's triangle, vectorized over the samples and over each row: row j
+    holds the degree-j functions l-j..l on span l. Every denominator covers
+    the nonempty span l, so there is no 0/0 case.
+
+    Returns:
+        (l, lam) of shapes (m,) and (m, degree + 1) for the m flattened
+        times; lam[i, a] is basis function l[i] - degree + a at ts[i].
+    """
+    if not 0 <= degree <= knots.degree:
+        raise ValueError(f"basis degree must lie in [0, {knots.degree}], got {degree}")
+    ts = np.atleast_1d(np.asarray(ts, dtype=float)).ravel()
+    knots._check_range(ts)
+    l = knots._spans(ts)
+    # Knots tau[l-k+1 .. l+k] of each sample, the only ones the triangle
+    # reads, and their signed distances from it.
+    win = knots.tau[l[:, None] + np.arange(1 - degree, degree + 1)]
+    before, after = ts[:, None] - win, win - ts[:, None]
+    lam = np.ones((ts.size, 1))
+    for j in range(1, degree + 1):
+        # Degree-(j-1) function p = l-j+1..l feeds degree-j functions p and p-1
+        # through the knot pair (tau_p, tau_{p+j}).
+        lo, hi = slice(degree - j, degree), slice(degree, degree + j)
+        den = win[:, hi] - win[:, lo]
+        nxt = np.zeros((ts.size, j + 1))
+        nxt[:, 1:] = before[:, lo] / den * lam
+        nxt[:, :-1] += after[:, hi] / den * lam
+        lam = nxt
+    return l, lam
 
 
 def basis_matrix(knots: KnotVector, degree: int, ts: np.ndarray) -> np.ndarray:
@@ -127,36 +165,11 @@ def basis_matrix(knots: KnotVector, degree: int, ts: np.ndarray) -> np.ndarray:
     Returns:
         Array of shape (len(ts), v - k); row i is the basis vector at ts[i].
         At t = tf the row is the left limit (final span treated as closed).
+        Entries outside each row's k + 1 supported functions are exactly 0.
     """
-    if not 0 <= degree <= knots.degree:
-        raise ValueError(f"basis degree must lie in [0, {knots.degree}], got {degree}")
-    ts = np.atleast_1d(np.asarray(ts, dtype=float)).ravel()
-    knots._check_range(ts)
-    tau = knots.tau
-    v = knots.v
-
-    # Degree-0 indicators. The last nonempty span is closed on the right so
-    # that evaluation at tf yields the left limit of every higher degree.
-    B = ((tau[None, :-1] <= ts[:, None]) & (ts[:, None] < tau[None, 1:])).astype(float)
-    at_end = ts == tau[-1]
-    if np.any(at_end):
-        last = int(np.flatnonzero(np.diff(tau) > 0.0)[-1])
-        B[at_end, :] = 0.0
-        B[at_end, last] = 1.0
-
-    for k in range(1, degree + 1):
-        nb = v - k
-        Bk = np.zeros((ts.size, nb))
-        for i in range(nb):
-            den_l = tau[i + k] - tau[i]
-            den_r = tau[i + k + 1] - tau[i + 1]
-            acc = 0.0
-            if den_l > 0.0:
-                acc = (ts - tau[i]) / den_l * B[:, i]
-            if den_r > 0.0:
-                acc = acc + (tau[i + k + 1] - ts) / den_r * B[:, i + 1]
-            Bk[:, i] = acc
-        B = Bk
+    l, lam = _local_basis(knots, degree, ts)
+    B = np.zeros((l.size, knots.num_basis(degree)))
+    B[np.arange(l.size)[:, None], l[:, None] + np.arange(-degree, 1)] = lam
     return B
 
 
@@ -218,6 +231,10 @@ class SplineCurve:
     def eval(self, t, r: int = 0) -> np.ndarray:
         """Evaluate the r-th derivative of the curve.
 
+        Each sample contracts its d - r + 1 local basis values with the
+        derivative control points they weight, so temporaries stay
+        O(len(t) * (d + 1)) and one path serves single times and grids.
+
         Args:
             t: Scalar time or array of times in [t0, tf].
             r: Derivative order, 0 <= r <= degree.
@@ -226,10 +243,11 @@ class SplineCurve:
             Shape (dim,) for scalar t, else (len(t), dim).
         """
         kv = self.knots
-        scalar = np.isscalar(t) or np.ndim(t) == 0
-        lam = basis_matrix(kv, kv.degree - r, np.atleast_1d(t))
-        vals = lam @ (self.ctrl @ kv.derivative_matrix(r)).T
-        return vals[0] if scalar else vals
+        k = kv.degree - r
+        l, lam = _local_basis(kv, k, t)
+        pts = (self.ctrl @ kv.derivative_matrix(r)).T
+        vals = np.einsum("ma,mad->md", lam, pts[l[:, None] + np.arange(-k, 1)])
+        return vals[0] if np.ndim(t) == 0 else vals
 
 
 def curve_eval(curve: SplineCurve, r: int, t) -> np.ndarray:

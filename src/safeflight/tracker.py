@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flatness import ReducedInput, attitude_from_virtual, virtual_from_attitude
+from .flatness import GRAVITY, ReducedInput, attitude_from_virtual
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,11 @@ def nominal_mu(state: TrackingState, ref: ReferencePoint, gains: PdGains) -> np.
 
 
 def nominal_pd(
-    state: TrackingState, ref: ReferencePoint, gains: PdGains, psi: float = 0.0, g: float = 9.81
+    state: TrackingState,
+    ref: ReferencePoint,
+    gains: PdGains,
+    psi: float = 0.0,
+    g: float = GRAVITY,
 ) -> ReducedInput:
     """The nominal controller as a reduced input (thrust and attitude)."""
     return attitude_from_virtual(nominal_mu(state, ref, gains), psi, g)
@@ -192,7 +196,7 @@ def safe_step(
     mu_nominal: np.ndarray,
     params: CbfParams,
     psi: float = 0.0,
-    g: float = 9.81,
+    g: float = GRAVITY,
 ) -> SafeCommand:
     """Filter one nominal input and convert it back to thrust and attitude."""
     faces = cbf_faces(state, ref, params)

@@ -1,5 +1,9 @@
 """Reference solvers used only by the test suite.
 
+The spline basis has a dense reference here too: the textbook Cox-de Boor
+recursion over every basis function, in the same arithmetic as the local
+triangle, so the two must agree bit for bit.
+
 The tracking filter claims to solve its safety QP in closed form, so the
 tests need an independent QP method accurate enough to check 1e-8 in the
 argument. Interior-point solves cannot do that: an epsilon-suboptimal point
@@ -59,3 +63,26 @@ def box_projection_qp(mu_nom, lower, upper):
     h = np.concatenate([upper, -np.asarray(lower, dtype=float)])
     x0 = 0.5 * (np.asarray(lower, dtype=float) + np.asarray(upper, dtype=float))
     return active_set_qp(H, f, G, h, x0)
+
+
+def cox_de_boor_matrix(tau, degree, ts):
+    """All degree-k basis functions over the knots tau at times ts, densely.
+
+    One column per function, the 0/0 := 0 convention, and the last nonempty
+    span closed on the right so that tf returns left limits.
+    """
+    tau = np.asarray(tau, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    B = ((tau[:-1] <= ts[:, None]) & (ts[:, None] < tau[1:])).astype(float)
+    last = int(np.flatnonzero(np.diff(tau) > 0.0)[-1])
+    B[ts == tau[-1], last] = 1.0
+    for k in range(1, degree + 1):
+        Bk = np.zeros((ts.size, tau.size - 1 - k))
+        for i in range(Bk.shape[1]):
+            den_l, den_r = tau[i + k] - tau[i], tau[i + k + 1] - tau[i + 1]
+            if den_l > 0.0:
+                Bk[:, i] += (ts - tau[i]) / den_l * B[:, i]
+            if den_r > 0.0:
+                Bk[:, i] += (tau[i + k + 1] - ts) / den_r * B[:, i + 1]
+        B = Bk
+    return B

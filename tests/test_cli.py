@@ -198,6 +198,19 @@ class TestPlanCommand:
         assert main(["plan", "--scenario", path]) == EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().err
 
+    def test_degree_below_four_exits_parse(self, tmp_path, capsys):
+        # The snap objective needs a fourth derivative; a cubic spline is
+        # bad input, not an unexpected error.
+        doc = hover_dict()
+        doc["spline"]["degree"] = 3
+        for side in ("initial", "final"):
+            doc["endpoints"][side] = doc["endpoints"][side][:3]
+        path = write_scenario(tmp_path, doc)
+        assert main(["plan", "--scenario", path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "spline.degree" in err
+        assert "unexpected error" not in err
+
     def test_unwritable_output_exits_runtime(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "plan.json"
         assert main(["plan", "--scenario", "hover", "--out", str(out)]) == EXIT_RUNTIME

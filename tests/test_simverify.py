@@ -13,7 +13,6 @@ from safeflight.simverify import (
     make_filtered_controller,
     make_unfiltered_controller,
     plan_reference,
-    rk4_step,
     simulate,
     verify_plan,
     verify_span_minima,
@@ -45,20 +44,6 @@ class TestSimConfig:
     def test_offsets_become_vectors(self):
         cfg = SimConfig(initial_position_offset=[0.1, 0.0, 0.0])
         assert cfg.initial_position_offset.shape == (3,)
-
-
-class TestRk4:
-    def test_exact_for_constant_input(self, rng):
-        # The double-integrator flow is quadratic in time, inside RK4's
-        # exactness order, so one step reproduces the closed form.
-        for _ in range(20):
-            r = rng.uniform(-5, 5, 3)
-            r1 = rng.uniform(-5, 5, 3)
-            mu = rng.uniform(-20, 20, 3)
-            dt = rng.uniform(1e-4, 0.5)
-            r_new, r1_new = rk4_step(r, r1, mu, dt)
-            assert_allclose(r_new, r + r1 * dt + 0.5 * mu * dt * dt, rtol=0, atol=1e-12)
-            assert_allclose(r1_new, r1 + mu * dt, rtol=0, atol=1e-12)
 
 
 class TestSimulate:
@@ -94,6 +79,31 @@ class TestSimulate:
             want_r1 = trace.r1[i] + trace.mu[i] * h
             assert_allclose(trace.r[i + 1], want_r, atol=1e-12)
             assert_allclose(trace.r1[i + 1], want_r1, atol=1e-12)
+
+    def test_substeps_do_not_change_the_trace(self, hover_plan):
+        # Ticks take the exact step, so substeps is read but inert.
+        def run(substeps):
+            cfg = SimConfig(
+                control_rate=100.0,
+                substeps=substeps,
+                initial_position_offset=[0.05, -0.03, 0.02],
+                initial_velocity_offset=[0.1, 0.0, -0.1],
+            )
+            ctrl = make_filtered_controller(PARAMS, GAINS)
+            return simulate(plan_reference(hover_plan), ctrl, cfg, t0=1.0, duration=1.0)
+
+        one, ten = run(1), run(10)
+        for name in ("r", "r1", "mu", "thrust", "barriers"):
+            np.testing.assert_array_equal(getattr(one, name), getattr(ten, name))
+
+    def test_thrust_follows_the_given_gravity(self):
+        # thrust = |mu + g e3| at every tick, for the g the controller is built with.
+        cfg = SimConfig(control_rate=50.0, initial_position_offset=[0.05, -0.05, 0.08])
+        ctrl = make_filtered_controller(PARAMS, GAINS, g=5.0)
+        trace = simulate(still_air, ctrl, cfg, duration=1.0)
+        want = np.linalg.norm(trace.mu + np.array([0.0, 0.0, 5.0]), axis=1)
+        assert_allclose(trace.thrust, want, rtol=1e-12)
+        assert np.abs(trace.mu).max() > 0.1  # the controller did work
 
     def test_initial_state_override(self):
         state = TrackingState(r=np.array([1.0, 2.0, 3.0]), r1=np.array([0.1, 0.0, 0.0]))

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.interpolate import BSpline
 from scipy.optimize import nnls
 
+from oracles import cox_de_boor_matrix
 from safeflight.splines import (
     KnotVector,
     SplineCurve,
@@ -98,10 +100,47 @@ class TestBasis:
             outside[l - degree : l + 1] = False
             assert np.all(lam[i, outside] == 0.0)
 
+    @pytest.mark.parametrize("n, degree", [(12, 5), (45, 5), (9, 3), (4, 1)])
+    def test_matches_dense_recursion_bit_for_bit(self, rng, n, degree):
+        kv = clamped_uniform_knots(0.0, 9.0, n, degree)
+        ts = np.concatenate([rng.uniform(0.0, 9.0, 300), kv.tau])
+        for k in range(degree + 1):
+            assert_array_equal(basis_matrix(kv, k, ts), cox_de_boor_matrix(kv.tau, k, ts))
+
     def test_basis_eval_matches_matrix_row(self):
         kv = clamped_uniform_knots(0.0, 1.0, 6, 4)
         t = 0.377
         assert_allclose(basis_eval(kv, 4, t), basis_matrix(kv, 4, np.array([t]))[0])
+
+
+class TestAgainstScipy:
+    """Local evaluation against scipy's BSpline on a degree-5 clamped grid."""
+
+    def times(self, rng, kv):
+        # Random times, every knot (interior ones are right-continuous), and
+        # the two ends; tf is a left limit in both implementations.
+        return np.concatenate([rng.uniform(kv.t0, kv.tf, 400), kv.tau, [kv.t0, kv.tf]])
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_basis_matrix(self, rng, degree):
+        # The degree-k functions over a degree-5 clamped vector are scipy's
+        # clamped degree-k basis on the same breakpoints, padded by 5 - k
+        # functions at each end that live on the repeated end knots.
+        kv = clamped_uniform_knots(0.0, 7.0, 13, 5)
+        ts = self.times(rng, kv)
+        pad = 5 - degree
+        inner = kv.tau[pad : kv.tau.size - pad]
+        want = BSpline(inner, np.eye(inner.size - degree - 1), degree)(ts)
+        want = np.pad(want, ((0, 0), (pad, pad)))
+        assert_allclose(basis_matrix(kv, degree, ts), want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("r", range(6))
+    def test_curve_eval(self, rng, r):
+        curve = random_curve(rng, 13, tf=7.0)
+        ts = self.times(rng, curve.knots)
+        want = BSpline(curve.knots.tau, curve.ctrl.T, 5)(ts, nu=r)
+        scale = max(1.0, float(np.abs(want).max()))
+        assert_allclose(curve.eval(ts, r), want, rtol=0, atol=1e-13 * scale)
 
 
 class TestDerivativeMatrices:
@@ -201,11 +240,12 @@ class TestConvexHulls:
 
 class TestCurveEval:
     def test_scalar_and_array_agree(self, rng):
+        # Single times and grids run the same code, so they agree exactly.
         curve = random_curve(rng, 11)
-        ts = np.array([0.0, 3.7, 10.0])
-        batch = curve.eval(ts, 1)
-        for i, t in enumerate(ts):
-            assert_allclose(curve.eval(float(t), 1), batch[i])
+        ts = np.concatenate([rng.uniform(0.0, 10.0, 50), curve.knots.tau])
+        for r in range(6):
+            batch = curve.eval(ts, r)
+            assert_array_equal(np.array([curve.eval(float(t), r) for t in ts]), batch)
 
     def test_curve_eval_alias(self, rng):
         curve = random_curve(rng, 8)
@@ -215,6 +255,12 @@ class TestCurveEval:
         curve = random_curve(rng, 8)
         with pytest.raises(ValueError):
             curve.eval(-0.1)
+        with pytest.raises(ValueError):
+            curve.eval(np.array([5.0, 10.0 + 1e-9]), 2)
+        with pytest.raises(ValueError):
+            curve.eval(1.0, 6)
+        with pytest.raises(ValueError):
+            curve.eval(np.array([1.0, 2.0]), 6)
 
     def test_control_point_shape_validated(self):
         kv = clamped_uniform_knots(0.0, 1.0, 8, 5)
