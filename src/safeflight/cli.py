@@ -43,6 +43,7 @@ from .simverify import (
     make_unfiltered_controller,
     plan_reference,
     simulate,
+    span_samples,
     verify_plan,
     verify_span_minima,
 )
@@ -530,18 +531,11 @@ def cmd_export(args) -> int:
         return EXIT_OK
 
     kv = pl.curve.knots
-    parts = [
-        np.linspace(kv.tau[l], kv.tau[l + 1], args.samples_per_span, endpoint=False)
-        for l in kv.nonempty_spans()
-    ]
-    parts.append(np.array([kv.tf]))
-    ts = np.concatenate(parts)
-    pos = pl.curve.eval(ts, 0)
-    vel = pl.curve.eval(ts, 1)
-    acc = pl.curve.eval(ts, 2)
-    jerk = pl.curve.eval(ts, 3)
+    ts = span_samples(pl, args.samples_per_span)
+    pos, vel, acc, jerk = pl.curve.eval(ts, (0, 1, 2, 3))
     thrust, phi, theta, p_rate, q_rate = tilt_thrust_rates(acc, jerk, pl.gravity)
-    zeta = np.array([pl.zeta_for_span(kv.span_index(t)) for t in ts])
+    zeta_by_span = np.array([pl.zeta_for_span(l) for l in kv.nonempty_spans()])
+    zeta = zeta_by_span[kv.span_index(ts) - kv.degree]
     header = [
         "t", "x", "y", "z", "vx", "vy", "vz", "speed",
         "ax", "ay", "az", "thrust", "phi_deg", "theta_deg",

@@ -286,16 +286,11 @@ class TrajectoryPlan:
         """FlatOutput record (derivatives to jerk, zero yaw) at time t."""
         from .flatness import FlatOutput
 
-        return FlatOutput(
-            r=self.curve.eval(t, 0),
-            r1=self.curve.eval(t, 1),
-            r2=self.curve.eval(t, 2),
-            r3=self.curve.eval(t, 3),
-        )
+        return FlatOutput(*self.curve.eval(t, (0, 1, 2, 3)))
 
     def sample(self, ts: np.ndarray) -> dict[str, np.ndarray]:
         """Batched derivatives 0..3 at the given times."""
-        return {f"r{r}": self.curve.eval(ts, r) for r in range(4)}
+        return dict(zip(("r0", "r1", "r2", "r3"), self.curve.eval(ts, (0, 1, 2, 3))))
 
     def zeta_for_span(self, l: int) -> float:
         """Rate floor active on knot span l (d <= l <= n)."""

@@ -25,7 +25,6 @@ from .tracker import (
     SafeCommand,
     TrackingState,
     barrier_values,
-    cbf_faces,
     certificates,
     nominal_mu,
     safe_step,
@@ -96,44 +95,33 @@ class SimTrace:
     def to_csv(self, path) -> None:
         """Columnar dump, one row per control tick."""
         header = (
-            ["t", "x", "y", "z", "vx", "vy", "vz"]
-            + ["ref_x", "ref_y", "ref_z", "ref_vx", "ref_vy", "ref_vz"]
-            + ["ref_ax", "ref_ay", "ref_az"]
-            + ["mu_nom_x", "mu_nom_y", "mu_nom_z", "mu_x", "mu_y", "mu_z"]
-            + ["thrust", "phi_deg", "theta_deg"]
+            ["t", "x", "y", "z", "vx", "vy", "vz", "ref_x", "ref_y", "ref_z", "ref_vx", "ref_vy"]
+            + ["ref_vz", "ref_ax", "ref_ay", "ref_az", "mu_nom_x", "mu_nom_y", "mu_nom_z"]
+            + ["mu_x", "mu_y", "mu_z", "thrust", "phi_deg", "theta_deg"]
             + ["h_xu", "h_xl", "h_yu", "h_yl", "h_zu", "h_zl", "active_faces"]
         )
-        face_names = ["x+", "x-", "y+", "y-", "z+", "z-"]
+        face_names = np.array(["x+", "x-", "y+", "y-", "z+", "z-"])
+        cols = np.column_stack(
+            [self.t, self.r, self.r1, self.ref_r, self.ref_r1, self.ref_r2, self.mu_nominal]
+            + [self.mu, self.thrust, np.rad2deg(self.phi), np.rad2deg(self.theta), self.barriers]
+        )
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for i in range(self.t.size):
-                act = ";".join(name for name, on in zip(face_names, self.active[i]) if on)
-                row = (
-                    [self.t[i]]
-                    + list(self.r[i])
-                    + list(self.r1[i])
-                    + list(self.ref_r[i])
-                    + list(self.ref_r1[i])
-                    + list(self.ref_r2[i])
-                    + list(self.mu_nominal[i])
-                    + list(self.mu[i])
-                    + [self.thrust[i], np.rad2deg(self.phi[i]), np.rad2deg(self.theta[i])]
-                    + list(self.barriers[i])
-                    + [act]
-                )
-                writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+            for row, act in zip(cols, self.active):
+                writer.writerow([f"{v:.12g}" for v in row] + [";".join(face_names[act])])
 
 
-def plan_reference(plan: TrajectoryPlan) -> Callable[[float], ReferencePoint]:
-    """Reference sampler clamped to the plan's time range (hold at the ends)."""
+def plan_reference(plan: TrajectoryPlan) -> Callable[[np.ndarray], ReferencePoint]:
+    """Reference sampler clamped to the plan's time range (hold at the ends).
+
+    A scalar time gives (3,) fields and an array of times (len(t), 3) ones,
+    clamped elementwise; one de Boor triangle serves all three derivatives.
+    """
     kv = plan.curve.knots
 
-    def ref(t: float) -> ReferencePoint:
-        tc = min(max(t, kv.t0), kv.tf)
-        return ReferencePoint(
-            r=plan.curve.eval(tc, 0), r1=plan.curve.eval(tc, 1), r2=plan.curve.eval(tc, 2)
-        )
+    def ref(t) -> ReferencePoint:
+        return ReferencePoint(*plan.curve.eval(np.clip(t, kv.t0, kv.tf), (0, 1, 2)))
 
     return ref
 
@@ -160,7 +148,6 @@ def make_unfiltered_controller(
             mu_nominal=mu,
             mu=mu,
             v=_reduced_or_none(mu, psi, g),
-            faces=cbf_faces(state, ref, params),
             barriers=barrier_values(state, ref, params),
             active=np.zeros(6, dtype=bool),
         )
@@ -177,7 +164,7 @@ def _reduced_or_none(mu: np.ndarray, psi: float, g: float):
 
 
 def simulate(
-    reference: Callable[[float], ReferencePoint],
+    reference: Callable[[np.ndarray], ReferencePoint],
     controller: Callable[[float, TrackingState, ReferencePoint], SafeCommand],
     cfg: SimConfig,
     t0: float = 0.0,
@@ -185,65 +172,53 @@ def simulate(
 ) -> SimTrace:
     """Run the closed loop and record one row per control tick.
 
-    The command computed at tick i acts on [t_i, t_{i+1}), where the state
-    takes the exact zero-order-hold step; the recorded state is the one the
-    controller saw at t_i. The reference is called once per tick.
+    The reference is called once per run, with the (M,) tick grid
+    t0 + i h, and its fields must broadcast to (M, 3); tick i hands the
+    controller row i. The command computed at tick i acts on
+    [t_i, t_{i+1}), where the state takes the exact zero-order-hold step;
+    the recorded state is the one the controller saw at t_i.
     """
     span = duration if duration is not None else cfg.duration
-    if span is None or span <= 0:
-        raise ValueError("simulation needs a positive duration")
+    M = int(round((span or 0.0) * cfg.control_rate))
+    if M < 1:
+        raise ValueError("simulation needs a duration of at least one control tick")
     h = 1.0 / cfg.control_rate
-    steps = int(round(span * cfg.control_rate))
+    ts = t0 + np.arange(M) * h
+    ref = reference(ts)
+    ref_r, ref_r1, ref_r2 = (
+        np.broadcast_to(np.asarray(f, dtype=float), (M, 3)).copy() for f in (ref.r, ref.r1, ref.r2)
+    )
 
-    if cfg.initial_state is not None:
-        r = np.array(cfg.initial_state.r, dtype=float)
-        r1 = np.array(cfg.initial_state.r1, dtype=float)
-    else:
-        start = reference(t0)
-        r = np.asarray(start.r, dtype=float) + cfg.initial_position_offset
-        r1 = np.asarray(start.r1, dtype=float) + cfg.initial_velocity_offset
+    start = cfg.initial_state or TrackingState(
+        r=ref_r[0] + cfg.initial_position_offset, r1=ref_r1[0] + cfg.initial_velocity_offset
+    )
+    r, r1 = np.array(start.r, dtype=float), np.array(start.r1, dtype=float)
 
-    M = steps
-    out = {
-        "t": np.zeros(M),
-        "r": np.zeros((M, 3)),
-        "r1": np.zeros((M, 3)),
-        "ref_r": np.zeros((M, 3)),
-        "ref_r1": np.zeros((M, 3)),
-        "ref_r2": np.zeros((M, 3)),
-        "mu_nominal": np.zeros((M, 3)),
-        "mu": np.zeros((M, 3)),
-        "thrust": np.zeros(M),
-        "phi": np.zeros(M),
-        "theta": np.zeros(M),
-        "barriers": np.zeros((M, 6)),
-        "active": np.zeros((M, 6), dtype=bool),
-    }
+    states, cmds = [], []
     for i in range(M):
-        t = t0 + i * h
-        ref = reference(t)
         state = TrackingState(r=r, r1=r1)
-        cmd = controller(t, state, ref)
-        out["t"][i] = t
-        out["r"][i] = r
-        out["r1"][i] = r1
-        out["ref_r"][i] = ref.r
-        out["ref_r1"][i] = ref.r1
-        out["ref_r2"][i] = ref.r2
-        out["mu_nominal"][i] = cmd.mu_nominal
-        out["mu"][i] = cmd.mu
-        if cmd.v is not None:
-            out["thrust"][i] = cmd.v.thrust
-            out["phi"][i] = cmd.v.phi
-            out["theta"][i] = cmd.v.theta
-        else:
-            out["thrust"][i] = np.nan
-            out["phi"][i] = np.nan
-            out["theta"][i] = np.nan
-        out["barriers"][i] = cmd.barriers
-        out["active"][i] = cmd.active
+        cmd = controller(ts[i], state, ReferencePoint(r=ref_r[i], r1=ref_r1[i], r2=ref_r2[i]))
+        states.append(state)
+        cmds.append(cmd)
         r, r1 = r + r1 * h + 0.5 * cmd.mu * h * h, r1 + cmd.mu * h
-    return SimTrace(**out)
+
+    reduced = [(np.nan,) * 3 if c.v is None else (c.v.thrust, c.v.phi, c.v.theta) for c in cmds]
+    thrust, phi, theta = np.array(reduced).T
+    return SimTrace(
+        t=ts,
+        r=np.array([s.r for s in states]),
+        r1=np.array([s.r1 for s in states]),
+        ref_r=ref_r,
+        ref_r1=ref_r1,
+        ref_r2=ref_r2,
+        mu_nominal=np.array([c.mu_nominal for c in cmds]),
+        mu=np.array([c.mu for c in cmds]),
+        thrust=thrust,
+        phi=phi,
+        theta=theta,
+        barriers=np.array([c.barriers for c in cmds]),
+        active=np.array([c.active for c in cmds], dtype=bool),
+    )
 
 
 # ---------------------------------------------------------------- verification
@@ -284,7 +259,7 @@ class ConstraintReport:
         return "\n".join(lines)
 
 
-def _span_samples(plan: TrajectoryPlan, samples_per_span: int) -> np.ndarray:
+def span_samples(plan: TrajectoryPlan, samples_per_span: int) -> np.ndarray:
     """Left-closed per-span grids, plus the exact final time."""
     kv = plan.curve.knots
     parts = [
@@ -317,11 +292,8 @@ def verify_plan(
     """
     kv = plan.curve.knots
     g = plan.gravity
-    ts = _span_samples(plan, samples_per_span)
-    pos = plan.curve.eval(ts, 0)
-    vel = plan.curve.eval(ts, 1)
-    acc = plan.curve.eval(ts, 2)
-    jerk = plan.curve.eval(ts, 3)
+    ts = span_samples(plan, samples_per_span)
+    pos, vel, acc, jerk = plan.curve.eval(ts, (0, 1, 2, 3))
     thrust, phi, theta, p_rate, q_rate = tilt_thrust_rates(acc, jerk, g)
 
     checks: list[ConstraintCheck] = []
@@ -397,8 +369,7 @@ def verify_span_minima(
     for l in kv.nonempty_spans():
         z = plan.zeta_for_span(l)
         seg = np.linspace(kv.tau[l], kv.tau[l + 1], samples_per_span)
-        acc = plan.curve.eval(seg, 2)
-        jerk = plan.curve.eval(seg, 3)
+        acc, jerk = plan.curve.eval(seg, (2, 3))
         thrust = np.linalg.norm(acc + np.array([0.0, 0.0, g]), axis=1)
         m1, wt1 = _worst(seg, thrust - z)
         checks.append(ConstraintCheck(f"span[{l}]:thrust-floor", m1, wt1, f"zeta {z:.4f}"))

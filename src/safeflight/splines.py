@@ -20,6 +20,7 @@ endpoint returns left limits, so curves are defined on all of [tau_0, tau_v].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -97,10 +98,14 @@ class KnotVector:
         """Indices l of the nonempty spans [tau_l, tau_{l+1}) of a clamped vector."""
         return range(self.degree, self.n + 1)
 
-    def span_index(self, t: float) -> int:
-        """Index of the nonempty span containing t; tf maps to the last one."""
+    def span_index(self, t):
+        """Index of the nonempty span containing t; tf maps to the last one.
+
+        An int for scalar t, else an integer array shaped like t.
+        """
         self._check_range(t)
-        return int(self._spans(np.array([t], dtype=float))[0])
+        l = self._spans(np.asarray(t, dtype=float))
+        return int(l) if np.ndim(l) == 0 else l
 
     def _spans(self, ts: np.ndarray) -> np.ndarray:
         """Nonempty span index of every time in ts (unchecked)."""
@@ -121,27 +126,31 @@ class KnotVector:
             raise ValueError(f"evaluation time outside [{self.t0}, {self.tf}]")
 
 
-def _local_basis(knots: KnotVector, degree: int, ts) -> tuple[np.ndarray, np.ndarray]:
-    """Span indices and the degree + 1 nonzero basis values of every time.
+def _local_basis(knots: KnotVector, degrees, ts) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Span indices and the nonzero basis values of every time, per degree.
 
-    De Boor's triangle, vectorized over the samples and over each row: row j
-    holds the degree-j functions l-j..l on span l. Every denominator covers
-    the nonempty span l, so there is no 0/0 case.
+    One de Boor triangle, vectorized over samples and rows, serves every
+    requested degree: row j holds the degree-j functions l-j..l on span l,
+    bitwise the same whatever the top degree. Every denominator covers the
+    nonempty span l, so there is no 0/0 case.
 
     Returns:
-        (l, lam) of shapes (m,) and (m, degree + 1) for the m flattened
-        times; lam[i, a] is basis function l[i] - degree + a at ts[i].
+        (l, rows) with l of shape (m,) for the m flattened times and, for
+        each k in degrees, rows[k] of shape (m, k + 1); rows[k][i, a] is
+        basis function l[i] - k + a of degree k at ts[i].
     """
-    if not 0 <= degree <= knots.degree:
-        raise ValueError(f"basis degree must lie in [0, {knots.degree}], got {degree}")
+    degree = max(degrees)
+    if min(degrees) < 0 or degree > knots.degree:
+        raise ValueError(f"basis degrees must lie in [0, {knots.degree}], got {sorted(degrees)}")
     ts = np.atleast_1d(np.asarray(ts, dtype=float)).ravel()
     knots._check_range(ts)
     l = knots._spans(ts)
-    # Knots tau[l-k+1 .. l+k] of each sample, the only ones the triangle
-    # reads, and their signed distances from it.
+    # Knots tau[l-k+1 .. l+k] of each sample, the only ones the triangle reads,
+    # and the distances it takes: sample minus left half, right half minus sample.
     win = knots.tau[l[:, None] + np.arange(1 - degree, degree + 1)]
-    before, after = ts[:, None] - win, win - ts[:, None]
+    before, after = ts[:, None] - win[:, :degree], win[:, degree:] - ts[:, None]
     lam = np.ones((ts.size, 1))
+    rows = {0: lam} if 0 in degrees else {}
     for j in range(1, degree + 1):
         # Degree-(j-1) function p = l-j+1..l feeds degree-j functions p and p-1
         # through the knot pair (tau_p, tau_{p+j}).
@@ -149,9 +158,11 @@ def _local_basis(knots: KnotVector, degree: int, ts) -> tuple[np.ndarray, np.nda
         den = win[:, hi] - win[:, lo]
         nxt = np.zeros((ts.size, j + 1))
         nxt[:, 1:] = before[:, lo] / den * lam
-        nxt[:, :-1] += after[:, hi] / den * lam
+        nxt[:, :-1] += after[:, :j] / den * lam
         lam = nxt
-    return l, lam
+        if j in degrees:
+            rows[j] = lam
+    return l, rows
 
 
 def basis_matrix(knots: KnotVector, degree: int, ts: np.ndarray) -> np.ndarray:
@@ -167,9 +178,9 @@ def basis_matrix(knots: KnotVector, degree: int, ts: np.ndarray) -> np.ndarray:
         At t = tf the row is the left limit (final span treated as closed).
         Entries outside each row's k + 1 supported functions are exactly 0.
     """
-    l, lam = _local_basis(knots, degree, ts)
+    l, rows = _local_basis(knots, {degree}, ts)
     B = np.zeros((l.size, knots.num_basis(degree)))
-    B[np.arange(l.size)[:, None], l[:, None] + np.arange(-degree, 1)] = lam
+    B[np.arange(l.size)[:, None], l[:, None] + np.arange(-degree, 1)] = rows[degree]
     return B
 
 
@@ -213,6 +224,7 @@ class SplineCurve:
 
     knots: KnotVector
     ctrl: np.ndarray
+    _dpts_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ctrl = np.asarray(self.ctrl, dtype=float)
@@ -228,26 +240,43 @@ class SplineCurve:
     def dim(self) -> int:
         return self.ctrl.shape[0]
 
-    def eval(self, t, r: int = 0) -> np.ndarray:
-        """Evaluate the r-th derivative of the curve.
+    def _derivative_points(self, r: int) -> np.ndarray:
+        """Memoized (ctrl @ B_r).T, shape (n+r+1, dim). The array is read-only."""
+        if r not in self._dpts_cache:
+            pts = (self.ctrl @ self.knots.derivative_matrix(r)).T
+            pts.setflags(write=False)
+            self._dpts_cache[r] = pts
+        return self._dpts_cache[r]
 
-        Each sample contracts its d - r + 1 local basis values with the
-        derivative control points they weight, so temporaries stay
-        O(len(t) * (d + 1)) and one path serves single times and grids.
+    def eval(self, t, r: int | Sequence[int] = 0):
+        """Evaluate the r-th derivative of the curve, or several at once.
+
+        One de Boor triangle of degree d - min(r) serves every order q, each
+        from its row of degree d - q, so results are bitwise those of
+        single-order calls. Each sample contracts its d - q + 1 basis values
+        with the memoized derivative control points they weight.
 
         Args:
             t: Scalar time or array of times in [t0, tf].
-            r: Derivative order, 0 <= r <= degree.
+            r: Derivative order 0 <= r <= degree, or a nonempty sequence of
+                such orders.
 
         Returns:
-            Shape (dim,) for scalar t, else (len(t), dim).
+            For an int r, shape (dim,) for scalar t, else (len(t), dim). For
+            a sequence, a tuple of such arrays, one per order in the order
+            given.
         """
         kv = self.knots
-        k = kv.degree - r
-        l, lam = _local_basis(kv, k, t)
-        pts = (self.ctrl @ kv.derivative_matrix(r)).T
-        vals = np.einsum("ma,mad->md", lam, pts[l[:, None] + np.arange(-k, 1)])
-        return vals[0] if np.ndim(t) == 0 else vals
+        orders = (r,) if np.ndim(r) == 0 else tuple(r)
+        if not orders or not all(0 <= q <= kv.degree for q in orders):
+            raise ValueError(f"need derivative orders in [0, {kv.degree}], got {r!r}")
+        l, rows = _local_basis(kv, {kv.degree - q for q in orders}, t)
+        vals = {}
+        for k in sorted(rows):  # smallest first, each dropped once used: a lower peak
+            pts = self._derivative_points(kv.degree - k)[l[:, None] + np.arange(-k, 1)]
+            vals[kv.degree - k] = np.einsum("ma,mad->md", rows.pop(k), pts)
+        out = tuple(vals[q][0] if np.ndim(t) == 0 else vals[q] for q in orders)
+        return out[0] if np.ndim(r) == 0 else out
 
 
 def curve_eval(curve: SplineCurve, r: int, t) -> np.ndarray:
@@ -280,9 +309,8 @@ class DerivativePoints:
 
 
 def derivative_control_points(curve: SplineCurve, r: int) -> DerivativePoints:
-    """Control points of the r-th derivative, P @ B_r."""
-    pts = curve.ctrl @ curve.knots.derivative_matrix(r)
-    return DerivativePoints(r=r, points=pts, knots=curve.knots)
+    """Control points of the r-th derivative, P @ B_r (read-only, memoized per curve)."""
+    return DerivativePoints(r=r, points=curve._derivative_points(r).T, knots=curve.knots)
 
 
 def snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:

@@ -92,20 +92,25 @@ class CbfFace:
     bound: float | np.ndarray
 
 
-def face_bounds(
-    r, r1, ref_r, ref_r1, ref_r2, params: CbfParams
-) -> tuple[np.ndarray, np.ndarray]:
+_SIDES = np.array([1.0, -1.0])  # upper face, then lower face, of each axis
+
+
+def _face_pairs(r, r1, ref_r, ref_r1, ref_r2, params: CbfParams) -> np.ndarray:
+    """Face bounds shaped (..., 3, 2), upper then lower per axis, as cbf_faces orders them."""
+    e = np.asarray(r, dtype=float) - np.asarray(ref_r, dtype=float)
+    e1 = np.asarray(r1, dtype=float) - np.asarray(ref_r1, dtype=float)
+    base = np.asarray(ref_r2, dtype=float) - params.a1 * e1 - params.a2 * e
+    return base[..., None] + params.a2 * params.delta * _SIDES
+
+
+def face_bounds(r, r1, ref_r, ref_r1, ref_r2, params: CbfParams) -> tuple[np.ndarray, np.ndarray]:
     """Admissible interval [lower, upper] of mu per axis; batched over (..., 3).
 
     upper - lower == 2 * a2 * delta holds identically, so the filter is
     always feasible regardless of the state.
     """
-    e = np.asarray(r, dtype=float) - np.asarray(ref_r, dtype=float)
-    e1 = np.asarray(r1, dtype=float) - np.asarray(ref_r1, dtype=float)
-    base = np.asarray(ref_r2, dtype=float) - params.a1 * e1 - params.a2 * e
-    lower = base - params.a2 * params.delta
-    upper = base + params.a2 * params.delta
-    return lower, upper
+    faces = _face_pairs(r, r1, ref_r, ref_r1, ref_r2, params)
+    return faces[..., 1], faces[..., 0]
 
 
 def cbf_faces(state: TrackingState, ref: ReferencePoint, params: CbfParams) -> tuple[CbfFace, ...]:
@@ -139,11 +144,7 @@ def filter_input(mu_nominal: np.ndarray, faces: tuple[CbfFace, ...]) -> np.ndarr
 def barrier_values(state: TrackingState, ref: ReferencePoint, params: CbfParams) -> np.ndarray:
     """The six tube barriers h, ordered like cbf_faces; nonnegative inside."""
     e = np.asarray(state.r, dtype=float) - np.asarray(ref.r, dtype=float)
-    h = np.empty(e.shape[:-1] + (6,))
-    for axis in range(3):
-        h[..., 2 * axis] = params.delta - e[..., axis]
-        h[..., 2 * axis + 1] = params.delta + e[..., axis]
-    return h
+    return (params.delta - e[..., None] * _SIDES).reshape(e.shape[:-1] + (6,))
 
 
 @dataclass(frozen=True)
@@ -185,9 +186,8 @@ class SafeCommand:
     mu_nominal: np.ndarray
     mu: np.ndarray
     v: ReducedInput
-    faces: tuple[CbfFace, ...]
     barriers: np.ndarray
-    active: np.ndarray  # which of the six faces clamp mu, ordered like faces
+    active: np.ndarray  # which of the six faces clamp mu, ordered like cbf_faces
 
 
 def safe_step(
@@ -198,19 +198,20 @@ def safe_step(
     psi: float = 0.0,
     g: float = GRAVITY,
 ) -> SafeCommand:
-    """Filter one nominal input and convert it back to thrust and attitude."""
-    faces = cbf_faces(state, ref, params)
-    mu = filter_input(mu_nominal, faces)
-    active = np.zeros(6, dtype=bool)
-    for k, face in enumerate(faces):
-        active[k] = abs(float(mu[face.axis]) - float(face.bound)) <= 1e-9
+    """Filter one nominal input and convert it back to thrust and attitude.
+
+    The clamp of filter_input over cbf_faces, read straight off the face
+    bounds; a face is active when mu lies within 1e-9 of it.
+    """
+    faces = _face_pairs(state.r, state.r1, ref.r, ref.r1, ref.r2, params)
+    mu_nominal = np.asarray(mu_nominal, dtype=float)
+    mu = np.minimum(np.maximum(mu_nominal, faces[..., 1]), faces[..., 0])
     return SafeCommand(
-        mu_nominal=np.asarray(mu_nominal, dtype=float),
+        mu_nominal=mu_nominal,
         mu=mu,
         v=attitude_from_virtual(mu, psi, g),
-        faces=faces,
         barriers=barrier_values(state, ref, params),
-        active=active,
+        active=(np.abs(mu[..., None] - faces) <= 1e-9).reshape(mu.shape[:-1] + (6,)),
     )
 
 

@@ -20,6 +20,8 @@ from safeflight.cli import (
     load_scenario,
     main,
 )
+from safeflight.planner import TrajectoryPlan
+from safeflight.simverify import span_samples
 
 EXPECTED_BUNDLED = [
     "example1",
@@ -334,6 +336,23 @@ class TestExportCommand:
         assert abs(float(rows[3][7])) < 1e-6
         assert float(rows[3][11]) == pytest.approx(9.81, abs=1e-6)
         assert float(rows[3][12]) == pytest.approx(0.0, abs=1e-6)
+
+    def test_zeta_column_follows_the_span(self, tmp_path, hover_plan):
+        # Distinct per-span floors, so a wrong span lookup shows.
+        doc = hover_plan.to_dict()
+        assert doc["zeta_mode"] == "per-span"
+        doc["zeta"] = [1.0 + 0.25 * k for k in range(len(doc["zeta"]))]
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(doc))
+        out = tmp_path / "samples.csv"
+        args = ["export", "--plan", str(plan_path), "--out", str(out), "--samples-per-span", "7"]
+        assert main(args) == EXIT_OK
+        pl = TrajectoryPlan.from_dict(doc)
+        kv = pl.curve.knots
+        want = [f"{pl.zeta_for_span(kv.span_index(float(t))):.12g}" for t in span_samples(pl, 7)]
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == want
+        assert len(set(want)) == len(doc["zeta"])
 
     def test_missing_plan_exits_parse(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

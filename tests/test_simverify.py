@@ -4,7 +4,7 @@ import csv
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from safeflight.planner import ConvexRegion, EndpointPins, IntervalConstraint, Waypoint
 from safeflight.simverify import (
@@ -61,6 +61,37 @@ class TestSimulate:
         assert simulate(still_air, ctrl, cfg).t.size == 50
         with pytest.raises(ValueError):
             simulate(still_air, ctrl, SimConfig(control_rate=50.0))
+
+    def test_sub_tick_duration_rejected(self):
+        ctrl = make_filtered_controller(PARAMS, GAINS)
+        with pytest.raises(ValueError):
+            simulate(still_air, ctrl, SimConfig(control_rate=50.0), duration=0.001)
+
+    def test_reference_called_once_with_the_tick_grid(self, hover_plan):
+        calls = []
+        inner = plan_reference(hover_plan)
+
+        def counting(t):
+            calls.append(np.array(t, copy=True))
+            return inner(t)
+
+        cfg = SimConfig(control_rate=50.0, initial_position_offset=[0.05, 0.0, 0.0])
+        ctrl = make_filtered_controller(PARAMS, GAINS)
+        trace = simulate(counting, ctrl, cfg, t0=1.0, duration=1.0)
+        assert len(calls) == 1
+        assert_array_equal(calls[0], 1.0 + np.arange(50) * 0.02)
+        assert_array_equal(trace.t, calls[0])
+        want = inner(calls[0])
+        assert_array_equal(trace.ref_r, want.r)
+        assert_array_equal(trace.ref_r1, want.r1)
+        assert_array_equal(trace.ref_r2, want.r2)
+        assert_array_equal(trace.r[0], want.r[0] + cfg.initial_position_offset)
+
+    def test_constant_reference_fields_broadcast(self):
+        ctrl = make_filtered_controller(PARAMS, GAINS)
+        trace = simulate(still_air, ctrl, SimConfig(control_rate=10.0), duration=0.5)
+        for name in ("ref_r", "ref_r1", "ref_r2"):
+            assert_array_equal(getattr(trace, name), np.zeros((5, 3)))
 
     def test_zero_order_hold_between_ticks(self):
         # Between rows, the state must advance exactly under the recorded
@@ -144,6 +175,19 @@ class TestReferenceAndControllers:
             assert_allclose(point.r1, 0.0, atol=1e-9)
         mid = ref(5.0)
         assert_allclose(mid.r, hover_plan.curve.eval(5.0))
+
+    def test_plan_reference_clamps_arrays_elementwise(self, example1_plan):
+        ref = plan_reference(example1_plan)
+        kv = example1_plan.curve.knots
+        ts = np.concatenate([[kv.t0 - 2.0, kv.t0], kv.tau, np.linspace(kv.t0, kv.tf, 23)])
+        ts = np.concatenate([ts, [kv.tf, kv.tf + 0.5]])
+        batch = ref(ts)
+        for i, t in enumerate(ts):
+            point = ref(float(t))
+            for name in ("r", "r1", "r2"):
+                assert_array_equal(getattr(batch, name)[i], getattr(point, name))
+        assert_array_equal(batch.r[0], example1_plan.curve.eval(kv.t0))
+        assert_array_equal(batch.r1[-1], example1_plan.curve.eval(kv.tf, 1))
 
     def test_filtered_controller_clamps(self):
         ctrl = make_filtered_controller(PARAMS, PdGains(kp=50.0, kd=0.0))

@@ -54,6 +54,13 @@ class TestKnotConstruction:
         with pytest.raises(ValueError):
             clamped_uniform_knots(0.0, 1.0, 1, 2)
 
+    def test_span_index_batched(self):
+        kv = clamped_uniform_knots(0.0, 4.0, 8, 2)
+        ts = np.concatenate([kv.tau, np.linspace(0.0, 4.0, 33)])
+        assert_array_equal(kv.span_index(ts), [kv.span_index(float(t)) for t in ts])
+        with pytest.raises(ValueError):
+            kv.span_index(np.array([1.0, 4.0001]))
+
     def test_span_index_half_open_and_final(self):
         kv = clamped_uniform_knots(0.0, 4.0, 7, 2)
         assert kv.span_index(0.0) == 2
@@ -261,6 +268,29 @@ class TestCurveEval:
             curve.eval(1.0, 6)
         with pytest.raises(ValueError):
             curve.eval(np.array([1.0, 2.0]), 6)
+
+    @pytest.mark.parametrize("degree", [5, 7])
+    @pytest.mark.parametrize("orders", [(0, 1, 2), (0, 1, 2, 3), (2, 3), (3, 1)])
+    def test_several_orders_match_single_calls(self, rng, degree, orders):
+        # One triangle serves every order, bitwise, at a scalar time, on a
+        # grid, at every knot and at both ends.
+        curve = random_curve(rng, 14, degree=degree)
+        kv = curve.knots
+        for t in (4.2, kv.t0, kv.tf, rng.uniform(kv.t0, kv.tf, 60), kv.tau):
+            got = curve.eval(t, orders)
+            assert isinstance(got, tuple) and len(got) == len(orders)
+            for q, vals in zip(orders, got):
+                assert_array_equal(vals, curve.eval(t, q))
+
+    def test_order_sequence_validated(self, rng):
+        curve = random_curve(rng, 8)
+        with pytest.raises(ValueError):
+            curve.eval(1.0, (0, 6))
+        with pytest.raises(ValueError):
+            curve.eval(np.array([1.0, 2.0]), ())
+        for degree in (-1, 6):
+            with pytest.raises(ValueError):
+                basis_matrix(curve.knots, degree, np.array([1.0]))
 
     def test_control_point_shape_validated(self):
         kv = clamped_uniform_knots(0.0, 1.0, 8, 5)

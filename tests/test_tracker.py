@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from oracles import box_projection_qp
 
 from safeflight.flatness import attitude_from_virtual
@@ -179,6 +179,34 @@ class TestSafeStep:
         assert cmd.v.phi == want.phi
         assert cmd.v.theta == want.theta
         assert cmd.v.psi == 0.3
+
+    def test_matches_the_face_path_bitwise(self, rng):
+        # safe_step reads the clamp, the active flags and the barriers off
+        # the face_bounds arrays; the per-face path must agree exactly, also
+        # when the nominal input sits on a face or just inside its 1e-9
+        # activity tolerance.
+        for k in range(200):
+            ref = ReferencePoint(
+                r=rng.uniform(-5, 5, 3), r1=rng.uniform(-2, 2, 3), r2=rng.uniform(-2, 2, 3)
+            )
+            state = TrackingState(
+                r=ref.r + rng.uniform(-0.2, 0.2, 3), r1=ref.r1 + rng.uniform(-0.5, 0.5, 3)
+            )
+            faces = cbf_faces(state, ref, PARAMS)
+            mu_nom = ref.r2 + rng.uniform(-2, 2, 3)
+            on = int(rng.integers(6))
+            if k % 2:
+                inset = 5e-10 if k % 4 == 3 else 0.0
+                mu_nom[faces[on].axis] = faces[on].bound - faces[on].side * inset
+            cmd = safe_step(state, ref, mu_nom, PARAMS)
+            mu = filter_input(mu_nom, faces)
+            assert_array_equal(cmd.mu, mu)
+            active = [abs(float(mu[f.axis]) - float(f.bound)) <= 1e-9 for f in faces]
+            assert cmd.active.tolist() == active
+            assert cmd.active[on] or not k % 2
+            e = state.r - ref.r
+            assert_array_equal(cmd.barriers, [PARAMS.delta - f.side * e[f.axis] for f in faces])
+            assert_array_equal(cmd.barriers, barrier_values(state, ref, PARAMS))
 
     def test_reports_barriers(self):
         ref = ReferencePoint(r=np.zeros(3), r1=np.zeros(3), r2=np.zeros(3))
