@@ -555,6 +555,17 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+def _sample_count(text: str) -> int:
+    """argparse type of --samples-per-span: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="safeflight",
@@ -573,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="dense-sample a plan against its scenario")
     p_verify.add_argument("--scenario", required=True)
     p_verify.add_argument("--plan", help="plan JSON (re-plans when omitted)")
-    p_verify.add_argument("--samples-per-span", type=int, default=300)
+    p_verify.add_argument("--samples-per-span", type=_sample_count, default=300)
     p_verify.add_argument("--margin-tol", type=float, default=1e-6)
     p_verify.add_argument("--tol", type=float, default=None, help="solver tolerance override")
     p_verify.set_defaults(func=cmd_verify)
@@ -591,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--plan", required=True)
     p_export.add_argument("--out", required=True)
     p_export.add_argument("--format", choices=["csv", "document"], default="csv")
-    p_export.add_argument("--samples-per-span", type=int, default=50)
+    p_export.add_argument("--samples-per-span", type=_sample_count, default=50)
     p_export.set_defaults(func=cmd_export)
     return parser
 

@@ -116,7 +116,8 @@ def plan_reference(plan: TrajectoryPlan) -> Callable[[np.ndarray], ReferencePoin
     """Reference sampler clamped to the plan's time range (hold at the ends).
 
     A scalar time gives (3,) fields and an array of times (len(t), 3) ones,
-    clamped elementwise; one de Boor triangle serves all three derivatives.
+    clamped elementwise; one curve evaluation gives all three derivatives,
+    each by a Horner pass over the curve's centred per-span polynomials.
     """
     kv = plan.curve.knots
 
@@ -361,19 +362,24 @@ def verify_span_minima(
     """Check the per-span thrust floors zeta against sampled truth.
 
     For each span: zeta may not exceed the sampled minimum thrust, and the
-    sampled maximum jerk may not exceed omega_max * zeta.
+    sampled maximum jerk may not exceed omega_max * zeta. Row k of the
+    sample grid holds span l = d + k, both ends included, and one curve
+    evaluation covers every row.
     """
     kv = plan.curve.knots
-    g = plan.gravity
+    spans = kv.nonempty_spans()
+    l = np.array(spans)
+    seg = np.linspace(kv.tau[l], kv.tau[l + 1], samples_per_span, axis=1)
+    acc, jerk = (v.reshape(*seg.shape, -1) for v in plan.curve.eval(seg.ravel(), (2, 3)))
+    zeta = np.array([plan.zeta_for_span(k) for k in spans])[:, None]
+    floor = np.linalg.norm(acc + np.array([0.0, 0.0, plan.gravity]), axis=-1) - zeta
+    cone = omega_max * zeta - np.linalg.norm(jerk, axis=-1)
     checks = []
-    for l in kv.nonempty_spans():
-        z = plan.zeta_for_span(l)
-        seg = np.linspace(kv.tau[l], kv.tau[l + 1], samples_per_span)
-        acc, jerk = plan.curve.eval(seg, (2, 3))
-        thrust = np.linalg.norm(acc + np.array([0.0, 0.0, g]), axis=1)
-        m1, wt1 = _worst(seg, thrust - z)
-        checks.append(ConstraintCheck(f"span[{l}]:thrust-floor", m1, wt1, f"zeta {z:.4f}"))
-        jmax = np.linalg.norm(jerk, axis=1)
-        m2, wt2 = _worst(seg, omega_max * z - jmax)
-        checks.append(ConstraintCheck(f"span[{l}]:jerk-cone", m2, wt2))
+    for k, span in enumerate(spans):
+        m1, wt1 = _worst(seg[k], floor[k])
+        checks.append(
+            ConstraintCheck(f"span[{span}]:thrust-floor", m1, wt1, f"zeta {zeta[k, 0]:.4f}")
+        )
+        m2, wt2 = _worst(seg[k], cone[k])
+        checks.append(ConstraintCheck(f"span[{span}]:jerk-cone", m2, wt2))
     return ConstraintReport(checks=tuple(checks), samples=samples_per_span)

@@ -12,14 +12,19 @@ first and last knot repeated degree + 1 times and uniformly spaced interior
 breakpoints. A curve of degree d over it has n + 1 control points, where
 n = v - d - 1. Basis functions of degree k are indexed 0..v-k-1 and follow
 the Cox-de Boor recursion. Only the k + 1 functions l-k..l are nonzero on a
-span [tau_l, tau_{l+1}), so evaluation builds just those, row by row of de
-Boor's triangle, on the nonempty spans d..n; evaluation at the right
-endpoint returns left limits, so curves are defined on all of [tau_0, tau_v].
+span [tau_l, tau_{l+1}), so basis_matrix builds just those, row by row of
+de Boor's triangle, on the nonempty spans d..n. A curve is a polynomial on
+each nonempty span; it is evaluated from its power-series coefficients about
+the span midpoint, built once per curve by the same triangle run on
+polynomials, with one Horner pass per derivative order. Evaluation at the
+right endpoint returns left limits, so curves are defined on all of
+[tau_0, tau_v].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import perm
 from typing import Sequence
 
 import numpy as np
@@ -112,6 +117,10 @@ class KnotVector:
         l = self.tau.searchsorted(ts, side="right") - 1
         return np.minimum(np.maximum(l, self.degree), self.n)
 
+    def _span_midpoints(self) -> np.ndarray:
+        """Midpoint (tau_l + tau_{l+1}) / 2 of each nonempty span l = d..n."""
+        return 0.5 * (self.tau[self.degree : self.n + 1] + self.tau[self.degree + 1 : self.n + 2])
+
     def derivative_matrix(self, r: int) -> np.ndarray:
         """Memoized build_derivative_matrix(self, r). The array is read-only."""
         if r not in self._dmat_cache:
@@ -184,6 +193,41 @@ def basis_matrix(knots: KnotVector, degree: int, ts: np.ndarray) -> np.ndarray:
     return B
 
 
+def _span_power_basis(knots: KnotVector) -> np.ndarray:
+    """The degree-d basis on every nonempty span, as polynomials in s = t - mid.
+
+    De Boor's triangle of _local_basis, run on power-series coefficients in
+    s instead of values and vectorized over the spans: with mid the span
+    midpoint, t - tau_p = s + (mid - tau_p) and tau_q - t = (tau_q - mid) - s.
+    Centring keeps |s| <= h / 2, so the coefficients stay well scaled even far
+    from t = 0.
+
+    Returns:
+        Array of shape (S, d + 1, d + 1) for the S = n - d + 1 nonempty spans;
+        [i, a, k] is the coefficient of s**k in basis function l - d + a on
+        span l = d + i.
+    """
+    d = knots.degree
+    l = np.arange(d, knots.n + 1)
+    mid = knots._span_midpoints()
+    win = knots.tau[l[:, None] + np.arange(1 - d, d + 1)]
+    before = (mid[:, None] - win[:, :d])[..., None]
+    after = (win[:, d:] - mid[:, None])[..., None]
+    lam = np.zeros((l.size, 1, d + 1))
+    lam[..., 0] = 1.0
+    for j in range(1, d + 1):
+        # As in _local_basis; multiplying by s shifts the coefficients up one
+        # power, and the degree-(j-1) rows have nothing in the top power.
+        lo, hi = slice(d - j, d), slice(d, d + j)
+        a = lam / (win[:, hi] - win[:, lo])[..., None]
+        lam = np.zeros((l.size, j + 1, d + 1))
+        lam[:, 1:] = before[:, lo] * a
+        lam[:, :-1] += after[:, :j] * a
+        lam[:, 1:, 1:] += a[..., :-1]
+        lam[:, :-1, 1:] -= a[..., :-1]
+    return lam
+
+
 def basis_eval(knots: KnotVector, degree: int, t: float) -> np.ndarray:
     """All degree-k basis functions at a single time; shape (v - k,)."""
     return basis_matrix(knots, degree, np.array([t]))[0]
@@ -225,6 +269,7 @@ class SplineCurve:
     knots: KnotVector
     ctrl: np.ndarray
     _dpts_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _poly_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ctrl = np.asarray(self.ctrl, dtype=float)
@@ -248,13 +293,38 @@ class SplineCurve:
             self._dpts_cache[r] = pts
         return self._dpts_cache[r]
 
+    def _span_polynomials(self, q: int) -> np.ndarray:
+        """Memoized power-series coefficients of the q-th derivative per span.
+
+        Shape (d - q + 1, dim, S), read-only: [k, :, i] is the coefficient of
+        s**k, s = t - mid, on nonempty span d + i. Order 0 contracts the
+        span's power basis with its d + 1 control points; order q takes rows
+        q..d of that and scales row k + q by (k + q)! / k!. Spans run along
+        the last axis, so each Horner step gathers and updates one contiguous
+        (dim, samples) row.
+        """
+        if q not in self._poly_cache:
+            if q == 0:
+                kv = self.knots
+                cols = np.arange(kv.degree, kv.n + 1)[:, None] + np.arange(-kv.degree, 1)
+                coef = _span_power_basis(kv).transpose(0, 2, 1) @ self.ctrl.T[cols]
+                coef = coef.transpose(1, 2, 0)
+            else:
+                scale = [perm(k + q, q) for k in range(self.knots.degree - q + 1)]
+                coef = self._span_polynomials(0)[q:] * np.array(scale, dtype=float)[:, None, None]
+            coef = np.ascontiguousarray(coef)
+            coef.setflags(write=False)
+            self._poly_cache[q] = coef
+        return self._poly_cache[q]
+
     def eval(self, t, r: int | Sequence[int] = 0):
         """Evaluate the r-th derivative of the curve, or several at once.
 
-        One de Boor triangle of degree d - min(r) serves every order q, each
-        from its row of degree d - q, so results are bitwise those of
-        single-order calls. Each sample contracts its d - q + 1 basis values
-        with the memoized derivative control points they weight.
+        Each sample finds its span, takes s = t - mid from the span midpoint
+        and runs one Horner pass per order over the span's memoized
+        power-series coefficients. Scalar times, grids and several orders
+        share that one path, so results are bitwise those of single-order
+        calls and of scalar calls.
 
         Args:
             t: Scalar time or array of times in [t0, tf].
@@ -270,13 +340,19 @@ class SplineCurve:
         orders = (r,) if np.ndim(r) == 0 else tuple(r)
         if not orders or not all(0 <= q <= kv.degree for q in orders):
             raise ValueError(f"need derivative orders in [0, {kv.degree}], got {r!r}")
-        l, rows = _local_basis(kv, {kv.degree - q for q in orders}, t)
-        vals = {}
-        for k in sorted(rows):  # smallest first, each dropped once used: a lower peak
-            pts = self._derivative_points(kv.degree - k)[l[:, None] + np.arange(-k, 1)]
-            vals[kv.degree - k] = np.einsum("ma,mad->md", rows.pop(k), pts)
-        out = tuple(vals[q][0] if np.ndim(t) == 0 else vals[q] for q in orders)
-        return out[0] if np.ndim(r) == 0 else out
+        ts = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
+        kv._check_range(ts)
+        i = kv._spans(ts) - kv.degree
+        s = ts - kv._span_midpoints()[i]
+        out = []
+        for q in orders:
+            coef = self._span_polynomials(q)
+            val = coef[-1].take(i, axis=1)
+            for c in coef[-2::-1]:
+                val *= s
+                val += c.take(i, axis=1)
+            out.append(val[:, 0] if np.ndim(t) == 0 else val.T)
+        return out[0] if np.ndim(r) == 0 else tuple(out)
 
 
 def curve_eval(curve: SplineCurve, r: int, t) -> np.ndarray:
@@ -320,7 +396,8 @@ def snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     x @ Q @ x equals the integral of the squared fourth derivative over
     [t0, tf]. Assembled exactly by per-span Gauss-Legendre quadrature on the
     degree d-4 basis (d-3 nodes per span integrate the degree 2(d-4) products
-    exactly), then conjugated with B_4.
+    exactly), evaluated once at the nodes of every span, then conjugated with
+    B_4.
 
     Returns:
         (Q, G) with Q of shape (n+1, n+1) positive semidefinite and
@@ -331,15 +408,12 @@ def snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"snap Gram needs degree >= 4, got {d}")
     k = d - 4
     nodes, weights = np.polynomial.legendre.leggauss(k + 1)
-    nb = knots.num_basis(k)
-    W = np.zeros((nb, nb))
-    tau = knots.tau
-    for l in knots.nonempty_spans():
-        a, b = tau[l], tau[l + 1]
-        x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        w = 0.5 * (b - a) * weights
-        lam = basis_matrix(knots, k, x)
-        W += lam.T @ (w[:, None] * lam)
+    l = np.array(knots.nonempty_spans())[:, None]
+    a, b = knots.tau[l], knots.tau[l + 1]
+    x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+    w = (0.5 * (b - a) * weights).reshape(-1, 1)
+    lam = basis_matrix(knots, k, x)
+    W = lam.T @ (w * lam)
     B4 = knots.derivative_matrix(4)
     Q = B4 @ W @ B4.T
     Q = 0.5 * (Q + Q.T)

@@ -258,6 +258,13 @@ class TestVerifyCommand:
         assert code == EXIT_PARSE
         assert "cannot load plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sample_count_below_one_exits_parse(self, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--scenario", "hover", "--samples-per-span", count])
+        assert exc.value.code == EXIT_PARSE
+        assert "--samples-per-span" in capsys.readouterr().err
+
 
 class TestTrackCommand:
     def test_hover_track_writes_trace_and_report(self, tmp_path, hover_plan, capsys):
@@ -359,3 +366,13 @@ class TestExportCommand:
         code = main(["export", "--plan", str(tmp_path / "none.json"), "--out", str(out)])
         assert code == EXIT_PARSE
         assert "cannot load plan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-2", "two"])
+    def test_sample_count_below_one_exits_parse(self, tmp_path, hover_plan, count, capsys):
+        out = tmp_path / "samples.csv"
+        args = ["export", "--plan", write_plan(tmp_path, hover_plan), "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--samples-per-span", count])
+        assert exc.value.code == EXIT_PARSE
+        assert "--samples-per-span" in capsys.readouterr().err
+        assert not out.exists()

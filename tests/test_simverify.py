@@ -347,3 +347,19 @@ class TestVerifySpanMinima:
         report = verify_span_minima(bad, omega_max=np.pi)
         assert not report.ok(1e-6)
         assert all("thrust-floor" in c.name for c in report.failing())
+
+    def test_matches_the_per_span_loop_bitwise(self, example1_plan, example1_scenario):
+        # Reference: one evaluation per span, as the verifier used to run.
+        pl, omega_max = example1_plan, example1_scenario.planning.bounds.omega_max
+        kv = pl.curve.knots
+        want = []
+        for l in kv.nonempty_spans():
+            z = pl.zeta_for_span(l)
+            seg = np.linspace(kv.tau[l], kv.tau[l + 1], 300)
+            acc, jerk = pl.curve.eval(seg, (2, 3))
+            thrust = np.linalg.norm(acc + np.array([0.0, 0.0, pl.gravity]), axis=1)
+            for margins in (thrust - z, omega_max * z - np.linalg.norm(jerk, axis=1)):
+                i = int(np.argmin(margins))
+                want.append((float(margins[i]), float(seg[i])))
+        report = verify_span_minima(pl, omega_max)
+        assert [(c.margin, c.worst_t) for c in report.checks] == want

@@ -149,6 +149,17 @@ class TestAgainstScipy:
         scale = max(1.0, float(np.abs(want).max()))
         assert_allclose(curve.eval(ts, r), want, rtol=0, atol=1e-13 * scale)
 
+    @pytest.mark.parametrize("degree", [5, 7, 9])
+    def test_curve_eval_far_from_zero(self, rng, degree):
+        # Span polynomials are centred on the span midpoint; expanded about
+        # the left knot instead, degree 9 misses this bound.
+        curve = random_curve(rng, 20, degree=degree, t0=1000.0, tf=1012.0)
+        ts = self.times(rng, curve.knots)
+        for r in range(degree + 1):
+            want = BSpline(curve.knots.tau, curve.ctrl.T, degree)(ts, nu=r)
+            scale = max(1.0, float(np.abs(want).max()))
+            assert_allclose(curve.eval(ts, r), want, rtol=0, atol=1e-14 * scale)
+
 
 class TestDerivativeMatrices:
     def test_zeroth_is_identity(self):
@@ -291,6 +302,24 @@ class TestCurveEval:
         for degree in (-1, 6):
             with pytest.raises(ValueError):
                 basis_matrix(curve.knots, degree, np.array([1.0]))
+
+    def test_eval_builds_no_derivative_matrix(self, rng):
+        curve = random_curve(rng, 12)
+        curve.eval(np.linspace(0.0, 10.0, 7), tuple(range(6)))
+        assert curve.knots._dmat_cache == {}
+
+    def test_span_polynomials_memoized_per_curve(self, rng):
+        curve = random_curve(rng, 12)
+        curve.eval(3.0, (0, 2))
+        tables = {q: curve._span_polynomials(q) for q in (0, 2)}
+        assert set(curve._poly_cache) == {0, 2}
+        curve.eval(np.linspace(0.0, 10.0, 9), (2, 0))
+        for q, table in tables.items():
+            assert curve._span_polynomials(q) is table
+            assert not table.flags.writeable
+        twin = SplineCurve(curve.knots, curve.ctrl)
+        assert twin._span_polynomials(0) is not tables[0]
+        assert_array_equal(twin._span_polynomials(0), tables[0])
 
     def test_control_point_shape_validated(self):
         kv = clamped_uniform_knots(0.0, 1.0, 8, 5)
