@@ -316,21 +316,7 @@ def load_scenario(source: str) -> ScenarioFile:
             IntervalConstraint(float(w["t_start"]), float(w["t_end"]), w["kind"], region, bound)
         )
 
-    tracking = None
-    if "tracking" in doc:
-        tr = doc["tracking"]
-        tracking = TrackingConfig(
-            cbf=CbfParams(**{k: float(v) for k, v in tr["cbf"].items()}),
-            gains=PdGains(**{k: float(v) for k, v in tr["gains"].items()}),
-            sim=SimConfig(
-                control_rate=float(tr.get("control_rate", 100.0)),
-                substeps=int(tr.get("substeps", 10)),
-                duration=float(tr["duration"]) if "duration" in tr else None,
-                initial_position_offset=tr.get("initial_position_offset", np.zeros(3)),
-                initial_velocity_offset=tr.get("initial_velocity_offset", np.zeros(3)),
-            ),
-            psi=float(np.deg2rad(tr.get("psi_deg", 0.0))),
-        )
+    tracking = _tracking_config(doc["tracking"], desc) if "tracking" in doc else None
 
     try:
         planning = PlanningScenario(
@@ -353,6 +339,35 @@ def load_scenario(source: str) -> ScenarioFile:
     except ValueError as exc:
         raise ScenarioError(f"{desc}: {exc}") from exc
     return ScenarioFile(planning=planning, tracking=tracking, source=desc)
+
+
+def _tracking_config(tr: dict, desc: str) -> TrackingConfig:
+    """The tracking section; a bad or non-finite value raises a ScenarioError naming its field."""
+
+    def build(where: str, make):
+        try:
+            return make()
+        except ValueError as exc:
+            raise ScenarioError(f"{desc}: {where}: {exc}") from exc
+
+    psi_deg = float(tr.get("psi_deg", 0.0))
+    if not np.isfinite(psi_deg):
+        raise ScenarioError(f"{desc}: tracking: psi_deg must be finite, got {psi_deg}")
+    return TrackingConfig(
+        cbf=build("tracking.cbf", lambda: CbfParams(**{k: float(v) for k, v in tr["cbf"].items()})),
+        gains=build("tracking.gains", lambda: PdGains(**{k: float(v) for k, v in tr["gains"].items()})),
+        sim=build(
+            "tracking",
+            lambda: SimConfig(
+                control_rate=float(tr.get("control_rate", 100.0)),
+                substeps=int(tr.get("substeps", 10)),
+                duration=float(tr["duration"]) if "duration" in tr else None,
+                initial_position_offset=tr.get("initial_position_offset", np.zeros(3)),
+                initial_velocity_offset=tr.get("initial_velocity_offset", np.zeros(3)),
+            ),
+        ),
+        psi=float(np.deg2rad(psi_deg)),
+    )
 
 
 # ------------------------------------------------------------------- commands

@@ -67,11 +67,14 @@ class StateInput:
 
 @dataclass(frozen=True)
 class ReducedInput:
-    """Thrust and attitude angles commanded to the inner-loop autopilot."""
+    """Thrust and attitude angles commanded to the inner-loop autopilot.
 
-    thrust: float
-    phi: float
-    theta: float
+    thrust, phi and theta are floats for one command and arrays for a batch.
+    """
+
+    thrust: float | np.ndarray
+    phi: float | np.ndarray
+    theta: float | np.ndarray
     psi: float
 
 
@@ -139,23 +142,30 @@ def virtual_from_attitude(v: ReducedInput, g: float = GRAVITY) -> np.ndarray:
 
 
 def attitude_from_virtual(mu: np.ndarray, psi: float, g: float = GRAVITY) -> ReducedInput:
-    """Invert the virtual-input map at a given yaw.
+    """Invert the virtual-input map at a given yaw, batched over mu's (..., 3).
 
     Valid on the non-inverted branch, where the vertical thrust component
-    mu_3 + g is positive and roll and pitch stay inside (-pi/2, pi/2).
+    mu_3 + g is positive and roll and pitch stay inside (-pi/2, pi/2). A
+    single (3,) input gives float fields, a batch gives arrays shaped (...).
 
     Raises:
-        InvertedFlightError: if mu_3 + g <= 0.
+        InvertedFlightError: if mu_3 + g <= 0 on any row.
     """
     mu = np.asarray(mu, dtype=float)
-    m3 = mu[2] + g
-    if m3 <= 0.0:
-        raise InvertedFlightError(f"vertical thrust component {m3:.3f} <= 0")
+    x, y, m3 = mu[..., 0], mu[..., 1], mu[..., 2] + g
+    inverted = m3 <= 0.0
+    if np.any(inverted):
+        raise InvertedFlightError(f"vertical thrust component {np.min(m3[inverted]):.3f} <= 0")
     c_psi, s_psi = np.cos(psi), np.sin(psi)
-    theta = np.arctan2(mu[0] * c_psi + mu[1] * s_psi, m3)
-    phi = np.arctan2((mu[0] * s_psi - mu[1] * c_psi) * np.cos(theta), m3)
-    thrust = np.sqrt(mu[0] ** 2 + mu[1] ** 2 + m3**2)
-    return ReducedInput(thrust=float(thrust), phi=float(phi), theta=float(theta), psi=float(psi))
+    theta = np.arctan2(x * c_psi + y * s_psi, m3)
+    phi = np.arctan2((x * s_psi - y * c_psi) * np.cos(theta), m3)
+    # float_power squares through pow() as a float64 scalar's ** does, so a
+    # batch matches per-row calls bit for bit; array ** squares by x * x,
+    # which rounds differently on some inputs.
+    thrust = np.sqrt(np.float_power(x, 2) + np.float_power(y, 2) + np.float_power(m3, 2))
+    if mu.ndim == 1:
+        thrust, phi, theta = float(thrust), float(phi), float(theta)
+    return ReducedInput(thrust=thrust, phi=phi, theta=theta, psi=float(psi))
 
 
 def tilt_thrust_rates(

@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .flatness import GRAVITY, InvertedFlightError, attitude_from_virtual, tilt_thrust_rates
+from .flatness import GRAVITY, tilt_thrust_rates
 from .planner import ConvexRegion, EndpointPins, IntervalConstraint, SafetyBounds, TrajectoryPlan, Waypoint
 from .tracker import (
     CbfParams,
@@ -24,7 +24,6 @@ from .tracker import (
     ReferencePoint,
     SafeCommand,
     TrackingState,
-    barrier_values,
     certificates,
     nominal_mu,
     safe_step,
@@ -39,8 +38,9 @@ class SimConfig:
 
     The command is held constant between control ticks, across which the
     state takes the exact double-integrator step; `substeps` (validated >= 1)
-    no longer affects the result. If initial_state is None the run starts on
-    the reference, shifted by the two offsets.
+    no longer affects the result. A duration, when given, must be finite and
+    cover at least one tick. If initial_state is None the run starts on the
+    reference, shifted by the two offsets.
     """
 
     control_rate: float = 100.0
@@ -51,10 +51,22 @@ class SimConfig:
     initial_velocity_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        if self.control_rate <= 0 or self.substeps < 1:
-            raise ValueError("control_rate must be positive and substeps >= 1")
+        if not 0.0 < self.control_rate < np.inf:
+            raise ValueError(f"control_rate must be positive and finite, got {self.control_rate}")
+        if self.substeps < 1:
+            raise ValueError(f"substeps must be >= 1, got {self.substeps}")
+        if self.duration is not None and not (
+            np.isfinite(self.duration) and round(self.duration * self.control_rate) >= 1
+        ):
+            raise ValueError(
+                f"duration must be finite and at least one control tick "
+                f"({1.0 / self.control_rate:g} s), got {self.duration}"
+            )
         for attr in ("initial_position_offset", "initial_velocity_offset"):
-            object.__setattr__(self, attr, np.asarray(getattr(self, attr), dtype=float).reshape(3))
+            value = np.asarray(getattr(self, attr), dtype=float).reshape(3)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{attr} must be finite, got {value.tolist()}")
+            object.__setattr__(self, attr, value)
 
 
 @dataclass(frozen=True)
@@ -132,7 +144,7 @@ def make_filtered_controller(
 ) -> Callable:
     """Nominal PD wrapped in the barrier filter."""
 
-    def controller(t: float, state: TrackingState, ref: ReferencePoint) -> SafeCommand:
+    def controller(t: float | np.ndarray, state: TrackingState, ref: ReferencePoint) -> SafeCommand:
         return safe_step(state, ref, nominal_mu(state, ref, gains), params, psi, g)
 
     return controller
@@ -143,30 +155,16 @@ def make_unfiltered_controller(
 ) -> Callable:
     """Nominal PD passed straight through; barriers still recorded."""
 
-    def controller(t: float, state: TrackingState, ref: ReferencePoint) -> SafeCommand:
+    def controller(t: float | np.ndarray, state: TrackingState, ref: ReferencePoint) -> SafeCommand:
         mu = nominal_mu(state, ref, gains)
-        return SafeCommand(
-            mu_nominal=mu,
-            mu=mu,
-            v=_reduced_or_none(mu, psi, g),
-            barriers=barrier_values(state, ref, params),
-            active=np.zeros(6, dtype=bool),
-        )
+        return SafeCommand(mu, mu, state, ref, params, psi, g)
 
     return controller
 
 
-def _reduced_or_none(mu: np.ndarray, psi: float, g: float):
-    """Reduced input for mu, or None when mu is outside the invertible branch."""
-    try:
-        return attitude_from_virtual(mu, psi, g)
-    except InvertedFlightError:
-        return None
-
-
 def simulate(
     reference: Callable[[np.ndarray], ReferencePoint],
-    controller: Callable[[float, TrackingState, ReferencePoint], SafeCommand],
+    controller: Callable[[np.ndarray, TrackingState, ReferencePoint], SafeCommand],
     cfg: SimConfig,
     t0: float = 0.0,
     duration: float | None = None,
@@ -174,10 +172,16 @@ def simulate(
     """Run the closed loop and record one row per control tick.
 
     The reference is called once per run, with the (M,) tick grid
-    t0 + i h, and its fields must broadcast to (M, 3); tick i hands the
-    controller row i. The command computed at tick i acts on
-    [t_i, t_{i+1}), where the state takes the exact zero-order-hold step;
-    the recorded state is the one the controller saw at t_i.
+    t0 + i h, and its fields must broadcast to (M, 3). The controller must
+    be a pure function of (t, state, ref), batched over leading axes: with
+    a scalar t and (3,) fields it commands one tick, with the (M,) grid and
+    (M, 3) fields the whole run, row by row. Each tick calls it once and
+    reads only `.mu`. The command computed at tick i acts on [t_i, t_{i+1}),
+    where the state takes the exact zero-order-hold step; the recorded
+    state is the one the controller saw at t_i. One more call after the
+    loop, on every recorded state at once, supplies mu_nominal, mu, the
+    reduced input (v), barriers and active faces for the trace; an
+    InvertedFlightError raised there leaves simulate.
     """
     span = duration if duration is not None else cfg.duration
     M = int(round((span or 0.0) * cfg.control_rate))
@@ -193,32 +197,35 @@ def simulate(
     start = cfg.initial_state or TrackingState(
         r=ref_r[0] + cfg.initial_position_offset, r1=ref_r1[0] + cfg.initial_velocity_offset
     )
-    r, r1 = np.array(start.r, dtype=float), np.array(start.r1, dtype=float)
-
-    states, cmds = [], []
+    # Row M holds the state after the last tick, which the trace drops.
+    R, R1 = np.empty((M + 1, 3)), np.empty((M + 1, 3))
+    R[0], R1[0] = start.r, start.r1
+    # h and 1/2 as (3,) arrays: the same products, without a scalar
+    # conversion in every ufunc call.
+    hv, half = np.full(3, h), np.full(3, 0.5)
     for i in range(M):
-        state = TrackingState(r=r, r1=r1)
-        cmd = controller(ts[i], state, ReferencePoint(r=ref_r[i], r1=ref_r1[i], r2=ref_r2[i]))
-        states.append(state)
-        cmds.append(cmd)
-        r, r1 = r + r1 * h + 0.5 * cmd.mu * h * h, r1 + cmd.mu * h
+        r, r1 = R[i], R1[i]
+        mu = controller(ts[i], TrackingState(r, r1), ReferencePoint(ref_r[i], ref_r1[i], ref_r2[i])).mu
+        R[i + 1] = r + r1 * hv + half * mu * hv * hv
+        R1[i + 1] = r1 + mu * hv
 
-    reduced = [(np.nan,) * 3 if c.v is None else (c.v.thrust, c.v.phi, c.v.theta) for c in cmds]
-    thrust, phi, theta = np.array(reduced).T
+    R, R1 = R[:M], R1[:M]
+    cmd = controller(ts, TrackingState(R, R1), ReferencePoint(ref_r, ref_r1, ref_r2))
+    v = cmd.v
     return SimTrace(
         t=ts,
-        r=np.array([s.r for s in states]),
-        r1=np.array([s.r1 for s in states]),
+        r=R,
+        r1=R1,
         ref_r=ref_r,
         ref_r1=ref_r1,
         ref_r2=ref_r2,
-        mu_nominal=np.array([c.mu_nominal for c in cmds]),
-        mu=np.array([c.mu for c in cmds]),
-        thrust=thrust,
-        phi=phi,
-        theta=theta,
-        barriers=np.array([c.barriers for c in cmds]),
-        active=np.array([c.active for c in cmds], dtype=bool),
+        mu_nominal=cmd.mu_nominal,
+        mu=cmd.mu,
+        thrust=v.thrust,
+        phi=v.phi,
+        theta=v.theta,
+        barriers=cmd.barriers,
+        active=cmd.active,
     )
 
 
@@ -261,14 +268,11 @@ class ConstraintReport:
 
 
 def span_samples(plan: TrajectoryPlan, samples_per_span: int) -> np.ndarray:
-    """Left-closed per-span grids, plus the exact final time."""
+    """Left-closed per-span grids, one linspace over every span, plus the exact final time."""
     kv = plan.curve.knots
-    parts = [
-        np.linspace(kv.tau[l], kv.tau[l + 1], samples_per_span, endpoint=False)
-        for l in kv.nonempty_spans()
-    ]
-    parts.append(np.array([kv.tf]))
-    return np.concatenate(parts)
+    l = np.array(kv.nonempty_spans())
+    grid = np.linspace(kv.tau[l], kv.tau[l + 1], samples_per_span, endpoint=False, axis=1)
+    return np.append(grid.ravel(), kv.tf)
 
 
 def _worst(ts: np.ndarray, margins: np.ndarray) -> tuple[float, float]:

@@ -15,6 +15,7 @@ safety QP, no numerical solve required.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,10 @@ class CbfParams:
     a2: float
 
     def __post_init__(self):
-        if self.delta <= 0 or self.a1 <= 0 or self.a2 <= 0:
-            raise ValueError("delta, a1, a2 must all be positive")
+        for name in ("delta", "a1", "a2"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.a1**2 < 4.0 * self.a2:
             raise ValueError(
                 f"a1^2 = {self.a1 ** 2:.3f} < 4 a2 = {4 * self.a2:.3f}: complex error poles"
@@ -61,17 +64,15 @@ class CbfParams:
         return 4.0 * self.delta * self.a2
 
 
-@dataclass(frozen=True)
-class TrackingState:
-    """Translational state of the tracked vehicle."""
+class TrackingState(NamedTuple):
+    """Translational state of the tracked vehicle, shaped (..., 3)."""
 
     r: np.ndarray
     r1: np.ndarray
 
 
-@dataclass(frozen=True)
-class ReferencePoint:
-    """Reference position, velocity, and acceleration at one control tick."""
+class ReferencePoint(NamedTuple):
+    """Reference position, velocity, and acceleration, shaped (..., 3)."""
 
     r: np.ndarray
     r1: np.ndarray
@@ -95,22 +96,15 @@ class CbfFace:
 _SIDES = np.array([1.0, -1.0])  # upper face, then lower face, of each axis
 
 
-def _face_pairs(r, r1, ref_r, ref_r1, ref_r2, params: CbfParams) -> np.ndarray:
-    """Face bounds shaped (..., 3, 2), upper then lower per axis, as cbf_faces orders them."""
-    e = np.asarray(r, dtype=float) - np.asarray(ref_r, dtype=float)
-    e1 = np.asarray(r1, dtype=float) - np.asarray(ref_r1, dtype=float)
-    base = np.asarray(ref_r2, dtype=float) - params.a1 * e1 - params.a2 * e
-    return base[..., None] + params.a2 * params.delta * _SIDES
-
-
 def face_bounds(r, r1, ref_r, ref_r1, ref_r2, params: CbfParams) -> tuple[np.ndarray, np.ndarray]:
-    """Admissible interval [lower, upper] of mu per axis; batched over (..., 3).
+    """Admissible interval [lower, upper] of mu per axis; arrays batched over (..., 3).
 
     upper - lower == 2 * a2 * delta holds identically, so the filter is
     always feasible regardless of the state.
     """
-    faces = _face_pairs(r, r1, ref_r, ref_r1, ref_r2, params)
-    return faces[..., 1], faces[..., 0]
+    base = ref_r2 - params.a1 * (r1 - ref_r1) - params.a2 * (r - ref_r)
+    half = params.a2 * params.delta
+    return base - half, base + half
 
 
 def cbf_faces(state: TrackingState, ref: ReferencePoint, params: CbfParams) -> tuple[CbfFace, ...]:
@@ -155,17 +149,15 @@ class PdGains:
     kd: float
 
     def __post_init__(self):
-        if self.kp < 0 or self.kd < 0:
-            raise ValueError("gains must be nonnegative")
+        for name in ("kp", "kd"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 def nominal_mu(state: TrackingState, ref: ReferencePoint, gains: PdGains) -> np.ndarray:
-    """Feedforward-plus-PD virtual input, before filtering."""
-    return (
-        np.asarray(ref.r2, dtype=float)
-        + gains.kp * (np.asarray(ref.r, dtype=float) - np.asarray(state.r, dtype=float))
-        + gains.kd * (np.asarray(ref.r1, dtype=float) - np.asarray(state.r1, dtype=float))
-    )
+    """Feedforward-plus-PD virtual input, before filtering; arrays batched over (..., 3)."""
+    return ref.r2 + gains.kp * (ref.r - state.r) + gains.kd * (ref.r1 - state.r1)
 
 
 def nominal_pd(
@@ -179,15 +171,51 @@ def nominal_pd(
     return attitude_from_virtual(nominal_mu(state, ref, gains), psi, g)
 
 
-@dataclass(frozen=True)
-class SafeCommand:
-    """Output of one filter step."""
+class SafeCommand(NamedTuple):
+    """Output of the filter, batched over the leading axes of mu.
+
+    mu_nominal and mu are computed when the command is built; v, barriers
+    and active are derived from the stored inputs only when read, so a loop
+    that needs only mu pays for nothing else. lower and upper are the clamp's
+    face bounds, None for a command that passes mu_nominal through unfiltered.
+    """
 
     mu_nominal: np.ndarray
     mu: np.ndarray
-    v: ReducedInput
-    barriers: np.ndarray
-    active: np.ndarray  # which of the six faces clamp mu, ordered like cbf_faces
+    state: TrackingState
+    ref: ReferencePoint
+    params: CbfParams
+    psi: float = 0.0
+    g: float = GRAVITY
+    lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
+
+    @property
+    def v(self) -> ReducedInput:
+        """Thrust and attitude for mu.
+
+        Raises:
+            InvertedFlightError: for a filtered command with any row off the
+                invertible branch; unfiltered commands read NaN on those rows.
+        """
+        mu = self.mu
+        if self.lower is None:
+            # NaN rows pass attitude_from_virtual's check and come back NaN.
+            mu = np.where(mu[..., 2:] + self.g <= 0.0, np.nan, mu)
+        return attitude_from_virtual(mu, self.psi, self.g)
+
+    @property
+    def barriers(self) -> np.ndarray:
+        """The six tube barriers at the commanded state, ordered like cbf_faces."""
+        return barrier_values(self.state, self.ref, self.params)
+
+    @property
+    def active(self) -> np.ndarray:
+        """Which of the six faces clamp mu, ordered like cbf_faces; all False unfiltered."""
+        if self.lower is None:
+            return np.zeros(self.mu.shape[:-1] + (6,), dtype=bool)
+        faces = np.stack([self.upper, self.lower], axis=-1)
+        return (np.abs(self.mu[..., None] - faces) <= 1e-9).reshape(self.mu.shape[:-1] + (6,))
 
 
 def safe_step(
@@ -198,21 +226,14 @@ def safe_step(
     psi: float = 0.0,
     g: float = GRAVITY,
 ) -> SafeCommand:
-    """Filter one nominal input and convert it back to thrust and attitude.
+    """Filter a nominal input, an array batched over (..., 3) like the state.
 
     The clamp of filter_input over cbf_faces, read straight off the face
     bounds; a face is active when mu lies within 1e-9 of it.
     """
-    faces = _face_pairs(state.r, state.r1, ref.r, ref.r1, ref.r2, params)
-    mu_nominal = np.asarray(mu_nominal, dtype=float)
-    mu = np.minimum(np.maximum(mu_nominal, faces[..., 1]), faces[..., 0])
-    return SafeCommand(
-        mu_nominal=mu_nominal,
-        mu=mu,
-        v=attitude_from_virtual(mu, psi, g),
-        barriers=barrier_values(state, ref, params),
-        active=(np.abs(mu[..., None] - faces) <= 1e-9).reshape(mu.shape[:-1] + (6,)),
-    )
+    lower, upper = face_bounds(state.r, state.r1, ref.r, ref.r1, ref.r2, params)
+    mu = np.minimum(np.maximum(mu_nominal, lower), upper)
+    return SafeCommand(mu_nominal, mu, state, ref, params, psi, g, lower, upper)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,16 @@ argument. Interior-point solves cannot do that: an epsilon-suboptimal point
 of a quadratic can sit sqrt(epsilon) away from the minimizer along flat
 directions, which is 1e-3 territory at realistic gap tolerances. A primal
 active-set method terminates finitely with an exact KKT solve instead.
+
+The closed loop has a per-tick reference too: the simulation loop as it
+was before the trace moved to one batched controller call after the loop,
+recording each tick's whole command as it goes.
 """
 
 import numpy as np
+
+from safeflight.simverify import SimTrace
+from safeflight.tracker import ReferencePoint, TrackingState
 
 
 def active_set_qp(H, f, G, h, x0, tol=1e-12, max_iter=100):
@@ -86,3 +93,44 @@ def cox_de_boor_matrix(tau, degree, ts):
                 Bk[:, i] += (tau[i + k + 1] - ts) / den_r * B[:, i + 1]
         B = Bk
     return B
+
+
+def simulate_per_tick(reference, controller, cfg, t0=0.0, duration=None):
+    """simulate() recording every field of each tick's command inside the loop."""
+    span = duration if duration is not None else cfg.duration
+    M = int(round((span or 0.0) * cfg.control_rate))
+    h = 1.0 / cfg.control_rate
+    ts = t0 + np.arange(M) * h
+    ref = reference(ts)
+    ref_r, ref_r1, ref_r2 = (
+        np.broadcast_to(np.asarray(f, dtype=float), (M, 3)).copy() for f in (ref.r, ref.r1, ref.r2)
+    )
+    start = cfg.initial_state or TrackingState(
+        r=ref_r[0] + cfg.initial_position_offset, r1=ref_r1[0] + cfg.initial_velocity_offset
+    )
+    r, r1 = np.array(start.r, dtype=float), np.array(start.r1, dtype=float)
+
+    states, cmds = [], []
+    for i in range(M):
+        state = TrackingState(r=r, r1=r1)
+        cmd = controller(ts[i], state, ReferencePoint(r=ref_r[i], r1=ref_r1[i], r2=ref_r2[i]))
+        states.append(state)
+        cmds.append(cmd)
+        r, r1 = r + r1 * h + 0.5 * cmd.mu * h * h, r1 + cmd.mu * h
+
+    thrust, phi, theta = np.array([(c.v.thrust, c.v.phi, c.v.theta) for c in cmds]).T
+    return SimTrace(
+        t=ts,
+        r=np.array([s.r for s in states]),
+        r1=np.array([s.r1 for s in states]),
+        ref_r=ref_r,
+        ref_r1=ref_r1,
+        ref_r2=ref_r2,
+        mu_nominal=np.array([c.mu_nominal for c in cmds]),
+        mu=np.array([c.mu for c in cmds]),
+        thrust=thrust,
+        phi=phi,
+        theta=theta,
+        barriers=np.array([c.barriers for c in cmds]),
+        active=np.array([c.active for c in cmds], dtype=bool),
+    )

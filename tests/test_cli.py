@@ -129,6 +129,32 @@ class TestLoading:
             load_scenario(write_scenario(tmp_path, doc))
 
 
+class TestBadTracking:
+    # Each bad tracking value exits 2 on every command, naming its field,
+    # before any planning starts.
+    CASES = [
+        ("cbf", "a1", 2.0, "tracking.cbf: a1^2"),  # a1^2 < 4 a2: complex error poles
+        ("gains", "kp", -2.0, "tracking.gains: kp"),
+        (None, "control_rate", 0.0, "tracking: control_rate"),
+        (None, "control_rate", float("nan"), "tracking: control_rate"),
+        (None, "substeps", 0, "tracking: substeps"),
+        (None, "duration", 0.004, "tracking: duration"),  # under one 10 ms tick
+        ("cbf", "delta", float("inf"), "tracking.cbf: delta"),
+    ]
+
+    @pytest.mark.parametrize("command", ["plan", "track"])
+    @pytest.mark.parametrize("section,key,value,message", CASES)
+    def test_exits_parse(self, tmp_path, capsys, command, section, key, value, message):
+        doc = hover_dict()
+        target = doc["tracking"] if section is None else doc["tracking"][section]
+        target[key] = value
+        path = write_scenario(tmp_path, doc)
+        assert main([command, "--scenario", path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert message in err
+        assert "unexpected error" not in err
+
+
 class TestSolverTol:
     def test_flag_wins(self, monkeypatch, hover_scenario):
         monkeypatch.setenv(TOL_ENV_VAR, "1e-7")

@@ -187,6 +187,36 @@ class TestVirtualInputBijection:
             attitude_from_virtual(np.array([1.0, 1.0, -G]), 0.0)
 
 
+class TestBatchedAttitude:
+    def test_rows_match_scalar_calls_bitwise(self, rng):
+        # Enough rows that squaring by x * x instead of pow() would show:
+        # the two round apart on roughly one row in a few thousand.
+        mu = rng.uniform(-8.0, 8.0, size=(8, 2500, 3))
+        mu[..., 2] = rng.uniform(-0.9 * G, 2.0 * G, size=(8, 2500))
+        for psi in (0.0, 0.7):
+            batch = attitude_from_virtual(mu, psi)
+            assert batch.thrust.shape == batch.phi.shape == batch.theta.shape == (8, 2500)
+            assert batch.psi == psi
+            for idx in np.ndindex(8, 2500):
+                one = attitude_from_virtual(mu[idx], psi)
+                assert (one.thrust, one.phi, one.theta) == (
+                    batch.thrust[idx],
+                    batch.phi[idx],
+                    batch.theta[idx],
+                )
+
+    def test_scalar_call_returns_floats(self):
+        v = attitude_from_virtual(np.array([0.3, -0.2, 1.0]), np.float64(0.4))
+        for value in (v.thrust, v.phi, v.theta, v.psi):
+            assert type(value) is float
+
+    def test_one_inverted_row_raises(self, rng):
+        mu = rng.uniform(-2.0, 2.0, size=(50, 3))
+        mu[17, 2] = -1.5 * G
+        with pytest.raises(InvertedFlightError):
+            attitude_from_virtual(mu, 0.0)
+
+
 def tilt_angle(mu):
     m = mu + G * E3
     return np.arccos(m[2] / np.linalg.norm(m))

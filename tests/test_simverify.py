@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from safeflight.planner import ConvexRegion, EndpointPins, IntervalConstraint, Waypoint
+from oracles import simulate_per_tick
+from safeflight.cli import load_scenario
+from safeflight.flatness import InvertedFlightError
+from safeflight.planner import ConvexRegion, EndpointPins, IntervalConstraint, Waypoint, plan
 from safeflight.simverify import (
     SimConfig,
     SimTrace,
@@ -14,6 +17,7 @@ from safeflight.simverify import (
     make_unfiltered_controller,
     plan_reference,
     simulate,
+    span_samples,
     verify_plan,
     verify_span_minima,
 )
@@ -166,6 +170,65 @@ class TestSimulate:
         assert np.isfinite(trace.r).all()  # the run itself continues
 
 
+    def test_inverted_input_raises_when_filtered(self):
+        def falling(t):
+            return ReferencePoint(r=np.zeros(3), r1=np.zeros(3), r2=np.array([0.0, 0.0, -30.0]))
+
+        ctrl = make_filtered_controller(PARAMS, GAINS)
+        with pytest.raises(InvertedFlightError):
+            simulate(falling, ctrl, SimConfig(control_rate=10.0), duration=0.3)
+
+    def test_controller_called_per_tick_then_once_on_the_run(self, hover_plan):
+        calls = []
+        inner = make_filtered_controller(PARAMS, GAINS)
+
+        def recording(t, state, ref):
+            calls.append((np.shape(t), state.r.shape, state.r1.shape, ref.r.shape, ref.r2.shape))
+            return inner(t, state, ref)
+
+        cfg = SimConfig(control_rate=50.0, initial_position_offset=[0.05, 0.0, 0.0])
+        simulate(plan_reference(hover_plan), recording, cfg, t0=1.0, duration=1.0)
+        assert calls == [((), (3,), (3,), (3,), (3,))] * 50 + [((50,), (50, 3), (50, 3), (50, 3), (50, 3))]
+
+
+@pytest.fixture(scope="module")
+def margin_demo_plan():
+    return plan(load_scenario("margin_demo").planning)
+
+
+class TestPerTickOracle:
+    # The batched record call after the loop must reproduce, bit for bit,
+    # the trace of the loop that records each tick's whole command.
+    @pytest.mark.parametrize("maker", [make_filtered_controller, make_unfiltered_controller])
+    @pytest.mark.parametrize("name", ["example1", "margin_demo", "hover"])
+    def test_every_field_matches_bitwise(self, request, name, maker):
+        sf = load_scenario(name)
+        planning, tr = sf.planning, sf.tracking
+        pl = request.getfixturevalue(f"{name}_plan")
+        ctrl = maker(tr.cbf, tr.gains, tr.psi, planning.gravity)
+        duration = tr.sim.duration if tr.sim.duration is not None else planning.tf - planning.t0
+        args = (plan_reference(pl), ctrl, tr.sim, planning.t0, duration)
+        got, want = simulate(*args), simulate_per_tick(*args)
+        assert got.t.size == round(duration * tr.sim.control_rate)
+        for field in SimTrace.__dataclass_fields__:
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert_array_equal(a, b, err_msg=field, strict=True)
+
+    def test_inverted_ticks_match_as_nan_rows(self):
+        def dipping(t):
+            r2 = np.zeros((np.size(t), 3))
+            r2[:, 2] = np.where(np.arange(np.size(t)) % 3 == 1, -30.0, 0.0)
+            return ReferencePoint(r=np.zeros(3), r1=np.zeros(3), r2=r2)
+
+        ctrl = make_unfiltered_controller(PARAMS, PdGains(kp=0.0, kd=0.0))
+        args = (dipping, ctrl, SimConfig(control_rate=10.0), 0.0, 0.9)
+        got, want = simulate(*args), simulate_per_tick(*args)
+        assert np.isnan(got.thrust).sum() == 3
+        for field in SimTrace.__dataclass_fields__:
+            assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+
+
 class TestReferenceAndControllers:
     def test_plan_reference_clamps_to_horizon(self, hover_plan):
         ref = plan_reference(hover_plan)
@@ -207,6 +270,19 @@ class TestReferenceAndControllers:
         assert_allclose(cmd.mu, nominal_mu(state, ref, GAINS))
         assert not cmd.active.any()
         assert_allclose(cmd.barriers, barrier_values(state, ref, PARAMS))
+
+
+class TestSpanSamples:
+    @pytest.mark.parametrize("samples", [1, 7, 300])
+    def test_matches_the_per_span_grid_bitwise(self, example1_plan, hover_plan, samples):
+        for pl in (example1_plan, hover_plan):
+            kv = pl.curve.knots
+            parts = [
+                np.linspace(kv.tau[l], kv.tau[l + 1], samples, endpoint=False)
+                for l in kv.nonempty_spans()
+            ]
+            want = np.concatenate(parts + [np.array([kv.tf])])
+            assert_array_equal(span_samples(pl, samples), want, strict=True)
 
 
 class TestTrace:
