@@ -3,7 +3,8 @@
 The package splits into layers that mirror the pipeline:
 
 - splines: clamped uniform B-splines, derivative control points, snap Gram.
-- flatness: maps between flat outputs, full state/input, and reduced inputs.
+- flatness: the batched zero-yaw map from flat outputs to thrust, attitude
+  and body rates, and the virtual input mu to thrust and attitude.
 - socp: a small second-order cone program container with a conic solver.
 - planner: compiles mission constraints onto spline coefficients and solves.
 - tracker: barrier-based safety filter around a nominal controller.
@@ -14,10 +15,8 @@ The package splits into layers that mirror the pipeline:
 from .splines import (
     KnotVector,
     SplineCurve,
-    basis_eval,
     build_derivative_matrix,
     clamped_uniform_knots,
-    curve_eval,
     derivative_control_points,
     snap_gram,
 )
@@ -25,10 +24,8 @@ from .splines import (
 __all__ = [
     "KnotVector",
     "SplineCurve",
-    "basis_eval",
     "build_derivative_matrix",
     "clamped_uniform_knots",
-    "curve_eval",
     "derivative_control_points",
     "snap_gram",
 ]

@@ -5,7 +5,10 @@ are written in degrees there and converted on ingestion. A handful of
 scenarios ship inside the package and can be named directly (see
 `safeflight plan --list`). Exit codes: 0 success, 2 parse or validation
 error, 3 infeasible plan, 4 failed verification or tracking certificate,
-5 unexpected runtime failure.
+5 unexpected runtime failure. A plan that leaves the flatness map's domain
+(a free-fall sample with no thrust direction, a thrust axis along the yaw
+heading's normal, or a command that asks for inverted flight) fails
+verification: `verify`, `track` and `export` exit 4 on it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,13 @@ import jsonschema
 import numpy as np
 import yaml
 
-from .flatness import GRAVITY, tilt_thrust_rates
+from .flatness import (
+    GRAVITY,
+    InvertedFlightError,
+    SingularAttitudeError,
+    SingularThrustError,
+    tilt_thrust_rates,
+)
 from .planner import (
     ConvexRegion,
     EndpointPins,
@@ -200,6 +209,10 @@ SCENARIO_SCHEMA = {
     "additionalProperties": False,
 }
 
+# Built once: jsonschema.validate would re-check the schema against its
+# metaschema on every load, which costs far more than the validation itself.
+_SCENARIO_VALIDATOR = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+
 
 class ScenarioError(ValueError):
     """Scenario file failed validation or internal consistency checks."""
@@ -271,11 +284,10 @@ def load_scenario(source: str) -> ScenarioFile:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{desc}: YAML parse error: {exc}") from exc
-    try:
-        jsonschema.validate(doc, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ScenarioError(f"{desc}: schema violation at {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_SCENARIO_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ScenarioError(f"{desc}: schema violation at {where}: {error.message}") from error
 
     spline = doc["spline"]
     degree = int(spline["degree"])
@@ -581,6 +593,17 @@ def _sample_count(text: str) -> int:
     return value
 
 
+def _margin_tol(text: str) -> float:
+    """argparse type of --margin-tol: a finite number of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="safeflight",
@@ -600,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--scenario", required=True)
     p_verify.add_argument("--plan", help="plan JSON (re-plans when omitted)")
     p_verify.add_argument("--samples-per-span", type=_sample_count, default=300)
-    p_verify.add_argument("--margin-tol", type=float, default=1e-6)
+    p_verify.add_argument("--margin-tol", type=_margin_tol, default=1e-6)
     p_verify.add_argument("--tol", type=float, default=None, help="solver tolerance override")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -638,6 +661,10 @@ def main(argv=None) -> int:
     except PlanInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except (SingularThrustError, SingularAttitudeError, InvertedFlightError) as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+        print(f"error: flatness map undefined on the plan: {reason}", file=sys.stderr)
+        return EXIT_VERIFY
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -1,15 +1,16 @@
 """Differential flatness maps for a quadcopter.
 
 Position and yaw are flat outputs: the full state and input are algebraic
-functions of them and finitely many of their time derivatives. Three maps
+functions of them and finitely many of their time derivatives. Two maps
 matter here:
 
-- ``flat_to_state_input``: flat outputs up to jerk (plus yaw and yaw rate)
-  to attitude, mass-normalized collective thrust, and body rates.
-- ``virtual_from_attitude`` / ``attitude_from_virtual``: the bijection
-  between the reduced input (thrust, roll, pitch at a given yaw) and the
-  virtual acceleration input mu = T z_B - g z_W of the double-integrator
-  model. The tracker filters mu, then converts back.
+- ``tilt_thrust_rates``: acceleration and jerk of the position spline to
+  mass-normalized collective thrust, roll, pitch and the body rates p, q,
+  batched over any number of samples at zero yaw. The dense verifier
+  checks the plan's bounds through it, and the CSV export reports it.
+- ``attitude_from_virtual``: the virtual acceleration input
+  mu = T z_B - g z_W of the double-integrator model to thrust, roll and
+  pitch at a given yaw. The tracker filters mu, then converts it with this.
 
 All thrust values are mass-normalized (units of acceleration). Angles are
 radians, yaw uses the Z-Y-X (yaw-pitch-roll) convention, and the world
@@ -40,32 +41,6 @@ class InvertedFlightError(ValueError):
 
 
 @dataclass(frozen=True)
-class FlatOutput:
-    """Flat outputs at one instant: position derivatives plus yaw."""
-
-    r: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-    r3: np.ndarray
-    psi: float = 0.0
-    psi1: float = 0.0
-
-
-@dataclass(frozen=True)
-class StateInput:
-    """Full state and input reconstructed from flat outputs."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    rotation: np.ndarray
-    phi: float
-    theta: float
-    psi: float
-    thrust: float
-    omega: np.ndarray
-
-
-@dataclass(frozen=True)
 class ReducedInput:
     """Thrust and attitude angles commanded to the inner-loop autopilot.
 
@@ -76,69 +51,6 @@ class ReducedInput:
     phi: float | np.ndarray
     theta: float | np.ndarray
     psi: float
-
-
-def flat_to_state_input(flat: FlatOutput, g: float = GRAVITY) -> StateInput:
-    """Reconstruct state and input from flat outputs.
-
-    Raises:
-        SingularThrustError: near free fall (thrust vector below 1e-6).
-        SingularAttitudeError: thrust axis within 1e-6 of the yaw axis
-            direction, or a degenerate roll/pitch extraction.
-    """
-    r2 = np.asarray(flat.r2, dtype=float)
-    r3 = np.asarray(flat.r3, dtype=float)
-    t_vec = r2 + g * _Z_W
-    thrust = float(np.linalg.norm(t_vec))
-    if thrust < 1e-6:
-        raise SingularThrustError(f"thrust vector norm {thrust:.2e} is numerically zero")
-    z_b = t_vec / thrust
-
-    c_psi, s_psi = np.cos(flat.psi), np.sin(flat.psi)
-    y_c = np.array([-s_psi, c_psi, 0.0])
-    x_raw = np.cross(y_c, z_b)
-    nx = float(np.linalg.norm(x_raw))
-    if nx < 1e-6:
-        raise SingularAttitudeError("thrust axis parallel to the yaw heading plane normal")
-    x_b = x_raw / nx
-    y_b = np.cross(z_b, x_b)
-
-    if abs(x_b[2]) > 1.0 - 1e-12:
-        raise SingularAttitudeError("roll/pitch extraction degenerate at 90 degree pitch")
-    theta = -np.arcsin(np.clip(x_b[2], -1.0, 1.0))
-    phi = np.arcsin(np.clip(y_b[2] / np.cos(theta), -1.0, 1.0))
-
-    h_omega = (r3 - np.dot(z_b, r3) * z_b) / thrust
-    p = -float(np.dot(y_b, h_omega))
-    q = float(np.dot(x_b, h_omega))
-    rr = float(flat.psi1) * float(z_b[2])
-
-    rotation = np.column_stack([x_b, y_b, z_b])
-    return StateInput(
-        position=np.asarray(flat.r, dtype=float),
-        velocity=np.asarray(flat.r1, dtype=float),
-        rotation=rotation,
-        phi=float(phi),
-        theta=float(theta),
-        psi=float(flat.psi),
-        thrust=thrust,
-        omega=np.array([p, q, rr]),
-    )
-
-
-def virtual_from_attitude(v: ReducedInput, g: float = GRAVITY) -> np.ndarray:
-    """Virtual acceleration mu = T z_B(phi, theta, psi) - g z_W."""
-    c_phi, s_phi = np.cos(v.phi), np.sin(v.phi)
-    c_th, s_th = np.cos(v.theta), np.sin(v.theta)
-    c_psi, s_psi = np.cos(v.psi), np.sin(v.psi)
-    z_b = np.array(
-        [
-            c_phi * s_th * c_psi + s_phi * s_psi,
-            c_phi * s_th * s_psi - s_phi * c_psi,
-            c_phi * c_th,
-        ]
-    )
-    return v.thrust * z_b - g * _Z_W
 
 
 def attitude_from_virtual(mu: np.ndarray, psi: float, g: float = GRAVITY) -> ReducedInput:
@@ -171,10 +83,14 @@ def attitude_from_virtual(mu: np.ndarray, psi: float, g: float = GRAVITY) -> Red
 def tilt_thrust_rates(
     acc: np.ndarray, jerk: np.ndarray, g: float = GRAVITY
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized thrust, roll, pitch, and body rates p, q at zero yaw.
+    """Thrust, roll, pitch and body rates p, q at zero yaw, batched over samples.
 
-    Batched form of flat_to_state_input for constraint verification, where
-    many samples are checked at once and yaw is identically zero.
+    The thrust vector is acc + g z_W, and its direction is the body z axis.
+    At zero yaw the body x axis is the normalized (z_b3, 0, -z_b1), so the
+    attitude needs no rotation matrix per sample. The body rates are the
+    jerk's part normal to z_B, divided by the thrust and read on the body y
+    and x axes. Yaw rate is zero along a zero-yaw plan, so no r is returned.
+    tests/oracles.py holds the scalar any-yaw reference it is tested against.
 
     Args:
         acc: Accelerations, shape (..., 3).
@@ -182,6 +98,10 @@ def tilt_thrust_rates(
 
     Returns:
         (thrust, phi, theta, p, q), each of shape (...).
+
+    Raises:
+        SingularThrustError: on a free-fall sample (thrust below 1e-6).
+        SingularAttitudeError: on a thrust axis within 1e-9 of e_y.
     """
     acc = np.asarray(acc, dtype=float)
     jerk = np.asarray(jerk, dtype=float)

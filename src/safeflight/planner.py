@@ -24,7 +24,6 @@ from .socp import OPTIMAL, ConeProgram, Solution
 from .splines import (
     KnotVector,
     SplineCurve,
-    basis_eval,
     basis_matrix,
     clamped_uniform_knots,
     snap_gram,
@@ -194,15 +193,6 @@ class EndpointPins:
             vals = tuple(np.asarray(v, dtype=float).reshape(3) for v in getattr(self, attr))
             object.__setattr__(self, attr, vals)
 
-    @staticmethod
-    def rest_to_rest(p_start, p_end, orders: int = 4) -> "EndpointPins":
-        """Pin position plus zero derivatives up to the given order at both ends."""
-        zeros = [np.zeros(3)] * orders
-        return EndpointPins(
-            initial=tuple([np.asarray(p_start, dtype=float)] + zeros),
-            final=tuple([np.asarray(p_end, dtype=float)] + zeros),
-        )
-
 
 @dataclass(frozen=True)
 class IntervalConstraint:
@@ -281,16 +271,6 @@ class TrajectoryPlan:
     gravity: float
     name: str
     solve_stats: SolveStats
-
-    def flat_output(self, t: float):
-        """FlatOutput record (derivatives to jerk, zero yaw) at time t."""
-        from .flatness import FlatOutput
-
-        return FlatOutput(*self.curve.eval(t, (0, 1, 2, 3)))
-
-    def sample(self, ts: np.ndarray) -> dict[str, np.ndarray]:
-        """Batched derivatives 0..3 at the given times."""
-        return dict(zip(("r0", "r1", "r2", "r3"), self.curve.eval(ts, (0, 1, 2, 3))))
 
     def zeta_for_span(self, l: int) -> float:
         """Rate floor active on knot span l (d <= l <= n)."""
@@ -496,7 +476,9 @@ class PlanAssembly:
             for r, value in enumerate(pinned):
                 if r > kv.degree:
                     raise ValueError(f"cannot pin derivative order {r} of degree {kv.degree}")
-                weights.append(kv.derivative_matrix(r) @ basis_eval(kv, kv.degree - r, t_m))
+                weights.append(
+                    kv.derivative_matrix(r) @ basis_matrix(kv, kv.degree - r, np.array([t_m]))[0]
+                )
                 values.append(value)
         rows = self._axis_rows(np.reshape(weights, (-1, self.n + 1)))
         self.cp.add_equality(rows, self.ctrl_cols, np.reshape(values, (-1, 3)), "endpoint")

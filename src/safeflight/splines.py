@@ -228,11 +228,6 @@ def _span_power_basis(knots: KnotVector) -> np.ndarray:
     return lam
 
 
-def basis_eval(knots: KnotVector, degree: int, t: float) -> np.ndarray:
-    """All degree-k basis functions at a single time; shape (v - k,)."""
-    return basis_matrix(knots, degree, np.array([t]))[0]
-
-
 def build_derivative_matrix(knots: KnotVector, r: int) -> np.ndarray:
     """Matrix B_r mapping control points to r-th derivative control points.
 
@@ -353,11 +348,6 @@ class SplineCurve:
                 val += c.take(i, axis=1)
             out.append(val[:, 0] if np.ndim(t) == 0 else val.T)
         return out[0] if np.ndim(r) == 0 else tuple(out)
-
-
-def curve_eval(curve: SplineCurve, r: int, t) -> np.ndarray:
-    """Functional alias for SplineCurve.eval (derivative order first)."""
-    return curve.eval(t, r)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,12 @@ position error inside the tube ||r - r_ref||_inf <= delta:
     h_q^up = delta - (q - q_ref),    h_q^low = delta + (q - q_ref).
 
 Enforcing both at relative degree two yields, per axis, a closed interval
-of admissible mu_q whose width is identically 2 * a2 * delta. The filter is
-therefore a per-axis clamp of the nominal input: the exact solution of the
-safety QP, no numerical solve required.
+of admissible mu_q whose width is identically 2 * a2 * delta. The safety QP,
+min ||mu - mu_nominal||^2 over that box, separates by axis, so its exact
+solution is a per-axis clamp of the nominal input: ``safe_step`` applies it,
+and no numerical solve is needed. ``face_bounds`` gives the box. The six
+faces, like the six barriers, are always ordered x+, x-, y+, y-, z+, z-:
+the upper face (from h^up) then the lower face (from h^low) of each axis.
 """
 
 from __future__ import annotations
@@ -79,20 +82,6 @@ class ReferencePoint(NamedTuple):
     r2: np.ndarray
 
 
-@dataclass(frozen=True)
-class CbfFace:
-    """One half-space of the admissible-input box.
-
-    side +1 encodes mu_q <= bound (upper face, from h_q^up); side -1
-    encodes mu_q >= bound (lower face, from h_q^low). bound may be an
-    array when the faces were built from batched states.
-    """
-
-    axis: int
-    side: int
-    bound: float | np.ndarray
-
-
 _SIDES = np.array([1.0, -1.0])  # upper face, then lower face, of each axis
 
 
@@ -107,36 +96,8 @@ def face_bounds(r, r1, ref_r, ref_r1, ref_r2, params: CbfParams) -> tuple[np.nda
     return base - half, base + half
 
 
-def cbf_faces(state: TrackingState, ref: ReferencePoint, params: CbfParams) -> tuple[CbfFace, ...]:
-    """The six input-box faces at the current state, ordered x+,x-,y+,y-,z+,z-."""
-    lower, upper = face_bounds(state.r, state.r1, ref.r, ref.r1, ref.r2, params)
-    faces = []
-    for axis in range(3):
-        faces.append(CbfFace(axis=axis, side=+1, bound=upper[..., axis]))
-        faces.append(CbfFace(axis=axis, side=-1, bound=lower[..., axis]))
-    return tuple(faces)
-
-
-def filter_input(mu_nominal: np.ndarray, faces: tuple[CbfFace, ...]) -> np.ndarray:
-    """Project the nominal virtual input onto the admissible box.
-
-    The QP min ||mu - mu_nominal||^2 over the box separates by axis, so the
-    exact solution is a clamp. Feasibility is structural: each axis interval
-    has positive width 2 * a2 * delta by construction.
-    """
-    mu = np.array(mu_nominal, dtype=float, copy=True)
-    lower = np.empty_like(mu)
-    upper = np.empty_like(mu)
-    for face in faces:
-        if face.side > 0:
-            upper[..., face.axis] = face.bound
-        else:
-            lower[..., face.axis] = face.bound
-    return np.clip(mu, lower, upper)
-
-
 def barrier_values(state: TrackingState, ref: ReferencePoint, params: CbfParams) -> np.ndarray:
-    """The six tube barriers h, ordered like cbf_faces; nonnegative inside."""
+    """The six tube barriers h, ordered x+, x-, y+, y-, z+, z-; nonnegative inside."""
     e = np.asarray(state.r, dtype=float) - np.asarray(ref.r, dtype=float)
     return (params.delta - e[..., None] * _SIDES).reshape(e.shape[:-1] + (6,))
 
@@ -158,17 +119,6 @@ class PdGains:
 def nominal_mu(state: TrackingState, ref: ReferencePoint, gains: PdGains) -> np.ndarray:
     """Feedforward-plus-PD virtual input, before filtering; arrays batched over (..., 3)."""
     return ref.r2 + gains.kp * (ref.r - state.r) + gains.kd * (ref.r1 - state.r1)
-
-
-def nominal_pd(
-    state: TrackingState,
-    ref: ReferencePoint,
-    gains: PdGains,
-    psi: float = 0.0,
-    g: float = GRAVITY,
-) -> ReducedInput:
-    """The nominal controller as a reduced input (thrust and attitude)."""
-    return attitude_from_virtual(nominal_mu(state, ref, gains), psi, g)
 
 
 class SafeCommand(NamedTuple):
@@ -206,12 +156,16 @@ class SafeCommand(NamedTuple):
 
     @property
     def barriers(self) -> np.ndarray:
-        """The six tube barriers at the commanded state, ordered like cbf_faces."""
+        """The six tube barriers at the commanded state, ordered x+, x-, y+, y-, z+, z-."""
         return barrier_values(self.state, self.ref, self.params)
 
     @property
     def active(self) -> np.ndarray:
-        """Which of the six faces clamp mu, ordered like cbf_faces; all False unfiltered."""
+        """Which of the six faces clamp mu, ordered x+, x-, y+, y-, z+, z-.
+
+        A face is active when mu lies within 1e-9 of its bound; all are
+        False for an unfiltered command.
+        """
         if self.lower is None:
             return np.zeros(self.mu.shape[:-1] + (6,), dtype=bool)
         faces = np.stack([self.upper, self.lower], axis=-1)
@@ -228,8 +182,9 @@ def safe_step(
 ) -> SafeCommand:
     """Filter a nominal input, an array batched over (..., 3) like the state.
 
-    The clamp of filter_input over cbf_faces, read straight off the face
-    bounds; a face is active when mu lies within 1e-9 of it.
+    Clamps each axis of mu_nominal to [lower, upper] from face_bounds: the
+    exact solution of the safety QP. The box is never empty, since each
+    axis interval has width 2 * a2 * delta > 0 whatever the state.
     """
     lower, upper = face_bounds(state.r, state.r1, ref.r, ref.r1, ref.r2, params)
     mu = np.minimum(np.maximum(mu_nominal, lower), upper)

@@ -1,8 +1,16 @@
-"""Reference solvers used only by the test suite.
+"""Reference implementations used only by the test suite.
 
 The spline basis has a dense reference here too: the textbook Cox-de Boor
 recursion over every basis function, in the same arithmetic as the local
 triangle, so the two must agree bit for bit.
+
+The flatness map has a scalar reference at any yaw: flat_to_state_input
+builds the full rotation matrix from the thrust axis and the yaw heading
+and reads roll, pitch and the body rates off it, one sample at a time.
+virtual_from_attitude is the forward map mu = T z_B(phi, theta, psi) - g z_W
+that attitude_from_virtual inverts. The package's batched zero-yaw map,
+tilt_thrust_rates, is checked against the first, and attitude_from_virtual
+against both.
 
 The tracking filter claims to solve its safety QP in closed form, so the
 tests need an independent QP method accurate enough to check 1e-8 in the
@@ -10,16 +18,30 @@ argument. Interior-point solves cannot do that: an epsilon-suboptimal point
 of a quadratic can sit sqrt(epsilon) away from the minimizer along flat
 directions, which is 1e-3 territory at realistic gap tolerances. A primal
 active-set method terminates finitely with an exact KKT solve instead.
+Beside it sits the filter's face path: cbf_faces lists the six half-spaces
+of the admissible box one by one, ordered x+, x-, y+, y-, z+, z-, and
+filter_input clamps onto them face by face. safe_step reads the same clamp
+straight off the face_bounds arrays and must match it bit for bit.
 
 The closed loop has a per-tick reference too: the simulation loop as it
 was before the trace moved to one batched controller call after the loop,
 recording each tick's whole command as it goes.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from safeflight.flatness import (
+    GRAVITY,
+    ReducedInput,
+    SingularAttitudeError,
+    SingularThrustError,
+)
 from safeflight.simverify import SimTrace
-from safeflight.tracker import ReferencePoint, TrackingState
+from safeflight.tracker import CbfParams, ReferencePoint, TrackingState, face_bounds
+
+_Z_W = np.array([0.0, 0.0, 1.0])
 
 
 def active_set_qp(H, f, G, h, x0, tol=1e-12, max_iter=100):
@@ -134,3 +156,134 @@ def simulate_per_tick(reference, controller, cfg, t0=0.0, duration=None):
         barriers=np.array([c.barriers for c in cmds]),
         active=np.array([c.active for c in cmds], dtype=bool),
     )
+
+
+@dataclass(frozen=True)
+class FlatOutput:
+    """Flat outputs at one instant: position derivatives plus yaw."""
+
+    r: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    r3: np.ndarray
+    psi: float = 0.0
+    psi1: float = 0.0
+
+
+@dataclass(frozen=True)
+class StateInput:
+    """Full state and input reconstructed from flat outputs."""
+
+    position: np.ndarray
+    velocity: np.ndarray
+    rotation: np.ndarray
+    phi: float
+    theta: float
+    psi: float
+    thrust: float
+    omega: np.ndarray
+
+
+def flat_to_state_input(flat: FlatOutput, g: float = GRAVITY) -> StateInput:
+    """Reconstruct state and input from flat outputs.
+
+    Raises:
+        SingularThrustError: near free fall (thrust vector below 1e-6).
+        SingularAttitudeError: thrust axis within 1e-6 of the yaw axis
+            direction, or a degenerate roll/pitch extraction.
+    """
+    r2 = np.asarray(flat.r2, dtype=float)
+    r3 = np.asarray(flat.r3, dtype=float)
+    t_vec = r2 + g * _Z_W
+    thrust = float(np.linalg.norm(t_vec))
+    if thrust < 1e-6:
+        raise SingularThrustError(f"thrust vector norm {thrust:.2e} is numerically zero")
+    z_b = t_vec / thrust
+
+    c_psi, s_psi = np.cos(flat.psi), np.sin(flat.psi)
+    y_c = np.array([-s_psi, c_psi, 0.0])
+    x_raw = np.cross(y_c, z_b)
+    nx = float(np.linalg.norm(x_raw))
+    if nx < 1e-6:
+        raise SingularAttitudeError("thrust axis parallel to the yaw heading plane normal")
+    x_b = x_raw / nx
+    y_b = np.cross(z_b, x_b)
+
+    if abs(x_b[2]) > 1.0 - 1e-12:
+        raise SingularAttitudeError("roll/pitch extraction degenerate at 90 degree pitch")
+    theta = -np.arcsin(np.clip(x_b[2], -1.0, 1.0))
+    phi = np.arcsin(np.clip(y_b[2] / np.cos(theta), -1.0, 1.0))
+
+    h_omega = (r3 - np.dot(z_b, r3) * z_b) / thrust
+    p = -float(np.dot(y_b, h_omega))
+    q = float(np.dot(x_b, h_omega))
+    rr = float(flat.psi1) * float(z_b[2])
+
+    rotation = np.column_stack([x_b, y_b, z_b])
+    return StateInput(
+        position=np.asarray(flat.r, dtype=float),
+        velocity=np.asarray(flat.r1, dtype=float),
+        rotation=rotation,
+        phi=float(phi),
+        theta=float(theta),
+        psi=float(flat.psi),
+        thrust=thrust,
+        omega=np.array([p, q, rr]),
+    )
+
+
+def virtual_from_attitude(v: ReducedInput, g: float = GRAVITY) -> np.ndarray:
+    """Virtual acceleration mu = T z_B(phi, theta, psi) - g z_W."""
+    c_phi, s_phi = np.cos(v.phi), np.sin(v.phi)
+    c_th, s_th = np.cos(v.theta), np.sin(v.theta)
+    c_psi, s_psi = np.cos(v.psi), np.sin(v.psi)
+    z_b = np.array(
+        [
+            c_phi * s_th * c_psi + s_phi * s_psi,
+            c_phi * s_th * s_psi - s_phi * c_psi,
+            c_phi * c_th,
+        ]
+    )
+    return v.thrust * z_b - g * _Z_W
+
+
+@dataclass(frozen=True)
+class CbfFace:
+    """One half-space of the admissible-input box.
+
+    side +1 encodes mu_q <= bound (upper face, from h_q^up); side -1
+    encodes mu_q >= bound (lower face, from h_q^low). bound may be an
+    array when the faces were built from batched states.
+    """
+
+    axis: int
+    side: int
+    bound: float | np.ndarray
+
+
+def cbf_faces(state: TrackingState, ref: ReferencePoint, params: CbfParams) -> tuple[CbfFace, ...]:
+    """The six input-box faces at the current state, ordered x+, x-, y+, y-, z+, z-."""
+    lower, upper = face_bounds(state.r, state.r1, ref.r, ref.r1, ref.r2, params)
+    faces = []
+    for axis in range(3):
+        faces.append(CbfFace(axis=axis, side=+1, bound=upper[..., axis]))
+        faces.append(CbfFace(axis=axis, side=-1, bound=lower[..., axis]))
+    return tuple(faces)
+
+
+def filter_input(mu_nominal: np.ndarray, faces: tuple[CbfFace, ...]) -> np.ndarray:
+    """Project the nominal virtual input onto the admissible box, face by face.
+
+    The QP min ||mu - mu_nominal||^2 over the box separates by axis, so the
+    exact solution is a clamp. Feasibility is structural: each axis interval
+    has positive width 2 * a2 * delta by construction.
+    """
+    mu = np.array(mu_nominal, dtype=float, copy=True)
+    lower = np.empty_like(mu)
+    upper = np.empty_like(mu)
+    for face in faces:
+        if face.side > 0:
+            upper[..., face.axis] = face.bound
+        else:
+            lower[..., face.axis] = face.bound
+    return np.clip(mu, lower, upper)

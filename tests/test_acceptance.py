@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from oracles import box_projection_qp
+from oracles import box_projection_qp, virtual_from_attitude
 from safeflight.cli import bundled_scenarios, load_scenario
-from safeflight.flatness import ReducedInput, attitude_from_virtual, virtual_from_attitude
+from safeflight.flatness import ReducedInput, attitude_from_virtual
 from safeflight.planner import interval_window_columns, plan
 from safeflight.simverify import (
     make_filtered_controller,
@@ -25,7 +25,6 @@ from safeflight.simverify import (
 from safeflight.splines import (
     SplineCurve,
     clamped_uniform_knots,
-    curve_eval,
     derivative_control_points,
     snap_gram,
 )
@@ -33,9 +32,8 @@ from safeflight.tracker import (
     CbfParams,
     ReferencePoint,
     TrackingState,
-    cbf_faces,
     face_bounds,
-    filter_input,
+    safe_step,
 )
 
 G = 9.81
@@ -124,10 +122,8 @@ def test_derivative_matrices_match_finite_differences(capsys, rng):
         for _ in range(10):
             curve = SplineCurve(kv, rng.uniform(-1.0, 1.0, size=(3, n + 1)))
             for r in (1, 2, 3):
-                exact = curve_eval(curve, r, ts)
-                fd = (curve_eval(curve, r - 1, ts + h) - curve_eval(curve, r - 1, ts - h)) / (
-                    2 * h
-                )
+                exact = curve.eval(ts, r)
+                fd = (curve.eval(ts + h, r - 1) - curve.eval(ts - h, r - 1)) / (2 * h)
                 scale = np.maximum(1.0, np.abs(exact))
                 worst = max(worst, float(np.max(np.abs(fd - exact) / scale)))
     conclude(
@@ -233,7 +229,7 @@ def test_clamp_matches_qp_and_is_always_feasible(capsys, rng):
             r=rng.uniform(-5, 5, 3), r1=rng.uniform(-5, 5, 3), r2=rng.uniform(-10, 10, 3)
         )
         mu_nominal = ref.r2 + rng.uniform(-20, 20, 3)
-        mu = filter_input(mu_nominal, cbf_faces(state, ref, params))
+        mu = safe_step(state, ref, mu_nominal, params).mu
         lower, upper = face_bounds(state.r, state.r1, ref.r, ref.r1, ref.r2, params)
         oracle = box_projection_qp(mu_nominal, lower, upper)
         worst = max(worst, float(np.abs(mu - oracle).max()))

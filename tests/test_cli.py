@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 import yaml
@@ -13,6 +14,7 @@ from safeflight.cli import (
     EXIT_PARSE,
     EXIT_RUNTIME,
     EXIT_VERIFY,
+    SCENARIO_SCHEMA,
     TOL_ENV_VAR,
     ScenarioError,
     _effective_tol,
@@ -20,8 +22,10 @@ from safeflight.cli import (
     load_scenario,
     main,
 )
+from safeflight.flatness import GRAVITY
 from safeflight.planner import TrajectoryPlan
 from safeflight.simverify import span_samples
+from safeflight.splines import basis_matrix
 
 EXPECTED_BUNDLED = [
     "example1",
@@ -57,7 +61,28 @@ def write_plan(tmp_path, pl, name="plan.json"):
     return str(path)
 
 
+@pytest.fixture()
+def free_fall_plan(tmp_path, hover_plan):
+    """The hover plan with z on the free-fall parabola 0.5 - g t^2 / 2.
+
+    The parabola lies in the spline space, so the least-squares fit is exact
+    and every sample's acceleration cancels gravity: no thrust direction.
+    """
+    kv = hover_plan.curve.knots
+    ts = np.linspace(kv.t0, kv.tf, 200)
+    z, *_ = np.linalg.lstsq(basis_matrix(kv, kv.degree, ts), 0.5 - 0.5 * GRAVITY * ts**2)
+    doc = hover_plan.to_dict()
+    doc["control_points"][2] = z.tolist()
+    path = tmp_path / "ff.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestLoading:
+    def test_schema_is_valid_under_its_metaschema(self):
+        # Scenario loads no longer re-check the schema, so check it here once.
+        jsonschema.validators.validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
+
     def test_bundled_names(self):
         assert bundled_scenarios() == EXPECTED_BUNDLED
 
@@ -291,6 +316,21 @@ class TestVerifyCommand:
         assert exc.value.code == EXIT_PARSE
         assert "--samples-per-span" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_margin_tol_exits_parse(self, tmp_path, hover_plan, tol, capsys):
+        args = ["verify", "--scenario", "hover", "--plan", write_plan(tmp_path, hover_plan)]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--margin-tol", tol])
+        assert exc.value.code == EXIT_PARSE
+        assert "--margin-tol" in capsys.readouterr().err
+
+    def test_free_fall_plan_exits_verify(self, free_fall_plan, capsys):
+        code = main(["verify", "--scenario", "hover", "--plan", free_fall_plan])
+        assert code == EXIT_VERIFY
+        err = capsys.readouterr().err
+        assert "error: flatness map undefined on the plan: SingularThrustError" in err
+        assert "unexpected error" not in err
+
 
 class TestTrackCommand:
     def test_hover_track_writes_trace_and_report(self, tmp_path, hover_plan, capsys):
@@ -333,6 +373,13 @@ class TestTrackCommand:
         assert "unfiltered run" in stdout
         assert "tube=False" in stdout
         assert "FAILED: tracking left the safe tube" in stdout
+
+    def test_free_fall_plan_exits_verify(self, free_fall_plan, capsys):
+        code = main(["track", "--scenario", "hover", "--plan", free_fall_plan])
+        assert code == EXIT_VERIFY
+        err = capsys.readouterr().err
+        assert "error: flatness map undefined on the plan: InvertedFlightError" in err
+        assert "unexpected error" not in err
 
     def test_scenario_without_tracking_exits_parse(self, tmp_path, capsys):
         doc = hover_dict()
@@ -386,6 +433,13 @@ class TestExportCommand:
         rows = out.read_text().splitlines()[1:]
         assert [row.split(",")[-1] for row in rows] == want
         assert len(set(want)) == len(doc["zeta"])
+
+    def test_free_fall_plan_exits_verify(self, tmp_path, free_fall_plan, capsys):
+        out = tmp_path / "samples.csv"
+        assert main(["export", "--plan", free_fall_plan, "--out", str(out)]) == EXIT_VERIFY
+        err = capsys.readouterr().err
+        assert "error: flatness map undefined on the plan: SingularThrustError" in err
+        assert "unexpected error" not in err
 
     def test_missing_plan_exits_parse(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from oracles import FlatOutput, flat_to_state_input, virtual_from_attitude
 
 from safeflight.flatness import (
     GRAVITY,
-    FlatOutput,
     InvertedFlightError,
     ReducedInput,
     SingularAttitudeError,
     SingularThrustError,
     attitude_from_virtual,
-    flat_to_state_input,
     tilt_thrust_rates,
-    virtual_from_attitude,
 )
 
 G = GRAVITY

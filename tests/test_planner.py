@@ -30,6 +30,15 @@ from safeflight.tracker import CbfParams
 G = 9.81
 
 
+def rest_to_rest(p_start, p_end, orders: int = 4) -> EndpointPins:
+    """Pin position plus zero derivatives up to the given order at both ends."""
+    zeros = [np.zeros(3)] * orders
+    return EndpointPins(
+        initial=tuple([np.asarray(p_start, dtype=float)] + zeros),
+        final=tuple([np.asarray(p_end, dtype=float)] + zeros),
+    )
+
+
 def small_bounds(**over):
     base = dict(v_max=1.0, tilt_max=np.pi / 6, thrust_min=5.0, thrust_max=15.0, omega_max=1.0)
     base.update(over)
@@ -44,7 +53,7 @@ def small_scenario(**over):
         n=10,
         degree=5,
         bounds=small_bounds(),
-        pins=EndpointPins.rest_to_rest([0.0, 0.0, 0.5], [1.0, 0.0, 0.5], orders=2),
+        pins=rest_to_rest([0.0, 0.0, 0.5], [1.0, 0.0, 0.5], orders=2),
     )
     base.update(over)
     return PlanningScenario(**base)
@@ -252,7 +261,7 @@ class TestValidation:
 
     def test_endpoint_order_beyond_degree(self):
         kv = clamped_uniform_knots(0.0, 4.0, 10, 2)
-        pins = EndpointPins.rest_to_rest([0, 0, 0], [1, 0, 0], orders=4)
+        pins = rest_to_rest([0, 0, 0], [1, 0, 0], orders=4)
         with pytest.raises(ValueError):
             PlanAssembly(kv).compile_endpoints(pins)
 
@@ -418,7 +427,7 @@ class TestFullSolves:
         scenario = small_scenario(
             n=8,
             corridor=sets,
-            pins=EndpointPins.rest_to_rest([0.0, 0.0, 0.5], [1.0, 0.0, 0.5], orders=1),
+            pins=rest_to_rest([0.0, 0.0, 0.5], [1.0, 0.0, 0.5], orders=1),
         )
         pl = plan(scenario)
         d = scenario.degree
@@ -442,12 +451,3 @@ class TestPlanDocument:
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
             TrajectoryPlan.from_dict({"format": "something-else"})
-
-    def test_sample_and_flat_output_agree(self, hover_plan):
-        ts = np.linspace(0.0, 10.0, 5)
-        sampled = hover_plan.sample(ts)
-        assert sampled["r0"].shape == (5, 3)  # batched eval is time-major
-        fo = hover_plan.flat_output(ts[2])
-        assert_allclose(fo.r, sampled["r0"][2])
-        assert_allclose(fo.r3, sampled["r3"][2])
-        assert fo.psi == 0.0

@@ -10,11 +10,9 @@ from oracles import cox_de_boor_matrix
 from safeflight.splines import (
     KnotVector,
     SplineCurve,
-    basis_eval,
     basis_matrix,
     build_derivative_matrix,
     clamped_uniform_knots,
-    curve_eval,
     derivative_control_points,
     snap_gram,
 )
@@ -113,11 +111,6 @@ class TestBasis:
         ts = np.concatenate([rng.uniform(0.0, 9.0, 300), kv.tau])
         for k in range(degree + 1):
             assert_array_equal(basis_matrix(kv, k, ts), cox_de_boor_matrix(kv.tau, k, ts))
-
-    def test_basis_eval_matches_matrix_row(self):
-        kv = clamped_uniform_knots(0.0, 1.0, 6, 4)
-        t = 0.377
-        assert_allclose(basis_eval(kv, 4, t), basis_matrix(kv, 4, np.array([t]))[0])
 
 
 class TestAgainstScipy:
@@ -264,10 +257,6 @@ class TestCurveEval:
         for r in range(6):
             batch = curve.eval(ts, r)
             assert_array_equal(np.array([curve.eval(float(t), r) for t in ts]), batch)
-
-    def test_curve_eval_alias(self, rng):
-        curve = random_curve(rng, 8)
-        assert_allclose(curve_eval(curve, 2, 4.2), curve.eval(4.2, 2))
 
     def test_out_of_range_rejected(self, rng):
         curve = random_curve(rng, 8)
