@@ -280,8 +280,10 @@ def load_scenario(source: str) -> ScenarioFile:
             contents (for example a corridor with the wrong n).
     """
     text, desc = _resolve_source(source)
+    # libyaml's loader parses about ten times faster; PyYAML may be built without it.
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{desc}: YAML parse error: {exc}") from exc
     error = jsonschema.exceptions.best_match(_SCENARIO_VALIDATOR.iter_errors(doc))

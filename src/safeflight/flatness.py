@@ -25,8 +25,6 @@ import numpy as np
 
 GRAVITY = 9.81
 
-_Z_W = np.array([0.0, 0.0, 1.0])
-
 
 class SingularThrustError(ValueError):
     """Commanded acceleration cancels gravity; thrust axis is undefined."""
@@ -88,8 +86,11 @@ def tilt_thrust_rates(
     The thrust vector is acc + g z_W, and its direction is the body z axis.
     At zero yaw the body x axis is the normalized (z_b3, 0, -z_b1), so the
     attitude needs no rotation matrix per sample. The body rates are the
-    jerk's part normal to z_B, divided by the thrust and read on the body y
-    and x axes. Yaw rate is zero along a zero-yaw plan, so no r is returned.
+    jerk's part normal to z_B divided by the thrust, read on the body y and
+    x axes; as both axes are normal to z_B, p = -(y_B . jerk) / T and
+    q = (x_B . jerk) / T. Yaw rate is zero along a zero-yaw plan, so no r is
+    returned. The body works on the x, y and z components of acc and jerk,
+    one (...) array each, so no (..., 3) temporary is built per sample.
     tests/oracles.py holds the scalar any-yaw reference it is tested against.
 
     Args:
@@ -105,23 +106,24 @@ def tilt_thrust_rates(
     """
     acc = np.asarray(acc, dtype=float)
     jerk = np.asarray(jerk, dtype=float)
-    t_vec = acc + g * _Z_W
-    thrust = np.linalg.norm(t_vec, axis=-1)
+    tx, ty, tz = acc[..., 0], acc[..., 1], acc[..., 2] + g
+    # Summed in np.linalg.norm's order, so the thrust matches a norm call bitwise.
+    thrust = np.sqrt((tx * tx + ty * ty) + tz * tz)
     if np.any(thrust < 1e-6):
         raise SingularThrustError("free-fall sample in batch")
-    z_b = t_vec / thrust[..., None]
+    z1, z2, z3 = tx / thrust, ty / thrust, tz / thrust
 
-    # With psi = 0, y_C = e_y, so x_B is the normalized (z_b3, 0, -z_b1).
-    nx = np.sqrt(z_b[..., 0] ** 2 + z_b[..., 2] ** 2)
+    # With psi = 0, y_C = e_y, so x_B = (x1, 0, x3) = (z_b3, 0, -z_b1) / nx and
+    # y_B = z_B x x_B = (z_b2 x3, nx, -z_b2 x1).
+    nx = np.sqrt(z1 * z1 + z3 * z3)
     if np.any(nx < 1e-9):
         raise SingularAttitudeError("thrust axis parallel to e_y in batch")
-    x_b = np.stack([z_b[..., 2] / nx, np.zeros_like(nx), -z_b[..., 0] / nx], axis=-1)
-    y_b = np.cross(z_b, x_b)
+    x1, x3 = z3 / nx, -z1 / nx
 
-    theta = -np.arcsin(np.clip(x_b[..., 2], -1.0, 1.0))
-    phi = np.arcsin(np.clip(y_b[..., 2] / np.cos(theta), -1.0, 1.0))
+    theta = -np.arcsin(np.clip(x3, -1.0, 1.0))
+    phi = np.arcsin(np.clip(-(z2 * x1) / np.cos(theta), -1.0, 1.0))
 
-    h = (jerk - np.sum(z_b * jerk, axis=-1, keepdims=True) * z_b) / thrust[..., None]
-    p = -np.sum(y_b * h, axis=-1)
-    q = np.sum(x_b * h, axis=-1)
+    j1, j2, j3 = jerk[..., 0], jerk[..., 1], jerk[..., 2]
+    p = -(z2 * (x3 * j1 - x1 * j3) + nx * j2) / thrust
+    q = (x1 * j1 + x3 * j3) / thrust
     return thrust, phi, theta, p, q

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -128,9 +129,29 @@ class ConvexRegion:
         a = np.asarray(normal, dtype=float)
         return ConvexRegion((SocSet(np.zeros((0, 3)), np.zeros(0), -a, float(offset)),), name)
 
+    @cached_property
+    def _split(self) -> tuple[np.ndarray, np.ndarray, tuple[SocSet, ...]]:
+        """Half-spaces as one (3, k) normal matrix C and (k,) offsets d, plus the other cones.
+
+        A member cone with no rows in A is the half-space c'p + d >= 0.
+        """
+        flat = [c for c in self.cones if not c.A.shape[0]]
+        C = np.array([c.c for c in flat], dtype=float).reshape(-1, 3).T
+        rest = tuple(c for c in self.cones if c.A.shape[0])
+        return C, np.array([c.d for c in flat], dtype=float), rest
+
     def margin(self, p: np.ndarray) -> np.ndarray:
-        """Worst slack over the member cones; nonnegative inside. Batched."""
-        return np.min(np.stack([c.margin(p) for c in self.cones], axis=-1), axis=-1)
+        """Worst slack over the member cones; nonnegative inside. Batched.
+
+        The half-spaces are evaluated together, as one product with their
+        stacked normals.
+        """
+        p = np.asarray(p, dtype=float)
+        C, d, rest = self._split
+        worst = [c.margin(p) for c in rest]
+        if d.size:
+            worst.append((p @ C + d).min(axis=-1))
+        return reduce(np.minimum, worst)
 
 
 # ----------------------------------------------------------------- scenario IO

@@ -341,20 +341,32 @@ def verify_plan(
                 checks.append(ConstraintCheck(f"pin:{side}[r{r}]", -err, t_m, f"err {err:.2e}"))
 
     for k, ic in enumerate(intervals):
+        # The window's ends, clipped to the plan, bracket its grid samples,
+        # so a window narrower than the grid spacing is still checked.
+        ends = np.clip([ic.t_start, ic.t_end], kv.t0, kv.tf)
         inside = (ts >= ic.t_start) & (ts <= ic.t_end)
         if ic.kind == "position":
-            m, wt = _worst(ts[inside], ic.region.margin(pos[inside]))
-            checks.append(ConstraintCheck(f"window[{k}]:position", m, wt))
+            at_ends = ic.region.margin(plan.curve.eval(ends, 0))
+            margins = ic.region.margin(pos[inside])
         else:
-            m, wt = _worst(ts[inside], ic.bound - speed[inside])
-            checks.append(ConstraintCheck(f"window[{k}]:speed", m, wt))
+            at_ends = ic.bound - np.linalg.norm(plan.curve.eval(ends, 1), axis=1)
+            margins = ic.bound - speed[inside]
+        m, wt = _worst(
+            np.concatenate((ends[:1], ts[inside], ends[1:])),
+            np.concatenate((at_ends[:1], margins, at_ends[1:])),
+        )
+        checks.append(ConstraintCheck(f"window[{k}]:{ic.kind}", m, wt))
 
     if corridor is not None:
-        d = kv.degree
-        for l, region in enumerate(corridor, start=1):
-            span = l + d - 1
-            seg = np.linspace(kv.tau[span], kv.tau[span + 1], samples_per_span)
-            m, wt = _worst(seg, region.margin(plan.curve.eval(seg, 0)))
+        # Region l covers span d + l - 1: one (regions, samples) grid, both
+        # span ends included, and one curve evaluation for all of them.
+        regions = tuple(corridor)
+        spans = kv.degree + np.arange(len(regions))
+        seg = np.linspace(kv.tau[spans], kv.tau[spans + 1], samples_per_span, axis=1)
+        seg_pos = plan.curve.eval(seg.ravel(), 0)
+        for l, region in enumerate(regions, start=1):
+            rows = slice((l - 1) * samples_per_span, l * samples_per_span)
+            m, wt = _worst(seg[l - 1], region.margin(seg_pos[rows]))
             checks.append(ConstraintCheck(f"corridor[{l}]:{region.name or 'set'}", m, wt))
 
     return ConstraintReport(checks=tuple(checks), samples=ts.size)
@@ -374,16 +386,24 @@ def verify_span_minima(
     spans = kv.nonempty_spans()
     l = np.array(spans)
     seg = np.linspace(kv.tau[l], kv.tau[l + 1], samples_per_span, axis=1)
-    acc, jerk = (v.reshape(*seg.shape, -1) for v in plan.curve.eval(seg.ravel(), (2, 3)))
-    zeta = np.array([plan.zeta_for_span(k) for k in spans])[:, None]
-    floor = np.linalg.norm(acc + np.array([0.0, 0.0, plan.gravity]), axis=-1) - zeta
-    cone = omega_max * zeta - np.linalg.norm(jerk, axis=-1)
+    acc, jerk = plan.curve.eval(seg.ravel(), (2, 3))
+    zeta = np.array([plan.zeta_for_span(k) for k in spans])
+    thrust = np.linalg.norm(acc + np.array([0.0, 0.0, plan.gravity]), axis=1).reshape(seg.shape)
+    floor = thrust - zeta[:, None]
+    cone = omega_max * zeta[:, None] - np.linalg.norm(jerk, axis=1).reshape(seg.shape)
+    # One argmin per family along the span axis gives every span's worst sample.
+    rows = np.arange(len(spans))
+    i, j = floor.argmin(axis=1), cone.argmin(axis=1)
+    worst = zip(
+        spans,
+        zeta.tolist(),
+        floor[rows, i].tolist(),
+        seg[rows, i].tolist(),
+        cone[rows, j].tolist(),
+        seg[rows, j].tolist(),
+    )
     checks = []
-    for k, span in enumerate(spans):
-        m1, wt1 = _worst(seg[k], floor[k])
-        checks.append(
-            ConstraintCheck(f"span[{span}]:thrust-floor", m1, wt1, f"zeta {zeta[k, 0]:.4f}")
-        )
-        m2, wt2 = _worst(seg[k], cone[k])
+    for span, z, m1, wt1, m2, wt2 in worst:
+        checks.append(ConstraintCheck(f"span[{span}]:thrust-floor", m1, wt1, f"zeta {z:.4f}"))
         checks.append(ConstraintCheck(f"span[{span}]:jerk-cone", m2, wt2))
     return ConstraintReport(checks=tuple(checks), samples=samples_per_span)

@@ -15,15 +15,19 @@ the Cox-de Boor recursion. Only the k + 1 functions l-k..l are nonzero on a
 span [tau_l, tau_{l+1}), so basis_matrix builds just those, row by row of
 de Boor's triangle, on the nonempty spans d..n. A curve is a polynomial on
 each nonempty span; it is evaluated from its power-series coefficients about
-the span midpoint, built once per curve by the same triangle run on
-polynomials, with one Horner pass per derivative order. Evaluation at the
-right endpoint returns left limits, so curves are defined on all of
-[tau_0, tau_v].
+the span midpoint, with one Horner pass per derivative order. The
+coefficients of every order 0..d are built once per curve, by the same
+triangle run on polynomials, into one stacked read-only table, and each
+evaluation makes one gather from it: a repeat of each span's coefficients
+over its run of samples when the times are sorted, a take otherwise.
+Evaluation at the right endpoint returns left limits, so curves are defined
+on all of [tau_0, tau_v].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import perm
 from typing import Sequence
 
@@ -117,9 +121,12 @@ class KnotVector:
         l = self.tau.searchsorted(ts, side="right") - 1
         return np.minimum(np.maximum(l, self.degree), self.n)
 
+    @cached_property
     def _span_midpoints(self) -> np.ndarray:
-        """Midpoint (tau_l + tau_{l+1}) / 2 of each nonempty span l = d..n."""
-        return 0.5 * (self.tau[self.degree : self.n + 1] + self.tau[self.degree + 1 : self.n + 2])
+        """Midpoint (tau_l + tau_{l+1}) / 2 of each nonempty span l = d..n (read-only)."""
+        mid = 0.5 * (self.tau[self.degree : self.n + 1] + self.tau[self.degree + 1 : self.n + 2])
+        mid.setflags(write=False)
+        return mid
 
     def derivative_matrix(self, r: int) -> np.ndarray:
         """Memoized build_derivative_matrix(self, r). The array is read-only."""
@@ -209,7 +216,7 @@ def _span_power_basis(knots: KnotVector) -> np.ndarray:
     """
     d = knots.degree
     l = np.arange(d, knots.n + 1)
-    mid = knots._span_midpoints()
+    mid = knots._span_midpoints
     win = knots.tau[l[:, None] + np.arange(1 - d, d + 1)]
     before = (mid[:, None] - win[:, :d])[..., None]
     after = (win[:, d:] - mid[:, None])[..., None]
@@ -264,7 +271,6 @@ class SplineCurve:
     knots: KnotVector
     ctrl: np.ndarray
     _dpts_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _poly_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ctrl = np.asarray(self.ctrl, dtype=float)
@@ -288,38 +294,47 @@ class SplineCurve:
             self._dpts_cache[r] = pts
         return self._dpts_cache[r]
 
-    def _span_polynomials(self, q: int) -> np.ndarray:
-        """Memoized power-series coefficients of the q-th derivative per span.
+    @cached_property
+    def _span_table(self) -> np.ndarray:
+        """Power-series coefficients of every derivative order, stacked per span.
 
-        Shape (d - q + 1, dim, S), read-only: [k, :, i] is the coefficient of
-        s**k, s = t - mid, on nonempty span d + i. Order 0 contracts the
-        span's power basis with its d + 1 control points; order q takes rows
-        q..d of that and scales row k + q by (k + q)! / k!. Spans run along
-        the last axis, so each Horner step gathers and updates one contiguous
-        (dim, samples) row.
+        Shape ((d + 1)(d + 2) / 2, dim, S), read-only: the rows of order q
+        are _order_rows(d, q), and within them row k is the coefficient of
+        s**k, s = t - mid, of the q-th derivative; [.., :, i] belongs to
+        nonempty span d + i. Order 0 contracts the span's power basis with
+        its d + 1 control points; order q takes rows q..d of that and scales
+        row k + q by (k + q)! / k!. Spans run along the last axis, so one
+        gather along it serves every order, and each Horner step then reads
+        one contiguous (dim, samples) row.
         """
-        if q not in self._poly_cache:
-            if q == 0:
-                kv = self.knots
-                cols = np.arange(kv.degree, kv.n + 1)[:, None] + np.arange(-kv.degree, 1)
-                coef = _span_power_basis(kv).transpose(0, 2, 1) @ self.ctrl.T[cols]
-                coef = coef.transpose(1, 2, 0)
-            else:
-                scale = [perm(k + q, q) for k in range(self.knots.degree - q + 1)]
-                coef = self._span_polynomials(0)[q:] * np.array(scale, dtype=float)[:, None, None]
-            coef = np.ascontiguousarray(coef)
-            coef.setflags(write=False)
-            self._poly_cache[q] = coef
-        return self._poly_cache[q]
+        kv = self.knots
+        d = kv.degree
+        cols = np.arange(d, kv.n + 1)[:, None] + np.arange(-d, 1)
+        coef = (_span_power_basis(kv).transpose(0, 2, 1) @ self.ctrl.T[cols]).transpose(1, 2, 0)
+        rows, scale = _table_layout(d)
+        table = coef.take(rows, axis=0)
+        table *= scale[:, None, None]
+        table.setflags(write=False)
+        return table
+
+    def _span_polynomials(self, q: int) -> np.ndarray:
+        """The q-th derivative's rows of _span_table, shape (d - q + 1, dim, S), as a view."""
+        return self._span_table[_order_rows(self.knots.degree, q)]
 
     def eval(self, t, r: int | Sequence[int] = 0):
         """Evaluate the r-th derivative of the curve, or several at once.
 
-        Each sample finds its span, takes s = t - mid from the span midpoint
-        and runs one Horner pass per order over the span's memoized
-        power-series coefficients. Scalar times, grids and several orders
-        share that one path, so results are bitwise those of single-order
-        calls and of scalar calls.
+        Each sample takes s = t - mid from its span's midpoint and runs one
+        Horner pass per order over that span's power-series coefficients.
+        One gather from the stacked table fetches the coefficient rows of
+        all requested orders for every sample. When two or more times are
+        non-decreasing, as on every dense grid and tick window, each span's
+        samples form one run: one searchsorted of the span edges into the
+        times finds the runs and a repeat copies each span's coefficients
+        over its run. Other times take them by span index. Both give the
+        same coefficients in the same Horner arithmetic, so results are
+        bitwise those of single-order calls, of scalar calls and of any
+        reordering of the times.
 
         Args:
             t: Scalar time or array of times in [t0, tf].
@@ -332,22 +347,57 @@ class SplineCurve:
             given.
         """
         kv = self.knots
+        d = kv.degree
         orders = (r,) if np.ndim(r) == 0 else tuple(r)
-        if not orders or not all(0 <= q <= kv.degree for q in orders):
-            raise ValueError(f"need derivative orders in [0, {kv.degree}], got {r!r}")
+        if not orders or not all(0 <= q <= d for q in orders):
+            raise ValueError(f"need derivative orders in [0, {d}], got {r!r}")
         ts = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
-        kv._check_range(ts)
-        i = kv._spans(ts) - kv.degree
-        s = ts - kv._span_midpoints()[i]
+        first = _order_rows(d, min(orders)).start
+        table = self._span_table[first : _order_rows(d, max(orders)).stop]
+        flat = table.reshape(-1, table.shape[-1])
+        mid = kv._span_midpoints
+        # A NaN fails every comparison, so times holding one take the span
+        # path; sorted times are in range when their ends are.
+        if ts.size > 1 and (ts[1:] >= ts[:-1]).all():
+            kv._check_range(ts[:: ts.size - 1])
+            edges = ts.searchsorted(kv.tau[d : kv.n + 2])
+            edges[-1] = ts.size  # samples at tf belong to the last span
+            runs = edges[1:] - edges[:-1]
+            coef = flat.repeat(runs, axis=1)
+            s = ts - mid.repeat(runs)
+        else:
+            kv._check_range(ts)
+            i = kv._spans(ts) - d
+            coef = flat.take(i, axis=1)
+            s = ts - mid[i]
+        coef = coef.reshape(table.shape[0], self.dim, ts.size)
         out = []
         for q in orders:
-            coef = self._span_polynomials(q)
-            val = coef[-1].take(i, axis=1)
-            for c in coef[-2::-1]:
+            rows = _order_rows(d, q)
+            c = coef[rows.start - first : rows.stop - first]
+            val = c[-1].copy()
+            for row in c[-2::-1]:
                 val *= s
-                val += c.take(i, axis=1)
+                val += row
             out.append(val[:, 0] if np.ndim(t) == 0 else val.T)
         return out[0] if np.ndim(r) == 0 else tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _table_layout(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each stacked-table row (order q, power k): order-0 row k + q and scale (k + q)! / k!."""
+    pairs = [(k, q) for q in range(degree + 1) for k in range(degree - q + 1)]
+    rows = np.array([k + q for k, q in pairs])
+    scale = np.array([perm(k + q, q) for k, q in pairs], dtype=float)
+    rows.setflags(write=False)
+    scale.setflags(write=False)
+    return rows, scale
+
+
+def _order_rows(degree: int, q: int) -> slice:
+    """The rows of order q in a stacked table of orders 0..degree (d - q + 1 of them)."""
+    start = q * (degree + 1) - q * (q - 1) // 2
+    return slice(start, start + degree - q + 1)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,10 @@ and reads roll, pitch and the body rates off it, one sample at a time.
 virtual_from_attitude is the forward map mu = T z_B(phi, theta, psi) - g z_W
 that attitude_from_virtual inverts. The package's batched zero-yaw map,
 tilt_thrust_rates, is checked against the first, and attitude_from_virtual
-against both.
+against both. tilt_thrust_rates_vectors is the batched map as it was written
+on (..., 3) axis vectors, with a stacked x_B, a cross product for y_B and
+the jerk projected off z_B; the componentwise map must match it bitwise in
+thrust and angles.
 
 The tracking filter claims to solve its safety QP in closed form, so the
 tests need an independent QP method accurate enough to check 1e-8 in the
@@ -230,6 +233,28 @@ def flat_to_state_input(flat: FlatOutput, g: float = GRAVITY) -> StateInput:
         thrust=thrust,
         omega=np.array([p, q, rr]),
     )
+
+
+def tilt_thrust_rates_vectors(acc, jerk, g: float = GRAVITY):
+    """Zero-yaw thrust, roll, pitch and body rates p, q on (..., 3) axis vectors."""
+    acc = np.asarray(acc, dtype=float)
+    jerk = np.asarray(jerk, dtype=float)
+    t_vec = acc + g * _Z_W
+    thrust = np.linalg.norm(t_vec, axis=-1)
+    if np.any(thrust < 1e-6):
+        raise SingularThrustError("free-fall sample in batch")
+    z_b = t_vec / thrust[..., None]
+    nx = np.sqrt(z_b[..., 0] ** 2 + z_b[..., 2] ** 2)
+    if np.any(nx < 1e-9):
+        raise SingularAttitudeError("thrust axis parallel to e_y in batch")
+    x_b = np.stack([z_b[..., 2] / nx, np.zeros_like(nx), -z_b[..., 0] / nx], axis=-1)
+    y_b = np.cross(z_b, x_b)
+    theta = -np.arcsin(np.clip(x_b[..., 2], -1.0, 1.0))
+    phi = np.arcsin(np.clip(y_b[..., 2] / np.cos(theta), -1.0, 1.0))
+    h = (jerk - np.sum(z_b * jerk, axis=-1, keepdims=True) * z_b) / thrust[..., None]
+    p = -np.sum(y_b * h, axis=-1)
+    q = np.sum(x_b * h, axis=-1)
+    return thrust, phi, theta, p, q
 
 
 def virtual_from_attitude(v: ReducedInput, g: float = GRAVITY) -> np.ndarray:

@@ -128,6 +128,26 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="YAML parse error"):
             load_scenario(str(path))
 
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    def test_c_and_python_loaders_agree(self):
+        import importlib.resources
+
+        root = importlib.resources.files("safeflight") / "scenarios"
+        for name in bundled_scenarios():
+            text = (root / f"{name}.yaml").read_text()
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    @pytest.mark.parametrize("c_loader", [True, False])
+    def test_malformed_yaml_exits_parse(self, tmp_path, monkeypatch, capsys, c_loader):
+        if not c_loader:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        elif not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML built without libyaml")
+        path = tmp_path / "bad.yaml"
+        path.write_text("spline: [unclosed\n")
+        assert main(["plan", "--scenario", str(path)]) == EXIT_PARSE
+        assert "YAML parse error" in capsys.readouterr().err
+
     def test_schema_violation_names_the_path(self, tmp_path):
         doc = hover_dict()
         del doc["bounds"]["v_max"]
@@ -323,6 +343,19 @@ class TestVerifyCommand:
             main(args + ["--margin-tol", tol])
         assert exc.value.code == EXIT_PARSE
         assert "--margin-tol" in capsys.readouterr().err
+
+    def test_window_between_grid_samples_exits_cleanly(self, tmp_path, capsys):
+        # At 3 samples per span no grid sample falls inside either window.
+        import importlib.resources
+
+        text = (importlib.resources.files("safeflight") / "scenarios" / "example2_window.yaml").read_text()
+        doc = yaml.safe_load(text)
+        for window in doc["windows"]:
+            window["t_start"], window["t_end"] = 3.001, 3.002
+        path = write_scenario(tmp_path, doc)
+        code = main(["verify", "--scenario", path, "--samples-per-span", "3"])
+        assert code in (EXIT_OK, EXIT_VERIFY)
+        assert "window[1]:speed" in capsys.readouterr().out
 
     def test_free_fall_plan_exits_verify(self, free_fall_plan, capsys):
         code = main(["verify", "--scenario", "hover", "--plan", free_fall_plan])

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
-from oracles import FlatOutput, flat_to_state_input, virtual_from_attitude
+from numpy.testing import assert_allclose, assert_array_equal
+from oracles import (
+    FlatOutput,
+    flat_to_state_input,
+    tilt_thrust_rates_vectors,
+    virtual_from_attitude,
+)
 
 from safeflight.flatness import (
     GRAVITY,
@@ -312,6 +317,24 @@ class TestBatchRates:
             assert_allclose(theta[k], si.theta, atol=1e-12)
             assert_allclose(p[k], si.omega[0], atol=1e-12)
             assert_allclose(q[k], si.omega[1], atol=1e-12)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_the_vector_formula(self, rng, order):
+        # Accelerations down to -2.5 g put a quarter of the rows below free
+        # fall (z_B3 < 0); F order is the layout curve evaluation returns.
+        acc = np.asarray(rng.uniform([-15.0, -15.0, -25.0], 15.0, size=(4000, 3)), order=order)
+        jerk = np.asarray(rng.uniform(-20.0, 20.0, size=(4000, 3)), order=order)
+        got = tilt_thrust_rates(acc, jerk)
+        want = tilt_thrust_rates_vectors(acc, jerk)
+        assert (acc[:, 2] + G < 0.0).sum() > 500
+        for k in range(3):
+            assert_array_equal(got[k], want[k])
+        # The rates differ in rounding only: the componentwise map drops the
+        # projection off z_B, which the rates' axes are normal to. Relative
+        # error is taken against the rate scale |jerk| / thrust.
+        scale = np.linalg.norm(jerk, axis=1) / want[0]
+        for k in (3, 4):
+            assert np.all(np.abs(got[k] - want[k]) <= 1e-12 * (np.abs(want[k]) + scale))
 
     def test_preserves_batch_shape(self, rng):
         acc = rng.uniform(-2.0, 2.0, size=(4, 5, 3))

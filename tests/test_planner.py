@@ -102,6 +102,13 @@ class TestRegions:
         box = ConvexRegion.box([0.0, 0.0, 0.0], [4.0, 2.0, 2.0])
         # closest face is y at distance 0.3
         assert_allclose(box.margin(np.array([2.0, 0.3, 1.0])), 0.3)
+        # Half-spaces go through one stacked product, the rest cone by cone.
+        tilted = ConvexRegion.halfspace([0.3, -0.4, 0.5], 0.7).cones
+        mixed = ConvexRegion(box.cones + ConvexRegion.ball([1.0, 1.0, 1.0], 1.5).cones + tilted)
+        pts = np.random.default_rng(4).uniform(-1.0, 5.0, size=(500, 3))
+        want = np.min([c.margin(pts) for c in mixed.cones], axis=0)
+        assert_allclose(mixed.margin(pts), want, rtol=0.0, atol=1e-12)
+        assert_allclose(mixed.margin(pts[7]), want[7], rtol=0.0, atol=1e-12)
 
 
 class TestIntervalWindows:

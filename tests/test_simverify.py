@@ -389,6 +389,41 @@ class TestVerifyPlan:
         assert by_name["region:keep-in"].margin == pytest.approx(0.3, abs=1e-8)
         assert by_name["window[1]:speed"].margin == pytest.approx(0.2, abs=1e-8)
 
+    def test_corridor_matches_the_per_span_loop_bitwise(self):
+        # Reference: one grid and one curve evaluation per corridor span, as
+        # the verifier used to run.
+        sc = load_scenario("example3_c2_s1_c3").planning
+        pl = plan(sc)
+        kv = pl.curve.knots
+        want = []
+        for l, region in enumerate(sc.corridor, start=1):
+            span = l + kv.degree - 1
+            seg = np.linspace(kv.tau[span], kv.tau[span + 1], 120)
+            margins = region.margin(pl.curve.eval(seg, 0))
+            i = int(np.argmin(margins))
+            want.append((f"corridor[{l}]:{region.name or 'set'}", float(margins[i]), float(seg[i])))
+        report = verify_plan(pl, sc.bounds, corridor=sc.corridor, samples_per_span=120)
+        got = [(c.name, c.margin, c.worst_t) for c in report.checks if c.name.startswith("corridor")]
+        assert got == want
+
+    @pytest.mark.parametrize("kind", ["position", "speed"])
+    def test_window_between_grid_samples_is_checked_at_its_ends(self, example1_plan, kind):
+        # At 3 samples per span no grid sample falls inside [2.001, 2.002]:
+        # the check rests on the window's two ends alone.
+        pl = example1_plan
+        ball = ConvexRegion.ball(pl.curve.eval(2.0), 0.5, name="near")
+        ic = IntervalConstraint(2.001, 2.002, kind, region=ball, bound=0.5)
+        report = verify_plan(pl, small_bounds_for(pl), intervals=(ic,), samples_per_span=3)
+        assert report.samples == span_samples(pl, 3).size
+        (check,) = [c for c in report.checks if c.name == f"window[0]:{kind}"]
+        ends = np.array([2.001, 2.002])
+        if kind == "position":
+            margins = ball.margin(pl.curve.eval(ends, 0))
+        else:
+            margins = 0.5 - np.linalg.norm(pl.curve.eval(ends, 1), axis=1)
+        assert check.margin == margins.min()
+        assert check.worst_t == ends[np.argmin(margins)]
+
     def test_waypoint_margin_is_radius_minus_error(self, hover_plan):
         wp = Waypoint(position=[0.0, 0.0, 0.45], time=5.0, radius=0.08)
         report = verify_plan(hover_plan, small_bounds_for(hover_plan), waypoints=(wp,))

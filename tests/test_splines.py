@@ -298,17 +298,49 @@ class TestCurveEval:
         assert curve.knots._dmat_cache == {}
 
     def test_span_polynomials_memoized_per_curve(self, rng):
+        # One stacked table per curve holds every order; each order's
+        # coefficients are a read-only view of it.
         curve = random_curve(rng, 12)
         curve.eval(3.0, (0, 2))
-        tables = {q: curve._span_polynomials(q) for q in (0, 2)}
-        assert set(curve._poly_cache) == {0, 2}
+        table = curve._span_table
+        d, spans = curve.knots.degree, len(curve.knots.nonempty_spans())
+        assert table.shape == ((d + 1) * (d + 2) // 2, 3, spans)
         curve.eval(np.linspace(0.0, 10.0, 9), (2, 0))
-        for q, table in tables.items():
-            assert curve._span_polynomials(q) is table
-            assert not table.flags.writeable
+        assert curve._span_table is table and not table.flags.writeable
+        for q in range(d + 1):
+            coef = curve._span_polynomials(q)
+            assert coef.shape == (d - q + 1, 3, spans) and coef.base is table
+            assert not coef.flags.writeable
         twin = SplineCurve(curve.knots, curve.ctrl)
-        assert twin._span_polynomials(0) is not tables[0]
-        assert_array_equal(twin._span_polynomials(0), tables[0])
+        assert twin._span_table is not table
+        assert_array_equal(twin._span_table, table)
+
+    @pytest.mark.parametrize("orders", [0, 1, 3, 5, (0, 1, 2), (0, 1, 2, 3), (3, 1)])
+    def test_sorted_and_shuffled_times_agree_bitwise(self, rng, orders):
+        # Sorted times gather span runs by repeat, shuffled ones by span
+        # index; both must give the same bits, sample for sample.
+        curve = random_curve(rng, 14)
+        kv = curve.knots
+        l = np.array(kv.nonempty_spans())
+        both_ends = np.linspace(kv.tau[l], kv.tau[l + 1], 7, axis=1).ravel()
+        grids = {
+            "knots": kv.tau,
+            "both ends": both_ends,
+            "grid and tf": np.append(rng.uniform(kv.t0, kv.tf, 90), kv.tf),
+            "one span": np.linspace(kv.tau[8] + 0.01, kv.tau[9] - 0.01, 25),
+        }
+        for name, ts in grids.items():
+            ts = np.sort(ts)
+            perm = rng.permutation(ts.size)
+            back = np.argsort(perm)
+            runs, taken = curve.eval(ts, orders), curve.eval(ts[perm], orders)
+            scalars = [curve.eval(float(ts[k]), orders) for k in (0, ts.size // 2, -1)]
+            if not isinstance(orders, tuple):
+                runs, taken, scalars = (runs,), (taken,), [(x,) for x in scalars]
+            for q, (a, b) in enumerate(zip(runs, taken)):
+                assert a.tobytes() == b[back].tobytes(), name
+                for k, single in zip((0, ts.size // 2, -1), scalars):
+                    assert single[q].tobytes() == a[k].tobytes(), name
 
     def test_control_point_shape_validated(self):
         kv = clamped_uniform_knots(0.0, 1.0, 8, 5)
