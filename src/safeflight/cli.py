@@ -297,14 +297,41 @@ def load_scenario(source: str) -> ScenarioFile:
         raise ScenarioError(
             f"{desc}: spline.degree must be >= 4 for the snap objective, got {degree}"
         )
+    tracking = _tracking_config(doc["tracking"], desc) if "tracking" in doc else None
+    try:
+        planning = _planning_scenario(doc, degree, tracking)
+    except ValueError as exc:
+        raise ScenarioError(f"{desc}: {exc}") from exc
+    return ScenarioFile(planning=planning, tracking=tracking, source=desc)
+
+
+def _planning_scenario(doc: dict, degree: int, tracking) -> PlanningScenario:
+    """The planning problem of a schema-valid scenario document.
+
+    Raises:
+        ValueError: for a value the planner's dataclasses reject, a missing
+            n, or a waypoint or window time outside the spline's [t0, tf]
+            (NaN included), named by its field.
+    """
+    spline = doc["spline"]
     corridor = None
     if "corridor" in doc:
         corridor = tuple(_region_from_spec(s) for s in doc["corridor"])
     n = spline.get("n")
     if n is None:
         if corridor is None:
-            raise ScenarioError(f"{desc}: spline.n is required without a corridor")
+            raise ValueError("spline.n is required without a corridor")
         n = len(corridor) + degree - 1  # corridor fixes the control-point count
+    t0, tf = float(spline["t0"]), float(spline["tf"])
+    if not (np.isfinite(t0) and np.isfinite(tf) and t0 < tf):
+        raise ValueError(f"spline: need finite t0 < tf, got [{t0}, {tf}]")
+    times = [(f"waypoints/{i}/time", w["time"]) for i, w in enumerate(doc.get("waypoints", []))]
+    for i, w in enumerate(doc.get("windows", [])):
+        times += [(f"windows/{i}/{key}", w[key]) for key in ("t_start", "t_end")]
+    for where, t in times:
+        if not t0 <= float(t) <= tf:
+            raise ValueError(f"{where} = {t} lies outside the spline's [{t0}, {tf}]")
+
     b = doc["bounds"]
     bounds = SafetyBounds(
         v_max=float(b["v_max"]),
@@ -329,30 +356,23 @@ def load_scenario(source: str) -> ScenarioFile:
         intervals.append(
             IntervalConstraint(float(w["t_start"]), float(w["t_end"]), w["kind"], region, bound)
         )
-
-    tracking = _tracking_config(doc["tracking"], desc) if "tracking" in doc else None
-
-    try:
-        planning = PlanningScenario(
-            name=doc["name"],
-            t0=float(spline["t0"]),
-            tf=float(spline["tf"]),
-            n=int(n),
-            degree=degree,
-            bounds=bounds,
-            pins=pins,
-            waypoints=waypoints,
-            intervals=tuple(intervals),
-            corridor=corridor,
-            zeta_mode=doc.get("zeta_mode", "per-span"),
-            cbf=tracking.cbf if tracking else None,
-            apply_tracking_margins=bool(doc.get("apply_tracking_margins", False)),
-            gravity=float(doc.get("gravity", GRAVITY)),
-            solver_tol=float(doc.get("solver_tol", 1e-8)),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{desc}: {exc}") from exc
-    return ScenarioFile(planning=planning, tracking=tracking, source=desc)
+    return PlanningScenario(
+        name=doc["name"],
+        t0=t0,
+        tf=tf,
+        n=int(n),
+        degree=degree,
+        bounds=bounds,
+        pins=pins,
+        waypoints=waypoints,
+        intervals=tuple(intervals),
+        corridor=corridor,
+        zeta_mode=doc.get("zeta_mode", "per-span"),
+        cbf=tracking.cbf if tracking else None,
+        apply_tracking_margins=bool(doc.get("apply_tracking_margins", False)),
+        gravity=float(doc.get("gravity", GRAVITY)),
+        solver_tol=float(doc.get("solver_tol", 1e-8)),
+    )
 
 
 def _tracking_config(tr: dict, desc: str) -> TrackingConfig:

@@ -10,6 +10,15 @@ linearize the body-rate bound.
 
 Variable layout: x = [P_x (n+1), P_y (n+1), P_z (n+1), zeta (K), s_x, s_y, s_z]
 with axis blocks first, then rate floors, then snap epigraph variables.
+
+Row layout: a constraint on a derivative control point touches only the
+control points that point is made from. The order-r point j is the stencil
+KnotVector.derivative_stencil(r)[j - r] over control points j - r .. j, so
+its rows carry 3(r + 1) coefficients, one run of r + 1 per axis, together
+with those 3(r + 1) column indices; a waypoint reads the d + 1 basis
+functions alive at its time, and an endpoint pin the first or last stencil
+row of its order. Every family reaches the cone program as one batch of such
+narrow rows per cone kind.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from .socp import OPTIMAL, ConeProgram, Solution
 from .splines import (
     KnotVector,
     SplineCurve,
-    basis_matrix,
+    _local_basis,
     clamped_uniform_knots,
     snap_gram,
 )
@@ -139,6 +148,23 @@ class ConvexRegion:
         C = np.array([c.c for c in flat], dtype=float).reshape(-1, 3).T
         rest = tuple(c for c in self.cones if c.A.shape[0])
         return C, np.array([c.d for c in flat], dtype=float), rest
+
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, ...]:
+        """The member cones as arrays (sizes, c, d, A, b, first), in member order.
+
+        sizes[i] is the row count of cone i's A, or -1 if the cone is linear
+        and compiles to a half-space. The rows of every A are stacked in A
+        (rows, 3) and b (rows,), cone i's from row first[i] on.
+        """
+        cones = self.cones
+        rows = np.array([cone.A.shape[0] for cone in cones], dtype=int)
+        sizes = np.where(np.array([cone.is_linear for cone in cones], dtype=bool), -1, rows)
+        c = np.array([cone.c for cone in cones]).reshape(-1, 3)
+        d = np.array([cone.d for cone in cones], dtype=float)
+        A = np.concatenate([cone.A for cone in cones] or [np.zeros((0, 3))])
+        b = np.concatenate([cone.b for cone in cones] or [np.zeros(0)])
+        return sizes, c, d, A, b, np.cumsum(rows) - rows
 
     def margin(self, p: np.ndarray) -> np.ndarray:
         """Worst slack over the member cones; nonnegative inside. Batched.
@@ -368,54 +394,70 @@ class PlanAssembly:
         stride = self.n + 1
         return np.arange(axis * stride, (axis + 1) * stride)
 
-    def _axis_rows(self, W: np.ndarray) -> np.ndarray:
-        """Rows (k, 3, 3(n+1)) applying coefficient row W[k] on each axis."""
-        rows = np.zeros((W.shape[0], 3, 3, self.n + 1))
-        rows[:, [0, 1, 2], [0, 1, 2]] = W[:, None]
-        return rows.reshape(W.shape[0], 3, self.ctrl_cols.size)
+    def _axis_blocks(self, W: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows applying weights W[k] on every axis, and their columns.
 
-    def point_rows(self, r: int, js) -> np.ndarray:
+        W[k], of width w, weighs control points first[k] .. first[k] + w - 1.
+        Returns rows (k, 3, 3w) and cols (k, 3w): cols[k] holds those points
+        on the x, y and z axes in turn, and row [k, a] carries W[k] in the
+        run of axis a.
+        """
+        k, w = W.shape
+        rows = np.zeros((k, 3, 3, w))
+        rows[:, [0, 1, 2], [0, 1, 2]] = W[:, None]
+        cols = np.asarray(first)[:, None, None] + (self.n + 1) * np.arange(3)[:, None]
+        return rows.reshape(k, 3, 3 * w), (cols + np.arange(w)).reshape(k, 3 * w)
+
+    def point_rows(self, r: int, js) -> tuple[np.ndarray, np.ndarray]:
         """Rows picking derivative control points js of order r on every axis.
 
-        Row [k, a] applied to the control-point columns gives
-        (ctrl @ derivative_matrix(r)[:, js])[a, k].
+        Returns (rows, cols) of shapes (k, 3, 3(r+1)) and (k, 3(r+1)): point
+        js[k] is made from control points js[k] - r .. js[k], so row [k, a]
+        applied to x[cols[k]] gives (ctrl @ derivative_matrix(r)[:, js])[a, k].
         """
-        return self._axis_rows(self.kv.derivative_matrix(r)[:, np.asarray(js, dtype=int)].T)
+        js = np.asarray(js, dtype=int).reshape(-1)
+        if np.any(js < r) or np.any(js > self.n):
+            raise ValueError(f"order-{r} derivative points lie in [{r}, {self.n}]")
+        return self._axis_blocks(self.kv.derivative_stencil(r)[js - r], js - r)
 
-    def _add_membership(self, js: np.ndarray, cones: list[SocSet], label: str) -> None:
-        """Control point js[i] inside cones[i], for every i.
+    def _add_membership(self, js: np.ndarray, cones: np.ndarray, stack, label: str) -> None:
+        """Control point js[i] inside cone cones[i] of the stack, for every i.
 
-        Linear cones become one batch of inequalities, the others one batch
-        of second-order cones per row count of their A.
+        stack is _stack_regions' (counts, sizes, c, d, A, b, first). Each
+        constraint reads the point's three columns, so its coefficients are
+        the cone's own. Linear cones become one batch of inequalities, the
+        others one batch of second-order cones per row count, in order of
+        first use; each batch keeps the order of js.
         """
-        rows = self.point_rows(0, js)
-        groups: dict[int, list[int]] = {}  # row count (-1 if linear) -> indices
-        for i, cone in enumerate(cones):
-            groups.setdefault(-1 if cone.is_linear else cone.A.shape[0], []).append(i)
-        for m, pick in groups.items():
-            sets, picked = [cones[i] for i in pick], rows[pick]
-            c_rows = (np.array([s.c for s in sets])[:, None] @ picked)[:, 0]
-            d = np.array([s.d for s in sets])
+        _, sizes, c, d, A, b, first = stack
+        kinds = sizes[cones]
+        used, seen = np.unique(kinds, return_index=True)
+        cols = js[:, None] + (self.n + 1) * np.arange(3)
+        for m in used[np.argsort(seen)]:
+            pick = kinds == m
+            i = cones[pick]
             if m < 0:
-                self.cp.add_inequality(-c_rows, self.ctrl_cols, d, label)
+                self.cp.add_inequality(-c[i], cols[pick], d[i], label)
             else:
-                A = np.array([s.A for s in sets]) @ picked
-                b = np.array([s.b for s in sets])
-                self.cp.add_soc(A, b, c_rows, d, self.ctrl_cols, label)
+                rows = first[i, None] + np.arange(m)
+                self.cp.add_soc(A[rows], b[rows], c[i], d[i], cols[pick], label)
 
     # -- constraint families
 
     def compile_position(self, regions, js=None, label: str = "position") -> None:
         """Every control point (or the given ones) inside every region."""
         js = np.arange(self.n + 1) if js is None else np.asarray(js, dtype=int)
-        cones = [cone for region in regions for cone in region.cones]
-        self._add_membership(np.repeat(js, len(cones)), cones * js.size, label)
+        stack = _stack_regions(regions)
+        count = stack[1].size
+        self._add_membership(
+            np.repeat(js, count), np.tile(np.arange(count), js.size), stack, label
+        )
 
     def compile_velocity(self, v_max: float, js=None, label: str = "velocity") -> None:
         """||velocity point j|| <= v_max for j in 1..n (or the given ones)."""
-        rows = self.point_rows(1, range(1, self.n + 1) if js is None else js)
-        k, cols = rows.shape[0], self.ctrl_cols
-        zeros = np.zeros((k, cols.size))
+        rows, cols = self.point_rows(1, range(1, self.n + 1) if js is None else js)
+        k = rows.shape[0]
+        zeros = np.zeros(cols.shape)
         self.cp.add_soc(rows, np.zeros((k, 3)), zeros, np.full(k, v_max), cols, label)
 
     def compile_tilt_cone(self, tilt_max: float, margin: float = 0.0) -> None:
@@ -427,19 +469,19 @@ class PlanAssembly:
         if margin >= self.g:
             raise MarginInfeasibleError(f"tilt margin {margin:.3f} exceeds gravity")
         cot = abs(1.0 / np.tan(tilt_max))
-        rows = self.point_rows(2, range(2, self.n + 1))
+        rows, cols = self.point_rows(2, range(2, self.n + 1))
         k = rows.shape[0]
         d = np.full(k, self.g - margin)
-        self.cp.add_soc(cot * rows[:, :2], np.zeros((k, 2)), rows[:, 2], d, self.ctrl_cols, "tilt")
+        self.cp.add_soc(cot * rows[:, :2], np.zeros((k, 2)), rows[:, 2], d, cols, "tilt")
 
     def compile_thrust(self, thrust_min: float, thrust_max: float) -> None:
         """Thrust band on acceleration points j = 2..n.
 
         ||V_j + g e3|| <= thrust_max and V_j,z >= thrust_min - g.
         """
-        rows = self.point_rows(2, range(2, self.n + 1))
-        k, cols = rows.shape[0], self.ctrl_cols
-        b, zeros = np.tile([0.0, 0.0, self.g], (k, 1)), np.zeros((k, cols.size))
+        rows, cols = self.point_rows(2, range(2, self.n + 1))
+        k = rows.shape[0]
+        b, zeros = np.tile([0.0, 0.0, self.g], (k, 1)), np.zeros(cols.shape)
         self.cp.add_soc(rows, b, zeros, np.full(k, thrust_max), cols, "thrust-upper")
         self.cp.add_inequality(-rows[:, 2], cols, np.full(k, self.g - thrust_min), "thrust-lower")
 
@@ -459,9 +501,8 @@ class PlanAssembly:
         def points(r):
             """Rows of points last - width + r .. last of each group, and their columns."""
             offsets = np.arange(r - width, 1)
-            js = (last[:, None] + offsets).ravel()
-            cols = np.broadcast_to(self.ctrl_cols, (js.size, self.ctrl_cols.size))
-            return self.point_rows(r, js), np.column_stack([cols, np.repeat(zeta, offsets.size)])
+            rows, cols = self.point_rows(r, (last[:, None] + offsets).ravel())
+            return rows, np.column_stack([cols, np.repeat(zeta, offsets.size)])
 
         rows, cols = points(2)  # zeta - V_j,z <= g
         k = rows.shape[0]
@@ -476,33 +517,38 @@ class PlanAssembly:
         return zeta
 
     def compile_waypoints(self, waypoints) -> None:
-        """Curve within each waypoint ball at its time (equality if radius 0)."""
+        """Curve within each waypoint ball at its time (equality if radius 0).
+
+        The curve at time t is the d + 1 basis functions alive on its span
+        applied to their control points.
+        """
         if not waypoints:
             return
-        times = np.array([wp.time for wp in waypoints])
-        rows = self._axis_rows(basis_matrix(self.kv, self.kv.degree, times))
+        d = self.kv.degree
+        l, basis = _local_basis(self.kv, {d}, np.array([wp.time for wp in waypoints]))
+        rows, cols = self._axis_blocks(basis[d], l - d)
         pos = np.array([wp.position for wp in waypoints])
         radius = np.array([wp.radius for wp in waypoints])
         pin, ball = radius == 0.0, radius != 0.0
-        cols = self.ctrl_cols
-        self.cp.add_equality(rows[pin], cols, pos[pin], "waypoint")
-        c = np.zeros((int(ball.sum()), cols.size))
-        self.cp.add_soc(rows[ball], -pos[ball], c, radius[ball], cols, "waypoint")
+        self.cp.add_equality(rows[pin], cols[pin], pos[pin], "waypoint")
+        c = np.zeros((int(ball.sum()), cols.shape[1]))
+        self.cp.add_soc(rows[ball], -pos[ball], c, radius[ball], cols[ball], "waypoint")
 
     def compile_endpoints(self, pins: EndpointPins) -> None:
-        """Equality pins on derivatives at t0 and tf."""
+        """Equality pins on derivatives at t0 and tf.
+
+        All pins form one batch over control points 0..d at t0 and n-d..n at
+        tf, with weights KnotVector.end_weights.
+        """
         kv = self.kv
-        weights, values = [], []
-        for t_m, pinned in ((kv.t0, pins.initial), (kv.tf, pins.final)):
-            for r, value in enumerate(pinned):
-                if r > kv.degree:
-                    raise ValueError(f"cannot pin derivative order {r} of degree {kv.degree}")
-                weights.append(
-                    kv.derivative_matrix(r) @ basis_matrix(kv, kv.degree - r, np.array([t_m]))[0]
-                )
-                values.append(value)
-        rows = self._axis_rows(np.reshape(weights, (-1, self.n + 1)))
-        self.cp.add_equality(rows, self.ctrl_cols, np.reshape(values, (-1, 3)), "endpoint")
+        d = kv.degree
+        counts = [len(pins.initial), len(pins.final)]
+        if max(counts) > d + 1:
+            raise ValueError(f"cannot pin derivative order {d + 1} of degree {d}")
+        W = np.concatenate([kv.end_weights[0, : counts[0]], kv.end_weights[1, : counts[1]]])
+        rows, cols = self._axis_blocks(W, np.repeat([0, self.n - d], counts))
+        values = np.reshape(pins.initial + pins.final, (-1, 3))
+        self.cp.add_equality(rows, cols, values, "endpoint")
 
     def compile_corridor(self, sets) -> None:
         """Sequential membership: control point j-1 in S_l for j = l..l+d.
@@ -516,11 +562,14 @@ class PlanAssembly:
             raise ValueError(
                 f"corridor with {len(sets)} sets needs n = {len(sets) + d - 1}, got {self.n}"
             )
-        js, cones = [], []
-        for l, region in enumerate(sets, start=1):
-            js.append(np.repeat(np.arange(l - 1, l + d), len(region.cones)))
-            cones += list(region.cones) * (d + 1)
-        self._add_membership(np.concatenate(js), cones, "corridor")
+        stack = _stack_regions(sets)
+        counts = stack[0]
+        # Set s constrains points s..s+d, each against every cone of the set.
+        per_set = counts * (d + 1)
+        s = np.repeat(np.arange(len(sets)), per_set)
+        q = np.arange(s.size) - np.repeat(np.cumsum(per_set) - per_set, per_set)
+        cones = np.repeat(np.cumsum(counts) - counts, per_set) + q % counts[s]
+        self._add_membership(s + q // counts[s], cones, stack, "corridor")
 
     def compile_interval(self, ic: IntervalConstraint) -> range:
         """Window constraint via outward rounding to whole knot spans.
@@ -539,11 +588,24 @@ class PlanAssembly:
     def compile_objective(self, zeta_cols: np.ndarray) -> None:
         """Snap epigraph per axis minus the sum of rate floors."""
         _, G = snap_gram(self.kv)
-        for axis in range(3):
-            s = self.cp.add_quadratic_epigraph(G, self.axis_cols(axis), "snap-epigraph")
-            self.cp.add_objective([s], [1.0])
+        s = self.cp.add_quadratic_epigraph(G, self.ctrl_cols.reshape(3, -1), "snap-epigraph")
+        self.cp.add_objective(s, np.ones(3))
         if zeta_cols.size:
             self.cp.add_objective(zeta_cols, -np.ones(zeta_cols.size))
+
+
+def _stack_regions(regions) -> tuple[np.ndarray, ...]:
+    """The cones of several regions stacked into one table, in region order.
+
+    Returns (counts, sizes, c, d, A, b, first): counts[s] is the cone count of
+    regions[s], and the rest is ConvexRegion._stacked of all their cones.
+    """
+    parts = [region._stacked for region in regions]
+    sizes, c, d, A, b, first = (np.concatenate([part[i] for part in parts]) for i in range(6))
+    counts = np.array([part[0].size for part in parts], dtype=int)
+    rows = np.array([part[3].shape[0] for part in parts], dtype=int)
+    first += np.repeat(np.cumsum(rows) - rows, counts)
+    return counts, sizes, c, d, A, b, first
 
 
 def interval_window_columns(kv: KnotVector, t_start: float, t_end: float, r: int) -> range:

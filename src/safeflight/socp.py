@@ -149,34 +149,47 @@ class ConeProgram:
         coeffs = -np.concatenate([c[:, None], A], axis=1)  # s = (c'x + d, A x + b)
         self._add("soc", coeffs, cols, np.concatenate([d[:, None], b], axis=1), label)
 
-    def add_quadratic_epigraph(self, G, cols, label: str = "epigraph") -> int:
+    def add_quadratic_epigraph(self, G, cols, label: str = "epigraph"):
         """Add a variable s with x' G'G x <= s; returns the index of s.
 
         Encoded as the second-order constraint ||(2 G x, s - 1)|| <= s + 1,
-        which is equivalent for s >= 0 (and forces s >= 0).
+        which is equivalent for s >= 0 (and forces s >= 0). A batch of k
+        sharing G passes cols as (k, c); it adds k variables, one constraint
+        on each row of cols, and returns the array of their indices.
         """
-        cols = self._check_cols(cols)[0]
+        batch = np.ndim(cols) == 2
+        cols = np.atleast_2d(np.asarray(cols, dtype=int))
+        cols = self._check_cols(cols, cols.shape[0])
         G = np.atleast_2d(np.asarray(G, dtype=float))
-        if G.shape[1] != cols.size:
-            raise ValueError(f"factor has {G.shape[1]} columns, expected {cols.size}")
-        s_idx = int(self.add_variables(1)[0])
+        k, width = cols.shape
+        if G.shape[1] != width:
+            raise ValueError(f"factor has {G.shape[1]} columns, expected {width}")
+        s_idx = self.add_variables(k)
         m = G.shape[0]
-        e = np.eye(cols.size + 1)[-1]  # unit vector on s
+        e = np.eye(width + 1)[-1]  # unit vector on s
         A = np.vstack([np.column_stack([2.0 * G, np.zeros(m)]), e])
         b = np.concatenate([np.zeros(m), [-1.0]])
-        self.add_soc(A, b, e, 1.0, np.concatenate([cols, [s_idx]]), label)
-        return s_idx
+        self.add_soc(
+            np.broadcast_to(A, (k,) + A.shape),
+            np.broadcast_to(b, (k, m + 1)),
+            np.broadcast_to(e, (k, width + 1)),
+            np.ones(k),
+            np.column_stack([cols, s_idx]),
+            label,
+        )
+        return s_idx if batch else int(s_idx[0])
 
     def _check_cols(self, cols, k: int = 1) -> np.ndarray:
         """Column indices as a (k, c) array; a single row serves the whole batch."""
         cols = np.atleast_2d(np.asarray(cols, dtype=int))
         if cols.ndim != 2 or cols.shape[0] not in (1, k):
             raise ValueError(f"column index rows {cols.shape} do not fit a batch of {k}")
-        if cols.shape[1] == 0 or np.any(cols < 0) or np.any(cols >= self.num_vars):
+        if cols.shape[1] == 0 or cols.size and (cols.min() < 0 or cols.max() >= self.num_vars):
             raise ValueError(f"column indices out of range [0, {self.num_vars})")
-        if np.any(np.diff(np.sort(cols, axis=1), axis=1) == 0):
+        ordered = np.sort(cols, axis=1)
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
             raise ValueError("column indices must be unique within a constraint")
-        return np.broadcast_to(cols, (k, cols.shape[1]))
+        return cols if cols.shape[0] == k else np.broadcast_to(cols, (k, cols.shape[1]))
 
     def _add(self, kind: str, coeffs, cols, rhs, label: str) -> None:
         if not rhs.shape[0]:

@@ -22,6 +22,12 @@ evaluation makes one gather from it: a repeat of each span's coefficients
 over its run of samples when the times are sorted, a take otherwise.
 Evaluation at the right endpoint returns left limits, so curves are defined
 on all of [tau_0, tau_v].
+
+Derivative control points are banded: the order-r point j is a weighted
+difference of control points j - r .. j. Those r + 1 weights per point, the
+derivative stencil, come from one bidiagonal difference recursion per knot
+vector, vectorized over the points; the padded derivative matrices and the
+snap Gram matrix are both built from them.
 """
 
 from __future__ import annotations
@@ -61,8 +67,9 @@ def clamped_uniform_knots(t0: float, tf: float, n: int, degree: int) -> "KnotVec
 class KnotVector:
     """Non-decreasing knot sequence plus the curve degree it serves.
 
-    Immutable after construction; derivative matrices are memoized per
-    instance, so sharing one KnotVector across curves is cheap.
+    Immutable after construction; derivative stencils and matrices and the
+    snap Gram matrix are memoized per instance, so sharing one KnotVector
+    across curves is cheap.
     """
 
     tau: np.ndarray
@@ -128,6 +135,56 @@ class KnotVector:
         mid.setflags(write=False)
         return mid
 
+    def derivative_stencil(self, r: int) -> np.ndarray:
+        """Weights of each order-r derivative point on the control points it uses.
+
+        Row i, of r + 1 weights, makes derivative point j = i + r (in the
+        original column indexing) from control points j - r .. j. Shape
+        (n - r + 1, r + 1); memoized and read-only.
+        """
+        if not 0 <= r <= self.degree:
+            raise ValueError(f"derivative order must lie in [0, {self.degree}], got {r}")
+        return self._stencils[0][r]
+
+    @property
+    def end_weights(self) -> np.ndarray:
+        """Weights of the order-r derivative at t0 and tf, for r = 0..d (read-only).
+
+        Shape (2, d + 1, d + 1): [0, r] weighs control points 0..d, [1, r]
+        control points n - d..n. On clamped knots the order-r derivative at
+        t0 is the first order-r derivative point and at tf the last, so these
+        are the end rows of derivative_stencil(r), zero-padded.
+        """
+        return self._stencils[1]
+
+    @cached_property
+    def _stencils(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """derivative_stencil(r) for r = 0..d, and end_weights, by one recursion.
+
+        The bidiagonal difference factor of order i takes point k of order
+        i - 1 and its successor to a_k (P_{k+1} - P_k), with
+        a_k = (d - i + 1) / (tau_{k+d+1} - tau_{k+i}); on the stencils that
+        is one shifted difference of all rows at once.
+        """
+        d, n, tau = self.degree, self.n, self.tau
+        S = np.ones((n + 1, 1))
+        stencils = [S]
+        ends = np.zeros((2, d + 1, d + 1))
+        ends[0, 0, 0] = ends[1, 0, d] = 1.0
+        for i in range(1, d + 1):
+            k = np.arange(n - i + 1)
+            a = ((d - i + 1) / (tau[k + d + 1] - tau[k + i]))[:, None]
+            nxt = np.zeros((n - i + 1, i + 1))
+            nxt[:, 1:] = a * S[1:]
+            nxt[:, :-1] -= a * S[:-1]
+            S = nxt
+            stencils.append(S)
+            ends[0, i, : i + 1] = S[0]
+            ends[1, i, d - i :] = S[-1]
+        for arr in (*stencils, ends):
+            arr.setflags(write=False)
+        return tuple(stencils), ends
+
     def derivative_matrix(self, r: int) -> np.ndarray:
         """Memoized build_derivative_matrix(self, r). The array is read-only."""
         if r not in self._dmat_cache:
@@ -136,9 +193,15 @@ class KnotVector:
             self._dmat_cache[r] = B
         return self._dmat_cache[r]
 
+    @cached_property
+    def _snap_gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """snap_gram(self), built on first use."""
+        return _build_snap_gram(self)
+
     def _check_range(self, t) -> None:
         t = np.asarray(t)
-        if (t < self.tau[0]).any() or (t > self.tau[-1]).any():
+        # Written so that NaN, which fails every comparison, is out of range.
+        if not ((t >= self.tau[0]) & (t <= self.tau[-1])).all():
             raise ValueError(f"evaluation time outside [{self.t0}, {self.tf}]")
 
 
@@ -242,26 +305,17 @@ def build_derivative_matrix(knots: KnotVector, r: int) -> np.ndarray:
     control points of the r-th derivative curve, which has degree d - r over
     the same knots. The first r and last r columns are structurally zero
     (padding so that derivative points share the original column indexing).
+    Column j, for r <= j <= n, holds row j - r of knots.derivative_stencil(r)
+    in rows j - r .. j.
 
     B_0 is the identity.
     """
-    d = knots.degree
+    S = knots.derivative_stencil(r)
     n = knots.n
-    tau = knots.tau
-    if not 0 <= r <= d:
-        raise ValueError(f"derivative order must lie in [0, {d}], got {r}")
-    M = np.eye(n + 1)
-    for i in range(1, r + 1):
-        # Bidiagonal difference factor taking degree d-i+1 points to d-i.
-        F = np.zeros((n - i + 2, n - i + 1))
-        for k in range(n - i + 1):
-            a = (d - i + 1) / (tau[k + d + 1] - tau[k + i])
-            F[k, k] = -a
-            F[k + 1, k] = a
-        M = M @ F
-    C = np.zeros((n - r + 1, n + r + 1))
-    C[:, r : n + 1] = np.eye(n - r + 1)
-    return M @ C
+    j = np.arange(r, n + 1)
+    B = np.zeros((n + 1, n + r + 1))
+    B[j[:, None] - r + np.arange(r + 1), j[:, None]] = S
+    return B
 
 
 @dataclass(frozen=True)
@@ -356,8 +410,9 @@ class SplineCurve:
         table = self._span_table[first : _order_rows(d, max(orders)).stop]
         flat = table.reshape(-1, table.shape[-1])
         mid = kv._span_midpoints
-        # A NaN fails every comparison, so times holding one take the span
-        # path; sorted times are in range when their ends are.
+        # A NaN fails every comparison, so times holding one are never taken
+        # as sorted and the span path's full range check rejects them; sorted
+        # times are in range when their ends are.
         if ts.size > 1 and (ts[1:] >= ts[:-1]).all():
             kv._check_range(ts[:: ts.size - 1])
             edges = ts.searchsorted(kv.tau[d : kv.n + 2])
@@ -436,28 +491,53 @@ def snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     x @ Q @ x equals the integral of the squared fourth derivative over
     [t0, tf]. Assembled exactly by per-span Gauss-Legendre quadrature on the
     degree d-4 basis (d-3 nodes per span integrate the degree 2(d-4) products
-    exactly), evaluated once at the nodes of every span, then conjugated with
-    B_4.
+    exactly): at each node the snap of the span's d + 1 control points is the
+    local basis times their fourth-derivative stencils, and each span adds
+    its (d + 1)-square block into Q.
 
     Returns:
         (Q, G) with Q of shape (n+1, n+1) positive semidefinite and
         G.T @ G == Q, where G keeps only eigenpairs above 1e-12 * max_eig.
+        Both are memoized per knot vector and read-only.
     """
-    d = knots.degree
-    if d < 4:
-        raise ValueError(f"snap Gram needs degree >= 4, got {d}")
+    if knots.degree < 4:
+        raise ValueError(f"snap Gram needs degree >= 4, got {knots.degree}")
+    return knots._snap_gram
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] (read-only)."""
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _build_snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
+    d, n = knots.degree, knots.n
     k = d - 4
-    nodes, weights = np.polynomial.legendre.leggauss(k + 1)
-    l = np.array(knots.nonempty_spans())[:, None]
-    a, b = knots.tau[l], knots.tau[l + 1]
+    nodes, weights = _gauss_legendre(k + 1)
+    l = np.arange(d, n + 1)
+    a, b = knots.tau[l, None], knots.tau[l + 1, None]
     x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    w = (0.5 * (b - a) * weights).reshape(-1, 1)
-    lam = basis_matrix(knots, k, x)
-    W = lam.T @ (w * lam)
-    B4 = knots.derivative_matrix(4)
-    Q = B4 @ W @ B4.T
+    w = 0.5 * (b - a) * weights
+    _, rows = _local_basis(knots, {k}, x)
+    lam = rows[k].reshape(l.size, k + 1, k + 1)  # [span, node, basis function l-k+c]
+    # Snap point l-k+c is stencil row l-d+c over control points l-d+c .. l-d+c+4,
+    # which sit at offsets c..c+4 of the span's control points l-d..l.
+    c, e = np.arange(k + 1)[:, None], np.arange(5)
+    T = np.zeros((l.size, k + 1, d + 1))
+    T[:, c, c + e] = knots.derivative_stencil(4)[l[:, None] - d + np.arange(k + 1)]
+    E = lam @ T  # [span, node, control point l-d+c]: its snap at the node
+    blocks = E.transpose(0, 2, 1) @ (w[..., None] * E)
+    idx = l[:, None] - d + np.arange(d + 1)
+    flat = (idx[:, :, None] * (n + 1) + idx[:, None, :]).ravel()
+    Q = np.bincount(flat, blocks.ravel(), minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
     Q = 0.5 * (Q + Q.T)
     evals, vecs = np.linalg.eigh(Q)
     keep = evals > 1e-12 * evals[-1]
     G = (vecs[:, keep] * np.sqrt(evals[keep])).T
+    Q.setflags(write=False)
+    G.setflags(write=False)
     return Q, G

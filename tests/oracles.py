@@ -29,6 +29,16 @@ straight off the face_bounds arrays and must match it bit for bit.
 The closed loop has a per-tick reference too: the simulation loop as it
 was before the trace moved to one batched controller call after the loop,
 recording each tick's whole command as it goes.
+
+The cone model has a dense reference. dense_derivative_matrix is the
+product of bidiagonal difference factors that the derivative stencils
+replace, and DensePlanAssembly compiles every family as rows over all
+3(n + 1) control-point columns, with waypoints and endpoint pins read off
+dense basis rows, each cone of a membership family placed one by one, and
+the snap epigraph of each axis added on its own over dense_snap_gram, the
+Gram matrix conjugated with the dense B_4. dense_compile_plan runs the
+families in compile_plan's order, so the two models must agree in census,
+rows, nonzero pattern and right-hand side.
 """
 
 from dataclasses import dataclass
@@ -41,7 +51,14 @@ from safeflight.flatness import (
     SingularAttitudeError,
     SingularThrustError,
 )
+from safeflight.planner import (
+    EndpointPins,
+    PlanAssembly,
+    PlanningScenario,
+    compile_tracking_margins,
+)
 from safeflight.simverify import SimTrace
+from safeflight.splines import KnotVector, basis_matrix, clamped_uniform_knots
 from safeflight.tracker import CbfParams, ReferencePoint, TrackingState, face_bounds
 
 _Z_W = np.array([0.0, 0.0, 1.0])
@@ -312,3 +329,133 @@ def filter_input(mu_nominal: np.ndarray, faces: tuple[CbfFace, ...]) -> np.ndarr
         else:
             lower[..., face.axis] = face.bound
     return np.clip(mu, lower, upper)
+
+
+def dense_derivative_matrix(knots: KnotVector, r: int) -> np.ndarray:
+    """B_r as the product of r bidiagonal difference factors, padded to (n+1, n+r+1)."""
+    d, n, tau = knots.degree, knots.n, knots.tau
+    M = np.eye(n + 1)
+    for i in range(1, r + 1):
+        F = np.zeros((n - i + 2, n - i + 1))
+        for k in range(n - i + 1):
+            a = (d - i + 1) / (tau[k + d + 1] - tau[k + i])
+            F[k, k] = -a
+            F[k + 1, k] = a
+        M = M @ F
+    C = np.zeros((n - r + 1, n + r + 1))
+    C[:, r : n + 1] = np.eye(n - r + 1)
+    return M @ C
+
+
+def dense_snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
+    """Snap Gram matrix B_4 W B_4' from the dense basis at every quadrature node, and its factor."""
+    k = knots.degree - 4
+    nodes, weights = np.polynomial.legendre.leggauss(k + 1)
+    l = np.array(knots.nonempty_spans())[:, None]
+    a, b = knots.tau[l], knots.tau[l + 1]
+    lam = basis_matrix(knots, k, 0.5 * (b - a) * nodes + 0.5 * (a + b))
+    W = lam.T @ ((0.5 * (b - a) * weights).reshape(-1, 1) * lam)
+    B4 = dense_derivative_matrix(knots, 4)
+    Q = B4 @ W @ B4.T
+    Q = 0.5 * (Q + Q.T)
+    evals, vecs = np.linalg.eigh(Q)
+    keep = evals > 1e-12 * evals[-1]
+    return Q, (vecs[:, keep] * np.sqrt(evals[keep])).T
+
+
+class DensePlanAssembly(PlanAssembly):
+    """Every constraint family compiled as rows over all 3(n+1) control-point columns."""
+
+    def _axis_rows(self, W):
+        rows = np.zeros((W.shape[0], 3, 3, self.n + 1))
+        rows[:, [0, 1, 2], [0, 1, 2]] = W[:, None]
+        return rows.reshape(W.shape[0], 3, self.ctrl_cols.size)
+
+    def point_rows(self, r, js):
+        js = np.asarray(js, dtype=int)
+        cols = np.broadcast_to(self.ctrl_cols, (js.size, self.ctrl_cols.size))
+        return self._axis_rows(dense_derivative_matrix(self.kv, r)[:, js].T), cols
+
+    def _membership(self, js, cones, label):
+        rows = self.point_rows(0, js)[0]
+        groups = {}  # row count (-1 if linear) -> indices, in order of first use
+        for i, cone in enumerate(cones):
+            groups.setdefault(-1 if cone.is_linear else cone.A.shape[0], []).append(i)
+        for m, pick in groups.items():
+            sets, picked = [cones[i] for i in pick], rows[pick]
+            c_rows = (np.array([s.c for s in sets])[:, None] @ picked)[:, 0]
+            d = np.array([s.d for s in sets])
+            if m < 0:
+                self.cp.add_inequality(-c_rows, self.ctrl_cols, d, label)
+            else:
+                A = np.array([s.A for s in sets]) @ picked
+                b = np.array([s.b for s in sets])
+                self.cp.add_soc(A, b, c_rows, d, self.ctrl_cols, label)
+
+    def compile_position(self, regions, js=None, label="position"):
+        js = np.arange(self.n + 1) if js is None else np.asarray(js, dtype=int)
+        cones = [cone for region in regions for cone in region.cones]
+        self._membership(np.repeat(js, len(cones)), cones * js.size, label)
+
+    def compile_corridor(self, sets):
+        d = self.kv.degree
+        js, cones = [], []
+        for l, region in enumerate(sets, start=1):
+            js.append(np.repeat(np.arange(l - 1, l + d), len(region.cones)))
+            cones += list(region.cones) * (d + 1)
+        self._membership(np.concatenate(js), cones, "corridor")
+
+    def compile_waypoints(self, waypoints):
+        if not waypoints:
+            return
+        times = np.array([wp.time for wp in waypoints])
+        rows = self._axis_rows(basis_matrix(self.kv, self.kv.degree, times))
+        pos = np.array([wp.position for wp in waypoints])
+        radius = np.array([wp.radius for wp in waypoints])
+        pin, ball = radius == 0.0, radius != 0.0
+        cols = self.ctrl_cols
+        self.cp.add_equality(rows[pin], cols, pos[pin], "waypoint")
+        c = np.zeros((int(ball.sum()), cols.size))
+        self.cp.add_soc(rows[ball], -pos[ball], c, radius[ball], cols, "waypoint")
+
+    def compile_endpoints(self, pins: EndpointPins):
+        kv = self.kv
+        weights, values = [], []
+        for t_m, pinned in ((kv.t0, pins.initial), (kv.tf, pins.final)):
+            for r, value in enumerate(pinned):
+                basis = basis_matrix(kv, kv.degree - r, np.array([t_m]))[0]
+                weights.append(dense_derivative_matrix(kv, r) @ basis)
+                values.append(value)
+        rows = self._axis_rows(np.reshape(weights, (-1, self.n + 1)))
+        self.cp.add_equality(rows, self.ctrl_cols, np.reshape(values, (-1, 3)), "endpoint")
+
+    def compile_objective(self, zeta_cols):
+        _, G = dense_snap_gram(self.kv)
+        for axis in range(3):
+            s = self.cp.add_quadratic_epigraph(G, self.axis_cols(axis), "snap-epigraph")
+            self.cp.add_objective([s], [1.0])
+        if zeta_cols.size:
+            self.cp.add_objective(zeta_cols, -np.ones(zeta_cols.size))
+
+
+def dense_compile_plan(scenario: PlanningScenario) -> DensePlanAssembly:
+    """compile_plan's families, in its order, on DensePlanAssembly."""
+    kv = clamped_uniform_knots(scenario.t0, scenario.tf, scenario.n, scenario.degree)
+    bounds = scenario.bounds
+    if scenario.apply_tracking_margins:
+        bounds = compile_tracking_margins(bounds, scenario.cbf, scenario.gravity)
+    asm = DensePlanAssembly(kv, gravity=scenario.gravity)
+    if bounds.regions:
+        asm.compile_position(bounds.regions)
+    asm.compile_velocity(bounds.v_max)
+    asm.compile_tilt_cone(bounds.tilt_max, margin=bounds.tilt_margin)
+    asm.compile_thrust(bounds.thrust_min, bounds.thrust_max)
+    zeta_cols = asm.compile_rate(bounds.omega_max, scenario.zeta_mode)
+    asm.compile_waypoints(scenario.waypoints)
+    asm.compile_endpoints(scenario.pins)
+    if scenario.corridor is not None:
+        asm.compile_corridor(scenario.corridor)
+    for ic in scenario.intervals:
+        asm.compile_interval(ic)
+    asm.compile_objective(zeta_cols)
+    return asm

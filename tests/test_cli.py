@@ -174,6 +174,40 @@ class TestLoading:
             load_scenario(write_scenario(tmp_path, doc))
 
 
+class TestScenarioTimes:
+    # A waypoint or window time outside the spline's [t0, tf], NaN included,
+    # exits 2 naming its field, before any planning starts.
+    CASES = [
+        ("waypoints", "time", 12.0),
+        ("waypoints", "time", -0.5),
+        ("waypoints", "time", float("nan")),
+        ("windows", "t_start", -1.0),
+        ("windows", "t_end", 12.0),
+        ("windows", "t_end", float("nan")),
+    ]
+
+    @pytest.mark.parametrize("command", ["plan", "verify"])
+    @pytest.mark.parametrize("section,key,value", CASES)
+    def test_exits_parse(self, tmp_path, capsys, command, section, key, value):
+        doc = hover_dict()
+        doc["waypoints"] = [{"position": [0.0, 0.0, 1.0], "time": 5.0, "radius": 0.5}]
+        doc["windows"] = [{"t_start": 2.0, "t_end": 4.0, "kind": "speed", "bound": 1.0}]
+        doc[section][0][key] = value
+        path = write_scenario(tmp_path, doc)
+        assert main([command, "--scenario", path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"{section}/0/{key}" in err
+        assert "unexpected error" not in err
+
+    def test_rejected_planning_value_exits_parse(self, tmp_path, capsys):
+        doc = hover_dict()
+        doc["bounds"]["v_max"] = -1.0
+        assert main(["plan", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "v_max must be positive" in err
+        assert "unexpected error" not in err
+
+
 class TestBadTracking:
     # Each bad tracking value exits 2 on every command, naming its field,
     # before any planning starts.

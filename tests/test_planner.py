@@ -4,9 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from safeflight.cli import load_scenario
+from oracles import dense_compile_plan, dense_snap_gram
+from safeflight.cli import bundled_scenarios, load_scenario
 from safeflight.planner import (
     ConvexRegion,
     EndpointPins,
@@ -24,7 +25,7 @@ from safeflight.planner import (
     interval_window_columns,
     plan,
 )
-from safeflight.splines import clamped_uniform_knots
+from safeflight.splines import clamped_uniform_knots, snap_gram
 from safeflight.tracker import CbfParams
 
 G = 9.81
@@ -279,17 +280,65 @@ class TestAssemblyLayout:
         asm = PlanAssembly(kv)
         assert asm.axis_cols(2).tolist() == list(range(22, 33))
         assert asm.ctrl_cols.tolist() == list(range(33))
-        assert asm.point_rows(1, range(1, 11)).shape == (10, 3, 33)
+        rows, cols = asm.point_rows(1, range(1, 11))
+        assert rows.shape == (10, 3, 6)
+        # Velocity point j reads control points j-1 and j of each axis.
+        assert cols[0].tolist() == [0, 1, 11, 12, 22, 23]
+        assert cols[-1].tolist() == [9, 10, 20, 21, 31, 32]
+        with pytest.raises(ValueError):
+            asm.point_rows(2, [1])
 
     def test_point_rows_pick_derivative_points(self, rng):
         kv = clamped_uniform_knots(0.0, 4.0, 10, 5)
         asm = PlanAssembly(kv)
         ctrl = rng.uniform(-1, 1, size=(3, 11))
         for r, js in [(0, range(11)), (1, range(1, 11)), (2, [2, 7, 10]), (3, [4]), (4, [])]:
-            rows = asm.point_rows(r, js)
+            rows, cols = asm.point_rows(r, js)
             want = ctrl @ kv.derivative_matrix(r)[:, list(js)]
-            assert rows.shape == (len(js), 3, 33)
-            assert_allclose(rows @ ctrl.reshape(-1), want.T, rtol=1e-13, atol=1e-13)
+            assert rows.shape == (len(js), 3, 3 * (r + 1))
+            assert cols.shape == (len(js), 3 * (r + 1))
+            got = np.einsum("kac,kc->ka", rows, ctrl.reshape(-1)[cols])
+            assert_allclose(got, want.T, rtol=1e-13, atol=1e-13)
+
+
+class TestDenseReference:
+    """The stencil compile builds the model that dense rows build."""
+
+    @pytest.mark.parametrize("name", bundled_scenarios())
+    def test_same_model_as_dense_rows(self, name):
+        self.assert_same_model(load_scenario(name).planning)
+
+    @pytest.mark.parametrize("zeta_mode", ["per-span", "scalar"])
+    def test_mixed_cone_families(self, zeta_mode):
+        # Half-spaces, balls and two-row cones in one family, each batched
+        # separately in order of first use.
+        self.assert_same_model(TestCensus().scenario(zeta_mode))
+
+    def assert_same_model(self, ps):
+        asm, _ = compile_plan(ps)
+        ref = dense_compile_plan(ps)
+        assert asm.cp.block_counts() == ref.cp.block_counts()
+        assert asm.cp.block_labels() == ref.cp.block_labels()
+        assert asm.cp.num_vars == ref.cp.num_vars
+        A, b, cones = asm.cp._assemble()
+        A_ref, b_ref, cones_ref = ref.cp._assemble()
+        assert cones == cones_ref
+        assert_array_equal(b, b_ref)
+        assert_array_equal(asm.cp._f, ref.cp._f)
+        A, A_ref = A.tocsr(), A_ref.tocsr()
+        A.sort_indices()
+        A_ref.sort_indices()
+        assert_array_equal(A.indptr, A_ref.indptr)
+        assert_array_equal(A.indices, A_ref.indices)
+        # Outside the three snap epigraphs, the last cones, the values agree
+        # to roundoff; the epigraphs factor the same Gram matrix.
+        end = A.indptr[A.shape[0] - sum(cones.soc[-3:])]
+        assert_allclose(A.data[:end], A_ref.data[:end], rtol=1e-14, atol=0.0)
+        Q, G = snap_gram(asm.kv)
+        Q_ref, _ = dense_snap_gram(ref.kv)
+        scale = np.abs(Q_ref).max()
+        assert_allclose(Q, Q_ref, rtol=0.0, atol=1e-14 * scale)
+        assert_allclose(G.T @ G, Q, rtol=0.0, atol=1e-12 * scale)
 
 
 class TestCensus:

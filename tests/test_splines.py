@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.interpolate import BSpline
 from scipy.optimize import nnls
 
-from oracles import cox_de_boor_matrix
+from oracles import cox_de_boor_matrix, dense_derivative_matrix
 from safeflight.splines import (
     KnotVector,
     SplineCurve,
@@ -58,6 +58,21 @@ class TestKnotConstruction:
         assert_array_equal(kv.span_index(ts), [kv.span_index(float(t)) for t in ts])
         with pytest.raises(ValueError):
             kv.span_index(np.array([1.0, 4.0001]))
+
+    def test_nan_times_rejected(self):
+        # NaN fails every comparison, so the range check must be written to
+        # fail for it; scalar, sorted and unsorted batches alike.
+        kv = clamped_uniform_knots(0.0, 4.0, 8, 5)
+        curve = SplineCurve(kv, np.ones((3, 9)))
+        for ts in (np.nan, np.array([0.5, 1.0, np.nan]), np.array([2.0, np.nan, 1.0])):
+            with pytest.raises(ValueError, match="outside"):
+                kv.span_index(ts)
+            with pytest.raises(ValueError, match="outside"):
+                basis_matrix(kv, 5, ts)
+            with pytest.raises(ValueError, match="outside"):
+                curve.eval(ts)
+            with pytest.raises(ValueError, match="outside"):
+                curve.eval(ts, (0, 1, 2))
 
     def test_span_index_half_open_and_final(self):
         kv = clamped_uniform_knots(0.0, 4.0, 7, 2)
@@ -194,6 +209,44 @@ class TestDerivativeMatrices:
             kv.derivative_matrix(6)
         with pytest.raises(ValueError):
             build_derivative_matrix(kv, -1)
+
+    @pytest.mark.parametrize("degree", [4, 5, 6, 7])
+    def test_stencil_matches_dense_product_chain(self, degree):
+        # Scattered into the padded layout, the stencil is the product of
+        # bidiagonal difference factors: same nonzeros, values to roundoff.
+        for n in (degree, degree + 3, 30):
+            kv = clamped_uniform_knots(0.3, 7.1, n, degree)
+            for r in range(degree + 1):
+                S = kv.derivative_stencil(r)
+                assert S.shape == (n - r + 1, r + 1)
+                want = dense_derivative_matrix(kv, r)
+                got = kv.derivative_matrix(r)
+                assert_array_equal(got != 0.0, want != 0.0)
+                assert_allclose(got, want, rtol=1e-14, atol=0.0)
+                cols = np.arange(r, n + 1)
+                assert_array_equal(S, got[cols[:, None] - r + np.arange(r + 1), cols[:, None]])
+
+    def test_stencil_memoized_and_read_only(self):
+        kv = clamped_uniform_knots(0.0, 1.0, 8, 5)
+        assert kv.derivative_stencil(3) is kv.derivative_stencil(3)
+        assert not kv.derivative_stencil(3).flags.writeable
+        assert not kv.end_weights.flags.writeable
+        for r in (-1, 6):
+            with pytest.raises(ValueError):
+                kv.derivative_stencil(r)
+
+    @pytest.mark.parametrize("degree", [4, 5, 7])
+    def test_end_weights_are_end_derivatives(self, rng, degree):
+        # The order-r derivative at t0 and tf is the first and last
+        # derivative point: the end weights reproduce the curve there.
+        curve = random_curve(rng, 12, degree=degree)
+        kv, d = curve.knots, degree
+        for r in range(d + 1):
+            at_t0 = curve.ctrl[:, : d + 1] @ kv.end_weights[0, r]
+            at_tf = curve.ctrl[:, kv.n - d :] @ kv.end_weights[1, r]
+            scale = np.abs(curve.eval(np.array([kv.t0, kv.tf]), r)).max() + 1.0
+            assert_allclose(at_t0, curve.eval(kv.t0, r), rtol=0, atol=1e-12 * scale)
+            assert_allclose(at_tf, curve.eval(kv.tf, r), rtol=0, atol=1e-12 * scale)
 
     def test_derivative_of_straight_line_is_constant(self):
         # A curve whose control points sit on a line has exactly that slope.
@@ -385,6 +438,16 @@ class TestSnapGram:
         assert_allclose(Q, Q.T, atol=1e-12)
         evals = np.linalg.eigvalsh(Q)
         assert evals.min() > -1e-9
+
+    def test_memoized_per_knot_vector_and_read_only(self):
+        kv = clamped_uniform_knots(0.0, 6.0, 14, 5)
+        Q, G = snap_gram(kv)
+        again = snap_gram(kv)
+        assert again[0] is Q and again[1] is G
+        assert not Q.flags.writeable and not G.flags.writeable
+        twin = clamped_uniform_knots(0.0, 6.0, 14, 5)
+        assert snap_gram(twin)[0] is not Q
+        assert_array_equal(snap_gram(twin)[0], Q)
 
     def test_quartic_curve_has_zero_snap_cost(self):
         # Control points sampled from a cubic in the Greville abscissae
