@@ -1,14 +1,17 @@
 """Scenario-file driven pipeline: plan, track, verify, export.
 
-Scenarios are YAML documents validated against a schema before use; angles
-are written in degrees there and converted on ingestion. A handful of
+Scenarios are YAML documents validated against SCENARIO_SCHEMA before use,
+by a small checker of the JSON Schema keywords that schema uses; angles are
+written in degrees there and converted on ingestion. A handful of
 scenarios ship inside the package and can be named directly (see
 `safeflight plan --list`). Exit codes: 0 success, 2 parse or validation
 error, 3 infeasible plan, 4 failed verification or tracking certificate,
 5 unexpected runtime failure. A plan that leaves the flatness map's domain
 (a free-fall sample with no thrust direction, a thrust axis along the yaw
 heading's normal, or a command that asks for inverted flight) fails
-verification: `verify`, `track` and `export` exit 4 on it.
+verification: `verify`, `track` and `export` exit 4 on it. Only a solve
+loads scipy, so `verify`, `track` and `export` given a plan file start
+without it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import yaml
 
@@ -209,9 +211,61 @@ SCENARIO_SCHEMA = {
     "additionalProperties": False,
 }
 
-# Built once: jsonschema.validate would re-check the schema against its
-# metaschema on every load, which costs far more than the validation itself.
-_SCENARIO_VALIDATOR = jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (
+        isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and v.is_integer()
+    ),
+}
+
+
+def _same(value, expected) -> bool:
+    """JSON equality for const and enum: true and 1 differ, 1.0 and 1 do not."""
+    return isinstance(value, bool) == isinstance(expected, bool) and value == expected
+
+
+def _schema_errors(value, schema: dict, path: tuple = ()):
+    """Yield (path, message) for every way value breaks schema.
+
+    Covers the keywords SCENARIO_SCHEMA uses, with JSON Schema's meaning:
+    type (a bool is no number, and 3.0 is an integer), const, enum, and the
+    object and array keywords, which apply only to values of their type.
+    """
+    kind = schema.get("type")
+    if kind is not None and not _IS_TYPE[kind](value):
+        yield path, f"{value!r} is not of type {kind!r}"
+    if "const" in schema and not _same(value, schema["const"]):
+        yield path, f"{schema['const']!r} was expected"
+    if "enum" in schema and not any(_same(value, v) for v in schema["enum"]):
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        extra = [repr(key) for key in value if key not in props]
+        if schema.get("additionalProperties") is False and extra:
+            yield path, f"additional properties are not allowed ({', '.join(extra)} unexpected)"
+        for key, sub in props.items():
+            if key in value:
+                yield from _schema_errors(value[key], sub, path + (key,))
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield path, f"{value!r} is too short"
+        if len(value) > schema.get("maxItems", len(value)):
+            yield path, f"{value!r} is too long"
+        if "items" in schema:
+            for i, item in enumerate(value):
+                yield from _schema_errors(item, schema["items"], path + (i,))
+
+
+def schema_violation(doc) -> tuple[tuple, str] | None:
+    """The shallowest (path, message) where doc breaks SCENARIO_SCHEMA, or None."""
+    return min(_schema_errors(doc, SCENARIO_SCHEMA), key=lambda e: len(e[0]), default=None)
 
 
 class ScenarioError(ValueError):
@@ -286,10 +340,10 @@ def load_scenario(source: str) -> ScenarioFile:
         doc = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{desc}: YAML parse error: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_SCENARIO_VALIDATOR.iter_errors(doc))
+    error = schema_violation(doc)
     if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ScenarioError(f"{desc}: schema violation at {where}: {error.message}") from error
+        where = "/".join(str(p) for p in error[0]) or "<root>"
+        raise ScenarioError(f"{desc}: schema violation at {where}: {error[1]}")
 
     spline = doc["spline"]
     degree = int(spline["degree"])

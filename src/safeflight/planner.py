@@ -154,14 +154,17 @@ class ConvexRegion:
         """The member cones as arrays (sizes, c, d, A, b, first), in member order.
 
         sizes[i] is the row count of cone i's A, or -1 if the cone is linear
-        and compiles to a half-space. The rows of every A are stacked in A
-        (rows, 3) and b (rows,), cone i's from row first[i] on.
+        and compiles to the half-space c'p + d >= 0; its d then holds
+        d - ||b||, since ||A p + b|| = ||b|| when A is zero. The rows of every
+        A are stacked in A (rows, 3) and b (rows,), cone i's from row first[i] on.
         """
         cones = self.cones
         rows = np.array([cone.A.shape[0] for cone in cones], dtype=int)
-        sizes = np.where(np.array([cone.is_linear for cone in cones], dtype=bool), -1, rows)
+        linear = np.array([cone.is_linear for cone in cones], dtype=bool)
+        sizes = np.where(linear, -1, rows)
         c = np.array([cone.c for cone in cones]).reshape(-1, 3)
         d = np.array([cone.d for cone in cones], dtype=float)
+        d[linear] -= [np.linalg.norm(cone.b) for cone in cones if cone.is_linear]
         A = np.concatenate([cone.A for cone in cones] or [np.zeros((0, 3))])
         b = np.concatenate([cone.b for cone in cones] or [np.zeros(0)])
         return sizes, c, d, A, b, np.cumsum(rows) - rows

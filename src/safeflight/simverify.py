@@ -9,7 +9,6 @@ trusted -- and reports the worst signed margin per constraint family.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -117,11 +116,12 @@ class SimTrace:
             [self.t, self.r, self.r1, self.ref_r, self.ref_r1, self.ref_r2, self.mu_nominal]
             + [self.mu, self.thrust, np.rad2deg(self.phi), np.rad2deg(self.theta), self.barriers]
         )
+        # One format string per row; the lines end in "\r\n" as csv.writer's do.
+        line = ",".join(["%.12g"] * cols.shape[1]) + ",%s\r\n"
+        faces = [";".join(face_names[act]) for act in self.active]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row, act in zip(cols, self.active):
-                writer.writerow([f"{v:.12g}" for v in row] + [";".join(face_names[act])])
+            fh.write(",".join(header) + "\r\n")
+            fh.write("".join(line % (*row, act) for row, act in zip(cols.tolist(), faces)))
 
 
 def plan_reference(plan: TrajectoryPlan) -> Callable[[np.ndarray], ReferencePoint]:

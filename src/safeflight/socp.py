@@ -15,16 +15,20 @@ stored in one call. Variables can be appended after constraints exist (the
 quadratic epigraph below does this). The numerical solve is the primal-dual
 interior-point method at the end of this module; solution quality is always
 re-checked by direct residual evaluation, never taken from the solver's own
-report.
+report. The residuals read the stored triplets with numpy alone; scipy is
+imported only by the solve, so building and auditing a model never loads it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import linalg, sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: Solution statuses, in the package's vocabulary.
 OPTIMAL = "optimal"
@@ -217,8 +221,8 @@ class ConeProgram:
         and each second-order cone (||s_1|| - s_0)+, which for its constraint
         is (||A x + b|| - c'x - d)+.
         """
-        A, b, cones = self._assemble()
-        s = b - A @ np.asarray(x, dtype=float)
+        rows, cols, vals, b, cones = self._triplets()
+        s = b - np.bincount(rows, vals * np.asarray(x, dtype=float)[cols], minlength=b.size)
         lin = cones.zero + cones.nonneg
         alg = _ConeAlgebra(0, cones.soc)
         cone = np.sqrt(alg.tail_dot(s[lin:], s[lin:])) - s[lin:][alg.starts]
@@ -260,8 +264,8 @@ class ConeProgram:
             x, objective, max_residual = None, np.nan, np.inf
         return Solution(status, x, objective, max_residual, dt, iterations, raw_status)
 
-    def _assemble(self) -> tuple[sparse.csc_matrix, np.ndarray, _Cones]:
-        """The canonical A x + s = b, s in K, concatenated from the stores.
+    def _triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, _Cones]:
+        """The canonical A x + s = b, s in K, as (rows, cols, vals, b, cones).
 
         Rows come in the order of _Cones: all equality rows, then all
         inequality rows, then one second-order cone per constraint, written
@@ -274,13 +278,18 @@ class ConeProgram:
             vals += part.vals
             rhs += part.rhs
             offset += part.num_rows
-        A = sparse.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(offset, self.num_vars),
-        )
         eq, ineq, soc = self._kinds.values()
         cones = _Cones(eq.num_rows, ineq.num_rows, tuple(np.concatenate(soc.sizes).tolist()))
-        return A, np.concatenate(rhs), cones
+        parts = (np.concatenate(v) for v in (rows, cols, vals, rhs))
+        return (*parts, cones)
+
+    def _assemble(self) -> tuple[sparse.csc_matrix, np.ndarray, _Cones]:
+        """The canonical model as (A, b, cones), with A a scipy CSC matrix."""
+        from scipy import sparse
+
+        rows, cols, vals, b, cones = self._triplets()
+        A = sparse.csc_matrix((vals, (rows, cols)), shape=(b.size, self.num_vars))
+        return A, b, cones
 
 
 # ------------------------------------------------------------ conic solver
@@ -489,6 +498,8 @@ class _ScaledMatrix:
 
     def __call__(self, scal: _NTScaling) -> tuple[sparse.csr_matrix, np.ndarray]:
         """M as a sparse matrix and M'M as a dense one."""
+        from scipy import sparse
+
         g, pc = self.values, self.pair_cone
         w1 = scal.w1[self.e_row]
         zeta = np.bincount(self.e_pair, weights=w1 * g, minlength=pc.size)
@@ -523,6 +534,8 @@ class _KKT:
     REFINE_TOL = 1e-13
 
     def __init__(self, M: sparse.csr_matrix, H: np.ndarray, E: np.ndarray):
+        from scipy.linalg import lapack
+
         p, n = E.shape
         self.M, self.MT, self.H, self.E = M, M.T, H, E
         K = np.zeros((n + p, n + p))
@@ -530,15 +543,17 @@ class _KKT:
         K[:n, n:] = E.T
         K[n:, :n] = E
         K[np.diag_indices(n + p)] += np.repeat([self.DELTA, -self.DELTA], [n, p])
-        self.lu, self.piv, info = linalg.lapack.dgetrf(K)
+        self.lu, self.piv, info = lapack.dgetrf(K)
         if info != 0 or not np.all(np.isfinite(self.lu)):
-            raise linalg.LinAlgError("KKT factorization failed")
+            raise np.linalg.LinAlgError("KKT factorization failed")
 
     def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
         # One column at a time: OpenBLAS spreads a multi-column getrs over
         # threads, which at this size costs far more than it saves.
+        from scipy.linalg import lapack
+
         if rhs.ndim == 1:
-            return linalg.lapack.dgetrs(self.lu, self.piv, rhs)[0]
+            return lapack.dgetrs(self.lu, self.piv, rhs)[0]
         return np.column_stack([self._lu_solve(col) for col in rhs.T])
 
     def solve(self, r1: np.ndarray, r2: np.ndarray, r3: np.ndarray):
@@ -605,6 +620,8 @@ def _interior_point(q, A, b, cones: _Cones, tol: float, max_iter: int):
     The iteration runs on equilibrated data, diag(d) A diag(c); termination
     is judged on the original data.
     """
+    from scipy import sparse
+
     p = cones.zero
     alg = _ConeAlgebra(cones.nonneg, cones.soc)
     A = A.tocsr()
@@ -671,7 +688,7 @@ def _interior_point(q, A, b, cones: _Cones, tol: float, max_iter: int):
         scal = alg.scaling(s, zc)
         try:
             kkt = _KKT(*scaled(scal), E)
-        except linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             return stop("NumericalError", it)
         rp_scaled, b_scaled = scal.apply(np.column_stack([rp[p:], bc]), inverse=True).T
         tau_col = None

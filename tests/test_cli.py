@@ -1,13 +1,18 @@
 """Tests for the scenario CLI: loading, exit codes, and file outputs."""
 
+import copy
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 import yaml
 
+import safeflight
 from safeflight.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -21,6 +26,7 @@ from safeflight.cli import (
     bundled_scenarios,
     load_scenario,
     main,
+    schema_violation,
 )
 from safeflight.flatness import GRAVITY
 from safeflight.planner import TrajectoryPlan
@@ -81,6 +87,7 @@ def free_fall_plan(tmp_path, hover_plan):
 class TestLoading:
     def test_schema_is_valid_under_its_metaschema(self):
         # Scenario loads no longer re-check the schema, so check it here once.
+        jsonschema = pytest.importorskip("jsonschema")
         jsonschema.validators.validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
 
     def test_bundled_names(self):
@@ -172,6 +179,218 @@ class TestLoading:
         del doc["tracking"]
         with pytest.raises(ScenarioError, match="tracking margins need cbf parameters"):
             load_scenario(write_scenario(tmp_path, doc))
+
+
+def full_dict():
+    """hover with every key the schema knows, each holding a valid value."""
+    doc = hover_dict()
+    box = {"lo": [-2.0, -2.0, 0.0], "hi": [2.0, 2.0, 3.0]}
+    doc["gravity"] = 9.81
+    doc["bounds"]["regions"] = [
+        {"name": "room", "box": box},
+        {"ball": {"center": [0.0, 0.0, 1.0], "radius": 3.0}},
+        {"ellipsoid": {"A": np.eye(3).tolist(), "b": [0.0, 0.0, -1.0]}},
+        {"halfspace": {"normal": [0.0, 0.0, 1.0], "offset": 3.0}},
+    ]
+    doc["waypoints"] = [{"position": [0.0, 0.0, 1.0], "time": 5.0, "radius": 0.5}]
+    doc["windows"] = [
+        {"t_start": 2.0, "t_end": 4.0, "kind": "position", "region": {"box": box}},
+        {"t_start": 2.0, "t_end": 4.0, "kind": "speed", "bound": 1.0},
+    ]
+    doc["corridor"] = [{"name": "all", "box": box}]
+    doc.update(zeta_mode="scalar", apply_tracking_margins=False, solver_tol=1e-8)
+    doc["tracking"].update(
+        control_rate=100.0,
+        substeps=10,
+        duration=1.0,
+        psi_deg=0.0,
+        initial_position_offset=[0.0, 0.0, 0.0],
+        initial_velocity_offset=[0.0, 0.0, 0.0],
+    )
+    return doc
+
+
+def walk(value, schema, path=()):
+    """(path, value, schema) of every node of a document, parents first."""
+    yield path, value, schema
+    if isinstance(value, dict):
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                yield from walk(value[key], sub, path + (key,))
+    elif isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            yield from walk(item, schema["items"], path + (i,))
+
+
+def schema_mutations():
+    """(label, document) pairs, each full_dict() with one change at one node."""
+    base = full_dict()
+
+    def changed(path, edit):
+        doc = copy.deepcopy(base)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        edit(parent, path[-1])
+        return doc
+
+    def put(value):
+        def edit(parent, key):
+            parent[key] = value
+        return edit
+
+    for path, value, schema in walk(base, SCENARIO_SCHEMA):
+        if not path:
+            continue
+        kind = schema.get("type")
+        name = "/".join(map(str, path))
+        if kind in ("number", "integer"):
+            yield f"{name} = true", changed(path, put(True))
+            yield f"{name} = '1'", changed(path, put("1"))
+        if kind == "integer":
+            yield f"{name} = 3.0", changed(path, put(3.0))
+            yield f"{name} = 3.5", changed(path, put(3.5))
+        if kind == "boolean":
+            yield f"{name} = 1", changed(path, put(1))
+        if kind == "string":
+            yield f"{name} = 1", changed(path, put(1))
+        if kind == "object":
+            for key in schema.get("required", ()):
+                yield f"{name} without {key}", changed(path, lambda p, k, key=key: p[k].pop(key))
+            yield f"{name} with an extra key", changed(path, lambda p, k: p[k].update(extra=1))
+            yield f"{name} = []", changed(path, put([]))
+        if kind == "array":
+            if schema.get("maxItems") == 3:
+                yield f"{name} short", changed(path, put(value[:2]))
+                yield f"{name} long", changed(path, put(value + [0.0]))
+            if schema.get("minItems") == 1:
+                yield f"{name} empty", changed(path, put([]))
+            yield f"{name} = {{}}", changed(path, put({}))
+        for key in ("const", "enum"):
+            if key in schema:
+                yield f"{name} = 'bogus'", changed(path, put("bogus"))
+                yield f"{name} = true", changed(path, put(True))
+    yield "version = 1.0", changed(("version",), put(1.0))
+    yield "zeta_mode = 'per-span'", changed(("zeta_mode",), put("per-span"))
+    yield "top-level key", changed(("comment",), put("x"))
+    yield "two errors at one depth", changed(("spline",), lambda p, k: p[k].update(t0=True, tf="x"))
+    doc = changed(("gravity",), put(None))
+    doc["spline"]["t0"] = True
+    yield "errors at two depths", doc
+    for top in (None, [], "scenario", 3):
+        yield f"document {top!r}", top
+
+
+def bad_input_documents():
+    """The scenario documents of this module's bad-input cases, edited as they are."""
+
+    def degree_three(d):
+        d["spline"]["degree"] = 3
+        for side in ("initial", "final"):
+            d["endpoints"][side] = d["endpoints"][side][:3]
+
+    def timed(d):
+        d["waypoints"] = [{"position": [0.0, 0.0, 1.0], "time": 5.0, "radius": 0.5}]
+        d["windows"] = [{"t_start": 2.0, "t_end": 4.0, "kind": "speed", "bound": 1.0}]
+        return d
+
+    edits = [
+        lambda d: d["bounds"].pop("v_max"),
+        lambda d: d.update(format="other"),
+        lambda d: d["spline"].pop("n"),
+        lambda d: d.update(apply_tracking_margins=True) or d.pop("tracking"),
+        lambda d: d["bounds"].update(v_max=-1.0),
+        lambda d: d["bounds"].update(thrust_min=9.9),
+        lambda d: d["spline"].update(tf=8.0),
+        lambda d: d.pop("tracking"),
+        lambda d: d["tracking"].update(initial_position_offset=[0.3, 0.0, 0.0], duration=1.0),
+        lambda d: d.update(waypoints=[{"position": [100.0, 0.0, 0.5], "time": 5.0}]),
+        degree_three,
+    ]
+    for section, key, value in TestScenarioTimes.CASES:
+        edits.append(lambda d, s=section, k=key, v=value: timed(d)[s][0].update({k: v}))
+    for section, key, value, _ in TestBadTracking.CASES:
+        edits.append(
+            lambda d, s=section, k=key, v=value: (d["tracking"] if s is None else d["tracking"][s])
+            .update({k: v})
+        )
+    docs = []
+    for edit in edits:
+        doc = hover_dict()
+        edit(doc)
+        docs.append(doc)
+    return docs
+
+
+class TestSchemaChecker:
+    """The package's checker against jsonschema on SCENARIO_SCHEMA.
+
+    Both must agree on validity. The checker reports the shallowest failing
+    path, as jsonschema's best_match does; where jsonschema finds exactly one
+    error, both must name the same path.
+    """
+
+    @pytest.fixture(scope="class")
+    def validator(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        return jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+
+    @staticmethod
+    def assert_agrees(validator, doc, label):
+        import jsonschema
+
+        errors = list(validator.iter_errors(doc))
+        got = schema_violation(doc)
+        assert (got is None) == (not errors), f"{label}: checker {got}, jsonschema {errors}"
+        if errors:
+            best = jsonschema.exceptions.best_match(errors)
+            assert len(got[0]) == len(best.absolute_path), label
+            if len(errors) == 1:
+                assert list(got[0]) == list(errors[0].absolute_path), label
+
+    def test_bundled_scenarios(self, validator):
+        import importlib.resources
+
+        root = importlib.resources.files("safeflight") / "scenarios"
+        for name in bundled_scenarios():
+            doc = yaml.safe_load((root / f"{name}.yaml").read_text())
+            self.assert_agrees(validator, doc, name)
+            assert schema_violation(doc) is None
+
+    def test_full_document_is_valid(self, validator):
+        self.assert_agrees(validator, full_dict(), "full")
+        assert schema_violation(full_dict()) is None
+
+    def test_bad_input_cases(self, validator):
+        for i, doc in enumerate(bad_input_documents()):
+            self.assert_agrees(validator, doc, f"case {i}")
+
+    def test_mutations(self, validator):
+        labels = []
+        for label, doc in schema_mutations():
+            self.assert_agrees(validator, doc, label)
+            labels.append(label)
+        assert len(labels) > 200
+
+    @pytest.mark.parametrize(
+        "path,value,where",
+        [
+            (("bounds", "v_max"), True, "bounds/v_max"),
+            (("spline", "n"), 3.5, "spline/n"),
+            (("version",), True, "version"),
+            (("zeta_mode",), "diagonal", "zeta_mode"),
+            (("endpoints", "initial", 1), [0.0, 0.0], "endpoints/initial/1"),
+        ],
+    )
+    def test_violation_exits_parse_naming_the_path(self, tmp_path, capsys, path, value, where):
+        doc = full_dict()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        assert main(["plan", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_PARSE
+        assert f"schema violation at {where}: " in capsys.readouterr().err
+
 
 
 class TestScenarioTimes:
@@ -523,3 +742,42 @@ class TestExportCommand:
         assert exc.value.code == EXIT_PARSE
         assert "--samples-per-span" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestColdStart:
+    """In a fresh interpreter only a solve loads scipy, and nothing loads jsonschema."""
+
+    PROBE = (
+        "import json, sys\n"
+        "from safeflight.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'jsonschema'})))\n"
+        "sys.exit(code)\n"
+    )
+
+    def run(self, cwd, *args):
+        """Run one command in a new interpreter; its stdout and the heavy modules it loaded."""
+        package_root = str(Path(safeflight.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *args],
+            cwd=cwd,
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        *out, loaded = proc.stdout.splitlines()
+        return "\n".join(out), json.loads(loaded)
+
+    def test_only_the_solve_loads_scipy(self, tmp_path):
+        out, loaded = self.run(tmp_path, "plan", "--scenario", "hover", "--out", "plan.json")
+        assert "hover: optimal" in out
+        assert loaded == ["scipy"]
+        for args in (
+            ["verify", "--scenario", "hover", "--plan", "plan.json"],
+            ["track", "--scenario", "hover", "--plan", "plan.json", "--out", "run.csv"],
+            ["export", "--plan", "plan.json", "--out", "samples.csv"],
+        ):
+            assert self.run(tmp_path, *args)[1] == [], args[0]

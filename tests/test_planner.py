@@ -25,6 +25,7 @@ from safeflight.planner import (
     interval_window_columns,
     plan,
 )
+from safeflight.socp import ConeProgram
 from safeflight.splines import clamped_uniform_knots, snap_gram
 from safeflight.tracker import CbfParams
 
@@ -110,6 +111,24 @@ class TestRegions:
         want = np.min([c.margin(pts) for c in mixed.cones], axis=0)
         assert_allclose(mixed.margin(pts), want, rtol=0.0, atol=1e-12)
         assert_allclose(mixed.margin(pts[7]), want[7], rtol=0.0, atol=1e-12)
+
+
+    def test_zero_matrix_cone_compiles_with_its_offset(self, rng):
+        # ||0 p + b|| <= c'p + d is the half-space c'p + d - ||b|| >= 0:
+        # z >= 3 must not become z >= 0.
+        cones = (
+            SocSet(np.zeros((1, 3)), [3.0], [0.0, 0.0, 1.0], 0.0),
+            SocSet(np.zeros((2, 3)), [3.0, -4.0], [0.2, -0.1, 1.0], 0.5),
+        )
+        asm = PlanAssembly(clamped_uniform_knots(0.0, 1.0, 6, 5))
+        asm.compile_position([ConvexRegion(cones, "zero-A")])
+        A, b, layout = asm.cp._assemble()
+        assert (layout.zero, layout.nonneg, layout.soc) == (0, 2 * 7, ())
+        for _ in range(5):
+            ctrl = rng.normal(scale=4.0, size=(3, 7))
+            slack = (b - A @ ctrl.ravel()).reshape(7, 2)  # rows point by point
+            want = np.column_stack([cone.margin(ctrl.T) for cone in cones])
+            assert_allclose(slack, want, rtol=0.0, atol=1e-13)
 
 
 class TestIntervalWindows:
@@ -409,6 +428,22 @@ class TestFullSolves:
         assert_allclose(pl.curve.eval(4.0), [1.0, 0.0, 0.5], atol=1e-8)
         assert_allclose(pl.curve.eval(0.0, 1), 0.0, atol=1e-8)
         assert_allclose(pl.curve.eval(4.0, 2), 0.0, atol=1e-7)
+
+    def test_plan_assembles_the_model_once(self, monkeypatch):
+        # The residual audit reads the stored triplets; only the solve
+        # builds the sparse matrix.
+        calls = []
+        assemble = ConeProgram._assemble
+
+        def spy(prog):
+            calls.append(prog)
+            return assemble(prog)
+
+        monkeypatch.setattr(ConeProgram, "_assemble", spy)
+        pl = plan(small_scenario())
+        assert pl.solve_stats.status == "optimal"
+        assert pl.solve_stats.max_residual <= 1e-7
+        assert len(calls) == 1
 
     def test_deterministic_replan(self):
         a = plan(small_scenario())
