@@ -17,7 +17,6 @@ without it.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import importlib.resources
 import json
@@ -644,16 +643,19 @@ def cmd_export(args) -> int:
         "ax", "ay", "az", "thrust", "phi_deg", "theta_deg",
         "p_deg_s", "q_deg_s", "zeta",
     ]
+    # The speed of one vector, np.linalg.norm(v), is sqrt(v.dot(v)); a stack
+    # of (1, 3) @ (3, 1) products runs the same dot kernel, so the column
+    # keeps those bits, which a norm along axis 1 (another sum order) would not.
+    speed = np.sqrt(vel[:, None, :] @ vel[:, :, None]).ravel()
+    cols = np.column_stack(
+        [ts, pos, vel, speed, acc, thrust, np.rad2deg(phi), np.rad2deg(theta)]
+        + [np.rad2deg(p_rate), np.rad2deg(q_rate), zeta]
+    )
+    # One format string per row; the lines end in "\r\n" as csv.writer's do.
+    line = ",".join(["%.12g"] * cols.shape[1]) + "\r\n"
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ts.size):
-            row = (
-                [ts[i], *pos[i], *vel[i], float(np.linalg.norm(vel[i])), *acc[i]]
-                + [thrust[i], np.rad2deg(phi[i]), np.rad2deg(theta[i])]
-                + [np.rad2deg(p_rate[i]), np.rad2deg(q_rate[i]), zeta[i]]
-            )
-            writer.writerow([f"{v:.12g}" for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(line % tuple(row) for row in cols.tolist()))
     print(f"{ts.size} samples written to {args.out}")
     return EXIT_OK
 

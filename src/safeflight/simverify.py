@@ -22,10 +22,9 @@ from .tracker import (
     PdGains,
     ReferencePoint,
     SafeCommand,
+    SafetyFilter,
     TrackingState,
     certificates,
-    nominal_mu,
-    safe_step,
 )
 
 # ------------------------------------------------------------------ simulation
@@ -125,16 +124,26 @@ class SimTrace:
 
 
 def plan_reference(plan: TrajectoryPlan) -> Callable[[np.ndarray], ReferencePoint]:
-    """Reference sampler clamped to the plan's time range (hold at the ends).
+    """Reference sampler that holds the plan's end states outside its time range.
 
-    A scalar time gives (3,) fields and an array of times (len(t), 3) ones,
-    clamped elementwise; one curve evaluation gives all three derivatives,
-    each by a Horner pass over the curve's centred per-span polynomials.
+    A scalar time gives (3,) fields and an array of times (len(t), 3) ones.
+    Inside [t0, tf] one curve evaluation gives all three derivatives, each
+    by a Horner pass over the curve's centred per-span polynomials. Before
+    t0 the reference hovers at r(t0) and after tf at r(tf): r is clamped in
+    time, and r1 and r2 are zero there, so the held reference is a state the
+    vehicle can stay in.
     """
     kv = plan.curve.knots
 
     def ref(t) -> ReferencePoint:
-        return ReferencePoint(*plan.curve.eval(np.clip(t, kv.t0, kv.tf), (0, 1, 2)))
+        t = np.asarray(t, dtype=float)
+        clamped = np.clip(t, kv.t0, kv.tf)
+        r, r1, r2 = plan.curve.eval(clamped, (0, 1, 2))
+        held = clamped != t
+        if held.any():
+            held = held.reshape((-1, 1) if t.ndim else 1)
+            r1, r2 = np.where(held, 0.0, r1), np.where(held, 0.0, r2)
+        return ReferencePoint(r, r1, r2)
 
     return ref
 
@@ -143,9 +152,10 @@ def make_filtered_controller(
     params: CbfParams, gains: PdGains, psi: float = 0.0, g: float = GRAVITY
 ) -> Callable:
     """Nominal PD wrapped in the barrier filter."""
+    safety = SafetyFilter(params, gains, psi, g)
 
     def controller(t: float | np.ndarray, state: TrackingState, ref: ReferencePoint) -> SafeCommand:
-        return safe_step(state, ref, nominal_mu(state, ref, gains), params, psi, g)
+        return safety(state, ref)
 
     return controller
 
@@ -154,9 +164,10 @@ def make_unfiltered_controller(
     params: CbfParams, gains: PdGains, psi: float = 0.0, g: float = GRAVITY
 ) -> Callable:
     """Nominal PD passed straight through; barriers still recorded."""
+    pd = SafetyFilter(gains=gains)
 
     def controller(t: float | np.ndarray, state: TrackingState, ref: ReferencePoint) -> SafeCommand:
-        mu = nominal_mu(state, ref, gains)
+        mu = pd.inputs(state, ref)[0]
         return SafeCommand(mu, mu, state, ref, params, psi, g)
 
     return controller

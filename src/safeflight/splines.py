@@ -16,8 +16,9 @@ span [tau_l, tau_{l+1}), so basis_matrix builds just those, row by row of
 de Boor's triangle, on the nonempty spans d..n. A curve is a polynomial on
 each nonempty span; it is evaluated from its power-series coefficients about
 the span midpoint, with one Horner pass per derivative order. The
-coefficients of every order 0..d are built once per curve, by the same
-triangle run on polynomials, into one stacked read-only table, and each
+basis on every span is built once per knot vector, by the same triangle run
+on polynomials; each curve contracts it with its control points into one
+stacked read-only table of the coefficients of every order 0..d, and each
 evaluation makes one gather from it: a repeat of each span's coefficients
 over its run of samples when the times are sorted, a take otherwise.
 Evaluation at the right endpoint returns left limits, so curves are defined
@@ -27,7 +28,9 @@ Derivative control points are banded: the order-r point j is a weighted
 difference of control points j - r .. j. Those r + 1 weights per point, the
 derivative stencil, come from one bidiagonal difference recursion per knot
 vector, vectorized over the points; the padded derivative matrices and the
-snap Gram matrix are both built from them.
+snap Gram matrix are both built from them. Equal knot arguments give one
+shared KnotVector from a bounded cache, so plans over the same knots build
+each of these tables once.
 """
 
 from __future__ import annotations
@@ -40,8 +43,16 @@ from typing import Sequence
 import numpy as np
 
 
+# Knot vectors held by clamped_uniform_knots; each carries its memoized tables.
+KNOT_CACHE_SIZE = 32
+
+
 def clamped_uniform_knots(t0: float, tf: float, n: int, degree: int) -> "KnotVector":
     """Build a clamped knot vector with uniform interior spacing.
+
+    Equal arguments give the same KnotVector, held in a bounded LRU cache of
+    KNOT_CACHE_SIZE entries, so every plan over one (t0, tf, n, degree)
+    shares its stencils, snap Gram matrix and span power basis.
 
     Args:
         t0: Start time (first knot, multiplicity degree + 1).
@@ -52,12 +63,21 @@ def clamped_uniform_knots(t0: float, tf: float, n: int, degree: int) -> "KnotVec
     Returns:
         KnotVector with v + 1 = n + degree + 2 knots.
     """
+    if np.ndim(t0) or np.ndim(tf):
+        raise ValueError(f"need scalar t0 and tf, got {t0!r} and {tf!r}")
     if not np.isfinite(t0) or not np.isfinite(tf) or tf <= t0:
         raise ValueError(f"need finite t0 < tf, got [{t0}, {tf}]")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if n < degree:
         raise ValueError(f"need n >= degree for a clamped spline, got n={n}, degree={degree}")
+    # -0.0 and 0.0 are one cache key; adding 0.0 builds both as 0.0, so a
+    # cached vector never depends on which of them came first.
+    return _clamped_uniform_knots(float(t0) + 0.0, float(tf) + 0.0, n, degree)
+
+
+@lru_cache(maxsize=KNOT_CACHE_SIZE)
+def _clamped_uniform_knots(t0: float, tf: float, n: int, degree: int) -> "KnotVector":
     interior = np.linspace(t0, tf, n - degree + 2)
     tau = np.concatenate([np.full(degree, t0), interior, np.full(degree, tf)])
     return KnotVector(tau=tau, degree=degree)
@@ -67,9 +87,12 @@ def clamped_uniform_knots(t0: float, tf: float, n: int, degree: int) -> "KnotVec
 class KnotVector:
     """Non-decreasing knot sequence plus the curve degree it serves.
 
-    Immutable after construction; derivative stencils and matrices and the
-    snap Gram matrix are memoized per instance, so sharing one KnotVector
-    across curves is cheap.
+    Immutable after construction. Every table that depends on the knots
+    alone is memoized per instance and read-only: the derivative stencils
+    and matrices, the snap Gram matrix and the span power basis. Curves over
+    one KnotVector share them, and clamped_uniform_knots hands out one
+    instance per (t0, tf, n, degree), so a second plan over the same knots
+    builds none of them again.
     """
 
     tau: np.ndarray
@@ -134,6 +157,42 @@ class KnotVector:
         mid = 0.5 * (self.tau[self.degree : self.n + 1] + self.tau[self.degree + 1 : self.n + 2])
         mid.setflags(write=False)
         return mid
+
+    @cached_property
+    def _span_power_basis(self) -> np.ndarray:
+        """The degree-d basis on every nonempty span, as polynomials in s = t - mid.
+
+        De Boor's triangle of _local_basis, run on power-series coefficients
+        in s instead of values and vectorized over the spans: with mid the
+        span midpoint, t - tau_p = s + (mid - tau_p) and
+        tau_q - t = (tau_q - mid) - s. Centring keeps |s| <= h / 2, so the
+        coefficients stay well scaled even far from t = 0.
+
+        Returns:
+            Read-only array of shape (S, d + 1, d + 1) for the S = n - d + 1
+            nonempty spans; [i, a, k] is the coefficient of s**k in basis
+            function l - d + a on span l = d + i.
+        """
+        d = self.degree
+        l = np.arange(d, self.n + 1)
+        mid = self._span_midpoints
+        win = self.tau[l[:, None] + np.arange(1 - d, d + 1)]
+        before = (mid[:, None] - win[:, :d])[..., None]
+        after = (win[:, d:] - mid[:, None])[..., None]
+        lam = np.zeros((l.size, 1, d + 1))
+        lam[..., 0] = 1.0
+        for j in range(1, d + 1):
+            # As in _local_basis; multiplying by s shifts the coefficients up
+            # one power, and the degree-(j-1) rows have nothing in the top power.
+            lo, hi = slice(d - j, d), slice(d, d + j)
+            a = lam / (win[:, hi] - win[:, lo])[..., None]
+            lam = np.zeros((l.size, j + 1, d + 1))
+            lam[:, 1:] = before[:, lo] * a
+            lam[:, :-1] += after[:, :j] * a
+            lam[:, 1:, 1:] += a[..., :-1]
+            lam[:, :-1, 1:] -= a[..., :-1]
+        lam.setflags(write=False)
+        return lam
 
     def derivative_stencil(self, r: int) -> np.ndarray:
         """Weights of each order-r derivative point on the control points it uses.
@@ -263,41 +322,6 @@ def basis_matrix(knots: KnotVector, degree: int, ts: np.ndarray) -> np.ndarray:
     return B
 
 
-def _span_power_basis(knots: KnotVector) -> np.ndarray:
-    """The degree-d basis on every nonempty span, as polynomials in s = t - mid.
-
-    De Boor's triangle of _local_basis, run on power-series coefficients in
-    s instead of values and vectorized over the spans: with mid the span
-    midpoint, t - tau_p = s + (mid - tau_p) and tau_q - t = (tau_q - mid) - s.
-    Centring keeps |s| <= h / 2, so the coefficients stay well scaled even far
-    from t = 0.
-
-    Returns:
-        Array of shape (S, d + 1, d + 1) for the S = n - d + 1 nonempty spans;
-        [i, a, k] is the coefficient of s**k in basis function l - d + a on
-        span l = d + i.
-    """
-    d = knots.degree
-    l = np.arange(d, knots.n + 1)
-    mid = knots._span_midpoints
-    win = knots.tau[l[:, None] + np.arange(1 - d, d + 1)]
-    before = (mid[:, None] - win[:, :d])[..., None]
-    after = (win[:, d:] - mid[:, None])[..., None]
-    lam = np.zeros((l.size, 1, d + 1))
-    lam[..., 0] = 1.0
-    for j in range(1, d + 1):
-        # As in _local_basis; multiplying by s shifts the coefficients up one
-        # power, and the degree-(j-1) rows have nothing in the top power.
-        lo, hi = slice(d - j, d), slice(d, d + j)
-        a = lam / (win[:, hi] - win[:, lo])[..., None]
-        lam = np.zeros((l.size, j + 1, d + 1))
-        lam[:, 1:] = before[:, lo] * a
-        lam[:, :-1] += after[:, :j] * a
-        lam[:, 1:, 1:] += a[..., :-1]
-        lam[:, :-1, 1:] -= a[..., :-1]
-    return lam
-
-
 def build_derivative_matrix(knots: KnotVector, r: int) -> np.ndarray:
     """Matrix B_r mapping control points to r-th derivative control points.
 
@@ -355,16 +379,16 @@ class SplineCurve:
         Shape ((d + 1)(d + 2) / 2, dim, S), read-only: the rows of order q
         are _order_rows(d, q), and within them row k is the coefficient of
         s**k, s = t - mid, of the q-th derivative; [.., :, i] belongs to
-        nonempty span d + i. Order 0 contracts the span's power basis with
-        its d + 1 control points; order q takes rows q..d of that and scales
-        row k + q by (k + q)! / k!. Spans run along the last axis, so one
-        gather along it serves every order, and each Horner step then reads
-        one contiguous (dim, samples) row.
+        nonempty span d + i. Order 0 contracts the span's power basis, which
+        the knot vector holds, with its d + 1 control points; order q takes
+        rows q..d of that and scales row k + q by (k + q)! / k!. Spans run
+        along the last axis, so one gather along it serves every order, and
+        each Horner step then reads one contiguous (dim, samples) row.
         """
         kv = self.knots
         d = kv.degree
         cols = np.arange(d, kv.n + 1)[:, None] + np.arange(-d, 1)
-        coef = (_span_power_basis(kv).transpose(0, 2, 1) @ self.ctrl.T[cols]).transpose(1, 2, 0)
+        coef = (kv._span_power_basis.transpose(0, 2, 1) @ self.ctrl.T[cols]).transpose(1, 2, 0)
         rows, scale = _table_layout(d)
         table = coef.take(rows, axis=0)
         table *= scale[:, None, None]

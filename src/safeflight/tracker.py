@@ -10,7 +10,9 @@ Enforcing both at relative degree two yields, per axis, a closed interval
 of admissible mu_q whose width is identically 2 * a2 * delta. The safety QP,
 min ||mu - mu_nominal||^2 over that box, separates by axis, so its exact
 solution is a per-axis clamp of the nominal input: ``safe_step`` applies it,
-and no numerical solve is needed. ``face_bounds`` gives the box. The six
+and no numerical solve is needed. ``face_bounds`` gives the box. Both, and
+the PD nominal, are computed by ``SafetyFilter``, the one definition of the
+filter, which a closed-loop controller builds once and calls every tick. The six
 faces, like the six barriers, are always ordered x+, x-, y+, y-, z+, z-:
 the upper face (from h^up) then the lower face (from h^low) of each axis.
 """
@@ -91,9 +93,9 @@ def face_bounds(r, r1, ref_r, ref_r1, ref_r2, params: CbfParams) -> tuple[np.nda
     upper - lower == 2 * a2 * delta holds identically, so the filter is
     always feasible regardless of the state.
     """
-    base = ref_r2 - params.a1 * (r1 - ref_r1) - params.a2 * (r - ref_r)
-    half = params.a2 * params.delta
-    return base - half, base + half
+    state, ref = TrackingState(r, r1), ReferencePoint(ref_r, ref_r1, ref_r2)
+    _, lower, upper = SafetyFilter(params).inputs(state, ref)
+    return lower, upper
 
 
 def barrier_values(state: TrackingState, ref: ReferencePoint, params: CbfParams) -> np.ndarray:
@@ -118,7 +120,7 @@ class PdGains:
 
 def nominal_mu(state: TrackingState, ref: ReferencePoint, gains: PdGains) -> np.ndarray:
     """Feedforward-plus-PD virtual input, before filtering; arrays batched over (..., 3)."""
-    return ref.r2 + gains.kp * (ref.r - state.r) + gains.kd * (ref.r1 - state.r1)
+    return SafetyFilter(gains=gains).inputs(state, ref)[0]
 
 
 class SafeCommand(NamedTuple):
@@ -186,9 +188,65 @@ def safe_step(
     exact solution of the safety QP. The box is never empty, since each
     axis interval has width 2 * a2 * delta > 0 whatever the state.
     """
-    lower, upper = face_bounds(state.r, state.r1, ref.r, ref.r1, ref.r2, params)
-    mu = np.minimum(np.maximum(mu_nominal, lower), upper)
-    return SafeCommand(mu_nominal, mu, state, ref, params, psi, g, lower, upper)
+    return SafetyFilter(params, psi=psi, g=g)(state, ref, mu_nominal)
+
+
+class SafetyFilter:
+    """The PD nominal and the barrier clamp: the one definition of the filter.
+
+    nominal_mu, face_bounds and safe_step build one per call; a controller
+    builds one and calls it every tick. kp, kd, a1, a2 and a2 * delta are
+    held as (3,) arrays, one entry per axis, so that a call on (3,) states
+    converts no Python scalar in its ufuncs; they broadcast over any leading
+    axes. Without gains the filter clamps only a given nominal input;
+    without params it computes only the nominal one, through inputs, and
+    cannot be called.
+    """
+
+    def __init__(
+        self,
+        params: CbfParams | None = None,
+        gains: PdGains | None = None,
+        psi: float = 0.0,
+        g: float = GRAVITY,
+    ):
+        self.params, self.psi, self.g = params, psi, g
+        self.kp = self.kd = self.a1 = self.a2 = self.half = None
+        if gains is not None:
+            self.kp, self.kd = np.full(3, gains.kp), np.full(3, gains.kd)
+        if params is not None:
+            self.a1, self.a2 = np.full(3, params.a1), np.full(3, params.a2)
+            self.half = np.full(3, params.a2 * params.delta)
+
+    def inputs(
+        self, state: TrackingState, ref: ReferencePoint, mu_nominal: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """(mu_nominal, lower, upper) from one pair of error differences.
+
+        mu_nominal is the one given, else the PD law when the filter has
+        gains; lower and upper are None when it has no params. The box
+        centre is ref_r2 - a1 (r1 - ref_r1) - a2 (r - ref_r), written with
+        dr = ref_r - r and dv = ref_r1 - r1 as ref_r2 + a1 dv + a2 dr, which
+        is the same in IEEE arithmetic: a - b = -(b - a), c (-x) = -(c x) and
+        x - (-y) = x + y are exact. Only the sign of a zero centre can
+        differ, and adding or subtracting a2 * delta > 0 removes it.
+        """
+        dr = ref.r - state.r
+        dv = ref.r1 - state.r1
+        if mu_nominal is None and self.kp is not None:
+            mu_nominal = ref.r2 + self.kp * dr + self.kd * dv
+        if self.a1 is None:
+            return mu_nominal, None, None
+        base = ref.r2 + self.a1 * dv + self.a2 * dr
+        return mu_nominal, base - self.half, base + self.half
+
+    def __call__(
+        self, state: TrackingState, ref: ReferencePoint, mu_nominal: np.ndarray | None = None
+    ) -> SafeCommand:
+        """The filtered command: mu_nominal, or the PD law, clamped per axis to the box."""
+        mu_nominal, lower, upper = self.inputs(state, ref, mu_nominal)
+        mu = np.minimum(np.maximum(mu_nominal, lower), upper)
+        return SafeCommand(mu_nominal, mu, state, ref, self.params, self.psi, self.g, lower, upper)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,19 @@ def hover_plan(hover_scenario):
     return plan(hover_scenario.planning)
 
 
+@pytest.fixture(scope="session")
+def bundled_plan():
+    """Solved plan of a bundled scenario by name, each solved once per session."""
+    plans = {}
+
+    def get(name):
+        if name not in plans:
+            plans[name] = plan(load_scenario(name).planning)
+        return plans[name]
+
+    return get
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(91)

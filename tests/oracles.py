@@ -24,7 +24,16 @@ active-set method terminates finitely with an exact KKT solve instead.
 Beside it sits the filter's face path: cbf_faces lists the six half-spaces
 of the admissible box one by one, ordered x+, x-, y+, y-, z+, z-, and
 filter_input clamps onto them face by face. safe_step reads the same clamp
-straight off the face_bounds arrays and must match it bit for bit.
+straight off the face_bounds arrays and must match it bit for bit. The
+filter's direct form is kept too: face_bounds_direct, nominal_mu_direct and
+safe_step_direct compute the box centre as ref_r2 - a1 (r1 - ref_r1) -
+a2 (r - ref_r) with scalar coefficients, and the package's filter, which
+forms each error difference once and holds its coefficients as (3,) arrays,
+must match them bit for bit, on single ticks and on whole closed loops.
+
+The export command's samples CSV has a per-row writer here, csv.writer
+over one formatted list per sample with each speed from its own
+np.linalg.norm call; the package's writer must produce the same bytes.
 
 The closed loop has a per-tick reference too: the simulation loop as it
 was before the trace moved to one batched controller call after the loop,
@@ -41,6 +50,7 @@ families in compile_plan's order, so the two models must agree in census,
 rows, nonzero pattern and right-hand side.
 """
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +60,7 @@ from safeflight.flatness import (
     ReducedInput,
     SingularAttitudeError,
     SingularThrustError,
+    tilt_thrust_rates,
 )
 from safeflight.planner import (
     EndpointPins,
@@ -57,9 +68,16 @@ from safeflight.planner import (
     PlanningScenario,
     compile_tracking_margins,
 )
-from safeflight.simverify import SimTrace
+from safeflight.simverify import SimTrace, span_samples
 from safeflight.splines import KnotVector, basis_matrix, clamped_uniform_knots
-from safeflight.tracker import CbfParams, ReferencePoint, TrackingState, face_bounds
+from safeflight.tracker import (
+    CbfParams,
+    PdGains,
+    ReferencePoint,
+    SafeCommand,
+    TrackingState,
+    face_bounds,
+)
 
 _Z_W = np.array([0.0, 0.0, 1.0])
 
@@ -329,6 +347,62 @@ def filter_input(mu_nominal: np.ndarray, faces: tuple[CbfFace, ...]) -> np.ndarr
         else:
             lower[..., face.axis] = face.bound
     return np.clip(mu, lower, upper)
+
+
+def face_bounds_direct(r, r1, ref_r, ref_r1, ref_r2, params: CbfParams):
+    """The admissible box as face_bounds computed it with scalar coefficients."""
+    base = ref_r2 - params.a1 * (r1 - ref_r1) - params.a2 * (r - ref_r)
+    half = params.a2 * params.delta
+    return base - half, base + half
+
+
+def nominal_mu_direct(state: TrackingState, ref: ReferencePoint, gains: PdGains) -> np.ndarray:
+    """The PD nominal as nominal_mu computed it with scalar gains."""
+    return ref.r2 + gains.kp * (ref.r - state.r) + gains.kd * (ref.r1 - state.r1)
+
+
+def safe_step_direct(state, ref, mu_nominal, params, psi=0.0, g=GRAVITY) -> SafeCommand:
+    """The clamp as safe_step computed it, off face_bounds_direct."""
+    lower, upper = face_bounds_direct(state.r, state.r1, ref.r, ref.r1, ref.r2, params)
+    mu = np.minimum(np.maximum(mu_nominal, lower), upper)
+    return SafeCommand(mu_nominal, mu, state, ref, params, psi, g, lower, upper)
+
+
+def direct_controller(params, gains, psi=0.0, g=GRAVITY, filtered=True):
+    """A controller for simulate built from the direct filter, filtered or not."""
+
+    def controller(t, state, ref):
+        mu = nominal_mu_direct(state, ref, gains)
+        if filtered:
+            return safe_step_direct(state, ref, mu, params, psi, g)
+        return SafeCommand(mu, mu, state, ref, params, psi, g)
+
+    return controller
+
+
+def export_csv_per_row(pl, samples_per_span: int, path) -> None:
+    """The export command's samples CSV, written row by row through csv.writer."""
+    kv = pl.curve.knots
+    ts = span_samples(pl, samples_per_span)
+    pos, vel, acc, jerk = pl.curve.eval(ts, (0, 1, 2, 3))
+    thrust, phi, theta, p_rate, q_rate = tilt_thrust_rates(acc, jerk, pl.gravity)
+    zeta_by_span = np.array([pl.zeta_for_span(l) for l in kv.nonempty_spans()])
+    zeta = zeta_by_span[kv.span_index(ts) - kv.degree]
+    header = [
+        "t", "x", "y", "z", "vx", "vy", "vz", "speed",
+        "ax", "ay", "az", "thrust", "phi_deg", "theta_deg",
+        "p_deg_s", "q_deg_s", "zeta",
+    ]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(ts.size):
+            row = (
+                [ts[i], *pos[i], *vel[i], float(np.linalg.norm(vel[i])), *acc[i]]
+                + [thrust[i], np.rad2deg(phi[i]), np.rad2deg(theta[i])]
+                + [np.rad2deg(p_rate[i]), np.rad2deg(q_rate[i]), zeta[i]]
+            )
+            writer.writerow([f"{v:.12g}" for v in row])
 
 
 def dense_derivative_matrix(knots: KnotVector, r: int) -> np.ndarray:

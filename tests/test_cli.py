@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import importlib.resources
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
+from oracles import export_csv_per_row
 import safeflight
 from safeflight.cli import (
     EXIT_INFEASIBLE,
@@ -674,8 +676,31 @@ class TestTrackCommand:
         assert main(["track", "--scenario", path]) == EXIT_PARSE
         assert "no tracking section" in capsys.readouterr().err
 
+    def test_reference_held_past_the_horizon_stays_in_tube(self, tmp_path, bundled_plan, capsys):
+        # A run longer than the plan tracks the end state held at rest.
+        path = importlib.resources.files("safeflight") / "scenarios" / "example2_window.yaml"
+        doc = yaml.safe_load(path.read_text())
+        doc["tracking"]["duration"] = 20.0
+        scenario_path = write_scenario(tmp_path, doc)
+        plan_path = write_plan(tmp_path, bundled_plan("example2_window"))
+        report_path = tmp_path / "report.json"
+        args = ["track", "--scenario", scenario_path, "--plan", plan_path]
+        assert main(args + ["--report", str(report_path)]) == EXIT_OK
+        assert "2000 ticks" in capsys.readouterr().out
+        cert = json.loads(report_path.read_text())["certificate"]
+        assert cert["max_position_err"] <= cert["position_bound"]
+        assert cert["min_barrier"] >= 0.0
+
 
 class TestExportCommand:
+    @pytest.mark.parametrize("name", ["example1", "example2_window"])
+    def test_csv_bytes_match_the_per_row_writer(self, tmp_path, bundled_plan, name):
+        pl = bundled_plan(name)
+        out = tmp_path / "samples.csv"
+        assert main(["export", "--plan", write_plan(tmp_path, pl), "--out", str(out)]) == EXIT_OK
+        export_csv_per_row(pl, 50, tmp_path / "want.csv")
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_document_round_trip_is_byte_identical(self, tmp_path, hover_plan):
         plan_path = write_plan(tmp_path, hover_plan)
         out = tmp_path / "copy.json"

@@ -51,6 +51,14 @@ class TestKnotConstruction:
             clamped_uniform_knots(0.0, 0.0, 5, 2)
         with pytest.raises(ValueError):
             clamped_uniform_knots(0.0, 1.0, 1, 2)
+        with pytest.raises(ValueError, match="scalar"):
+            clamped_uniform_knots([0.0], 1.0, 5, 2)
+
+    def test_signed_zero_start_is_one_vector(self):
+        # -0.0 == 0.0 share a cache key, so both build the +0.0 vector.
+        kv = clamped_uniform_knots(-0.0, 3.0, 7, 3)
+        assert kv is clamped_uniform_knots(0.0, 3.0, 7, 3)
+        assert not np.signbit(kv.tau).any()
 
     def test_span_index_batched(self):
         kv = clamped_uniform_knots(0.0, 4.0, 8, 2)
@@ -346,9 +354,12 @@ class TestCurveEval:
                 basis_matrix(curve.knots, degree, np.array([1.0]))
 
     def test_eval_builds_no_derivative_matrix(self, rng):
+        # The knot vector is shared with every other curve over the same
+        # knots, so compare its derivative-matrix cache around the call.
         curve = random_curve(rng, 12)
+        before = dict(curve.knots._dmat_cache)
         curve.eval(np.linspace(0.0, 10.0, 7), tuple(range(6)))
-        assert curve.knots._dmat_cache == {}
+        assert curve.knots._dmat_cache == before
 
     def test_span_polynomials_memoized_per_curve(self, rng):
         # One stacked table per curve holds every order; each order's
@@ -445,9 +456,14 @@ class TestSnapGram:
         again = snap_gram(kv)
         assert again[0] is Q and again[1] is G
         assert not Q.flags.writeable and not G.flags.writeable
-        twin = clamped_uniform_knots(0.0, 6.0, 14, 5)
-        assert snap_gram(twin)[0] is not Q
-        assert_array_equal(snap_gram(twin)[0], Q)
+        # Equal arguments give the same knot vector, and with it the same
+        # tables; different arguments do not.
+        assert clamped_uniform_knots(0.0, 6.0, 14, 5) is kv
+        assert clamped_uniform_knots(0, 6, 14, 5) is kv
+        for other in ((0.0, 6.5, 14, 5), (0.5, 6.0, 14, 5), (0.0, 6.0, 15, 5), (0.0, 6.0, 14, 4)):
+            assert clamped_uniform_knots(*other) is not kv
+        basis = kv._span_power_basis
+        assert kv._span_power_basis is basis and not basis.flags.writeable
 
     def test_quartic_curve_has_zero_snap_cost(self):
         # Control points sampled from a cubic in the Greville abscissae

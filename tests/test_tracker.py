@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from oracles import box_projection_qp, cbf_faces, filter_input
+from oracles import (
+    box_projection_qp,
+    cbf_faces,
+    face_bounds_direct,
+    filter_input,
+    nominal_mu_direct,
+    safe_step_direct,
+)
 
 from safeflight.flatness import attitude_from_virtual
 from safeflight.socp import OPTIMAL, ConeProgram
@@ -208,6 +215,47 @@ class TestSafeStep:
         state = TrackingState(r=np.array([0.04, -0.02, 0.0]), r1=np.zeros(3))
         cmd = safe_step(state, ref, np.zeros(3), PARAMS)
         assert_allclose(cmd.barriers, [0.06, 0.14, 0.12, 0.08, 0.1, 0.1])
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestDirectForm:
+    # The filter forms dr = ref.r - r and dv = ref.r1 - r1 once and holds its
+    # coefficients as (3,) arrays; the direct form, with scalar coefficients
+    # and the box centre ref_r2 - a1 (r1 - ref_r1) - a2 (r - ref_r), must give
+    # the same bits, signs of zero included. Some rows have zero errors and a
+    # -0.0 reference acceleration, where only the centre's zero sign differs.
+    @pytest.mark.parametrize("shape", [(3,), (500, 3)])
+    def test_matches_bitwise(self, rng, shape):
+        for k in range(40):
+            a2 = rng.uniform(0.5, 20.0)
+            a1 = rng.uniform(2.0, 3.0) * a2**0.5  # real error poles: a1^2 >= 4 a2
+            params = CbfParams(delta=rng.uniform(0.01, 0.5), a1=a1, a2=a2)
+            gains = PdGains(kp=rng.uniform(0.0, 50.0), kd=rng.uniform(0.0, 20.0))
+            ref = ReferencePoint(*rng.uniform(-5.0, 5.0, (3,) + shape))
+            r = ref.r + rng.uniform(-0.2, 0.2, shape)
+            r1 = ref.r1 + rng.uniform(-1.0, 1.0, shape)
+            still = rng.uniform(size=shape) < 0.3
+            r[still], r1[still], ref.r2[still] = ref.r[still], ref.r1[still], -0.0
+            state = TrackingState(r, r1)
+
+            args = (state.r, state.r1, ref.r, ref.r1, ref.r2, params)
+            for got, want in zip(face_bounds(*args), face_bounds_direct(*args)):
+                assert_same_bits(got, want)
+            mu_nom = nominal_mu(state, ref, gains)
+            assert_same_bits(mu_nom, nominal_mu_direct(state, ref, gains))
+            if k % 2:  # some nominal inputs exactly on a face
+                lower, upper = face_bounds_direct(*args)
+                on = rng.uniform(size=shape) < 0.3
+                mu_nom = np.where(on, np.where(rng.uniform(size=shape) < 0.5, lower, upper), mu_nom)
+            got = safe_step(state, ref, mu_nom, params, psi=0.2)
+            want = safe_step_direct(state, ref, mu_nom, params, psi=0.2)
+            for name in ("mu_nominal", "mu", "lower", "upper", "active", "barriers"):
+                assert_same_bits(getattr(got, name), getattr(want, name))
 
 
 class TestBarriers:
