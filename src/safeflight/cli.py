@@ -6,7 +6,9 @@ written in degrees there and converted on ingestion. A handful of
 scenarios ship inside the package and can be named directly (see
 `safeflight plan --list`). Exit codes: 0 success, 2 parse or validation
 error, 3 infeasible plan, 4 failed verification or tracking certificate,
-5 unexpected runtime failure. A plan that leaves the flatness map's domain
+5 unexpected runtime failure. A NaN or infinite number in a scenario's
+bounds, regions, waypoints, pins, windows or corridor is a validation
+error, named by its field. A plan that leaves the flatness map's domain
 (a free-fall sample with no thrust direction, a thrust axis along the yaw
 heading's normal, or a command that asks for inverted flight) fails
 verification: `verify`, `track` and `export` exit 4 on it. Only a solve
@@ -20,6 +22,7 @@ import argparse
 import dataclasses
 import importlib.resources
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -358,14 +361,33 @@ def load_scenario(source: str) -> ScenarioFile:
     return ScenarioFile(planning=planning, tracking=tracking, source=desc)
 
 
+# Sections whose every number must be finite: the bounds and their regions,
+# waypoints, pins, windows and corridor sets. A NaN compares false, so it
+# would pass the planner's range checks and reach the solve or the verifier.
+_PLANNING_NUMBERS = ("gravity", "bounds", "waypoints", "endpoints", "windows", "corridor")
+
+
+def _check_finite(value, path: tuple) -> None:
+    """Raise a ValueError naming the first non-finite number in value."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{'/'.join(map(str, path))} must be finite, got {value}")
+    elif isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _check_finite(item, path + (key,))
+
+
 def _planning_scenario(doc: dict, degree: int, tracking) -> PlanningScenario:
     """The planning problem of a schema-valid scenario document.
 
     Raises:
-        ValueError: for a value the planner's dataclasses reject, a missing
-            n, or a waypoint or window time outside the spline's [t0, tf]
-            (NaN included), named by its field.
+        ValueError: for a non-finite number in a planning section, a value
+            the planner's dataclasses reject, a missing n, or a waypoint or
+            window time outside the spline's [t0, tf], named by its field.
     """
+    for key in _PLANNING_NUMBERS:
+        if key in doc:
+            _check_finite(doc[key], (key,))
     spline = doc["spline"]
     corridor = None
     if "corridor" in doc:

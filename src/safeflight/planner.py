@@ -90,11 +90,17 @@ class SocSet:
         return self.A.shape[0] == 0 or not self.A.any()
 
     def margin(self, p: np.ndarray) -> np.ndarray:
-        """Signed slack c'p + d - ||Ap + b||; nonnegative inside. Batched."""
+        """Signed slack c'p + d - ||Ap + b||; nonnegative inside. Batched.
+
+        The squares of y = Ap + b are summed left to right, one column of y
+        at a time. For up to 7 rows of A that is np.linalg.norm(y, axis=-1)
+        bit for bit, without numpy's per-sample inner loop.
+        """
         p = np.asarray(p, dtype=float)
         lhs = 0.0
         if self.A.shape[0]:
-            lhs = np.linalg.norm(p @ self.A.T + self.b, axis=-1)
+            y = p @ self.A.T + self.b
+            lhs = np.sqrt(reduce(np.add, [y[..., j] * y[..., j] for j in range(y.shape[-1])]))
         return p @ self.c + self.d - lhs
 
 
@@ -173,13 +179,15 @@ class ConvexRegion:
         """Worst slack over the member cones; nonnegative inside. Batched.
 
         The half-spaces are evaluated together, as one product with their
-        stacked normals.
+        stacked normals, and reduced one column of that product at a time:
+        the minimum is exact, so this is .min(axis=-1) without numpy's
+        per-sample inner loop over the faces.
         """
         p = np.asarray(p, dtype=float)
         C, d, rest = self._split
         worst = [c.margin(p) for c in rest]
         if d.size:
-            worst.append((p @ C + d).min(axis=-1))
+            worst.append(reduce(np.minimum, (p @ C + d).T))
         return reduce(np.minimum, worst)
 
 

@@ -339,31 +339,44 @@ def verify_plan(
         m, wt = _worst(ts, region.margin(pos))
         checks.append(ConstraintCheck(f"region:{region.name or 'set'}", m, wt))
 
-    for k, wp in enumerate(waypoints):
-        err = float(np.linalg.norm(plan.curve.eval(wp.time) - wp.position))
+    # Each family of point checks takes one curve evaluation at all of its
+    # times, which gives every point the bits of its own evaluation.
+    waypoints = tuple(waypoints)
+    at_wps = plan.curve.eval([wp.time for wp in waypoints], 0)
+    for k, (wp, p) in enumerate(zip(waypoints, at_wps)):
+        err = float(np.linalg.norm(p - wp.position))
         checks.append(
             ConstraintCheck(f"waypoint[{k}]", wp.radius - err, wp.time, f"err {err:.5f}")
         )
 
-    if pins is not None:
-        for t_m, values, side in ((kv.t0, pins.initial, "start"), (kv.tf, pins.final, "end")):
+    if pins is not None and (pins.initial or pins.final):
+        orders = range(max(len(pins.initial), len(pins.final)))
+        at_pins = plan.curve.eval([kv.t0, kv.tf], orders)
+        for i, (t_m, values, side) in enumerate(
+            ((kv.t0, pins.initial, "start"), (kv.tf, pins.final, "end"))
+        ):
             for r, value in enumerate(values):
-                err = float(np.abs(plan.curve.eval(t_m, r) - value).max())
+                err = float(np.abs(at_pins[r][i] - value).max())
                 checks.append(ConstraintCheck(f"pin:{side}[r{r}]", -err, t_m, f"err {err:.2e}"))
 
-    for k, ic in enumerate(intervals):
+    intervals = tuple(intervals)
+    if intervals:
         # The window's ends, clipped to the plan, bracket its grid samples,
         # so a window narrower than the grid spacing is still checked.
-        ends = np.clip([ic.t_start, ic.t_end], kv.t0, kv.tf)
+        ends = np.clip([[ic.t_start, ic.t_end] for ic in intervals], kv.t0, kv.tf)
+        end_pos, end_vel = (
+            v.reshape(len(intervals), 2, -1) for v in plan.curve.eval(ends.ravel(), (0, 1))
+        )
+    for k, ic in enumerate(intervals):
         inside = (ts >= ic.t_start) & (ts <= ic.t_end)
         if ic.kind == "position":
-            at_ends = ic.region.margin(plan.curve.eval(ends, 0))
+            at_ends = ic.region.margin(end_pos[k])
             margins = ic.region.margin(pos[inside])
         else:
-            at_ends = ic.bound - np.linalg.norm(plan.curve.eval(ends, 1), axis=1)
+            at_ends = ic.bound - np.linalg.norm(end_vel[k], axis=1)
             margins = ic.bound - speed[inside]
         m, wt = _worst(
-            np.concatenate((ends[:1], ts[inside], ends[1:])),
+            np.concatenate((ends[k, :1], ts[inside], ends[k, 1:])),
             np.concatenate((at_ends[:1], margins, at_ends[1:])),
         )
         checks.append(ConstraintCheck(f"window[{k}]:{ic.kind}", m, wt))

@@ -35,6 +35,15 @@ The export command's samples CSV has a per-row writer here, csv.writer
 over one formatted list per sample with each speed from its own
 np.linalg.norm call; the package's writer must produce the same bytes.
 
+The membership margins have their direct forms: soc_margin_direct takes
+the norm with np.linalg.norm along the last axis and region_margin_direct
+the half-space minimum with .min(axis=-1), and the package's column-wise
+kernels must match them bit for bit. verify_plan_per_point is the dense
+verifier as it was before its point checks were batched: one curve
+evaluation per waypoint, per pin and per window, with the direct region
+margins. The package's report must equal it in every name, margin, worst
+time and detail.
+
 The closed loop has a per-tick reference too: the simulation loop as it
 was before the trace moved to one batched controller call after the loop,
 recording each tick's whole command as it goes.
@@ -52,6 +61,7 @@ rows, nonzero pattern and right-hand side.
 
 import csv
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -68,7 +78,13 @@ from safeflight.planner import (
     PlanningScenario,
     compile_tracking_margins,
 )
-from safeflight.simverify import SimTrace, span_samples
+from safeflight.simverify import (
+    ConstraintCheck,
+    ConstraintReport,
+    SimTrace,
+    _worst,
+    span_samples,
+)
 from safeflight.splines import KnotVector, basis_matrix, clamped_uniform_knots
 from safeflight.tracker import (
     CbfParams,
@@ -403,6 +419,98 @@ def export_csv_per_row(pl, samples_per_span: int, path) -> None:
                 + [np.rad2deg(p_rate[i]), np.rad2deg(q_rate[i]), zeta[i]]
             )
             writer.writerow([f"{v:.12g}" for v in row])
+
+
+def soc_margin_direct(cone, p):
+    """SocSet.margin with the norm taken by np.linalg.norm along the last axis."""
+    p = np.asarray(p, dtype=float)
+    lhs = 0.0
+    if cone.A.shape[0]:
+        lhs = np.linalg.norm(p @ cone.A.T + cone.b, axis=-1)
+    return p @ cone.c + cone.d - lhs
+
+
+def region_margin_direct(region, p):
+    """ConvexRegion.margin with the half-space minimum taken by .min(axis=-1)."""
+    p = np.asarray(p, dtype=float)
+    C, d, rest = region._split
+    worst = [soc_margin_direct(c, p) for c in rest]
+    if d.size:
+        worst.append((p @ C + d).min(axis=-1))
+    return reduce(np.minimum, worst)
+
+
+def verify_plan_per_point(
+    plan, bounds, waypoints=(), pins=None, intervals=(), corridor=None, samples_per_span=300
+):
+    """verify_plan with one curve evaluation per point check and the direct margins."""
+    kv = plan.curve.knots
+    g = plan.gravity
+    ts = span_samples(plan, samples_per_span)
+    pos, vel, acc, jerk = plan.curve.eval(ts, (0, 1, 2, 3))
+    thrust, phi, theta, p_rate, q_rate = tilt_thrust_rates(acc, jerk, g)
+
+    checks = []
+
+    speed = np.linalg.norm(vel, axis=1)
+    m, wt = _worst(ts, bounds.v_max - speed)
+    checks.append(ConstraintCheck("speed", m, wt, f"max {speed.max():.4f} <= {bounds.v_max}"))
+
+    tilt = np.maximum(np.abs(phi), np.abs(theta))
+    m, wt = _worst(ts, bounds.tilt_max - tilt)
+    checks.append(ConstraintCheck("tilt", m, wt, f"max {np.rad2deg(tilt.max()):.3f} deg"))
+
+    m, wt = _worst(ts, bounds.thrust_max - thrust)
+    checks.append(ConstraintCheck("thrust-upper", m, wt, f"max {thrust.max():.4f}"))
+    m, wt = _worst(ts, thrust - bounds.thrust_min)
+    checks.append(ConstraintCheck("thrust-lower", m, wt, f"min {thrust.min():.4f}"))
+
+    rate = np.maximum(np.abs(p_rate), np.abs(q_rate))
+    m, wt = _worst(ts, bounds.omega_max - rate)
+    checks.append(ConstraintCheck("body-rate", m, wt, f"max {np.rad2deg(rate.max()):.4f} deg/s"))
+
+    for region in bounds.regions:
+        m, wt = _worst(ts, region_margin_direct(region, pos))
+        checks.append(ConstraintCheck(f"region:{region.name or 'set'}", m, wt))
+
+    for k, wp in enumerate(waypoints):
+        err = float(np.linalg.norm(plan.curve.eval(wp.time) - wp.position))
+        checks.append(
+            ConstraintCheck(f"waypoint[{k}]", wp.radius - err, wp.time, f"err {err:.5f}")
+        )
+
+    if pins is not None:
+        for t_m, values, side in ((kv.t0, pins.initial, "start"), (kv.tf, pins.final, "end")):
+            for r, value in enumerate(values):
+                err = float(np.abs(plan.curve.eval(t_m, r) - value).max())
+                checks.append(ConstraintCheck(f"pin:{side}[r{r}]", -err, t_m, f"err {err:.2e}"))
+
+    for k, ic in enumerate(intervals):
+        ends = np.clip([ic.t_start, ic.t_end], kv.t0, kv.tf)
+        inside = (ts >= ic.t_start) & (ts <= ic.t_end)
+        if ic.kind == "position":
+            at_ends = region_margin_direct(ic.region, plan.curve.eval(ends, 0))
+            margins = region_margin_direct(ic.region, pos[inside])
+        else:
+            at_ends = ic.bound - np.linalg.norm(plan.curve.eval(ends, 1), axis=1)
+            margins = ic.bound - speed[inside]
+        m, wt = _worst(
+            np.concatenate((ends[:1], ts[inside], ends[1:])),
+            np.concatenate((at_ends[:1], margins, at_ends[1:])),
+        )
+        checks.append(ConstraintCheck(f"window[{k}]:{ic.kind}", m, wt))
+
+    if corridor is not None:
+        regions = tuple(corridor)
+        spans = kv.degree + np.arange(len(regions))
+        seg = np.linspace(kv.tau[spans], kv.tau[spans + 1], samples_per_span, axis=1)
+        seg_pos = plan.curve.eval(seg.ravel(), 0)
+        for l, region in enumerate(regions, start=1):
+            rows = slice((l - 1) * samples_per_span, l * samples_per_span)
+            m, wt = _worst(seg[l - 1], region_margin_direct(region, seg_pos[rows]))
+            checks.append(ConstraintCheck(f"corridor[{l}]:{region.name or 'set'}", m, wt))
+
+    return ConstraintReport(checks=tuple(checks), samples=ts.size)
 
 
 def dense_derivative_matrix(knots: KnotVector, r: int) -> np.ndarray:

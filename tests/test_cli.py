@@ -429,6 +429,77 @@ class TestScenarioTimes:
         assert "unexpected error" not in err
 
 
+def every_planning_shape():
+    """The hover scenario with a waypoint, both window kinds, one region of
+    every shape and a corridor, all finite and containing the hover point."""
+    doc = hover_dict()
+    box = {"box": {"lo": [-1.0, -1.0, 0.0], "hi": [1.0, 1.0, 1.0]}}
+    doc["bounds"]["regions"] = [
+        box,
+        {"ball": {"center": [0.0, 0.0, 0.5], "radius": 1.0}},
+        {"ellipsoid": {"A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "b": [0.0, 0.0, -0.5]}},
+        {"halfspace": {"normal": [0.0, 0.0, 1.0], "offset": 2.0}},
+    ]
+    doc["gravity"] = GRAVITY
+    doc["waypoints"] = [{"position": [0.0, 0.0, 0.5], "time": 5.0, "radius": 0.1}]
+    doc["windows"] = [
+        {"t_start": 2.0, "t_end": 4.0, "kind": "speed", "bound": 1.0},
+        {"t_start": 2.0, "t_end": 4.0, "kind": "position", "region": copy.deepcopy(box)},
+    ]
+    doc["corridor"] = [copy.deepcopy(box) for _ in range(8)]  # n = 8 + degree - 1
+    return doc
+
+
+class TestNonFinitePlanning:
+    # A NaN or infinite planning number exits 2 naming its field, before any
+    # planning starts: past load, a NaN bound makes the solve fail (exit 3)
+    # or a verified margin NaN (exit 4), and an infinite radius verifies.
+    NAN, INF = float("nan"), float("inf")
+    CASES = [
+        (("bounds", "v_max"), NAN),
+        (("bounds", "tilt_max_deg"), INF),
+        (("bounds", "thrust_min"), -INF),
+        (("bounds", "thrust_max"), NAN),
+        (("bounds", "omega_max_deg_s"), INF),
+        (("gravity",), NAN),
+        (("endpoints", "initial", 0, 2), NAN),
+        (("endpoints", "final", 1, 0), INF),
+        (("waypoints", 0, "position", 1), NAN),
+        (("waypoints", 0, "radius"), INF),
+        (("bounds", "regions", 0, "box", "lo", 0), NAN),
+        (("bounds", "regions", 0, "box", "hi", 2), INF),
+        (("bounds", "regions", 1, "ball", "center", 0), NAN),
+        (("bounds", "regions", 1, "ball", "radius"), INF),
+        (("bounds", "regions", 2, "ellipsoid", "A", 1, 1), NAN),
+        (("bounds", "regions", 2, "ellipsoid", "b", 2), -INF),
+        (("bounds", "regions", 3, "halfspace", "normal", 2), NAN),
+        (("bounds", "regions", 3, "halfspace", "offset"), INF),
+        (("windows", 0, "bound"), NAN),
+        (("windows", 1, "region", "box", "lo", 1), NAN),
+        (("corridor", 4, "box", "hi", 0), INF),
+    ]
+
+    def test_the_finite_document_loads(self, tmp_path):
+        sf = load_scenario(write_scenario(tmp_path, every_planning_shape()))
+        assert len(sf.planning.bounds.regions) == 4 and len(sf.planning.corridor) == 8
+
+    @pytest.mark.parametrize("command", ["plan", "verify"])
+    @pytest.mark.parametrize("path,value", CASES)
+    def test_exits_parse_naming_the_field(self, tmp_path, capsys, hover_plan, command, path, value):
+        doc = every_planning_shape()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        argv = [command, "--scenario", write_scenario(tmp_path, doc)]
+        if command == "verify":
+            argv += ["--plan", write_plan(tmp_path, hover_plan)]
+        assert main(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"{'/'.join(map(str, path))} must be finite, got {value}" in err
+        assert "unexpected error" not in err
+
+
 class TestBadTracking:
     # Each bad tracking value exits 2 on every command, naming its field,
     # before any planning starts.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import dense_compile_plan, dense_snap_gram
+from oracles import dense_compile_plan, dense_snap_gram, region_margin_direct, soc_margin_direct
 from safeflight.cli import bundled_scenarios, load_scenario
 from safeflight.planner import (
     ConvexRegion,
@@ -25,6 +25,7 @@ from safeflight.planner import (
     interval_window_columns,
     plan,
 )
+from safeflight.simverify import span_samples
 from safeflight.socp import ConeProgram
 from safeflight.splines import clamped_uniform_knots, snap_gram
 from safeflight.tracker import CbfParams
@@ -129,6 +130,83 @@ class TestRegions:
             slack = (b - A @ ctrl.ravel()).reshape(7, 2)  # rows point by point
             want = np.column_stack([cone.margin(ctrl.T) for cone in cones])
             assert_allclose(slack, want, rtol=0.0, atol=1e-13)
+
+
+def scenario_regions(planning) -> list[ConvexRegion]:
+    """Every region of a scenario: global regions, corridor sets and window regions."""
+    windows = [ic.region for ic in planning.intervals if ic.region is not None]
+    return list(planning.bounds.regions) + list(planning.corridor or ()) + windows
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestMarginKernels:
+    # The column-wise kernels against their direct forms, .min(axis=-1) and
+    # np.linalg.norm(axis=-1), compared as bytes.
+    SHAPES = (
+        ConvexRegion.box([-1.0, -2.0, 0.0], [3.0, 1.0, 2.5], "box"),
+        ConvexRegion.ball([0.5, -0.2, 1.0], 1.7, "ball"),
+        ConvexRegion.ellipsoid([[0.7, 0.1, 0.0], [0.0, 1.3, 0.2], [0.3, 0.0, 0.9]], [0.1, 0.2, -0.3]),
+        ConvexRegion.halfspace([0.3, -0.4, 0.5], 0.7, "halfspace"),
+        ConvexRegion(
+            ConvexRegion.box([0.0, 0.0, 0.0], [4.0, 2.0, 2.0]).cones
+            + ConvexRegion.ball([1.0, 1.0, 1.0], 1.5).cones
+            + ConvexRegion.halfspace([0.3, -0.4, 0.5], 0.7).cones,
+            "mixed",
+        ),
+    )
+
+    @staticmethod
+    def assert_matches_direct(region, p):
+        assert_same_bits(region.margin(p), region_margin_direct(region, p))
+        for cone in region.cones:
+            assert_same_bits(cone.margin(p), soc_margin_direct(cone, p))
+
+    @pytest.mark.parametrize("name", bundled_scenarios())
+    def test_bundled_regions_at_the_verify_grid(self, bundled_plan, name):
+        pl = bundled_plan(name)
+        pos = pl.curve.eval(span_samples(pl, 300), 0)
+        for region in scenario_regions(load_scenario(name).planning):
+            self.assert_matches_direct(region, pos)
+
+    def test_bundled_scenarios_cover_boxes_and_ellipsoids(self):
+        rows = {
+            cone.A.shape[0]
+            for name in bundled_scenarios()
+            for region in scenario_regions(load_scenario(name).planning)
+            for cone in region.cones
+        }
+        assert rows == {0, 3}
+
+    @pytest.mark.parametrize("region", SHAPES, ids=lambda r: r.name or "ellipsoid")
+    def test_every_shape_on_points_single_points_and_empty_batches(self, rng, region):
+        pts = rng.uniform(-3.0, 5.0, size=(2000, 3))
+        self.assert_matches_direct(region, pts)
+        single = region.margin(pts[11])
+        assert type(single) is np.float64
+        assert_same_bits(single, region_margin_direct(region, pts[11]))
+        empty = region.margin(np.zeros((0, 3)))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+
+    @pytest.mark.parametrize("rows", range(1, 8))
+    def test_norm_matches_for_up_to_seven_rows(self, rng, rows):
+        cone = SocSet(rng.normal(size=(rows, 3)), rng.normal(size=rows), rng.normal(size=3), 2.0)
+        pts = rng.normal(scale=10.0, size=(3000, 3))
+        assert_same_bits(cone.margin(pts), soc_margin_direct(cone, pts))
+
+    def test_squares_are_summed_left_to_right(self, rng):
+        # Summed right to left, s0 + (s1 + s2), the norm loses bits that
+        # np.linalg.norm keeps; the kernel must keep them too.
+        ball = ConvexRegion.ball(np.zeros(3), 1.0)
+        pts = rng.normal(size=(5000, 3)) * 10.0 ** rng.uniform(-4, 4, size=(5000, 1))
+        sq = pts * pts
+        right_to_left = 1.0 - np.sqrt(sq[:, 0] + (sq[:, 1] + sq[:, 2]))
+        assert right_to_left.tobytes() != soc_margin_direct(ball.cones[0], pts).tobytes()
+        assert_same_bits(ball.margin(pts), soc_margin_direct(ball.cones[0], pts))
 
 
 class TestIntervalWindows:

@@ -7,10 +7,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import direct_controller, simulate_per_tick
+from oracles import direct_controller, simulate_per_tick, verify_plan_per_point
 from safeflight.cli import bundled_scenarios, load_scenario
 from safeflight.flatness import InvertedFlightError
-from safeflight.planner import ConvexRegion, EndpointPins, IntervalConstraint, Waypoint, plan
+from safeflight.planner import (
+    ConvexRegion,
+    EndpointPins,
+    IntervalConstraint,
+    TrajectoryPlan,
+    Waypoint,
+    plan,
+)
 from safeflight.simverify import (
     SimConfig,
     SimTrace,
@@ -458,12 +465,52 @@ class TestVerifyPlan:
         assert check.margin == margins.min()
         assert check.worst_t == ends[np.argmin(margins)]
 
+    @pytest.mark.parametrize("name", bundled_scenarios())
+    @pytest.mark.parametrize("jitter", [0.0, 0.05])
+    def test_matches_the_per_point_oracle_bitwise(self, bundled_plan, name, jitter):
+        # The solved plan, and the same plan with its control points moved so
+        # that the point checks and the windows report nonzero errors.
+        sc = load_scenario(name).planning
+        doc = bundled_plan(name).to_dict()
+        ctrl = np.asarray(doc["control_points"])
+        doc["control_points"] = ctrl + jitter * np.random.default_rng(3).normal(size=ctrl.shape)
+        pl = TrajectoryPlan.from_dict(doc)
+        args = (pl, sc.bounds, sc.waypoints, sc.pins, sc.intervals, sc.corridor, 300)
+        got, want = verify_plan(*args), verify_plan_per_point(*args)
+        assert got.samples == want.samples
+        assert report_bits(got) == report_bits(want)
+
+    def test_speed_windows_and_reordered_times_match_the_oracle(self, example1_plan):
+        # Windows of both kinds, out of time order and past the plan's ends,
+        # and waypoints out of time order: one evaluation per family still
+        # gives every point the bits of its own evaluation.
+        pl = example1_plan
+        kv = pl.curve.knots
+        ball = ConvexRegion.ball(pl.curve.eval(2.0), 0.5, name="near")
+        intervals = (
+            IntervalConstraint(5.0, 7.5, "speed", bound=0.4),
+            IntervalConstraint(kv.t0 - 1.0, 2.5, "position", region=ball),
+            IntervalConstraint(2.001, 2.002, "speed", bound=0.5),
+            IntervalConstraint(6.0, kv.tf + 1.0, "position", region=ball),
+        )
+        waypoints = tuple(
+            Waypoint(pl.curve.eval(t) + 0.01, t, 0.02) for t in (7.0, 1.0, kv.tf, kv.t0, 3.3)
+        )
+        pins = EndpointPins(initial=(np.ones(3), np.zeros(3)), final=(np.zeros(3),) * 4)
+        args = (pl, small_bounds_for(pl), waypoints, pins, intervals, None, 3)
+        assert report_bits(verify_plan(*args)) == report_bits(verify_plan_per_point(*args))
+
     def test_waypoint_margin_is_radius_minus_error(self, hover_plan):
         wp = Waypoint(position=[0.0, 0.0, 0.45], time=5.0, radius=0.08)
         report = verify_plan(hover_plan, small_bounds_for(hover_plan), waypoints=(wp,))
         check = [c for c in report.checks if c.name == "waypoint[0]"][0]
         assert check.margin == pytest.approx(0.08 - 0.05, abs=1e-8)
         assert check.worst_t == 5.0
+
+
+def report_bits(report):
+    """Every check of a report with its floats as exact hex strings."""
+    return [(c.name, c.margin.hex(), c.worst_t.hex(), c.detail) for c in report.checks]
 
 
 def small_bounds_for(plan):
