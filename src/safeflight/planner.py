@@ -62,6 +62,14 @@ class MarginInfeasibleError(ValueError):
 # --------------------------------------------------------------------- regions
 
 
+def _finite(name: str, value) -> np.ndarray:
+    """value as a float array; ValueError naming the field if any entry is NaN or infinite."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {arr.tolist()}")
+    return arr
+
+
 @dataclass(frozen=True)
 class SocSet:
     """One membership constraint ||A p + b|| <= c' p + d on a point p in R^3.
@@ -113,8 +121,8 @@ class ConvexRegion:
 
     @staticmethod
     def box(lo, hi, name: str = "box") -> "ConvexRegion":
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+        lo = _finite("box lo", lo)
+        hi = _finite("box hi", hi)
         if np.any(hi <= lo):
             raise ValueError(f"box bounds must satisfy lo < hi, got {lo} {hi}")
         empty = np.zeros((0, 3))
@@ -128,21 +136,23 @@ class ConvexRegion:
 
     @staticmethod
     def ball(center, radius: float, name: str = "ball") -> "ConvexRegion":
-        if radius <= 0:
+        c = _finite("ball center", center)
+        if _finite("ball radius", radius) <= 0:
             raise ValueError("ball radius must be positive")
-        c = np.asarray(center, dtype=float)
         return ConvexRegion((SocSet(np.eye(3), -c, np.zeros(3), float(radius)),), name)
 
     @staticmethod
     def ellipsoid(A, b, name: str = "ellipsoid") -> "ConvexRegion":
         """Region ||A p + b|| <= 1."""
+        A, b = _finite("ellipsoid A", A), _finite("ellipsoid b", b)
         return ConvexRegion((SocSet(A, b, np.zeros(3), 1.0),), name)
 
     @staticmethod
     def halfspace(normal, offset: float, name: str = "halfspace") -> "ConvexRegion":
         """Region normal' p <= offset."""
-        a = np.asarray(normal, dtype=float)
-        return ConvexRegion((SocSet(np.zeros((0, 3)), np.zeros(0), -a, float(offset)),), name)
+        a = _finite("halfspace normal", normal)
+        offset = float(_finite("halfspace offset", offset))
+        return ConvexRegion((SocSet(np.zeros((0, 3)), np.zeros(0), -a, offset),), name)
 
     @cached_property
     def _split(self) -> tuple[np.ndarray, np.ndarray, tuple[SocSet, ...]]:
@@ -213,6 +223,8 @@ class SafetyBounds:
     tilt_margin: float = 0.0
 
     def __post_init__(self):
+        for name in ("v_max", "tilt_max", "thrust_min", "thrust_max", "omega_max", "tilt_margin"):
+            _finite(name, getattr(self, name))
         if self.v_max <= 0:
             raise ValueError("v_max must be positive")
         if not 0.0 < self.tilt_max <= np.pi / 2:
@@ -234,8 +246,9 @@ class Waypoint:
     radius: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(3))
-        if self.radius < 0:
+        object.__setattr__(self, "position", _finite("waypoint position", self.position).reshape(3))
+        _finite("waypoint time", self.time)
+        if _finite("waypoint radius", self.radius) < 0:
             raise ValueError("waypoint radius must be nonnegative")
 
 

@@ -37,8 +37,9 @@ class SimConfig:
     The command is held constant between control ticks, across which the
     state takes the exact double-integrator step; `substeps` (validated >= 1)
     no longer affects the result. A duration, when given, must be finite and
-    cover at least one tick. If initial_state is None the run starts on the
-    reference, shifted by the two offsets.
+    cover at least one tick. initial_state, when given, must hold two
+    finite (3,) vectors; if it is None the run starts on the reference,
+    shifted by the two offsets.
     """
 
     control_rate: float = 100.0
@@ -65,6 +66,16 @@ class SimConfig:
             if not np.isfinite(value).all():
                 raise ValueError(f"{attr} must be finite, got {value.tolist()}")
             object.__setattr__(self, attr, value)
+        if self.initial_state is not None:
+            fields = []
+            for name in ("r", "r1"):
+                value = np.asarray(getattr(self.initial_state, name), dtype=float)
+                if value.shape != (3,) or not np.isfinite(value).all():
+                    raise ValueError(
+                        f"initial_state.{name} must be finite with shape (3,), got {value.tolist()}"
+                    )
+                fields.append(value)
+            object.__setattr__(self, "initial_state", TrackingState(*fields))
 
 
 @dataclass(frozen=True)
@@ -187,12 +198,16 @@ def simulate(
     be a pure function of (t, state, ref), batched over leading axes: with
     a scalar t and (3,) fields it commands one tick, with the (M,) grid and
     (M, 3) fields the whole run, row by row. Each tick calls it once and
-    reads only `.mu`. The command computed at tick i acts on [t_i, t_{i+1}),
-    where the state takes the exact zero-order-hold step; the recorded
-    state is the one the controller saw at t_i. One more call after the
-    loop, on every recorded state at once, supplies mu_nominal, mu, the
-    reduced input (v), barriers and active faces for the trace; an
-    InvertedFlightError raised there leaves simulate.
+    reads only `.mu`, a (3,) array. The command computed at tick i acts on
+    [t_i, t_{i+1}), where the state takes the exact zero-order-hold step
+    r + r1*h + 0.5*mu*h*h, r1 + mu*h, evaluated left to right; the
+    recorded state is the one the controller saw at t_i. Between ticks the
+    state is carried as Python floats, stepped per axis, and handed to the
+    controller as fresh (3,) arrays; the trace's r and r1 are built once,
+    after the loop. One more call after the loop, on every recorded state
+    at once, supplies mu_nominal, mu, the reduced input (v), barriers and
+    active faces for the trace; an InvertedFlightError raised there leaves
+    simulate.
     """
     span = duration if duration is not None else cfg.duration
     M = int(round((span or 0.0) * cfg.control_rate))
@@ -208,19 +223,22 @@ def simulate(
     start = cfg.initial_state or TrackingState(
         r=ref_r[0] + cfg.initial_position_offset, r1=ref_r1[0] + cfg.initial_velocity_offset
     )
-    # Row M holds the state after the last tick, which the trace drops.
-    R, R1 = np.empty((M + 1, 3)), np.empty((M + 1, 3))
-    R[0], R1[0] = start.r, start.r1
-    # h and 1/2 as (3,) arrays: the same products, without a scalar
-    # conversion in every ufunc call.
-    hv, half = np.full(3, h), np.full(3, 0.5)
-    for i in range(M):
-        r, r1 = R[i], R1[i]
-        mu = controller(ts[i], TrackingState(r, r1), ReferencePoint(ref_r[i], ref_r1[i], ref_r2[i])).mu
-        R[i + 1] = r + r1 * hv + half * mu * hv * hv
-        R1[i + 1] = r1 + mu * hv
+    q, q1 = start.r.tolist(), start.r1.tolist()
+    rows, rows1 = [], []
+    for t, p, p1, p2 in zip(ts, ref_r, ref_r1, ref_r2):
+        rows.append(q)
+        rows1.append(q1)
+        state = TrackingState(np.array(q), np.array(q1))
+        mu = controller(t, state, ReferencePoint(p, p1, p2)).mu.tolist()
+        (x, y, z), (vx, vy, vz), (ax, ay, az) = q, q1, mu
+        q = [
+            x + vx * h + 0.5 * ax * h * h,
+            y + vy * h + 0.5 * ay * h * h,
+            z + vz * h + 0.5 * az * h * h,
+        ]
+        q1 = [vx + ax * h, vy + ay * h, vz + az * h]
 
-    R, R1 = R[:M], R1[:M]
+    R, R1 = np.array(rows), np.array(rows1)
     cmd = controller(ts, TrackingState(R, R1), ReferencePoint(ref_r, ref_r1, ref_r2))
     v = cmd.v
     return SimTrace(

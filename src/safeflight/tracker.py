@@ -85,6 +85,7 @@ class ReferencePoint(NamedTuple):
 
 
 _SIDES = np.array([1.0, -1.0])  # upper face, then lower face, of each axis
+_FLOAT = np.dtype(float)
 
 
 def face_bounds(r, r1, ref_r, ref_r1, ref_r2, params: CbfParams) -> tuple[np.ndarray, np.ndarray]:
@@ -196,11 +197,14 @@ class SafetyFilter:
 
     nominal_mu, face_bounds and safe_step build one per call; a controller
     builds one and calls it every tick. kp, kd, a1, a2 and a2 * delta are
-    held as (3,) arrays, one entry per axis, so that a call on (3,) states
-    converts no Python scalar in its ufuncs; they broadcast over any leading
-    axes. Without gains the filter clamps only a given nominal input;
-    without params it computes only the nominal one, through inputs, and
-    cannot be called.
+    held as plain floats. A call on one tick, where every state and
+    reference field and any given mu_nominal is a (3,) float64 array, runs
+    per axis in Python floats and returns fresh (3,) arrays; any other call,
+    a batch over leading axes included, runs as array code. The input's
+    shape alone selects the path, and both take the same operations in the
+    same order, so they agree bit for bit. Without gains the filter clamps
+    only a given nominal input; without params it computes only the
+    nominal one, through inputs, and cannot be called.
     """
 
     def __init__(
@@ -213,10 +217,10 @@ class SafetyFilter:
         self.params, self.psi, self.g = params, psi, g
         self.kp = self.kd = self.a1 = self.a2 = self.half = None
         if gains is not None:
-            self.kp, self.kd = np.full(3, gains.kp), np.full(3, gains.kd)
+            self.kp, self.kd = float(gains.kp), float(gains.kd)
         if params is not None:
-            self.a1, self.a2 = np.full(3, params.a1), np.full(3, params.a2)
-            self.half = np.full(3, params.a2 * params.delta)
+            self.a1, self.a2 = float(params.a1), float(params.a2)
+            self.half = float(params.a2 * params.delta)
 
     def inputs(
         self, state: TrackingState, ref: ReferencePoint, mu_nominal: np.ndarray | None = None
@@ -231,6 +235,10 @@ class SafetyFilter:
         x - (-y) = x + y are exact. Only the sign of a zero centre can
         differ, and adding or subtracting a2 * delta > 0 removes it.
         """
+        tick = self._tick(state, ref, mu_nominal)
+        if tick is not None:
+            mu_nominal, _, lower, upper = tick
+            return tuple(None if x is None else np.array(x) for x in (mu_nominal, lower, upper))
         dr = ref.r - state.r
         dv = ref.r1 - state.r1
         if mu_nominal is None and self.kp is not None:
@@ -244,9 +252,56 @@ class SafetyFilter:
         self, state: TrackingState, ref: ReferencePoint, mu_nominal: np.ndarray | None = None
     ) -> SafeCommand:
         """The filtered command: mu_nominal, or the PD law, clamped per axis to the box."""
-        mu_nominal, lower, upper = self.inputs(state, ref, mu_nominal)
-        mu = np.minimum(np.maximum(mu_nominal, lower), upper)
+        tick = self._tick(state, ref, mu_nominal)
+        if tick is not None and tick[1] is not None:
+            mu_nominal, mu, lower, upper = [np.array(x) for x in tick]
+        else:
+            mu_nominal, lower, upper = self.inputs(state, ref, mu_nominal)
+            mu = np.minimum(np.maximum(mu_nominal, lower), upper)
         return SafeCommand(mu_nominal, mu, state, ref, self.params, self.psi, self.g, lower, upper)
+
+    def _tick(self, state, ref, mu_nominal) -> tuple[list | None, ...] | None:
+        """(mu_nominal, mu, lower, upper) of one tick as lists of three floats.
+
+        None unless every field, and mu_nominal if given, is a (3,) float64
+        array. An entry is None where inputs() gives None, and mu is None
+        unless there are both a nominal input and a box. Each axis takes the
+        array code's operations in its order: (r2 + kp dr) + kd dv, then
+        (r2 + a1 dv) + a2 dr, then base -/+ a2 delta, then the clamp.
+        """
+        fields = (*state, *ref) if mu_nominal is None else (*state, *ref, mu_nominal)
+        for f in fields:
+            if type(f) is not np.ndarray or f.dtype is not _FLOAT or f.shape != (3,):
+                return None
+        (x, y, z), (vx, vy, vz), (px, py, pz), (ux, uy, uz), (ax, ay, az), *given = [
+            f.tolist() for f in fields
+        ]
+        drx, dry, drz = px - x, py - y, pz - z
+        dvx, dvy, dvz = ux - vx, uy - vy, uz - vz
+        kp, kd, a1, a2, half = self.kp, self.kd, self.a1, self.a2, self.half
+        if given:
+            nominal = given[0]
+        elif kp is not None:
+            nominal = [ax + kp * drx + kd * dvx, ay + kp * dry + kd * dvy, az + kp * drz + kd * dvz]
+        else:
+            nominal = None
+        if a1 is None:
+            return nominal, None, None, None
+        bx, by, bz = ax + a1 * dvx + a2 * drx, ay + a1 * dvy + a2 * dry, az + a1 * dvz + a2 * drz
+        lower, upper = [bx - half, by - half, bz - half], [bx + half, by + half, bz + half]
+        mu = None if nominal is None else list(map(_clamp, nominal, lower, upper))
+        return nominal, mu, lower, upper
+
+
+def _clamp(x: float, lower: float, upper: float) -> float:
+    """np.minimum(np.maximum(x, lower), upper) on floats, bit for bit.
+
+    Both numpy functions return a NaN first argument, and otherwise the
+    second argument unless the first lies strictly beyond it: NaN
+    propagates, and x = -0.0 against a 0.0 bound gives the bound's 0.0.
+    """
+    x = x if (x > lower or x != x) else lower
+    return x if (x < upper or x != x) else upper
 
 
 @dataclass(frozen=True)

@@ -337,6 +337,35 @@ class TestValidation:
         with pytest.raises(ValueError):
             Waypoint(position=[0, 0, 0], time=1.0, radius=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["v_max", "tilt_max", "thrust_min", "thrust_max", "omega_max", "tilt_margin"]
+    )
+    def test_safety_bounds_reject_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            small_bounds(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("box lo", lambda v: ConvexRegion.box([v, 0, 0], [1, 1, 1])),
+            ("box hi", lambda v: ConvexRegion.box([0, 0, 0], [1, v, 1])),
+            ("ball center", lambda v: ConvexRegion.ball([0, 0, v], 1.0)),
+            ("ball radius", lambda v: ConvexRegion.ball([0, 0, 0], v)),
+            ("ellipsoid A", lambda v: ConvexRegion.ellipsoid([[1, 0, 0], [0, v, 0]], [0, 0])),
+            ("ellipsoid b", lambda v: ConvexRegion.ellipsoid(np.eye(3), [0, 0, v])),
+            ("halfspace normal", lambda v: ConvexRegion.halfspace([v, 0, 1], 1.0)),
+            ("halfspace offset", lambda v: ConvexRegion.halfspace([0, 0, 1], v)),
+            ("waypoint position", lambda v: Waypoint([0, 0, v], 1.0, float("inf"))),
+            ("waypoint time", lambda v: Waypoint([0, 0, 0], v, 0.1)),
+            ("waypoint radius", lambda v: Waypoint([0, 0, 0], 1.0, v)),
+        ],
+    )
+    def test_regions_and_waypoints_reject_non_finite(self, field, build, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            build(value)
+
     def test_interval_constraint(self):
         region = ConvexRegion.ball([0, 0, 0], 1.0)
         with pytest.raises(ValueError):

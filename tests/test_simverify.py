@@ -33,6 +33,7 @@ from safeflight.tracker import (
     CbfParams,
     PdGains,
     ReferencePoint,
+    SafeCommand,
     TrackingState,
     barrier_values,
     nominal_mu,
@@ -52,6 +53,22 @@ class TestSimConfig:
             SimConfig(control_rate=0.0)
         with pytest.raises(ValueError):
             SimConfig(substeps=0)
+        zero = np.zeros(3)
+        for r, r1, name in (
+            ([0.0, 0.0, np.nan], zero, "r"),
+            (zero, [np.inf, 0.0, 0.0], "r1"),
+            (zero, [0.0, -np.inf, 0.0], "r1"),
+            (np.zeros(4), zero, "r"),
+            (zero, np.zeros(2), "r1"),
+            (np.zeros((1, 3)), zero, "r"),
+            (0.0, zero, "r"),
+        ):
+            msg = rf"^initial_state\.{name} must be finite with shape \(3,\)"
+            with pytest.raises(ValueError, match=msg):
+                SimConfig(initial_state=TrackingState(r, r1))
+        cfg = SimConfig(initial_state=TrackingState([1, 2, 3], (0, 0, 0.5)))
+        for got, want in zip(cfg.initial_state, ([1.0, 2.0, 3.0], [0.0, 0.0, 0.5])):
+            assert got.dtype == np.float64 and got.tolist() == want
 
     def test_offsets_become_vectors(self):
         cfg = SimConfig(initial_position_offset=[0.1, 0.0, 0.0])
@@ -226,10 +243,10 @@ class TestPerTickOracle:
     @pytest.mark.parametrize("filtered", [True, False])
     @pytest.mark.parametrize("name", bundled_scenarios())
     def test_traces_match_the_direct_filter_bitwise(self, bundled_plan, name, filtered):
-        # The package filter forms each error difference once and holds its
-        # coefficients as (3,) arrays; the direct form, with scalar
-        # coefficients, must give the same trace: over a 0.5 s window from
-        # an offset start and over the whole tracking section.
+        # The package filter forms each error difference once and runs each
+        # tick in Python floats; the direct form, array code throughout,
+        # must give the same trace: over a 0.5 s window from an offset
+        # start and over the whole tracking section.
         sf = load_scenario(name)
         planning, tr = sf.planning, sf.tracking
         ref = plan_reference(bundled_plan(name))
@@ -249,6 +266,24 @@ class TestPerTickOracle:
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.dtype == b.dtype and a.shape == b.shape, field
                 assert a.tobytes() == b.tobytes(), field
+
+    @pytest.mark.parametrize("rate", [20.0, 100.0, 300.0])
+    def test_steps_from_rest_match_bitwise(self, rng, rate):
+        # From rest the first step is 0.5*mu*h*h and mu*h alone, so an
+        # evaluation order other than the array form's shows in the last bit.
+        def constant(mu0):
+            def controller(t, state, ref):
+                mu = np.broadcast_to(mu0, np.shape(state.r)).copy()
+                return SafeCommand(mu, mu, state, ref, PARAMS)
+
+            return controller
+
+        rest = SimConfig(control_rate=rate, initial_state=TrackingState(np.zeros(3), np.zeros(3)))
+        for mu0 in rng.uniform(-5.0, 5.0, (100, 3)):
+            args = (still_air, constant(mu0), rest, 0.0, 2.0 / rate)
+            got, want = simulate(*args), simulate_per_tick(*args)
+            for field in ("r", "r1"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
     def test_inverted_ticks_match_as_nan_rows(self):
         def dipping(t):

@@ -13,11 +13,13 @@ from oracles import (
 )
 
 from safeflight.flatness import attitude_from_virtual
+from safeflight.simverify import make_filtered_controller, make_unfiltered_controller
 from safeflight.socp import OPTIMAL, ConeProgram
 from safeflight.tracker import (
     CbfParams,
     PdGains,
     ReferencePoint,
+    SafeCommand,
     TrackingState,
     barrier_values,
     certificates,
@@ -224,9 +226,9 @@ def assert_same_bits(a, b):
 
 
 class TestDirectForm:
-    # The filter forms dr = ref.r - r and dv = ref.r1 - r1 once and holds its
-    # coefficients as (3,) arrays; the direct form, with scalar coefficients
-    # and the box centre ref_r2 - a1 (r1 - ref_r1) - a2 (r - ref_r), must give
+    # The filter forms dr = ref.r - r and dv = ref.r1 - r1 once, in Python
+    # floats on a (3,) tick and as arrays on a batch; the direct form, with
+    # the box centre ref_r2 - a1 (r1 - ref_r1) - a2 (r - ref_r), must give
     # the same bits, signs of zero included. Some rows have zero errors and a
     # -0.0 reference acceleration, where only the centre's zero sign differs.
     @pytest.mark.parametrize("shape", [(3,), (500, 3)])
@@ -256,6 +258,105 @@ class TestDirectForm:
             want = safe_step_direct(state, ref, mu_nom, params, psi=0.2)
             for name in ("mu_nominal", "mu", "lower", "upper", "active", "barriers"):
                 assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+def tick_rows(rng, K, params):
+    """K >= 40 rows of (r, r1, ref_r, ref_r1, ref_r2, mu_nominal), each field (K, 3).
+
+    The states lie near the reference. The first 40 rows are built to reach
+    the clamp's edge cases: signed zeros everywhere, bounds of exactly 0.0
+    with a nominal of -0.0 or 0.0 on them, nominals exactly on a face, and
+    NaN or infinities in the state, the reference and the nominal; the rest
+    are left as drawn. Every filtered command stays on the invertible
+    branch, so that cmd.v reads.
+    """
+    p, p1, p2 = rng.uniform(-2.0, 2.0, (3, K, 3))
+    r = p + rng.uniform(-0.1, 0.1, (K, 3))
+    r1 = p1 + rng.uniform(-0.2, 0.2, (K, 3))
+    nominal = p2 + rng.uniform(-3.0, 3.0, (K, 3))
+    half = params.a2 * params.delta
+    # Signed zeros: ref_r - r = -0.0 and a PD nominal of -0.0.
+    r[0:4], r1[0:4], p[0:4], p1[0:4], p2[0:4] = 0.0, 0.0, -0.0, -0.0, -0.0
+    nominal[0:4] = [[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0] * 3, [0.0] * 3]
+    # On the reference with r2 = +-a2 delta, one bound of each axis is 0.0.
+    r[4:8], r1[4:8] = p[4:8], p1[4:8]
+    p2[4:8] = [[half, -half, half], [-half, half, -half], [half] * 3, [-half] * 3]
+    nominal[4:8] = [[-0.0, 0.0, 0.0], [0.0, -0.0, -0.0], [0.0] * 3, [-0.0] * 3]
+    # Nominals exactly on a face, lower or upper per entry.
+    lower, upper = face_bounds_direct(r[8:16], r1[8:16], p[8:16], p1[8:16], p2[8:16], params)
+    nominal[8:16] = np.where(rng.uniform(size=(8, 3)) < 0.5, lower, upper)
+    # Non-finite entries; infinities only in x and y, where no row inverts.
+    nan, inf = np.nan, np.inf
+    for k, (field, axis, value) in enumerate(
+        (f, a, v)
+        for f in (r, r1, p, p1, p2, nominal)
+        for a, v in ((0, nan), (2, nan), (0, inf), (1, -inf))
+    ):
+        field[16 + k, axis] = value
+    return r, r1, p, p1, p2, nominal
+
+
+def command_bytes(cmd: SafeCommand, k: int | None = None) -> dict:
+    """Every output of a command as bytes: of row k of a batch, or of a whole (3,) command."""
+    v = cmd.v
+    out = dict(mu_nominal=cmd.mu_nominal, mu=cmd.mu, lower=cmd.lower, upper=cmd.upper)
+    if k is None:
+        for name, x in out.items():
+            assert x is None or (type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (3,))
+    out.update(barriers=cmd.barriers, active=cmd.active, thrust=v.thrust, phi=v.phi, theta=v.theta)
+    if k is not None:
+        out = {name: None if x is None else x[k] for name, x in out.items()}
+    return {name: None if x is None else np.asarray(x).tobytes() for name, x in out.items()}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in active
+class TestSingleTickPath:
+    # A call on one tick, every field a (3,) float64 array, runs in Python
+    # floats; a (K, 3) batch runs as array code. Each row of the batch must
+    # give the bits of the (3,) call on that row, NaN payloads and signs of
+    # zero included.
+    K = 60
+
+    @pytest.fixture(params=range(6))
+    def setting(self, request):
+        rng = np.random.default_rng([91, request.param])
+        a2 = rng.uniform(0.5, 10.0)
+        a1 = rng.uniform(2.0, 3.0) * a2**0.5  # real error poles: a1^2 >= 4 a2
+        params = CbfParams(delta=rng.uniform(0.01, 0.2), a1=a1, a2=a2)
+        gains = PdGains(kp=rng.uniform(0.0, 50.0), kd=rng.uniform(0.0, 20.0))
+        return params, gains, rng.uniform(-1.0, 1.0), tick_rows(rng, self.K, params)
+
+    @staticmethod
+    def split(rows, k=None):
+        r, r1, p, p1, p2, nominal = rows if k is None else (f[k] for f in rows)
+        return TrackingState(r, r1), ReferencePoint(p, p1, p2), nominal
+
+    @pytest.mark.parametrize("maker", [make_filtered_controller, make_unfiltered_controller])
+    def test_controllers(self, setting, maker):
+        params, gains, psi, rows = setting
+        controller = maker(params, gains, psi)
+        state, ref, _ = self.split(rows)
+        batch = controller(np.zeros(self.K), state, ref)
+        for k in range(self.K):
+            state, ref, _ = self.split(rows, k)
+            assert command_bytes(controller(0.1, state, ref)) == command_bytes(batch, k), k
+
+    def test_safe_step_with_a_given_nominal(self, setting):
+        params, _, psi, rows = setting
+        batch = safe_step(*self.split(rows), params, psi=psi)
+        for k in range(self.K):
+            got = safe_step(*self.split(rows, k), params, psi=psi)
+            assert command_bytes(got) == command_bytes(batch, k), k
+
+    def test_face_bounds_and_nominal_mu(self, setting):
+        params, gains, _, rows = setting
+        lower, upper = face_bounds(*rows[:5], params)
+        mu = nominal_mu(*self.split(rows)[:2], gains)
+        for k in range(self.K):
+            row = [f[k] for f in rows]
+            got = (*face_bounds(*row[:5], params), nominal_mu(*self.split(rows, k)[:2], gains))
+            for a, b in zip(got, (lower[k], upper[k], mu[k])):
+                assert_same_bits(a, b)
 
 
 class TestBarriers:
