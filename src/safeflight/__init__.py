@@ -15,7 +15,6 @@ The package splits into layers that mirror the pipeline:
 from .splines import (
     KnotVector,
     SplineCurve,
-    build_derivative_matrix,
     clamped_uniform_knots,
     derivative_control_points,
     snap_gram,
@@ -24,7 +23,6 @@ from .splines import (
 __all__ = [
     "KnotVector",
     "SplineCurve",
-    "build_derivative_matrix",
     "clamped_uniform_knots",
     "derivative_control_points",
     "snap_gram",

@@ -8,7 +8,10 @@ scenarios ship inside the package and can be named directly (see
 error, 3 infeasible plan, 4 failed verification or tracking certificate,
 5 unexpected runtime failure. A NaN or infinite number in a scenario's
 bounds, regions, waypoints, pins, windows or corridor is a validation
-error, named by its field. A plan that leaves the flatness map's domain
+error, named by its field, and so is a plan document that is malformed
+(not a plan-format object, a non-integer n or degree, a control-point array
+not 3 x (n + 1), an unknown zeta_mode or a zeta of the wrong length) or
+holds a non-finite number. A plan that leaves the flatness map's domain
 (a free-fall sample with no thrust direction, a thrust axis along the yaw
 heading's normal, or a command that asks for inverted flight) fails
 verification: `verify`, `track` and `export` exit 4 on it. Only a solve
@@ -61,7 +64,7 @@ from .simverify import (
     verify_span_minima,
 )
 from .socp import MAX_TOL
-from .tracker import CbfParams, PdGains, TrackingState, check_initial_conditions
+from .tracker import CbfParams, PdGains, ReferencePoint, TrackingState, check_initial_conditions
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -594,17 +597,15 @@ def cmd_track(args) -> int:
     else:
         pl = plan(dataclasses.replace(planning, solver_tol=_effective_tol(planning, args.tol)))
 
-    ref = plan_reference(pl)
-    start = ref(planning.t0)
-    state0 = TrackingState(
-        r=start.r + tr.sim.initial_position_offset,
-        r1=start.r1 + tr.sim.initial_velocity_offset,
-    )
-    ic = check_initial_conditions(state0, start, tr.cbf)
     maker = make_unfiltered_controller if args.no_filter else make_filtered_controller
     controller = maker(tr.cbf, tr.gains, tr.psi, planning.gravity)
     duration = tr.sim.duration if tr.sim.duration is not None else planning.tf - planning.t0
-    trace = simulate(ref, controller, tr.sim, t0=planning.t0, duration=duration)
+    trace = simulate(plan_reference(pl), controller, tr.sim, t0=planning.t0, duration=duration)
+    ic = check_initial_conditions(
+        TrackingState(trace.r[0], trace.r1[0]),
+        ReferencePoint(trace.ref_r[0], trace.ref_r1[0], trace.ref_r2[0]),
+        tr.cbf,
+    )
     cert = trace.certificate(tr.cbf)
 
     label = "unfiltered" if args.no_filter else "filtered"
@@ -639,7 +640,8 @@ def cmd_track(args) -> int:
             json.dump(doc, fh, sort_keys=True, indent=2)
             fh.write("\n")
         print(f"report written to {report_path}")
-    if cert.min_barrier < 0.0:
+    # Written so that a NaN barrier, which fails every comparison, fails the run.
+    if not cert.min_barrier >= 0.0:
         print("FAILED: tracking left the safe tube")
         return EXIT_VERIFY
     return EXIT_OK

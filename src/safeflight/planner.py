@@ -24,6 +24,7 @@ narrow rows per cone kind.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -63,11 +64,28 @@ class MarginInfeasibleError(ValueError):
 
 
 def _finite(name: str, value) -> np.ndarray:
-    """value as a float array; ValueError naming the field if any entry is NaN or infinite."""
-    arr = np.asarray(value, dtype=float)
+    """value as a float array; ValueError naming the field unless every entry is a finite number."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be numbers: {exc}") from None
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {arr.tolist()}")
     return arr
+
+
+def _number(doc: dict, name: str, default: float | None = None) -> float:
+    """doc[name] as a float, or default where it is absent.
+
+    ValueError naming the field unless the value is an int or float (not a
+    bool), and a finite one when the field has no default.
+    """
+    value = doc[name] if default is None else doc.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if default is None and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -370,25 +388,52 @@ class TrajectoryPlan:
 
     @staticmethod
     def from_dict(doc: dict) -> "TrajectoryPlan":
-        if doc.get("format") != "safeflight-plan":
+        """The plan that to_dict wrote.
+
+        Raises:
+            ValueError: naming the field, unless doc is a dict in the plan
+                format whose n and degree are ints, whose t0, tf and gravity
+                are finite numbers, whose control_points are finite with shape
+                (3, n + 1), whose zeta_mode is "per-span" or "scalar" with
+                finite zeta of n - degree + 1 values or of one, and whose
+                objective, snap and max_residual, where given, are numbers.
+            KeyError: for a missing field.
+        """
+        if not isinstance(doc, dict) or doc.get("format") != "safeflight-plan":
             raise ValueError("not a plan document")
-        kv = clamped_uniform_knots(doc["t0"], doc["tf"], doc["n"], doc["degree"])
-        curve = SplineCurve(kv, np.asarray(doc["control_points"], dtype=float))
+        n, degree = doc["n"], doc["degree"]
+        for name, value in (("n", n), ("degree", degree)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        t0, tf, gravity = (_number(doc, name) for name in ("t0", "tf", "gravity"))
+        zeta_mode = doc["zeta_mode"]
+        if zeta_mode not in ("per-span", "scalar"):
+            raise ValueError(f"zeta_mode must be 'per-span' or 'scalar', got {zeta_mode!r}")
+        kv = clamped_uniform_knots(t0, tf, n, degree)
+        ctrl = _finite("control_points", doc["control_points"])
+        if ctrl.shape != (3, n + 1):
+            raise ValueError(f"control_points must have shape (3, {n + 1}), got {ctrl.shape}")
+        zeta = _finite("zeta", doc["zeta"])
+        size = 1 if zeta_mode == "scalar" else n - degree + 1
+        if zeta.shape != (size,):
+            raise ValueError(
+                f"zeta must hold {size} value(s) in {zeta_mode} mode, got shape {zeta.shape}"
+            )
         stats = SolveStats(
             status="loaded",
             solve_time=0.0,
             iterations=0,
-            max_residual=float(doc.get("max_residual", np.nan)),
+            max_residual=_number(doc, "max_residual", np.nan),
             num_vars=0,
             block_counts={},
         )
         return TrajectoryPlan(
-            curve=curve,
-            zeta=np.asarray(doc["zeta"], dtype=float),
-            zeta_mode=doc["zeta_mode"],
-            objective=float(doc.get("objective", np.nan)),
-            snap=float(doc.get("snap", np.nan)),
-            gravity=float(doc["gravity"]),
+            curve=SplineCurve(kv, ctrl),
+            zeta=zeta,
+            zeta_mode=zeta_mode,
+            objective=_number(doc, "objective", np.nan),
+            snap=_number(doc, "snap", np.nan),
+            gravity=gravity,
             name=str(doc.get("name", "plan")),
             solve_stats=stats,
         )
@@ -437,7 +482,8 @@ class PlanAssembly:
 
         Returns (rows, cols) of shapes (k, 3, 3(r+1)) and (k, 3(r+1)): point
         js[k] is made from control points js[k] - r .. js[k], so row [k, a]
-        applied to x[cols[k]] gives (ctrl @ derivative_matrix(r)[:, js])[a, k].
+        applied to x[cols[k]] gives points[a, js[k]] of
+        derivative_control_points(curve, r).
         """
         js = np.asarray(js, dtype=int).reshape(-1)
         if np.any(js < r) or np.any(js > self.n):

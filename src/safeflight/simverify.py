@@ -34,9 +34,10 @@ from .tracker import (
 class SimConfig:
     """Closed-loop timing plus the starting state.
 
-    The command is held constant between control ticks, across which the
-    state takes the exact double-integrator step; `substeps` (validated >= 1)
-    no longer affects the result. A duration, when given, must be finite and
+    The command is held constant between control ticks, and each tick
+    advances the state by the exact double-integrator step in one piece, so
+    the loop does not read `substeps`: the field keeps scenarios that name
+    it loading, and must be >= 1. A duration, when given, must be finite and
     cover at least one tick. initial_state, when given, must hold two
     finite (3,) vectors; if it is None the run starts on the reference,
     shifted by the two offsets.
@@ -175,10 +176,10 @@ def make_unfiltered_controller(
     params: CbfParams, gains: PdGains, psi: float = 0.0, g: float = GRAVITY
 ) -> Callable:
     """Nominal PD passed straight through; barriers still recorded."""
-    pd = SafetyFilter(gains=gains)
+    safety = SafetyFilter(params, gains, psi, g)
 
     def controller(t: float | np.ndarray, state: TrackingState, ref: ReferencePoint) -> SafeCommand:
-        mu = pd.inputs(state, ref)[0]
+        mu = safety.inputs(state, ref)[0]
         return SafeCommand(mu, mu, state, ref, params, psi, g)
 
     return controller

@@ -1,4 +1,4 @@
-"""Clamped uniform B-splines: knots, basis evaluation, derivative matrices.
+"""Clamped uniform B-splines: knots, basis evaluation, derivative control points.
 
 Flat-output trajectories are stored as degree-d B-splines over a clamped
 uniform knot vector. The r-th derivative of such a curve is again a spline
@@ -27,7 +27,7 @@ on all of [tau_0, tau_v].
 Derivative control points are banded: the order-r point j is a weighted
 difference of control points j - r .. j. Those r + 1 weights per point, the
 derivative stencil, come from one bidiagonal difference recursion per knot
-vector, vectorized over the points; the padded derivative matrices and the
+vector, vectorized over the points; the derivative control points and the
 snap Gram matrix are both built from them. Equal knot arguments give one
 shared KnotVector from a bounded cache, so plans over the same knots build
 each of these tables once.
@@ -35,7 +35,7 @@ each of these tables once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import perm
 from typing import Sequence
@@ -88,16 +88,15 @@ class KnotVector:
     """Non-decreasing knot sequence plus the curve degree it serves.
 
     Immutable after construction. Every table that depends on the knots
-    alone is memoized per instance and read-only: the derivative stencils
-    and matrices, the snap Gram matrix and the span power basis. Curves over
-    one KnotVector share them, and clamped_uniform_knots hands out one
-    instance per (t0, tf, n, degree), so a second plan over the same knots
-    builds none of them again.
+    alone is memoized per instance and read-only: the derivative stencils,
+    the snap Gram matrix and the span power basis. Curves over one
+    KnotVector share them, and clamped_uniform_knots hands out one instance
+    per (t0, tf, n, degree), so a second plan over the same knots builds
+    none of them again.
     """
 
     tau: np.ndarray
     degree: int
-    _dmat_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         tau = np.asarray(self.tau, dtype=float)
@@ -244,14 +243,6 @@ class KnotVector:
             arr.setflags(write=False)
         return tuple(stencils), ends
 
-    def derivative_matrix(self, r: int) -> np.ndarray:
-        """Memoized build_derivative_matrix(self, r). The array is read-only."""
-        if r not in self._dmat_cache:
-            B = build_derivative_matrix(self, r)
-            B.setflags(write=False)
-            self._dmat_cache[r] = B
-        return self._dmat_cache[r]
-
     @cached_property
     def _snap_gram(self) -> tuple[np.ndarray, np.ndarray]:
         """snap_gram(self), built on first use."""
@@ -322,33 +313,12 @@ def basis_matrix(knots: KnotVector, degree: int, ts: np.ndarray) -> np.ndarray:
     return B
 
 
-def build_derivative_matrix(knots: KnotVector, r: int) -> np.ndarray:
-    """Matrix B_r mapping control points to r-th derivative control points.
-
-    If P has shape (dim, n+1) then P @ B_r, of shape (dim, n+r+1), holds the
-    control points of the r-th derivative curve, which has degree d - r over
-    the same knots. The first r and last r columns are structurally zero
-    (padding so that derivative points share the original column indexing).
-    Column j, for r <= j <= n, holds row j - r of knots.derivative_stencil(r)
-    in rows j - r .. j.
-
-    B_0 is the identity.
-    """
-    S = knots.derivative_stencil(r)
-    n = knots.n
-    j = np.arange(r, n + 1)
-    B = np.zeros((n + 1, n + r + 1))
-    B[j[:, None] - r + np.arange(r + 1), j[:, None]] = S
-    return B
-
-
 @dataclass(frozen=True)
 class SplineCurve:
     """A vector-valued spline: knots plus control points of shape (dim, n+1)."""
 
     knots: KnotVector
     ctrl: np.ndarray
-    _dpts_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ctrl = np.asarray(self.ctrl, dtype=float)
@@ -363,14 +333,6 @@ class SplineCurve:
     @property
     def dim(self) -> int:
         return self.ctrl.shape[0]
-
-    def _derivative_points(self, r: int) -> np.ndarray:
-        """Memoized (ctrl @ B_r).T, shape (n+r+1, dim). The array is read-only."""
-        if r not in self._dpts_cache:
-            pts = (self.ctrl @ self.knots.derivative_matrix(r)).T
-            pts.setflags(write=False)
-            self._dpts_cache[r] = pts
-        return self._dpts_cache[r]
 
     @cached_property
     def _span_table(self) -> np.ndarray:
@@ -504,8 +466,20 @@ class DerivativePoints:
 
 
 def derivative_control_points(curve: SplineCurve, r: int) -> DerivativePoints:
-    """Control points of the r-th derivative, P @ B_r (read-only, memoized per curve)."""
-    return DerivativePoints(r=r, points=curve._derivative_points(r).T, knots=curve.knots)
+    """Control points of the r-th derivative, each a stencil row over its r + 1 control points.
+
+    Point j, for r <= j <= n, contracts row j - r of derivative_stencil(r)
+    with control points j - r .. j. The first r and last r of the n + r + 1
+    columns are exactly zero: they pad the points into the original column
+    indexing. The points are read-only.
+    """
+    kv = curve.knots
+    stencil = kv.derivative_stencil(r)
+    windows = np.lib.stride_tricks.sliding_window_view(curve.ctrl, r + 1, axis=1)
+    points = np.zeros((curve.dim, kv.n + r + 1))
+    points[:, r : kv.n + 1] = np.einsum("ajk,jk->aj", windows, stencil)
+    points.setflags(write=False)
+    return DerivativePoints(r=r, points=points, knots=kv)
 
 
 def snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:

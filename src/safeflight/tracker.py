@@ -9,12 +9,13 @@ position error inside the tube ||r - r_ref||_inf <= delta:
 Enforcing both at relative degree two yields, per axis, a closed interval
 of admissible mu_q whose width is identically 2 * a2 * delta. The safety QP,
 min ||mu - mu_nominal||^2 over that box, separates by axis, so its exact
-solution is a per-axis clamp of the nominal input: ``safe_step`` applies it,
-and no numerical solve is needed. ``face_bounds`` gives the box. Both, and
-the PD nominal, are computed by ``SafetyFilter``, the one definition of the
-filter, which a closed-loop controller builds once and calls every tick. The six
-faces, like the six barriers, are always ordered x+, x-, y+, y-, z+, z-:
-the upper face (from h^up) then the lower face (from h^low) of each axis.
+solution is a per-axis clamp of the nominal input, and no numerical solve
+is needed. ``SafetyFilter`` is the one definition of the filter: from one
+pair of error differences it computes the PD nominal, the box
+(``inputs``) and the clamp (a call). A closed-loop controller builds one
+and calls it every tick. The six faces, like the six barriers, are always
+ordered x+, x-, y+, y-, z+, z-: the upper face (from h^up) then the lower
+face (from h^low) of each axis.
 """
 
 from __future__ import annotations
@@ -88,17 +89,6 @@ _SIDES = np.array([1.0, -1.0])  # upper face, then lower face, of each axis
 _FLOAT = np.dtype(float)
 
 
-def face_bounds(r, r1, ref_r, ref_r1, ref_r2, params: CbfParams) -> tuple[np.ndarray, np.ndarray]:
-    """Admissible interval [lower, upper] of mu per axis; arrays batched over (..., 3).
-
-    upper - lower == 2 * a2 * delta holds identically, so the filter is
-    always feasible regardless of the state.
-    """
-    state, ref = TrackingState(r, r1), ReferencePoint(ref_r, ref_r1, ref_r2)
-    _, lower, upper = SafetyFilter(params).inputs(state, ref)
-    return lower, upper
-
-
 def barrier_values(state: TrackingState, ref: ReferencePoint, params: CbfParams) -> np.ndarray:
     """The six tube barriers h, ordered x+, x-, y+, y-, z+, z-; nonnegative inside."""
     e = np.asarray(state.r, dtype=float) - np.asarray(ref.r, dtype=float)
@@ -117,11 +107,6 @@ class PdGains:
             value = getattr(self, name)
             if not 0.0 <= value < np.inf:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value}")
-
-
-def nominal_mu(state: TrackingState, ref: ReferencePoint, gains: PdGains) -> np.ndarray:
-    """Feedforward-plus-PD virtual input, before filtering; arrays batched over (..., 3)."""
-    return SafetyFilter(gains=gains).inputs(state, ref)[0]
 
 
 class SafeCommand(NamedTuple):
@@ -175,60 +160,37 @@ class SafeCommand(NamedTuple):
         return (np.abs(self.mu[..., None] - faces) <= 1e-9).reshape(self.mu.shape[:-1] + (6,))
 
 
-def safe_step(
-    state: TrackingState,
-    ref: ReferencePoint,
-    mu_nominal: np.ndarray,
-    params: CbfParams,
-    psi: float = 0.0,
-    g: float = GRAVITY,
-) -> SafeCommand:
-    """Filter a nominal input, an array batched over (..., 3) like the state.
-
-    Clamps each axis of mu_nominal to [lower, upper] from face_bounds: the
-    exact solution of the safety QP. The box is never empty, since each
-    axis interval has width 2 * a2 * delta > 0 whatever the state.
-    """
-    return SafetyFilter(params, psi=psi, g=g)(state, ref, mu_nominal)
-
-
 class SafetyFilter:
     """The PD nominal and the barrier clamp: the one definition of the filter.
 
-    nominal_mu, face_bounds and safe_step build one per call; a controller
-    builds one and calls it every tick. kp, kd, a1, a2 and a2 * delta are
-    held as plain floats. A call on one tick, where every state and
-    reference field and any given mu_nominal is a (3,) float64 array, runs
-    per axis in Python floats and returns fresh (3,) arrays; any other call,
-    a batch over leading axes included, runs as array code. The input's
-    shape alone selects the path, and both take the same operations in the
-    same order, so they agree bit for bit. Without gains the filter clamps
-    only a given nominal input; without params it computes only the
-    nominal one, through inputs, and cannot be called.
+    A controller builds one and calls it every tick. kp, kd, a1, a2 and
+    a2 * delta are held as plain floats. A call on one tick, where every
+    state and reference field and any given mu_nominal is a (3,) float64
+    array, runs per axis in Python floats and returns fresh (3,) arrays; any
+    other call, a batch over leading axes included, runs as array code. The
+    input's shape alone selects the path, and both take the same operations
+    in the same order, so they agree bit for bit. Without gains the filter
+    clamps only a given nominal input.
     """
 
     def __init__(
-        self,
-        params: CbfParams | None = None,
-        gains: PdGains | None = None,
-        psi: float = 0.0,
-        g: float = GRAVITY,
+        self, params: CbfParams, gains: PdGains | None = None, psi: float = 0.0, g: float = GRAVITY
     ):
         self.params, self.psi, self.g = params, psi, g
-        self.kp = self.kd = self.a1 = self.a2 = self.half = None
+        self.kp = self.kd = None
         if gains is not None:
             self.kp, self.kd = float(gains.kp), float(gains.kd)
-        if params is not None:
-            self.a1, self.a2 = float(params.a1), float(params.a2)
-            self.half = float(params.a2 * params.delta)
+        self.a1, self.a2 = float(params.a1), float(params.a2)
+        self.half = float(params.a2 * params.delta)
 
     def inputs(
         self, state: TrackingState, ref: ReferencePoint, mu_nominal: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
         """(mu_nominal, lower, upper) from one pair of error differences.
 
         mu_nominal is the one given, else the PD law when the filter has
-        gains; lower and upper are None when it has no params. The box
+        gains, else None; [lower, upper] is the admissible box, whose width
+        upper - lower is 2 * a2 * delta whatever the state. The box
         centre is ref_r2 - a1 (r1 - ref_r1) - a2 (r - ref_r), written with
         dr = ref_r - r and dv = ref_r1 - r1 as ref_r2 + a1 dv + a2 dr, which
         is the same in IEEE arithmetic: a - b = -(b - a), c (-x) = -(c x) and
@@ -243,8 +205,6 @@ class SafetyFilter:
         dv = ref.r1 - state.r1
         if mu_nominal is None and self.kp is not None:
             mu_nominal = ref.r2 + self.kp * dr + self.kd * dv
-        if self.a1 is None:
-            return mu_nominal, None, None
         base = ref.r2 + self.a1 * dv + self.a2 * dr
         return mu_nominal, base - self.half, base + self.half
 
@@ -264,10 +224,10 @@ class SafetyFilter:
         """(mu_nominal, mu, lower, upper) of one tick as lists of three floats.
 
         None unless every field, and mu_nominal if given, is a (3,) float64
-        array. An entry is None where inputs() gives None, and mu is None
-        unless there are both a nominal input and a box. Each axis takes the
-        array code's operations in its order: (r2 + kp dr) + kd dv, then
-        (r2 + a1 dv) + a2 dr, then base -/+ a2 delta, then the clamp.
+        array. mu_nominal and mu are None when inputs() gives no nominal
+        input. Each axis takes the array code's operations in its order:
+        (r2 + kp dr) + kd dv, then (r2 + a1 dv) + a2 dr, then base -/+
+        a2 delta, then the clamp.
         """
         fields = (*state, *ref) if mu_nominal is None else (*state, *ref, mu_nominal)
         for f in fields:
@@ -285,8 +245,6 @@ class SafetyFilter:
             nominal = [ax + kp * drx + kd * dvx, ay + kp * dry + kd * dvy, az + kp * drz + kd * dvz]
         else:
             nominal = None
-        if a1 is None:
-            return nominal, None, None, None
         bx, by, bz = ax + a1 * dvx + a2 * drx, ay + a1 * dvy + a2 * dry, az + a1 * dvz + a2 * drz
         lower, upper = [bx - half, by - half, bz - half], [bx + half, by + half, bz + half]
         mu = None if nominal is None else list(map(_clamp, nominal, lower, upper))

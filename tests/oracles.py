@@ -23,13 +23,14 @@ directions, which is 1e-3 territory at realistic gap tolerances. A primal
 active-set method terminates finitely with an exact KKT solve instead.
 Beside it sits the filter's face path: cbf_faces lists the six half-spaces
 of the admissible box one by one, ordered x+, x-, y+, y-, z+, z-, and
-filter_input clamps onto them face by face. safe_step reads the same clamp
-straight off the face_bounds arrays and must match it bit for bit. The
-filter's direct form is kept too: face_bounds_direct, nominal_mu_direct and
-safe_step_direct compute the box centre as ref_r2 - a1 (r1 - ref_r1) -
-a2 (r - ref_r) with scalar coefficients, and the package's filter, which
-forms each error difference once and holds its coefficients as (3,) arrays,
-must match them bit for bit, on single ticks and on whole closed loops.
+filter_input clamps onto them face by face. The package's SafetyFilter
+reads the same clamp straight off its box arrays and must match it bit for
+bit. The filter's direct form is kept too: face_bounds_direct,
+nominal_mu_direct and safe_step_direct compute the box centre as
+ref_r2 - a1 (r1 - ref_r1) - a2 (r - ref_r) with scalar coefficients, and
+the package's filter, which forms each error difference once and holds its
+coefficients as plain floats, must match them bit for bit, on single ticks
+and on whole closed loops.
 
 The export command's samples CSV has a per-row writer here, csv.writer
 over one formatted list per sample with each speed from its own
@@ -91,8 +92,8 @@ from safeflight.tracker import (
     PdGains,
     ReferencePoint,
     SafeCommand,
+    SafetyFilter,
     TrackingState,
-    face_bounds,
 )
 
 _Z_W = np.array([0.0, 0.0, 1.0])
@@ -339,7 +340,7 @@ class CbfFace:
 
 def cbf_faces(state: TrackingState, ref: ReferencePoint, params: CbfParams) -> tuple[CbfFace, ...]:
     """The six input-box faces at the current state, ordered x+, x-, y+, y-, z+, z-."""
-    lower, upper = face_bounds(state.r, state.r1, ref.r, ref.r1, ref.r2, params)
+    _, lower, upper = SafetyFilter(params).inputs(state, ref)
     faces = []
     for axis in range(3):
         faces.append(CbfFace(axis=axis, side=+1, bound=upper[..., axis]))
@@ -366,19 +367,19 @@ def filter_input(mu_nominal: np.ndarray, faces: tuple[CbfFace, ...]) -> np.ndarr
 
 
 def face_bounds_direct(r, r1, ref_r, ref_r1, ref_r2, params: CbfParams):
-    """The admissible box as face_bounds computed it with scalar coefficients."""
+    """The admissible box, SafetyFilter.inputs' lower and upper, with scalar coefficients."""
     base = ref_r2 - params.a1 * (r1 - ref_r1) - params.a2 * (r - ref_r)
     half = params.a2 * params.delta
     return base - half, base + half
 
 
 def nominal_mu_direct(state: TrackingState, ref: ReferencePoint, gains: PdGains) -> np.ndarray:
-    """The PD nominal as nominal_mu computed it with scalar gains."""
+    """The PD nominal, SafetyFilter.inputs' mu_nominal, with scalar gains."""
     return ref.r2 + gains.kp * (ref.r - state.r) + gains.kd * (ref.r1 - state.r1)
 
 
 def safe_step_direct(state, ref, mu_nominal, params, psi=0.0, g=GRAVITY) -> SafeCommand:
-    """The clamp as safe_step computed it, off face_bounds_direct."""
+    """The clamp, a SafetyFilter call on a given nominal, off face_bounds_direct."""
     lower, upper = face_bounds_direct(state.r, state.r1, ref.r, ref.r1, ref.r2, params)
     mu = np.minimum(np.maximum(mu_nominal, lower), upper)
     return SafeCommand(mu_nominal, mu, state, ref, params, psi, g, lower, upper)

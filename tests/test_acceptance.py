@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from oracles import box_projection_qp, virtual_from_attitude
+from oracles import box_projection_qp, dense_derivative_matrix, virtual_from_attitude
 from safeflight.cli import bundled_scenarios, load_scenario
 from safeflight.flatness import ReducedInput, attitude_from_virtual
 from safeflight.planner import interval_window_columns, plan
@@ -31,9 +31,8 @@ from safeflight.splines import (
 from safeflight.tracker import (
     CbfParams,
     ReferencePoint,
+    SafetyFilter,
     TrackingState,
-    face_bounds,
-    safe_step,
 )
 
 G = 9.81
@@ -110,18 +109,19 @@ def test_tour_plan_and_certificate(capsys, example1_scenario, replanned_tour):
 
 def test_derivative_matrices_match_finite_differences(capsys, rng):
     h = 1e-5
-    worst = 0.0
+    worst = worst_dense = 0.0
     for n in (10, 40):
         kv = clamped_uniform_knots(0.0, 10.0, n, 5)
-        b0 = kv.derivative_matrix(0)
-        assert np.array_equal(b0, np.eye(n + 1))
-        for r in (1, 2, 3):
-            br = kv.derivative_matrix(r)
-            assert np.all(br[:, :r] == 0.0) and np.all(br[:, br.shape[1] - r :] == 0.0)
+        assert np.array_equal(kv.derivative_stencil(0), np.ones((n + 1, 1)))
         ts = rng.uniform(2 * h, 10.0 - 2 * h, size=25)
         for _ in range(10):
             curve = SplineCurve(kv, rng.uniform(-1.0, 1.0, size=(3, n + 1)))
             for r in (1, 2, 3):
+                points = derivative_control_points(curve, r).points
+                assert np.all(points[:, :r] == 0.0) and np.all(points[:, n + 1 :] == 0.0)
+                dense = curve.ctrl @ dense_derivative_matrix(kv, r)
+                gap = np.abs(points - dense).max() / max(1.0, np.abs(dense).max())
+                worst_dense = max(worst_dense, float(gap))
                 exact = curve.eval(ts, r)
                 fd = (curve.eval(ts + h, r - 1) - curve.eval(ts - h, r - 1)) / (2 * h)
                 scale = np.maximum(1.0, np.abs(exact))
@@ -129,9 +129,10 @@ def test_derivative_matrices_match_finite_differences(capsys, rng):
     conclude(
         capsys,
         2,
-        "derivative matrices vs finite differences",
-        worst < 1e-5,
-        f"worst relative error {worst:.2e} over 20 curves, identity and zero columns exact",
+        "derivative points vs finite differences and the dense B_r",
+        worst < 1e-5 and worst_dense <= 1e-14,
+        f"worst relative error {worst:.2e} over 20 curves, {worst_dense:.2e} against "
+        "the dense matrices, unit stencil and zero columns exact",
     )
 
 
@@ -222,6 +223,7 @@ def test_flatness_round_trip_and_cone_grid(capsys, rng):
 
 def test_clamp_matches_qp_and_is_always_feasible(capsys, rng):
     params = CbfParams(delta=0.1, a1=6.0, a2=8.0)
+    safety = SafetyFilter(params)
     worst = 0.0
     for _ in range(1000):
         state = TrackingState(r=rng.uniform(-5, 5, 3), r1=rng.uniform(-5, 5, 3))
@@ -229,20 +231,17 @@ def test_clamp_matches_qp_and_is_always_feasible(capsys, rng):
             r=rng.uniform(-5, 5, 3), r1=rng.uniform(-5, 5, 3), r2=rng.uniform(-10, 10, 3)
         )
         mu_nominal = ref.r2 + rng.uniform(-20, 20, 3)
-        mu = safe_step(state, ref, mu_nominal, params).mu
-        lower, upper = face_bounds(state.r, state.r1, ref.r, ref.r1, ref.r2, params)
+        mu = safety(state, ref, mu_nominal).mu
+        _, lower, upper = safety.inputs(state, ref)
         oracle = box_projection_qp(mu_nominal, lower, upper)
         worst = max(worst, float(np.abs(mu - oracle).max()))
 
     m = 1_000_000
-    lower, upper = face_bounds(
-        rng.uniform(-50, 50, (m, 3)),
-        rng.uniform(-20, 20, (m, 3)),
-        rng.uniform(-50, 50, (m, 3)),
-        rng.uniform(-20, 20, (m, 3)),
-        rng.uniform(-30, 30, (m, 3)),
-        params,
+    state = TrackingState(rng.uniform(-50, 50, (m, 3)), rng.uniform(-20, 20, (m, 3)))
+    ref = ReferencePoint(
+        rng.uniform(-50, 50, (m, 3)), rng.uniform(-20, 20, (m, 3)), rng.uniform(-30, 30, (m, 3))
     )
+    _, lower, upper = safety.inputs(state, ref)
     width_err = float(np.abs((upper - lower) - 2 * params.a2 * params.delta).max())
     feasible = bool(
         np.all(upper > lower) and np.isfinite(lower).all() and np.isfinite(upper).all()

@@ -33,7 +33,7 @@ from safeflight.cli import (
 from safeflight.flatness import GRAVITY
 from safeflight.planner import TrajectoryPlan
 from safeflight.simverify import span_samples
-from safeflight.splines import basis_matrix
+from safeflight.splines import SplineCurve, basis_matrix
 
 EXPECTED_BUNDLED = [
     "example1",
@@ -838,6 +838,90 @@ class TestExportCommand:
         assert exc.value.code == EXIT_PARSE
         assert "--samples-per-span" in capsys.readouterr().err
         assert not out.exists()
+
+
+def set_entry(key, *index, value):
+    """An edit of a plan document that sets doc[key][index...] to value."""
+
+    def edit(doc):
+        if not index:
+            doc[key] = value
+            return
+        target = doc[key]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = value
+
+    return edit
+
+
+# (label, edit of the hover plan document, field the error must name). The
+# hover plan has n = 12, degree = 5 and per-span zeta, 8 values.
+BAD_PLAN_DOCUMENTS = [
+    ("control-point-nan", set_entry("control_points", 1, 4, value=float("nan")), "control_points"),
+    ("control-point-inf", set_entry("control_points", 2, 0, value=float("inf")), "control_points"),
+    ("control-points-short", lambda d: d["control_points"][0].pop(), "control_points"),
+    ("control-points-two-rows", lambda d: d["control_points"].pop(), "control_points"),
+    ("control-point-string", set_entry("control_points", 0, 3, value="x"), "control_points"),
+    ("zeta-nan", set_entry("zeta", 2, value=float("nan")), "zeta"),
+    ("zeta-short", lambda d: d["zeta"].pop(), "zeta"),
+    ("zeta-empty", set_entry("zeta", value=[]), "zeta"),
+    ("zeta-scalar-mode", set_entry("zeta_mode", value="scalar"), "zeta"),
+    ("zeta-mode-bogus", set_entry("zeta_mode", value="bogus"), "zeta_mode"),
+    ("n-string", set_entry("n", value="12"), "n must"),
+    ("n-bool", set_entry("n", value=True), "n must"),
+    ("degree-float", set_entry("degree", value=2.5), "degree"),
+    ("t0-null", set_entry("t0", value=None), "t0"),
+    ("t0-nan", set_entry("t0", value=float("nan")), "t0"),
+    ("tf-string", set_entry("tf", value="10"), "tf"),
+    ("tf-inf", set_entry("tf", value=float("inf")), "tf"),
+    ("gravity-nan", set_entry("gravity", value=float("nan")), "gravity"),
+    ("objective-null", set_entry("objective", value=None), "objective"),
+    ("max-residual-list", set_entry("max_residual", value=[1.0]), "max_residual"),
+    ("list-document", None, "not a plan document"),
+]
+
+
+class TestBadPlanDocument:
+    """A malformed or non-finite plan document exits 2, naming its field, in every command."""
+
+    @staticmethod
+    def args(command, path, tmp_path):
+        if command == "export":
+            return ["export", "--plan", path, "--out", str(tmp_path / "samples.csv")]
+        return [command, "--scenario", "hover", "--plan", path]
+
+    @pytest.mark.parametrize("command", ["verify", "track", "export"])
+    @pytest.mark.parametrize(
+        "edit, field",
+        [case[1:] for case in BAD_PLAN_DOCUMENTS],
+        ids=[case[0] for case in BAD_PLAN_DOCUMENTS],
+    )
+    def test_exits_parse_naming_the_field(self, tmp_path, hover_plan, capsys, command, edit, field):
+        doc = hover_plan.to_dict()
+        if edit is None:
+            doc = [doc]
+        else:
+            edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(self.args(command, str(path), tmp_path)) == EXIT_PARSE
+        out = capsys.readouterr()
+        assert "cannot load plan" in out.err and field in out.err
+        assert "unexpected error" not in out.err
+        assert not (tmp_path / "samples.csv").exists()
+
+    def test_nan_barrier_fails_the_track_run(self, hover_plan, monkeypatch, capsys):
+        # A NaN reaching the run compares false against 0, so the barrier
+        # check must be written to fail on it.
+        ctrl = hover_plan.curve.ctrl.copy()
+        ctrl[0, 4] = np.nan
+        nan_plan = dataclasses.replace(hover_plan, curve=SplineCurve(hover_plan.curve.knots, ctrl))
+        monkeypatch.setattr("safeflight.cli._load_plan_doc", lambda path: nan_plan)
+        assert main(["track", "--scenario", "hover", "--plan", "nan.json"]) == EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert "min barrier nan" in out
+        assert "FAILED: tracking left the safe tube" in out
 
 
 class TestColdStart:

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import dense_compile_plan, dense_snap_gram, region_margin_direct, soc_margin_direct
+from oracles import (
+    dense_compile_plan,
+    dense_derivative_matrix,
+    dense_snap_gram,
+    region_margin_direct,
+    soc_margin_direct,
+)
 from safeflight.cli import bundled_scenarios, load_scenario
 from safeflight.planner import (
     ConvexRegion,
@@ -420,7 +426,7 @@ class TestAssemblyLayout:
         ctrl = rng.uniform(-1, 1, size=(3, 11))
         for r, js in [(0, range(11)), (1, range(1, 11)), (2, [2, 7, 10]), (3, [4]), (4, [])]:
             rows, cols = asm.point_rows(r, js)
-            want = ctrl @ kv.derivative_matrix(r)[:, list(js)]
+            want = ctrl @ dense_derivative_matrix(kv, r)[:, list(js)]
             assert rows.shape == (len(js), 3, 3 * (r + 1))
             assert cols.shape == (len(js), 3 * (r + 1))
             got = np.einsum("kac,kc->ka", rows, ctrl.reshape(-1)[cols])
@@ -574,8 +580,7 @@ class TestFullSolves:
         # gentle mission the cap is always the active side.
         kv = example1_plan.curve.knots
         d = kv.degree
-        B2 = kv.derivative_matrix(2)
-        vz = (example1_plan.curve.ctrl @ B2)[2]
+        vz = (example1_plan.curve.ctrl @ dense_derivative_matrix(kv, 2))[2]
         for k, l in enumerate(kv.nonempty_spans()):
             cap = G + vz[range(l - d + 2, l + 1)].min()
             assert example1_plan.zeta[k] <= cap + 1e-7

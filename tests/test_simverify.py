@@ -34,9 +34,9 @@ from safeflight.tracker import (
     PdGains,
     ReferencePoint,
     SafeCommand,
+    SafetyFilter,
     TrackingState,
     barrier_values,
-    nominal_mu,
 )
 
 PARAMS = CbfParams(delta=0.1, a1=6.0, a2=8.0)
@@ -343,7 +343,7 @@ class TestReferenceAndControllers:
         state = TrackingState(r=np.array([0.3, 0.0, 0.0]), r1=np.zeros(3))
         ref = still_air(0.0)
         cmd = ctrl(0.0, state, ref)
-        assert_allclose(cmd.mu, nominal_mu(state, ref, GAINS))
+        assert_allclose(cmd.mu, SafetyFilter(PARAMS, GAINS).inputs(state, ref)[0])
         assert not cmd.active.any()
         assert_allclose(cmd.barriers, barrier_values(state, ref, PARAMS))
 

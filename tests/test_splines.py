@@ -1,4 +1,4 @@
-"""B-spline layer: knots, basis, derivative matrices, hulls, snap Gram."""
+"""B-spline layer: knots, basis, derivative control points, hulls, snap Gram."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from safeflight.splines import (
     KnotVector,
     SplineCurve,
     basis_matrix,
-    build_derivative_matrix,
     clamped_uniform_knots,
     derivative_control_points,
     snap_gram,
@@ -178,21 +177,27 @@ class TestAgainstScipy:
 
 
 class TestDerivativeMatrices:
-    def test_zeroth_is_identity(self):
+    # derivative_control_points contracts the stencils with the control
+    # points. Its oracle is P @ B_r, where dense_derivative_matrix builds B_r
+    # as the product of bidiagonal difference factors, padded to n + r + 1
+    # columns.
+    def test_zeroth_is_identity(self, rng):
         kv = clamped_uniform_knots(0.0, 10.0, 12, 5)
-        assert_allclose(kv.derivative_matrix(0), np.eye(13))
+        assert_array_equal(kv.derivative_stencil(0), np.ones((13, 1)))
+        curve = SplineCurve(kv, rng.uniform(-1.0, 1.0, size=(3, 13)))
+        assert_array_equal(derivative_control_points(curve, 0).points, curve.ctrl)
 
     @pytest.mark.parametrize("n", [10, 40])
-    def test_boundary_columns_vanish(self, n):
-        kv = clamped_uniform_knots(0.0, 10.0, n, 5)
+    def test_boundary_columns_vanish(self, rng, n):
+        curve = random_curve(rng, n)
         for r in (1, 2, 3):
-            B = kv.derivative_matrix(r)
+            points = derivative_control_points(curve, r).points
             # The degree d-r basis on the same knot vector has n+1+r
             # members; the r outermost on each side live entirely in the
             # clamped tails, so their derivative points must be zero.
-            assert B.shape == (n + 1, n + 1 + r)
-            assert np.all(B[:, :r] == 0.0)
-            assert np.all(B[:, B.shape[1] - r :] == 0.0)
+            assert points.shape == (3, n + 1 + r)
+            assert np.all(points[:, :r] == 0.0)
+            assert np.all(points[:, points.shape[1] - r :] == 0.0)
 
     @pytest.mark.parametrize("n", [10, 40])
     def test_matches_finite_differences(self, rng, n):
@@ -207,32 +212,44 @@ class TestDerivativeMatrices:
                 scale = np.maximum(1.0, np.abs(exact))
                 assert np.max(np.abs(fd - exact) / scale) < 1e-5
 
-    def test_memoized_per_knot_vector(self):
-        kv = clamped_uniform_knots(0.0, 1.0, 8, 5)
-        assert kv.derivative_matrix(2) is kv.derivative_matrix(2)
-
-    def test_order_out_of_range(self):
-        kv = clamped_uniform_knots(0.0, 1.0, 8, 5)
-        with pytest.raises(ValueError):
-            kv.derivative_matrix(6)
-        with pytest.raises(ValueError):
-            build_derivative_matrix(kv, -1)
+    def test_order_out_of_range(self, rng):
+        curve = random_curve(rng, 8)
+        for r in (-1, 6):
+            with pytest.raises(ValueError):
+                derivative_control_points(curve, r)
 
     @pytest.mark.parametrize("degree", [4, 5, 6, 7])
     def test_stencil_matches_dense_product_chain(self, degree):
-        # Scattered into the padded layout, the stencil is the product of
-        # bidiagonal difference factors: same nonzeros, values to roundoff.
+        # The stencil is the band of the product of bidiagonal difference
+        # factors: column j holds row j - r of it in rows j - r .. j, with
+        # the same nonzeros and values to roundoff, and nothing else.
         for n in (degree, degree + 3, 30):
             kv = clamped_uniform_knots(0.3, 7.1, n, degree)
             for r in range(degree + 1):
                 S = kv.derivative_stencil(r)
                 assert S.shape == (n - r + 1, r + 1)
                 want = dense_derivative_matrix(kv, r)
-                got = kv.derivative_matrix(r)
-                assert_array_equal(got != 0.0, want != 0.0)
-                assert_allclose(got, want, rtol=1e-14, atol=0.0)
-                cols = np.arange(r, n + 1)
-                assert_array_equal(S, got[cols[:, None] - r + np.arange(r + 1), cols[:, None]])
+                cols = np.arange(r, n + 1)[:, None]
+                rows = cols - r + np.arange(r + 1)
+                assert_array_equal(S != 0.0, want[rows, cols] != 0.0)
+                assert_allclose(S, want[rows, cols], rtol=1e-14, atol=0.0)
+                band = np.zeros(want.shape, dtype=bool)
+                band[rows, cols] = True
+                assert np.all(want[~band] == 0.0)
+
+    @pytest.mark.parametrize("degree", [4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("t0", [0.0, 1000.0])
+    def test_points_match_dense_product_chain(self, rng, degree, t0):
+        # The stencil contraction sums in its own order, so it matches
+        # P @ B_r to roundoff relative to the largest point, not bitwise.
+        for n in (degree, degree + 3, 25):
+            curve = random_curve(rng, n, degree=degree, t0=t0, tf=t0 + 7.3)
+            for r in range(degree + 1):
+                got = derivative_control_points(curve, r).points
+                want = curve.ctrl @ dense_derivative_matrix(curve.knots, r)
+                scale = max(1.0, float(np.abs(want).max()))
+                assert got.shape == want.shape and not got.flags.writeable
+                assert_allclose(got, want, rtol=0, atol=1e-14 * scale)
 
     def test_stencil_memoized_and_read_only(self):
         kv = clamped_uniform_knots(0.0, 1.0, 8, 5)
@@ -304,7 +321,7 @@ class TestConvexHulls:
         # The first and last non-phantom derivative points equal the
         # endpoint derivative values (clamped knots).
         curve = random_curve(rng, 9)
-        for r in (1, 2):
+        for r in range(6):
             dp = derivative_control_points(curve, r)
             assert_allclose(dp.points[:, r], curve.eval(0.0, r), atol=1e-10)
             assert_allclose(dp.points[:, -1 - r], curve.eval(10.0, r), atol=1e-10)
@@ -352,14 +369,6 @@ class TestCurveEval:
         for degree in (-1, 6):
             with pytest.raises(ValueError):
                 basis_matrix(curve.knots, degree, np.array([1.0]))
-
-    def test_eval_builds_no_derivative_matrix(self, rng):
-        # The knot vector is shared with every other curve over the same
-        # knots, so compare its derivative-matrix cache around the call.
-        curve = random_curve(rng, 12)
-        before = dict(curve.knots._dmat_cache)
-        curve.eval(np.linspace(0.0, 10.0, 7), tuple(range(6)))
-        assert curve.knots._dmat_cache == before
 
     def test_span_polynomials_memoized_per_curve(self, rng):
         # One stacked table per curve holds every order; each order's

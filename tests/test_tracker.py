@@ -20,13 +20,11 @@ from safeflight.tracker import (
     PdGains,
     ReferencePoint,
     SafeCommand,
+    SafetyFilter,
     TrackingState,
     barrier_values,
     certificates,
     check_initial_conditions,
-    face_bounds,
-    nominal_mu,
-    safe_step,
 )
 
 PARAMS = CbfParams(delta=0.1, a1=6.0, a2=8.0)
@@ -86,21 +84,18 @@ class TestAdmissibleBox:
         # upper - lower == 2 a2 delta no matter the state: feasibility of the
         # filter never depends on where the vehicle is.
         m = 100_000
-        lower, upper = face_bounds(
-            rng.uniform(-10, 10, (m, 3)),
-            rng.uniform(-10, 10, (m, 3)),
-            rng.uniform(-10, 10, (m, 3)),
-            rng.uniform(-10, 10, (m, 3)),
-            rng.uniform(-20, 20, (m, 3)),
-            PARAMS,
+        state = TrackingState(rng.uniform(-10, 10, (m, 3)), rng.uniform(-10, 10, (m, 3)))
+        ref = ReferencePoint(
+            rng.uniform(-10, 10, (m, 3)), rng.uniform(-10, 10, (m, 3)), rng.uniform(-20, 20, (m, 3))
         )
+        _, lower, upper = SafetyFilter(PARAMS).inputs(state, ref)
         width = upper - lower
         assert np.max(np.abs(width - 1.6)) <= 1e-12
         assert np.all(upper >= lower)
 
     def test_center_is_error_feedback(self, rng):
         state, ref, _ = random_instance(rng)
-        lower, upper = face_bounds(state.r, state.r1, ref.r, ref.r1, ref.r2, PARAMS)
+        _, lower, upper = SafetyFilter(PARAMS).inputs(state, ref)
         e = state.r - ref.r
         e1 = state.r1 - ref.r1
         assert_allclose((lower + upper) / 2, ref.r2 - 6.0 * e1 - 8.0 * e)
@@ -108,7 +103,7 @@ class TestAdmissibleBox:
     def test_faces_order_and_bounds(self, rng):
         state, ref, _ = random_instance(rng)
         faces = cbf_faces(state, ref, PARAMS)
-        lower, upper = face_bounds(state.r, state.r1, ref.r, ref.r1, ref.r2, PARAMS)
+        _, lower, upper = SafetyFilter(PARAMS).inputs(state, ref)
         assert [f.axis for f in faces] == [0, 0, 1, 1, 2, 2]
         assert [f.side for f in faces] == [+1, -1, +1, -1, +1, -1]
         for f in faces:
@@ -120,8 +115,8 @@ class TestClamp:
     def test_matches_qp_oracle(self, rng):
         for _ in range(200):
             state, ref, mu_nom = random_instance(rng)
-            mu = safe_step(state, ref, mu_nom, PARAMS).mu
-            lower, upper = face_bounds(state.r, state.r1, ref.r, ref.r1, ref.r2, PARAMS)
+            mu = SafetyFilter(PARAMS)(state, ref, mu_nom).mu
+            _, lower, upper = SafetyFilter(PARAMS).inputs(state, ref)
             mu_qp = box_projection_qp(mu_nom, lower, upper)
             assert np.max(np.abs(mu - mu_qp)) <= 1e-9
 
@@ -130,22 +125,22 @@ class TestClamp:
         # solver, at the accuracy the interior-point method can deliver.
         for _ in range(20):
             state, ref, mu_nom = random_instance(rng)
-            lower, upper = face_bounds(state.r, state.r1, ref.r, ref.r1, ref.r2, PARAMS)
+            _, lower, upper = SafetyFilter(PARAMS).inputs(state, ref)
             mu_as = box_projection_qp(mu_nom, lower, upper)
             mu_ip = conic_projection(mu_nom, lower, upper)
             assert np.max(np.abs(mu_as - mu_ip)) <= 1e-3
 
     def test_interior_input_passes_through(self, rng):
         state, ref, _ = random_instance(rng)
-        lower, upper = face_bounds(state.r, state.r1, ref.r, ref.r1, ref.r2, PARAMS)
+        _, lower, upper = SafetyFilter(PARAMS).inputs(state, ref)
         mu_nom = (lower + upper) / 2
-        assert_allclose(safe_step(state, ref, mu_nom, PARAMS).mu, mu_nom, atol=0)
+        assert_allclose(SafetyFilter(PARAMS)(state, ref, mu_nom).mu, mu_nom, atol=0)
 
     def test_output_always_admissible(self, rng):
         for _ in range(100):
             state, ref, mu_nom = random_instance(rng)
-            mu = safe_step(state, ref, mu_nom, PARAMS).mu
-            lower, upper = face_bounds(state.r, state.r1, ref.r, ref.r1, ref.r2, PARAMS)
+            mu = SafetyFilter(PARAMS)(state, ref, mu_nom).mu
+            _, lower, upper = SafetyFilter(PARAMS).inputs(state, ref)
             assert np.all(mu >= lower - 1e-12)
             assert np.all(mu <= upper + 1e-12)
 
@@ -160,7 +155,7 @@ class TestClamp:
                 r=ref.r + rng.uniform(-0.1, 0.1, 3),
                 r1=ref.r1 + rng.uniform(-PARAMS.velocity_bound, PARAMS.velocity_bound, 3),
             )
-            mu = safe_step(state, ref, rng.uniform(-50, 50, 3), PARAMS).mu
+            mu = SafetyFilter(PARAMS)(state, ref, rng.uniform(-50, 50, 3)).mu
             assert np.abs(mu - ref.r2).max() <= PARAMS.input_deviation_bound + 1e-12
 
 
@@ -168,7 +163,7 @@ class TestSafeStep:
     def test_active_faces_flag_the_clamped_axes(self):
         ref = ReferencePoint(r=np.zeros(3), r1=np.zeros(3), r2=np.zeros(3))
         state = TrackingState(r=np.zeros(3), r1=np.zeros(3))
-        cmd = safe_step(state, ref, np.array([50.0, -50.0, 0.0]), PARAMS)
+        cmd = SafetyFilter(PARAMS)(state, ref, np.array([50.0, -50.0, 0.0]))
         assert cmd.active.tolist() == [True, False, False, True, False, False]
         assert_allclose(cmd.mu, [0.8, -0.8, 0.0])  # a2 * delta on each side
         assert_allclose(cmd.mu_nominal, [50.0, -50.0, 0.0])
@@ -177,7 +172,7 @@ class TestSafeStep:
         state, ref, mu_nom = random_instance(rng)
         state = TrackingState(r=ref.r + 0.05, r1=ref.r1)
         ref = ReferencePoint(r=ref.r, r1=ref.r1, r2=np.array([1.0, 0.0, 2.0]))
-        cmd = safe_step(state, ref, mu_nom, PARAMS, psi=0.3)
+        cmd = SafetyFilter(PARAMS, psi=0.3)(state, ref, mu_nom)
         want = attitude_from_virtual(cmd.mu, 0.3)
         assert cmd.v.thrust == want.thrust
         assert cmd.v.phi == want.phi
@@ -185,8 +180,8 @@ class TestSafeStep:
         assert cmd.v.psi == 0.3
 
     def test_matches_the_face_path_bitwise(self, rng):
-        # safe_step reads the clamp, the active flags and the barriers off
-        # the face_bounds arrays; the per-face path must agree exactly, also
+        # The filter reads the clamp, the active flags and the barriers off
+        # its box arrays; the per-face path must agree exactly, also
         # when the nominal input sits on a face or just inside its 1e-9
         # activity tolerance.
         for k in range(200):
@@ -202,7 +197,7 @@ class TestSafeStep:
             if k % 2:
                 inset = 5e-10 if k % 4 == 3 else 0.0
                 mu_nom[faces[on].axis] = faces[on].bound - faces[on].side * inset
-            cmd = safe_step(state, ref, mu_nom, PARAMS)
+            cmd = SafetyFilter(PARAMS)(state, ref, mu_nom)
             mu = filter_input(mu_nom, faces)
             assert_array_equal(cmd.mu, mu)
             active = [abs(float(mu[f.axis]) - float(f.bound)) <= 1e-9 for f in faces]
@@ -215,7 +210,7 @@ class TestSafeStep:
     def test_reports_barriers(self):
         ref = ReferencePoint(r=np.zeros(3), r1=np.zeros(3), r2=np.zeros(3))
         state = TrackingState(r=np.array([0.04, -0.02, 0.0]), r1=np.zeros(3))
-        cmd = safe_step(state, ref, np.zeros(3), PARAMS)
+        cmd = SafetyFilter(PARAMS)(state, ref, np.zeros(3))
         assert_allclose(cmd.barriers, [0.06, 0.14, 0.12, 0.08, 0.1, 0.1])
 
 
@@ -246,15 +241,16 @@ class TestDirectForm:
             state = TrackingState(r, r1)
 
             args = (state.r, state.r1, ref.r, ref.r1, ref.r2, params)
-            for got, want in zip(face_bounds(*args), face_bounds_direct(*args)):
+            safety = SafetyFilter(params, gains, psi=0.2)
+            mu_nom, *box = safety.inputs(state, ref)
+            for got, want in zip(box, face_bounds_direct(*args)):
                 assert_same_bits(got, want)
-            mu_nom = nominal_mu(state, ref, gains)
             assert_same_bits(mu_nom, nominal_mu_direct(state, ref, gains))
             if k % 2:  # some nominal inputs exactly on a face
                 lower, upper = face_bounds_direct(*args)
                 on = rng.uniform(size=shape) < 0.3
                 mu_nom = np.where(on, np.where(rng.uniform(size=shape) < 0.5, lower, upper), mu_nom)
-            got = safe_step(state, ref, mu_nom, params, psi=0.2)
+            got = safety(state, ref, mu_nom)
             want = safe_step_direct(state, ref, mu_nom, params, psi=0.2)
             for name in ("mu_nominal", "mu", "lower", "upper", "active", "barriers"):
                 assert_same_bits(getattr(got, name), getattr(want, name))
@@ -343,20 +339,19 @@ class TestSingleTickPath:
 
     def test_safe_step_with_a_given_nominal(self, setting):
         params, _, psi, rows = setting
-        batch = safe_step(*self.split(rows), params, psi=psi)
+        safety = SafetyFilter(params, psi=psi)
+        batch = safety(*self.split(rows))
         for k in range(self.K):
-            got = safe_step(*self.split(rows, k), params, psi=psi)
+            got = safety(*self.split(rows, k))
             assert command_bytes(got) == command_bytes(batch, k), k
 
     def test_face_bounds_and_nominal_mu(self, setting):
         params, gains, _, rows = setting
-        lower, upper = face_bounds(*rows[:5], params)
-        mu = nominal_mu(*self.split(rows)[:2], gains)
+        safety = SafetyFilter(params, gains)
+        batch = safety.inputs(*self.split(rows)[:2])
         for k in range(self.K):
-            row = [f[k] for f in rows]
-            got = (*face_bounds(*row[:5], params), nominal_mu(*self.split(rows, k)[:2], gains))
-            for a, b in zip(got, (lower[k], upper[k], mu[k])):
-                assert_same_bits(a, b)
+            for a, b in zip(safety.inputs(*self.split(rows, k)[:2]), batch):
+                assert_same_bits(a, b[k])
 
 
 class TestBarriers:
@@ -385,8 +380,9 @@ class TestBarriers:
         assert check_initial_conditions(TrackingState(r, r1), ref, PARAMS).ok
         dt = 1e-4
         worst = 0.0
+        safety = SafetyFilter(PARAMS)
         for k in range(20_000):
-            mu = safe_step(TrackingState(r, r1), ref, np.array([50.0, -50.0, 30.0]), PARAMS).mu
+            mu = safety(TrackingState(r, r1), ref, np.array([50.0, -50.0, 30.0])).mu
             r = r + r1 * dt + 0.5 * mu * dt * dt
             r1 = r1 + mu * dt
             worst = max(worst, float(np.abs(r).max()))
@@ -397,7 +393,7 @@ class TestNominal:
     def test_pd_law(self, rng):
         gains = PdGains(kp=2.0, kd=3.0)
         state, ref, _ = random_instance(rng)
-        mu = nominal_mu(state, ref, gains)
+        mu = SafetyFilter(PARAMS, gains).inputs(state, ref)[0]
         assert_allclose(mu, ref.r2 + 2.0 * (ref.r - state.r) + 3.0 * (ref.r1 - state.r1))
 
     def test_gain_validation(self):
