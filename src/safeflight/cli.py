@@ -54,6 +54,7 @@ from .planner import (
     plan,
 )
 from .simverify import (
+    MAX_TICKS,
     SimConfig,
     make_filtered_controller,
     make_unfiltered_controller,
@@ -336,7 +337,8 @@ def load_scenario(source: str) -> ScenarioFile:
 
     Raises:
         ScenarioError: for YAML errors, schema violations, or inconsistent
-            contents (for example a corridor with the wrong n).
+            contents (for example a corridor with the wrong n, or a tracking
+            run of more than MAX_TICKS control ticks).
     """
     text, desc = _resolve_source(source)
     # libyaml's loader parses about ten times faster; PyYAML may be built without it.
@@ -361,6 +363,15 @@ def load_scenario(source: str) -> ScenarioFile:
         planning = _planning_scenario(doc, degree, tracking)
     except ValueError as exc:
         raise ScenarioError(f"{desc}: {exc}") from exc
+    if tracking is not None:
+        sim = tracking.sim
+        span = sim.duration if sim.duration is not None else planning.tf - planning.t0
+        ticks = round(span * sim.control_rate)
+        if ticks > MAX_TICKS:
+            raise ScenarioError(
+                f"{desc}: tracking.control_rate: {sim.control_rate:g} Hz over {span:g} s "
+                f"is {ticks} ticks, more than MAX_TICKS = {MAX_TICKS}"
+            )
     return ScenarioFile(planning=planning, tracking=tracking, source=desc)
 
 

@@ -35,7 +35,6 @@ from .socp import OPTIMAL, ConeProgram, Solution
 from .splines import (
     KnotVector,
     SplineCurve,
-    _local_basis,
     clamped_uniform_knots,
     snap_gram,
 )
@@ -64,13 +63,19 @@ class MarginInfeasibleError(ValueError):
 
 
 def _finite(name: str, value) -> np.ndarray:
-    """value as a float array; ValueError naming the field unless every entry is a finite number."""
+    """value as a float array; ValueError naming the field unless every entry is a finite number.
+
+    The error names the first non-finite entry, with its index unless value is a scalar.
+    """
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be numbers: {exc}") from None
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite, got {arr.tolist()}")
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = f" at {at if len(at) > 1 else at[0]}" if at else ""
+        raise ValueError(f"{name} must be finite, got {arr[at]}{where}")
     return arr
 
 
@@ -594,9 +599,8 @@ class PlanAssembly:
         """
         if not waypoints:
             return
-        d = self.kv.degree
-        l, basis = _local_basis(self.kv, {d}, np.array([wp.time for wp in waypoints]))
-        rows, cols = self._axis_blocks(basis[d], l - d)
+        l, basis = self.kv.basis_values(np.array([wp.time for wp in waypoints]))
+        rows, cols = self._axis_blocks(basis, l - self.kv.degree)
         pos = np.array([wp.position for wp in waypoints])
         radius = np.array([wp.radius for wp in waypoints])
         pin, ball = radius == 0.0, radius != 0.0

@@ -29,6 +29,9 @@ from .tracker import (
 
 # ------------------------------------------------------------------ simulation
 
+# Most control ticks one run may hold; simulate stores a few (3,) rows per tick.
+MAX_TICKS = 10**6
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -208,12 +211,15 @@ def simulate(
     after the loop. One more call after the loop, on every recorded state
     at once, supplies mu_nominal, mu, the reduced input (v), barriers and
     active faces for the trace; an InvertedFlightError raised there leaves
-    simulate.
+    simulate. A run of more than MAX_TICKS ticks is a ValueError, raised
+    before the grid is built.
     """
     span = duration if duration is not None else cfg.duration
     M = int(round((span or 0.0) * cfg.control_rate))
     if M < 1:
         raise ValueError("simulation needs a duration of at least one control tick")
+    if M > MAX_TICKS:
+        raise ValueError(f"simulation of {M} ticks exceeds MAX_TICKS = {MAX_TICKS}")
     h = 1.0 / cfg.control_rate
     ts = t0 + np.arange(M) * h
     ref = reference(ts)

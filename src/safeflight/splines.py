@@ -10,25 +10,27 @@ on finitely many derivative control points.
 Conventions. A knot vector has v + 1 entries tau_0 <= ... <= tau_v with the
 first and last knot repeated degree + 1 times and uniformly spaced interior
 breakpoints. A curve of degree d over it has n + 1 control points, where
-n = v - d - 1. Basis functions of degree k are indexed 0..v-k-1 and follow
-the Cox-de Boor recursion. Only the k + 1 functions l-k..l are nonzero on a
-span [tau_l, tau_{l+1}), so basis_matrix builds just those, row by row of
-de Boor's triangle, on the nonempty spans d..n. A curve is a polynomial on
-each nonempty span; it is evaluated from its power-series coefficients about
-the span midpoint, with one Horner pass per derivative order. The
-basis on every span is built once per knot vector, by the same triangle run
-on polynomials; each curve contracts it with its control points into one
-stacked read-only table of the coefficients of every order 0..d, and each
-evaluation makes one gather from it: a repeat of each span's coefficients
-over its run of samples when the times are sorted, a take otherwise.
+n = v - d - 1. Basis functions of degree d are indexed 0..n and follow
+the Cox-de Boor recursion. Only the d + 1 functions l-d..l are nonzero on a
+span [tau_l, tau_{l+1}), so KnotVector.basis_values builds just those, row
+by row of de Boor's triangle, on the nonempty spans d..n. A curve is a
+polynomial on each nonempty span; it is evaluated from its power-series
+coefficients about the span midpoint, with one Horner pass per derivative
+order. The basis on every span is built once per knot vector, by the same
+triangle run on polynomials; each curve contracts it with its control
+points into one stacked read-only table of the coefficients of every order
+0..d, and each evaluation makes one gather from it: a repeat of each span's
+coefficients over its run of samples when the times are sorted, a take
+otherwise.
 Evaluation at the right endpoint returns left limits, so curves are defined
 on all of [tau_0, tau_v].
 
 Derivative control points are banded: the order-r point j is a weighted
 difference of control points j - r .. j. Those r + 1 weights per point, the
 derivative stencil, come from one bidiagonal difference recursion per knot
-vector, vectorized over the points; the derivative control points and the
-snap Gram matrix are both built from them. Equal knot arguments give one
+vector, vectorized over the points, and build the derivative control points.
+The snap Gram matrix integrates the span power basis's fourth derivative
+exactly, from the moments of s over each span. Equal knot arguments give one
 shared KnotVector from a bounded cache, so plans over the same knots build
 each of these tables once.
 """
@@ -128,10 +130,6 @@ class KnotVector:
     def tf(self) -> float:
         return float(self.tau[-1])
 
-    def num_basis(self, degree: int) -> int:
-        """Number of basis functions of the given degree over these knots."""
-        return self.v - degree
-
     def nonempty_spans(self) -> range:
         """Indices l of the nonempty spans [tau_l, tau_{l+1}) of a clamped vector."""
         return range(self.degree, self.n + 1)
@@ -150,6 +148,38 @@ class KnotVector:
         l = self.tau.searchsorted(ts, side="right") - 1
         return np.minimum(np.maximum(l, self.degree), self.n)
 
+    def basis_values(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """Span indices and the d + 1 nonzero degree-d basis values at times ts.
+
+        De Boor's triangle, vectorized over the samples: row j holds the
+        degree-j functions l-j..l on span l. Every denominator covers the
+        nonempty span l, so there is no 0/0 case.
+
+        Returns:
+            (l, B) for the m times of ts in [t0, tf], any shape, flattened:
+            l of shape (m,) and B of shape (m, d + 1), where B[i, a] is basis
+            function l[i] - d + a at ts[i]. At tf the values are left limits.
+        """
+        d = self.degree
+        ts = np.atleast_1d(np.asarray(ts, dtype=float)).ravel()
+        self._check_range(ts)
+        l = self._spans(ts)
+        # Knots tau[l-d+1 .. l+d] of each sample, the only ones the triangle reads,
+        # and the distances it takes: sample minus left half, right half minus sample.
+        win = self.tau[l[:, None] + np.arange(1 - d, d + 1)]
+        before, after = ts[:, None] - win[:, :d], win[:, d:] - ts[:, None]
+        lam = np.ones((ts.size, 1))
+        for j in range(1, d + 1):
+            # Degree-(j-1) function p = l-j+1..l feeds degree-j functions p and p-1
+            # through the knot pair (tau_p, tau_{p+j}).
+            lo, hi = slice(d - j, d), slice(d, d + j)
+            den = win[:, hi] - win[:, lo]
+            nxt = np.zeros((ts.size, j + 1))
+            nxt[:, 1:] = before[:, lo] / den * lam
+            nxt[:, :-1] += after[:, :j] / den * lam
+            lam = nxt
+        return l, lam
+
     @cached_property
     def _span_midpoints(self) -> np.ndarray:
         """Midpoint (tau_l + tau_{l+1}) / 2 of each nonempty span l = d..n (read-only)."""
@@ -161,11 +191,13 @@ class KnotVector:
     def _span_power_basis(self) -> np.ndarray:
         """The degree-d basis on every nonempty span, as polynomials in s = t - mid.
 
-        De Boor's triangle of _local_basis, run on power-series coefficients
+        De Boor's triangle of basis_values, run on power-series coefficients
         in s instead of values and vectorized over the spans: with mid the
         span midpoint, t - tau_p = s + (mid - tau_p) and
         tau_q - t = (tau_q - mid) - s. Centring keeps |s| <= h / 2, so the
-        coefficients stay well scaled even far from t = 0.
+        coefficients stay well scaled even far from t = 0. Curves contract
+        it with their control points for evaluation, and snap_gram
+        integrates its fourth derivative in closed form.
 
         Returns:
             Read-only array of shape (S, d + 1, d + 1) for the S = n - d + 1
@@ -181,7 +213,7 @@ class KnotVector:
         lam = np.zeros((l.size, 1, d + 1))
         lam[..., 0] = 1.0
         for j in range(1, d + 1):
-            # As in _local_basis; multiplying by s shifts the coefficients up
+            # As in basis_values; multiplying by s shifts the coefficients up
             # one power, and the degree-(j-1) rows have nothing in the top power.
             lo, hi = slice(d - j, d), slice(d, d + j)
             a = lam / (win[:, hi] - win[:, lo])[..., None]
@@ -253,64 +285,6 @@ class KnotVector:
         # Written so that NaN, which fails every comparison, is out of range.
         if not ((t >= self.tau[0]) & (t <= self.tau[-1])).all():
             raise ValueError(f"evaluation time outside [{self.t0}, {self.tf}]")
-
-
-def _local_basis(knots: KnotVector, degrees, ts) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Span indices and the nonzero basis values of every time, per degree.
-
-    One de Boor triangle, vectorized over samples and rows, serves every
-    requested degree: row j holds the degree-j functions l-j..l on span l,
-    bitwise the same whatever the top degree. Every denominator covers the
-    nonempty span l, so there is no 0/0 case.
-
-    Returns:
-        (l, rows) with l of shape (m,) for the m flattened times and, for
-        each k in degrees, rows[k] of shape (m, k + 1); rows[k][i, a] is
-        basis function l[i] - k + a of degree k at ts[i].
-    """
-    degree = max(degrees)
-    if min(degrees) < 0 or degree > knots.degree:
-        raise ValueError(f"basis degrees must lie in [0, {knots.degree}], got {sorted(degrees)}")
-    ts = np.atleast_1d(np.asarray(ts, dtype=float)).ravel()
-    knots._check_range(ts)
-    l = knots._spans(ts)
-    # Knots tau[l-k+1 .. l+k] of each sample, the only ones the triangle reads,
-    # and the distances it takes: sample minus left half, right half minus sample.
-    win = knots.tau[l[:, None] + np.arange(1 - degree, degree + 1)]
-    before, after = ts[:, None] - win[:, :degree], win[:, degree:] - ts[:, None]
-    lam = np.ones((ts.size, 1))
-    rows = {0: lam} if 0 in degrees else {}
-    for j in range(1, degree + 1):
-        # Degree-(j-1) function p = l-j+1..l feeds degree-j functions p and p-1
-        # through the knot pair (tau_p, tau_{p+j}).
-        lo, hi = slice(degree - j, degree), slice(degree, degree + j)
-        den = win[:, hi] - win[:, lo]
-        nxt = np.zeros((ts.size, j + 1))
-        nxt[:, 1:] = before[:, lo] / den * lam
-        nxt[:, :-1] += after[:, :j] / den * lam
-        lam = nxt
-        if j in degrees:
-            rows[j] = lam
-    return l, rows
-
-
-def basis_matrix(knots: KnotVector, degree: int, ts: np.ndarray) -> np.ndarray:
-    """Evaluate all degree-k basis functions at many times at once.
-
-    Args:
-        knots: Knot vector (its own degree only bounds which k are valid).
-        degree: Basis degree k, 0 <= k <= knots.degree.
-        ts: Times inside [t0, tf], any shape; flattened to one axis.
-
-    Returns:
-        Array of shape (len(ts), v - k); row i is the basis vector at ts[i].
-        At t = tf the row is the left limit (final span treated as closed).
-        Entries outside each row's k + 1 supported functions are exactly 0.
-    """
-    l, rows = _local_basis(knots, {degree}, ts)
-    B = np.zeros((l.size, knots.num_basis(degree)))
-    B[np.arange(l.size)[:, None], l[:, None] + np.arange(-degree, 1)] = rows[degree]
-    return B
 
 
 @dataclass(frozen=True)
@@ -487,11 +461,13 @@ def snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
 
     For a single-axis curve with coefficients x over these knots,
     x @ Q @ x equals the integral of the squared fourth derivative over
-    [t0, tf]. Assembled exactly by per-span Gauss-Legendre quadrature on the
-    degree d-4 basis (d-3 nodes per span integrate the degree 2(d-4) products
-    exactly): at each node the snap of the span's d + 1 control points is the
-    local basis times their fourth-derivative stencils, and each span adds
-    its (d + 1)-square block into Q.
+    [t0, tf]. Built in closed form, span by span: the fourth derivative of
+    the span's power basis (columns 4..d, column k + 4 scaled by
+    (k + 4)! / k!) is a polynomial in s = t - mid of degree d - 4, and the
+    integral of s**(i + j) over the span [-h/2, h/2] is 2 (h/2)**(i + j + 1)
+    / (i + j + 1) for even i + j and 0 otherwise. With those moments M and
+    the derivative columns P4, each span adds its (d + 1)-square block
+    P4 M P4' into Q.
 
     Returns:
         (Q, G) with Q of shape (n+1, n+1) positive semidefinite and
@@ -503,32 +479,15 @@ def snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     return knots._snap_gram
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1] (read-only)."""
-    nodes, weights = np.polynomial.legendre.leggauss(count)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def _build_snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     d, n = knots.degree, knots.n
-    k = d - 4
-    nodes, weights = _gauss_legendre(k + 1)
     l = np.arange(d, n + 1)
-    a, b = knots.tau[l, None], knots.tau[l + 1, None]
-    x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    w = 0.5 * (b - a) * weights
-    _, rows = _local_basis(knots, {k}, x)
-    lam = rows[k].reshape(l.size, k + 1, k + 1)  # [span, node, basis function l-k+c]
-    # Snap point l-k+c is stencil row l-d+c over control points l-d+c .. l-d+c+4,
-    # which sit at offsets c..c+4 of the span's control points l-d..l.
-    c, e = np.arange(k + 1)[:, None], np.arange(5)
-    T = np.zeros((l.size, k + 1, d + 1))
-    T[:, c, c + e] = knots.derivative_stencil(4)[l[:, None] - d + np.arange(k + 1)]
-    E = lam @ T  # [span, node, control point l-d+c]: its snap at the node
-    blocks = E.transpose(0, 2, 1) @ (w[..., None] * E)
+    k = np.arange(d - 3)
+    P4 = knots._span_power_basis[:, :, 4:] * np.array([perm(i + 4, 4) for i in k], dtype=float)
+    e = k[:, None] + k
+    half = 0.5 * (knots.tau[l + 1] - knots.tau[l])[:, None, None]
+    M = np.where(e % 2 == 0, 2.0 * half ** (e + 1) / (e + 1), 0.0)
+    blocks = P4 @ M @ P4.transpose(0, 2, 1)
     idx = l[:, None] - d + np.arange(d + 1)
     flat = (idx[:, :, None] * (n + 1) + idx[:, None, :]).ravel()
     Q = np.bincount(flat, blocks.ravel(), minlength=(n + 1) ** 2).reshape(n + 1, n + 1)

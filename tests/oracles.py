@@ -53,9 +53,11 @@ The cone model has a dense reference. dense_derivative_matrix is the
 product of bidiagonal difference factors that the derivative stencils
 replace, and DensePlanAssembly compiles every family as rows over all
 3(n + 1) control-point columns, with waypoints and endpoint pins read off
-dense basis rows, each cone of a membership family placed one by one, and
-the snap epigraph of each axis added on its own over dense_snap_gram, the
-Gram matrix conjugated with the dense B_4. dense_compile_plan runs the
+cox_de_boor_matrix rows, each cone of a membership family placed one by
+one, and the snap epigraph of each axis added on its own over
+dense_snap_gram: the Gram matrix of the degree d - 4 basis by Gauss-Legendre
+quadrature, conjugated with the dense B_4, where the package integrates the
+span power basis in closed form. dense_compile_plan runs the
 families in compile_plan's order, so the two models must agree in census,
 rows, nonzero pattern and right-hand side.
 """
@@ -86,7 +88,7 @@ from safeflight.simverify import (
     _worst,
     span_samples,
 )
-from safeflight.splines import KnotVector, basis_matrix, clamped_uniform_knots
+from safeflight.splines import KnotVector, clamped_uniform_knots
 from safeflight.tracker import (
     CbfParams,
     PdGains,
@@ -536,7 +538,7 @@ def dense_snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(k + 1)
     l = np.array(knots.nonempty_spans())[:, None]
     a, b = knots.tau[l], knots.tau[l + 1]
-    lam = basis_matrix(knots, k, 0.5 * (b - a) * nodes + 0.5 * (a + b))
+    lam = cox_de_boor_matrix(knots.tau, k, (0.5 * (b - a) * nodes + 0.5 * (a + b)).ravel())
     W = lam.T @ ((0.5 * (b - a) * weights).reshape(-1, 1) * lam)
     B4 = dense_derivative_matrix(knots, 4)
     Q = B4 @ W @ B4.T
@@ -592,7 +594,7 @@ class DensePlanAssembly(PlanAssembly):
         if not waypoints:
             return
         times = np.array([wp.time for wp in waypoints])
-        rows = self._axis_rows(basis_matrix(self.kv, self.kv.degree, times))
+        rows = self._axis_rows(cox_de_boor_matrix(self.kv.tau, self.kv.degree, times))
         pos = np.array([wp.position for wp in waypoints])
         radius = np.array([wp.radius for wp in waypoints])
         pin, ball = radius == 0.0, radius != 0.0
@@ -606,7 +608,7 @@ class DensePlanAssembly(PlanAssembly):
         weights, values = [], []
         for t_m, pinned in ((kv.t0, pins.initial), (kv.tf, pins.final)):
             for r, value in enumerate(pinned):
-                basis = basis_matrix(kv, kv.degree - r, np.array([t_m]))[0]
+                basis = cox_de_boor_matrix(kv.tau, kv.degree - r, np.array([t_m]))[0]
                 weights.append(dense_derivative_matrix(kv, r) @ basis)
                 values.append(value)
         rows = self._axis_rows(np.reshape(weights, (-1, self.n + 1)))

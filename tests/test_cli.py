@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import export_csv_per_row
+from oracles import cox_de_boor_matrix, export_csv_per_row
 import safeflight
 from safeflight.cli import (
     EXIT_INFEASIBLE,
@@ -33,7 +33,7 @@ from safeflight.cli import (
 from safeflight.flatness import GRAVITY
 from safeflight.planner import TrajectoryPlan
 from safeflight.simverify import span_samples
-from safeflight.splines import SplineCurve, basis_matrix
+from safeflight.splines import SplineCurve
 
 EXPECTED_BUNDLED = [
     "example1",
@@ -78,7 +78,7 @@ def free_fall_plan(tmp_path, hover_plan):
     """
     kv = hover_plan.curve.knots
     ts = np.linspace(kv.t0, kv.tf, 200)
-    z, *_ = np.linalg.lstsq(basis_matrix(kv, kv.degree, ts), 0.5 - 0.5 * GRAVITY * ts**2)
+    z, *_ = np.linalg.lstsq(cox_de_boor_matrix(kv.tau, kv.degree, ts), 0.5 - 0.5 * GRAVITY * ts**2)
     doc = hover_plan.to_dict()
     doc["control_points"][2] = z.tolist()
     path = tmp_path / "ff.json"
@@ -525,6 +525,21 @@ class TestBadTracking:
         assert message in err
         assert "unexpected error" not in err
 
+    @pytest.mark.parametrize("duration", [10.0, None])
+    def test_tick_count_capped(self, tmp_path, capsys, duration):
+        # 10 s at 10 MHz is 1e8 ticks, past MAX_TICKS: refused at load, with
+        # the scenario's duration or, without one, the planning horizon.
+        doc = hover_dict()
+        doc["tracking"]["control_rate"] = 1.0e7
+        doc["tracking"].pop("duration", None)
+        if duration is not None:
+            doc["tracking"]["duration"] = duration
+        path = write_scenario(tmp_path, doc)
+        with pytest.raises(ScenarioError, match="tracking.control_rate"):
+            load_scenario(path)
+        assert main(["plan", "--scenario", path]) == EXIT_PARSE
+        assert "tracking.control_rate" in capsys.readouterr().err
+
 
 class TestSolverTol:
     def test_flag_wins(self, monkeypatch, hover_scenario):
@@ -858,7 +873,11 @@ def set_entry(key, *index, value):
 # (label, edit of the hover plan document, field the error must name). The
 # hover plan has n = 12, degree = 5 and per-span zeta, 8 values.
 BAD_PLAN_DOCUMENTS = [
-    ("control-point-nan", set_entry("control_points", 1, 4, value=float("nan")), "control_points"),
+    (
+        "control-point-nan",
+        set_entry("control_points", 1, 4, value=float("nan")),
+        "control_points must be finite, got nan at (1, 4)",
+    ),
     ("control-point-inf", set_entry("control_points", 2, 0, value=float("inf")), "control_points"),
     ("control-points-short", lambda d: d["control_points"][0].pop(), "control_points"),
     ("control-points-two-rows", lambda d: d["control_points"].pop(), "control_points"),
@@ -897,18 +916,24 @@ class TestBadPlanDocument:
         [case[1:] for case in BAD_PLAN_DOCUMENTS],
         ids=[case[0] for case in BAD_PLAN_DOCUMENTS],
     )
-    def test_exits_parse_naming_the_field(self, tmp_path, hover_plan, capsys, command, edit, field):
+    def test_exits_parse_naming_the_field(
+        self, tmp_path, hover_plan, capsys, monkeypatch, command, edit, field
+    ):
         doc = hover_plan.to_dict()
         if edit is None:
             doc = [doc]
         else:
             edit(doc)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        assert main(self.args(command, str(path), tmp_path)) == EXIT_PARSE
+        # A relative path keeps the message's length independent of tmp_path.
+        monkeypatch.chdir(tmp_path)
+        Path("bad.json").write_text(json.dumps(doc))
+        assert main(self.args(command, "bad.json", tmp_path)) == EXIT_PARSE
         out = capsys.readouterr()
         assert "cannot load plan" in out.err and field in out.err
         assert "unexpected error" not in out.err
+        if "must be finite" in out.err:
+            # A non-finite entry is named by index and value, not by the whole array.
+            assert all(len(line) < 120 for line in out.err.splitlines()), out.err
         assert not (tmp_path / "samples.csv").exists()
 
     def test_nan_barrier_fails_the_track_run(self, hover_plan, monkeypatch, capsys):

@@ -19,6 +19,7 @@ from safeflight.planner import (
     plan,
 )
 from safeflight.simverify import (
+    MAX_TICKS,
     SimConfig,
     SimTrace,
     make_filtered_controller,
@@ -95,6 +96,17 @@ class TestSimulate:
         ctrl = make_filtered_controller(PARAMS, GAINS)
         with pytest.raises(ValueError):
             simulate(still_air, ctrl, SimConfig(control_rate=50.0), duration=0.001)
+
+    def test_tick_cap_checked_before_the_grid(self):
+        # One tick past MAX_TICKS is refused before the grid exists, so the
+        # reference, which receives that grid, is never called.
+        def never(ts):
+            pytest.fail("reference called past the tick cap")
+
+        ctrl = make_filtered_controller(PARAMS, GAINS)
+        cfg = SimConfig(control_rate=1000.0)
+        with pytest.raises(ValueError, match="MAX_TICKS"):
+            simulate(never, ctrl, cfg, duration=(MAX_TICKS + 1) / 1000.0)
 
     def test_reference_called_once_with_the_tick_grid(self, hover_plan):
         calls = []

@@ -6,11 +6,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.interpolate import BSpline
 from scipy.optimize import nnls
 
-from oracles import cox_de_boor_matrix, dense_derivative_matrix
+from oracles import cox_de_boor_matrix, dense_derivative_matrix, dense_snap_gram
 from safeflight.splines import (
     KnotVector,
     SplineCurve,
-    basis_matrix,
     clamped_uniform_knots,
     derivative_control_points,
     snap_gram,
@@ -21,6 +20,14 @@ def random_curve(rng, n, degree=5, t0=0.0, tf=10.0, dim=3):
     kv = clamped_uniform_knots(t0, tf, n, degree)
     ctrl = rng.uniform(-1.0, 1.0, size=(dim, n + 1))
     return SplineCurve(kv, ctrl)
+
+
+def dense_basis(kv, ts):
+    """basis_values scattered into one column per degree-d basis function."""
+    l, vals = kv.basis_values(ts)
+    B = np.zeros((l.size, kv.n + 1))
+    B[np.arange(l.size)[:, None], l[:, None] + np.arange(-kv.degree, 1)] = vals
+    return B
 
 
 class TestKnotConstruction:
@@ -75,7 +82,7 @@ class TestKnotConstruction:
             with pytest.raises(ValueError, match="outside"):
                 kv.span_index(ts)
             with pytest.raises(ValueError, match="outside"):
-                basis_matrix(kv, 5, ts)
+                kv.basis_values(ts)
             with pytest.raises(ValueError, match="outside"):
                 curve.eval(ts)
             with pytest.raises(ValueError, match="outside"):
@@ -96,8 +103,8 @@ class TestBasis:
     def test_partition_of_unity(self, rng, degree):
         kv = clamped_uniform_knots(0.0, 3.0, 9, degree)
         ts = rng.uniform(0.0, 3.0, size=200)
-        lam = basis_matrix(kv, degree, ts)
-        assert lam.shape == (200, kv.num_basis(degree))
+        lam = dense_basis(kv, ts)
+        assert lam.shape == (200, kv.n + 1)
         assert np.all(lam >= 0.0)
         assert_allclose(lam.sum(axis=1), 1.0, atol=1e-12)
 
@@ -107,8 +114,9 @@ class TestBasis:
         # are supported entirely inside the clamped tail and stay zero.
         for degree in (1, 3, 5):
             kv = clamped_uniform_knots(0.0, 2.0, 8, 5)
-            lam = basis_matrix(kv, degree, np.array([0.0, 2.0]))
-            m = kv.num_basis(degree)
+            m = kv.v - degree
+            lam = cox_de_boor_matrix(kv.tau, degree, np.array([0.0, 2.0]))
+            assert lam.shape == (2, m)
             start = np.zeros(m)
             start[5 - degree] = 1.0
             end = np.zeros(m)
@@ -120,7 +128,7 @@ class TestBasis:
         degree, n = 3, 10
         kv = clamped_uniform_knots(0.0, 5.0, n, degree)
         ts = rng.uniform(0.0, 5.0, size=300)
-        lam = basis_matrix(kv, degree, ts)
+        lam = dense_basis(kv, ts)
         for i, t in enumerate(ts):
             l = kv.span_index(t)
             outside = np.ones(n + 1, dtype=bool)
@@ -131,8 +139,7 @@ class TestBasis:
     def test_matches_dense_recursion_bit_for_bit(self, rng, n, degree):
         kv = clamped_uniform_knots(0.0, 9.0, n, degree)
         ts = np.concatenate([rng.uniform(0.0, 9.0, 300), kv.tau])
-        for k in range(degree + 1):
-            assert_array_equal(basis_matrix(kv, k, ts), cox_de_boor_matrix(kv.tau, k, ts))
+        assert_array_equal(dense_basis(kv, ts), cox_de_boor_matrix(kv.tau, degree, ts))
 
 
 class TestAgainstScipy:
@@ -144,7 +151,7 @@ class TestAgainstScipy:
         return np.concatenate([rng.uniform(kv.t0, kv.tf, 400), kv.tau, [kv.t0, kv.tf]])
 
     @pytest.mark.parametrize("degree", range(6))
-    def test_basis_matrix(self, rng, degree):
+    def test_dense_basis_oracle(self, rng, degree):
         # The degree-k functions over a degree-5 clamped vector are scipy's
         # clamped degree-k basis on the same breakpoints, padded by 5 - k
         # functions at each end that live on the repeated end knots.
@@ -154,7 +161,7 @@ class TestAgainstScipy:
         inner = kv.tau[pad : kv.tau.size - pad]
         want = BSpline(inner, np.eye(inner.size - degree - 1), degree)(ts)
         want = np.pad(want, ((0, 0), (pad, pad)))
-        assert_allclose(basis_matrix(kv, degree, ts), want, rtol=0, atol=1e-13)
+        assert_allclose(cox_de_boor_matrix(kv.tau, degree, ts), want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("r", range(6))
     def test_curve_eval(self, rng, r):
@@ -366,9 +373,6 @@ class TestCurveEval:
             curve.eval(1.0, (0, 6))
         with pytest.raises(ValueError):
             curve.eval(np.array([1.0, 2.0]), ())
-        for degree in (-1, 6):
-            with pytest.raises(ValueError):
-                basis_matrix(curve.knots, degree, np.array([1.0]))
 
     def test_span_polynomials_memoized_per_curve(self, rng):
         # One stacked table per curve holds every order; each order's
@@ -436,14 +440,26 @@ class TestSnapGram:
             total += simpson((vals**2).sum(axis=1), x=ts)
         return total
 
-    def test_quadratic_form_matches_integral(self, rng):
+    @pytest.mark.parametrize("t0", [0.0, 1000.0])
+    def test_quadratic_form_matches_integral(self, rng, t0):
         for trial in range(20):
             n = int(rng.integers(8, 20))
-            curve = random_curve(rng, n, tf=float(rng.uniform(3.0, 12.0)))
+            curve = random_curve(rng, n, t0=t0, tf=t0 + float(rng.uniform(3.0, 12.0)))
             Q, _ = snap_gram(curve.knots)
             qform = sum(curve.ctrl[a] @ Q @ curve.ctrl[a] for a in range(3))
             dense = self.dense_snap(curve)
             assert qform == pytest.approx(dense, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("degree", range(4, 10))
+    def test_closed_form_matches_quadrature(self, degree):
+        # The span moments against the dense Gauss-Legendre Gram matrix.
+        # Far from t = 0 the quadrature oracle is the less accurate of the
+        # two, so the comparison stays on [0, 12].
+        for n in (degree, degree + 7, 40):
+            kv = clamped_uniform_knots(0.0, 12.0, n, degree)
+            Q, _ = snap_gram(kv)
+            Q_ref, _ = dense_snap_gram(kv)
+            assert_allclose(Q, Q_ref, rtol=0.0, atol=1e-13 * np.abs(Q_ref).max())
 
     def test_factor_reproduces_quadratic_form(self, rng):
         kv = clamped_uniform_knots(0.0, 6.0, 14, 5)
