@@ -11,10 +11,13 @@ bounds, regions, waypoints, pins, windows or corridor is a validation
 error, named by its field, and so is a plan document that is malformed
 (not a plan-format object, a non-integer n or degree, a control-point array
 not 3 x (n + 1), an unknown zeta_mode or a zeta of the wrong length) or
-holds a non-finite number. A plan that leaves the flatness map's domain
-(a free-fall sample with no thrust direction, a thrust axis along the yaw
-heading's normal, or a command that asks for inverted flight) fails
-verification: `verify`, `track` and `export` exit 4 on it. Only a solve
+holds a non-finite number. So are a spline.n below the degree, more than
+degree + 1 pinned orders at either end of a scenario, and a gravity that
+is not positive in a scenario or a plan document. A plan that leaves the
+flatness map's domain (a free-fall sample with no thrust direction, a
+thrust axis along the yaw heading's normal, or a sample or command whose
+thrust points down, which asks for inverted flight) fails verification:
+`verify`, `track` and `export` exit 4 on it. Only a solve
 loads scipy, so `verify`, `track` and `export` given a plan file start
 without it.
 """

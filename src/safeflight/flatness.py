@@ -6,8 +6,9 @@ matter here:
 
 - ``tilt_thrust_rates``: acceleration and jerk of the position spline to
   mass-normalized collective thrust, roll, pitch and the body rates p, q,
-  batched over any number of samples at zero yaw. The dense verifier
-  checks the plan's bounds through it, and the CSV export reports it.
+  batched over any number of samples at zero yaw, on the non-inverted
+  branch. The dense verifier checks the plan's bounds through it, and the
+  CSV export reports it.
 - ``attitude_from_virtual``: the virtual acceleration input
   mu = T z_B - g z_W of the double-integrator model to thrust, roll and
   pitch at a given yaw. The tracker filters mu, then converts it with this.
@@ -103,6 +104,9 @@ def tilt_thrust_rates(
     Raises:
         SingularThrustError: on a free-fall sample (thrust below 1e-6).
         SingularAttitudeError: on a thrust axis within 1e-9 of e_y.
+        InvertedFlightError: on a sample whose thrust points down or sideways
+            (acc_z + g <= 0), the branch attitude_from_virtual rejects too;
+            checked after the two above.
     """
     acc = np.asarray(acc, dtype=float)
     jerk = np.asarray(jerk, dtype=float)
@@ -118,6 +122,9 @@ def tilt_thrust_rates(
     nx = np.sqrt(z1 * z1 + z3 * z3)
     if np.any(nx < 1e-9):
         raise SingularAttitudeError("thrust axis parallel to e_y in batch")
+    inverted = tz <= 0.0
+    if np.any(inverted):
+        raise InvertedFlightError(f"vertical thrust component {np.min(tz[inverted]):.3f} <= 0")
     x1, x3 = z3 / nx, -z1 / nx
 
     theta = -np.arcsin(np.clip(x3, -1.0, 1.0))

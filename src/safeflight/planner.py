@@ -313,7 +313,11 @@ class IntervalConstraint:
 
 @dataclass(frozen=True)
 class PlanningScenario:
-    """Everything the planner needs for one solve."""
+    """Everything the planner needs for one solve.
+
+    Requires n >= degree, at most degree + 1 pinned orders at each end and a
+    positive gravity; a ValueError names the field otherwise.
+    """
 
     name: str
     t0: float
@@ -332,6 +336,19 @@ class PlanningScenario:
     solver_tol: float = 1e-8
 
     def __post_init__(self):
+        if self.n < self.degree:
+            raise ValueError(
+                f"spline.n must be >= degree = {self.degree} for a clamped spline, got {self.n}"
+            )
+        for end in ("initial", "final"):
+            count = len(getattr(self.pins, end))
+            if count > self.degree + 1:
+                raise ValueError(
+                    f"endpoints.{end} pins {count} derivative orders, but degree "
+                    f"{self.degree} has only {self.degree + 1} (orders 0..{self.degree})"
+                )
+        if _finite("gravity", self.gravity) <= 0:
+            raise ValueError(f"gravity must be positive, got {self.gravity}")
         if self.zeta_mode not in ("per-span", "scalar"):
             raise ValueError("zeta_mode must be 'per-span' or 'scalar'")
         if self.apply_tracking_margins and self.cbf is None:
@@ -398,10 +415,11 @@ class TrajectoryPlan:
         Raises:
             ValueError: naming the field, unless doc is a dict in the plan
                 format whose n and degree are ints, whose t0, tf and gravity
-                are finite numbers, whose control_points are finite with shape
-                (3, n + 1), whose zeta_mode is "per-span" or "scalar" with
-                finite zeta of n - degree + 1 values or of one, and whose
-                objective, snap and max_residual, where given, are numbers.
+                are finite numbers and gravity positive, whose control_points
+                are finite with shape (3, n + 1), whose zeta_mode is
+                "per-span" or "scalar" with finite zeta of n - degree + 1
+                values or of one, and whose objective, snap and max_residual,
+                where given, are numbers.
             KeyError: for a missing field.
         """
         if not isinstance(doc, dict) or doc.get("format") != "safeflight-plan":
@@ -411,6 +429,8 @@ class TrajectoryPlan:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         t0, tf, gravity = (_number(doc, name) for name in ("t0", "tf", "gravity"))
+        if gravity <= 0:
+            raise ValueError(f"gravity must be positive, got {gravity}")
         zeta_mode = doc["zeta_mode"]
         if zeta_mode not in ("per-span", "scalar"):
             raise ValueError(f"zeta_mode must be 'per-span' or 'scalar', got {zeta_mode!r}")

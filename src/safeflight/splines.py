@@ -12,16 +12,15 @@ first and last knot repeated degree + 1 times and uniformly spaced interior
 breakpoints. A curve of degree d over it has n + 1 control points, where
 n = v - d - 1. Basis functions of degree d are indexed 0..n and follow
 the Cox-de Boor recursion. Only the d + 1 functions l-d..l are nonzero on a
-span [tau_l, tau_{l+1}), so KnotVector.basis_values builds just those, row
-by row of de Boor's triangle, on the nonempty spans d..n. A curve is a
-polynomial on each nonempty span; it is evaluated from its power-series
-coefficients about the span midpoint, with one Horner pass per derivative
-order. The basis on every span is built once per knot vector, by the same
-triangle run on polynomials; each curve contracts it with its control
-points into one stacked read-only table of the coefficients of every order
-0..d, and each evaluation makes one gather from it: a repeat of each span's
-coefficients over its run of samples when the times are sorted, a take
-otherwise.
+span [tau_l, tau_{l+1}), and one routine builds just those, on the nonempty
+spans d..n: de Boor's triangle, run on power-series coefficients about an
+anchor. Anchored at sample times with one coefficient it gives basis values
+(the waypoint rows); anchored at the span midpoints with d + 1 it gives the
+basis on every span as polynomials, built once per knot vector. Each curve
+contracts those with its control points into one stacked read-only table of
+the coefficients of every order 0..d, evaluated with one Horner pass per
+order after one gather: a repeat of each span's coefficients over its run of
+samples when the times are sorted, a take otherwise.
 Evaluation at the right endpoint returns left limits, so curves are defined
 on all of [tau_0, tau_v].
 
@@ -151,34 +150,53 @@ class KnotVector:
     def basis_values(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """Span indices and the d + 1 nonzero degree-d basis values at times ts.
 
-        De Boor's triangle, vectorized over the samples: row j holds the
-        degree-j functions l-j..l on span l. Every denominator covers the
-        nonempty span l, so there is no 0/0 case.
+        _de_boor anchored at the samples themselves, keeping one coefficient:
+        the value at s = 0.
 
         Returns:
             (l, B) for the m times of ts in [t0, tf], any shape, flattened:
             l of shape (m,) and B of shape (m, d + 1), where B[i, a] is basis
             function l[i] - d + a at ts[i]. At tf the values are left limits.
         """
-        d = self.degree
         ts = np.atleast_1d(np.asarray(ts, dtype=float)).ravel()
         self._check_range(ts)
         l = self._spans(ts)
-        # Knots tau[l-d+1 .. l+d] of each sample, the only ones the triangle reads,
-        # and the distances it takes: sample minus left half, right half minus sample.
-        win = self.tau[l[:, None] + np.arange(1 - d, d + 1)]
-        before, after = ts[:, None] - win[:, :d], win[:, d:] - ts[:, None]
-        lam = np.ones((ts.size, 1))
+        return l, self._de_boor(l, ts, 1)[..., 0]
+
+    def _de_boor(self, l: np.ndarray, at: np.ndarray, powers: int) -> np.ndarray:
+        """De Boor's triangle on spans l, in power-series coefficients of s = t - at.
+
+        Vectorized over the spans: row j holds the degree-j functions l-j..l
+        on span l, and every denominator covers span l, so there is no 0/0.
+        Each step forms ((at - tau_p) / den) * lam and ((tau_q - at) / den) *
+        lam in the dense recursion's order, so one power gives its values at
+        t = at bitwise; more powers add the s terms +-lam / den one power up.
+
+        Returns:
+            Shape (m, d + 1, powers); [i, a, k] is the coefficient of s**k in
+            basis function l[i] - d + a.
+        """
+        d = self.degree
+        # Knots tau[l-d+1 .. l+d] of each span, the only ones the triangle reads,
+        # and the distances it takes: anchor minus left half, right half minus anchor.
+        win = self.tau[l[:, None] + np.arange(1 - d, d + 1)][..., None]
+        before, after = at[:, None, None] - win[:, :d], win[:, d:] - at[:, None, None]
+        lam = np.eye(1, powers)[None]  # degree 0: the constant 1 on span l
         for j in range(1, d + 1):
             # Degree-(j-1) function p = l-j+1..l feeds degree-j functions p and p-1
             # through the knot pair (tau_p, tau_{p+j}).
             lo, hi = slice(d - j, d), slice(d, d + j)
             den = win[:, hi] - win[:, lo]
-            nxt = np.zeros((ts.size, j + 1))
+            nxt = np.zeros((l.size, j + 1, powers))
             nxt[:, 1:] = before[:, lo] / den * lam
             nxt[:, :-1] += after[:, :j] / den * lam
+            if powers > 1:
+                # The degree-(j-1) rows have nothing in the top power.
+                a = lam[..., :-1] / den
+                nxt[:, 1:, 1:] += a
+                nxt[:, :-1, 1:] -= a
             lam = nxt
-        return l, lam
+        return lam
 
     @cached_property
     def _span_midpoints(self) -> np.ndarray:
@@ -191,37 +209,18 @@ class KnotVector:
     def _span_power_basis(self) -> np.ndarray:
         """The degree-d basis on every nonempty span, as polynomials in s = t - mid.
 
-        De Boor's triangle of basis_values, run on power-series coefficients
-        in s instead of values and vectorized over the spans: with mid the
-        span midpoint, t - tau_p = s + (mid - tau_p) and
-        tau_q - t = (tau_q - mid) - s. Centring keeps |s| <= h / 2, so the
-        coefficients stay well scaled even far from t = 0. Curves contract
-        it with their control points for evaluation, and snap_gram
-        integrates its fourth derivative in closed form.
+        _de_boor anchored at the span midpoints, keeping all d + 1
+        coefficients. Centring keeps |s| <= h / 2, so the coefficients stay
+        well scaled even far from t = 0. Curves contract it with their
+        control points for evaluation, and snap_gram integrates its fourth
+        derivative in closed form.
 
         Returns:
             Read-only array of shape (S, d + 1, d + 1) for the S = n - d + 1
             nonempty spans; [i, a, k] is the coefficient of s**k in basis
             function l - d + a on span l = d + i.
         """
-        d = self.degree
-        l = np.arange(d, self.n + 1)
-        mid = self._span_midpoints
-        win = self.tau[l[:, None] + np.arange(1 - d, d + 1)]
-        before = (mid[:, None] - win[:, :d])[..., None]
-        after = (win[:, d:] - mid[:, None])[..., None]
-        lam = np.zeros((l.size, 1, d + 1))
-        lam[..., 0] = 1.0
-        for j in range(1, d + 1):
-            # As in basis_values; multiplying by s shifts the coefficients up
-            # one power, and the degree-(j-1) rows have nothing in the top power.
-            lo, hi = slice(d - j, d), slice(d, d + j)
-            a = lam / (win[:, hi] - win[:, lo])[..., None]
-            lam = np.zeros((l.size, j + 1, d + 1))
-            lam[:, 1:] = before[:, lo] * a
-            lam[:, :-1] += after[:, :j] * a
-            lam[:, 1:, 1:] += a[..., :-1]
-            lam[:, :-1, 1:] -= a[..., :-1]
+        lam = self._de_boor(np.array(self.nonempty_spans()), self._span_midpoints, self.degree + 1)
         lam.setflags(write=False)
         return lam
 
@@ -482,9 +481,9 @@ def snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
 def _build_snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     d, n = knots.degree, knots.n
     l = np.arange(d, n + 1)
-    k = np.arange(d - 3)
-    P4 = knots._span_power_basis[:, :, 4:] * np.array([perm(i + 4, 4) for i in k], dtype=float)
-    e = k[:, None] + k
+    rows, scale = (a[_order_rows(d, 4)] for a in _table_layout(d))
+    P4 = knots._span_power_basis[:, :, rows] * scale
+    e = rows[:, None] + rows - 8  # i + j: row k + 4 gives the snap's s**k
     half = 0.5 * (knots.tau[l + 1] - knots.tau[l])[:, None, None]
     M = np.where(e % 2 == 0, 2.0 * half ** (e + 1) / (e + 1), 0.0)
     blocks = P4 @ M @ P4.transpose(0, 2, 1)

@@ -86,6 +86,30 @@ def free_fall_plan(tmp_path, hover_plan):
     return str(path)
 
 
+@pytest.fixture()
+def dive_plan(tmp_path, hover_plan):
+    """The hover plan with z control point 6 at -40: the thrust points down.
+
+    acc_z + g falls to about -2.5 over some 14% of [0, 10]. Each span's zeta
+    sits at 0.999 of its sampled minimum thrust, so the thrust floors hold;
+    hover's bounds loosened to v_max 100, thrust_max 1000 and
+    omega_max_deg_s 5.4e5 admit the rest. Read as small angles, the plan
+    would verify.
+    """
+    doc = hover_plan.to_dict()
+    doc["control_points"][2][6] = -40.0
+    pl = TrajectoryPlan.from_dict(doc)
+    kv = pl.curve.knots
+    l = np.array(kv.nonempty_spans())
+    seg = np.linspace(kv.tau[l], kv.tau[l + 1], 300, axis=1)
+    acc = pl.curve.eval(seg.ravel(), 2)
+    thrust = np.linalg.norm(acc + [0.0, 0.0, GRAVITY], axis=1).reshape(seg.shape)
+    doc["zeta"] = (0.999 * thrust.min(axis=1)).tolist()
+    path = tmp_path / "dive.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestLoading:
     def test_schema_is_valid_under_its_metaschema(self):
         # Scenario loads no longer re-check the schema, so check it here once.
@@ -427,6 +451,51 @@ class TestScenarioTimes:
         err = capsys.readouterr().err
         assert "v_max must be positive" in err
         assert "unexpected error" not in err
+
+
+def pin_count(end, count):
+    """An edit of a scenario that pins count zero-padded orders at one end."""
+
+    def edit(doc):
+        pins = doc["endpoints"][end]
+        pins += [[0.0, 0.0, 0.0]] * (count - len(pins))
+
+    return edit
+
+
+class TestSplineShapeAndGravity:
+    # A spline.n below the degree, more than degree + 1 pinned orders at one
+    # end, or a gravity that is not positive exits 2 naming its field, before
+    # any planning starts. Past load, the first two failed in the knot vector
+    # or the pin compile (exit 5), and the third in the tilt cone (exit 3).
+    CASES = [
+        ("n-3", lambda d: d["spline"].update(n=3), "spline.n"),
+        ("n-0", lambda d: d["spline"].update(n=0), "spline.n"),
+        ("n-minus-2", lambda d: d["spline"].update(n=-2), "spline.n"),
+        ("seven-initial-pins", pin_count("initial", 7), "endpoints.initial"),
+        ("seven-final-pins", pin_count("final", 7), "endpoints.final"),
+        ("gravity-zero", lambda d: d.update(gravity=0.0), "gravity must be positive"),
+        ("gravity-negative", lambda d: d.update(gravity=-9.81), "gravity must be positive"),
+    ]
+
+    @pytest.mark.parametrize("command", ["plan", "verify"])
+    @pytest.mark.parametrize("edit, field", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_exits_parse(self, tmp_path, capsys, command, edit, field):
+        doc = hover_dict()
+        edit(doc)
+        assert main([command, "--scenario", write_scenario(tmp_path, doc)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert field in err
+        assert "unexpected error" not in err
+
+    def test_limits_are_accepted(self, tmp_path):
+        doc = hover_dict()
+        doc["spline"]["n"] = doc["spline"]["degree"]
+        for end in ("initial", "final"):
+            pin_count(end, doc["spline"]["degree"] + 1)(doc)
+        planning = load_scenario(write_scenario(tmp_path, doc)).planning
+        assert planning.n == planning.degree == 5
+        assert len(planning.pins.initial) == len(planning.pins.final) == 6
 
 
 def every_planning_shape():
@@ -895,6 +964,8 @@ BAD_PLAN_DOCUMENTS = [
     ("tf-string", set_entry("tf", value="10"), "tf"),
     ("tf-inf", set_entry("tf", value=float("inf")), "tf"),
     ("gravity-nan", set_entry("gravity", value=float("nan")), "gravity"),
+    ("gravity-zero", set_entry("gravity", value=0.0), "gravity must be positive, got 0.0"),
+    ("gravity-negative", set_entry("gravity", value=-9.81), "gravity must be positive"),
     ("objective-null", set_entry("objective", value=None), "objective"),
     ("max-residual-list", set_entry("max_residual", value=[1.0]), "max_residual"),
     ("list-document", None, "not a plan document"),
@@ -947,6 +1018,25 @@ class TestBadPlanDocument:
         out = capsys.readouterr().out
         assert "min barrier nan" in out
         assert "FAILED: tracking left the safe tube" in out
+
+
+class TestInvertedFlight:
+    """A plan whose thrust points down fails verification in every command that reads its map."""
+
+    def test_verify_exits_verify(self, tmp_path, dive_plan, capsys):
+        doc = hover_dict()
+        doc["bounds"].update(v_max=100.0, thrust_max=1000.0, omega_max_deg_s=5.4e5)
+        code = main(["verify", "--scenario", write_scenario(tmp_path, doc), "--plan", dive_plan])
+        assert code == EXIT_VERIFY
+        err = capsys.readouterr().err
+        assert "error: flatness map undefined on the plan: InvertedFlightError" in err
+        assert "unexpected error" not in err
+
+    def test_export_exits_verify(self, tmp_path, dive_plan, capsys):
+        out = tmp_path / "samples.csv"
+        assert main(["export", "--plan", dive_plan, "--out", str(out)]) == EXIT_VERIFY
+        assert "InvertedFlightError" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestColdStart:

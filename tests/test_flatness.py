@@ -321,12 +321,17 @@ class TestBatchRates:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_matches_the_vector_formula(self, rng, order):
         # Accelerations down to -2.5 g put a quarter of the rows below free
-        # fall (z_B3 < 0); F order is the layout curve evaluation returns.
+        # fall (z_B3 < 0), which the map rejects as inverted flight; the rest
+        # are compared. F order is the layout curve evaluation returns.
         acc = np.asarray(rng.uniform([-15.0, -15.0, -25.0], 15.0, size=(4000, 3)), order=order)
         jerk = np.asarray(rng.uniform(-20.0, 20.0, size=(4000, 3)), order=order)
+        assert (acc[:, 2] + G < 0.0).sum() > 500
+        with pytest.raises(InvertedFlightError):
+            tilt_thrust_rates(acc, jerk)
+        up = acc[:, 2] + G > 0.0
+        acc, jerk = (np.asarray(a[up], order=order) for a in (acc, jerk))
         got = tilt_thrust_rates(acc, jerk)
         want = tilt_thrust_rates_vectors(acc, jerk)
-        assert (acc[:, 2] + G < 0.0).sum() > 500
         for k in range(3):
             assert_array_equal(got[k], want[k])
         # The rates differ in rounding only: the componentwise map drops the
@@ -351,3 +356,22 @@ class TestBatchRates:
         acc = np.array([[0.0, 5.0, -G]])
         with pytest.raises(SingularAttitudeError):
             tilt_thrust_rates(acc, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize(
+        "acc",
+        [[1.0, 0.0, -15.0], [0.0, 0.0, -15.0], [3.0, -2.0, -G]],
+        ids=["tilted", "down", "level"],
+    )
+    def test_downward_thrust_raises(self, acc):
+        # Folded into small angles, these would read as a 10.9 deg tilt and
+        # as level flight; attitude_from_virtual rejects the same rows.
+        with pytest.raises(InvertedFlightError, match="vertical thrust component"):
+            tilt_thrust_rates(np.array([acc]), np.zeros((1, 3)))
+        with pytest.raises(InvertedFlightError):
+            attitude_from_virtual(np.array(acc), 0.0)
+
+    def test_one_inverted_row_fails_the_batch(self, rng):
+        acc = rng.uniform(-2.0, 2.0, size=(50, 3))
+        acc[17, 2] = -G - 0.5
+        with pytest.raises(InvertedFlightError, match="-0.500"):
+            tilt_thrust_rates(acc, np.zeros((50, 3)))

@@ -523,6 +523,13 @@ class TestVerifyPlan:
         doc["control_points"] = ctrl + jitter * np.random.default_rng(3).normal(size=ctrl.shape)
         pl = TrajectoryPlan.from_dict(doc)
         args = (pl, sc.bounds, sc.waypoints, sc.pins, sc.intervals, sc.corridor, 300)
+        if jitter and name in ("example2_window", "margin_demo"):
+            # The jitter turns these two plans' thrust down somewhere, and
+            # both reject them as inverted flight.
+            for check in (verify_plan, verify_plan_per_point):
+                with pytest.raises(InvertedFlightError):
+                    check(*args)
+            return
         got, want = verify_plan(*args), verify_plan_per_point(*args)
         assert got.samples == want.samples
         assert report_bits(got) == report_bits(want)

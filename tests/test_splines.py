@@ -141,6 +141,33 @@ class TestBasis:
         ts = np.concatenate([rng.uniform(0.0, 9.0, 300), kv.tau])
         assert_array_equal(dense_basis(kv, ts), cox_de_boor_matrix(kv.tau, degree, ts))
 
+    @pytest.mark.parametrize("degree", range(4, 10))
+    @pytest.mark.parametrize("extra", [0, 7, None], ids=["n=d", "n=d+7", "n=40"])
+    def test_matches_dense_recursion_far_from_zero(self, rng, degree, extra):
+        n = 40 if extra is None else degree + extra
+        kv = clamped_uniform_knots(1000.0, 1009.0, n, degree)
+        ts = np.concatenate([rng.uniform(1000.0, 1009.0, 300), kv.tau])
+        assert_array_equal(dense_basis(kv, ts), cox_de_boor_matrix(kv.tau, degree, ts))
+
+    @pytest.mark.parametrize("t0", [0.0, 1000.0])
+    @pytest.mark.parametrize("degree", range(4, 10))
+    @pytest.mark.parametrize("extra", [0, 7, None], ids=["n=d", "n=d+7", "n=40"])
+    def test_span_polynomials_match_values(self, rng, t0, degree, extra):
+        # Both come from one triangle: anchored at the span midpoints with
+        # d + 1 powers, Horner at s = t - mid gives the values that the run
+        # anchored at t itself returns.
+        n = 40 if extra is None else degree + extra
+        kv = clamped_uniform_knots(t0, t0 + 9.0, n, degree)
+        ts = np.concatenate([rng.uniform(kv.t0, kv.tf, 300), kv.tau])
+        l, want = kv.basis_values(ts)
+        i = l - degree
+        coef = kv._span_power_basis[i]
+        s = ts - kv._span_midpoints[i]
+        got = coef[..., -1]
+        for k in range(degree - 1, -1, -1):
+            got = got * s[:, None] + coef[..., k]
+        assert_allclose(got, want, rtol=0, atol=1e-14)
+
 
 class TestAgainstScipy:
     """Local evaluation against scipy's BSpline on a degree-5 clamped grid."""
