@@ -42,6 +42,8 @@ from safeflight.tracker import (
 
 PARAMS = CbfParams(delta=0.1, a1=6.0, a2=8.0)
 GAINS = PdGains(kp=2.0, kd=3.0)
+# Bundled plans whose thrust a 0.05 jitter of every control point turns down.
+INVERTED_BY_JITTER = ("example2_window", "margin_demo")
 
 
 def still_air(t):
@@ -517,22 +519,23 @@ class TestVerifyPlan:
     def test_matches_the_per_point_oracle_bitwise(self, bundled_plan, name, jitter):
         # The solved plan, and the same plan with its control points moved so
         # that the point checks and the windows report nonzero errors.
-        sc = load_scenario(name).planning
-        doc = bundled_plan(name).to_dict()
-        ctrl = np.asarray(doc["control_points"])
-        doc["control_points"] = ctrl + jitter * np.random.default_rng(3).normal(size=ctrl.shape)
-        pl = TrajectoryPlan.from_dict(doc)
-        args = (pl, sc.bounds, sc.waypoints, sc.pins, sc.intervals, sc.corridor, 300)
-        if jitter and name in ("example2_window", "margin_demo"):
-            # The jitter turns these two plans' thrust down somewhere, and
-            # both reject them as inverted flight.
-            for check in (verify_plan, verify_plan_per_point):
-                with pytest.raises(InvertedFlightError):
-                    check(*args)
-            return
+        # A jittered z row turns some plans' thrust down (see
+        # test_jitter_that_inverts_the_thrust_raises); x and y alone keep it
+        # up and still move the windows and waypoints.
+        args = jittered_verify_args(bundled_plan, name, jitter, name not in INVERTED_BY_JITTER)
         got, want = verify_plan(*args), verify_plan_per_point(*args)
         assert got.samples == want.samples
         assert report_bits(got) == report_bits(want)
+
+    @pytest.mark.parametrize("name", INVERTED_BY_JITTER)
+    def test_jitter_that_inverts_the_thrust_raises(self, bundled_plan, name):
+        # With its z row jittered too, the plan's acc_z + g drops to zero or
+        # below somewhere: both verifiers refuse it rather than read the
+        # folded small angles.
+        args = jittered_verify_args(bundled_plan, name, 0.05)
+        for check in (verify_plan, verify_plan_per_point):
+            with pytest.raises(InvertedFlightError):
+                check(*args)
 
     def test_speed_windows_and_reordered_times_match_the_oracle(self, example1_plan):
         # Windows of both kinds, out of time order and past the plan's ends,
@@ -560,6 +563,20 @@ class TestVerifyPlan:
         check = [c for c in report.checks if c.name == "waypoint[0]"][0]
         assert check.margin == pytest.approx(0.08 - 0.05, abs=1e-8)
         assert check.worst_t == 5.0
+
+
+def jittered_verify_args(bundled_plan, name, jitter, move_z=True):
+    """verify_plan's arguments for a bundled scenario and its plan, the plan's
+    control points moved by jitter times seeded normal draws (x and y only
+    unless move_z)."""
+    sc = load_scenario(name).planning
+    doc = bundled_plan(name).to_dict()
+    ctrl = np.asarray(doc["control_points"])
+    noise = np.random.default_rng(3).normal(size=ctrl.shape)
+    noise[2] *= move_z
+    doc["control_points"] = ctrl + jitter * noise
+    pl = TrajectoryPlan.from_dict(doc)
+    return (pl, sc.bounds, sc.waypoints, sc.pins, sc.intervals, sc.corridor, 300)
 
 
 def report_bits(report):

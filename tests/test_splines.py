@@ -135,18 +135,17 @@ class TestBasis:
             outside[l - degree : l + 1] = False
             assert np.all(lam[i, outside] == 0.0)
 
-    @pytest.mark.parametrize("n, degree", [(12, 5), (45, 5), (9, 3), (4, 1)])
-    def test_matches_dense_recursion_bit_for_bit(self, rng, n, degree):
-        kv = clamped_uniform_knots(0.0, 9.0, n, degree)
-        ts = np.concatenate([rng.uniform(0.0, 9.0, 300), kv.tau])
-        assert_array_equal(dense_basis(kv, ts), cox_de_boor_matrix(kv.tau, degree, ts))
-
-    @pytest.mark.parametrize("degree", range(4, 10))
-    @pytest.mark.parametrize("extra", [0, 7, None], ids=["n=d", "n=d+7", "n=40"])
-    def test_matches_dense_recursion_far_from_zero(self, rng, degree, extra):
-        n = 40 if extra is None else degree + extra
-        kv = clamped_uniform_knots(1000.0, 1009.0, n, degree)
-        ts = np.concatenate([rng.uniform(1000.0, 1009.0, 300), kv.tau])
+    @pytest.mark.parametrize("t0", [0.0, 1000.0])
+    @pytest.mark.parametrize(
+        "n, degree",
+        dict.fromkeys(
+            [(12, 5), (45, 5), (9, 3), (4, 1)]
+            + [(n, d) for d in range(4, 10) for n in (d, d + 7, 40)]
+        ),
+    )
+    def test_matches_dense_recursion_bit_for_bit(self, rng, n, degree, t0):
+        kv = clamped_uniform_knots(t0, t0 + 9.0, n, degree)
+        ts = np.concatenate([rng.uniform(t0, t0 + 9.0, 300), kv.tau])
         assert_array_equal(dense_basis(kv, ts), cox_de_boor_matrix(kv.tau, degree, ts))
 
     @pytest.mark.parametrize("t0", [0.0, 1000.0])
