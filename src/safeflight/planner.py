@@ -137,10 +137,14 @@ class SocSet:
 
 @dataclass(frozen=True)
 class ConvexRegion:
-    """Intersection of SocSet constraints, with constructors for common shapes."""
+    """Intersection of one or more SocSet constraints, with constructors for common shapes."""
 
     cones: tuple[SocSet, ...]
     name: str = ""
+
+    def __post_init__(self):
+        if not self.cones:
+            raise ValueError(f"region '{self.name}' needs at least one cone")
 
     @staticmethod
     def box(lo, hi, name: str = "box") -> "ConvexRegion":
@@ -178,17 +182,6 @@ class ConvexRegion:
         return ConvexRegion((SocSet(np.zeros((0, 3)), np.zeros(0), -a, offset),), name)
 
     @cached_property
-    def _split(self) -> tuple[np.ndarray, np.ndarray, tuple[SocSet, ...]]:
-        """Half-spaces as one (3, k) normal matrix C and (k,) offsets d, plus the other cones.
-
-        A member cone with no rows in A is the half-space c'p + d >= 0.
-        """
-        flat = [c for c in self.cones if not c.A.shape[0]]
-        C = np.array([c.c for c in flat], dtype=float).reshape(-1, 3).T
-        rest = tuple(c for c in self.cones if c.A.shape[0])
-        return C, np.array([c.d for c in flat], dtype=float), rest
-
-    @cached_property
     def _stacked(self) -> tuple[np.ndarray, ...]:
         """The member cones as arrays (sizes, c, d, A, b, first), in member order.
 
@@ -204,23 +197,26 @@ class ConvexRegion:
         c = np.array([cone.c for cone in cones]).reshape(-1, 3)
         d = np.array([cone.d for cone in cones], dtype=float)
         d[linear] -= [np.linalg.norm(cone.b) for cone in cones if cone.is_linear]
-        A = np.concatenate([cone.A for cone in cones] or [np.zeros((0, 3))])
-        b = np.concatenate([cone.b for cone in cones] or [np.zeros(0)])
+        A = np.concatenate([cone.A for cone in cones])
+        b = np.concatenate([cone.b for cone in cones])
         return sizes, c, d, A, b, np.cumsum(rows) - rows
 
     def margin(self, p: np.ndarray) -> np.ndarray:
         """Worst slack over the member cones; nonnegative inside. Batched.
 
-        The half-spaces are evaluated together, as one product with their
+        The half-spaces are the cones that _stacked, the compiler's table,
+        marks linear. They are evaluated together, as one product with their
         stacked normals, and reduced one column of that product at a time:
         the minimum is exact, so this is .min(axis=-1) without numpy's
         per-sample inner loop over the faces.
         """
         p = np.asarray(p, dtype=float)
-        C, d, rest = self._split
-        worst = [c.margin(p) for c in rest]
+        sizes, c, d = self._stacked[:3]
+        linear = sizes < 0
+        worst = [cone.margin(p) for cone, lin in zip(self.cones, linear.tolist()) if not lin]
+        d = d[linear]
         if d.size:
-            worst.append(reduce(np.minimum, (p @ C + d).T))
+            worst.append(reduce(np.minimum, (p @ c[linear].T + d).T))
         return reduce(np.minimum, worst)
 
 
@@ -277,20 +273,25 @@ class Waypoint:
 
 @dataclass(frozen=True)
 class EndpointPins:
-    """Pinned derivatives at t0 and tf; entry r of each tuple is order r."""
+    """Pinned derivatives at t0 and tf; entry r of each tuple is order r, a finite (3,) vector."""
 
     initial: tuple[np.ndarray, ...]
     final: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         for attr in ("initial", "final"):
-            vals = tuple(np.asarray(v, dtype=float).reshape(3) for v in getattr(self, attr))
+            vals = tuple(
+                _finite(f"pins.{attr}[{r}]", v).reshape(3) for r, v in enumerate(getattr(self, attr))
+            )
             object.__setattr__(self, attr, vals)
 
 
 @dataclass(frozen=True)
 class IntervalConstraint:
-    """Extra requirement on a time window: position membership or a speed cap."""
+    """Extra requirement on a time window: position membership or a speed cap.
+
+    The window's ends and the bound, when given, must be finite.
+    """
 
     t_start: float
     t_end: float
@@ -299,6 +300,10 @@ class IntervalConstraint:
     bound: float | None = None
 
     def __post_init__(self):
+        _finite("interval t_start", self.t_start)
+        _finite("interval t_end", self.t_end)
+        if self.bound is not None:
+            _finite("interval bound", self.bound)
         if self.t_end <= self.t_start:
             raise ValueError("interval must have t_start < t_end")
         if self.kind == "position":

@@ -364,34 +364,26 @@ def verify_plan(
         m, wt = _worst(ts, region.margin(pos))
         checks.append(ConstraintCheck(f"region:{region.name or 'set'}", m, wt))
 
-    # Each family of point checks takes one curve evaluation at all of its
-    # times, which gives every point the bits of its own evaluation.
-    waypoints = tuple(waypoints)
-    at_wps = plan.curve.eval([wp.time for wp in waypoints], 0)
-    for k, (wp, p) in enumerate(zip(waypoints, at_wps)):
+    # One curve evaluation serves every point check: the waypoints, both ends
+    # of the plan and both ends of every window (clipped to the plan, they
+    # bracket the window's grid samples, so a window narrower than the grid
+    # spacing is still checked). Each time keeps the bits of its own evaluation.
+    waypoints, intervals = tuple(waypoints), tuple(intervals)
+    pinned = (pins.initial, pins.final) if pins is not None else ((), ())
+    ends = np.clip([[ic.t_start, ic.t_end] for ic in intervals], kv.t0, kv.tf)
+    w = len(waypoints)
+    times = np.concatenate(([wp.time for wp in waypoints], [kv.t0, kv.tf], ends.ravel()))
+    at = plan.curve.eval(times, range(max(2, *map(len, pinned))))
+    for k, (wp, p) in enumerate(zip(waypoints, at[0])):
         err = float(np.linalg.norm(p - wp.position))
-        checks.append(
-            ConstraintCheck(f"waypoint[{k}]", wp.radius - err, wp.time, f"err {err:.5f}")
-        )
+        checks.append(ConstraintCheck(f"waypoint[{k}]", wp.radius - err, wp.time, f"err {err:.5f}"))
 
-    if pins is not None and (pins.initial or pins.final):
-        orders = range(max(len(pins.initial), len(pins.final)))
-        at_pins = plan.curve.eval([kv.t0, kv.tf], orders)
-        for i, (t_m, values, side) in enumerate(
-            ((kv.t0, pins.initial, "start"), (kv.tf, pins.final, "end"))
-        ):
-            for r, value in enumerate(values):
-                err = float(np.abs(at_pins[r][i] - value).max())
-                checks.append(ConstraintCheck(f"pin:{side}[r{r}]", -err, t_m, f"err {err:.2e}"))
+    for i, (t_m, values, side) in enumerate(zip((kv.t0, kv.tf), pinned, ("start", "end"))):
+        for r, value in enumerate(values):
+            err = float(np.abs(at[r][w + i] - value).max())
+            checks.append(ConstraintCheck(f"pin:{side}[r{r}]", -err, t_m, f"err {err:.2e}"))
 
-    intervals = tuple(intervals)
-    if intervals:
-        # The window's ends, clipped to the plan, bracket its grid samples,
-        # so a window narrower than the grid spacing is still checked.
-        ends = np.clip([[ic.t_start, ic.t_end] for ic in intervals], kv.t0, kv.tf)
-        end_pos, end_vel = (
-            v.reshape(len(intervals), 2, -1) for v in plan.curve.eval(ends.ravel(), (0, 1))
-        )
+    end_pos, end_vel = (v[w + 2 :].reshape(-1, 2, 3) for v in at[:2])
     for k, ic in enumerate(intervals):
         inside = (ts >= ic.t_start) & (ts <= ic.t_end)
         if ic.kind == "position":

@@ -170,7 +170,8 @@ class SafetyFilter:
     other call, a batch over leading axes included, runs as array code. The
     input's shape alone selects the path, and both take the same operations
     in the same order, so they agree bit for bit. Without gains the filter
-    clamps only a given nominal input.
+    clamps only a given nominal input: calling it without one is a
+    ValueError, though inputs() still gives the box.
     """
 
     def __init__(
@@ -212,8 +213,10 @@ class SafetyFilter:
         self, state: TrackingState, ref: ReferencePoint, mu_nominal: np.ndarray | None = None
     ) -> SafeCommand:
         """The filtered command: mu_nominal, or the PD law, clamped per axis to the box."""
+        if mu_nominal is None and self.kp is None:
+            raise ValueError("a SafetyFilter without gains needs mu_nominal")
         tick = self._tick(state, ref, mu_nominal)
-        if tick is not None and tick[1] is not None:
+        if tick is not None:
             mu_nominal, mu, lower, upper = [np.array(x) for x in tick]
         else:
             mu_nominal, lower, upper = self.inputs(state, ref, mu_nominal)

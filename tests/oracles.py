@@ -436,10 +436,11 @@ def soc_margin_direct(cone, p):
 def region_margin_direct(region, p):
     """ConvexRegion.margin with the half-space minimum taken by .min(axis=-1)."""
     p = np.asarray(p, dtype=float)
-    C, d, rest = region._split
-    worst = [soc_margin_direct(c, p) for c in rest]
-    if d.size:
-        worst.append((p @ C + d).min(axis=-1))
+    sizes, c, d = region._stacked[:3]
+    worst = [soc_margin_direct(cone, p) for cone, m in zip(region.cones, sizes) if m >= 0]
+    flat = sizes < 0
+    if flat.any():
+        worst.append((p @ c[flat].T + d[flat]).min(axis=-1))
     return reduce(np.minimum, worst)
 
 

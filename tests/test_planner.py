@@ -1,6 +1,7 @@
 """Planner: regions, windows, margins, assembly, and full solves."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,10 @@ class TestRegions:
         assert not ConvexRegion.ball([0, 0, 0], 1.0).cones[0].is_linear
         assert ConvexRegion.box([0, 0, 0], [1, 1, 1]).cones[0].is_linear
 
+    def test_empty_region_rejected(self):
+        with pytest.raises(ValueError, match="region 'empty' needs at least one cone"):
+            ConvexRegion((), "empty")
+
     def test_region_margin_is_worst_cone(self):
         box = ConvexRegion.box([0.0, 0.0, 0.0], [4.0, 2.0, 2.0])
         # closest face is y at distance 0.3
@@ -136,6 +141,8 @@ class TestRegions:
             slack = (b - A @ ctrl.ravel()).reshape(7, 2)  # rows point by point
             want = np.column_stack([cone.margin(ctrl.T) for cone in cones])
             assert_allclose(slack, want, rtol=0.0, atol=1e-13)
+            got = ConvexRegion(cones).margin(ctrl.T)
+            assert_allclose(got, slack.min(axis=1), rtol=0.0, atol=1e-13)
 
 
 def scenario_regions(planning) -> list[ConvexRegion]:
@@ -382,6 +389,36 @@ class TestValidation:
             IntervalConstraint(1.0, 2.0, "speed", bound=0.0)
         with pytest.raises(ValueError):
             IntervalConstraint(1.0, 2.0, "altitude", bound=1.0)
+
+    @pytest.mark.parametrize(
+        "message, build",
+        [
+            (
+                "interval bound must be finite, got nan",
+                lambda v: IntervalConstraint(2.0, 4.0, "speed", bound=v),
+            ),
+            (
+                "interval t_start must be finite, got nan",
+                lambda v: IntervalConstraint(v, 4.0, "speed", bound=1.0),
+            ),
+            (
+                "interval t_end must be finite, got nan",
+                lambda v: IntervalConstraint(2.0, v, "speed", bound=1.0),
+            ),
+            (
+                "pins.initial[0] must be finite, got nan at 0",
+                lambda v: EndpointPins(initial=(np.array([v, 0, 0]),), final=()),
+            ),
+            (
+                "pins.final[1] must be finite, got nan at 2",
+                lambda v: EndpointPins(initial=(), final=(np.zeros(3), [0, 0, v])),
+            ),
+        ],
+        ids=["bound", "t_start", "t_end", "initial_pin", "final_pin"],
+    )
+    def test_intervals_and_pins_reject_non_finite(self, message, build):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(float("nan"))
 
     def test_scenario_zeta_mode(self):
         with pytest.raises(ValueError):

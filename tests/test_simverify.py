@@ -30,6 +30,7 @@ from safeflight.simverify import (
     verify_plan,
     verify_span_minima,
 )
+from safeflight.splines import SplineCurve
 from safeflight.tracker import (
     CbfParams,
     PdGains,
@@ -556,6 +557,22 @@ class TestVerifyPlan:
         pins = EndpointPins(initial=(np.ones(3), np.zeros(3)), final=(np.zeros(3),) * 4)
         args = (pl, small_bounds_for(pl), waypoints, pins, intervals, None, 3)
         assert report_bits(verify_plan(*args)) == report_bits(verify_plan_per_point(*args))
+
+    @pytest.mark.parametrize("name", bundled_scenarios())
+    def test_point_checks_share_one_curve_evaluation(self, bundled_plan, monkeypatch, name):
+        # The grid, every point check together and, given a corridor, the
+        # corridor grid: one curve evaluation each.
+        sc, pl = load_scenario(name).planning, bundled_plan(name)
+        calls = []
+        evaluate = SplineCurve.eval
+
+        def counted(curve, t, r=0):
+            calls.append(r)
+            return evaluate(curve, t, r)
+
+        monkeypatch.setattr(SplineCurve, "eval", counted)
+        verify_plan(pl, sc.bounds, sc.waypoints, sc.pins, sc.intervals, sc.corridor)
+        assert len(calls) == (2 if sc.corridor is None else 3)
 
     def test_waypoint_margin_is_radius_minus_error(self, hover_plan):
         wp = Waypoint(position=[0.0, 0.0, 0.45], time=5.0, radius=0.08)

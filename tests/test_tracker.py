@@ -400,6 +400,16 @@ class TestNominal:
         with pytest.raises(ValueError):
             PdGains(kp=-1.0, kd=0.0)
 
+    @pytest.mark.parametrize("shape", [(3,), (4, 3)], ids=["tick", "batch"])
+    def test_gainless_filter_needs_a_nominal(self, shape):
+        # inputs() still gives the box without a nominal; a command needs one.
+        zeros = np.zeros(shape)
+        state, ref = TrackingState(zeros, zeros), ReferencePoint(zeros, zeros, zeros)
+        safety = SafetyFilter(CbfParams(0.1, 4.0, 2.0))
+        assert safety.inputs(state, ref)[0] is None
+        with pytest.raises(ValueError, match="^a SafetyFilter without gains needs mu_nominal$"):
+            safety(state, ref)
+
 
 class TestInitialConditions:
     REF = ReferencePoint(r=np.zeros(3), r1=np.zeros(3), r2=np.zeros(3))
