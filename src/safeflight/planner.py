@@ -201,22 +201,34 @@ class ConvexRegion:
         b = np.concatenate([cone.b for cone in cones])
         return sizes, c, d, A, b, np.cumsum(rows) - rows
 
+    @cached_property
+    def _margin_split(self) -> tuple[list[SocSet], np.ndarray, np.ndarray]:
+        """(cones, normals, offsets): _stacked split once for margin().
+
+        cones are the member cones that _stacked does not mark linear, in
+        member order; normals (3, k) and offsets (k,) are c.T and d of the
+        k that it does.
+        """
+        sizes, c, d = self._stacked[:3]
+        linear = sizes < 0
+        cones = [cone for cone, lin in zip(self.cones, linear.tolist()) if not lin]
+        return cones, c[linear].T, d[linear]
+
     def margin(self, p: np.ndarray) -> np.ndarray:
         """Worst slack over the member cones; nonnegative inside. Batched.
 
         The half-spaces are the cones that _stacked, the compiler's table,
-        marks linear. They are evaluated together, as one product with their
-        stacked normals, and reduced one column of that product at a time:
-        the minimum is exact, so this is .min(axis=-1) without numpy's
-        per-sample inner loop over the faces.
+        marks linear; _margin_split picks them out once per region. They
+        are evaluated together, as one product with their stacked normals,
+        and reduced one column of that product at a time: the minimum is
+        exact, so this is .min(axis=-1) without numpy's per-sample inner
+        loop over the faces.
         """
         p = np.asarray(p, dtype=float)
-        sizes, c, d = self._stacked[:3]
-        linear = sizes < 0
-        worst = [cone.margin(p) for cone, lin in zip(self.cones, linear.tolist()) if not lin]
-        d = d[linear]
-        if d.size:
-            worst.append(reduce(np.minimum, (p @ c[linear].T + d).T))
+        cones, normals, offsets = self._margin_split
+        worst = [cone.margin(p) for cone in cones]
+        if offsets.size:
+            worst.append(reduce(np.minimum, (p @ normals + offsets).T))
         return reduce(np.minimum, worst)
 
 
@@ -700,6 +712,8 @@ def _stack_regions(regions) -> tuple[np.ndarray, ...]:
     regions[s], and the rest is ConvexRegion._stacked of all their cones.
     """
     parts = [region._stacked for region in regions]
+    if not parts:
+        raise ValueError("no regions given: stacking needs at least one region")
     sizes, c, d, A, b, first = (np.concatenate([part[i] for part in parts]) for i in range(6))
     counts = np.array([part[0].size for part in parts], dtype=int)
     rows = np.array([part[3].shape[0] for part in parts], dtype=int)

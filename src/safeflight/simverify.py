@@ -178,11 +178,14 @@ def make_filtered_controller(
 def make_unfiltered_controller(
     params: CbfParams, gains: PdGains, psi: float = 0.0, g: float = GRAVITY
 ) -> Callable:
-    """Nominal PD passed straight through; barriers still recorded."""
+    """Nominal PD passed straight through; barriers still recorded.
+
+    A tick builds mu, the PD nominal, as its one array, and no box.
+    """
     safety = SafetyFilter(params, gains, psi, g)
 
     def controller(t: float | np.ndarray, state: TrackingState, ref: ReferencePoint) -> SafeCommand:
-        mu = safety.inputs(state, ref)[0]
+        mu = safety.nominal(state, ref)
         return SafeCommand(mu, mu, state, ref, params, psi, g)
 
     return controller
@@ -190,7 +193,7 @@ def make_unfiltered_controller(
 
 def simulate(
     reference: Callable[[np.ndarray], ReferencePoint],
-    controller: Callable[[np.ndarray, TrackingState, ReferencePoint], SafeCommand],
+    controller: Callable[[float | np.ndarray, TrackingState, ReferencePoint], SafeCommand],
     cfg: SimConfig,
     t0: float = 0.0,
     duration: float | None = None,
@@ -201,18 +204,20 @@ def simulate(
     t0 + i h, and its fields must broadcast to (M, 3). The controller must
     be a pure function of (t, state, ref), batched over leading axes: with
     a scalar t and (3,) fields it commands one tick, with the (M,) grid and
-    (M, 3) fields the whole run, row by row. Each tick calls it once and
-    reads only `.mu`, a (3,) array. The command computed at tick i acts on
-    [t_i, t_{i+1}), where the state takes the exact zero-order-hold step
-    r + r1*h + 0.5*mu*h*h, r1 + mu*h, evaluated left to right; the
-    recorded state is the one the controller saw at t_i. Between ticks the
-    state is carried as Python floats, stepped per axis, and handed to the
-    controller as fresh (3,) arrays; the trace's r and r1 are built once,
-    after the loop. One more call after the loop, on every recorded state
-    at once, supplies mu_nominal, mu, the reduced input (v), barriers and
-    active faces for the trace; an InvertedFlightError raised there leaves
-    simulate. A run of more than MAX_TICKS ticks is a ValueError, raised
-    before the grid is built.
+    (M, 3) fields the whole run, row by row. Each tick calls it once, with
+    t a Python float, and reads only `.mu`, a (3,) array. The command
+    computed at tick i acts on [t_i, t_{i+1}), where the state takes the
+    exact zero-order-hold step r + r1*h + 0.5*mu*h*h, r1 + mu*h, evaluated
+    left to right; the recorded state is the one the controller saw at
+    t_i. Between ticks the state is carried as tuples of Python floats,
+    stepped per axis. So a tick builds two fresh (3,) state arrays and
+    three views of the reference rows for the controller, plus what the
+    controller builds: mu alone, for this package's controllers. The
+    trace's r and r1 are built once, after the loop. One more call after
+    the loop, on every recorded state at once, supplies mu_nominal, mu,
+    the reduced input (v), barriers and active faces for the trace; an
+    InvertedFlightError raised there leaves simulate. A run of more than
+    MAX_TICKS ticks is a ValueError, raised before the grid is built.
     """
     span = duration if duration is not None else cfg.duration
     M = int(round((span or 0.0) * cfg.control_rate))
@@ -230,20 +235,20 @@ def simulate(
     start = cfg.initial_state or TrackingState(
         r=ref_r[0] + cfg.initial_position_offset, r1=ref_r1[0] + cfg.initial_velocity_offset
     )
-    q, q1 = start.r.tolist(), start.r1.tolist()
+    q, q1 = tuple(start.r.tolist()), tuple(start.r1.tolist())
     rows, rows1 = [], []
-    for t, p, p1, p2 in zip(ts, ref_r, ref_r1, ref_r2):
+    for t, p, p1, p2 in zip(ts.tolist(), ref_r, ref_r1, ref_r2):
         rows.append(q)
         rows1.append(q1)
         state = TrackingState(np.array(q), np.array(q1))
-        mu = controller(t, state, ReferencePoint(p, p1, p2)).mu.tolist()
-        (x, y, z), (vx, vy, vz), (ax, ay, az) = q, q1, mu
-        q = [
+        ax, ay, az = controller(t, state, ReferencePoint(p, p1, p2)).mu.tolist()
+        (x, y, z), (vx, vy, vz) = q, q1
+        q = (
             x + vx * h + 0.5 * ax * h * h,
             y + vy * h + 0.5 * ay * h * h,
             z + vz * h + 0.5 * az * h * h,
-        ]
-        q1 = [vx + ax * h, vy + ay * h, vz + az * h]
+        )
+        q1 = (vx + ax * h, vy + ay * h, vz + az * h)
 
     R, R1 = np.array(rows), np.array(rows1)
     cmd = controller(ts, TrackingState(R, R1), ReferencePoint(ref_r, ref_r1, ref_r2))

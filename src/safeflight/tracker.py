@@ -11,11 +11,11 @@ of admissible mu_q whose width is identically 2 * a2 * delta. The safety QP,
 min ||mu - mu_nominal||^2 over that box, separates by axis, so its exact
 solution is a per-axis clamp of the nominal input, and no numerical solve
 is needed. ``SafetyFilter`` is the one definition of the filter: from one
-pair of error differences it computes the PD nominal, the box
-(``inputs``) and the clamp (a call). A closed-loop controller builds one
-and calls it every tick. The six faces, like the six barriers, are always
-ordered x+, x-, y+, y-, z+, z-: the upper face (from h^up) then the lower
-face (from h^low) of each axis.
+pair of error differences it computes the PD nominal (``nominal``), the
+box (``inputs``) and the clamp (a call). A closed-loop controller builds
+one and calls it every tick. The six faces, like the six barriers, are
+always ordered x+, x-, y+, y-, z+, z-: the upper face (from h^up) then the
+lower face (from h^low) of each axis.
 """
 
 from __future__ import annotations
@@ -109,24 +109,49 @@ class PdGains:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
-class SafeCommand(NamedTuple):
-    """Output of the filter, batched over the leading axes of mu.
+class _CommandFields(NamedTuple):
+    """The stored fields of a SafeCommand."""
 
-    mu_nominal and mu are computed when the command is built; v, barriers
-    and active are derived from the stored inputs only when read, so a loop
-    that needs only mu pays for nothing else. lower and upper are the clamp's
-    face bounds, None for a command that passes mu_nominal through unfiltered.
-    """
-
-    mu_nominal: np.ndarray
+    mu_nominal: np.ndarray | tuple[float, float, float]
     mu: np.ndarray
     state: TrackingState
     ref: ReferencePoint
     params: CbfParams
     psi: float = 0.0
     g: float = GRAVITY
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
+    lower: np.ndarray | tuple[float, float, float] | None = None
+    upper: np.ndarray | tuple[float, float, float] | None = None
+
+
+def _read_as_array(name: str) -> property:
+    """The field `name`, read as a fresh (3,) float64 array if it holds a tuple of floats."""
+    i = _CommandFields._fields.index(name)
+
+    def read(self) -> np.ndarray | None:
+        x = self[i]
+        return np.array(x) if type(x) is tuple else x
+
+    return property(read)
+
+
+class SafeCommand(_CommandFields):
+    """Output of the filter, batched over the leading axes of mu.
+
+    mu is an array when the command is built. mu_nominal, lower and upper
+    are stored as given: a filter call on one tick stores them as tuples of
+    three floats, and each read of such a field builds a fresh (3,) float64
+    array, so a loop that reads only mu builds only mu; indexing and
+    unpacking give the stored values. v, barriers and active are derived
+    from the stored inputs only when read. lower and upper are the clamp's
+    face bounds, None for a command that passes mu_nominal through
+    unfiltered.
+    """
+
+    __slots__ = ()
+
+    mu_nominal = _read_as_array("mu_nominal")
+    lower = _read_as_array("lower")
+    upper = _read_as_array("upper")
 
     @property
     def v(self) -> ReducedInput:
@@ -154,9 +179,10 @@ class SafeCommand(NamedTuple):
         A face is active when mu lies within 1e-9 of its bound; all are
         False for an unfiltered command.
         """
-        if self.lower is None:
+        lower = self.lower
+        if lower is None:
             return np.zeros(self.mu.shape[:-1] + (6,), dtype=bool)
-        faces = np.stack([self.upper, self.lower], axis=-1)
+        faces = np.stack([self.upper, lower], axis=-1)
         return (np.abs(self.mu[..., None] - faces) <= 1e-9).reshape(self.mu.shape[:-1] + (6,))
 
 
@@ -166,12 +192,15 @@ class SafetyFilter:
     A controller builds one and calls it every tick. kp, kd, a1, a2 and
     a2 * delta are held as plain floats. A call on one tick, where every
     state and reference field and any given mu_nominal is a (3,) float64
-    array, runs per axis in Python floats and returns fresh (3,) arrays; any
-    other call, a batch over leading axes included, runs as array code. The
-    input's shape alone selects the path, and both take the same operations
-    in the same order, so they agree bit for bit. Without gains the filter
-    clamps only a given nominal input: calling it without one is a
-    ValueError, though inputs() still gives the box.
+    array, runs per axis in Python floats: it builds mu, the one array of
+    its command, and stores mu_nominal and the box as tuples of floats that
+    become fresh arrays only when read. inputs() and nominal() on one tick
+    return fresh (3,) arrays. Any other call, a batch over leading axes
+    included, runs as array code. The input's shape alone selects the path,
+    and both take the same operations in the same order, so they agree bit
+    for bit. Without gains the filter clamps only a given nominal input:
+    calling it without one is a ValueError, though inputs() still gives the
+    box.
     """
 
     def __init__(
@@ -200,8 +229,7 @@ class SafetyFilter:
         """
         tick = self._tick(state, ref, mu_nominal)
         if tick is not None:
-            mu_nominal, _, lower, upper = tick
-            return tuple(None if x is None else np.array(x) for x in (mu_nominal, lower, upper))
+            return tuple(None if x is None else np.array(x) for x in tick)
         dr = ref.r - state.r
         dv = ref.r1 - state.r1
         if mu_nominal is None and self.kp is not None:
@@ -209,60 +237,76 @@ class SafetyFilter:
         base = ref.r2 + self.a1 * dv + self.a2 * dr
         return mu_nominal, base - self.half, base + self.half
 
+    def nominal(self, state: TrackingState, ref: ReferencePoint) -> np.ndarray | None:
+        """inputs()' mu_nominal alone: the PD law, None without gains.
+
+        On one tick this builds one (3,) array and no box arrays.
+        """
+        tick = self._tick(state, ref, None, box=False)
+        if tick is None:
+            return self.inputs(state, ref)[0]
+        return None if tick[0] is None else np.array(tick[0])
+
     def __call__(
         self, state: TrackingState, ref: ReferencePoint, mu_nominal: np.ndarray | None = None
     ) -> SafeCommand:
-        """The filtered command: mu_nominal, or the PD law, clamped per axis to the box."""
+        """The filtered command: mu_nominal, or the PD law, clamped per axis to the box.
+
+        The clamp is np.minimum(np.maximum(mu_nominal, lower), upper). On one
+        tick it runs per axis with the same rules: both numpy functions
+        return a NaN first argument, and otherwise the second argument
+        unless the first lies strictly beyond it, so NaN propagates and
+        mu_nominal = -0.0 against a 0.0 bound gives the bound's 0.0.
+        """
         if mu_nominal is None and self.kp is None:
             raise ValueError("a SafetyFilter without gains needs mu_nominal")
         tick = self._tick(state, ref, mu_nominal)
-        if tick is not None:
-            mu_nominal, mu, lower, upper = [np.array(x) for x in tick]
-        else:
+        if tick is None:
             mu_nominal, lower, upper = self.inputs(state, ref, mu_nominal)
             mu = np.minimum(np.maximum(mu_nominal, lower), upper)
+        else:
+            mu_nominal, lower, upper = tick
+            (x, y, z), (lx, ly, lz), (hx, hy, hz) = tick
+            x = x if (x > lx or x != x) else lx
+            x = x if (x < hx or x != x) else hx
+            y = y if (y > ly or y != y) else ly
+            y = y if (y < hy or y != y) else hy
+            z = z if (z > lz or z != z) else lz
+            z = z if (z < hz or z != z) else hz
+            mu = np.array((x, y, z))
         return SafeCommand(mu_nominal, mu, state, ref, self.params, self.psi, self.g, lower, upper)
 
-    def _tick(self, state, ref, mu_nominal) -> tuple[list | None, ...] | None:
-        """(mu_nominal, mu, lower, upper) of one tick as lists of three floats.
+    def _tick(self, state, ref, mu_nominal, box=True) -> tuple[tuple | None, ...] | None:
+        """(mu_nominal, lower, upper) of one tick as tuples of three floats.
 
         None unless every field, and mu_nominal if given, is a (3,) float64
-        array. mu_nominal and mu are None when inputs() gives no nominal
-        input. Each axis takes the array code's operations in its order:
-        (r2 + kp dr) + kd dv, then (r2 + a1 dv) + a2 dr, then base -/+
-        a2 delta, then the clamp.
+        array. mu_nominal is None when inputs() gives no nominal input, and
+        lower and upper are None unless box. Each axis takes the array
+        code's operations in its order: (r2 + kp dr) + kd dv, then
+        (r2 + a1 dv) + a2 dr, then base -/+ a2 delta.
         """
-        fields = (*state, *ref) if mu_nominal is None else (*state, *ref, mu_nominal)
-        for f in fields:
+        (r, r1), (p, p1, p2) = state, ref
+        for f in (r, r1, p, p1, p2) if mu_nominal is None else (r, r1, p, p1, p2, mu_nominal):
             if type(f) is not np.ndarray or f.dtype is not _FLOAT or f.shape != (3,):
                 return None
-        (x, y, z), (vx, vy, vz), (px, py, pz), (ux, uy, uz), (ax, ay, az), *given = [
-            f.tolist() for f in fields
-        ]
+        x, y, z = r.tolist()
+        vx, vy, vz = r1.tolist()
+        px, py, pz = p.tolist()
+        ux, uy, uz = p1.tolist()
+        ax, ay, az = p2.tolist()
         drx, dry, drz = px - x, py - y, pz - z
         dvx, dvy, dvz = ux - vx, uy - vy, uz - vz
         kp, kd, a1, a2, half = self.kp, self.kd, self.a1, self.a2, self.half
-        if given:
-            nominal = given[0]
+        if mu_nominal is not None:
+            nominal = tuple(mu_nominal.tolist())
         elif kp is not None:
-            nominal = [ax + kp * drx + kd * dvx, ay + kp * dry + kd * dvy, az + kp * drz + kd * dvz]
+            nominal = (ax + kp * drx + kd * dvx, ay + kp * dry + kd * dvy, az + kp * drz + kd * dvz)
         else:
             nominal = None
+        if not box:
+            return nominal, None, None
         bx, by, bz = ax + a1 * dvx + a2 * drx, ay + a1 * dvy + a2 * dry, az + a1 * dvz + a2 * drz
-        lower, upper = [bx - half, by - half, bz - half], [bx + half, by + half, bz + half]
-        mu = None if nominal is None else list(map(_clamp, nominal, lower, upper))
-        return nominal, mu, lower, upper
-
-
-def _clamp(x: float, lower: float, upper: float) -> float:
-    """np.minimum(np.maximum(x, lower), upper) on floats, bit for bit.
-
-    Both numpy functions return a NaN first argument, and otherwise the
-    second argument unless the first lies strictly beyond it: NaN
-    propagates, and x = -0.0 against a 0.0 bound gives the bound's 0.0.
-    """
-    x = x if (x > lower or x != x) else lower
-    return x if (x < upper or x != x) else upper
+        return nominal, (bx - half, by - half, bz - half), (bx + half, by + half, bz + half)
 
 
 @dataclass(frozen=True)

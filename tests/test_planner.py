@@ -112,6 +112,11 @@ class TestRegions:
         with pytest.raises(ValueError, match="region 'empty' needs at least one cone"):
             ConvexRegion((), "empty")
 
+    def test_no_regions_rejected(self):
+        asm = PlanAssembly(clamped_uniform_knots(0.0, 1.0, 6, 5))
+        with pytest.raises(ValueError, match="^no regions given"):
+            asm.compile_position([])
+
     def test_region_margin_is_worst_cone(self):
         box = ConvexRegion.box([0.0, 0.0, 0.0], [4.0, 2.0, 2.0])
         # closest face is y at distance 0.3

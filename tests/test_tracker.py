@@ -345,6 +345,32 @@ class TestSingleTickPath:
             got = safety(*self.split(rows, k))
             assert command_bytes(got) == command_bytes(batch, k), k
 
+    def test_reads_are_fresh_arrays(self, setting):
+        # A one-tick call builds only mu; mu_nominal and the box become
+        # arrays when read, a new one per read, so writing into one read
+        # leaves the command, and every later read, as the batch row.
+        params, gains, psi, rows = setting
+        safety = SafetyFilter(params, gains, psi)
+        batch = safety(*self.split(rows)[:2])
+        for k in range(self.K):
+            cmd = safety(*self.split(rows, k)[:2])
+            for name in ("mu_nominal", "lower", "upper"):
+                read = getattr(cmd, name)
+                assert read is not getattr(cmd, name)
+                read[:] = 1e300
+            assert command_bytes(cmd) == command_bytes(batch, k), k
+
+    def test_nominal_alone(self, setting):
+        # nominal() is inputs()' mu_nominal without the box, None without gains.
+        params, gains, _, rows = setting
+        safety, gainless = SafetyFilter(params, gains), SafetyFilter(params)
+        batch = safety.nominal(*self.split(rows)[:2])
+        assert_same_bits(batch, safety.inputs(*self.split(rows)[:2])[0])
+        assert gainless.nominal(*self.split(rows)[:2]) is None
+        for k in range(self.K):
+            assert_same_bits(safety.nominal(*self.split(rows, k)[:2]), batch[k])
+            assert gainless.nominal(*self.split(rows, k)[:2]) is None
+
     def test_face_bounds_and_nominal_mu(self, setting):
         params, gains, _, rows = setting
         safety = SafetyFilter(params, gains)
