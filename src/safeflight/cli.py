@@ -12,12 +12,13 @@ error, named by its field, and so is a plan document that is malformed
 (not a plan-format object, a non-integer n or degree, a control-point array
 not 3 x (n + 1), an unknown zeta_mode or a zeta of the wrong length) or
 holds a non-finite number. So are a spline.n below the degree, more than
-degree + 1 pinned orders at either end of a scenario, and a gravity that
-is not positive in a scenario or a plan document. A plan that leaves the
-flatness map's domain (a free-fall sample with no thrust direction, a
-thrust axis along the yaw heading's normal, or a sample or command whose
-thrust points down, which asks for inverted flight) fails verification:
-`verify`, `track` and `export` exit 4 on it. Only a solve
+degree + 1 pinned orders at either end of a scenario, a gravity that is
+not positive in a scenario or a plan document, and a --samples-per-span
+whose grid over the plan's spans would hold more than MAX_SAMPLES samples.
+A plan that leaves the flatness map's domain (a free-fall sample with no
+thrust direction, a thrust axis along the yaw heading's normal, or a sample
+or command whose thrust points down, which asks for inverted flight) fails
+verification: `verify`, `track` and `export` exit 4 on it. Only a solve
 loads scipy, so `verify`, `track` and `export` given a plan file start
 without it.
 """
@@ -29,7 +30,6 @@ import dataclasses
 import importlib.resources
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,8 +57,11 @@ from .planner import (
     plan,
 )
 from .simverify import (
+    MARGIN_TOL,
     MAX_TICKS,
+    SAMPLES_PER_SPAN,
     SimConfig,
+    check_sample_count,
     make_filtered_controller,
     make_unfiltered_controller,
     plan_reference,
@@ -75,8 +78,6 @@ EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFY = 4
 EXIT_RUNTIME = 5
-
-TOL_ENV_VAR = "SAFEFLIGHT_SOLVER_TOL"
 
 _VEC3 = {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3}
 _REGION = {
@@ -500,25 +501,23 @@ def _tracking_config(tr: dict, desc: str) -> TrackingConfig:
 
 
 def _effective_tol(scenario: PlanningScenario, flag: float | None) -> float:
-    """The --tol flag, else the environment variable, else the scenario's value.
+    """The --tol flag, else the scenario's solver_tol.
 
     Raises:
         ScenarioError: if the chosen value is not a number in (0, MAX_TOL).
     """
-    env = os.environ.get(TOL_ENV_VAR)
-    if flag is not None:
-        source, value = "--tol", flag
-    elif env:
-        source, value = TOL_ENV_VAR, env
-    else:
-        source, value = "solver_tol", scenario.solver_tol
-    try:
-        tol = float(value)
-    except ValueError:
-        tol = np.nan
+    source, tol = ("--tol", flag) if flag is not None else ("solver_tol", scenario.solver_tol)
     if not 0 < tol < MAX_TOL:
-        raise ScenarioError(f"{source} must be a number in (0, {MAX_TOL:g}), got {value!r}")
+        raise ScenarioError(f"{source} must be a number in (0, {MAX_TOL:g}), got {tol!r}")
     return tol
+
+
+def _check_samples(spans: int, samples_per_span: int) -> None:
+    """A ScenarioError naming --samples-per-span for a grid past MAX_SAMPLES."""
+    try:
+        check_sample_count(spans, samples_per_span)
+    except ValueError as exc:
+        raise ScenarioError(f"--samples-per-span: {exc}") from None
 
 
 def _load_plan_doc(path: str) -> TrajectoryPlan:
@@ -572,6 +571,7 @@ def cmd_plan(args) -> int:
 def cmd_verify(args) -> int:
     sf = load_scenario(args.scenario)
     planning = sf.planning
+    _check_samples(planning.n - planning.degree + 1, args.samples_per_span)
     if args.plan:
         pl = _load_plan_doc(args.plan)
         _check_consistent(planning, pl)
@@ -671,6 +671,7 @@ def cmd_export(args) -> int:
         return EXIT_OK
 
     kv = pl.curve.knots
+    _check_samples(len(kv.nonempty_spans()), args.samples_per_span)
     ts = span_samples(pl, args.samples_per_span)
     pos, vel, acc, jerk = pl.curve.eval(ts, (0, 1, 2, 3))
     thrust, phi, theta, p_rate, q_rate = tilt_thrust_rates(acc, jerk, pl.gravity)
@@ -738,8 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="dense-sample a plan against its scenario")
     p_verify.add_argument("--scenario", required=True)
     p_verify.add_argument("--plan", help="plan JSON (re-plans when omitted)")
-    p_verify.add_argument("--samples-per-span", type=_sample_count, default=300)
-    p_verify.add_argument("--margin-tol", type=_margin_tol, default=1e-6)
+    p_verify.add_argument("--samples-per-span", type=_sample_count, default=SAMPLES_PER_SPAN)
+    p_verify.add_argument("--margin-tol", type=_margin_tol, default=MARGIN_TOL)
     p_verify.add_argument("--tol", type=float, default=None, help="solver tolerance override")
     p_verify.set_defaults(func=cmd_verify)
 

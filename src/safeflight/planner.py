@@ -741,14 +741,14 @@ def compile_tracking_margins(
     """Shrink planning bounds so tracked flight still meets the originals.
 
     The filtered tracker deviates from the reference acceleration by at most
-    4 * delta * a2 per axis, hence sqrt(3) times that in Euclidean norm. The
-    thrust band shrinks by that amount and the tilt cone retreats by
-    dev * (1 + sqrt(2) |cot(tilt_max)|) on its gravity side.
+    dev = cbf.input_deviation_bound = 4 delta a2 per axis, hence sqrt(3) dev
+    in Euclidean norm. The thrust band shrinks by that amount and the tilt
+    cone retreats by dev * (1 + sqrt(2) |cot(tilt_max)|) on its gravity side.
 
     Raises:
         MarginInfeasibleError: if the shrunk band cannot contain hover.
     """
-    dev = 4.0 * cbf.delta * cbf.a2
+    dev = cbf.input_deviation_bound
     ball = float(np.sqrt(3.0) * dev)
     tilt_margin = float(dev * (1.0 + np.sqrt(2.0) * abs(1.0 / np.tan(bounds.tilt_max))))
     new_max = bounds.thrust_max - ball

@@ -9,6 +9,7 @@ trusted -- and reports the worst signed margin per constraint family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -31,25 +32,37 @@ from .tracker import (
 
 # Most control ticks one run may hold; simulate stores a few (3,) rows per tick.
 MAX_TICKS = 10**6
+# Most samples one dense verification grid may hold: spans times samples per
+# span. A sample takes about 0.5 kB while a verifier runs.
+MAX_SAMPLES = 10**6
+
+
+def _tick_count(duration: float | None, control_rate: float) -> int:
+    """Control ticks in duration; a ValueError unless it is finite and holds one."""
+    ticks = math.nan if duration is None else duration * control_rate
+    if not (math.isfinite(ticks) and round(ticks) >= 1):
+        raise ValueError(
+            f"duration must be finite and at least one control tick "
+            f"({1.0 / control_rate:g} s), got {duration}"
+        )
+    return int(round(ticks))
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Closed-loop timing plus the starting state.
+    """Closed-loop timing plus the starting offsets from the reference.
 
     The command is held constant between control ticks, and each tick
     advances the state by the exact double-integrator step in one piece, so
     the loop does not read `substeps`: the field keeps scenarios that name
     it loading, and must be >= 1. A duration, when given, must be finite and
-    cover at least one tick. initial_state, when given, must hold two
-    finite (3,) vectors; if it is None the run starts on the reference,
-    shifted by the two offsets.
+    cover at least one tick. The run starts on the reference, shifted by the
+    two offsets.
     """
 
     control_rate: float = 100.0
     substeps: int = 10
     duration: float | None = None
-    initial_state: TrackingState | None = None
     initial_position_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
     initial_velocity_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
@@ -58,28 +71,13 @@ class SimConfig:
             raise ValueError(f"control_rate must be positive and finite, got {self.control_rate}")
         if self.substeps < 1:
             raise ValueError(f"substeps must be >= 1, got {self.substeps}")
-        if self.duration is not None and not (
-            np.isfinite(self.duration) and round(self.duration * self.control_rate) >= 1
-        ):
-            raise ValueError(
-                f"duration must be finite and at least one control tick "
-                f"({1.0 / self.control_rate:g} s), got {self.duration}"
-            )
+        if self.duration is not None:
+            _tick_count(self.duration, self.control_rate)
         for attr in ("initial_position_offset", "initial_velocity_offset"):
             value = np.asarray(getattr(self, attr), dtype=float).reshape(3)
             if not np.isfinite(value).all():
                 raise ValueError(f"{attr} must be finite, got {value.tolist()}")
             object.__setattr__(self, attr, value)
-        if self.initial_state is not None:
-            fields = []
-            for name in ("r", "r1"):
-                value = np.asarray(getattr(self.initial_state, name), dtype=float)
-                if value.shape != (3,) or not np.isfinite(value).all():
-                    raise ValueError(
-                        f"initial_state.{name} must be finite with shape (3,), got {value.tolist()}"
-                    )
-                fields.append(value)
-            object.__setattr__(self, "initial_state", TrackingState(*fields))
 
 
 @dataclass(frozen=True)
@@ -216,13 +214,11 @@ def simulate(
     trace's r and r1 are built once, after the loop. One more call after
     the loop, on every recorded state at once, supplies mu_nominal, mu,
     the reduced input (v), barriers and active faces for the trace; an
-    InvertedFlightError raised there leaves simulate. A run of more than
-    MAX_TICKS ticks is a ValueError, raised before the grid is built.
+    InvertedFlightError raised there leaves simulate. The duration, else
+    cfg.duration, must be finite and cover at least one tick, and a run of
+    more than MAX_TICKS ticks is a ValueError, raised before the grid is built.
     """
-    span = duration if duration is not None else cfg.duration
-    M = int(round((span or 0.0) * cfg.control_rate))
-    if M < 1:
-        raise ValueError("simulation needs a duration of at least one control tick")
+    M = _tick_count(duration if duration is not None else cfg.duration, cfg.control_rate)
     if M > MAX_TICKS:
         raise ValueError(f"simulation of {M} ticks exceeds MAX_TICKS = {MAX_TICKS}")
     h = 1.0 / cfg.control_rate
@@ -232,10 +228,8 @@ def simulate(
         np.broadcast_to(np.asarray(f, dtype=float), (M, 3)).copy() for f in (ref.r, ref.r1, ref.r2)
     )
 
-    start = cfg.initial_state or TrackingState(
-        r=ref_r[0] + cfg.initial_position_offset, r1=ref_r1[0] + cfg.initial_velocity_offset
-    )
-    q, q1 = tuple(start.r.tolist()), tuple(start.r1.tolist())
+    q = tuple((ref_r[0] + cfg.initial_position_offset).tolist())
+    q1 = tuple((ref_r1[0] + cfg.initial_velocity_offset).tolist())
     rows, rows1 = [], []
     for t, p, p1, p2 in zip(ts.tolist(), ref_r, ref_r1, ref_r2):
         rows.append(q)
@@ -272,6 +266,11 @@ def simulate(
 
 # ---------------------------------------------------------------- verification
 
+# The verifiers' default grid density, and the most negative margin, as -tol,
+# that still passes a check.
+SAMPLES_PER_SPAN = 300
+MARGIN_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ConstraintCheck:
@@ -282,7 +281,7 @@ class ConstraintCheck:
     worst_t: float
     detail: str = ""
 
-    def ok(self, tol: float = 1e-6) -> bool:
+    def ok(self, tol: float = MARGIN_TOL) -> bool:
         return self.margin >= -tol
 
 
@@ -295,10 +294,10 @@ class ConstraintReport:
     def min_margin(self) -> float:
         return min((c.margin for c in self.checks), default=np.inf)
 
-    def ok(self, tol: float = 1e-6) -> bool:
+    def ok(self, tol: float = MARGIN_TOL) -> bool:
         return all(c.ok(tol) for c in self.checks)
 
-    def failing(self, tol: float = 1e-6) -> list[ConstraintCheck]:
+    def failing(self, tol: float = MARGIN_TOL) -> list[ConstraintCheck]:
         return [c for c in self.checks if not c.ok(tol)]
 
     def summary(self) -> str:
@@ -308,10 +307,23 @@ class ConstraintReport:
         return "\n".join(lines)
 
 
+def check_sample_count(spans: int, samples_per_span: int) -> None:
+    """Raise a ValueError if spans * samples_per_span exceeds MAX_SAMPLES."""
+    if spans * samples_per_span > MAX_SAMPLES:
+        raise ValueError(
+            f"{samples_per_span} samples per span over {spans} spans exceeds "
+            f"MAX_SAMPLES = {MAX_SAMPLES}"
+        )
+
+
 def span_samples(plan: TrajectoryPlan, samples_per_span: int) -> np.ndarray:
-    """Left-closed per-span grids, one linspace over every span, plus the exact final time."""
+    """Left-closed per-span grids, one linspace over every span, plus the exact final time.
+
+    More than MAX_SAMPLES grid samples is a ValueError, raised before the grid is built.
+    """
     kv = plan.curve.knots
     l = np.array(kv.nonempty_spans())
+    check_sample_count(l.size, samples_per_span)
     grid = np.linspace(kv.tau[l], kv.tau[l + 1], samples_per_span, endpoint=False, axis=1)
     return np.append(grid.ravel(), kv.tf)
 
@@ -328,16 +340,20 @@ def verify_plan(
     pins: EndpointPins | None = None,
     intervals: Iterable[IntervalConstraint] = (),
     corridor: Iterable[ConvexRegion] | None = None,
-    samples_per_span: int = 300,
+    samples_per_span: int = SAMPLES_PER_SPAN,
 ) -> ConstraintReport:
     """Dense-sampling audit of a plan against the original requirements.
 
     Uses only curve evaluation and the flatness maps, so it cross-checks the
     compiled cone constraints rather than restating them. Margins are signed
-    slacks; the continuous-time guarantee says none should be negative.
+    slacks; the continuous-time guarantee says none should be negative. A
+    corridor needs one set per nonempty span, else it is a ValueError.
     """
     kv = plan.curve.knots
     g = plan.gravity
+    regions = None if corridor is None else tuple(corridor)
+    if regions is not None and len(regions) != len(kv.nonempty_spans()):
+        raise ValueError(f"corridor has {len(regions)} sets for {len(kv.nonempty_spans())} spans")
     ts = span_samples(plan, samples_per_span)
     pos, vel, acc, jerk = plan.curve.eval(ts, (0, 1, 2, 3))
     thrust, phi, theta, p_rate, q_rate = tilt_thrust_rates(acc, jerk, g)
@@ -403,10 +419,9 @@ def verify_plan(
         )
         checks.append(ConstraintCheck(f"window[{k}]:{ic.kind}", m, wt))
 
-    if corridor is not None:
+    if regions is not None:
         # Region l covers span d + l - 1: one (regions, samples) grid, both
         # span ends included, and one curve evaluation for all of them.
-        regions = tuple(corridor)
         spans = kv.degree + np.arange(len(regions))
         seg = np.linspace(kv.tau[spans], kv.tau[spans + 1], samples_per_span, axis=1)
         seg_pos = plan.curve.eval(seg.ravel(), 0)
@@ -419,17 +434,19 @@ def verify_plan(
 
 
 def verify_span_minima(
-    plan: TrajectoryPlan, omega_max: float, samples_per_span: int = 300
+    plan: TrajectoryPlan, omega_max: float, samples_per_span: int = SAMPLES_PER_SPAN
 ) -> ConstraintReport:
     """Check the per-span thrust floors zeta against sampled truth.
 
     For each span: zeta may not exceed the sampled minimum thrust, and the
     sampled maximum jerk may not exceed omega_max * zeta. Row k of the
     sample grid holds span l = d + k, both ends included, and one curve
-    evaluation covers every row.
+    evaluation covers every row. More than MAX_SAMPLES grid samples is a
+    ValueError, raised before the grid is built.
     """
     kv = plan.curve.knots
     spans = kv.nonempty_spans()
+    check_sample_count(len(spans), samples_per_span)
     l = np.array(spans)
     seg = np.linspace(kv.tau[l], kv.tau[l + 1], samples_per_span, axis=1)
     acc, jerk = plan.curve.eval(seg.ravel(), (2, 3))

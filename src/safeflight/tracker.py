@@ -138,13 +138,13 @@ class SafeCommand(_CommandFields):
     """Output of the filter, batched over the leading axes of mu.
 
     mu is an array when the command is built. mu_nominal, lower and upper
-    are stored as given: a filter call on one tick stores them as tuples of
-    three floats, and each read of such a field builds a fresh (3,) float64
-    array, so a loop that reads only mu builds only mu; indexing and
-    unpacking give the stored values. v, barriers and active are derived
-    from the stored inputs only when read. lower and upper are the clamp's
-    face bounds, None for a command that passes mu_nominal through
-    unfiltered.
+    are stored as given: a filter call on one tick that computes the PD
+    nominal stores them as tuples of three floats, and each read of such a
+    field builds a fresh (3,) float64 array, so a loop that reads only mu
+    builds only mu; indexing and unpacking give the stored values. v,
+    barriers and active are derived from the stored inputs only when read.
+    lower and upper are the clamp's face bounds, None for a command that
+    passes mu_nominal through unfiltered.
     """
 
     __slots__ = ()
@@ -190,17 +190,16 @@ class SafetyFilter:
     """The PD nominal and the barrier clamp: the one definition of the filter.
 
     A controller builds one and calls it every tick. kp, kd, a1, a2 and
-    a2 * delta are held as plain floats. A call on one tick, where every
-    state and reference field and any given mu_nominal is a (3,) float64
-    array, runs per axis in Python floats: it builds mu, the one array of
-    its command, and stores mu_nominal and the box as tuples of floats that
-    become fresh arrays only when read. inputs() and nominal() on one tick
-    return fresh (3,) arrays. Any other call, a batch over leading axes
-    included, runs as array code. The input's shape alone selects the path,
-    and both take the same operations in the same order, so they agree bit
-    for bit. Without gains the filter clamps only a given nominal input:
-    calling it without one is a ValueError, though inputs() still gives the
-    box.
+    a2 * delta are held as plain floats. A call or nominal() on one tick of
+    a filter with gains, with no given mu_nominal and every state and
+    reference field a (3,) float64 array, runs per axis in Python floats: a
+    call builds mu, the one array of its command, and stores mu_nominal and
+    the box as tuples of floats that become fresh arrays only when read.
+    Any other call, a batch over leading axes or a given mu_nominal
+    included, and inputs() always, run as array code. Both paths take the
+    same operations in the same order, so they agree bit for bit. Without
+    gains the filter clamps only a given nominal input: calling it without
+    one is a ValueError, though inputs() still gives the box.
     """
 
     def __init__(
@@ -227,9 +226,6 @@ class SafetyFilter:
         x - (-y) = x + y are exact. Only the sign of a zero centre can
         differ, and adding or subtracting a2 * delta > 0 removes it.
         """
-        tick = self._tick(state, ref, mu_nominal)
-        if tick is not None:
-            return tuple(None if x is None else np.array(x) for x in tick)
         dr = ref.r - state.r
         dv = ref.r1 - state.r1
         if mu_nominal is None and self.kp is not None:
@@ -242,10 +238,10 @@ class SafetyFilter:
 
         On one tick this builds one (3,) array and no box arrays.
         """
-        tick = self._tick(state, ref, None, box=False)
-        if tick is None:
-            return self.inputs(state, ref)[0]
-        return None if tick[0] is None else np.array(tick[0])
+        if self.kp is None:
+            return None
+        tick = self._tick(state, ref, box=False)
+        return self.inputs(state, ref)[0] if tick is None else np.array(tick[0])
 
     def __call__(
         self, state: TrackingState, ref: ReferencePoint, mu_nominal: np.ndarray | None = None
@@ -260,7 +256,7 @@ class SafetyFilter:
         """
         if mu_nominal is None and self.kp is None:
             raise ValueError("a SafetyFilter without gains needs mu_nominal")
-        tick = self._tick(state, ref, mu_nominal)
+        tick = None if mu_nominal is not None else self._tick(state, ref)
         if tick is None:
             mu_nominal, lower, upper = self.inputs(state, ref, mu_nominal)
             mu = np.minimum(np.maximum(mu_nominal, lower), upper)
@@ -276,17 +272,16 @@ class SafetyFilter:
             mu = np.array((x, y, z))
         return SafeCommand(mu_nominal, mu, state, ref, self.params, self.psi, self.g, lower, upper)
 
-    def _tick(self, state, ref, mu_nominal, box=True) -> tuple[tuple | None, ...] | None:
+    def _tick(self, state, ref, box=True) -> tuple[tuple | None, ...] | None:
         """(mu_nominal, lower, upper) of one tick as tuples of three floats.
 
-        None unless every field, and mu_nominal if given, is a (3,) float64
-        array. mu_nominal is None when inputs() gives no nominal input, and
-        lower and upper are None unless box. Each axis takes the array
-        code's operations in its order: (r2 + kp dr) + kd dv, then
+        None unless every field is a (3,) float64 array; the filter must
+        have gains. lower and upper are None unless box. Each axis takes the
+        array code's operations in its order: (r2 + kp dr) + kd dv, then
         (r2 + a1 dv) + a2 dr, then base -/+ a2 delta.
         """
         (r, r1), (p, p1, p2) = state, ref
-        for f in (r, r1, p, p1, p2) if mu_nominal is None else (r, r1, p, p1, p2, mu_nominal):
+        for f in (r, r1, p, p1, p2):
             if type(f) is not np.ndarray or f.dtype is not _FLOAT or f.shape != (3,):
                 return None
         x, y, z = r.tolist()
@@ -297,12 +292,7 @@ class SafetyFilter:
         drx, dry, drz = px - x, py - y, pz - z
         dvx, dvy, dvz = ux - vx, uy - vy, uz - vz
         kp, kd, a1, a2, half = self.kp, self.kd, self.a1, self.a2, self.half
-        if mu_nominal is not None:
-            nominal = tuple(mu_nominal.tolist())
-        elif kp is not None:
-            nominal = (ax + kp * drx + kd * dvx, ay + kp * dry + kd * dvy, az + kp * drz + kd * dvz)
-        else:
-            nominal = None
+        nominal = (ax + kp * drx + kd * dvx, ay + kp * dry + kd * dvy, az + kp * drz + kd * dvz)
         if not box:
             return nominal, None, None
         bx, by, bz = ax + a1 * dvx + a2 * drx, ay + a1 * dvy + a2 * dry, az + a1 * dvz + a2 * drz

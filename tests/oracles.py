@@ -184,10 +184,7 @@ def simulate_per_tick(reference, controller, cfg, t0=0.0, duration=None):
     ref_r, ref_r1, ref_r2 = (
         np.broadcast_to(np.asarray(f, dtype=float), (M, 3)).copy() for f in (ref.r, ref.r1, ref.r2)
     )
-    start = cfg.initial_state or TrackingState(
-        r=ref_r[0] + cfg.initial_position_offset, r1=ref_r1[0] + cfg.initial_velocity_offset
-    )
-    r, r1 = np.array(start.r, dtype=float), np.array(start.r1, dtype=float)
+    r, r1 = ref_r[0] + cfg.initial_position_offset, ref_r1[0] + cfg.initial_velocity_offset
 
     states, cmds = [], []
     for i in range(M):

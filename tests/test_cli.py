@@ -22,7 +22,6 @@ from safeflight.cli import (
     EXIT_RUNTIME,
     EXIT_VERIFY,
     SCENARIO_SCHEMA,
-    TOL_ENV_VAR,
     ScenarioError,
     _effective_tol,
     bundled_scenarios,
@@ -611,16 +610,11 @@ class TestBadTracking:
 
 
 class TestSolverTol:
-    def test_flag_wins(self, monkeypatch, hover_scenario):
-        monkeypatch.setenv(TOL_ENV_VAR, "1e-7")
+    def test_flag_wins(self, hover_scenario):
+        assert hover_scenario.planning.solver_tol != 1e-6
         assert _effective_tol(hover_scenario.planning, 1e-6) == 1e-6
 
-    def test_env_beats_scenario(self, monkeypatch, hover_scenario):
-        monkeypatch.setenv(TOL_ENV_VAR, "1e-7")
-        assert _effective_tol(hover_scenario.planning, None) == 1e-7
-
-    def test_scenario_default(self, monkeypatch, hover_scenario):
-        monkeypatch.delenv(TOL_ENV_VAR, raising=False)
+    def test_scenario_default(self, hover_scenario):
         tol = _effective_tol(hover_scenario.planning, None)
         assert tol == hover_scenario.planning.solver_tol
 
@@ -628,13 +622,6 @@ class TestSolverTol:
         assert main(["plan", "--scenario", "hover", "--tol", "0.5"]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert "--tol" in err
-        assert "unexpected" not in err
-
-    def test_non_numeric_env_exits_parse(self, monkeypatch, capsys):
-        monkeypatch.setenv(TOL_ENV_VAR, "abc")
-        assert main(["plan", "--scenario", "hover"]) == EXIT_PARSE
-        err = capsys.readouterr().err
-        assert TOL_ENV_VAR in err
         assert "unexpected" not in err
 
 
@@ -745,6 +732,20 @@ class TestVerifyCommand:
             main(["verify", "--scenario", "hover", "--samples-per-span", count])
         assert exc.value.code == EXIT_PARSE
         assert "--samples-per-span" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_plan", [True, False], ids=["plan-file", "replan"])
+    def test_sample_count_past_the_grid_cap_exits_parse(
+        self, tmp_path, hover_plan, with_plan, capsys
+    ):
+        # 10**15 per span: numpy refuses such a grid at once, so nothing is allocated
+        # even where the cap is missing.
+        args = ["verify", "--scenario", "hover", "--samples-per-span", str(10**15)]
+        if with_plan:
+            args += ["--plan", write_plan(tmp_path, hover_plan)]
+        assert main(args) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "--samples-per-span" in err and "MAX_SAMPLES" in err
+        assert "unexpected" not in err
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_margin_tol_exits_parse(self, tmp_path, hover_plan, tol, capsys):
@@ -921,6 +922,15 @@ class TestExportCommand:
             main(args + ["--samples-per-span", count])
         assert exc.value.code == EXIT_PARSE
         assert "--samples-per-span" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_count_past_the_grid_cap_exits_parse(self, tmp_path, hover_plan, capsys):
+        out = tmp_path / "samples.csv"
+        args = ["export", "--plan", write_plan(tmp_path, hover_plan), "--out", str(out)]
+        assert main(args + ["--samples-per-span", str(10**15)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "--samples-per-span" in err and "MAX_SAMPLES" in err
+        assert "unexpected" not in err
         assert not out.exists()
 
 

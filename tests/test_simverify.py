@@ -19,6 +19,7 @@ from safeflight.planner import (
     plan,
 )
 from safeflight.simverify import (
+    MAX_SAMPLES,
     MAX_TICKS,
     SimConfig,
     SimTrace,
@@ -57,22 +58,6 @@ class TestSimConfig:
             SimConfig(control_rate=0.0)
         with pytest.raises(ValueError):
             SimConfig(substeps=0)
-        zero = np.zeros(3)
-        for r, r1, name in (
-            ([0.0, 0.0, np.nan], zero, "r"),
-            (zero, [np.inf, 0.0, 0.0], "r1"),
-            (zero, [0.0, -np.inf, 0.0], "r1"),
-            (np.zeros(4), zero, "r"),
-            (zero, np.zeros(2), "r1"),
-            (np.zeros((1, 3)), zero, "r"),
-            (0.0, zero, "r"),
-        ):
-            msg = rf"^initial_state\.{name} must be finite with shape \(3,\)"
-            with pytest.raises(ValueError, match=msg):
-                SimConfig(initial_state=TrackingState(r, r1))
-        cfg = SimConfig(initial_state=TrackingState([1, 2, 3], (0, 0, 0.5)))
-        for got, want in zip(cfg.initial_state, ([1.0, 2.0, 3.0], [0.0, 0.0, 0.5])):
-            assert got.dtype == np.float64 and got.tolist() == want
 
     def test_offsets_become_vectors(self):
         cfg = SimConfig(initial_position_offset=[0.1, 0.0, 0.0])
@@ -99,6 +84,13 @@ class TestSimulate:
         ctrl = make_filtered_controller(PARAMS, GAINS)
         with pytest.raises(ValueError):
             simulate(still_air, ctrl, SimConfig(control_rate=50.0), duration=0.001)
+
+    @pytest.mark.parametrize("duration", [np.inf, np.nan])
+    def test_non_finite_duration_rejected(self, duration):
+        # As SimConfig rejects its own duration, naming the field.
+        ctrl = make_filtered_controller(PARAMS, GAINS)
+        with pytest.raises(ValueError, match="^duration must be finite"):
+            simulate(still_air, ctrl, SimConfig(), duration=duration)
 
     def test_tick_cap_checked_before_the_grid(self):
         # One tick past MAX_TICKS is refused before the grid exists, so the
@@ -180,9 +172,12 @@ class TestSimulate:
         assert_allclose(trace.thrust, want, rtol=1e-12)
         assert np.abs(trace.mu).max() > 0.1  # the controller did work
 
-    def test_initial_state_override(self):
-        state = TrackingState(r=np.array([1.0, 2.0, 3.0]), r1=np.array([0.1, 0.0, 0.0]))
-        cfg = SimConfig(control_rate=10.0, initial_state=state)
+    def test_offsets_set_the_start_on_a_still_reference(self):
+        cfg = SimConfig(
+            control_rate=10.0,
+            initial_position_offset=[1.0, 2.0, 3.0],
+            initial_velocity_offset=[0.1, 0.0, 0.0],
+        )
         ctrl = make_unfiltered_controller(PARAMS, PdGains(kp=0.0, kd=0.0))
         trace = simulate(still_air, ctrl, cfg, duration=0.5)
         assert_allclose(trace.r[0], [1.0, 2.0, 3.0])
@@ -293,7 +288,7 @@ class TestPerTickOracle:
 
             return controller
 
-        rest = SimConfig(control_rate=rate, initial_state=TrackingState(np.zeros(3), np.zeros(3)))
+        rest = SimConfig(control_rate=rate)
         for mu0 in rng.uniform(-5.0, 5.0, (100, 3)):
             args = (still_air, constant(mu0), rest, 0.0, 2.0 / rate)
             got, want = simulate(*args), simulate_per_tick(*args)
@@ -374,6 +369,24 @@ class TestSpanSamples:
             ]
             want = np.concatenate(parts + [np.array([kv.tf])])
             assert_array_equal(span_samples(pl, samples), want, strict=True)
+
+    def test_grid_cap(self, hover_plan, hover_scenario):
+        # A grid of exactly MAX_SAMPLES interior samples is built, and one
+        # more sample per span is refused.
+        spans = len(hover_plan.curve.knots.nonempty_spans())
+        assert span_samples(hover_plan, MAX_SAMPLES // spans).size == MAX_SAMPLES + 1
+        with pytest.raises(ValueError, match="MAX_SAMPLES"):
+            span_samples(hover_plan, MAX_SAMPLES // spans + 1)
+        # The verifiers are refused 10**15 per span, which numpy refuses at
+        # once, so nothing is allocated even without the cap.
+        sc = hover_scenario.planning
+        for call in (
+            lambda s: span_samples(hover_plan, s),
+            lambda s: verify_plan(hover_plan, sc.bounds, samples_per_span=s),
+            lambda s: verify_span_minima(hover_plan, sc.bounds.omega_max, s),
+        ):
+            with pytest.raises(ValueError, match=f"^{10**15} samples per span .* MAX_SAMPLES"):
+                call(10**15)
 
 
 class TestTrace:
@@ -496,6 +509,14 @@ class TestVerifyPlan:
         report = verify_plan(pl, sc.bounds, corridor=sc.corridor, samples_per_span=120)
         got = [(c.name, c.margin, c.worst_t) for c in report.checks if c.name.startswith("corridor")]
         assert got == want
+
+    def test_corridor_needs_one_set_per_span(self, bundled_plan):
+        sc = load_scenario("example3_c2_s1_c3").planning
+        pl = bundled_plan("example3_c2_s1_c3")
+        assert len(sc.corridor) == len(pl.curve.knots.nonempty_spans()) == 9
+        for sets in (sc.corridor[:3], sc.corridor * 2):
+            with pytest.raises(ValueError, match=f"^corridor has {len(sets)} sets for 9 spans$"):
+                verify_plan(pl, sc.bounds, corridor=sets)
 
     @pytest.mark.parametrize("kind", ["position", "speed"])
     def test_window_between_grid_samples_is_checked_at_its_ends(self, example1_plan, kind):

@@ -307,10 +307,10 @@ def command_bytes(cmd: SafeCommand, k: int | None = None) -> dict:
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in active
 class TestSingleTickPath:
-    # A call on one tick, every field a (3,) float64 array, runs in Python
-    # floats; a (K, 3) batch runs as array code. Each row of the batch must
-    # give the bits of the (3,) call on that row, NaN payloads and signs of
-    # zero included.
+    # A PD call on one tick, every field a (3,) float64 array, runs in Python
+    # floats; a (K, 3) batch, a given nominal and inputs() run as array code.
+    # Each row of the batch must give the bits of the (3,) call on that row,
+    # NaN payloads and signs of zero included.
     K = 60
 
     @pytest.fixture(params=range(6))
