@@ -11,7 +11,8 @@ bounds, regions, waypoints, pins, windows or corridor is a validation
 error, named by its field, and so is a plan document that is malformed
 (not a plan-format object, a non-integer n or degree, a control-point array
 not 3 x (n + 1), an unknown zeta_mode or a zeta of the wrong length) or
-holds a non-finite number. So are a spline.n below the degree, more than
+holds a non-finite number. So are a spline.n below the degree, spans too
+short for a finite snap Gram (named as spline.tf), more than
 degree + 1 pinned orders at either end of a scenario, a gravity that is
 not positive in a scenario or a plan document, and a --samples-per-span
 whose grid over the plan's spans would hold more than MAX_SAMPLES samples.

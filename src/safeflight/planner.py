@@ -36,6 +36,7 @@ from .splines import (
     KnotVector,
     SplineCurve,
     clamped_uniform_knots,
+    min_span_width,
     snap_gram,
 )
 from .tracker import CbfParams
@@ -332,8 +333,9 @@ class IntervalConstraint:
 class PlanningScenario:
     """Everything the planner needs for one solve.
 
-    Requires n >= degree, at most degree + 1 pinned orders at each end and a
-    positive gravity; a ValueError names the field otherwise.
+    Requires n >= degree, spans of at least min_span_width(degree), at most
+    degree + 1 pinned orders at each end and a positive gravity; a
+    ValueError names the field otherwise.
     """
 
     name: str
@@ -356,6 +358,13 @@ class PlanningScenario:
         if self.n < self.degree:
             raise ValueError(
                 f"spline.n must be >= degree = {self.degree} for a clamped spline, got {self.n}"
+            )
+        spans = self.n - self.degree + 1
+        width, least = (self.tf - self.t0) / spans, min_span_width(self.degree)
+        if not width >= least:
+            raise ValueError(
+                f"spline.tf: (tf - t0) / {spans} spans = {width:g} s, but the snap Gram "
+                f"at degree {self.degree} needs spans of at least {least:.3g} s"
             )
         for end in ("initial", "final"):
             count = len(getattr(self.pins, end))

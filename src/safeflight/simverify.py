@@ -164,11 +164,16 @@ def plan_reference(plan: TrajectoryPlan) -> Callable[[np.ndarray], ReferencePoin
 def make_filtered_controller(
     params: CbfParams, gains: PdGains, psi: float = 0.0, g: float = GRAVITY
 ) -> Callable:
-    """Nominal PD wrapped in the barrier filter."""
-    safety = SafetyFilter(params, gains, psi, g)
+    """Nominal PD wrapped in the barrier filter.
 
-    def controller(t: float | np.ndarray, state: TrackingState, ref: ReferencePoint) -> SafeCommand:
-        return safety(state, ref)
+    With a Python float t it is one tick, SafetyFilter.tick, and returns mu
+    as three floats; otherwise it returns the SafetyFilter call's command.
+    """
+    safety = SafetyFilter(params, gains, psi, g)
+    tick = safety.tick
+
+    def controller(t, state, ref):
+        return tick(state, ref) if type(t) is float else safety(state, ref)
 
     return controller
 
@@ -178,12 +183,16 @@ def make_unfiltered_controller(
 ) -> Callable:
     """Nominal PD passed straight through; barriers still recorded.
 
-    A tick builds mu, the PD nominal, as its one array, and no box.
+    A tick (a Python float t) returns the PD nominal as three floats and
+    computes no box.
     """
     safety = SafetyFilter(params, gains, psi, g)
+    tick = safety.tick
 
-    def controller(t: float | np.ndarray, state: TrackingState, ref: ReferencePoint) -> SafeCommand:
-        mu = safety.nominal(state, ref)
+    def controller(t, state, ref):
+        if type(t) is float:
+            return tick(state, ref, clamp=False)
+        mu = safety.inputs(state, ref)[0]
         return SafeCommand(mu, mu, state, ref, params, psi, g)
 
     return controller
@@ -191,7 +200,7 @@ def make_unfiltered_controller(
 
 def simulate(
     reference: Callable[[np.ndarray], ReferencePoint],
-    controller: Callable[[float | np.ndarray, TrackingState, ReferencePoint], SafeCommand],
+    controller: Callable,
     cfg: SimConfig,
     t0: float = 0.0,
     duration: float | None = None,
@@ -200,23 +209,22 @@ def simulate(
 
     The reference is called once per run, with the (M,) tick grid
     t0 + i h, and its fields must broadcast to (M, 3). The controller must
-    be a pure function of (t, state, ref), batched over leading axes: with
-    a scalar t and (3,) fields it commands one tick, with the (M,) grid and
-    (M, 3) fields the whole run, row by row. Each tick calls it once, with
-    t a Python float, and reads only `.mu`, a (3,) array. The command
-    computed at tick i acts on [t_i, t_{i+1}), where the state takes the
-    exact zero-order-hold step r + r1*h + 0.5*mu*h*h, r1 + mu*h, evaluated
-    left to right; the recorded state is the one the controller saw at
-    t_i. Between ticks the state is carried as tuples of Python floats,
-    stepped per axis. So a tick builds two fresh (3,) state arrays and
-    three views of the reference rows for the controller, plus what the
-    controller builds: mu alone, for this package's controllers. The
-    trace's r and r1 are built once, after the loop. One more call after
-    the loop, on every recorded state at once, supplies mu_nominal, mu,
-    the reduced input (v), barriers and active faces for the trace; an
-    InvertedFlightError raised there leaves simulate. The duration, else
-    cfg.duration, must be finite and cover at least one tick, and a run of
-    more than MAX_TICKS ticks is a ValueError, raised before the grid is built.
+    be a pure function of (t, state, ref) with two forms. On one tick, t is
+    a Python float, state is (r, r1) and ref is (r, r1, r2), each a triple
+    of Python floats, and it returns mu as three floats. On the whole run,
+    t is the (M,) grid and state and ref are a TrackingState and a
+    ReferencePoint of (M, 3) arrays, and it returns a SafeCommand whose
+    rows are the ticks' commands. Each tick calls the first form once, so
+    the loop builds no arrays; the command computed at tick i acts on
+    [t_i, t_{i+1}), where the state takes the exact zero-order-hold step
+    r + r1*h + 0.5*mu*h*h, r1 + mu*h per axis, evaluated left to right,
+    and the recorded state is the one the controller saw at t_i. One call
+    of the second form after the loop, on every recorded state at once,
+    supplies mu_nominal, mu, the reduced input (v), barriers and active
+    faces for the trace; an InvertedFlightError raised there leaves
+    simulate. The duration, else cfg.duration, must be finite and cover at
+    least one tick, and a run of more than MAX_TICKS ticks is a ValueError,
+    raised before the grid is built.
     """
     M = _tick_count(duration if duration is not None else cfg.duration, cfg.control_rate)
     if M > MAX_TICKS:
@@ -231,11 +239,10 @@ def simulate(
     q = tuple((ref_r[0] + cfg.initial_position_offset).tolist())
     q1 = tuple((ref_r1[0] + cfg.initial_velocity_offset).tolist())
     rows, rows1 = [], []
-    for t, p, p1, p2 in zip(ts.tolist(), ref_r, ref_r1, ref_r2):
+    for t, p, p1, p2 in zip(ts.tolist(), ref_r.tolist(), ref_r1.tolist(), ref_r2.tolist()):
         rows.append(q)
         rows1.append(q1)
-        state = TrackingState(np.array(q), np.array(q1))
-        ax, ay, az = controller(t, state, ReferencePoint(p, p1, p2)).mu.tolist()
+        ax, ay, az = controller(t, (q, q1), (p, p1, p2))
         (x, y, z), (vx, vy, vz) = q, q1
         q = (
             x + vx * h + 0.5 * ax * h * h,

@@ -472,10 +472,24 @@ def snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
         (Q, G) with Q of shape (n+1, n+1) positive semidefinite and
         G.T @ G == Q, where G keeps only eigenpairs above 1e-12 * max_eig.
         Both are memoized per knot vector and read-only.
+
+    Raises:
+        ValueError: for degree < 4, or a Q that is not finite, as over
+            spans narrower than min_span_width(degree).
     """
     if knots.degree < 4:
         raise ValueError(f"snap Gram needs degree >= 4, got {knots.degree}")
     return knots._snap_gram
+
+
+def min_span_width(degree: int) -> float:
+    """Narrowest span, in seconds, over which the snap Gram is built in float64.
+
+    Over spans w wide the Gram's entries grow as w**-7 and the span power
+    basis' as w**-degree, and both stay finite while w**max(7, degree) is
+    at least 1e-280.
+    """
+    return 10.0 ** (-280.0 / max(7, degree))
 
 
 def _build_snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
@@ -490,6 +504,8 @@ def _build_snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     idx = l[:, None] - d + np.arange(d + 1)
     flat = (idx[:, :, None] * (n + 1) + idx[:, None, :]).ravel()
     Q = np.bincount(flat, blocks.ravel(), minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
+    if not np.isfinite(Q).all():
+        raise ValueError(f"snap Gram is not finite over spans {2.0 * half.min():g} s wide")
     Q = 0.5 * (Q + Q.T)
     evals, vecs = np.linalg.eigh(Q)
     keep = evals > 1e-12 * evals[-1]

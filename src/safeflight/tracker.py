@@ -11,15 +11,18 @@ of admissible mu_q whose width is identically 2 * a2 * delta. The safety QP,
 min ||mu - mu_nominal||^2 over that box, separates by axis, so its exact
 solution is a per-axis clamp of the nominal input, and no numerical solve
 is needed. ``SafetyFilter`` is the one definition of the filter: from one
-pair of error differences it computes the PD nominal (``nominal``), the
-box (``inputs``) and the clamp (a call). A closed-loop controller builds
-one and calls it every tick. The six faces, like the six barriers, are
-always ordered x+, x-, y+, y-, z+, z-: the upper face (from h^up) then the
-lower face (from h^low) of each axis.
+pair of error differences it computes the PD nominal and the box
+(``inputs``) and the clamp (a call), as array code batched over leading
+axes. ``tick`` runs the same operations on one tick in Python floats and
+returns mu as three floats; a closed-loop controller calls it every tick
+and makes one array call on the whole run afterwards. The six faces, like
+the six barriers, are always ordered x+, x-, y+, y-, z+, z-: the upper face
+(from h^up) then the lower face (from h^low) of each axis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +49,8 @@ class CbfParams:
             value = getattr(self, name)
             if not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.a1 * self.a1):
+            raise ValueError(f"a1^2 must be finite, got a1 = {self.a1}")
         if self.a1**2 < 4.0 * self.a2:
             raise ValueError(
                 f"a1^2 = {self.a1 ** 2:.3f} < 4 a2 = {4 * self.a2:.3f}: complex error poles"
@@ -86,7 +91,6 @@ class ReferencePoint(NamedTuple):
 
 
 _SIDES = np.array([1.0, -1.0])  # upper face, then lower face, of each axis
-_FLOAT = np.dtype(float)
 
 
 def barrier_values(state: TrackingState, ref: ReferencePoint, params: CbfParams) -> np.ndarray:
@@ -109,49 +113,23 @@ class PdGains:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
-class _CommandFields(NamedTuple):
-    """The stored fields of a SafeCommand."""
+class SafeCommand(NamedTuple):
+    """Output of the filter, batched over the leading axes of mu.
 
-    mu_nominal: np.ndarray | tuple[float, float, float]
+    v, barriers and active are derived from the stored inputs only when
+    read. lower and upper are the clamp's face bounds, None for a command
+    that passes mu_nominal through unfiltered.
+    """
+
+    mu_nominal: np.ndarray
     mu: np.ndarray
     state: TrackingState
     ref: ReferencePoint
     params: CbfParams
     psi: float = 0.0
     g: float = GRAVITY
-    lower: np.ndarray | tuple[float, float, float] | None = None
-    upper: np.ndarray | tuple[float, float, float] | None = None
-
-
-def _read_as_array(name: str) -> property:
-    """The field `name`, read as a fresh (3,) float64 array if it holds a tuple of floats."""
-    i = _CommandFields._fields.index(name)
-
-    def read(self) -> np.ndarray | None:
-        x = self[i]
-        return np.array(x) if type(x) is tuple else x
-
-    return property(read)
-
-
-class SafeCommand(_CommandFields):
-    """Output of the filter, batched over the leading axes of mu.
-
-    mu is an array when the command is built. mu_nominal, lower and upper
-    are stored as given: a filter call on one tick that computes the PD
-    nominal stores them as tuples of three floats, and each read of such a
-    field builds a fresh (3,) float64 array, so a loop that reads only mu
-    builds only mu; indexing and unpacking give the stored values. v,
-    barriers and active are derived from the stored inputs only when read.
-    lower and upper are the clamp's face bounds, None for a command that
-    passes mu_nominal through unfiltered.
-    """
-
-    __slots__ = ()
-
-    mu_nominal = _read_as_array("mu_nominal")
-    lower = _read_as_array("lower")
-    upper = _read_as_array("upper")
+    lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
 
     @property
     def v(self) -> ReducedInput:
@@ -189,17 +167,13 @@ class SafeCommand(_CommandFields):
 class SafetyFilter:
     """The PD nominal and the barrier clamp: the one definition of the filter.
 
-    A controller builds one and calls it every tick. kp, kd, a1, a2 and
-    a2 * delta are held as plain floats. A call or nominal() on one tick of
-    a filter with gains, with no given mu_nominal and every state and
-    reference field a (3,) float64 array, runs per axis in Python floats: a
-    call builds mu, the one array of its command, and stores mu_nominal and
-    the box as tuples of floats that become fresh arrays only when read.
-    Any other call, a batch over leading axes or a given mu_nominal
-    included, and inputs() always, run as array code. Both paths take the
-    same operations in the same order, so they agree bit for bit. Without
-    gains the filter clamps only a given nominal input: calling it without
-    one is a ValueError, though inputs() still gives the box.
+    kp, kd, a1, a2 and a2 * delta are held as plain floats. A call and
+    inputs() are array code, batched over leading axes. tick() is the same
+    filter on one tick in Python floats, for a closed loop that calls it
+    every tick: it takes the array code's operations in the same order, so
+    it agrees with a call bit for bit. Without gains the filter clamps only
+    a given nominal input: a call without one, or a tick, is a ValueError,
+    though inputs() still gives the box.
     """
 
     def __init__(
@@ -233,70 +207,51 @@ class SafetyFilter:
         base = ref.r2 + self.a1 * dv + self.a2 * dr
         return mu_nominal, base - self.half, base + self.half
 
-    def nominal(self, state: TrackingState, ref: ReferencePoint) -> np.ndarray | None:
-        """inputs()' mu_nominal alone: the PD law, None without gains.
-
-        On one tick this builds one (3,) array and no box arrays.
-        """
-        if self.kp is None:
-            return None
-        tick = self._tick(state, ref, box=False)
-        return self.inputs(state, ref)[0] if tick is None else np.array(tick[0])
-
     def __call__(
         self, state: TrackingState, ref: ReferencePoint, mu_nominal: np.ndarray | None = None
     ) -> SafeCommand:
         """The filtered command: mu_nominal, or the PD law, clamped per axis to the box.
 
-        The clamp is np.minimum(np.maximum(mu_nominal, lower), upper). On one
-        tick it runs per axis with the same rules: both numpy functions
-        return a NaN first argument, and otherwise the second argument
-        unless the first lies strictly beyond it, so NaN propagates and
-        mu_nominal = -0.0 against a 0.0 bound gives the bound's 0.0.
+        The clamp is np.minimum(np.maximum(mu_nominal, lower), upper).
         """
         if mu_nominal is None and self.kp is None:
             raise ValueError("a SafetyFilter without gains needs mu_nominal")
-        tick = None if mu_nominal is not None else self._tick(state, ref)
-        if tick is None:
-            mu_nominal, lower, upper = self.inputs(state, ref, mu_nominal)
-            mu = np.minimum(np.maximum(mu_nominal, lower), upper)
-        else:
-            mu_nominal, lower, upper = tick
-            (x, y, z), (lx, ly, lz), (hx, hy, hz) = tick
-            x = x if (x > lx or x != x) else lx
-            x = x if (x < hx or x != x) else hx
-            y = y if (y > ly or y != y) else ly
-            y = y if (y < hy or y != y) else hy
-            z = z if (z > lz or z != z) else lz
-            z = z if (z < hz or z != z) else hz
-            mu = np.array((x, y, z))
+        mu_nominal, lower, upper = self.inputs(state, ref, mu_nominal)
+        mu = np.minimum(np.maximum(mu_nominal, lower), upper)
         return SafeCommand(mu_nominal, mu, state, ref, self.params, self.psi, self.g, lower, upper)
 
-    def _tick(self, state, ref, box=True) -> tuple[tuple | None, ...] | None:
-        """(mu_nominal, lower, upper) of one tick as tuples of three floats.
+    def tick(self, state, ref, clamp: bool = True) -> tuple[float, float, float]:
+        """mu of one tick as three floats: the PD law, clamped to the box if clamp.
 
-        None unless every field is a (3,) float64 array; the filter must
-        have gains. lower and upper are None unless box. Each axis takes the
-        array code's operations in its order: (r2 + kp dr) + kd dv, then
-        (r2 + a1 dv) + a2 dr, then base -/+ a2 delta.
+        state is (r, r1) and ref (r, r1, r2), each a triple of floats. Each
+        axis takes the array code's operations in its order: (r2 + kp dr)
+        + kd dv, then (r2 + a1 dv) + a2 dr, then base -/+ a2 delta. The
+        clamp follows np.maximum and then np.minimum: each returns a NaN
+        first argument, and otherwise the bound unless the first argument
+        lies strictly beyond it, so NaN propagates and a nominal of -0.0
+        against a 0.0 bound gives the bound's 0.0.
         """
-        (r, r1), (p, p1, p2) = state, ref
-        for f in (r, r1, p, p1, p2):
-            if type(f) is not np.ndarray or f.dtype is not _FLOAT or f.shape != (3,):
-                return None
-        x, y, z = r.tolist()
-        vx, vy, vz = r1.tolist()
-        px, py, pz = p.tolist()
-        ux, uy, uz = p1.tolist()
-        ax, ay, az = p2.tolist()
+        kp, kd = self.kp, self.kd
+        if kp is None:
+            raise ValueError("a SafetyFilter without gains has no PD law to tick")
+        ((x, y, z), (vx, vy, vz)), ((px, py, pz), (ux, uy, uz), (ax, ay, az)) = state, ref
         drx, dry, drz = px - x, py - y, pz - z
         dvx, dvy, dvz = ux - vx, uy - vy, uz - vz
-        kp, kd, a1, a2, half = self.kp, self.kd, self.a1, self.a2, self.half
-        nominal = (ax + kp * drx + kd * dvx, ay + kp * dry + kd * dvy, az + kp * drz + kd * dvz)
-        if not box:
-            return nominal, None, None
+        mx, my, mz = ax + kp * drx + kd * dvx, ay + kp * dry + kd * dvy, az + kp * drz + kd * dvz
+        if not clamp:
+            return mx, my, mz
+        a1, a2, half = self.a1, self.a2, self.half
         bx, by, bz = ax + a1 * dvx + a2 * drx, ay + a1 * dvy + a2 * dry, az + a1 * dvz + a2 * drz
-        return nominal, (bx - half, by - half, bz - half), (bx + half, by + half, bz + half)
+        lo, hi = bx - half, bx + half
+        mx = mx if (mx > lo or mx != mx) else lo
+        mx = mx if (mx < hi or mx != mx) else hi
+        lo, hi = by - half, by + half
+        my = my if (my > lo or my != my) else lo
+        my = my if (my < hi or my != my) else hi
+        lo, hi = bz - half, bz + half
+        mz = mz if (mz > lo or mz != mz) else lo
+        mz = mz if (mz < hi or mz != mz) else hi
+        return mx, my, mz
 
 
 @dataclass(frozen=True)

@@ -45,9 +45,12 @@ evaluation per waypoint, per pin and per window, with the direct region
 margins. The package's report must equal it in every name, margin, worst
 time and detail.
 
-The closed loop has a per-tick reference too: the simulation loop as it
-was before the trace moved to one batched controller call after the loop,
-recording each tick's whole command as it goes.
+The closed loop has a per-tick reference too: simulate_per_tick steps the
+state as (1, 3) arrays and calls the controller's batched form on each
+tick's row, recording the row's whole command as it goes, where simulate
+steps Python floats through the controller's one-tick form and records the
+run with one batched call after the loop. direct_controller gives its
+one-tick form through its array code.
 
 The cone model has a dense reference. dense_derivative_matrix is the
 product of bidiagonal difference factors that the derivative stencils
@@ -175,7 +178,8 @@ def cox_de_boor_matrix(tau, degree, ts):
 
 
 def simulate_per_tick(reference, controller, cfg, t0=0.0, duration=None):
-    """simulate() recording every field of each tick's command inside the loop."""
+    """simulate() in array code: each tick calls the controller's batched form
+    on one (1, 3) row and records that row's whole command."""
     span = duration if duration is not None else cfg.duration
     M = int(round((span or 0.0) * cfg.control_rate))
     h = 1.0 / cfg.control_rate
@@ -184,31 +188,35 @@ def simulate_per_tick(reference, controller, cfg, t0=0.0, duration=None):
     ref_r, ref_r1, ref_r2 = (
         np.broadcast_to(np.asarray(f, dtype=float), (M, 3)).copy() for f in (ref.r, ref.r1, ref.r2)
     )
-    r, r1 = ref_r[0] + cfg.initial_position_offset, ref_r1[0] + cfg.initial_velocity_offset
+    r, r1 = ref_r[:1] + cfg.initial_position_offset, ref_r1[:1] + cfg.initial_velocity_offset
 
     states, cmds = [], []
     for i in range(M):
+        row = slice(i, i + 1)
         state = TrackingState(r=r, r1=r1)
-        cmd = controller(ts[i], state, ReferencePoint(r=ref_r[i], r1=ref_r1[i], r2=ref_r2[i]))
+        cmd = controller(ts[row], state, ReferencePoint(ref_r[row], ref_r1[row], ref_r2[row]))
         states.append(state)
         cmds.append(cmd)
         r, r1 = r + r1 * h + 0.5 * cmd.mu * h * h, r1 + cmd.mu * h
 
-    thrust, phi, theta = np.array([(c.v.thrust, c.v.phi, c.v.theta) for c in cmds]).T
+    def rows(read):
+        return np.concatenate([read(c) for c in cmds])
+
+    vs = [c.v for c in cmds]
     return SimTrace(
         t=ts,
-        r=np.array([s.r for s in states]),
-        r1=np.array([s.r1 for s in states]),
+        r=np.concatenate([s.r for s in states]),
+        r1=np.concatenate([s.r1 for s in states]),
         ref_r=ref_r,
         ref_r1=ref_r1,
         ref_r2=ref_r2,
-        mu_nominal=np.array([c.mu_nominal for c in cmds]),
-        mu=np.array([c.mu for c in cmds]),
-        thrust=thrust,
-        phi=phi,
-        theta=theta,
-        barriers=np.array([c.barriers for c in cmds]),
-        active=np.array([c.active for c in cmds], dtype=bool),
+        mu_nominal=rows(lambda c: c.mu_nominal),
+        mu=rows(lambda c: c.mu),
+        thrust=np.concatenate([v.thrust for v in vs]),
+        phi=np.concatenate([v.phi for v in vs]),
+        theta=np.concatenate([v.theta for v in vs]),
+        barriers=rows(lambda c: c.barriers),
+        active=rows(lambda c: c.active),
     )
 
 
@@ -388,6 +396,9 @@ def direct_controller(params, gains, psi=0.0, g=GRAVITY, filtered=True):
     """A controller for simulate built from the direct filter, filtered or not."""
 
     def controller(t, state, ref):
+        if type(t) is float:  # one tick: float triples in, mu as three floats out
+            state, ref = TrackingState(*map(np.array, state)), ReferencePoint(*map(np.array, ref))
+            return tuple(controller(np.array(t), state, ref).mu.tolist())
         mu = nominal_mu_direct(state, ref, gains)
         if filtered:
             return safe_step_direct(state, ref, mu, params, psi, g)

@@ -46,12 +46,16 @@ EXPECTED_BUNDLED = [
 ]
 
 
-def hover_dict():
-    """The hover scenario as a plain dict, ready to mutate and re-dump."""
+def bundled_dict(name):
+    """A bundled scenario as a plain dict, ready to mutate and re-dump."""
     import importlib.resources
 
-    text = (importlib.resources.files("safeflight") / "scenarios" / "hover.yaml").read_text()
+    text = (importlib.resources.files("safeflight") / "scenarios" / f"{name}.yaml").read_text()
     return yaml.safe_load(text)
+
+
+def hover_dict():
+    return bundled_dict("hover")
 
 
 def write_scenario(tmp_path, doc, name="scenario.yaml"):
@@ -487,6 +491,18 @@ class TestSplineShapeAndGravity:
         assert field in err
         assert "unexpected error" not in err
 
+    @pytest.mark.parametrize("command", ["plan", "track"])
+    @pytest.mark.parametrize("name", ["hover", "example3_c2_s1_c3"])
+    def test_spans_too_short_for_the_snap_gram(self, tmp_path, capsys, command, name):
+        # From t0 = 0 to tf = 1e-300 the snap Gram's entries overflow, and
+        # np.linalg.eigh failed on them (exit 5) before the width was checked.
+        doc = bundled_dict(name)
+        doc["spline"].update(t0=0.0, tf=1.0e-300)
+        assert main([command, "--scenario", write_scenario(tmp_path, doc)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "spline.tf: (tf - t0) / " in err
+        assert "unexpected error" not in err
+
     def test_limits_are_accepted(self, tmp_path):
         doc = hover_dict()
         doc["spline"]["n"] = doc["spline"]["degree"]
@@ -573,6 +589,7 @@ class TestBadTracking:
     # before any planning starts.
     CASES = [
         ("cbf", "a1", 2.0, "tracking.cbf: a1^2"),  # a1^2 < 4 a2: complex error poles
+        ("cbf", "a1", 1.0e300, "tracking.cbf: a1^2 must be finite, got a1 = 1e+300"),
         ("gains", "kp", -2.0, "tracking.gains: kp"),
         (None, "control_rate", 0.0, "tracking: control_rate"),
         (None, "control_rate", float("nan"), "tracking: control_rate"),

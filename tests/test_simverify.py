@@ -214,32 +214,43 @@ class TestSimulate:
             simulate(falling, ctrl, SimConfig(control_rate=10.0), duration=0.3)
 
     def test_controller_called_per_tick_then_once_on_the_run(self, hover_plan):
-        calls = []
-        inner = make_filtered_controller(PARAMS, GAINS)
+        # Each tick passes a Python float t, state (r, r1) and ref (r, r1, r2)
+        # as float triples and reads mu as three floats; the call after the
+        # loop passes the (M,) grid and (M, 3) arrays, and its mu rows are
+        # the ticks' mu, bit for bit.
+        calls, ticks = [], []
+        inner = make_filtered_controller(PARAMS, PdGains(kp=50.0, kd=1.0))
+
+        def floats(x):
+            return len(x) == 3 and all(type(v) is float for v in x)
 
         def recording(t, state, ref):
-            calls.append((np.shape(t), state.r.shape, state.r1.shape, ref.r.shape, ref.r2.shape))
-            return inner(t, state, ref)
+            out = inner(t, state, ref)
+            if type(t) is float:
+                calls.append(len(state) == 2 and len(ref) == 3 and all(map(floats, (*state, *ref))))
+                assert type(out) is tuple and floats(out)
+                ticks.append(out)
+            else:
+                calls.append((t.shape, *(f.shape for f in (*state, *ref))))
+            return out
 
-        cfg = SimConfig(control_rate=50.0, initial_position_offset=[0.05, 0.0, 0.0])
-        simulate(plan_reference(hover_plan), recording, cfg, t0=1.0, duration=1.0)
-        assert calls == [((), (3,), (3,), (3,), (3,))] * 50 + [((50,), (50, 3), (50, 3), (50, 3), (50, 3))]
-
-
-@pytest.fixture(scope="module")
-def margin_demo_plan():
-    return plan(load_scenario("margin_demo").planning)
+        cfg = SimConfig(control_rate=50.0, initial_position_offset=[0.09, 0.0, 0.0])
+        trace = simulate(plan_reference(hover_plan), recording, cfg, t0=1.0, duration=1.0)
+        assert calls == [True] * 50 + [((50,), (50, 3), (50, 3), (50, 3), (50, 3), (50, 3))]
+        assert trace.active.any()  # some ticks clamp
+        assert np.array(ticks).tobytes() == trace.mu.tobytes()
 
 
 class TestPerTickOracle:
-    # The batched record call after the loop must reproduce, bit for bit,
-    # the trace of the loop that records each tick's whole command.
+    # The float ticks and the batched record call after the loop must
+    # reproduce, bit for bit, the trace of the array loop that calls the
+    # batched form on each tick's (1, 3) row and records its whole command.
     @pytest.mark.parametrize("maker", [make_filtered_controller, make_unfiltered_controller])
-    @pytest.mark.parametrize("name", ["example1", "margin_demo", "hover"])
-    def test_every_field_matches_bitwise(self, request, name, maker):
+    @pytest.mark.parametrize("name", bundled_scenarios())
+    def test_every_field_matches_bitwise(self, bundled_plan, name, maker):
         sf = load_scenario(name)
         planning, tr = sf.planning, sf.tracking
-        pl = request.getfixturevalue(f"{name}_plan")
+        pl = bundled_plan(name)
         ctrl = maker(tr.cbf, tr.gains, tr.psi, planning.gravity)
         duration = tr.sim.duration if tr.sim.duration is not None else planning.tf - planning.t0
         args = (plan_reference(pl), ctrl, tr.sim, planning.t0, duration)
@@ -254,9 +265,9 @@ class TestPerTickOracle:
     @pytest.mark.parametrize("name", bundled_scenarios())
     def test_traces_match_the_direct_filter_bitwise(self, bundled_plan, name, filtered):
         # The package filter forms each error difference once and runs each
-        # tick in Python floats; the direct form, array code throughout,
-        # must give the same trace: over a 0.5 s window from an offset
-        # start and over the whole tracking section.
+        # tick in Python floats; the direct form, array code throughout and
+        # on every tick, must give the same trace: over a 0.5 s window from
+        # an offset start and over the whole tracking section.
         sf = load_scenario(name)
         planning, tr = sf.planning, sf.tracking
         ref = plan_reference(bundled_plan(name))
@@ -283,6 +294,8 @@ class TestPerTickOracle:
         # evaluation order other than the array form's shows in the last bit.
         def constant(mu0):
             def controller(t, state, ref):
+                if type(t) is float:
+                    return tuple(mu0.tolist())
                 mu = np.broadcast_to(mu0, np.shape(state.r)).copy()
                 return SafeCommand(mu, mu, state, ref, PARAMS)
 
@@ -341,7 +354,9 @@ class TestReferenceAndControllers:
     def test_filtered_controller_clamps(self):
         ctrl = make_filtered_controller(PARAMS, PdGains(kp=50.0, kd=0.0))
         state = TrackingState(r=np.array([0.09, 0.0, 0.0]), r1=np.zeros(3))
-        cmd = ctrl(0.0, state, still_air(0.0))
+        cmd = ctrl(np.array(0.0), state, still_air(0.0))  # an array t: the array form
+        zero = (0.0, 0.0, 0.0)
+        assert ctrl(0.0, ((0.09, 0.0, 0.0), zero), (zero,) * 3) == tuple(cmd.mu.tolist())
         # nominal asks for -4.5 on x; the box at e=0.09 allows at most
         # -a1*0 - a2*0.09 +- a2*delta = [-1.52, 0.08]
         assert_allclose(cmd.mu_nominal[0], -4.5)
@@ -352,7 +367,9 @@ class TestReferenceAndControllers:
         ctrl = make_unfiltered_controller(PARAMS, GAINS)
         state = TrackingState(r=np.array([0.3, 0.0, 0.0]), r1=np.zeros(3))
         ref = still_air(0.0)
-        cmd = ctrl(0.0, state, ref)
+        cmd = ctrl(np.array(0.0), state, ref)
+        zero = (0.0, 0.0, 0.0)
+        assert ctrl(0.0, ((0.3, 0.0, 0.0), zero), (zero,) * 3) == tuple(cmd.mu.tolist())
         assert_allclose(cmd.mu, SafetyFilter(PARAMS, GAINS).inputs(state, ref)[0])
         assert not cmd.active.any()
         assert_allclose(cmd.barriers, barrier_values(state, ref, PARAMS))

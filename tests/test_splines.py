@@ -12,6 +12,7 @@ from safeflight.splines import (
     SplineCurve,
     clamped_uniform_knots,
     derivative_control_points,
+    min_span_width,
     snap_gram,
 )
 
@@ -515,6 +516,17 @@ class TestSnapGram:
             assert clamped_uniform_knots(*other) is not kv
         basis = kv._span_power_basis
         assert kv._span_power_basis is basis and not basis.flags.writeable
+
+    @pytest.mark.parametrize("degree", range(4, 13))
+    def test_finite_down_to_the_minimum_span_width(self, degree):
+        for n in (degree, degree + 7):
+            kv = clamped_uniform_knots(0.0, min_span_width(degree) * (n - degree + 1), n, degree)
+            Q, G = snap_gram(kv)
+            assert np.isfinite(Q).all() and np.isfinite(G).all() and G.shape[0] > 0
+        # Far narrower spans overflow, and the build says so before eigh.
+        kv = clamped_uniform_knots(0.0, 1e-300, degree + 3, degree)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^snap Gram is not finite"):
+            snap_gram(kv)
 
     def test_quartic_curve_has_zero_snap_cost(self):
         # Control points sampled from a cubic in the Greville abscissae

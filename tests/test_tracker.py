@@ -68,6 +68,14 @@ class TestParams:
         with pytest.raises(ValueError):
             CbfParams(delta=0.1, a1=2.0, a2=8.0)  # complex poles
 
+    @pytest.mark.parametrize("a1", [1.0e300, 1.4e154])
+    def test_a1_whose_square_overflows(self, a1):
+        # a1 ** 2 on a Python float raises OverflowError; the check names a1.
+        with pytest.raises(ValueError, match=r"^a1\^2 must be finite, got a1 = "):
+            CbfParams(delta=0.1, a1=a1, a2=8.0)
+        big = CbfParams(delta=0.1, a1=1.3e154, a2=8.0)
+        assert np.isfinite([big.lambda_fast, big.lambda_slow]).all()
+
     def test_error_poles(self):
         assert_allclose(PARAMS.lambda_fast, 4.0)
         assert_allclose(PARAMS.lambda_slow, 2.0)
@@ -222,7 +230,7 @@ def assert_same_bits(a, b):
 
 class TestDirectForm:
     # The filter forms dr = ref.r - r and dv = ref.r1 - r1 once, in Python
-    # floats on a (3,) tick and as arrays on a batch; the direct form, with
+    # floats on a tick and as arrays on a call; the direct form, with
     # the box centre ref_r2 - a1 (r1 - ref_r1) - a2 (r - ref_r), must give
     # the same bits, signs of zero included. Some rows have zero errors and a
     # -0.0 reference acceleration, where only the centre's zero sign differs.
@@ -307,10 +315,9 @@ def command_bytes(cmd: SafeCommand, k: int | None = None) -> dict:
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in active
 class TestSingleTickPath:
-    # A PD call on one tick, every field a (3,) float64 array, runs in Python
-    # floats; a (K, 3) batch, a given nominal and inputs() run as array code.
-    # Each row of the batch must give the bits of the (3,) call on that row,
-    # NaN payloads and signs of zero included.
+    # SafetyFilter.tick runs one tick in Python floats; a call and inputs()
+    # run array code. Each row of a (K, 3) batch must give the bits of the
+    # tick on that row, NaN payloads and signs of zero included.
     K = 60
 
     @pytest.fixture(params=range(6))
@@ -327,15 +334,68 @@ class TestSingleTickPath:
         r, r1, p, p1, p2, nominal = rows if k is None else (f[k] for f in rows)
         return TrackingState(r, r1), ReferencePoint(p, p1, p2), nominal
 
+    @staticmethod
+    def triples(rows, k):
+        """Row k as a tick takes it: (r, r1) and (r, r1, r2), each three floats."""
+        r, r1, p, p1, p2 = (tuple(f[k].tolist()) for f in rows[:5])
+        return (r, r1), (p, p1, p2)
+
+    @staticmethod
+    def tick_bytes(mu) -> bytes:
+        assert type(mu) is tuple and len(mu) == 3 and all(type(x) is float for x in mu)
+        return np.array(mu).tobytes()
+
+    @pytest.mark.parametrize("clamp", [True, False], ids=["clamped", "nominal"])
+    def test_tick_matches_the_call(self, setting, clamp):
+        # A clamped tick is the call's mu, an unclamped one inputs()' mu_nominal.
+        params, gains, psi, rows = setting
+        safety = SafetyFilter(params, gains, psi)
+        state, ref, _ = self.split(rows)
+        batch = safety(state, ref).mu if clamp else safety.inputs(state, ref)[0]
+        for k in range(self.K):
+            got = safety.tick(*self.triples(rows, k), clamp=clamp)
+            assert self.tick_bytes(got) == batch[k].tobytes(), k
+
+    @pytest.mark.parametrize("kd", [0.0, 3.0])
+    def test_tick_edge_cases(self, kd):
+        # With kp = 0 the PD nominal can be -0.0 on an upper bound of 0.0,
+        # where the clamp gives the bound's 0.0, and 0 * inf makes a NaN
+        # nominal in an infinite box, which the clamp keeps. Each row puts
+        # its case on all three axes.
+        params = CbfParams(delta=0.1, a1=6.0, a2=8.0)
+        safety = SafetyFilter(params, PdGains(kp=0.0, kd=kd))
+        inf, nan = np.inf, np.nan
+        cases = [  # r, r1, ref_r, ref_r1, ref_r2
+            (params.delta, 0.0, 0.0, -0.0, -0.0),  # dr = -delta, dv = -0.0
+            (inf, 0.0, 0.0, 0.0, 0.0),
+            (-inf, 0.0, 0.0, 0.0, 0.0),
+            (0.0, inf, 0.0, 0.0, 0.0),
+            (0.0, 0.0, nan, 0.0, 0.0),
+        ]
+        rows = [np.array([[v] * 3 for v in field]) for field in zip(*cases)]
+        state, ref = TrackingState(*rows[:2]), ReferencePoint(*rows[2:])
+        with np.errstate(invalid="ignore"):
+            nominal, _, upper = safety.inputs(state, ref)
+            batch = safety(state, ref).mu
+        assert np.signbit(nominal[0]).all() and (upper[0] == 0.0).all()
+        assert not np.signbit(batch[0]).any() and np.isnan(batch[[1, 2, 4]]).all()
+        for k in range(len(cases)):
+            got = safety.tick(*self.triples(rows, k))
+            assert self.tick_bytes(got) == batch[k].tobytes(), k
+
     @pytest.mark.parametrize("maker", [make_filtered_controller, make_unfiltered_controller])
     def test_controllers(self, setting, maker):
+        # A float t is one tick and gives mu as three floats; an array t runs
+        # the array form, and a (3,) row gives every field of the batch row.
         params, gains, psi, rows = setting
         controller = maker(params, gains, psi)
         state, ref, _ = self.split(rows)
         batch = controller(np.zeros(self.K), state, ref)
         for k in range(self.K):
+            mu = controller(0.1, *self.triples(rows, k))
+            assert self.tick_bytes(mu) == batch.mu[k].tobytes(), k
             state, ref, _ = self.split(rows, k)
-            assert command_bytes(controller(0.1, state, ref)) == command_bytes(batch, k), k
+            assert command_bytes(controller(np.array(0.1), state, ref)) == command_bytes(batch, k), k
 
     def test_safe_step_with_a_given_nominal(self, setting):
         params, _, psi, rows = setting
@@ -344,32 +404,6 @@ class TestSingleTickPath:
         for k in range(self.K):
             got = safety(*self.split(rows, k))
             assert command_bytes(got) == command_bytes(batch, k), k
-
-    def test_reads_are_fresh_arrays(self, setting):
-        # A one-tick call builds only mu; mu_nominal and the box become
-        # arrays when read, a new one per read, so writing into one read
-        # leaves the command, and every later read, as the batch row.
-        params, gains, psi, rows = setting
-        safety = SafetyFilter(params, gains, psi)
-        batch = safety(*self.split(rows)[:2])
-        for k in range(self.K):
-            cmd = safety(*self.split(rows, k)[:2])
-            for name in ("mu_nominal", "lower", "upper"):
-                read = getattr(cmd, name)
-                assert read is not getattr(cmd, name)
-                read[:] = 1e300
-            assert command_bytes(cmd) == command_bytes(batch, k), k
-
-    def test_nominal_alone(self, setting):
-        # nominal() is inputs()' mu_nominal without the box, None without gains.
-        params, gains, _, rows = setting
-        safety, gainless = SafetyFilter(params, gains), SafetyFilter(params)
-        batch = safety.nominal(*self.split(rows)[:2])
-        assert_same_bits(batch, safety.inputs(*self.split(rows)[:2])[0])
-        assert gainless.nominal(*self.split(rows)[:2]) is None
-        for k in range(self.K):
-            assert_same_bits(safety.nominal(*self.split(rows, k)[:2]), batch[k])
-            assert gainless.nominal(*self.split(rows, k)[:2]) is None
 
     def test_face_bounds_and_nominal_mu(self, setting):
         params, gains, _, rows = setting
@@ -435,6 +469,13 @@ class TestNominal:
         assert safety.inputs(state, ref)[0] is None
         with pytest.raises(ValueError, match="^a SafetyFilter without gains needs mu_nominal$"):
             safety(state, ref)
+
+    def test_gainless_filter_has_no_tick(self):
+        zero = (0.0, 0.0, 0.0)
+        safety = SafetyFilter(CbfParams(0.1, 4.0, 2.0))
+        for clamp in (True, False):
+            with pytest.raises(ValueError, match="^a SafetyFilter without gains has no PD law to tick$"):
+                safety.tick((zero, zero), (zero, zero, zero), clamp)
 
 
 class TestInitialConditions:
