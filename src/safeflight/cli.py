@@ -6,16 +6,11 @@ written in degrees there and converted on ingestion. A handful of
 scenarios ship inside the package and can be named directly (see
 `safeflight plan --list`). Exit codes: 0 success, 2 parse or validation
 error, 3 infeasible plan, 4 failed verification or tracking certificate,
-5 unexpected runtime failure. A NaN or infinite number in a scenario's
-bounds, regions, waypoints, pins, windows or corridor is a validation
-error, named by its field, and so is a plan document that is malformed
-(not a plan-format object, a non-integer n or degree, a control-point array
-not 3 x (n + 1), an unknown zeta_mode or a zeta of the wrong length) or
-holds a non-finite number. So are a spline.n below the degree, spans too
-short for a finite snap Gram (named as spline.tf), more than
-degree + 1 pinned orders at either end of a scenario, a gravity that is
-not positive in a scenario or a plan document, and a --samples-per-span
-whose grid over the plan's spans would hold more than MAX_SAMPLES samples.
+5 unexpected runtime failure. The schema checks the document's shape and
+types; every value check lives once, in the library class that owns the
+field (or, for a flag's grid, in check_sample_count). The CLI builds those
+objects through one wrapper, which reports a ValueError as exit 2,
+prefixed with the scenario file and the field's YAML path, or the flag.
 A plan that leaves the flatness map's domain (a free-fall sample with no
 thrust direction, a thrust axis along the yaw heading's normal, or a sample
 or command whose thrust points down, which asks for inverted flight) fails
@@ -30,7 +25,6 @@ import argparse
 import dataclasses
 import importlib.resources
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,9 +53,9 @@ from .planner import (
 )
 from .simverify import (
     MARGIN_TOL,
-    MAX_TICKS,
     SAMPLES_PER_SPAN,
     SimConfig,
+    TrackingConfig,
     check_sample_count,
     make_filtered_controller,
     make_unfiltered_controller,
@@ -71,7 +65,6 @@ from .simverify import (
     verify_plan,
     verify_span_minima,
 )
-from .socp import MAX_TOL
 from .tracker import CbfParams, PdGains, ReferencePoint, TrackingState, check_initial_conditions
 
 EXIT_OK = 0
@@ -284,16 +277,6 @@ class ScenarioError(ValueError):
 
 
 @dataclass(frozen=True)
-class TrackingConfig:
-    """Closed-loop settings attached to a scenario."""
-
-    cbf: CbfParams
-    gains: PdGains
-    sim: SimConfig
-    psi: float = 0.0
-
-
-@dataclass(frozen=True)
 class ScenarioFile:
     """A validated scenario: the planning problem plus optional tracking."""
 
@@ -302,11 +285,23 @@ class ScenarioFile:
     source: str
 
 
+def _reported(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs); a ValueError it raises becomes a ScenarioError after where.
+
+    Only input objects are built under it: a ValueError from a solve or a
+    verification (numpy's LinAlgError is one) stays a runtime failure.
+    """
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
 def _region_from_spec(spec: dict) -> ConvexRegion:
     name = spec.get("name", "")
     kinds = [k for k in ("box", "ball", "ellipsoid", "halfspace") if k in spec]
     if len(kinds) != 1:
-        raise ScenarioError(f"region needs exactly one shape key, got {kinds or 'none'}")
+        raise ValueError(f"region needs exactly one shape key, got {kinds or 'none'}")
     kind = kinds[0]
     body = spec[kind]
     if kind == "box":
@@ -340,10 +335,12 @@ def _resolve_source(source: str) -> tuple[str, str]:
 def load_scenario(source: str) -> ScenarioFile:
     """Parse and validate a scenario from a path or bundled name.
 
+    A tracking section without a duration runs over the planning horizon.
+
     Raises:
-        ScenarioError: for YAML errors, schema violations, or inconsistent
-            contents (for example a corridor with the wrong n, or a tracking
-            run of more than MAX_TICKS control ticks).
+        ScenarioError: for YAML errors, schema violations, or a value that
+            one of the library's dataclasses rejects; the message starts
+            with the source and names the field by its YAML path.
     """
     text, desc = _resolve_source(source)
     # libyaml's loader parses about ten times faster; PyYAML may be built without it.
@@ -357,168 +354,111 @@ def load_scenario(source: str) -> ScenarioFile:
         where = "/".join(str(p) for p in error[0]) or "<root>"
         raise ScenarioError(f"{desc}: schema violation at {where}: {error[1]}")
 
-    spline = doc["spline"]
-    degree = int(spline["degree"])
-    if degree < 4:
-        raise ScenarioError(
-            f"{desc}: spline.degree must be >= 4 for the snap objective, got {degree}"
-        )
-    tracking = _tracking_config(doc["tracking"], desc) if "tracking" in doc else None
-    try:
-        planning = _planning_scenario(doc, degree, tracking)
-    except ValueError as exc:
-        raise ScenarioError(f"{desc}: {exc}") from exc
-    if tracking is not None:
-        sim = tracking.sim
-        span = sim.duration if sim.duration is not None else planning.tf - planning.t0
-        ticks = round(span * sim.control_rate)
-        if ticks > MAX_TICKS:
-            raise ScenarioError(
-                f"{desc}: tracking.control_rate: {sim.control_rate:g} Hz over {span:g} s "
-                f"is {ticks} ticks, more than MAX_TICKS = {MAX_TICKS}"
-            )
+    tr = doc.get("tracking")
+    cbf = None
+    if tr is not None:
+        values = {k: float(v) for k, v in tr["cbf"].items()}
+        cbf = _reported(f"{desc}: tracking.cbf", CbfParams, **values)
+    planning = _planning_scenario(doc, cbf, desc)
+    tracking = None if tr is None else _tracking_config(tr, cbf, planning.tf - planning.t0, desc)
     return ScenarioFile(planning=planning, tracking=tracking, source=desc)
 
 
-# Sections whose every number must be finite: the bounds and their regions,
-# waypoints, pins, windows and corridor sets. A NaN compares false, so it
-# would pass the planner's range checks and reach the solve or the verifier.
-_PLANNING_NUMBERS = ("gravity", "bounds", "waypoints", "endpoints", "windows", "corridor")
-
-
-def _check_finite(value, path: tuple) -> None:
-    """Raise a ValueError naming the first non-finite number in value."""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"{'/'.join(map(str, path))} must be finite, got {value}")
-    elif isinstance(value, (dict, list)):
-        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
-            _check_finite(item, path + (key,))
-
-
-def _planning_scenario(doc: dict, degree: int, tracking) -> PlanningScenario:
+def _planning_scenario(doc: dict, cbf: CbfParams | None, desc: str) -> PlanningScenario:
     """The planning problem of a schema-valid scenario document.
 
-    Raises:
-        ValueError: for a non-finite number in a planning section, a value
-            the planner's dataclasses reject, a missing n, or a waypoint or
-            window time outside the spline's [t0, tf], named by its field.
+    Each region, waypoint, window and corridor set is built on its own, so
+    a value that its dataclass rejects is reported under its YAML path.
     """
-    for key in _PLANNING_NUMBERS:
-        if key in doc:
-            _check_finite(doc[key], (key,))
-    spline = doc["spline"]
-    corridor = None
-    if "corridor" in doc:
-        corridor = tuple(_region_from_spec(s) for s in doc["corridor"])
-    n = spline.get("n")
+
+    def build(where: str, make, *args, **kwargs):
+        return _reported(f"{desc}: {where}", make, *args, **kwargs)
+
+    def regions(section: str, specs: list) -> tuple[ConvexRegion, ...]:
+        return tuple(build(f"{section}/{i}", _region_from_spec, s) for i, s in enumerate(specs))
+
+    spline, b = doc["spline"], doc["bounds"]
+    corridor = regions("corridor", doc["corridor"]) if "corridor" in doc else None
+    degree, n = int(spline["degree"]), spline.get("n")
     if n is None:
         if corridor is None:
-            raise ValueError("spline.n is required without a corridor")
+            raise ScenarioError(f"{desc}: spline.n is required without a corridor")
         n = len(corridor) + degree - 1  # corridor fixes the control-point count
-    t0, tf = float(spline["t0"]), float(spline["tf"])
-    if not (np.isfinite(t0) and np.isfinite(tf) and t0 < tf):
-        raise ValueError(f"spline: need finite t0 < tf, got [{t0}, {tf}]")
-    times = [(f"waypoints/{i}/time", w["time"]) for i, w in enumerate(doc.get("waypoints", []))]
-    for i, w in enumerate(doc.get("windows", [])):
-        times += [(f"windows/{i}/{key}", w[key]) for key in ("t_start", "t_end")]
-    for where, t in times:
-        if not t0 <= float(t) <= tf:
-            raise ValueError(f"{where} = {t} lies outside the spline's [{t0}, {tf}]")
-
-    b = doc["bounds"]
-    bounds = SafetyBounds(
+    bounds = build(
+        "bounds",
+        SafetyBounds,
         v_max=float(b["v_max"]),
         tilt_max=float(np.deg2rad(b["tilt_max_deg"])),
         thrust_min=float(b["thrust_min"]),
         thrust_max=float(b["thrust_max"]),
         omega_max=float(np.deg2rad(b["omega_max_deg_s"])),
-        regions=tuple(_region_from_spec(s) for s in b.get("regions", [])),
+        regions=regions("bounds/regions", b.get("regions", [])),
     )
-    waypoints = tuple(
-        Waypoint(w["position"], float(w["time"]), float(w.get("radius", 0.0)))
-        for w in doc.get("waypoints", [])
-    )
-    pins = EndpointPins(
-        initial=tuple(np.asarray(v, dtype=float) for v in doc["endpoints"]["initial"]),
-        final=tuple(np.asarray(v, dtype=float) for v in doc["endpoints"]["final"]),
-    )
+    waypoints = []
+    for i, w in enumerate(doc.get("waypoints", [])):
+        radius = float(w.get("radius", 0.0))
+        waypoints.append(build(f"waypoints/{i}", Waypoint, w["position"], float(w["time"]), radius))
+    ends = doc["endpoints"]
+    pins = build("endpoints", EndpointPins, tuple(ends["initial"]), tuple(ends["final"]))
     intervals = []
-    for w in doc.get("windows", []):
-        region = _region_from_spec(w["region"]) if "region" in w else None
+    for i, w in enumerate(doc.get("windows", [])):
+        region = None
+        if "region" in w:
+            region = build(f"windows/{i}/region", _region_from_spec, w["region"])
         bound = float(w["bound"]) if "bound" in w else None
-        intervals.append(
-            IntervalConstraint(float(w["t_start"]), float(w["t_end"]), w["kind"], region, bound)
-        )
-    return PlanningScenario(
+        args = float(w["t_start"]), float(w["t_end"]), w["kind"], region, bound
+        intervals.append(build(f"windows/{i}", IntervalConstraint, *args))
+    return _reported(
+        desc,
+        PlanningScenario,
         name=doc["name"],
-        t0=t0,
-        tf=tf,
+        t0=float(spline["t0"]),
+        tf=float(spline["tf"]),
         n=int(n),
         degree=degree,
         bounds=bounds,
         pins=pins,
-        waypoints=waypoints,
+        waypoints=tuple(waypoints),
         intervals=tuple(intervals),
         corridor=corridor,
         zeta_mode=doc.get("zeta_mode", "per-span"),
-        cbf=tracking.cbf if tracking else None,
+        cbf=cbf,
         apply_tracking_margins=bool(doc.get("apply_tracking_margins", False)),
         gravity=float(doc.get("gravity", GRAVITY)),
         solver_tol=float(doc.get("solver_tol", 1e-8)),
     )
 
 
-def _tracking_config(tr: dict, desc: str) -> TrackingConfig:
-    """The tracking section; a bad or non-finite value raises a ScenarioError naming its field."""
-
-    def build(where: str, make):
-        try:
-            return make()
-        except ValueError as exc:
-            raise ScenarioError(f"{desc}: {where}: {exc}") from exc
-
-    psi_deg = float(tr.get("psi_deg", 0.0))
-    if not np.isfinite(psi_deg):
-        raise ScenarioError(f"{desc}: tracking: psi_deg must be finite, got {psi_deg}")
-    return TrackingConfig(
-        cbf=build("tracking.cbf", lambda: CbfParams(**{k: float(v) for k, v in tr["cbf"].items()})),
-        gains=build("tracking.gains", lambda: PdGains(**{k: float(v) for k, v in tr["gains"].items()})),
-        sim=build(
-            "tracking",
-            lambda: SimConfig(
-                control_rate=float(tr.get("control_rate", 100.0)),
-                substeps=int(tr.get("substeps", 10)),
-                duration=float(tr["duration"]) if "duration" in tr else None,
-                initial_position_offset=tr.get("initial_position_offset", np.zeros(3)),
-                initial_velocity_offset=tr.get("initial_velocity_offset", np.zeros(3)),
-            ),
-        ),
-        psi=float(np.deg2rad(psi_deg)),
+def _tracking_config(tr: dict, cbf: CbfParams, horizon: float, desc: str) -> TrackingConfig:
+    """The tracking section, run over the planning horizon unless it gives a duration."""
+    gains = {k: float(v) for k, v in tr["gains"].items()}
+    sim = _reported(
+        f"{desc}: tracking",
+        SimConfig,
+        control_rate=float(tr.get("control_rate", 100.0)),
+        substeps=int(tr.get("substeps", 10)),
+        duration=float(tr.get("duration", horizon)),
+        initial_position_offset=tr.get("initial_position_offset", np.zeros(3)),
+        initial_velocity_offset=tr.get("initial_velocity_offset", np.zeros(3)),
+    )
+    return _reported(
+        f"{desc}: tracking",
+        TrackingConfig,
+        cbf=cbf,
+        gains=_reported(f"{desc}: tracking.gains", PdGains, **gains),
+        sim=sim,
+        psi=float(np.deg2rad(tr.get("psi_deg", 0.0))),
     )
 
 
 # ------------------------------------------------------------------- commands
 
 
-def _effective_tol(scenario: PlanningScenario, flag: float | None) -> float:
-    """The --tol flag, else the scenario's solver_tol.
-
-    Raises:
-        ScenarioError: if the chosen value is not a number in (0, MAX_TOL).
-    """
-    source, tol = ("--tol", flag) if flag is not None else ("solver_tol", scenario.solver_tol)
-    if not 0 < tol < MAX_TOL:
-        raise ScenarioError(f"{source} must be a number in (0, {MAX_TOL:g}), got {tol!r}")
-    return tol
-
-
-def _check_samples(spans: int, samples_per_span: int) -> None:
-    """A ScenarioError naming --samples-per-span for a grid past MAX_SAMPLES."""
-    try:
-        check_sample_count(spans, samples_per_span)
-    except ValueError as exc:
-        raise ScenarioError(f"--samples-per-span: {exc}") from None
+def _solve(planning: PlanningScenario, tol: float | None) -> TrajectoryPlan:
+    """plan(planning), at the --tol flag's solver tolerance when one is given."""
+    if tol is not None:
+        planning = _reported("--tol", dataclasses.replace, planning, solver_tol=tol)
+    return plan(planning)
 
 
 def _load_plan_doc(path: str) -> TrajectoryPlan:
@@ -549,12 +489,10 @@ def cmd_plan(args) -> int:
         for name in bundled_scenarios():
             print(name)
         return EXIT_OK
-    sf = load_scenario(args.scenario)
-    planning = sf.planning
+    planning = load_scenario(args.scenario).planning
     if args.zeta_mode:
         planning = dataclasses.replace(planning, zeta_mode=args.zeta_mode)
-    planning = dataclasses.replace(planning, solver_tol=_effective_tol(planning, args.tol))
-    pl = plan(planning)
+    pl = _solve(planning, args.tol)
     stats = pl.solve_stats
     print(
         f"{planning.name}: {stats.status} in {stats.solve_time * 1e3:.1f} ms, "
@@ -570,14 +508,14 @@ def cmd_plan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sf = load_scenario(args.scenario)
-    planning = sf.planning
-    _check_samples(planning.n - planning.degree + 1, args.samples_per_span)
+    planning = load_scenario(args.scenario).planning
+    count = (planning.n - planning.degree + 1, args.samples_per_span)
+    _reported("--samples-per-span", check_sample_count, *count)
     if args.plan:
         pl = _load_plan_doc(args.plan)
         _check_consistent(planning, pl)
     else:
-        pl = plan(dataclasses.replace(planning, solver_tol=_effective_tol(planning, args.tol)))
+        pl = _solve(planning, args.tol)
     bounds = planning.bounds
     report = verify_plan(
         pl,
@@ -610,12 +548,11 @@ def cmd_track(args) -> int:
         pl = _load_plan_doc(args.plan)
         _check_consistent(planning, pl)
     else:
-        pl = plan(dataclasses.replace(planning, solver_tol=_effective_tol(planning, args.tol)))
+        pl = _solve(planning, args.tol)
 
     maker = make_unfiltered_controller if args.no_filter else make_filtered_controller
     controller = maker(tr.cbf, tr.gains, tr.psi, planning.gravity)
-    duration = tr.sim.duration if tr.sim.duration is not None else planning.tf - planning.t0
-    trace = simulate(plan_reference(pl), controller, tr.sim, t0=planning.t0, duration=duration)
+    trace = simulate(plan_reference(pl), controller, tr.sim, t0=planning.t0)
     ic = check_initial_conditions(
         TrackingState(trace.r[0], trace.r1[0]),
         ReferencePoint(trace.ref_r[0], trace.ref_r1[0], trace.ref_r2[0]),
@@ -672,7 +609,8 @@ def cmd_export(args) -> int:
         return EXIT_OK
 
     kv = pl.curve.knots
-    _check_samples(len(kv.nonempty_spans()), args.samples_per_span)
+    count = (len(kv.nonempty_spans()), args.samples_per_span)
+    _reported("--samples-per-span", check_sample_count, *count)
     ts = span_samples(pl, args.samples_per_span)
     pos, vel, acc, jerk = pl.curve.eval(ts, (0, 1, 2, 3))
     thrust, phi, theta, p_rate, q_rate = tilt_thrust_rates(acc, jerk, pl.gravity)

@@ -31,11 +31,12 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .flatness import GRAVITY
-from .socp import OPTIMAL, ConeProgram, Solution
+from .socp import MAX_TOL, OPTIMAL, ConeProgram, Solution
 from .splines import (
     KnotVector,
     SplineCurve,
     clamped_uniform_knots,
+    max_span_width,
     min_span_width,
     snap_gram,
 )
@@ -329,13 +330,22 @@ class IntervalConstraint:
             raise ValueError(f"unknown interval kind '{self.kind}'")
 
 
+# Most control points per axis (n + 1) one plan may hold. The solve factors
+# dense normal equations of order about 4 (n + 1): hover at n = 499 took 59 s
+# and peaked at 415 MB (2-CPU Intel Xeon, one BLAS thread).
+MAX_CONTROL_POINTS = 500
+
+
 @dataclass(frozen=True)
 class PlanningScenario:
     """Everything the planner needs for one solve.
 
-    Requires n >= degree, spans of at least min_span_width(degree), at most
-    degree + 1 pinned orders at each end and a positive gravity; a
-    ValueError names the field otherwise.
+    Requires degree >= 4 (the snap objective), degree <= n <
+    MAX_CONTROL_POINTS, spans from min_span_width(degree) to
+    max_span_width(degree) wide (so t0 < tf, both finite), waypoint and
+    window times in [t0, tf], at most degree + 1 pinned orders at each
+    end, a positive gravity and a solver_tol in (0, MAX_TOL); a ValueError
+    names the field otherwise, by its path in a scenario file.
     """
 
     name: str
@@ -355,17 +365,34 @@ class PlanningScenario:
     solver_tol: float = 1e-8
 
     def __post_init__(self):
+        if self.degree < 4:
+            raise ValueError(
+                f"spline.degree must be >= 4 for the snap objective, got {self.degree}"
+            )
         if self.n < self.degree:
             raise ValueError(
                 f"spline.n must be >= degree = {self.degree} for a clamped spline, got {self.n}"
             )
+        if self.n + 1 > MAX_CONTROL_POINTS:
+            raise ValueError(
+                f"spline.n = {self.n} gives {self.n + 1} control points per axis, more than "
+                f"MAX_CONTROL_POINTS = {MAX_CONTROL_POINTS}"
+            )
+        t0, tf = self.t0, self.tf
         spans = self.n - self.degree + 1
-        width, least = (self.tf - self.t0) / spans, min_span_width(self.degree)
-        if not width >= least:
+        width = (tf - t0) / spans
+        least, most = min_span_width(self.degree), max_span_width(self.degree)
+        if not least <= width <= most:
             raise ValueError(
                 f"spline.tf: (tf - t0) / {spans} spans = {width:g} s, but the snap Gram "
-                f"at degree {self.degree} needs spans of at least {least:.3g} s"
+                f"at degree {self.degree} needs spans from {least:.3g} to {most:.3g} s"
             )
+        times = [(f"waypoints/{i}/time", w.time) for i, w in enumerate(self.waypoints)]
+        for i, w in enumerate(self.intervals):
+            times += [(f"windows/{i}/t_start", w.t_start), (f"windows/{i}/t_end", w.t_end)]
+        for where, t in times:
+            if not t0 <= t <= tf:
+                raise ValueError(f"{where} = {t} lies outside the spline's [{t0}, {tf}]")
         for end in ("initial", "final"):
             count = len(getattr(self.pins, end))
             if count > self.degree + 1:
@@ -383,6 +410,10 @@ class PlanningScenario:
             raise ValueError(
                 f"corridor with {len(self.corridor)} sets needs n = "
                 f"{len(self.corridor) + self.degree - 1}, got n = {self.n}"
+            )
+        if not 0 < self.solver_tol < MAX_TOL:
+            raise ValueError(
+                f"solver_tol must be a number in (0, {MAX_TOL:g}), got {self.solver_tol!r}"
             )
 
 
@@ -448,8 +479,10 @@ class TrajectoryPlan:
                 where given, are numbers.
             KeyError: for a missing field.
         """
-        if not isinstance(doc, dict) or doc.get("format") != "safeflight-plan":
-            raise ValueError("not a plan document")
+        if not isinstance(doc, dict):
+            raise ValueError(f"not a plan document: a {type(doc).__name__}, not an object")
+        if doc.get("format") != "safeflight-plan":
+            raise ValueError(f"format must be 'safeflight-plan', got {doc.get('format')!r}")
         n, degree = doc["n"], doc["degree"]
         for name, value in (("n", n), ("degree", degree)):
             if isinstance(value, bool) or not isinstance(value, int):

@@ -38,14 +38,20 @@ MAX_SAMPLES = 10**6
 
 
 def _tick_count(duration: float | None, control_rate: float) -> int:
-    """Control ticks in duration; a ValueError unless it is finite and holds one."""
+    """Control ticks in duration; a ValueError unless it is finite and holds 1 to MAX_TICKS."""
     ticks = math.nan if duration is None else duration * control_rate
     if not (math.isfinite(ticks) and round(ticks) >= 1):
         raise ValueError(
             f"duration must be finite and at least one control tick "
             f"({1.0 / control_rate:g} s), got {duration}"
         )
-    return int(round(ticks))
+    ticks = round(ticks)
+    if ticks > MAX_TICKS:
+        raise ValueError(
+            f"control_rate {control_rate:g} Hz over {duration:g} s is {ticks} ticks, "
+            f"more than MAX_TICKS = {MAX_TICKS}"
+        )
+    return ticks
 
 
 @dataclass(frozen=True)
@@ -56,8 +62,8 @@ class SimConfig:
     advances the state by the exact double-integrator step in one piece, so
     the loop does not read `substeps`: the field keeps scenarios that name
     it loading, and must be >= 1. A duration, when given, must be finite and
-    cover at least one tick. The run starts on the reference, shifted by the
-    two offsets.
+    cover at least one tick and at most MAX_TICKS. The run starts on the
+    reference, shifted by the two offsets.
     """
 
     control_rate: float = 100.0
@@ -78,6 +84,20 @@ class SimConfig:
             if not np.isfinite(value).all():
                 raise ValueError(f"{attr} must be finite, got {value.tolist()}")
             object.__setattr__(self, attr, value)
+
+
+@dataclass(frozen=True)
+class TrackingConfig:
+    """Closed-loop settings attached to a scenario; psi must be finite."""
+
+    cbf: CbfParams
+    gains: PdGains
+    sim: SimConfig
+    psi: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.psi):
+            raise ValueError(f"psi must be finite, got {self.psi}")
 
 
 @dataclass(frozen=True)
@@ -223,12 +243,10 @@ def simulate(
     supplies mu_nominal, mu, the reduced input (v), barriers and active
     faces for the trace; an InvertedFlightError raised there leaves
     simulate. The duration, else cfg.duration, must be finite and cover at
-    least one tick, and a run of more than MAX_TICKS ticks is a ValueError,
-    raised before the grid is built.
+    least one tick and at most MAX_TICKS, as SimConfig requires of its own;
+    a ValueError is raised before the grid is built otherwise.
     """
     M = _tick_count(duration if duration is not None else cfg.duration, cfg.control_rate)
-    if M > MAX_TICKS:
-        raise ValueError(f"simulation of {M} ticks exceeds MAX_TICKS = {MAX_TICKS}")
     h = 1.0 / cfg.control_rate
     ts = t0 + np.arange(M) * h
     ref = reference(ts)

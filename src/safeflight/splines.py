@@ -492,6 +492,16 @@ def min_span_width(degree: int) -> float:
     return 10.0 ** (-280.0 / max(7, degree))
 
 
+def max_span_width(degree: int) -> float:
+    """Widest span, in seconds, over which the snap Gram is built in float64.
+
+    Over spans w wide the Gram's entries shrink as w**-7 and the moments of
+    s over a span grow up to w**(2 degree - 7), and neither leaves the
+    normal float64 range while w**max(7, 2 degree - 7) is at most 1e280.
+    """
+    return 10.0 ** (280.0 / max(7, 2 * degree - 7))
+
+
 def _build_snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     d, n = knots.degree, knots.n
     l = np.arange(d, n + 1)

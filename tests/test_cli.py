@@ -23,7 +23,6 @@ from safeflight.cli import (
     EXIT_VERIFY,
     SCENARIO_SCHEMA,
     ScenarioError,
-    _effective_tol,
     bundled_scenarios,
     load_scenario,
     main,
@@ -145,7 +144,7 @@ class TestLoading:
         assert (tr.cbf.delta, tr.cbf.a1, tr.cbf.a2) == (0.1, 6.0, 8.0)
         assert (tr.gains.kp, tr.gains.kd) == (0.4, 0.1)
         np.testing.assert_array_equal(tr.sim.initial_velocity_offset, [0.25, -0.25, 0.15])
-        assert tr.sim.duration is None
+        assert tr.sim.duration == sf.planning.tf - sf.planning.t0 == 30.0  # none given
         assert tr.sim.control_rate == 100.0
 
     def test_corridor_scenario_derives_n(self):
@@ -201,6 +200,17 @@ class TestLoading:
         del doc["spline"]["n"]
         with pytest.raises(ScenarioError, match="spline.n is required"):
             load_scenario(write_scenario(tmp_path, doc))
+
+    def test_region_shape_error_names_its_file_and_path(self, tmp_path):
+        doc = hover_dict()
+        box = {"lo": [-1.0, -1.0, 0.0], "hi": [1.0, 1.0, 1.0]}
+        doc["bounds"]["regions"] = [{"box": box, "ball": {"center": [0.0] * 3, "radius": 1.0}}]
+        path = write_scenario(tmp_path, doc)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == (
+            f"{path}: bounds/regions/0: region needs exactly one shape key, got ['box', 'ball']"
+        )
 
     def test_planning_validation_becomes_scenario_error(self, tmp_path):
         doc = hover_dict()
@@ -444,7 +454,9 @@ class TestScenarioTimes:
         path = write_scenario(tmp_path, doc)
         assert main([command, "--scenario", path]) == EXIT_PARSE
         err = capsys.readouterr().err
-        assert f"{section}/0/{key}" in err
+        # Out of range, PlanningScenario names waypoints/0/time; a NaN time
+        # is rejected first, by the Waypoint or window built as waypoints/0.
+        assert f"{section}/0" in err and key in err
         assert "unexpected error" not in err
 
     def test_rejected_planning_value_exits_parse(self, tmp_path, capsys):
@@ -535,32 +547,81 @@ def every_planning_shape():
 
 
 class TestNonFinitePlanning:
-    # A NaN or infinite planning number exits 2 naming its field, before any
-    # planning starts: past load, a NaN bound makes the solve fail (exit 3)
-    # or a verified margin NaN (exit 4), and an infinite radius verifies.
+    # A NaN or infinite planning number exits 2 naming its file, its YAML
+    # path and its field, before any planning starts: past load, a NaN bound
+    # makes the solve fail (exit 3) or a verified margin NaN (exit 4), and an
+    # infinite radius verifies. The dataclass that owns the field rejects it.
     NAN, INF = float("nan"), float("inf")
     CASES = [
-        (("bounds", "v_max"), NAN),
-        (("bounds", "tilt_max_deg"), INF),
-        (("bounds", "thrust_min"), -INF),
-        (("bounds", "thrust_max"), NAN),
-        (("bounds", "omega_max_deg_s"), INF),
-        (("gravity",), NAN),
-        (("endpoints", "initial", 0, 2), NAN),
-        (("endpoints", "final", 1, 0), INF),
-        (("waypoints", 0, "position", 1), NAN),
-        (("waypoints", 0, "radius"), INF),
-        (("bounds", "regions", 0, "box", "lo", 0), NAN),
-        (("bounds", "regions", 0, "box", "hi", 2), INF),
-        (("bounds", "regions", 1, "ball", "center", 0), NAN),
-        (("bounds", "regions", 1, "ball", "radius"), INF),
-        (("bounds", "regions", 2, "ellipsoid", "A", 1, 1), NAN),
-        (("bounds", "regions", 2, "ellipsoid", "b", 2), -INF),
-        (("bounds", "regions", 3, "halfspace", "normal", 2), NAN),
-        (("bounds", "regions", 3, "halfspace", "offset"), INF),
-        (("windows", 0, "bound"), NAN),
-        (("windows", 1, "region", "box", "lo", 1), NAN),
-        (("corridor", 4, "box", "hi", 0), INF),
+        (("bounds", "v_max"), NAN, "bounds: v_max must be finite, got nan"),
+        (("bounds", "tilt_max_deg"), INF, "bounds: tilt_max must be finite, got inf"),
+        (("bounds", "thrust_min"), -INF, "bounds: thrust_min must be finite, got -inf"),
+        (("bounds", "thrust_max"), NAN, "bounds: thrust_max must be finite, got nan"),
+        (("bounds", "omega_max_deg_s"), INF, "bounds: omega_max must be finite, got inf"),
+        (("gravity",), NAN, "gravity must be finite, got nan"),
+        (
+            ("endpoints", "initial", 0, 2),
+            NAN,
+            "endpoints: pins.initial[0] must be finite, got nan at 2",
+        ),
+        (
+            ("endpoints", "final", 1, 0),
+            INF,
+            "endpoints: pins.final[1] must be finite, got inf at 0",
+        ),
+        (
+            ("waypoints", 0, "position", 1),
+            NAN,
+            "waypoints/0: waypoint position must be finite, got nan at 1",
+        ),
+        (("waypoints", 0, "radius"), INF, "waypoints/0: waypoint radius must be finite, got inf"),
+        (
+            ("bounds", "regions", 0, "box", "lo", 0),
+            NAN,
+            "bounds/regions/0: box lo must be finite, got nan at 0",
+        ),
+        (
+            ("bounds", "regions", 0, "box", "hi", 2),
+            INF,
+            "bounds/regions/0: box hi must be finite, got inf at 2",
+        ),
+        (
+            ("bounds", "regions", 1, "ball", "center", 0),
+            NAN,
+            "bounds/regions/1: ball center must be finite, got nan at 0",
+        ),
+        (
+            ("bounds", "regions", 1, "ball", "radius"),
+            INF,
+            "bounds/regions/1: ball radius must be finite, got inf",
+        ),
+        (
+            ("bounds", "regions", 2, "ellipsoid", "A", 1, 1),
+            NAN,
+            "bounds/regions/2: ellipsoid A must be finite, got nan at (1, 1)",
+        ),
+        (
+            ("bounds", "regions", 2, "ellipsoid", "b", 2),
+            -INF,
+            "bounds/regions/2: ellipsoid b must be finite, got -inf at 2",
+        ),
+        (
+            ("bounds", "regions", 3, "halfspace", "normal", 2),
+            NAN,
+            "bounds/regions/3: halfspace normal must be finite, got nan at 2",
+        ),
+        (
+            ("bounds", "regions", 3, "halfspace", "offset"),
+            INF,
+            "bounds/regions/3: halfspace offset must be finite, got inf",
+        ),
+        (("windows", 0, "bound"), NAN, "windows/0: interval bound must be finite, got nan"),
+        (
+            ("windows", 1, "region", "box", "lo", 1),
+            NAN,
+            "windows/1/region: box lo must be finite, got nan at 1",
+        ),
+        (("corridor", 4, "box", "hi", 0), INF, "corridor/4: box hi must be finite, got inf at 0"),
     ]
 
     def test_the_finite_document_loads(self, tmp_path):
@@ -568,34 +629,42 @@ class TestNonFinitePlanning:
         assert len(sf.planning.bounds.regions) == 4 and len(sf.planning.corridor) == 8
 
     @pytest.mark.parametrize("command", ["plan", "verify"])
-    @pytest.mark.parametrize("path,value", CASES)
-    def test_exits_parse_naming_the_field(self, tmp_path, capsys, hover_plan, command, path, value):
+    @pytest.mark.parametrize("path,value,message", CASES)
+    def test_exits_parse_naming_the_field(
+        self, tmp_path, capsys, hover_plan, command, path, value, message
+    ):
         doc = every_planning_shape()
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = value
-        argv = [command, "--scenario", write_scenario(tmp_path, doc)]
+        scenario = write_scenario(tmp_path, doc)
+        argv = [command, "--scenario", scenario]
         if command == "verify":
             argv += ["--plan", write_plan(tmp_path, hover_plan)]
         assert main(argv) == EXIT_PARSE
         err = capsys.readouterr().err
-        assert f"{'/'.join(map(str, path))} must be finite, got {value}" in err
-        assert "unexpected error" not in err
+        assert err == f"error: {scenario}: {message}\n"
 
 
 class TestBadTracking:
-    # Each bad tracking value exits 2 on every command, naming its field,
-    # before any planning starts.
+    NAN, INF = float("nan"), float("inf")
+    # Each bad tracking value exits 2 on every command, naming its file, its
+    # field and the value, before any planning starts.
     CASES = [
-        ("cbf", "a1", 2.0, "tracking.cbf: a1^2"),  # a1^2 < 4 a2: complex error poles
+        ("cbf", "a1", 2.0, "tracking.cbf: a1^2 = 4.000 < 4 a2 = 32.000: complex error poles"),
         ("cbf", "a1", 1.0e300, "tracking.cbf: a1^2 must be finite, got a1 = 1e+300"),
-        ("gains", "kp", -2.0, "tracking.gains: kp"),
-        (None, "control_rate", 0.0, "tracking: control_rate"),
-        (None, "control_rate", float("nan"), "tracking: control_rate"),
-        (None, "substeps", 0, "tracking: substeps"),
-        (None, "duration", 0.004, "tracking: duration"),  # under one 10 ms tick
-        ("cbf", "delta", float("inf"), "tracking.cbf: delta"),
+        ("gains", "kp", -2.0, "tracking.gains: kp must be nonnegative and finite, got -2.0"),
+        (None, "control_rate", 0.0, "tracking: control_rate must be positive and finite, got 0.0"),
+        (None, "control_rate", NAN, "tracking: control_rate must be positive and finite, got nan"),
+        (None, "substeps", 0, "tracking: substeps must be >= 1, got 0"),
+        (  # under one 10 ms tick
+            None,
+            "duration",
+            0.004,
+            "tracking: duration must be finite and at least one control tick (0.01 s), got 0.004",
+        ),
+        ("cbf", "delta", INF, "tracking.cbf: delta must be positive and finite, got inf"),
     ]
 
     @pytest.mark.parametrize("command", ["plan", "track"])
@@ -606,9 +675,7 @@ class TestBadTracking:
         target[key] = value
         path = write_scenario(tmp_path, doc)
         assert main([command, "--scenario", path]) == EXIT_PARSE
-        err = capsys.readouterr().err
-        assert message in err
-        assert "unexpected error" not in err
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("duration", [10.0, None])
     def test_tick_count_capped(self, tmp_path, capsys, duration):
@@ -620,26 +687,56 @@ class TestBadTracking:
         if duration is not None:
             doc["tracking"]["duration"] = duration
         path = write_scenario(tmp_path, doc)
-        with pytest.raises(ScenarioError, match="tracking.control_rate"):
+        with pytest.raises(ScenarioError, match="tracking: control_rate 1e"):
             load_scenario(path)
         assert main(["plan", "--scenario", path]) == EXIT_PARSE
-        assert "tracking.control_rate" in capsys.readouterr().err
+        assert "tracking: control_rate 1e+07 Hz" in capsys.readouterr().err
 
 
 class TestSolverTol:
-    def test_flag_wins(self, hover_scenario):
-        assert hover_scenario.planning.solver_tol != 1e-6
-        assert _effective_tol(hover_scenario.planning, 1e-6) == 1e-6
+    # The solve runs at the --tol flag's tolerance, else at the scenario's
+    # solver_tol; PlanningScenario holds the range check for both.
+    @pytest.fixture()
+    def solved_tols(self, monkeypatch):
+        tols, solve = [], safeflight.cli.plan
 
-    def test_scenario_default(self, hover_scenario):
-        tol = _effective_tol(hover_scenario.planning, None)
-        assert tol == hover_scenario.planning.solver_tol
+        def recording(planning):
+            tols.append(planning.solver_tol)
+            return solve(planning)
 
-    def test_out_of_range_flag_exits_parse(self, capsys):
-        assert main(["plan", "--scenario", "hover", "--tol", "0.5"]) == EXIT_PARSE
+        monkeypatch.setattr(safeflight.cli, "plan", recording)
+        return tols
+
+    @pytest.fixture()
+    def scenario(self, tmp_path):
+        doc = hover_dict()
+        doc["solver_tol"] = 1e-7
+        return write_scenario(tmp_path, doc)
+
+    @pytest.mark.parametrize("command", ["plan", "verify", "track"])
+    def test_flag_wins(self, scenario, solved_tols, command):
+        assert main([command, "--scenario", scenario, "--tol", "1e-6"]) == EXIT_OK
+        assert solved_tols == [1e-6]
+
+    def test_scenario_default(self, scenario, solved_tols):
+        assert main(["plan", "--scenario", scenario]) == EXIT_OK
+        assert solved_tols == [1e-7]
+
+    @pytest.mark.parametrize("command", ["plan", "verify", "track"])
+    def test_out_of_range_flag_exits_parse(self, capsys, command):
+        assert main([command, "--scenario", "hover", "--tol", "0.5"]) == EXIT_PARSE
         err = capsys.readouterr().err
-        assert "--tol" in err
+        assert "error: --tol: solver_tol must be a number in (0, 0.01), got 0.5" in err
         assert "unexpected" not in err
+
+    @pytest.mark.parametrize("tol", [0.5, 0.0, float("nan")])
+    def test_out_of_range_scenario_value_names_its_file(self, tmp_path, capsys, tol):
+        doc = hover_dict()
+        doc["solver_tol"] = tol
+        path = write_scenario(tmp_path, doc)
+        assert main(["plan", "--scenario", path]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: solver_tol must be a number in (0, 0.01), got {tol}")
 
 
 class TestPlanCommand:
@@ -702,6 +799,17 @@ class TestPlanCommand:
         out = tmp_path / "no" / "such" / "dir" / "plan.json"
         assert main(["plan", "--scenario", "hover", "--out", str(out)]) == EXIT_RUNTIME
         assert "unexpected error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["plan", "verify", "track"])
+    @pytest.mark.parametrize("tol", [[], ["--tol", "1e-7"]])
+    def test_solver_fault_on_valid_input_exits_runtime(self, monkeypatch, capsys, command, tol):
+        # LinAlgError is a ValueError; only building the inputs maps those to exit 2.
+        def failing(planning):
+            raise np.linalg.LinAlgError("KKT factorization failed")
+
+        monkeypatch.setattr(safeflight.cli, "plan", failing)
+        assert main([command, "--scenario", "hover", *tol]) == EXIT_RUNTIME
+        assert "unexpected error: LinAlgError: KKT factorization failed" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -996,6 +1104,8 @@ BAD_PLAN_DOCUMENTS = [
     ("objective-null", set_entry("objective", value=None), "objective"),
     ("max-residual-list", set_entry("max_residual", value=[1.0]), "max_residual"),
     ("list-document", None, "not a plan document"),
+    ("format-missing", lambda d: d.pop("format"), "format must be 'safeflight-plan', got None"),
+    ("format-other", set_entry("format", value="x"), "format must be 'safeflight-plan', got 'x'"),
 ]
 
 

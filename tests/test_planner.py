@@ -33,8 +33,8 @@ from safeflight.planner import (
     plan,
 )
 from safeflight.simverify import span_samples
-from safeflight.socp import ConeProgram
-from safeflight.splines import clamped_uniform_knots, snap_gram
+from safeflight.socp import MAX_TOL, ConeProgram
+from safeflight.splines import clamped_uniform_knots, max_span_width, min_span_width, snap_gram
 from safeflight.tracker import CbfParams
 
 G = 9.81
@@ -338,6 +338,14 @@ class TestTrackingMargins:
             asm.compile_tilt_cone(np.pi / 4, margin=G)
 
 
+def waypoints_at(*times):
+    return tuple(Waypoint([0.0, 0.0, 1.0], t) for t in times)
+
+
+def speed_window(t_start, t_end):
+    return (IntervalConstraint(t_start, t_end, "speed", bound=1.0),)
+
+
 class TestValidation:
     def test_safety_bounds(self):
         with pytest.raises(ValueError):
@@ -446,6 +454,46 @@ class TestValidation:
         pins = rest_to_rest([0, 0, 0], [1, 0, 0], orders=4)
         with pytest.raises(ValueError):
             PlanAssembly(kv).compile_endpoints(pins)
+
+    # PlanningScenario holds each scenario-wide check once and names the
+    # field by its path in a scenario file; small_scenario spans [0, 4].
+    @pytest.mark.parametrize(
+        "message, over",
+        [
+            ("waypoints/1/time = 4.5 lies outside", {"waypoints": waypoints_at(1.0, 4.5)}),
+            ("waypoints/0/time = -0.5 lies outside", {"waypoints": waypoints_at(-0.5)}),
+            ("windows/0/t_start = -1.0 lies outside", {"intervals": speed_window(-1.0, 1.0)}),
+            ("windows/0/t_end = 5.0 lies outside", {"intervals": speed_window(1.0, 5.0)}),
+            ("solver_tol must be a number in (0, 0.01), got nan", {"solver_tol": float("nan")}),
+            ("solver_tol must be a number in (0, 0.01), got 0.0", {"solver_tol": 0.0}),
+            ("solver_tol must be a number in (0, 0.01), got -1e-08", {"solver_tol": -1e-8}),
+            ("solver_tol must be a number in (0, 0.01), got 0.01", {"solver_tol": MAX_TOL}),
+            ("solver_tol must be a number in (0, 0.01), got 0.5", {"solver_tol": 0.5}),
+            ("spline.degree must be >= 4 for the snap objective, got 3", {"degree": 3}),
+            ("spline.n = 500 gives 501 control points per axis, more than", {"n": 500}),
+            ("spline.tf: (tf - t0) / 6 spans = 0 s", {"t0": 4.0}),
+            ("spline.tf: (tf - t0) / 6 spans = -0.833333 s", {"t0": 9.0}),
+            ("spline.tf: (tf - t0) / 6 spans = inf s", {"tf": float("inf")}),
+            ("spline.tf: (tf - t0) / 6 spans = nan s", {"t0": float("nan")}),
+            ("spline.tf: (tf - t0) / 6 spans = 1.66667e+59 s", {"tf": 1.0e60}),
+            ("spline.tf: (tf - t0) / 6 spans = 1.66667e-301 s", {"tf": 1.0e-300}),
+        ],
+    )
+    def test_scenario_names_the_field(self, message, over):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            small_scenario(**over)
+
+    @pytest.mark.parametrize("degree", range(4, 13))
+    def test_span_width_limits_are_accepted(self, degree):
+        # Both limits load; at the widest spans the snap Gram keeps as many
+        # eigenpairs as over 1 s spans.
+        n, spans = degree + 5, 6
+        small_scenario(tf=min_span_width(degree) * spans, n=n, degree=degree)
+        widest = small_scenario(tf=max_span_width(degree) * spans, n=n, degree=degree)
+        _, G = snap_gram(clamped_uniform_knots(widest.t0, widest.tf, n, degree))
+        assert G.shape[0] == snap_gram(clamped_uniform_knots(0.0, 6.0, n, degree))[1].shape[0]
+        with pytest.raises(ValueError, match=r"^spline\.tf: "):
+            small_scenario(tf=2.0 * max_span_width(degree) * spans, n=n, degree=degree)
 
 
 class TestAssemblyLayout:

@@ -59,6 +59,13 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(substeps=0)
 
+    def test_tick_cap(self):
+        # SimConfig and simulate share one cap, _tick_count's.
+        assert SimConfig(control_rate=1000.0, duration=MAX_TICKS / 1000.0).duration == 1000.0
+        past = "^control_rate 1000 Hz over 1000 s is 1000001 ticks, more than MAX_TICKS"
+        with pytest.raises(ValueError, match=past):
+            SimConfig(control_rate=1000.0, duration=(MAX_TICKS + 1) / 1000.0)
+
     def test_offsets_become_vectors(self):
         cfg = SimConfig(initial_position_offset=[0.1, 0.0, 0.0])
         assert cfg.initial_position_offset.shape == (3,)
@@ -252,7 +259,7 @@ class TestPerTickOracle:
         planning, tr = sf.planning, sf.tracking
         pl = bundled_plan(name)
         ctrl = maker(tr.cbf, tr.gains, tr.psi, planning.gravity)
-        duration = tr.sim.duration if tr.sim.duration is not None else planning.tf - planning.t0
+        duration = tr.sim.duration
         args = (plan_reference(pl), ctrl, tr.sim, planning.t0, duration)
         got, want = simulate(*args), simulate_per_tick(*args)
         assert got.t.size == round(duration * tr.sim.control_rate)
@@ -272,7 +279,7 @@ class TestPerTickOracle:
         planning, tr = sf.planning, sf.tracking
         ref = plan_reference(bundled_plan(name))
         maker = make_filtered_controller if filtered else make_unfiltered_controller
-        full = tr.sim.duration if tr.sim.duration is not None else planning.tf - planning.t0
+        full = tr.sim.duration
         offset = dataclasses.replace(
             tr.sim,
             initial_position_offset=[0.03, -0.02, 0.01],
