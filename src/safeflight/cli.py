@@ -1,16 +1,19 @@
 """Scenario-file driven pipeline: plan, track, verify, export.
 
 Scenarios are YAML documents validated against SCENARIO_SCHEMA before use,
-by a small checker of the JSON Schema keywords that schema uses; angles are
-written in degrees there and converted on ingestion. A handful of
-scenarios ship inside the package and can be named directly (see
+by a small checker of the JSON Schema keywords that schema uses. A handful
+of scenarios ship inside the package and can be named directly (see
 `safeflight plan --list`). Exit codes: 0 success, 2 parse or validation
 error, 3 infeasible plan, 4 failed verification or tracking certificate,
 5 unexpected runtime failure. The schema checks the document's shape and
-types; every value check lives once, in the library class that owns the
-field (or, for a flag's grid, in check_sample_count). The CLI builds those
-objects through one wrapper, which reports a ValueError as exit 2,
-prefixed with the scenario file and the field's YAML path, or the flag.
+types. One pass then makes every number a float and every integer an int;
+a number too large for a float exits 2. A scenario key is the field name of
+the library class that owns its section, which takes the section by name
+and holds every default and value check (for a flag's grid, that is
+check_sample_count). Only the angles differ: written in degrees under
+_DEGREES' keys, they are converted to radians. The CLI builds each object
+through one wrapper, which reports a ValueError as exit 2, prefixed with
+the scenario file and the field's YAML path, or the flag.
 A plan that leaves the flatness map's domain (a free-fall sample with no
 thrust direction, a thrust axis along the yaw heading's normal, or a sample
 or command whose thrust points down, which asks for inverted flight) fails
@@ -25,6 +28,7 @@ import argparse
 import dataclasses
 import importlib.resources
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +37,6 @@ import numpy as np
 import yaml
 
 from .flatness import (
-    GRAVITY,
     InvertedFlightError,
     SingularAttitudeError,
     SingularThrustError,
@@ -298,19 +301,12 @@ def _reported(where: str, make, *args, **kwargs):
 
 
 def _region_from_spec(spec: dict) -> ConvexRegion:
-    name = spec.get("name", "")
-    kinds = [k for k in ("box", "ball", "ellipsoid", "halfspace") if k in spec]
-    if len(kinds) != 1:
-        raise ValueError(f"region needs exactly one shape key, got {kinds or 'none'}")
-    kind = kinds[0]
-    body = spec[kind]
-    if kind == "box":
-        return ConvexRegion.box(body["lo"], body["hi"], name or "box")
-    if kind == "ball":
-        return ConvexRegion.ball(body["center"], body["radius"], name or "ball")
-    if kind == "ellipsoid":
-        return ConvexRegion.ellipsoid(np.asarray(body["A"], dtype=float), body["b"], name or "ellipsoid")
-    return ConvexRegion.halfspace(body["normal"], body["offset"], name or "halfspace")
+    """The region of a spec: its one shape key names the ConvexRegion constructor."""
+    shapes = [k for k in ("box", "ball", "ellipsoid", "halfspace") if k in spec]
+    if len(shapes) != 1:
+        raise ValueError(f"region needs exactly one shape key, got {shapes or 'none'}")
+    shape = shapes[0]
+    return getattr(ConvexRegion, shape)(**spec[shape], name=spec.get("name") or shape)
 
 
 def bundled_scenarios() -> list[str]:
@@ -338,37 +334,70 @@ def load_scenario(source: str) -> ScenarioFile:
     A tracking section without a duration runs over the planning horizon.
 
     Raises:
-        ScenarioError: for YAML errors, schema violations, or a value that
-            one of the library's dataclasses rejects; the message starts
-            with the source and names the field by its YAML path.
+        ScenarioError: for YAML errors, schema violations, an integer too
+            large for a float, or a value that one of the library's
+            dataclasses rejects; the message starts with the source and
+            names the field by its YAML path.
     """
     text, desc = _resolve_source(source)
     # libyaml's loader parses about ten times faster; PyYAML may be built without it.
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         doc = yaml.load(text, Loader=loader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: int() past its 4300-digit limit
         raise ScenarioError(f"{desc}: YAML parse error: {exc}") from exc
     error = schema_violation(doc)
     if error is not None:
         where = "/".join(str(p) for p in error[0]) or "<root>"
         raise ScenarioError(f"{desc}: schema violation at {where}: {error[1]}")
 
-    tr = doc.get("tracking")
-    cbf = None
-    if tr is not None:
-        values = {k: float(v) for k, v in tr["cbf"].items()}
-        cbf = _reported(f"{desc}: tracking.cbf", CbfParams, **values)
+    doc = _reported(desc, _converted, doc, SCENARIO_SCHEMA)
+    tr = doc.pop("tracking", None)
+    cbf = None if tr is None else _reported(f"{desc}: tracking.cbf", CbfParams, **tr.pop("cbf"))
     planning = _planning_scenario(doc, cbf, desc)
     tracking = None if tr is None else _tracking_config(tr, cbf, planning.tf - planning.t0, desc)
     return ScenarioFile(planning=planning, tracking=tracking, source=desc)
 
 
-def _planning_scenario(doc: dict, cbf: CbfParams | None, desc: str) -> PlanningScenario:
-    """The planning problem of a schema-valid scenario document.
+def _converted(value, schema: dict, path: tuple = ()):
+    """A schema-valid value with every schema number a float and every integer an int.
 
+    An integer too large for a float is a ValueError naming its YAML path.
+    """
+    kind = schema.get("type")
+    if kind == "number":
+        try:
+            return float(value)
+        except OverflowError:
+            digits = len(str(abs(value)))
+            message = f"a {digits}-digit integer is too large for a float"
+            raise ValueError(f"{'/'.join(map(str, path))}: {message}") from None
+    if kind == "integer":
+        return int(value)
+    if kind == "object":
+        props = schema["properties"]
+        return {k: _converted(v, props[k], path + (k,)) for k, v in value.items()}
+    if kind == "array":
+        items = schema["items"]
+        return [_converted(v, items, path + (i,)) for i, v in enumerate(value)]
+    return value
+
+
+# Angles are written in degrees under these keys; each library field named holds radians.
+_DEGREES = {"tilt_max_deg": "tilt_max", "omega_max_deg_s": "omega_max", "psi_deg": "psi"}
+
+
+def _in_radians(section: dict) -> dict:
+    """section with each angle key of _DEGREES given as its library field, in radians."""
+    return {_DEGREES.get(k, k): math.radians(v) if k in _DEGREES else v for k, v in section.items()}
+
+
+def _planning_scenario(doc: dict, cbf: CbfParams | None, desc: str) -> PlanningScenario:
+    """The planning problem of a converted scenario document, without its tracking section.
+
+    Each section is passed by field name to the library class that owns it.
     Each region, waypoint, window and corridor set is built on its own, so
-    a value that its dataclass rejects is reported under its YAML path.
+    a value that its class rejects is reported under its YAML path.
     """
 
     def build(where: str, make, *args, **kwargs):
@@ -377,78 +406,47 @@ def _planning_scenario(doc: dict, cbf: CbfParams | None, desc: str) -> PlanningS
     def regions(section: str, specs: list) -> tuple[ConvexRegion, ...]:
         return tuple(build(f"{section}/{i}", _region_from_spec, s) for i, s in enumerate(specs))
 
-    spline, b = doc["spline"], doc["bounds"]
-    corridor = regions("corridor", doc["corridor"]) if "corridor" in doc else None
-    degree, n = int(spline["degree"]), spline.get("n")
-    if n is None:
+    for tag in ("format", "version"):
+        doc.pop(tag, None)
+    spline, b = doc.pop("spline"), _in_radians(doc.pop("bounds"))
+    corridor = regions("corridor", doc.pop("corridor")) if "corridor" in doc else None
+    if "n" not in spline:
         if corridor is None:
             raise ScenarioError(f"{desc}: spline.n is required without a corridor")
-        n = len(corridor) + degree - 1  # corridor fixes the control-point count
-    bounds = build(
-        "bounds",
-        SafetyBounds,
-        v_max=float(b["v_max"]),
-        tilt_max=float(np.deg2rad(b["tilt_max_deg"])),
-        thrust_min=float(b["thrust_min"]),
-        thrust_max=float(b["thrust_max"]),
-        omega_max=float(np.deg2rad(b["omega_max_deg_s"])),
-        regions=regions("bounds/regions", b.get("regions", [])),
-    )
-    waypoints = []
-    for i, w in enumerate(doc.get("waypoints", [])):
-        radius = float(w.get("radius", 0.0))
-        waypoints.append(build(f"waypoints/{i}", Waypoint, w["position"], float(w["time"]), radius))
-    ends = doc["endpoints"]
-    pins = build("endpoints", EndpointPins, tuple(ends["initial"]), tuple(ends["final"]))
+        spline["n"] = len(corridor) + spline["degree"] - 1  # corridor fixes the control-point count
+    if "regions" in b:
+        b["regions"] = regions("bounds/regions", b["regions"])
+    bounds = build("bounds", SafetyBounds, **b)
+    waypoints = doc.pop("waypoints", [])
+    waypoints = tuple(build(f"waypoints/{i}", Waypoint, **w) for i, w in enumerate(waypoints))
+    pins = build("endpoints", EndpointPins, **doc.pop("endpoints"))
     intervals = []
-    for i, w in enumerate(doc.get("windows", [])):
-        region = None
+    for i, w in enumerate(doc.pop("windows", [])):
         if "region" in w:
-            region = build(f"windows/{i}/region", _region_from_spec, w["region"])
-        bound = float(w["bound"]) if "bound" in w else None
-        args = float(w["t_start"]), float(w["t_end"]), w["kind"], region, bound
-        intervals.append(build(f"windows/{i}", IntervalConstraint, *args))
+            w["region"] = build(f"windows/{i}/region", _region_from_spec, w["region"])
+        intervals.append(build(f"windows/{i}", IntervalConstraint, **w))
     return _reported(
         desc,
         PlanningScenario,
-        name=doc["name"],
-        t0=float(spline["t0"]),
-        tf=float(spline["tf"]),
-        n=int(n),
-        degree=degree,
+        **spline,
+        **doc,
         bounds=bounds,
         pins=pins,
-        waypoints=tuple(waypoints),
+        waypoints=waypoints,
         intervals=tuple(intervals),
         corridor=corridor,
-        zeta_mode=doc.get("zeta_mode", "per-span"),
         cbf=cbf,
-        apply_tracking_margins=bool(doc.get("apply_tracking_margins", False)),
-        gravity=float(doc.get("gravity", GRAVITY)),
-        solver_tol=float(doc.get("solver_tol", 1e-8)),
     )
 
 
 def _tracking_config(tr: dict, cbf: CbfParams, horizon: float, desc: str) -> TrackingConfig:
-    """The tracking section, run over the planning horizon unless it gives a duration."""
-    gains = {k: float(v) for k, v in tr["gains"].items()}
-    sim = _reported(
-        f"{desc}: tracking",
-        SimConfig,
-        control_rate=float(tr.get("control_rate", 100.0)),
-        substeps=int(tr.get("substeps", 10)),
-        duration=float(tr.get("duration", horizon)),
-        initial_position_offset=tr.get("initial_position_offset", np.zeros(3)),
-        initial_velocity_offset=tr.get("initial_velocity_offset", np.zeros(3)),
-    )
-    return _reported(
-        f"{desc}: tracking",
-        TrackingConfig,
-        cbf=cbf,
-        gains=_reported(f"{desc}: tracking.gains", PdGains, **gains),
-        sim=sim,
-        psi=float(np.deg2rad(tr.get("psi_deg", 0.0))),
-    )
+    """The tracking section, without its cbf, run over the horizon unless it gives a duration."""
+    tr = _in_radians(tr)
+    gains = tr.pop("gains")
+    yaw = {"psi": tr.pop("psi")} if "psi" in tr else {}
+    sim = _reported(f"{desc}: tracking", SimConfig, **{"duration": horizon, **tr})
+    pd = _reported(f"{desc}: tracking.gains", PdGains, **gains)
+    return _reported(f"{desc}: tracking", TrackingConfig, cbf=cbf, gains=pd, sim=sim, **yaw)
 
 
 # ------------------------------------------------------------------- commands
@@ -469,19 +467,19 @@ def _load_plan_doc(path: str) -> TrajectoryPlan:
         raise ScenarioError(f"cannot load plan '{path}': {exc}") from exc
 
 
-def _check_consistent(planning: PlanningScenario, pl: TrajectoryPlan) -> None:
+def _plan_for(planning: PlanningScenario, args) -> TrajectoryPlan:
+    """The --plan file, which must share planning's spline, or else a solve of planning."""
+    if not args.plan:
+        return _solve(planning, args.tol)
+    pl = _load_plan_doc(args.plan)
     kv = pl.curve.knots
-    same = (
-        kv.t0 == planning.t0
-        and kv.tf == planning.tf
-        and kv.n == planning.n
-        and kv.degree == planning.degree
-    )
-    if not same:
+    if (kv.t0, kv.tf, kv.n, kv.degree) != (planning.t0, planning.tf, planning.n, planning.degree):
         raise ScenarioError(
-            f"plan spline (t0={kv.t0}, tf={kv.tf}, n={kv.n}, d={kv.degree}) does not match "
-            f"scenario (t0={planning.t0}, tf={planning.tf}, n={planning.n}, d={planning.degree})"
+            f"{args.plan}: plan spline (t0={kv.t0}, tf={kv.tf}, n={kv.n}, d={kv.degree}) does not "
+            f"match scenario (t0={planning.t0}, tf={planning.tf}, n={planning.n}, "
+            f"d={planning.degree})"
         )
+    return pl
 
 
 def cmd_plan(args) -> int:
@@ -511,11 +509,7 @@ def cmd_verify(args) -> int:
     planning = load_scenario(args.scenario).planning
     count = (planning.n - planning.degree + 1, args.samples_per_span)
     _reported("--samples-per-span", check_sample_count, *count)
-    if args.plan:
-        pl = _load_plan_doc(args.plan)
-        _check_consistent(planning, pl)
-    else:
-        pl = _solve(planning, args.tol)
+    pl = _plan_for(planning, args)
     bounds = planning.bounds
     report = verify_plan(
         pl,
@@ -544,11 +538,7 @@ def cmd_track(args) -> int:
     if sf.tracking is None:
         raise ScenarioError(f"{sf.source}: scenario has no tracking section")
     planning, tr = sf.planning, sf.tracking
-    if args.plan:
-        pl = _load_plan_doc(args.plan)
-        _check_consistent(planning, pl)
-    else:
-        pl = _solve(planning, args.tol)
+    pl = _plan_for(planning, args)
 
     maker = make_unfiltered_controller if args.no_filter else make_filtered_controller
     controller = maker(tr.cbf, tr.gains, tr.psi, planning.gravity)
@@ -601,6 +591,9 @@ def cmd_track(args) -> int:
 
 def cmd_export(args) -> int:
     pl = _load_plan_doc(args.plan)
+    kv = pl.curve.knots
+    count = (len(kv.nonempty_spans()), args.samples_per_span)
+    _reported("--samples-per-span", check_sample_count, *count)
     if args.format == "document":
         with open(args.out, "w") as fh:
             json.dump(pl.to_dict(), fh, sort_keys=True, indent=2)
@@ -608,9 +601,6 @@ def cmd_export(args) -> int:
         print(f"plan document written to {args.out}")
         return EXIT_OK
 
-    kv = pl.curve.knots
-    count = (len(kv.nonempty_spans()), args.samples_per_span)
-    _reported("--samples-per-span", check_sample_count, *count)
     ts = span_samples(pl, args.samples_per_span)
     pos, vel, acc, jerk = pl.curve.eval(ts, (0, 1, 2, 3))
     thrust, phi, theta, p_rate, q_rate = tilt_thrust_rates(acc, jerk, pl.gravity)
@@ -636,17 +626,6 @@ def cmd_export(args) -> int:
         fh.write("".join(line % tuple(row) for row in cols.tolist()))
     print(f"{ts.size} samples written to {args.out}")
     return EXIT_OK
-
-
-def _sample_count(text: str) -> int:
-    """argparse type of --samples-per-span: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _margin_tol(text: str) -> float:
@@ -678,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="dense-sample a plan against its scenario")
     p_verify.add_argument("--scenario", required=True)
     p_verify.add_argument("--plan", help="plan JSON (re-plans when omitted)")
-    p_verify.add_argument("--samples-per-span", type=_sample_count, default=SAMPLES_PER_SPAN)
+    p_verify.add_argument("--samples-per-span", type=int, default=SAMPLES_PER_SPAN)
     p_verify.add_argument("--margin-tol", type=_margin_tol, default=MARGIN_TOL)
     p_verify.add_argument("--tol", type=float, default=None, help="solver tolerance override")
     p_verify.set_defaults(func=cmd_verify)
@@ -696,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--plan", required=True)
     p_export.add_argument("--out", required=True)
     p_export.add_argument("--format", choices=["csv", "document"], default="csv")
-    p_export.add_argument("--samples-per-span", type=_sample_count, default=50)
+    p_export.add_argument("--samples-per-span", type=int, default=50)
     p_export.set_defaults(func=cmd_export)
     return parser
 

@@ -71,7 +71,7 @@ def _finite(name: str, value) -> np.ndarray:
     """
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be numbers: {exc}") from None
     bad = ~np.isfinite(arr)
     if bad.any():
@@ -85,14 +85,19 @@ def _number(doc: dict, name: str, default: float | None = None) -> float:
     """doc[name] as a float, or default where it is absent.
 
     ValueError naming the field unless the value is an int or float (not a
-    bool), and a finite one when the field has no default.
+    bool) that a float can hold, and a finite one when the field has no default.
     """
     value = doc[name] if default is None else doc.get(name, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if default is None and not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        digits = len(str(abs(value)))
+        raise ValueError(f"{name}: a {digits}-digit integer is too large for a float") from None
+    if default is None and not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 @dataclass(frozen=True)
@@ -493,10 +498,11 @@ class TrajectoryPlan:
         zeta_mode = doc["zeta_mode"]
         if zeta_mode not in ("per-span", "scalar"):
             raise ValueError(f"zeta_mode must be 'per-span' or 'scalar', got {zeta_mode!r}")
-        kv = clamped_uniform_knots(t0, tf, n, degree)
+        # The shape bounds n by the document's size before n sizes the knot vector.
         ctrl = _finite("control_points", doc["control_points"])
         if ctrl.shape != (3, n + 1):
             raise ValueError(f"control_points must have shape (3, {n + 1}), got {ctrl.shape}")
+        kv = clamped_uniform_knots(t0, tf, n, degree)
         zeta = _finite("zeta", doc["zeta"])
         size = 1 if zeta_mode == "scalar" else n - degree + 1
         if zeta.shape != (size,):

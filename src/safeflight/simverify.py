@@ -333,7 +333,13 @@ class ConstraintReport:
 
 
 def check_sample_count(spans: int, samples_per_span: int) -> None:
-    """Raise a ValueError if spans * samples_per_span exceeds MAX_SAMPLES."""
+    """Raise a ValueError unless samples_per_span makes a usable grid over spans.
+
+    It must be at least 1, or the error names samples_per_span, and spans *
+    samples_per_span may not exceed MAX_SAMPLES.
+    """
+    if samples_per_span < 1:
+        raise ValueError(f"samples_per_span must be at least 1, got {samples_per_span}")
     if spans * samples_per_span > MAX_SAMPLES:
         raise ValueError(
             f"{samples_per_span} samples per span over {spans} spans exceeds "
@@ -344,7 +350,7 @@ def check_sample_count(spans: int, samples_per_span: int) -> None:
 def span_samples(plan: TrajectoryPlan, samples_per_span: int) -> np.ndarray:
     """Left-closed per-span grids, one linspace over every span, plus the exact final time.
 
-    More than MAX_SAMPLES grid samples is a ValueError, raised before the grid is built.
+    A count that check_sample_count refuses is a ValueError, raised before the grid is built.
     """
     kv = plan.curve.knots
     l = np.array(kv.nonempty_spans())
@@ -372,7 +378,8 @@ def verify_plan(
     Uses only curve evaluation and the flatness maps, so it cross-checks the
     compiled cone constraints rather than restating them. Margins are signed
     slacks; the continuous-time guarantee says none should be negative. A
-    corridor needs one set per nonempty span, else it is a ValueError.
+    corridor needs one set per nonempty span, and samples_per_span a count
+    that check_sample_count accepts, else it is a ValueError.
     """
     kv = plan.curve.knots
     g = plan.gravity
@@ -466,8 +473,8 @@ def verify_span_minima(
     For each span: zeta may not exceed the sampled minimum thrust, and the
     sampled maximum jerk may not exceed omega_max * zeta. Row k of the
     sample grid holds span l = d + k, both ends included, and one curve
-    evaluation covers every row. More than MAX_SAMPLES grid samples is a
-    ValueError, raised before the grid is built.
+    evaluation covers every row. A count that check_sample_count refuses is
+    a ValueError, raised before the grid is built.
     """
     kv = plan.curve.knots
     spans = kv.nonempty_spans()

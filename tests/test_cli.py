@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import importlib.resources
+import inspect
 import json
 import os
 import subprocess
@@ -29,9 +30,18 @@ from safeflight.cli import (
     schema_violation,
 )
 from safeflight.flatness import GRAVITY
-from safeflight.planner import TrajectoryPlan
-from safeflight.simverify import span_samples
+from safeflight.planner import (
+    ConvexRegion,
+    EndpointPins,
+    IntervalConstraint,
+    PlanningScenario,
+    SafetyBounds,
+    TrajectoryPlan,
+    Waypoint,
+)
+from safeflight.simverify import SimConfig, TrackingConfig, span_samples
 from safeflight.splines import SplineCurve
+from safeflight.tracker import CbfParams, PdGains
 
 EXPECTED_BUNDLED = [
     "example1",
@@ -430,6 +440,125 @@ class TestSchemaChecker:
         assert main(["plan", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_PARSE
         assert f"schema violation at {where}: " in capsys.readouterr().err
 
+
+def every_key_dict():
+    """full_dict() made loadable: one corridor set fixes n = degree over [0, 2].
+
+    Its regions share no dict, so an edit changes one node.
+    """
+    doc = json.loads(json.dumps(full_dict()))
+    del doc["spline"]["n"]
+    doc["spline"]["tf"] = 2.0
+    doc["waypoints"][0]["time"] = 1.0
+    for window in doc["windows"]:
+        window.update(t_start=0.5, t_end=1.0)
+    return doc
+
+
+def schema_at(path):
+    """The schema of the node at path, a key per object and "items" per array."""
+    schema = SCENARIO_SCHEMA
+    for key in path:
+        schema = schema["items"] if key == "items" else schema["properties"][key]
+    return schema
+
+
+class TestKeysAreFieldNames:
+    """Each section is passed by key to the library class that owns it.
+
+    Each key must be a parameter of that class, except the angle keys,
+    given in degrees for the radians field ANGLES names, the nested
+    sections (built on their own, as the schema's objects and arrays) and
+    the format tags.
+    """
+
+    ANGLES = {"tilt_max_deg": "tilt_max", "omega_max_deg_s": "omega_max", "psi_deg": "psi"}
+    SECTIONS = [
+        ((), PlanningScenario),
+        (("spline",), PlanningScenario),
+        (("bounds",), SafetyBounds),
+        (("waypoints", "items"), Waypoint),
+        (("endpoints",), EndpointPins),
+        (("windows", "items"), IntervalConstraint),
+        (("tracking",), SimConfig),
+        (("tracking", "cbf"), CbfParams),
+        (("tracking", "gains"), PdGains),
+    ]
+    SHAPES = ("box", "ball", "ellipsoid", "halfspace")
+
+    @pytest.mark.parametrize(
+        "path,cls", SECTIONS, ids=["/".join(p) or "<root>" for p, _ in SECTIONS]
+    )
+    def test_section_keys_are_parameters(self, path, cls):
+        for key, sub in schema_at(path)["properties"].items():
+            section = sub.get("type") == "object" or sub.get("items", {}).get("type") == "object"
+            if section or "const" in sub:
+                continue
+            # psi, the one tracking angle, is the run's yaw, not a SimConfig field.
+            owner = TrackingConfig if key == "psi_deg" else cls
+            assert self.ANGLES.get(key, key) in inspect.signature(owner).parameters, (path, key)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_region_keys_are_constructor_parameters(self, shape):
+        region = schema_at(("corridor", "items"))["properties"]
+        assert set(region) == {"name", *self.SHAPES}
+        params = inspect.signature(getattr(ConvexRegion, shape)).parameters
+        assert {"name", *region[shape]["properties"]} == set(params)
+
+    def test_a_document_with_every_key_loads_into_its_fields(self, tmp_path):
+        doc = every_key_dict()
+        doc["tracking"].update(psi_deg=90.0, substeps=3)
+        sf = load_scenario(write_scenario(tmp_path, doc))
+        planning, tr = sf.planning, sf.tracking
+        assert (planning.t0, planning.tf, planning.n, planning.degree) == (0.0, 2.0, 5, 5)
+        assert (planning.gravity, planning.zeta_mode, planning.solver_tol) == (9.81, "scalar", 1e-8)
+        assert planning.apply_tracking_margins is False
+        names = [r.name for r in planning.bounds.regions]
+        assert names == ["room", "ball", "ellipsoid", "halfspace"]
+        assert [r.name for r in planning.corridor] == ["all"]
+        (wp,) = planning.waypoints
+        assert (wp.position.tolist(), wp.time, wp.radius) == ([0.0, 0.0, 1.0], 1.0, 0.5)
+        position, speed = planning.intervals
+        assert (position.kind, position.region.name, speed.bound) == ("position", "box", 1.0)
+        assert len(planning.pins.initial) == len(planning.pins.final) == 5
+        assert planning.cbf == tr.cbf == CbfParams(**doc["tracking"]["cbf"])
+        assert tr.gains == PdGains(**doc["tracking"]["gains"])
+        assert (tr.sim.control_rate, tr.sim.substeps, tr.sim.duration) == (100.0, 3, 1.0)
+        assert tr.psi == np.pi / 2
+
+
+class TestTooLargeIntegers:
+    """An integer too large for a float exits 2, naming its field, on every command."""
+
+    BIG = 10**400  # 401 digits
+
+    @staticmethod
+    def number_paths():
+        for path, _, schema in walk(every_key_dict(), SCENARIO_SCHEMA):
+            if schema.get("type") == "number":
+                yield path
+
+    @pytest.mark.parametrize("path", list(number_paths()), ids=lambda p: "/".join(map(str, p)))
+    def test_scenario_number_exits_parse_naming_its_path(self, tmp_path, capsys, path):
+        doc = every_key_dict()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = self.BIG
+        scenario = write_scenario(tmp_path, doc)
+        where = "/".join(map(str, path))
+        message = f"{where}: a 401-digit integer is too large for a float"
+        for command in ("plan", "verify", "track"):
+            assert main([command, "--scenario", scenario]) == EXIT_PARSE
+            assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
+
+    def test_past_the_digit_limit_of_int_exits_parse(self, tmp_path, capsys):
+        # Python 3.11 refuses to parse an integer of more than 4300 digits.
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(hover_dict()).replace("v_max: 0.3", "v_max: " + "9" * 5000))
+        assert main(["plan", "--scenario", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "unexpected" not in err
 
 
 class TestScenarioTimes:
@@ -842,7 +971,9 @@ class TestVerifyCommand:
         plan_path = write_plan(tmp_path, hover_plan)
         code = main(["verify", "--scenario", scenario_path, "--plan", plan_path])
         assert code == EXIT_PARSE
-        assert "does not match" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "does not match" in err
+        assert err.startswith(f"error: {plan_path}: plan spline (t0=0.0, tf=10.0, n=12, d=5) ")
 
     def test_corrupt_plan_file_exits_parse(self, tmp_path, capsys):
         path = tmp_path / "plan.json"
@@ -853,10 +984,9 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_sample_count_below_one_exits_parse(self, count, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--scenario", "hover", "--samples-per-span", count])
-        assert exc.value.code == EXIT_PARSE
-        assert "--samples-per-span" in capsys.readouterr().err
+        assert main(["verify", "--scenario", "hover", "--samples-per-span", count]) == EXIT_PARSE
+        message = f"--samples-per-span: samples_per_span must be at least 1, got {count}"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("with_plan", [True, False], ids=["plan-file", "replan"])
     def test_sample_count_past_the_grid_cap_exits_parse(
@@ -1043,10 +1173,23 @@ class TestExportCommand:
     def test_sample_count_below_one_exits_parse(self, tmp_path, hover_plan, count, capsys):
         out = tmp_path / "samples.csv"
         args = ["export", "--plan", write_plan(tmp_path, hover_plan), "--out", str(out)]
-        with pytest.raises(SystemExit) as exc:
-            main(args + ["--samples-per-span", count])
-        assert exc.value.code == EXIT_PARSE
+        args += ["--samples-per-span", count]
+        if count == "two":  # not an integer: argparse refuses it
+            with pytest.raises(SystemExit) as exc:
+                main(args)
+            assert exc.value.code == EXIT_PARSE
+        else:
+            assert main(args) == EXIT_PARSE
         assert "--samples-per-span" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_document_format_checks_the_sample_count(self, tmp_path, hover_plan, count, capsys):
+        out = tmp_path / "out.json"
+        args = ["export", "--plan", write_plan(tmp_path, hover_plan), "--out", str(out)]
+        assert main(args + ["--format", "document", "--samples-per-span", count]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --samples-per-span: samples_per_span must be at least 1")
         assert not out.exists()
 
     def test_sample_count_past_the_grid_cap_exits_parse(self, tmp_path, hover_plan, capsys):
@@ -1106,6 +1249,17 @@ BAD_PLAN_DOCUMENTS = [
     ("list-document", None, "not a plan document"),
     ("format-missing", lambda d: d.pop("format"), "format must be 'safeflight-plan', got None"),
     ("format-other", set_entry("format", value="x"), "format must be 'safeflight-plan', got 'x'"),
+    # An integer too large for a float, and an n that the control points do
+    # not hold, which sized the knot vector before they were checked.
+    ("t0-huge", set_entry("t0", value=10**400), "t0: a 401-digit integer is too large for a float"),
+    ("tf-huge", set_entry("tf", value=10**400), "tf: a 401-digit integer"),
+    ("gravity-huge", set_entry("gravity", value=-(10**400)), "gravity: a 401-digit integer"),
+    ("control-point-huge", set_entry("control_points", 0, 3, value=10**400), "control_points"),
+    ("zeta-huge", set_entry("zeta", 1, value=10**400), "zeta must be numbers"),
+    ("objective-huge", set_entry("objective", value=10**400), "objective: a 401-digit integer"),
+    ("snap-huge", set_entry("snap", value=10**400), "snap: a 401-digit integer"),
+    ("max-residual-huge", set_entry("max_residual", value=10**400), "max_residual: a 401-digit"),
+    ("n-10^12", set_entry("n", value=10**12), "control_points must have shape (3, 1000000000001)"),
 ]
 
 

@@ -412,6 +412,22 @@ class TestSpanSamples:
             with pytest.raises(ValueError, match=f"^{10**15} samples per span .* MAX_SAMPLES"):
                 call(10**15)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one(self, example1_plan, example1_scenario, count):
+        # At 0 per span the grid held only tf, where example1 is at rest, so
+        # the plan verified under a 1e-3 speed cap that it breaks by 0.49;
+        # the minima raised numpy's unnamed empty-argmin error.
+        bounds = dataclasses.replace(example1_scenario.planning.bounds, v_max=1e-3)
+        message = f"^samples_per_span must be at least 1, got {count}$"
+        for call in (
+            lambda s: span_samples(example1_plan, s),
+            lambda s: verify_plan(example1_plan, bounds, samples_per_span=s),
+            lambda s: verify_span_minima(example1_plan, bounds.omega_max, s),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call(count)
+        assert verify_plan(example1_plan, bounds).min_margin < -0.4
+
 
 class TestTrace:
     def make_trace(self, hover_plan, rate=50.0, duration=1.0):
