@@ -7,13 +7,14 @@ of scenarios ship inside the package and can be named directly (see
 error, 3 infeasible plan, 4 failed verification or tracking certificate,
 5 unexpected runtime failure. The schema checks the document's shape and
 types. One pass then makes every number a float and every integer an int;
-a number too large for a float exits 2. A scenario key is the field name of
-the library class that owns its section, which takes the section by name
-and holds every default and value check (for a flag's grid, that is
-check_sample_count). Only the angles differ: written in degrees under
-_DEGREES' keys, they are converted to radians. The CLI builds each object
-through one wrapper, which reports a ValueError as exit 2, prefixed with
-the scenario file and the field's YAML path, or the flag.
+a number too large for a float, or an integer beyond +-2**53, exits 2. A
+scenario key is the field name of the library class that owns its section,
+which takes the section by name and holds every default and value check
+(for a flag's grid, that is check_sample_count). Only the angles differ:
+written in degrees under _DEGREES' keys, they are converted to radians.
+The CLI builds each object through one wrapper, which reports a ValueError
+as exit 2, prefixed with the scenario file and the field's YAML path, or
+the flag.
 A plan that leaves the flatness map's domain (a free-fall sample with no
 thrust direction, a thrust axis along the yaw heading's normal, or a sample
 or command whose thrust points down, which asks for inverted flight) fails
@@ -52,6 +53,7 @@ from .planner import (
     SafetyBounds,
     TrajectoryPlan,
     Waypoint,
+    exact_int,
     plan,
 )
 from .simverify import (
@@ -335,9 +337,10 @@ def load_scenario(source: str) -> ScenarioFile:
 
     Raises:
         ScenarioError: for YAML errors, schema violations, an integer too
-            large for a float, or a value that one of the library's
-            dataclasses rejects; the message starts with the source and
-            names the field by its YAML path.
+            large for a float or, in an integer field, beyond +-2**53, or
+            a value that one of the library's dataclasses rejects; the
+            message starts with the source and names the field by its YAML
+            path.
     """
     text, desc = _resolve_source(source)
     # libyaml's loader parses about ten times faster; PyYAML may be built without it.
@@ -362,7 +365,8 @@ def load_scenario(source: str) -> ScenarioFile:
 def _converted(value, schema: dict, path: tuple = ()):
     """A schema-valid value with every schema number a float and every integer an int.
 
-    An integer too large for a float is a ValueError naming its YAML path.
+    A number too large for a float, or an integer beyond +-2**53, is a
+    ValueError naming its YAML path.
     """
     kind = schema.get("type")
     if kind == "number":
@@ -373,7 +377,7 @@ def _converted(value, schema: dict, path: tuple = ()):
             message = f"a {digits}-digit integer is too large for a float"
             raise ValueError(f"{'/'.join(map(str, path))}: {message}") from None
     if kind == "integer":
-        return int(value)
+        return exact_int("/".join(map(str, path)), int(value))
     if kind == "object":
         props = schema["properties"]
         return {k: _converted(v, props[k], path + (k,)) for k, v in value.items()}

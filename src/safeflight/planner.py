@@ -100,6 +100,17 @@ def _number(doc: dict, name: str, default: float | None = None) -> float:
     return number
 
 
+def exact_int(name: str, value: int) -> int:
+    """value, or a ValueError naming the field and its digit count where |value| > 2**53.
+
+    Past 2**53 a float no longer holds every integer, and the error never
+    prints the integer itself, which may run to hundreds of digits.
+    """
+    if abs(value) > 2**53:
+        raise ValueError(f"{name}: a {len(str(abs(value)))}-digit integer is beyond 2**53")
+    return value
+
+
 @dataclass(frozen=True)
 class SocSet:
     """One membership constraint ||A p + b|| <= c' p + d on a point p in R^3.
@@ -476,9 +487,9 @@ class TrajectoryPlan:
 
         Raises:
             ValueError: naming the field, unless doc is a dict in the plan
-                format whose n and degree are ints, whose t0, tf and gravity
-                are finite numbers and gravity positive, whose control_points
-                are finite with shape (3, n + 1), whose zeta_mode is
+                format whose n and degree are ints within +-2**53, whose t0,
+                tf and gravity are finite numbers and gravity positive, whose
+                control_points are finite with shape (3, n + 1), whose zeta_mode is
                 "per-span" or "scalar" with finite zeta of n - degree + 1
                 values or of one, and whose objective, snap and max_residual,
                 where given, are numbers.
@@ -492,6 +503,7 @@ class TrajectoryPlan:
         for name, value in (("n", n), ("degree", degree)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            exact_int(name, value)
         t0, tf, gravity = (_number(doc, name) for name in ("t0", "tf", "gravity"))
         if gravity <= 0:
             raise ValueError(f"gravity must be positive, got {gravity}")

@@ -28,8 +28,9 @@ Derivative control points are banded: the order-r point j is a weighted
 difference of control points j - r .. j. Those r + 1 weights per point, the
 derivative stencil, come from one bidiagonal difference recursion per knot
 vector, vectorized over the points, and build the derivative control points.
-The snap Gram matrix integrates the span power basis's fourth derivative
-exactly, from the moments of s over each span. Equal knot arguments give one
+The snap Gram matrix Q = G'G is built from an exact banded factor G: on
+each span, the fourth derivative of the span power basis times a Cholesky
+factor of the moments of s over the span. Equal knot arguments give one
 shared KnotVector from a bounded cache, so plans over the same knots build
 each of these tables once.
 """
@@ -456,22 +457,22 @@ def derivative_control_points(curve: SplineCurve, r: int) -> DerivativePoints:
 
 
 def snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix of fourth-derivative inner products, and a square-root factor.
+    """Gram matrix of fourth-derivative inner products, and its banded square-root factor.
 
     For a single-axis curve with coefficients x over these knots,
     x @ Q @ x equals the integral of the squared fourth derivative over
     [t0, tf]. Built in closed form, span by span: the fourth derivative of
-    the span's power basis (columns 4..d, column k + 4 scaled by
-    (k + 4)! / k!) is a polynomial in s = t - mid of degree d - 4, and the
-    integral of s**(i + j) over the span [-h/2, h/2] is 2 (h/2)**(i + j + 1)
-    / (i + j + 1) for even i + j and 0 otherwise. With those moments M and
-    the derivative columns P4, each span adds its (d + 1)-square block
-    P4 M P4' into Q.
+    the span's power basis, P4 (columns 4..d, column k + 4 scaled by
+    (k + 4)! / k!), is a polynomial in s = t - mid of degree d - 4. The
+    moments of s over the span [-h/2, h/2] are D H D, with D =
+    diag((h/2)**(i + 1/2)) and H the moments of u on [-1, 1] (2 / (i + j + 1)
+    for even i + j, else 0), so chol(H)' D P4' factors the span's share.
 
     Returns:
-        (Q, G) with Q of shape (n+1, n+1) positive semidefinite and
-        G.T @ G == Q, where G keeps only eigenpairs above 1e-12 * max_eig.
-        Both are memoized per knot vector and read-only.
+        (Q, G) with Q = G.T @ G of shape (n+1, n+1), positive semidefinite,
+        and G stacking the span factors: d - 3 rows per nonempty span l,
+        nonzero only in columns l - d .. l. Both are memoized per knot
+        vector and read-only.
 
     Raises:
         ValueError: for degree < 4, or a Q that is not finite, as over
@@ -504,22 +505,20 @@ def max_span_width(degree: int) -> float:
 
 def _build_snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     d, n = knots.degree, knots.n
-    l = np.arange(d, n + 1)
+    k = np.arange(d - 3)  # the snap's powers of s on a span: 0 .. d - 4
+    e = k[:, None] + k
+    H = np.where(e % 2 == 0, 2.0 / (e + 1), 0.0)  # moments of u**e on [-1, 1]
     rows, scale = (a[_order_rows(d, 4)] for a in _table_layout(d))
     P4 = knots._span_power_basis[:, :, rows] * scale
-    e = rows[:, None] + rows - 8  # i + j: row k + 4 gives the snap's s**k
-    half = 0.5 * (knots.tau[l + 1] - knots.tau[l])[:, None, None]
-    M = np.where(e % 2 == 0, 2.0 * half ** (e + 1) / (e + 1), 0.0)
-    blocks = P4 @ M @ P4.transpose(0, 2, 1)
-    idx = l[:, None] - d + np.arange(d + 1)
-    flat = (idx[:, :, None] * (n + 1) + idx[:, None, :]).ravel()
-    Q = np.bincount(flat, blocks.ravel(), minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
+    half = 0.5 * np.diff(knots.tau[d : n + 2])[:, None, None]
+    F = P4 * half ** (k + 0.5) @ np.linalg.cholesky(H)  # span l's factor, transposed
+    i = np.arange(n - d + 1)[:, None]
+    G = np.zeros((n - d + 1, d - 3, n + 1))
+    G[i, :, i + np.arange(d + 1)] = F
+    G = G.reshape(-1, n + 1)
+    Q = G.T @ G
     if not np.isfinite(Q).all():
         raise ValueError(f"snap Gram is not finite over spans {2.0 * half.min():g} s wide")
-    Q = 0.5 * (Q + Q.T)
-    evals, vecs = np.linalg.eigh(Q)
-    keep = evals > 1e-12 * evals[-1]
-    G = (vecs[:, keep] * np.sqrt(evals[keep])).T
     Q.setflags(write=False)
     G.setflags(write=False)
     return Q, G

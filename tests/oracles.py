@@ -58,11 +58,11 @@ replace, and DensePlanAssembly compiles every family as rows over all
 3(n + 1) control-point columns, with waypoints and endpoint pins read off
 cox_de_boor_matrix rows, each cone of a membership family placed one by
 one, and the snap epigraph of each axis added on its own over
-dense_snap_gram: the Gram matrix of the degree d - 4 basis by Gauss-Legendre
-quadrature, conjugated with the dense B_4, where the package integrates the
-span power basis in closed form. dense_compile_plan runs the
-families in compile_plan's order, so the two models must agree in census,
-rows, nonzero pattern and right-hand side.
+dense_snap_gram: the dense B_4 rows at the Gauss-Legendre nodes of every
+span, each scaled by the square root of its weight, which factor the Gram
+matrix that the package builds from the span power basis in closed form.
+dense_compile_plan runs the families in compile_plan's order, so the two
+models must agree in census, rows, nonzero pattern and right-hand side.
 """
 
 import csv
@@ -542,19 +542,14 @@ def dense_derivative_matrix(knots: KnotVector, r: int) -> np.ndarray:
 
 
 def dense_snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
-    """Snap Gram matrix B_4 W B_4' from the dense basis at every quadrature node, and its factor."""
+    """Snap Gram matrix G'G and G, each node's fourth-derivative row times sqrt(its weight)."""
     k = knots.degree - 4
     nodes, weights = np.polynomial.legendre.leggauss(k + 1)
     l = np.array(knots.nonempty_spans())[:, None]
     a, b = knots.tau[l], knots.tau[l + 1]
     lam = cox_de_boor_matrix(knots.tau, k, (0.5 * (b - a) * nodes + 0.5 * (a + b)).ravel())
-    W = lam.T @ ((0.5 * (b - a) * weights).reshape(-1, 1) * lam)
-    B4 = dense_derivative_matrix(knots, 4)
-    Q = B4 @ W @ B4.T
-    Q = 0.5 * (Q + Q.T)
-    evals, vecs = np.linalg.eigh(Q)
-    keep = evals > 1e-12 * evals[-1]
-    return Q, (vecs[:, keep] * np.sqrt(evals[keep])).T
+    G = np.sqrt(0.5 * (b - a) * weights).reshape(-1, 1) * lam @ dense_derivative_matrix(knots, 4).T
+    return G.T @ G, G
 
 
 class DensePlanAssembly(PlanAssembly):

@@ -38,6 +38,7 @@ from safeflight.planner import (
     SafetyBounds,
     TrajectoryPlan,
     Waypoint,
+    exact_int,
 )
 from safeflight.simverify import SimConfig, TrackingConfig, span_samples
 from safeflight.splines import SplineCurve
@@ -559,6 +560,55 @@ class TestTooLargeIntegers:
         assert main(["plan", "--scenario", str(path)]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "unexpected" not in err
+
+
+class TestIntegersBeyondExactFloats:
+    """An integer field beyond +-2**53 exits 2 with one short line naming it, not the integer."""
+
+    @staticmethod
+    def assert_one_short_line(err, want):
+        assert err == want + "\n"
+        assert len(want) <= 120
+
+    @pytest.mark.parametrize(
+        "section, key, value, digits",
+        [
+            ("spline", "n", 1.0e300, 301),
+            ("spline", "degree", 1.0e300, 301),
+            ("spline", "n", 10**400, 401),
+            ("tracking", "substeps", 1.0e300, 301),
+        ],
+    )
+    def test_scenario_field_exits_parse(
+        self, tmp_path, capsys, monkeypatch, section, key, value, digits
+    ):
+        doc = hover_dict()
+        doc[section][key] = value
+        monkeypatch.chdir(tmp_path)
+        Path("big.yaml").write_text(yaml.safe_dump(doc))
+        assert main(["plan", "--scenario", "big.yaml"]) == EXIT_PARSE
+        want = f"error: big.yaml: {section}/{key}: a {digits}-digit integer is beyond 2**53"
+        self.assert_one_short_line(capsys.readouterr().err, want)
+
+    @pytest.mark.parametrize("command", ["verify", "track", "export"])
+    @pytest.mark.parametrize("field", ["n", "degree"])
+    def test_plan_document_field_exits_parse(
+        self, tmp_path, hover_plan, capsys, monkeypatch, command, field
+    ):
+        doc = hover_plan.to_dict()
+        doc[field] = 10**400
+        monkeypatch.chdir(tmp_path)
+        Path("big.json").write_text(json.dumps(doc))
+        assert main(TestBadPlanDocument.args(command, "big.json", tmp_path)) == EXIT_PARSE
+        want = f"error: cannot load plan 'big.json': {field}: a 401-digit integer is beyond 2**53"
+        self.assert_one_short_line(capsys.readouterr().err, want)
+        assert not (tmp_path / "samples.csv").exists()
+
+    def test_bound_is_2_to_the_53(self):
+        assert exact_int("n", 2**53) == 2**53
+        assert exact_int("n", -(2**53)) == -(2**53)
+        with pytest.raises(ValueError, match=r"^n: a 16-digit integer is beyond 2\*\*53$"):
+            exact_int("n", 2**53 + 1)
 
 
 class TestScenarioTimes:

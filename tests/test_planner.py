@@ -485,8 +485,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("degree", range(4, 13))
     def test_span_width_limits_are_accepted(self, degree):
-        # Both limits load; at the widest spans the snap Gram keeps as many
-        # eigenpairs as over 1 s spans.
+        # Both limits load; at the widest spans the snap Gram's factor has as
+        # many rows as over 1 s spans, d - 3 per span.
         n, spans = degree + 5, 6
         small_scenario(tf=min_span_width(degree) * spans, n=n, degree=degree)
         widest = small_scenario(tf=max_span_width(degree) * spans, n=n, degree=degree)

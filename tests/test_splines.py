@@ -7,6 +7,7 @@ from scipy.interpolate import BSpline
 from scipy.optimize import nnls
 
 from oracles import cox_de_boor_matrix, dense_derivative_matrix, dense_snap_gram
+from safeflight.cli import bundled_scenarios, load_scenario
 from safeflight.splines import (
     KnotVector,
     SplineCurve,
@@ -495,6 +496,32 @@ class TestSnapGram:
             x = rng.normal(size=15)
             assert x @ Q @ x == pytest.approx(np.sum((G @ x) ** 2), rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("degree", range(4, 10))
+    def test_factor_is_banded_per_span(self, degree):
+        # d - 3 rows per nonempty span, each reading only that span's d + 1
+        # control points l - d .. l.
+        for n in (degree, degree + 7, 40):
+            kv = clamped_uniform_knots(0.0, 12.0, n, degree)
+            _, G = snap_gram(kv)
+            assert G.shape == ((degree - 3) * (n - degree + 1), n + 1)
+            for i, l in enumerate(kv.nonempty_spans()):
+                band = np.zeros(n + 1, dtype=bool)
+                band[l - degree : l + 1] = True
+                rows = G[i * (degree - 3) : (i + 1) * (degree - 3)]
+                assert not rows[:, ~band].any()
+
+    @pytest.mark.parametrize("name", bundled_scenarios())
+    def test_factor_does_not_move_with_the_knots(self, name):
+        # Shifting a mission in time changes the knots' last bits only, and
+        # the factor, like the Gram matrix, must move by as little.
+        ps = load_scenario(name).planning
+        _, G = snap_gram(clamped_uniform_knots(ps.t0, ps.tf, ps.n, ps.degree))
+        for shift in (1.0, 1000.0):
+            kv = clamped_uniform_knots(ps.t0 + shift, ps.tf + shift, ps.n, ps.degree)
+            _, moved = snap_gram(kv)
+            assert moved.shape == G.shape
+            assert np.abs(moved - G).max() <= 1e-11 * np.abs(G).max()
+
     def test_gram_is_psd_and_symmetric(self):
         kv = clamped_uniform_knots(0.0, 5.0, 10, 5)
         Q, _ = snap_gram(kv)
@@ -523,7 +550,7 @@ class TestSnapGram:
             kv = clamped_uniform_knots(0.0, min_span_width(degree) * (n - degree + 1), n, degree)
             Q, G = snap_gram(kv)
             assert np.isfinite(Q).all() and np.isfinite(G).all() and G.shape[0] > 0
-        # Far narrower spans overflow, and the build says so before eigh.
+        # Far narrower spans overflow, and the build says so.
         kv = clamped_uniform_knots(0.0, 1e-300, degree + 3, degree)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="^snap Gram is not finite"):
             snap_gram(kv)
