@@ -232,21 +232,26 @@ class ConvexRegion:
         cones = [cone for cone, lin in zip(self.cones, linear.tolist()) if not lin]
         return cones, c[linear].T, d[linear]
 
-    def margin(self, p: np.ndarray) -> np.ndarray:
-        """Worst slack over the member cones; nonnegative inside. Batched.
+    @cached_property
+    def _table_key(self) -> tuple[bytes, ...]:
+        """The bytes of _stacked: regions with equal keys have bitwise-equal margins."""
+        return tuple(part.tobytes() for part in self._stacked)
 
-        The half-spaces are the cones that _stacked, the compiler's table,
-        marks linear; _margin_split picks them out once per region. They
-        are evaluated together, as one product with their stacked normals,
-        and reduced one column of that product at a time: the minimum is
-        exact, so this is .min(axis=-1) without numpy's per-sample inner
-        loop over the faces.
+    def margin(self, p: np.ndarray) -> np.ndarray:
+        """Worst slack over the member cones; nonnegative inside.
+
+        Batched over the leading axes of p, shape (..., 3). The half-spaces
+        are the cones that _stacked, the compiler's table, marks linear;
+        _margin_split picks them out once per region. They are evaluated
+        together, as one product with their stacked normals, and reduced
+        one face of that product at a time: the minimum is exact, so this
+        is .min(axis=-1) without numpy's per-sample inner loop over the faces.
         """
         p = np.asarray(p, dtype=float)
         cones, normals, offsets = self._margin_split
         worst = [cone.margin(p) for cone in cones]
         if offsets.size:
-            worst.append(reduce(np.minimum, (p @ normals + offsets).T))
+            worst.append(reduce(np.minimum, np.moveaxis(p @ normals + offsets, -1, 0)))
         return reduce(np.minimum, worst)
 
 
@@ -558,6 +563,7 @@ class PlanAssembly:
         self.n = kv.n
         self.ctrl_cols = np.arange(3 * (kv.n + 1))
         self.cp = ConeProgram(self.ctrl_cols.size)
+        self._point_blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # order -> block
 
     # -- variable addressing
 
@@ -574,10 +580,11 @@ class PlanAssembly:
         run of axis a.
         """
         k, w = W.shape
-        rows = np.zeros((k, 3, 3, w))
-        rows[:, [0, 1, 2], [0, 1, 2]] = W[:, None]
+        rows = np.zeros((k, 3, 3 * w))
+        for a in range(3):
+            rows[:, a, a * w : (a + 1) * w] = W
         cols = np.asarray(first)[:, None, None] + (self.n + 1) * np.arange(3)[:, None]
-        return rows.reshape(k, 3, 3 * w), (cols + np.arange(w)).reshape(k, 3 * w)
+        return rows, (cols + np.arange(w)).reshape(k, 3 * w)
 
     def point_rows(self, r: int, js) -> tuple[np.ndarray, np.ndarray]:
         """Rows picking derivative control points js of order r on every axis.
@@ -585,12 +592,20 @@ class PlanAssembly:
         Returns (rows, cols) of shapes (k, 3, 3(r+1)) and (k, 3(r+1)): point
         js[k] is made from control points js[k] - r .. js[k], so row [k, a]
         applied to x[cols[k]] gives points[a, js[k]] of
-        derivative_control_points(curve, r).
+        derivative_control_points(curve, r). They are picked from the
+        order's block of every point r .. n, which the assembly builds once
+        and keeps read-only, so families on the same order share it.
         """
-        js = np.asarray(js, dtype=int).reshape(-1)
-        if np.any(js < r) or np.any(js > self.n):
+        at = np.asarray(js, dtype=int).reshape(-1) - r  # rows of the block
+        if at.size and (at.min() < 0 or at.max() > self.n - r):
             raise ValueError(f"order-{r} derivative points lie in [{r}, {self.n}]")
-        return self._axis_blocks(self.kv.derivative_stencil(r)[js - r], js - r)
+        block = self._point_blocks.get(r)
+        if block is None:
+            block = self._axis_blocks(self.kv.derivative_stencil(r), np.arange(self.n - r + 1))
+            for part in block:
+                part.flags.writeable = False
+            self._point_blocks[r] = block
+        return block[0].take(at, axis=0), block[1].take(at, axis=0)
 
     def _add_membership(self, js: np.ndarray, cones: np.ndarray, stack, label: str) -> None:
         """Control point js[i] inside cone cones[i] of the stack, for every i.
@@ -627,7 +642,7 @@ class PlanAssembly:
 
     def compile_velocity(self, v_max: float, js=None, label: str = "velocity") -> None:
         """||velocity point j|| <= v_max for j in 1..n (or the given ones)."""
-        rows, cols = self.point_rows(1, range(1, self.n + 1) if js is None else js)
+        rows, cols = self.point_rows(1, np.arange(1, self.n + 1) if js is None else js)
         k = rows.shape[0]
         zeros = np.zeros(cols.shape)
         self.cp.add_soc(rows, np.zeros((k, 3)), zeros, np.full(k, v_max), cols, label)
@@ -641,7 +656,7 @@ class PlanAssembly:
         if margin >= self.g:
             raise MarginInfeasibleError(f"tilt margin {margin:.3f} exceeds gravity")
         cot = abs(1.0 / np.tan(tilt_max))
-        rows, cols = self.point_rows(2, range(2, self.n + 1))
+        rows, cols = self.point_rows(2, np.arange(2, self.n + 1))
         k = rows.shape[0]
         d = np.full(k, self.g - margin)
         self.cp.add_soc(cot * rows[:, :2], np.zeros((k, 2)), rows[:, 2], d, cols, "tilt")
@@ -651,7 +666,7 @@ class PlanAssembly:
 
         ||V_j + g e3|| <= thrust_max and V_j,z >= thrust_min - g.
         """
-        rows, cols = self.point_rows(2, range(2, self.n + 1))
+        rows, cols = self.point_rows(2, np.arange(2, self.n + 1))
         k = rows.shape[0]
         b, zeros = np.tile([0.0, 0.0, self.g], (k, 1)), np.zeros(cols.shape)
         self.cp.add_soc(rows, b, zeros, np.full(k, thrust_max), cols, "thrust-upper")

@@ -312,6 +312,14 @@ class ConstraintCheck:
 
 @dataclass(frozen=True)
 class ConstraintReport:
+    """The checks of one verifier, and the size of the grid it sampled.
+
+    samples counts the grid times at which the verifier evaluated the
+    curve: for verify_plan the span grid, spans * samples_per_span plus the
+    final knot (its point checks and corridor grid not included); for
+    verify_span_minima spans * samples_per_span, both ends of each span.
+    """
+
     checks: tuple[ConstraintCheck, ...]
     samples: int
 
@@ -453,13 +461,21 @@ def verify_plan(
 
     if regions is not None:
         # Region l covers span d + l - 1: one (regions, samples) grid, both
-        # span ends included, and one curve evaluation for all of them.
+        # span ends included, and one curve evaluation for all of them. Sets
+        # with equal cone tables share one margin call over all their spans'
+        # rows, which still multiplies each span's (samples, 3) block alone.
         spans = kv.degree + np.arange(len(regions))
         seg = np.linspace(kv.tau[spans], kv.tau[spans + 1], samples_per_span, axis=1)
-        seg_pos = plan.curve.eval(seg.ravel(), 0)
-        for l, region in enumerate(regions, start=1):
-            rows = slice((l - 1) * samples_per_span, l * samples_per_span)
-            m, wt = _worst(seg[l - 1], region.margin(seg_pos[rows]))
+        seg_pos = plan.curve.eval(seg.ravel(), 0).reshape(seg.shape + (3,))
+        same: dict[tuple[bytes, ...], list[int]] = {}
+        for l, region in enumerate(regions):
+            same.setdefault(region._table_key, []).append(l)
+        margins = np.empty(seg.shape)
+        for rows in same.values():
+            margins[rows] = regions[rows[0]].margin(seg_pos[rows])
+        worst = margins.argmin(axis=1)
+        for l, (region, i) in enumerate(zip(regions, worst.tolist()), start=1):
+            m, wt = float(margins[l - 1, i]), float(seg[l - 1, i])
             checks.append(ConstraintCheck(f"corridor[{l}]:{region.name or 'set'}", m, wt))
 
     return ConstraintReport(checks=tuple(checks), samples=ts.size)
@@ -501,4 +517,4 @@ def verify_span_minima(
     for span, z, m1, wt1, m2, wt2 in worst:
         checks.append(ConstraintCheck(f"span[{span}]:thrust-floor", m1, wt1, f"zeta {z:.4f}"))
         checks.append(ConstraintCheck(f"span[{span}]:jerk-cone", m2, wt2))
-    return ConstraintReport(checks=tuple(checks), samples=samples_per_span)
+    return ConstraintReport(checks=tuple(checks), samples=seg.size)

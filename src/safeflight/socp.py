@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,28 +59,35 @@ class Solution:
 
 
 class _Rows:
-    """The constraints of one cone kind as triplets of A x + s = b.
+    """The constraints of one cone kind as triplets of A x + s = b, one entry per batch.
 
-    Row indices count from the kind's first row; sizes holds the row count of
-    each constraint and codes the label index of each row.
+    Row indices count from the kind's first row. Each add is one batch:
+    its triplets come in the C order of its (k, m, c) coefficients, as
+    np.nonzero gives them, and batches holds its label code, its
+    constraint count k and its rows per constraint m.
     """
 
     def __init__(self):
         empty = np.zeros(0, dtype=int)
-        self.rows, self.cols, self.sizes, self.codes = [empty], [empty], [empty], [empty]
-        self.vals, self.rhs = [np.zeros(0)], [np.zeros(0)]
+        self.rows, self.cols, self.vals, self.rhs = [empty], [empty], [np.zeros(0)], [np.zeros(0)]
+        self.batches: list[tuple[int, int, int]] = []  # (code, k, m) of each batch
         self.num_rows = 0
 
     def add(self, coeffs: np.ndarray, cols: np.ndarray, rhs: np.ndarray, code: int) -> None:
-        """Append k constraints: coeffs (k, m, c) over cols (k, c), rhs (k, m)."""
-        k, m, _ = coeffs.shape
-        i, r, c = np.nonzero(coeffs)
-        self.rows.append(self.num_rows + i * m + r)
-        self.cols.append(cols[i, c])
-        self.vals.append(coeffs[i, r, c])
-        self.rhs.append(rhs.ravel())
-        self.sizes.append(np.full(k, m))
-        self.codes.append(np.full(k * m, code))
+        """Append k constraints: coeffs (k, m, c) over cols (k, c), rhs (k, m).
+
+        One flat nonzero over the coefficients gives every triplet: entry at
+        of the flat coefficients lies on row at // c of the batch, and its
+        column is entry at of cols with each row repeated m times.
+        """
+        k, m, c = coeffs.shape
+        flat = coeffs.reshape(-1)
+        at = flat.nonzero()[0]
+        self.rows.append(self.num_rows + at // c)
+        self.cols.append(cols.repeat(m, axis=0).take(at))
+        self.vals.append(flat.take(at))
+        self.rhs.append(rhs.reshape(-1))
+        self.batches.append((code, k, m))
         self.num_rows += k * m
 
 
@@ -93,7 +101,8 @@ class ConeProgram:
         self._f = np.zeros(self.num_vars)
         self._kinds = {"eq": _Rows(), "ineq": _Rows(), "soc": _Rows()}
         self._labels: dict[str, int] = {}  # label -> code, in order of first use
-        self._codes: list[int] = []  # label code of each constraint, in order added
+        # The label code of each constraint, one array per batch, in order added.
+        self._codes: list[np.ndarray] = [np.zeros(0, dtype=int)]
 
     # ------------------------------------------------------------------ model
 
@@ -185,12 +194,17 @@ class ConeProgram:
 
     def _check_cols(self, cols, k: int = 1) -> np.ndarray:
         """Column indices as a (k, c) array; a single row serves the whole batch."""
-        cols = np.atleast_2d(np.asarray(cols, dtype=int))
+        cols = np.asarray(cols, dtype=int)
+        if cols.ndim < 2:
+            cols = cols.reshape(1, -1)
         if cols.ndim != 2 or cols.shape[0] not in (1, k):
             raise ValueError(f"column index rows {cols.shape} do not fit a batch of {k}")
-        if cols.shape[1] == 0 or cols.size and (cols.min() < 0 or cols.max() >= self.num_vars):
-            raise ValueError(f"column indices out of range [0, {self.num_vars})")
+        # One sort serves both checks: the range reads the ends of the sorted rows.
         ordered = np.sort(cols, axis=1)
+        if cols.shape[1] == 0 or cols.size and (
+            ordered[:, 0].min() < 0 or ordered[:, -1].max() >= self.num_vars
+        ):
+            raise ValueError(f"column indices out of range [0, {self.num_vars})")
         if (ordered[:, 1:] == ordered[:, :-1]).any():
             raise ValueError("column indices must be unique within a constraint")
         return cols if cols.shape[0] == k else np.broadcast_to(cols, (k, cols.shape[1]))
@@ -199,7 +213,7 @@ class ConeProgram:
         if not rhs.shape[0]:
             return
         code = self._labels.setdefault(label, len(self._labels))
-        self._codes += [code] * rhs.shape[0]
+        self._codes.append(np.full(rhs.shape[0], code))
         self._kinds[kind].add(coeffs, cols, rhs, code)
 
     # ------------------------------------------------------------- inspection
@@ -207,29 +221,38 @@ class ConeProgram:
     def block_labels(self) -> list[str]:
         """The label of each constraint, in the order they were added."""
         names = list(self._labels)
-        return [names[code] for code in self._codes]
+        return [names[code] for code in np.concatenate(self._codes).tolist()]
 
     def block_counts(self) -> dict[str, int]:
         """Number of constraints per label, for infeasibility diagnostics."""
-        counts = np.bincount(self._codes, minlength=len(self._labels))
+        counts = np.bincount(np.concatenate(self._codes), minlength=len(self._labels))
         return dict(zip(self._labels, counts.tolist()))
 
     def residuals(self, x: np.ndarray) -> dict[str, float]:
-        """Worst violation per label at the point x.
+        """Worst violation per label at the point x, which must have shape (num_vars,).
 
         With s = b - A x, equality rows contribute |s|, inequality rows (-s)+
         and each second-order cone (||s_1|| - s_0)+, which for its constraint
-        is (||A x + b|| - c'x - d)+.
+        is (||A x + b|| - c'x - d)+. Each batch's worst is one reduction.
         """
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.num_vars,):
+            raise ValueError(f"point has shape {x.shape}, expected num_vars = ({self.num_vars},)")
         rows, cols, vals, b, cones = self._triplets()
-        s = b - np.bincount(rows, vals * np.asarray(x, dtype=float)[cols], minlength=b.size)
+        s = b - np.bincount(rows, vals * x[cols], minlength=b.size)
         lin = cones.zero + cones.nonneg
         alg = _ConeAlgebra(0, cones.soc)
         cone = np.sqrt(alg.tail_dot(s[lin:], s[lin:])) - s[lin:][alg.starts]
-        violation = np.concatenate([np.abs(s[: cones.zero]), -s[cones.zero : lin], cone[alg.cone]])
-        codes = np.concatenate([c for part in self._kinds.values() for c in part.codes])
+        # One violation per linear row and one per cone, batch after batch.
+        violation = np.concatenate([np.abs(s[: cones.zero]), -s[cones.zero : lin], cone])
+        eq, ineq, soc = self._kinds.values()
+        batches = [(code, k * m) for code, k, m in eq.batches + ineq.batches]
+        batches += [(code, k) for code, k, _ in soc.batches]
+        codes, sizes = np.array(batches, dtype=int).reshape(-1, 2).T
+        full = sizes > 0  # an equality batch may have no rows
+        starts = (np.cumsum(sizes) - sizes)[full]
         worst = np.zeros(len(self._labels))
-        np.maximum.at(worst, codes, violation)
+        np.maximum.at(worst, codes[full], np.maximum.reduceat(violation, starts))
         return dict(zip(self._labels, worst.tolist()))
 
     def max_residual(self, x: np.ndarray) -> float:
@@ -247,7 +270,7 @@ class ConeProgram:
             raise ValueError(f"tolerance {tol} out of range")
         if max_iter < 0:
             raise ValueError(f"max_iter {max_iter} is negative")
-        if not self._codes:
+        if not self._labels:
             raise ValueError("cone program has no constraints")
 
         A, b, cones = self._assemble()
@@ -279,7 +302,10 @@ class ConeProgram:
             rhs += part.rhs
             offset += part.num_rows
         eq, ineq, soc = self._kinds.values()
-        cones = _Cones(eq.num_rows, ineq.num_rows, tuple(np.concatenate(soc.sizes).tolist()))
+        dims = []
+        for _, k, m in soc.batches:
+            dims += [m] * k
+        cones = _Cones(eq.num_rows, ineq.num_rows, tuple(dims))
         parts = (np.concatenate(v) for v in (rows, cols, vals, rhs))
         return (*parts, cones)
 
@@ -331,10 +357,17 @@ class _ConeAlgebra:
         self.l = int(nonneg)
         self.degree = self.l + self.dims.size
         self.starts = np.cumsum(self.dims) - self.dims  # head row of each cone
-        self.cone = np.repeat(np.arange(self.dims.size), self.dims)  # cone of each row
+
+    @cached_property
+    def cone(self) -> np.ndarray:
+        """The cone of each SOC row."""
+        return np.repeat(np.arange(self.dims.size), self.dims)
+
+    @cached_property
+    def identity(self) -> np.ndarray:
         head = np.zeros(int(self.dims.sum()))
         head[self.starts] = 1.0
-        self.identity = np.concatenate([np.ones(self.l), head])
+        return np.concatenate([np.ones(self.l), head])
 
     def seg(self, v: np.ndarray) -> np.ndarray:
         """Per-cone sums over the rows of SOC vectors (axis 0)."""

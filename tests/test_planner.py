@@ -523,6 +523,52 @@ class TestAssemblyLayout:
             assert_allclose(got, want.T, rtol=1e-13, atol=1e-13)
 
 
+class TestPointBlocks:
+    """Each derivative order's point block is built once per assembly."""
+
+    @staticmethod
+    def orders_built(monkeypatch, scenarios):
+        """Orders whose stencil reached _axis_blocks, per compile_plan call."""
+        built = []
+        axis_blocks = PlanAssembly._axis_blocks
+
+        def counted(asm, W, first):
+            stencils = [asm.kv.derivative_stencil(r) for r in range(asm.kv.degree + 1)]
+            built[-1] += [r for r, S in enumerate(stencils) if W is S]
+            return axis_blocks(asm, W, first)
+
+        monkeypatch.setattr(PlanAssembly, "_axis_blocks", counted)
+        for ps in scenarios:
+            built.append([])
+            compile_plan(ps)
+        return built
+
+    @pytest.mark.parametrize("name", bundled_scenarios())
+    def test_once_per_order_in_a_bundled_plan(self, monkeypatch, name):
+        # Velocity builds order 1; tilt, thrust and the rate floors share
+        # order 2; the rate cones build order 3.
+        ps = load_scenario(name).planning
+        assert self.orders_built(monkeypatch, [ps]) == [[1, 2, 3]]
+
+    @pytest.mark.parametrize("zeta_mode", ["per-span", "scalar"])
+    def test_windows_reuse_the_block_and_assemblies_do_not_share(self, monkeypatch, zeta_mode):
+        # The speed window picks its rows from the velocity block; a second
+        # assembly over the same knots builds its own blocks.
+        ps = TestCensus().scenario(zeta_mode)
+        assert self.orders_built(monkeypatch, [ps, ps]) == [[1, 2, 3], [1, 2, 3]]
+
+    def test_rows_are_picked_from_a_read_only_block(self):
+        asm = PlanAssembly(clamped_uniform_knots(0.0, 4.0, 10, 5))
+        rows, cols = asm.point_rows(2, [9, 2, 9])
+        full_rows, full_cols = asm.point_rows(2, np.arange(2, 11))
+        assert_array_equal(rows, full_rows[[7, 0, 7]], strict=True)
+        assert_array_equal(cols, full_cols[[7, 0, 7]], strict=True)
+        block = asm._point_blocks[2]
+        assert not any(part.flags.writeable for part in block)
+        rows[:] = 0.0  # the picked rows are the caller's own
+        assert_array_equal(asm.point_rows(2, [9])[0], full_rows[[7]], strict=True)
+
+
 class TestDenseReference:
     """The stencil compile builds the model that dense rows build."""
 

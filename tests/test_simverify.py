@@ -550,6 +550,30 @@ class TestVerifyPlan:
         got = [(c.name, c.margin, c.worst_t) for c in report.checks if c.name.startswith("corridor")]
         assert got == want
 
+    @pytest.mark.parametrize("name", [n for n in bundled_scenarios() if n.startswith("example3")])
+    def test_equal_corridor_sets_share_one_margin_call(self, bundled_plan, monkeypatch, name):
+        # The corridor's sets are built one by one from the file, so equal
+        # sets are distinct objects; their equal cone tables still share one
+        # margin call, on a (spans, samples, 3) block of all their rows.
+        sc, pl = load_scenario(name).planning, bundled_plan(name)
+        shapes = []
+        margin = ConvexRegion.margin
+
+        def counted(region, p):
+            shapes.append(np.shape(p))
+            return margin(region, p)
+
+        monkeypatch.setattr(ConvexRegion, "margin", counted)
+        verify_plan(pl, sc.bounds, corridor=sc.corridor, samples_per_span=50)
+        shapes = [shape for shape in shapes if len(shape) == 3]  # the corridor's calls
+        distinct = {
+            tuple((c.A.tobytes(), c.b.tobytes(), c.c.tobytes(), c.d) for c in region.cones)
+            for region in sc.corridor
+        }
+        assert len(shapes) == len(distinct) < len(sc.corridor)
+        assert sum(shape[0] for shape in shapes) == len(sc.corridor)
+        assert all(shape[1:] == (50, 3) for shape in shapes)
+
     def test_corridor_needs_one_set_per_span(self, bundled_plan):
         sc = load_scenario("example3_c2_s1_c3").planning
         pl = bundled_plan("example3_c2_s1_c3")
@@ -680,6 +704,15 @@ class TestVerifySpanMinima:
         floors = [c for c in report.checks if "thrust-floor" in c.name]
         for c in floors:  # zeta == g == sampled thrust at hover
             assert abs(c.margin) <= 1e-6
+
+    def test_samples_count_the_grid_each_verifier_evaluated(self, example1_plan, example1_scenario):
+        # verify_plan samples every span left-closed plus the final knot;
+        # verify_span_minima samples every span with both of its ends.
+        pl, bounds = example1_plan, example1_scenario.planning.bounds
+        spans = len(pl.curve.knots.nonempty_spans())
+        assert verify_plan(pl, bounds).samples == spans * 300 + 1 == 10_801
+        assert verify_span_minima(pl, bounds.omega_max).samples == spans * 300
+        assert verify_span_minima(pl, bounds.omega_max, samples_per_span=7).samples == spans * 7
 
     def test_detects_inflated_floor(self, hover_plan):
         import dataclasses

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import sparse
 from scipy.optimize import linprog
 
@@ -13,6 +13,7 @@ from safeflight.socp import (
     UNBOUNDED,
     ConeProgram,
     _ConeAlgebra,
+    _Rows,
     _ScaledMatrix,
 )
 
@@ -100,6 +101,68 @@ class TestResiduals:
         prog.add_inequality([1.0], [0], 1.0)
         ball_soc(prog, [0, 1], 1.0)
         assert prog.max_residual(np.array([0.2, 0.3])) == 0.0
+
+    def test_batch_without_rows_has_no_violation(self):
+        # A batch of two equalities with no rows sits before a violated
+        # equality: each batch's worst is its own.
+        prog = ConeProgram(2)
+        prog.add_inequality([1.0], [0], 0.5, label="lid")
+        prog.add_equality(np.ones((2, 0, 1)), [1], np.zeros((2, 0)), label="none")
+        prog.add_equality(np.ones((1, 1, 1)), [1], [[1.0]], label="pin")
+        res = prog.residuals(np.array([2.0, 4.0]))
+        assert res == {"lid": 1.5, "none": 0.0, "pin": 3.0}
+        assert prog.block_counts() == {"lid": 1, "none": 2, "pin": 1}
+
+    @pytest.mark.parametrize("x", [[2.0], [2.0, 0.0, 0.0, 0.0, 0.0], [[2.0, 0.0, 0.0]], 2.0])
+    def test_point_needs_one_entry_per_variable(self, x):
+        # Only column 0 has a coefficient, so a short or long point would
+        # otherwise be audited as if it fit.
+        prog = ConeProgram(3)
+        prog.add_inequality([1.0], [0], 1.0, label="a")
+        assert prog.residuals(np.array([2.0, 0.0, 0.0])) == {"a": 1.0}
+        for audit in (prog.residuals, prog.max_residual):
+            with pytest.raises(ValueError, match=r"num_vars = \(3,\)"):
+                audit(np.array(x))
+
+
+class TestRowsAdd:
+    """One flat nonzero gives the triplets that np.nonzero gives, in its order."""
+
+    @staticmethod
+    def reference(coeffs, cols, first_row):
+        k, m, _ = coeffs.shape
+        i, r, c = np.nonzero(coeffs)
+        return first_row + i * m + r, cols[i, c], coeffs[i, r, c]
+
+    @staticmethod
+    def batches(rng):
+        """Coefficient batches (k, m, c) and their columns, in the shapes the adds pass."""
+        for k, m, c in [(1, 1, 1), (4, 1, 6), (7, 3, 9), (5, 4, 13), (3, 74, 22)]:
+            coeffs = rng.normal(size=(k, m, c))
+            coeffs[rng.uniform(size=coeffs.shape) < 0.4] = 0.0
+            coeffs[rng.uniform(size=coeffs.shape) < 0.1] = -0.0
+            cols = np.argsort(rng.uniform(size=(k, 40)), axis=1)[:, :c]
+            yield coeffs, cols
+            # A single column row broadcast over the batch.
+            yield coeffs, np.broadcast_to(cols[0], (k, c))
+            # Non-contiguous views: every other column, and a swapped axis.
+            wide = np.repeat(coeffs, 2, axis=2)
+            yield wide[:, :, ::2], cols
+            yield np.swapaxes(np.swapaxes(coeffs, 0, 2).copy(), 0, 2), cols
+
+    def test_same_triplets_as_nonzero(self):
+        rng = np.random.default_rng(11)
+        part = _Rows()
+        for coeffs, cols in self.batches(rng):
+            k, m, _ = coeffs.shape
+            first = part.num_rows
+            part.add(coeffs, cols, rng.normal(size=(k, m)), code=3)
+            rows, want_cols, vals = self.reference(coeffs, cols, first)
+            assert_array_equal(part.rows[-1], rows, strict=True)
+            assert_array_equal(part.cols[-1], want_cols, strict=True)
+            assert [v.hex() for v in part.vals[-1].tolist()] == [v.hex() for v in vals.tolist()]
+            assert part.batches[-1] == (3, k, m)
+            assert part.num_rows == first + k * m
 
 
 class TestBatches:
