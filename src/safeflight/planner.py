@@ -27,11 +27,12 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain
 
 import numpy as np
 
 from .flatness import GRAVITY
-from .socp import MAX_TOL, OPTIMAL, ConeProgram, Solution
+from .socp import MAX_TOL, MIN_TOL, OPTIMAL, ConeProgram, Solution
 from .splines import (
     KnotVector,
     SplineCurve,
@@ -365,7 +366,7 @@ class PlanningScenario:
     MAX_CONTROL_POINTS, spans from min_span_width(degree) to
     max_span_width(degree) wide (so t0 < tf, both finite), waypoint and
     window times in [t0, tf], at most degree + 1 pinned orders at each
-    end, a positive gravity and a solver_tol in (0, MAX_TOL); a ValueError
+    end, a positive gravity and a solver_tol in [MIN_TOL, MAX_TOL); a ValueError
     names the field otherwise, by its path in a scenario file.
     """
 
@@ -432,9 +433,9 @@ class PlanningScenario:
                 f"corridor with {len(self.corridor)} sets needs n = "
                 f"{len(self.corridor) + self.degree - 1}, got n = {self.n}"
             )
-        if not 0 < self.solver_tol < MAX_TOL:
+        if not MIN_TOL <= (tol := self.solver_tol) < MAX_TOL:
             raise ValueError(
-                f"solver_tol must be a number in (0, {MAX_TOL:g}), got {self.solver_tol!r}"
+                f"solver_tol must be a number in [{MIN_TOL:g}, {MAX_TOL:g}), got {tol!r}"
             )
 
 
@@ -446,6 +447,11 @@ class SolveStats:
     max_residual: float
     num_vars: int
     block_counts: dict[str, int]
+
+
+# The fields of a plan document: those that TrajectoryPlan.to_dict writes.
+PLAN_FIELDS = frozenset("format version name t0 tf n degree gravity zeta_mode".split())
+PLAN_FIELDS |= {"control_points", "zeta", "objective", "snap", "max_residual"}
 
 
 @dataclass(frozen=True)
@@ -492,18 +498,28 @@ class TrajectoryPlan:
 
         Raises:
             ValueError: naming the field, unless doc is a dict in the plan
-                format whose n and degree are ints within +-2**53, whose t0,
-                tf and gravity are finite numbers and gravity positive, whose
-                control_points are finite with shape (3, n + 1), whose zeta_mode is
-                "per-span" or "scalar" with finite zeta of n - degree + 1
-                values or of one, and whose objective, snap and max_residual,
-                where given, are numbers.
+                format with only PLAN_FIELDS, version 1 where given and a
+                string name, whose n and degree are ints within +-2**53,
+                whose t0, tf and gravity are finite numbers and gravity
+                positive, whose control_points are finite numbers with shape
+                (3, n + 1), whose zeta_mode is "per-span" or "scalar" with
+                finite zeta of n - degree + 1 numbers or of one, and whose
+                objective, snap and max_residual, where given, are numbers.
+                Neither a bool nor a string is a number.
             KeyError: for a missing field.
         """
         if not isinstance(doc, dict):
             raise ValueError(f"not a plan document: a {type(doc).__name__}, not an object")
         if doc.get("format") != "safeflight-plan":
             raise ValueError(f"format must be 'safeflight-plan', got {doc.get('format')!r}")
+        unknown = ", ".join(sorted(map(repr, doc.keys() - PLAN_FIELDS)))
+        if unknown:
+            raise ValueError(f"unknown field(s) {unknown}: not in the plan format")
+        version, plan_name = doc.get("version", 1), doc.get("name", "plan")
+        if type(version) is not int or version != 1:
+            raise ValueError(f"version must be 1, got {version!r}")
+        if not isinstance(plan_name, str):
+            raise ValueError(f"name must be a string, got {plan_name!r}")
         n, degree = doc["n"], doc["degree"]
         for name, value in (("n", n), ("degree", degree)):
             if isinstance(value, bool) or not isinstance(value, int):
@@ -526,6 +542,12 @@ class TrajectoryPlan:
             raise ValueError(
                 f"zeta must hold {size} value(s) in {zeta_mode} mode, got shape {zeta.shape}"
             )
+        # _finite reads True as 1.0 and "1.5" as 1.5: one pass over the entries' types.
+        rows = doc["control_points"]
+        for field, entries in ("control_points", chain(*rows)), ("zeta", doc["zeta"]):
+            for kind in set(map(type, entries)):
+                if kind is bool or not issubclass(kind, (int, float)):
+                    raise ValueError(f"{field} must hold numbers only, not {kind.__name__} entries")
         stats = SolveStats(
             status="loaded",
             solve_time=0.0,
@@ -541,7 +563,7 @@ class TrajectoryPlan:
             objective=_number(doc, "objective", np.nan),
             snap=_number(doc, "snap", np.nan),
             gravity=gravity,
-            name=str(doc.get("name", "plan")),
+            name=plan_name,
             solve_stats=stats,
         )
 
@@ -716,9 +738,11 @@ class PlanAssembly:
         pos = np.array([wp.position for wp in waypoints])
         radius = np.array([wp.radius for wp in waypoints])
         pin, ball = radius == 0.0, radius != 0.0
-        self.cp.add_equality(rows[pin], cols[pin], pos[pin], "waypoint")
-        c = np.zeros((int(ball.sum()), cols.shape[1]))
-        self.cp.add_soc(rows[ball], -pos[ball], c, radius[ball], cols[ball], "waypoint")
+        if pin.any():
+            self.cp.add_equality(rows[pin], cols[pin], pos[pin], "waypoint")
+        if ball.any():
+            c = np.zeros((int(ball.sum()), cols.shape[1]))
+            self.cp.add_soc(rows[ball], -pos[ball], c, radius[ball], cols[ball], "waypoint")
 
     def compile_endpoints(self, pins: EndpointPins) -> None:
         """Equality pins on derivatives at t0 and tf.

@@ -9,8 +9,8 @@ a flat variable vector x:
 
 ConeProgram stores each constraint on arrival in the form the solver reads,
 A x + s = b with s in K: per cone kind, sparse (row, column, value) triplets
-and right-hand sides, plus one label per constraint. Every add_* method takes
-one constraint or k alike ones on a leading axis, so a constraint family is
+and right-hand sides, plus one label per batch. Every add_* method takes a
+batch of k alike constraints on a leading axis, so a constraint family is
 stored in one call. Variables can be appended after constraints exist (the
 quadratic epigraph below does this). The numerical solve is the primal-dual
 interior-point method at the end of this module; solution quality is always
@@ -37,7 +37,10 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NUMERICAL_FAILURE = "numerical-failure"
 
-#: Solver tolerances must lie in the open interval (0, MAX_TOL).
+#: Solver tolerances must lie in [MIN_TOL, MAX_TOL). Below MIN_TOL the solve
+#: may not reach the tolerance: at 1e-11 example2_window ends in numerical
+#: failure, and at 1e-12 five of the bundled scenarios do.
+MIN_TOL = 1e-10
 MAX_TOL = 1e-2
 
 
@@ -101,8 +104,6 @@ class ConeProgram:
         self._f = np.zeros(self.num_vars)
         self._kinds = {"eq": _Rows(), "ineq": _Rows(), "soc": _Rows()}
         self._labels: dict[str, int] = {}  # label -> code, in order of first use
-        # The label code of each constraint, one array per batch, in order added.
-        self._codes: list[np.ndarray] = [np.zeros(0, dtype=int)]
 
     # ------------------------------------------------------------------ model
 
@@ -116,63 +117,49 @@ class ConeProgram:
         return idx
 
     def add_objective(self, cols, coeffs) -> None:
-        """Accumulate linear objective terms f[cols] += coeffs."""
-        cols = self._check_cols(cols)[0]
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != cols.shape:
-            raise ValueError("objective coeffs and cols must match")
-        np.add.at(self._f, cols, coeffs)
+        """Accumulate linear objective terms f[cols] += coeffs, both of shape (c,)."""
+        cols, coeffs = np.asarray(cols, dtype=int), np.asarray(coeffs, dtype=float)
+        if cols.ndim != 1 or coeffs.shape != cols.shape:
+            raise ValueError(f"objective coeffs {coeffs.shape} and cols {cols.shape} must match")
+        np.add.at(self._f, self._check_cols(cols[None])[0], coeffs)
 
     def add_equality(self, A, cols, rhs, label: str = "eq") -> None:
-        """Add rows A x[cols] = rhs.
-
-        A batch of k passes A as (k, m, c) and rhs as (k, m); cols is (c,)
-        for the whole batch or (k, c).
-        """
+        """Add k constraints A[i] x[cols[i]] = rhs[i]: A (k, m, c), cols (k, c), rhs (k, m)."""
         A, rhs = np.asarray(A, dtype=float), np.asarray(rhs, dtype=float)
-        if rhs.ndim < 2:
-            A, rhs = np.atleast_2d(A)[None], np.atleast_1d(rhs)[None]
-        cols = self._check_cols(cols, rhs.shape[0])
-        if A.shape != rhs.shape + cols.shape[1:]:
-            raise ValueError(f"equality shape {A.shape} != {rhs.shape + cols.shape[1:]}")
+        cols = self._check_cols(cols)
+        if A.ndim != 3 or rhs.shape != A.shape[:2] or A.shape[::2] != cols.shape:
+            raise ValueError(f"equality A {A.shape}, rhs {rhs.shape}, cols {cols.shape}")
         self._add("eq", A, cols, rhs, label)
 
-    def add_inequality(self, row, cols, ub, label: str = "ineq") -> None:
-        """Add one row row' x[cols] <= ub, or k rows (k, c) with ub of shape (k,)."""
-        row, ub = np.asarray(row, dtype=float), np.asarray(ub, dtype=float)
-        if ub.ndim == 0:
-            row, ub = np.atleast_2d(row), ub[None]
-        cols = self._check_cols(cols, ub.shape[0])
-        if ub.ndim != 1 or row.shape != cols.shape:
-            raise ValueError(f"inequality rows shape {row.shape} != {cols.shape}")
-        self._add("ineq", row[:, None], cols, ub[:, None], label)
+    def add_inequality(self, rows, cols, ub, label: str = "ineq") -> None:
+        """Add k rows rows[i]' x[cols[i]] <= ub[i]: rows and cols (k, c), ub (k,)."""
+        rows, ub = np.asarray(rows, dtype=float), np.asarray(ub, dtype=float)
+        cols = self._check_cols(cols)
+        if rows.shape != cols.shape or ub.shape != cols.shape[:1]:
+            raise ValueError(f"inequality rows {rows.shape}, ub {ub.shape}, cols {cols.shape}")
+        self._add("ineq", rows[:, None], cols, ub[:, None], label)
 
     def add_soc(self, A, b, c, d, cols, label: str = "soc") -> None:
-        """Add ||A x[cols] + b|| <= c' x[cols] + d.
+        """Add k cones ||A[i] x[cols[i]] + b[i]|| <= c[i]' x[cols[i]] + d[i].
 
-        A batch of k passes A as (k, m, c), b as (k, m), c as (k, c) and d as
-        (k,); cols is (c,) for the whole batch or (k, c).
+        A is (k, m, c), b (k, m), c and cols (k, c), and d (k,).
         """
         A, b, c, d = (np.asarray(v, dtype=float) for v in (A, b, c, d))
-        if d.ndim == 0:
-            A, b, c, d = np.atleast_2d(A)[None], np.atleast_1d(b)[None], c[None], d[None]
-        cols = self._check_cols(cols, d.shape[0])
-        if A.ndim != 3 or b.shape != A.shape[:2] or not A.shape[::2] == c.shape == cols.shape:
+        cols = self._check_cols(cols)
+        if A.ndim != 3 or (b.shape, d.shape) != (A.shape[:2], cols.shape[:1]) or not (
+            A.shape[::2] == c.shape == cols.shape
+        ):
             raise ValueError("second-order constraint dimensions do not match")
         coeffs = -np.concatenate([c[:, None], A], axis=1)  # s = (c'x + d, A x + b)
         self._add("soc", coeffs, cols, np.concatenate([d[:, None], b], axis=1), label)
 
-    def add_quadratic_epigraph(self, G, cols, label: str = "epigraph"):
-        """Add a variable s with x' G'G x <= s; returns the index of s.
+    def add_quadratic_epigraph(self, G, cols, label: str = "epigraph") -> np.ndarray:
+        """Add k variables s with x[cols[i]]' G'G x[cols[i]] <= s[i], cols (k, c); returns s.
 
-        Encoded as the second-order constraint ||(2 G x, s - 1)|| <= s + 1,
-        which is equivalent for s >= 0 (and forces s >= 0). A batch of k
-        sharing G passes cols as (k, c); it adds k variables, one constraint
-        on each row of cols, and returns the array of their indices.
+        Each is encoded as the second-order constraint ||(2 G x, s - 1)||
+        <= s + 1, which is equivalent for s >= 0 (and forces s >= 0).
         """
-        batch = np.ndim(cols) == 2
-        cols = np.atleast_2d(np.asarray(cols, dtype=int))
-        cols = self._check_cols(cols, cols.shape[0])
+        cols = self._check_cols(cols)
         G = np.atleast_2d(np.asarray(G, dtype=float))
         k, width = cols.shape
         if G.shape[1] != width:
@@ -190,43 +177,44 @@ class ConeProgram:
             np.column_stack([cols, s_idx]),
             label,
         )
-        return s_idx if batch else int(s_idx[0])
+        return s_idx
 
-    def _check_cols(self, cols, k: int = 1) -> np.ndarray:
-        """Column indices as a (k, c) array; a single row serves the whole batch."""
+    def _check_cols(self, cols) -> np.ndarray:
+        """Column indices as a (k, c) array, each row in range and free of repeats."""
         cols = np.asarray(cols, dtype=int)
-        if cols.ndim < 2:
-            cols = cols.reshape(1, -1)
-        if cols.ndim != 2 or cols.shape[0] not in (1, k):
-            raise ValueError(f"column index rows {cols.shape} do not fit a batch of {k}")
+        if cols.ndim != 2 or cols.shape[1] == 0:
+            raise ValueError(f"column indices must have shape (k, c) with c >= 1, got {cols.shape}")
         # One sort serves both checks: the range reads the ends of the sorted rows.
         ordered = np.sort(cols, axis=1)
-        if cols.shape[1] == 0 or cols.size and (
-            ordered[:, 0].min() < 0 or ordered[:, -1].max() >= self.num_vars
-        ):
+        if cols.size and (ordered[:, 0].min() < 0 or ordered[:, -1].max() >= self.num_vars):
             raise ValueError(f"column indices out of range [0, {self.num_vars})")
         if (ordered[:, 1:] == ordered[:, :-1]).any():
             raise ValueError("column indices must be unique within a constraint")
-        return cols if cols.shape[0] == k else np.broadcast_to(cols, (k, cols.shape[1]))
+        return cols
 
     def _add(self, kind: str, coeffs, cols, rhs, label: str) -> None:
         if not rhs.shape[0]:
             return
         code = self._labels.setdefault(label, len(self._labels))
-        self._codes.append(np.full(rhs.shape[0], code))
         self._kinds[kind].add(coeffs, cols, rhs, code)
 
     # ------------------------------------------------------------- inspection
 
+    def _batches(self) -> list[tuple[str, int, int, int]]:
+        """(kind, label code, k, m) of every batch, in the row order of _triplets."""
+        return [(kind, *batch) for kind, part in self._kinds.items() for batch in part.batches]
+
     def block_labels(self) -> list[str]:
-        """The label of each constraint, in the order they were added."""
+        """The label of each constraint, in row order: equalities, inequalities, then cones."""
         names = list(self._labels)
-        return [names[code] for code in np.concatenate(self._codes).tolist()]
+        return [names[code] for _, code, k, _ in self._batches() for _ in range(k)]
 
     def block_counts(self) -> dict[str, int]:
-        """Number of constraints per label, for infeasibility diagnostics."""
-        counts = np.bincount(np.concatenate(self._codes), minlength=len(self._labels))
-        return dict(zip(self._labels, counts.tolist()))
+        """Number of constraints per label, in order of first use, for infeasibility diagnostics."""
+        counts = [0] * len(self._labels)
+        for _, code, k, _ in self._batches():
+            counts[code] += k
+        return dict(zip(self._labels, counts))
 
     def residuals(self, x: np.ndarray) -> dict[str, float]:
         """Worst violation per label at the point x, which must have shape (num_vars,).
@@ -245,9 +233,7 @@ class ConeProgram:
         cone = np.sqrt(alg.tail_dot(s[lin:], s[lin:])) - s[lin:][alg.starts]
         # One violation per linear row and one per cone, batch after batch.
         violation = np.concatenate([np.abs(s[: cones.zero]), -s[cones.zero : lin], cone])
-        eq, ineq, soc = self._kinds.values()
-        batches = [(code, k * m) for code, k, m in eq.batches + ineq.batches]
-        batches += [(code, k) for code, k, _ in soc.batches]
+        batches = [(code, k if kind == "soc" else k * m) for kind, code, k, m in self._batches()]
         codes, sizes = np.array(batches, dtype=int).reshape(-1, 2).T
         full = sizes > 0  # an equality batch may have no rows
         starts = (np.cumsum(sizes) - sizes)[full]
@@ -266,8 +252,8 @@ class ConeProgram:
         Returns a Solution; never raises for infeasible or unbounded models,
         only for malformed input.
         """
-        if not 0 < tol < MAX_TOL:
-            raise ValueError(f"tolerance {tol} out of range")
+        if not MIN_TOL <= tol < MAX_TOL:
+            raise ValueError(f"tolerance {tol} out of range [{MIN_TOL:g}, {MAX_TOL:g})")
         if max_iter < 0:
             raise ValueError(f"max_iter {max_iter} is negative")
         if not self._labels:

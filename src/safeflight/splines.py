@@ -7,10 +7,10 @@ points are a fixed linear image of the original ones. That image is what
 makes the whole planner convex: every derivative bound becomes a constraint
 on finitely many derivative control points.
 
-Conventions. A knot vector has v + 1 entries tau_0 <= ... <= tau_v with the
-first and last knot repeated degree + 1 times and uniformly spaced interior
-breakpoints. A curve of degree d over it has n + 1 control points, where
-n = v - d - 1. Basis functions of degree d are indexed 0..n and follow
+Conventions. A knot vector is its four numbers (t0, tf, n, degree). Its
+knots tau_0 <= ... <= tau_{n+d+1} repeat t0 and tf d + 1 times each, with
+uniform breakpoints between, and a curve of degree d over it has n + 1
+control points. Basis functions of degree d are indexed 0..n and follow
 the Cox-de Boor recursion. Only the d + 1 functions l-d..l are nonzero on a
 span [tau_l, tau_{l+1}), and one routine builds just those, on the nonempty
 spans d..n: de Boor's triangle, run on power-series coefficients about an
@@ -22,7 +22,7 @@ the coefficients of every order 0..d, evaluated with one Horner pass per
 order after one gather: a repeat of each span's coefficients over its run of
 samples when the times are sorted, a take otherwise.
 Evaluation at the right endpoint returns left limits, so curves are defined
-on all of [tau_0, tau_v].
+on all of [t0, tf].
 
 Derivative control points are banded: the order-r point j is a weighted
 difference of control points j - r .. j. Those r + 1 weights per point, the
@@ -30,9 +30,9 @@ derivative stencil, come from one bidiagonal difference recursion per knot
 vector, vectorized over the points, and build the derivative control points.
 The snap Gram matrix Q = G'G is built from an exact banded factor G: on
 each span, the fourth derivative of the span power basis times a Cholesky
-factor of the moments of s over the span. Equal knot arguments give one
-shared KnotVector from a bounded cache, so plans over the same knots build
-each of these tables once.
+factor of the moments of s over the span. Equal knot arguments give equal
+knot vectors, and clamped_uniform_knots hands out one shared instance from
+a bounded cache, so plans over the same knots build each of these tables once.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import perm
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +51,7 @@ KNOT_CACHE_SIZE = 32
 
 
 def clamped_uniform_knots(t0: float, tf: float, n: int, degree: int) -> "KnotVector":
-    """Build a clamped knot vector with uniform interior spacing.
+    """The clamped uniform knot vector over [t0, tf], one shared instance per value.
 
     Equal arguments give the same KnotVector, held in a bounded LRU cache of
     KNOT_CACHE_SIZE entries, so every plan over one (t0, tf, n, degree)
@@ -63,72 +64,57 @@ def clamped_uniform_knots(t0: float, tf: float, n: int, degree: int) -> "KnotVec
         degree: Spline degree d >= 1. Requires n >= degree.
 
     Returns:
-        KnotVector with v + 1 = n + degree + 2 knots.
+        KnotVector with n + degree + 2 knots.
     """
-    if np.ndim(t0) or np.ndim(tf):
-        raise ValueError(f"need scalar t0 and tf, got {t0!r} and {tf!r}")
-    if not np.isfinite(t0) or not np.isfinite(tf) or tf <= t0:
-        raise ValueError(f"need finite t0 < tf, got [{t0}, {tf}]")
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    if n < degree:
-        raise ValueError(f"need n >= degree for a clamped spline, got n={n}, degree={degree}")
-    # -0.0 and 0.0 are one cache key; adding 0.0 builds both as 0.0, so a
-    # cached vector never depends on which of them came first.
-    return _clamped_uniform_knots(float(t0) + 0.0, float(tf) + 0.0, n, degree)
-
-
-@lru_cache(maxsize=KNOT_CACHE_SIZE)
-def _clamped_uniform_knots(t0: float, tf: float, n: int, degree: int) -> "KnotVector":
-    interior = np.linspace(t0, tf, n - degree + 2)
-    tau = np.concatenate([np.full(degree, t0), interior, np.full(degree, tf)])
-    return KnotVector(tau=tau, degree=degree)
+    try:
+        return _shared(t0, tf, n, degree)
+    except TypeError:  # unhashable ends, such as arrays, which KnotVector names
+        return KnotVector(t0, tf, n, degree)
 
 
 @dataclass(frozen=True)
 class KnotVector:
-    """Non-decreasing knot sequence plus the curve degree it serves.
+    """Clamped uniform knots over [t0, tf] for a degree-d curve with n + 1 control points.
 
-    Immutable after construction. Every table that depends on the knots
-    alone is memoized per instance and read-only: the derivative stencils,
-    the snap Gram matrix and the span power basis. Curves over one
-    KnotVector share them, and clamped_uniform_knots hands out one instance
-    per (t0, tf, n, degree), so a second plan over the same knots builds
-    none of them again.
+    A knot vector is these four numbers, so equal arguments give equal
+    vectors with equal hashes. It needs finite scalar ends t0 < tf, degree
+    >= 1 and n >= degree, and stores -0.0 as 0.0. Every table that depends
+    on the knots alone is memoized per instance and read-only: the knots
+    tau, the derivative stencils, the snap Gram matrix and the span power
+    basis. Curves over one KnotVector share them, and clamped_uniform_knots
+    hands out one instance per value, so a second plan over the same knots
+    builds none of them again.
     """
 
-    tau: np.ndarray
+    t0: float
+    tf: float
+    n: int
     degree: int
 
     def __post_init__(self) -> None:
-        tau = np.asarray(self.tau, dtype=float)
-        if tau.ndim != 1 or tau.size < 2 * (self.degree + 1):
-            raise ValueError("knot vector too short for the given degree")
-        if np.any(np.diff(tau) < 0.0):
-            raise ValueError("knots must be non-decreasing")
-        if tau[0] == tau[-1]:
-            raise ValueError("knot vector spans zero time")
-        tau = tau.copy()
+        t0, tf, n, degree = self.t0, self.tf, self.n, self.degree
+        if np.ndim(t0) or np.ndim(tf):
+            raise ValueError(f"need scalar t0 and tf, got {t0!r} and {tf!r}")
+        if not np.isfinite(t0) or not np.isfinite(tf) or tf <= t0:
+            raise ValueError(f"need finite t0 < tf, got [{t0}, {tf}]")
+        if degree < 1:
+            raise ValueError(f"degree must be >= 1, got {degree}")
+        if n < degree:
+            raise ValueError(f"need n >= degree for a clamped spline, got n={n}, degree={degree}")
+        # Adding 0.0 stores -0.0 as 0.0, so a shared vector's knots never depend on
+        # which of the equal ends came first; index() takes numpy ints and refuses floats.
+        fields = float(t0) + 0.0, float(tf) + 0.0, index(n), index(degree)
+        for name, value in zip(("t0", "tf", "n", "degree"), fields):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def tau(self) -> np.ndarray:
+        """The n + d + 2 knots: t0 and tf each d + 1 times, uniform in between (read-only)."""
+        d = self.degree
+        interior = np.linspace(self.t0, self.tf, self.n - d + 2)
+        tau = np.concatenate([np.full(d, self.t0), interior, np.full(d, self.tf)])
         tau.setflags(write=False)
-        object.__setattr__(self, "tau", tau)
-
-    @property
-    def v(self) -> int:
-        """Index of the last knot."""
-        return self.tau.size - 1
-
-    @property
-    def n(self) -> int:
-        """Index of the last control point of a degree-d curve (n = v - d - 1)."""
-        return self.v - self.degree - 1
-
-    @property
-    def t0(self) -> float:
-        return float(self.tau[0])
-
-    @property
-    def tf(self) -> float:
-        return float(self.tau[-1])
+        return tau
 
     def nonempty_spans(self) -> range:
         """Indices l of the nonempty spans [tau_l, tau_{l+1}) of a clamped vector."""
@@ -283,8 +269,11 @@ class KnotVector:
     def _check_range(self, t) -> None:
         t = np.asarray(t)
         # Written so that NaN, which fails every comparison, is out of range.
-        if not ((t >= self.tau[0]) & (t <= self.tau[-1])).all():
+        if not ((t >= self.t0) & (t <= self.tf)).all():
             raise ValueError(f"evaluation time outside [{self.t0}, {self.tf}]")
+
+
+_shared = lru_cache(maxsize=KNOT_CACHE_SIZE)(KnotVector)
 
 
 @dataclass(frozen=True)

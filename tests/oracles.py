@@ -560,10 +560,14 @@ class DensePlanAssembly(PlanAssembly):
         rows[:, [0, 1, 2], [0, 1, 2]] = W[:, None]
         return rows.reshape(W.shape[0], 3, self.ctrl_cols.size)
 
+    def _all_cols(self, k):
+        """The row of every control-point column, shared by the k constraints of a batch."""
+        return np.broadcast_to(self.ctrl_cols, (k, self.ctrl_cols.size))
+
     def point_rows(self, r, js):
         js = np.asarray(js, dtype=int)
-        cols = np.broadcast_to(self.ctrl_cols, (js.size, self.ctrl_cols.size))
-        return self._axis_rows(dense_derivative_matrix(self.kv, r)[:, js].T), cols
+        rows = self._axis_rows(dense_derivative_matrix(self.kv, r)[:, js].T)
+        return rows, self._all_cols(js.size)
 
     def _membership(self, js, cones, label):
         rows = self.point_rows(0, js)[0]
@@ -574,12 +578,13 @@ class DensePlanAssembly(PlanAssembly):
             sets, picked = [cones[i] for i in pick], rows[pick]
             c_rows = (np.array([s.c for s in sets])[:, None] @ picked)[:, 0]
             d = np.array([s.d for s in sets])
+            cols = self._all_cols(len(pick))
             if m < 0:
-                self.cp.add_inequality(-c_rows, self.ctrl_cols, d, label)
+                self.cp.add_inequality(-c_rows, cols, d, label)
             else:
                 A = np.array([s.A for s in sets]) @ picked
                 b = np.array([s.b for s in sets])
-                self.cp.add_soc(A, b, c_rows, d, self.ctrl_cols, label)
+                self.cp.add_soc(A, b, c_rows, d, cols, label)
 
     def compile_position(self, regions, js=None, label="position"):
         js = np.arange(self.n + 1) if js is None else np.asarray(js, dtype=int)
@@ -602,9 +607,9 @@ class DensePlanAssembly(PlanAssembly):
         pos = np.array([wp.position for wp in waypoints])
         radius = np.array([wp.radius for wp in waypoints])
         pin, ball = radius == 0.0, radius != 0.0
-        cols = self.ctrl_cols
-        self.cp.add_equality(rows[pin], cols, pos[pin], "waypoint")
-        c = np.zeros((int(ball.sum()), cols.size))
+        self.cp.add_equality(rows[pin], self._all_cols(pin.sum()), pos[pin], "waypoint")
+        c = np.zeros((int(ball.sum()), self.ctrl_cols.size))
+        cols = self._all_cols(ball.sum())
         self.cp.add_soc(rows[ball], -pos[ball], c, radius[ball], cols, "waypoint")
 
     def compile_endpoints(self, pins: EndpointPins):
@@ -616,13 +621,14 @@ class DensePlanAssembly(PlanAssembly):
                 weights.append(dense_derivative_matrix(kv, r) @ basis)
                 values.append(value)
         rows = self._axis_rows(np.reshape(weights, (-1, self.n + 1)))
-        self.cp.add_equality(rows, self.ctrl_cols, np.reshape(values, (-1, 3)), "endpoint")
+        cols = self._all_cols(rows.shape[0])
+        self.cp.add_equality(rows, cols, np.reshape(values, (-1, 3)), "endpoint")
 
     def compile_objective(self, zeta_cols):
         _, G = dense_snap_gram(self.kv)
         for axis in range(3):
-            s = self.cp.add_quadratic_epigraph(G, self.axis_cols(axis), "snap-epigraph")
-            self.cp.add_objective([s], [1.0])
+            s = self.cp.add_quadratic_epigraph(G, self.axis_cols(axis)[None], "snap-epigraph")
+            self.cp.add_objective(s, [1.0])
         if zeta_cols.size:
             self.cp.add_objective(zeta_cols, -np.ones(zeta_cols.size))
 

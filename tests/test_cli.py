@@ -901,21 +901,25 @@ class TestSolverTol:
         assert main(["plan", "--scenario", scenario]) == EXIT_OK
         assert solved_tols == [1e-7]
 
+    # Below 1e-10 the solver cannot reach the tolerance: at 1e-12 five
+    # bundled scenarios end in numerical-failure.
+    @pytest.mark.parametrize("tol", ["0.5", "1e-12"])
     @pytest.mark.parametrize("command", ["plan", "verify", "track"])
-    def test_out_of_range_flag_exits_parse(self, capsys, command):
-        assert main([command, "--scenario", "hover", "--tol", "0.5"]) == EXIT_PARSE
+    def test_out_of_range_flag_exits_parse(self, capsys, command, tol):
+        assert main([command, "--scenario", "hover", "--tol", tol]) == EXIT_PARSE
         err = capsys.readouterr().err
-        assert "error: --tol: solver_tol must be a number in (0, 0.01), got 0.5" in err
+        assert f"error: --tol: solver_tol must be a number in [1e-10, 0.01), got {tol}" in err
         assert "unexpected" not in err
 
-    @pytest.mark.parametrize("tol", [0.5, 0.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.5, 0.0, float("nan"), 1e-12])
     def test_out_of_range_scenario_value_names_its_file(self, tmp_path, capsys, tol):
         doc = hover_dict()
         doc["solver_tol"] = tol
         path = write_scenario(tmp_path, doc)
         assert main(["plan", "--scenario", path]) == EXIT_PARSE
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: solver_tol must be a number in (0, 0.01), got {tol}")
+        want = f"error: {path}: solver_tol must be a number in [1e-10, 0.01), got {tol}"
+        assert err.startswith(want)
 
 
 class TestPlanCommand:
@@ -1310,6 +1314,29 @@ BAD_PLAN_DOCUMENTS = [
     ("snap-huge", set_entry("snap", value=10**400), "snap: a 401-digit integer"),
     ("max-residual-huge", set_entry("max_residual", value=10**400), "max_residual: a 401-digit"),
     ("n-10^12", set_entry("n", value=10**12), "control_points must have shape (3, 1000000000001)"),
+    # Numbers only where the format has numbers, only the fields to_dict
+    # writes, version 1 and a string name: numpy would read True as 1.0
+    # and "1.5" as 1.5.
+    (
+        "control-point-numeric-string-and-bool",
+        set_entry("control_points", 0, value=["1.5", True] + [0.0] * 11),
+        "control_points must hold numbers only, not ",
+    ),
+    (
+        "control-point-bool",
+        set_entry("control_points", 2, 5, value=True),
+        "control_points must hold numbers only, not bool entries",
+    ),
+    (
+        "zeta-numeric-string",
+        lambda d: d.update(zeta_mode="scalar", zeta=["9.8"]),
+        "zeta must hold numbers only, not str entries",
+    ),
+    ("zeta-bool", set_entry("zeta", 3, value=False), "zeta must hold numbers only, not bool"),
+    ("version-7", set_entry("version", value=7), "version must be 1, got 7"),
+    ("version-true", set_entry("version", value=True), "version must be 1, got True"),
+    ("unknown-field", set_entry("comment", value="x"), "unknown field(s) 'comment'"),
+    ("name-list", set_entry("name", value=["x"]), "name must be a string, got ['x']"),
 ]
 
 

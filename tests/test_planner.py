@@ -33,7 +33,7 @@ from safeflight.planner import (
     plan,
 )
 from safeflight.simverify import span_samples
-from safeflight.socp import MAX_TOL, ConeProgram
+from safeflight.socp import MAX_TOL, MIN_TOL, ConeProgram
 from safeflight.splines import clamped_uniform_knots, max_span_width, min_span_width, snap_gram
 from safeflight.tracker import CbfParams
 
@@ -464,11 +464,12 @@ class TestValidation:
             ("waypoints/0/time = -0.5 lies outside", {"waypoints": waypoints_at(-0.5)}),
             ("windows/0/t_start = -1.0 lies outside", {"intervals": speed_window(-1.0, 1.0)}),
             ("windows/0/t_end = 5.0 lies outside", {"intervals": speed_window(1.0, 5.0)}),
-            ("solver_tol must be a number in (0, 0.01), got nan", {"solver_tol": float("nan")}),
-            ("solver_tol must be a number in (0, 0.01), got 0.0", {"solver_tol": 0.0}),
-            ("solver_tol must be a number in (0, 0.01), got -1e-08", {"solver_tol": -1e-8}),
-            ("solver_tol must be a number in (0, 0.01), got 0.01", {"solver_tol": MAX_TOL}),
-            ("solver_tol must be a number in (0, 0.01), got 0.5", {"solver_tol": 0.5}),
+            ("solver_tol must be a number in [1e-10, 0.01), got nan", {"solver_tol": float("nan")}),
+            ("solver_tol must be a number in [1e-10, 0.01), got 0.0", {"solver_tol": 0.0}),
+            ("solver_tol must be a number in [1e-10, 0.01), got -1e-08", {"solver_tol": -1e-8}),
+            ("solver_tol must be a number in [1e-10, 0.01), got 0.01", {"solver_tol": MAX_TOL}),
+            ("solver_tol must be a number in [1e-10, 0.01), got 0.5", {"solver_tol": 0.5}),
+            ("solver_tol must be a number in [1e-10, 0.01), got 1e-12", {"solver_tol": 1e-12}),
             ("spline.degree must be >= 4 for the snap objective, got 3", {"degree": 3}),
             ("spline.n = 500 gives 501 control points per axis, more than", {"n": 500}),
             ("spline.tf: (tf - t0) / 6 spans = 0 s", {"t0": 4.0}),
@@ -521,6 +522,16 @@ class TestAssemblyLayout:
             assert cols.shape == (len(js), 3 * (r + 1))
             got = np.einsum("kac,kc->ka", rows, ctrl.reshape(-1)[cols])
             assert_allclose(got, want.T, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("radius, unused", [(0.1, "add_equality"), (0.0, "add_soc")])
+    def test_waypoints_send_no_empty_batch(self, monkeypatch, radius, unused):
+        # All balls send no equality batch, and all pins no cone batch.
+        asm = PlanAssembly(clamped_uniform_knots(0.0, 4.0, 10, 5))
+        calls = []
+        monkeypatch.setattr(asm.cp, unused, lambda *args: calls.append(args))
+        asm.compile_waypoints([Waypoint([0.5, 0.0, 0.5], t, radius) for t in (1.0, 3.0)])
+        assert calls == []
+        assert asm.cp.block_counts() == {"waypoint": 2}
 
 
 class TestPointBlocks:
@@ -669,6 +680,13 @@ class TestCensus:
 
 
 class TestFullSolves:
+    @pytest.mark.parametrize("name", bundled_scenarios())
+    def test_bundled_scenarios_plan_at_the_tolerance_floor(self, name):
+        planning = dataclasses.replace(load_scenario(name).planning, solver_tol=MIN_TOL)
+        pl = plan(planning)
+        assert pl.solve_stats.status == "optimal"
+        assert pl.solve_stats.max_residual <= 1e-8
+
     def test_small_rest_to_rest(self):
         pl = plan(small_scenario())
         assert pl.solve_stats.status == "optimal"

@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 
 from safeflight.socp import (
     INFEASIBLE,
+    MIN_TOL,
     NUMERICAL_FAILURE,
     OPTIMAL,
     UNBOUNDED,
@@ -20,7 +21,14 @@ from safeflight.socp import (
 
 def ball_soc(prog, cols, radius):
     dim = len(cols)
-    prog.add_soc(np.eye(dim), np.zeros(dim), np.zeros(dim), radius, cols, label="ball")
+    zeros = np.zeros((1, dim))
+    prog.add_soc(np.eye(dim)[None], zeros, zeros, [radius], [cols], label="ball")
+
+
+def assembled(prog):
+    """The assembled model as comparable values: CSC arrays, b and the cone layout."""
+    A, b, cones = prog._assemble()
+    return [a.tolist() for a in (A.indptr, A.indices, A.data, b)] + [cones]
 
 
 class TestModelValidation:
@@ -41,27 +49,53 @@ class TestModelValidation:
     def test_rejects_out_of_range_columns(self):
         prog = ConeProgram(3)
         with pytest.raises(ValueError):
-            prog.add_inequality([1.0], [3], 0.0)
+            prog.add_inequality([[1.0]], [[3]], [0.0])
         with pytest.raises(ValueError):
-            prog.add_inequality([1.0], [-1], 0.0)
+            prog.add_inequality([[1.0]], [[-1]], [0.0])
 
     def test_rejects_duplicate_columns(self):
         prog = ConeProgram(3)
         with pytest.raises(ValueError):
-            prog.add_equality(np.ones((1, 2)), [1, 1], [0.0])
+            prog.add_equality(np.ones((1, 1, 2)), [[1, 1]], [[0.0]])
 
     def test_shape_mismatches(self):
         prog = ConeProgram(4)
         with pytest.raises(ValueError):
             prog.add_objective([0, 1], [1.0])
         with pytest.raises(ValueError):
-            prog.add_equality(np.ones((2, 3)), [0, 1], [0.0, 0.0])
+            prog.add_equality(np.ones((1, 2, 3)), [[0, 1]], [[0.0, 0.0]])
         with pytest.raises(ValueError):
-            prog.add_inequality(np.ones((2, 2)), [0, 1], 0.0)
+            prog.add_inequality(np.ones((2, 2)), [[0, 1]], [0.0])
         with pytest.raises(ValueError):
-            prog.add_soc(np.eye(2), np.zeros(3), np.zeros(2), 1.0, [0, 1])
+            prog.add_soc(np.eye(2)[None], np.zeros((1, 3)), np.zeros((1, 2)), [1.0], [[0, 1]])
         with pytest.raises(ValueError):
-            prog.add_quadratic_epigraph(np.eye(3), [0, 1])
+            prog.add_quadratic_epigraph(np.eye(3), [[0, 1]])
+
+    # One constraint in the shapes of a single call, and single-call parts
+    # inside an otherwise batched call: k is always the leading axis.
+    SINGLE_SHAPES = [
+        ("add_equality", (np.ones((1, 2)), [0, 1], [0.0])),
+        ("add_equality", (np.ones((1, 2)), [[0, 1]], [0.0])),
+        ("add_equality", (np.ones((1, 1, 2)), [0, 1], [[0.0]])),
+        ("add_inequality", ([1.0, 1.0], [0, 1], 0.0)),
+        ("add_inequality", ([[1.0, 1.0]], [[0, 1]], 0.0)),
+        ("add_inequality", ([[1.0, 1.0]], [0, 1], [0.0])),
+        ("add_soc", (np.eye(2), np.zeros(2), np.zeros(2), 1.0, [0, 1])),
+        ("add_soc", (np.eye(2)[None], np.zeros((1, 2)), np.zeros((1, 2)), 1.0, [[0, 1]])),
+        ("add_soc", (np.eye(2)[None], np.zeros((1, 2)), np.zeros(2), [1.0], [[0, 1]])),
+        ("add_soc", (np.eye(2)[None], np.zeros((1, 2)), np.zeros((1, 2)), [1.0], [0, 1])),
+        ("add_quadratic_epigraph", (np.eye(2), [0, 1])),
+    ]
+
+    @pytest.mark.parametrize("method, args", SINGLE_SHAPES, ids=[m for m, _ in SINGLE_SHAPES])
+    def test_single_constraint_shapes_leave_the_model_unchanged(self, method, args):
+        prog = ConeProgram(3)
+        prog.add_inequality([[1.0, 2.0]], [[0, 2]], [1.0], label="lid")
+        ball_soc(prog, [0, 1], 2.0)
+        before = prog.num_vars, prog.block_counts(), assembled(prog)
+        with pytest.raises(ValueError):
+            getattr(prog, method)(*args)
+        assert (prog.num_vars, prog.block_counts(), assembled(prog)) == before
 
     def test_solve_requires_constraints(self):
         with pytest.raises(ValueError):
@@ -69,25 +103,28 @@ class TestModelValidation:
 
     def test_solve_rejects_bad_tolerance(self):
         prog = ConeProgram(1)
-        prog.add_inequality([1.0], [0], 1.0)
-        with pytest.raises(ValueError):
-            prog.solve(tol=0.5)
+        prog.add_inequality([[1.0]], [[0]], [1.0])
+        for tol in (0.5, 1e-12, 0.5 * MIN_TOL):
+            with pytest.raises(ValueError, match=r"out of range \[1e-10, 0.01\)"):
+                prog.solve(tol=tol)
+        assert prog.solve(tol=MIN_TOL).status == OPTIMAL
 
     def test_block_bookkeeping(self):
+        # Labels follow the assembled rows: equalities, inequalities, cones.
         prog = ConeProgram(3)
-        prog.add_inequality([1.0], [0], 1.0, label="box")
-        prog.add_inequality([1.0], [1], 1.0, label="box")
-        prog.add_equality(np.ones((1, 1)), [2], [0.5], label="pin")
+        prog.add_inequality([[1.0]], [[0]], [1.0], label="box")
+        prog.add_inequality([[1.0]], [[1]], [1.0], label="box")
+        prog.add_equality(np.ones((1, 1, 1)), [[2]], [[0.5]], label="pin")
         ball_soc(prog, [0, 1], 2.0)
-        assert prog.block_labels() == ["box", "box", "pin", "ball"]
+        assert prog.block_labels() == ["pin", "box", "box", "ball"]
         assert prog.block_counts() == {"box": 2, "pin": 1, "ball": 1}
 
 
 class TestResiduals:
     def test_per_label_worst_violation(self):
         prog = ConeProgram(2)
-        prog.add_equality(np.eye(2), [0, 1], [1.0, 2.0], label="pin")
-        prog.add_inequality([1.0], [0], 0.5, label="lid")
+        prog.add_equality(np.eye(2)[None], [[0, 1]], [[1.0, 2.0]], label="pin")
+        prog.add_inequality([[1.0]], [[0]], [0.5], label="lid")
         ball_soc(prog, [0, 1], 1.0)
         x = np.array([2.0, 2.0])
         res = prog.residuals(x)
@@ -98,7 +135,7 @@ class TestResiduals:
 
     def test_satisfied_point_has_zero_residual(self):
         prog = ConeProgram(2)
-        prog.add_inequality([1.0], [0], 1.0)
+        prog.add_inequality([[1.0]], [[0]], [1.0])
         ball_soc(prog, [0, 1], 1.0)
         assert prog.max_residual(np.array([0.2, 0.3])) == 0.0
 
@@ -106,9 +143,9 @@ class TestResiduals:
         # A batch of two equalities with no rows sits before a violated
         # equality: each batch's worst is its own.
         prog = ConeProgram(2)
-        prog.add_inequality([1.0], [0], 0.5, label="lid")
-        prog.add_equality(np.ones((2, 0, 1)), [1], np.zeros((2, 0)), label="none")
-        prog.add_equality(np.ones((1, 1, 1)), [1], [[1.0]], label="pin")
+        prog.add_inequality([[1.0]], [[0]], [0.5], label="lid")
+        prog.add_equality(np.ones((2, 0, 1)), [[1], [1]], np.zeros((2, 0)), label="none")
+        prog.add_equality(np.ones((1, 1, 1)), [[1]], [[1.0]], label="pin")
         res = prog.residuals(np.array([2.0, 4.0]))
         assert res == {"lid": 1.5, "none": 0.0, "pin": 3.0}
         assert prog.block_counts() == {"lid": 1, "none": 2, "pin": 1}
@@ -118,7 +155,7 @@ class TestResiduals:
         # Only column 0 has a coefficient, so a short or long point would
         # otherwise be audited as if it fit.
         prog = ConeProgram(3)
-        prog.add_inequality([1.0], [0], 1.0, label="a")
+        prog.add_inequality([[1.0]], [[0]], [1.0], label="a")
         assert prog.residuals(np.array([2.0, 0.0, 0.0])) == {"a": 1.0}
         for audit in (prog.residuals, prog.max_residual):
             with pytest.raises(ValueError, match=r"num_vars = \(3,\)"):
@@ -166,54 +203,47 @@ class TestRowsAdd:
 
 
 class TestBatches:
-    """k alike constraints on a leading axis act as k single calls."""
+    """k alike constraints on a leading axis: one batch per call."""
 
-    @staticmethod
-    def build(rng, batched):
+    def test_census_and_cone_layout(self):
+        rng = np.random.default_rng(5)
         E, g = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 2))
         rows, ub = rng.normal(size=(4, 4)), rng.normal(size=4)
         A, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3))
         c, d = rng.normal(size=(2, 4)), rng.uniform(1.0, 2.0, size=2)
         cols = np.array([[0, 1, 2, 3], [3, 4, 5, 0]])  # one row per second-order cone
+        pin_cols, lid_cols = np.tile([0, 2, 4, 5], (3, 1)), np.tile([1, 2, 3, 4], (4, 1))
         prog = ConeProgram(6)
-        if batched:
-            prog.add_soc(A, b, c, d, cols, label="cone")
-            prog.add_equality(E, [0, 2, 4, 5], g, label="pin")
-            prog.add_inequality(rows, [1, 2, 3, 4], ub, label="lid")
-        else:
-            for k in range(2):
-                prog.add_soc(A[k], b[k], c[k], d[k], cols[k], label="cone")
-            for k in range(3):
-                prog.add_equality(E[k], [0, 2, 4, 5], g[k], label="pin")
-            for k in range(4):
-                prog.add_inequality(rows[k], [1, 2, 3, 4], ub[k], label="lid")
-        return prog
-
-    def test_batch_equals_single_calls(self):
-        one = self.build(np.random.default_rng(5), batched=True)
-        many = self.build(np.random.default_rng(5), batched=False)
-        (A1, b1, c1), (A2, b2, c2) = one._assemble(), many._assemble()
-        assert c1 == c2
-        assert (c1.zero, c1.nonneg, c1.soc) == (6, 4, (4, 4))
-        assert np.array_equal(A1.toarray(), A2.toarray())
-        assert np.array_equal(b1, b2)
-        assert one.block_labels() == many.block_labels()
-        assert one.block_counts() == {"cone": 2, "pin": 3, "lid": 4}
-        x = np.random.default_rng(6).normal(size=6)
-        assert one.residuals(x) == many.residuals(x)
+        prog.add_soc(A, b, c, d, cols, label="cone")
+        prog.add_equality(E, pin_cols, g, label="pin")
+        prog.add_inequality(rows, lid_cols, ub, label="lid")
+        _, _, cones = prog._assemble()
+        assert (cones.zero, cones.nonneg, cones.soc) == (6, 4, (4, 4))
+        assert prog.block_counts() == {"cone": 2, "pin": 3, "lid": 4}
+        assert prog.block_labels() == ["pin"] * 3 + ["lid"] * 4 + ["cone"] * 2
+        # Each label's worst violation, constraint by constraint.
+        x = rng.normal(size=6)
+        cone = [np.linalg.norm(A[k] @ x[cols[k]] + b[k]) - c[k] @ x[cols[k]] - d[k] for k in (0, 1)]
+        want = {
+            "cone": max(0.0, *cone),
+            "pin": max(np.abs(E[k] @ x[pin_cols[k]] - g[k]).max() for k in range(3)),
+            "lid": max(0.0, *(rows[k] @ x[lid_cols[k]] - ub[k] for k in range(4))),
+        }
+        assert prog.residuals(x) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_rejects_mismatched_batch_lengths(self):
         prog = ConeProgram(3)
+        cols = np.tile([0, 1, 2], (2, 1))
         with pytest.raises(ValueError):
-            prog.add_equality(np.ones((2, 1, 3)), [0, 1, 2], np.zeros((3, 1)))
+            prog.add_equality(np.ones((2, 1, 3)), cols, np.zeros((3, 1)))
         with pytest.raises(ValueError):
-            prog.add_inequality(np.ones((3, 3)), [0, 1, 2], np.zeros(2))
+            prog.add_inequality(np.ones((3, 3)), np.tile([0, 1, 2], (3, 1)), np.zeros(2))
         A, b, c = np.ones((2, 2, 3)), np.zeros((2, 2)), np.zeros((2, 3))
         for args in ((A[[0, 1, 1]], b, c, np.ones(2)), (A, b[[0, 1, 1]], c, np.ones(2))):
             with pytest.raises(ValueError):
-                prog.add_soc(*args, [0, 1, 2])
+                prog.add_soc(*args, cols)
         with pytest.raises(ValueError):
-            prog.add_soc(A, b, c, np.ones(3), [0, 1, 2])
+            prog.add_soc(A, b, c, np.ones(3), cols)
         with pytest.raises(ValueError):  # three rows of columns for a batch of two
             prog.add_inequality(np.ones((2, 1)), [[0], [1], [2]], np.zeros(2))
         assert prog.block_counts() == {}
@@ -229,7 +259,8 @@ class TestBatches:
 
     def test_empty_batch_adds_nothing(self):
         prog = ConeProgram(3)
-        prog.add_soc(np.ones((0, 2, 3)), np.zeros((0, 2)), np.zeros((0, 3)), np.ones(0), [0, 1, 2])
+        no_cols = np.zeros((0, 3), dtype=int)
+        prog.add_soc(np.ones((0, 2, 3)), np.zeros((0, 2)), np.zeros((0, 3)), np.ones(0), no_cols)
         assert prog.block_counts() == {}
         assert prog.residuals(np.zeros(3)) == {}
 
@@ -246,11 +277,10 @@ class TestLinearPrograms:
             prog = ConeProgram(n)
             cols = np.arange(n)
             prog.add_objective(cols, f)
-            for i in range(m):
-                prog.add_inequality(A[i], cols, b[i])
-            for j in range(n):
-                prog.add_inequality([1.0], [j], 10.0)
-                prog.add_inequality([-1.0], [j], 10.0)
+            prog.add_inequality(A, np.tile(cols, (m, 1)), b)
+            # The box: x_j <= 10 and -x_j <= 10 for each j in turn.
+            box = np.tile([[1.0], [-1.0]], (n, 1))
+            prog.add_inequality(box, np.repeat(cols, 2)[:, None], np.full(2 * n, 10.0))
             sol = prog.solve(tol=1e-9)
 
             ref = linprog(f, A_ub=A, b_ub=b, bounds=[(-10.0, 10.0)] * n, method="highs")
@@ -263,9 +293,7 @@ class TestLinearPrograms:
         prog = ConeProgram(2)
         prog.add_objective([0, 1], [1.0, 1.0])
         prog.add_objective([0], [1.0])  # column 0 now weighted 2
-        for j in range(2):
-            prog.add_inequality([1.0], [j], 1.0)
-            prog.add_inequality([-1.0], [j], 1.0)
+        prog.add_inequality([[1.0], [-1.0], [1.0], [-1.0]], [[0], [0], [1], [1]], np.ones(4))
         sol = prog.solve()
         assert sol.status == OPTIMAL
         assert_allclose(sol.objective, -3.0, atol=1e-7)
@@ -294,7 +322,7 @@ class TestSecondOrderBlocks:
         prog.add_objective([2], [1.0])
         A = np.eye(3)
         c = np.array([0.0, 0.0, 1.0])
-        prog.add_soc(A[:2], -p[:2], c, 0.0, [0, 1, 2])
+        prog.add_soc(A[None, :2], -p[None, :2], c[None], [0.0], [[0, 1, 2]])
         sol = prog.solve(tol=1e-10)
         assert sol.status == OPTIMAL
         assert_allclose(sol.x[:2], p[:2], atol=1e-6)
@@ -309,10 +337,10 @@ class TestSecondOrderBlocks:
             prog = ConeProgram(6)  # x then y = x - p
             x_cols, y_cols = np.arange(3), np.arange(3, 6)
             E = np.hstack([np.eye(3), -np.eye(3)])
-            prog.add_equality(E, np.arange(6), p, label="shift")
+            prog.add_equality(E[None], [np.arange(6)], p[None], label="shift")
             ball_soc(prog, x_cols.tolist(), 1.0)
-            s = prog.add_quadratic_epigraph(np.eye(3), y_cols.tolist())
-            prog.add_objective([s], [1.0])
+            s = prog.add_quadratic_epigraph(np.eye(3), [y_cols])
+            prog.add_objective(s, [1.0])
             sol = prog.solve()
             assert sol.status == OPTIMAL
             assert_allclose(sol.x[:3], p / np.linalg.norm(p), atol=1e-6)
@@ -330,8 +358,8 @@ class TestQuadraticEpigraph:
 
             prog = ConeProgram(n)
             cols = np.arange(n)
-            prog.add_equality(E, cols, g, label="pin")
-            s = prog.add_quadratic_epigraph(G, cols)
+            prog.add_equality(E[None], [cols], g[None], label="pin")
+            (s,) = prog.add_quadratic_epigraph(G, [cols])
             prog.add_objective([s], [1.0])
             sol = prog.solve(tol=1e-10)
             assert sol.status == OPTIMAL
@@ -348,7 +376,7 @@ class TestQuadraticEpigraph:
 
     def test_epigraph_variable_is_nonnegative(self):
         prog = ConeProgram(2)
-        s = prog.add_quadratic_epigraph(np.eye(2), [0, 1])
+        (s,) = prog.add_quadratic_epigraph(np.eye(2), [[0, 1]])
         prog.add_objective([s], [1.0])
         sol = prog.solve()
         assert sol.status == OPTIMAL
@@ -359,8 +387,7 @@ class TestQuadraticEpigraph:
 class TestStatuses:
     def test_infeasible(self):
         prog = ConeProgram(1)
-        prog.add_inequality([1.0], [0], -1.0)  # x <= -1
-        prog.add_inequality([-1.0], [0], -1.0)  # x >= 1
+        prog.add_inequality([[1.0], [-1.0]], [[0], [0]], [-1.0, -1.0])  # x <= -1 and x >= 1
         sol = prog.solve()
         assert sol.status == INFEASIBLE
         assert sol.x is None
@@ -370,7 +397,7 @@ class TestStatuses:
     def test_unbounded(self):
         prog = ConeProgram(1)
         prog.add_objective([0], [1.0])
-        prog.add_inequality([1.0], [0], 0.0)  # min x, x <= 0
+        prog.add_inequality([[1.0]], [[0]], [0.0])  # min x, x <= 0
         sol = prog.solve()
         assert sol.status == UNBOUNDED
         assert sol.x is None
@@ -378,7 +405,7 @@ class TestStatuses:
     def test_optimal_metadata(self):
         prog = ConeProgram(1)
         prog.add_objective([0], [1.0])
-        prog.add_inequality([-1.0], [0], 0.0)  # x >= 0
+        prog.add_inequality([[-1.0]], [[0]], [0.0])  # x >= 0
         sol = prog.solve()
         assert sol.status == OPTIMAL
         assert sol.solver_status == "Solved"
@@ -394,9 +421,9 @@ class TestStatuses:
         def build_and_solve():
             prog = ConeProgram(5)
             cols = np.arange(5)
-            prog.add_equality(E, cols, g)
-            s = prog.add_quadratic_epigraph(G, cols)
-            prog.add_objective([s], [1.0])
+            prog.add_equality(E[None], [cols], g[None])
+            s = prog.add_quadratic_epigraph(G, [cols])
+            prog.add_objective(s, [1.0])
             return prog.solve()
 
         a, b = build_and_solve(), build_and_solve()
@@ -408,8 +435,8 @@ class TestAssembly:
     def test_rows_follow_the_cone_layout(self):
         prog = ConeProgram(3)
         ball_soc(prog, [0, 1], 2.0)
-        prog.add_inequality([1.0, -2.0], [0, 2], 3.0, label="lid")
-        prog.add_equality(np.array([[1.0, 1.0]]), [1, 2], [0.5], label="pin")
+        prog.add_inequality([[1.0, -2.0]], [[0, 2]], [3.0], label="lid")
+        prog.add_equality(np.array([[[1.0, 1.0]]]), [[1, 2]], [[0.5]], label="pin")
         A, b, cones = prog._assemble()
         assert (cones.zero, cones.nonneg, cones.soc) == (1, 1, (3,))
         assert_allclose(A.toarray(), [[0, 1, 1], [1, 0, -2], [0, 0, 0], [-1, 0, 0], [0, -1, 0]])
@@ -465,7 +492,7 @@ class TestConeAlgebra:
 class TestSolverEdgeCases:
     def test_equalities_only(self):
         prog = ConeProgram(2)
-        prog.add_equality(np.eye(2), [0, 1], [1.0, 2.0])
+        prog.add_equality(np.eye(2)[None], [[0, 1]], [[1.0, 2.0]])
         prog.add_objective([0], [3.0])
         sol = prog.solve()
         assert sol.status == OPTIMAL
@@ -473,7 +500,7 @@ class TestSolverEdgeCases:
 
     def test_variable_outside_every_constraint(self):
         prog = ConeProgram(3)
-        prog.add_inequality([1.0], [0], 1.0)
+        prog.add_inequality([[1.0]], [[0]], [1.0])
         prog.add_objective([0], [-1.0])
         sol = prog.solve()
         assert sol.status == OPTIMAL
@@ -484,9 +511,8 @@ class TestSolverEdgeCases:
     def test_repeated_equalities(self):
         prog = ConeProgram(2)
         for _ in range(2):
-            prog.add_equality(np.ones((1, 2)), [0, 1], [1.0])
-        for j in range(2):
-            prog.add_inequality([-1.0], [j], 0.0)
+            prog.add_equality(np.ones((1, 1, 2)), [[0, 1]], [[1.0]])
+        prog.add_inequality([[-1.0], [-1.0]], [[0], [1]], [0.0, 0.0])
         prog.add_objective([0], [1.0])
         sol = prog.solve()
         assert sol.status == OPTIMAL
@@ -494,7 +520,7 @@ class TestSolverEdgeCases:
 
     def test_equality_outside_the_ball_is_infeasible(self):
         prog = ConeProgram(2)
-        prog.add_equality(np.ones((1, 2)), [0, 1], [5.0])
+        prog.add_equality(np.ones((1, 1, 2)), [[0, 1]], [[5.0]])
         ball_soc(prog, [0, 1], 1.0)
         assert prog.solve().status == INFEASIBLE
 

@@ -36,7 +36,7 @@ class TestKnotConstruction:
     def test_minimal_degree_one(self):
         kv = clamped_uniform_knots(0.0, 1.0, 1, 1)
         assert_allclose(kv.tau, [0.0, 0.0, 1.0, 1.0])
-        assert kv.v == 3
+        assert kv.tau.size == 4
         assert kv.n == 1
 
     def test_counts_and_clamping(self):
@@ -61,6 +61,35 @@ class TestKnotConstruction:
             clamped_uniform_knots(0.0, 1.0, 1, 2)
         with pytest.raises(ValueError, match="scalar"):
             clamped_uniform_knots([0.0], 1.0, 5, 2)
+
+    def test_a_knot_vector_is_its_four_numbers(self):
+        kv, shared = KnotVector(0.0, 1.0, 6, 5), clamped_uniform_knots(0.0, 1.0, 6, 5)
+        assert kv == shared and hash(kv) == hash(shared)
+        assert kv != KnotVector(0.0, 1.0, 7, 5)
+        assert_array_equal(kv.tau, shared.tau, strict=True)
+        assert not kv.tau.flags.writeable
+        with pytest.raises(AttributeError):
+            kv.tau = np.zeros(13)
+
+    # Each rejected by clamped_uniform_knots, and so by a direct construction.
+    BAD_KNOTS = [
+        (0.0, 1.0, 4, 5),  # n < degree
+        (1.0, 1.0, 6, 5),
+        (2.0, 1.0, 6, 5),
+        (np.nan, 1.0, 6, 5),
+        (0.0, np.nan, 6, 5),
+        (0.0, np.inf, 6, 5),
+        (-np.inf, 1.0, 6, 5),
+        ([0.0], 1.0, 6, 5),
+        (0.0, np.array([1.0, 2.0]), 6, 5),
+        (0.0, 1.0, 6, 0),  # degree 0
+    ]
+
+    @pytest.mark.parametrize("args", BAD_KNOTS)
+    def test_direct_construction_checks_like_the_factory(self, args):
+        for build in (clamped_uniform_knots, KnotVector):
+            with pytest.raises(ValueError):
+                build(*args)
 
     def test_signed_zero_start_is_one_vector(self):
         # -0.0 == 0.0 share a cache key, so both build the +0.0 vector.
@@ -116,7 +145,7 @@ class TestBasis:
         # are supported entirely inside the clamped tail and stay zero.
         for degree in (1, 3, 5):
             kv = clamped_uniform_knots(0.0, 2.0, 8, 5)
-            m = kv.v - degree
+            m = kv.tau.size - 1 - degree
             lam = cox_de_boor_matrix(kv.tau, degree, np.array([0.0, 2.0]))
             assert lam.shape == (2, m)
             start = np.zeros(m)

@@ -46,11 +46,12 @@ def conic_projection(mu_nom, lower, upper):
     loose cross-check of the exact active-set oracle, not as the oracle.
     """
     prog = ConeProgram(4)  # mu, then the distance epigraph s
-    for axis in range(3):
-        prog.add_inequality([1.0], [axis], upper[axis])
-        prog.add_inequality([-1.0], [axis], -lower[axis])
+    # mu_a <= upper_a and -mu_a <= -lower_a, axis by axis.
+    rows, axes = np.tile([[1.0], [-1.0]], (3, 1)), np.repeat(np.arange(3), 2)[:, None]
+    prog.add_inequality(rows, axes, np.column_stack([upper, np.negative(lower)]).ravel())
     A = np.hstack([np.eye(3), np.zeros((3, 1))])
-    prog.add_soc(A, -np.asarray(mu_nom, dtype=float), np.array([0.0, 0.0, 0.0, 1.0]), 0.0, [0, 1, 2, 3])
+    mu_nom = np.asarray(mu_nom, dtype=float)
+    prog.add_soc(A[None], -mu_nom[None], [[0.0, 0.0, 0.0, 1.0]], [0.0], [[0, 1, 2, 3]])
     prog.add_objective([3], [1.0])
     sol = prog.solve(tol=1e-9)
     assert sol.status == OPTIMAL
