@@ -9,6 +9,8 @@ The package splits into layers that mirror the pipeline:
 - planner: compiles mission constraints onto spline coefficients and solves.
 - tracker: barrier-based safety filter around a nominal controller.
 - simverify: double-integrator closed loop and dense constraint verification.
+- documents: the one checker of scenario files and plan documents against
+  their schemas.
 - cli: scenario-file driven entry points (plan / track / verify / export).
 """
 

@@ -1,17 +1,18 @@
 """Scenario-file driven pipeline: plan, track, verify, export.
 
-Scenarios are YAML documents validated against SCENARIO_SCHEMA before use,
-by a small checker of the JSON Schema keywords that schema uses. A handful
-of scenarios ship inside the package and can be named directly (see
+Scenarios are YAML documents and plans JSON documents. A handful of
+scenarios ship inside the package and can be named directly (see
 `safeflight plan --list`). Exit codes: 0 success, 2 parse or validation
 error, 3 infeasible plan, 4 failed verification or tracking certificate,
-5 unexpected runtime failure. The schema checks the document's shape and
-types. One pass then makes every number a float and every integer an int;
-a number too large for a float, or an integer beyond +-2**53, exits 2. A
-scenario key is the field name of the library class that owns its section,
-which takes the section by name and holds every default and value check
-(for a flag's grid, that is check_sample_count). Only the angles differ:
-written in degrees under _DEGREES' keys, they are converted to radians.
+5 unexpected runtime failure. Both formats go through the one checker in
+documents: SCENARIO_SCHEMA here, and PLAN_SCHEMA in planner, check a
+document's shape and types, and one pass then makes every number a float
+and every integer an int; a number too large for a float, or an integer
+beyond +-2**53, exits 2. A scenario key is the field name of the library
+class that owns its section, which takes the section by name and holds
+every default and value check (for a flag's grid, that is
+check_sample_count). Only the angles differ: written in degrees under
+_DEGREES' keys, they are converted to radians.
 The CLI builds each object through one wrapper, which reports a ValueError
 as exit 2, prefixed with the scenario file and the field's YAML path, or
 the flag.
@@ -37,6 +38,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .documents import checked, object_schema
 from .flatness import (
     InvertedFlightError,
     SingularAttitudeError,
@@ -53,7 +55,6 @@ from .planner import (
     SafetyBounds,
     TrajectoryPlan,
     Waypoint,
-    exact_int,
     plan,
 )
 from .simverify import (
@@ -78,203 +79,70 @@ EXIT_INFEASIBLE = 3
 EXIT_VERIFY = 4
 EXIT_RUNTIME = 5
 
-_VEC3 = {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3}
-_REGION = {
-    "type": "object",
-    "properties": {
+_NUMBER = {"type": "number"}
+_VEC3 = {"type": "array", "items": _NUMBER, "minItems": 3, "maxItems": 3}
+_MAT3 = {"type": "array", "items": _VEC3, "minItems": 3, "maxItems": 3}
+_REGION = object_schema(
+    {
         "name": {"type": "string"},
-        "box": {
-            "type": "object",
-            "properties": {"lo": _VEC3, "hi": _VEC3},
-            "required": ["lo", "hi"],
-            "additionalProperties": False,
-        },
-        "ball": {
-            "type": "object",
-            "properties": {"center": _VEC3, "radius": {"type": "number"}},
-            "required": ["center", "radius"],
-            "additionalProperties": False,
-        },
-        "ellipsoid": {
-            "type": "object",
-            "properties": {
-                "A": {"type": "array", "items": _VEC3, "minItems": 3, "maxItems": 3},
-                "b": _VEC3,
-            },
-            "required": ["A", "b"],
-            "additionalProperties": False,
-        },
-        "halfspace": {
-            "type": "object",
-            "properties": {"normal": _VEC3, "offset": {"type": "number"}},
-            "required": ["normal", "offset"],
-            "additionalProperties": False,
-        },
-    },
-    "additionalProperties": False,
+        "box": object_schema({"lo": _VEC3, "hi": _VEC3}, ["lo", "hi"]),
+        "ball": object_schema({"center": _VEC3, "radius": _NUMBER}, ["center", "radius"]),
+        "ellipsoid": object_schema({"A": _MAT3, "b": _VEC3}, ["A", "b"]),
+        "halfspace": object_schema({"normal": _VEC3, "offset": _NUMBER}, ["normal", "offset"]),
+    }
+)
+_BOUNDS = ["v_max", "tilt_max_deg", "thrust_min", "thrust_max", "omega_max_deg_s"]
+_WINDOW = {
+    "t_start": _NUMBER,
+    "t_end": _NUMBER,
+    "kind": {"enum": ["position", "speed"]},
+    "region": _REGION,
+    "bound": _NUMBER,
+}
+_TRACKING = {
+    "cbf": object_schema(dict.fromkeys(["delta", "a1", "a2"], _NUMBER), ["delta", "a1", "a2"]),
+    "gains": object_schema({"kp": _NUMBER, "kd": _NUMBER}, ["kp", "kd"]),
+    "control_rate": _NUMBER,
+    "substeps": {"type": "integer"},
+    "duration": _NUMBER,
+    "psi_deg": _NUMBER,
+    "initial_position_offset": _VEC3,
+    "initial_velocity_offset": _VEC3,
 }
 
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "properties": {
+SCENARIO_SCHEMA = object_schema(
+    {
         "format": {"const": "safeflight-scenario"},
         "version": {"const": 1},
         "name": {"type": "string"},
-        "gravity": {"type": "number"},
-        "spline": {
-            "type": "object",
-            "properties": {
-                "t0": {"type": "number"},
-                "tf": {"type": "number"},
-                "n": {"type": "integer"},
-                "degree": {"type": "integer"},
-            },
-            "required": ["t0", "tf", "degree"],
-            "additionalProperties": False,
-        },
-        "bounds": {
-            "type": "object",
-            "properties": {
-                "v_max": {"type": "number"},
-                "tilt_max_deg": {"type": "number"},
-                "thrust_min": {"type": "number"},
-                "thrust_max": {"type": "number"},
-                "omega_max_deg_s": {"type": "number"},
-                "regions": {"type": "array", "items": _REGION},
-            },
-            "required": ["v_max", "tilt_max_deg", "thrust_min", "thrust_max", "omega_max_deg_s"],
-            "additionalProperties": False,
-        },
+        "gravity": _NUMBER,
+        "spline": object_schema(
+            {"t0": _NUMBER, "tf": _NUMBER, "n": {"type": "integer"}, "degree": {"type": "integer"}},
+            ["t0", "tf", "degree"],
+        ),
+        "bounds": object_schema(
+            {**dict.fromkeys(_BOUNDS, _NUMBER), "regions": {"type": "array", "items": _REGION}},
+            _BOUNDS,
+        ),
         "waypoints": {
             "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "position": _VEC3,
-                    "time": {"type": "number"},
-                    "radius": {"type": "number"},
-                },
-                "required": ["position", "time"],
-                "additionalProperties": False,
-            },
+            "items": object_schema(
+                {"position": _VEC3, "time": _NUMBER, "radius": _NUMBER}, ["position", "time"]
+            ),
         },
-        "endpoints": {
-            "type": "object",
-            "properties": {
-                "initial": {"type": "array", "items": _VEC3, "minItems": 1},
-                "final": {"type": "array", "items": _VEC3, "minItems": 1},
-            },
-            "required": ["initial", "final"],
-            "additionalProperties": False,
-        },
-        "windows": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "t_start": {"type": "number"},
-                    "t_end": {"type": "number"},
-                    "kind": {"enum": ["position", "speed"]},
-                    "region": _REGION,
-                    "bound": {"type": "number"},
-                },
-                "required": ["t_start", "t_end", "kind"],
-                "additionalProperties": False,
-            },
-        },
+        "endpoints": object_schema(
+            dict.fromkeys(["initial", "final"], {"type": "array", "items": _VEC3, "minItems": 1}),
+            ["initial", "final"],
+        ),
+        "windows": {"type": "array", "items": object_schema(_WINDOW, ["t_start", "t_end", "kind"])},
         "corridor": {"type": "array", "items": _REGION, "minItems": 1},
         "zeta_mode": {"enum": ["per-span", "scalar"]},
         "apply_tracking_margins": {"type": "boolean"},
-        "solver_tol": {"type": "number"},
-        "tracking": {
-            "type": "object",
-            "properties": {
-                "cbf": {
-                    "type": "object",
-                    "properties": {
-                        "delta": {"type": "number"},
-                        "a1": {"type": "number"},
-                        "a2": {"type": "number"},
-                    },
-                    "required": ["delta", "a1", "a2"],
-                    "additionalProperties": False,
-                },
-                "gains": {
-                    "type": "object",
-                    "properties": {"kp": {"type": "number"}, "kd": {"type": "number"}},
-                    "required": ["kp", "kd"],
-                    "additionalProperties": False,
-                },
-                "control_rate": {"type": "number"},
-                "substeps": {"type": "integer"},
-                "duration": {"type": "number"},
-                "psi_deg": {"type": "number"},
-                "initial_position_offset": _VEC3,
-                "initial_velocity_offset": _VEC3,
-            },
-            "required": ["cbf", "gains"],
-            "additionalProperties": False,
-        },
+        "solver_tol": _NUMBER,
+        "tracking": object_schema(_TRACKING, ["cbf", "gains"]),
     },
-    "required": ["name", "spline", "bounds", "endpoints"],
-    "additionalProperties": False,
-}
-
-_IS_TYPE = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "integer": lambda v: (
-        isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and v.is_integer()
-    ),
-}
-
-
-def _same(value, expected) -> bool:
-    """JSON equality for const and enum: true and 1 differ, 1.0 and 1 do not."""
-    return isinstance(value, bool) == isinstance(expected, bool) and value == expected
-
-
-def _schema_errors(value, schema: dict, path: tuple = ()):
-    """Yield (path, message) for every way value breaks schema.
-
-    Covers the keywords SCENARIO_SCHEMA uses, with JSON Schema's meaning:
-    type (a bool is no number, and 3.0 is an integer), const, enum, and the
-    object and array keywords, which apply only to values of their type.
-    """
-    kind = schema.get("type")
-    if kind is not None and not _IS_TYPE[kind](value):
-        yield path, f"{value!r} is not of type {kind!r}"
-    if "const" in schema and not _same(value, schema["const"]):
-        yield path, f"{schema['const']!r} was expected"
-    if "enum" in schema and not any(_same(value, v) for v in schema["enum"]):
-        yield path, f"{value!r} is not one of {schema['enum']!r}"
-    if isinstance(value, dict):
-        props = schema.get("properties", {})
-        for key in schema.get("required", ()):
-            if key not in value:
-                yield path, f"{key!r} is a required property"
-        extra = [repr(key) for key in value if key not in props]
-        if schema.get("additionalProperties") is False and extra:
-            yield path, f"additional properties are not allowed ({', '.join(extra)} unexpected)"
-        for key, sub in props.items():
-            if key in value:
-                yield from _schema_errors(value[key], sub, path + (key,))
-    if isinstance(value, list):
-        if len(value) < schema.get("minItems", 0):
-            yield path, f"{value!r} is too short"
-        if len(value) > schema.get("maxItems", len(value)):
-            yield path, f"{value!r} is too long"
-        if "items" in schema:
-            for i, item in enumerate(value):
-                yield from _schema_errors(item, schema["items"], path + (i,))
-
-
-def schema_violation(doc) -> tuple[tuple, str] | None:
-    """The shallowest (path, message) where doc breaks SCENARIO_SCHEMA, or None."""
-    return min(_schema_errors(doc, SCENARIO_SCHEMA), key=lambda e: len(e[0]), default=None)
+    ["name", "spline", "bounds", "endpoints"],
+)
 
 
 class ScenarioError(ValueError):
@@ -349,42 +217,12 @@ def load_scenario(source: str) -> ScenarioFile:
         doc = yaml.load(text, Loader=loader)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: int() past its 4300-digit limit
         raise ScenarioError(f"{desc}: YAML parse error: {exc}") from exc
-    error = schema_violation(doc)
-    if error is not None:
-        where = "/".join(str(p) for p in error[0]) or "<root>"
-        raise ScenarioError(f"{desc}: schema violation at {where}: {error[1]}")
-
-    doc = _reported(desc, _converted, doc, SCENARIO_SCHEMA)
+    doc = _reported(desc, checked, doc, SCENARIO_SCHEMA)
     tr = doc.pop("tracking", None)
     cbf = None if tr is None else _reported(f"{desc}: tracking.cbf", CbfParams, **tr.pop("cbf"))
     planning = _planning_scenario(doc, cbf, desc)
     tracking = None if tr is None else _tracking_config(tr, cbf, planning.tf - planning.t0, desc)
     return ScenarioFile(planning=planning, tracking=tracking, source=desc)
-
-
-def _converted(value, schema: dict, path: tuple = ()):
-    """A schema-valid value with every schema number a float and every integer an int.
-
-    A number too large for a float, or an integer beyond +-2**53, is a
-    ValueError naming its YAML path.
-    """
-    kind = schema.get("type")
-    if kind == "number":
-        try:
-            return float(value)
-        except OverflowError:
-            digits = len(str(abs(value)))
-            message = f"a {digits}-digit integer is too large for a float"
-            raise ValueError(f"{'/'.join(map(str, path))}: {message}") from None
-    if kind == "integer":
-        return exact_int("/".join(map(str, path)), int(value))
-    if kind == "object":
-        props = schema["properties"]
-        return {k: _converted(v, props[k], path + (k,)) for k, v in value.items()}
-    if kind == "array":
-        items = schema["items"]
-        return [_converted(v, items, path + (i,)) for i, v in enumerate(value)]
-    return value
 
 
 # Angles are written in degrees under these keys; each library field named holds radians.
@@ -467,7 +305,7 @@ def _load_plan_doc(path: str) -> TrajectoryPlan:
     try:
         with open(path) as fh:
             return TrajectoryPlan.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
         raise ScenarioError(f"cannot load plan '{path}': {exc}") from exc
 
 

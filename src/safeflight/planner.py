@@ -27,10 +27,10 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
 
 import numpy as np
 
+from .documents import checked, object_schema
 from .flatness import GRAVITY
 from .socp import MAX_TOL, MIN_TOL, OPTIMAL, ConeProgram, Solution
 from .splines import (
@@ -80,36 +80,6 @@ def _finite(name: str, value) -> np.ndarray:
         where = f" at {at if len(at) > 1 else at[0]}" if at else ""
         raise ValueError(f"{name} must be finite, got {arr[at]}{where}")
     return arr
-
-
-def _number(doc: dict, name: str, default: float | None = None) -> float:
-    """doc[name] as a float, or default where it is absent.
-
-    ValueError naming the field unless the value is an int or float (not a
-    bool) that a float can hold, and a finite one when the field has no default.
-    """
-    value = doc[name] if default is None else doc.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        digits = len(str(abs(value)))
-        raise ValueError(f"{name}: a {digits}-digit integer is too large for a float") from None
-    if default is None and not math.isfinite(number):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return number
-
-
-def exact_int(name: str, value: int) -> int:
-    """value, or a ValueError naming the field and its digit count where |value| > 2**53.
-
-    Past 2**53 a float no longer holds every integer, and the error never
-    prints the integer itself, which may run to hundreds of digits.
-    """
-    if abs(value) > 2**53:
-        raise ValueError(f"{name}: a {len(str(abs(value)))}-digit integer is beyond 2**53")
-    return value
 
 
 @dataclass(frozen=True)
@@ -352,6 +322,9 @@ class IntervalConstraint:
             raise ValueError(f"unknown interval kind '{self.kind}'")
 
 
+# Least spline degree a plan may have: the objective integrates squared snap.
+MIN_DEGREE = 4
+
 # Most control points per axis (n + 1) one plan may hold. The solve factors
 # dense normal equations of order about 4 (n + 1): hover at n = 499 took 59 s
 # and peaked at 415 MB (2-CPU Intel Xeon, one BLAS thread).
@@ -362,7 +335,7 @@ MAX_CONTROL_POINTS = 500
 class PlanningScenario:
     """Everything the planner needs for one solve.
 
-    Requires degree >= 4 (the snap objective), degree <= n <
+    Requires degree >= MIN_DEGREE (the snap objective), degree <= n <
     MAX_CONTROL_POINTS, spans from min_span_width(degree) to
     max_span_width(degree) wide (so t0 < tf, both finite), waypoint and
     window times in [t0, tf], at most degree + 1 pinned orders at each
@@ -387,9 +360,9 @@ class PlanningScenario:
     solver_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.degree < 4:
+        if self.degree < MIN_DEGREE:
             raise ValueError(
-                f"spline.degree must be >= 4 for the snap objective, got {self.degree}"
+                f"spline.degree must be >= {MIN_DEGREE} for the snap objective, got {self.degree}"
             )
         if self.n < self.degree:
             raise ValueError(
@@ -449,14 +422,37 @@ class SolveStats:
     block_counts: dict[str, int]
 
 
-# The fields of a plan document: those that TrajectoryPlan.to_dict writes.
-PLAN_FIELDS = frozenset("format version name t0 tf n degree gravity zeta_mode".split())
-PLAN_FIELDS |= {"control_points", "zeta", "objective", "snap", "max_residual"}
+_NUMBER = {"type": "number"}
+_NUMBERS = {"type": "array", "items": _NUMBER}
+
+# The plan document that TrajectoryPlan.to_dict writes and from_dict reads.
+PLAN_SCHEMA = object_schema(
+    {
+        "format": {"const": "safeflight-plan"},
+        "version": {"const": 1},
+        "name": {"type": "string"},
+        "t0": _NUMBER,
+        "tf": _NUMBER,
+        "n": {"type": "integer"},
+        "degree": {"type": "integer"},
+        "gravity": _NUMBER,
+        "zeta_mode": {"enum": ["per-span", "scalar"]},
+        "control_points": {"type": "array", "items": _NUMBERS, "minItems": 3, "maxItems": 3},
+        "zeta": _NUMBERS,
+        "objective": _NUMBER,
+        "snap": _NUMBER,
+        "max_residual": _NUMBER,
+    },
+    ["format", "t0", "tf", "n", "degree", "gravity", "zeta_mode", "control_points", "zeta"],
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryPlan:
-    """A solved spline plan plus its rate floors and solve diagnostics."""
+    """A solved spline plan plus its rate floors and solve diagnostics.
+
+    Equality and hash go by identity: the fields hold arrays.
+    """
 
     curve: SplineCurve
     zeta: np.ndarray
@@ -474,6 +470,7 @@ class TrajectoryPlan:
         return float(self.zeta[l - self.curve.knots.degree])
 
     def to_dict(self) -> dict:
+        """The plan document, in the format PLAN_SCHEMA describes."""
         kv = self.curve.knots
         return {
             "format": "safeflight-plan",
@@ -493,77 +490,49 @@ class TrajectoryPlan:
         }
 
     @staticmethod
-    def from_dict(doc: dict) -> "TrajectoryPlan":
-        """The plan that to_dict wrote.
+    def from_dict(doc) -> "TrajectoryPlan":
+        """The plan that to_dict wrote, checked against PLAN_SCHEMA as a scenario is.
 
         Raises:
-            ValueError: naming the field, unless doc is a dict in the plan
-                format with only PLAN_FIELDS, version 1 where given and a
-                string name, whose n and degree are ints within +-2**53,
-                whose t0, tf and gravity are finite numbers and gravity
-                positive, whose control_points are finite numbers with shape
-                (3, n + 1), whose zeta_mode is "per-span" or "scalar" with
-                finite zeta of n - degree + 1 numbers or of one, and whose
-                objective, snap and max_residual, where given, are numbers.
-                Neither a bool nor a string is a number.
-            KeyError: for a missing field.
+            ValueError: naming the field, where doc breaks PLAN_SCHEMA, a
+                number is too large for a float, an integer lies beyond
+                +-2**53, degree is below MIN_DEGREE, t0, tf, gravity,
+                control_points or zeta holds a number that is not finite,
+                gravity is not positive, control_points is not of shape
+                (3, n + 1), or zeta does not hold n - degree + 1 values (one
+                in scalar mode).
         """
-        if not isinstance(doc, dict):
-            raise ValueError(f"not a plan document: a {type(doc).__name__}, not an object")
-        if doc.get("format") != "safeflight-plan":
-            raise ValueError(f"format must be 'safeflight-plan', got {doc.get('format')!r}")
-        unknown = ", ".join(sorted(map(repr, doc.keys() - PLAN_FIELDS)))
-        if unknown:
-            raise ValueError(f"unknown field(s) {unknown}: not in the plan format")
-        version, plan_name = doc.get("version", 1), doc.get("name", "plan")
-        if type(version) is not int or version != 1:
-            raise ValueError(f"version must be 1, got {version!r}")
-        if not isinstance(plan_name, str):
-            raise ValueError(f"name must be a string, got {plan_name!r}")
-        n, degree = doc["n"], doc["degree"]
-        for name, value in (("n", n), ("degree", degree)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            exact_int(name, value)
-        t0, tf, gravity = (_number(doc, name) for name in ("t0", "tf", "gravity"))
-        if gravity <= 0:
-            raise ValueError(f"gravity must be positive, got {gravity}")
-        zeta_mode = doc["zeta_mode"]
-        if zeta_mode not in ("per-span", "scalar"):
-            raise ValueError(f"zeta_mode must be 'per-span' or 'scalar', got {zeta_mode!r}")
+        doc = checked(doc, PLAN_SCHEMA)
+        n, degree, zeta_mode = doc["n"], doc["degree"], doc["zeta_mode"]
+        if degree < MIN_DEGREE:
+            raise ValueError(f"degree must be >= {MIN_DEGREE} for the snap objective, got {degree}")
+        for name in ("t0", "tf", "gravity"):
+            if not math.isfinite(doc[name]):
+                raise ValueError(f"{name} must be finite, got {doc[name]}")
+        if doc["gravity"] <= 0:
+            raise ValueError(f"gravity must be positive, got {doc['gravity']}")
         # The shape bounds n by the document's size before n sizes the knot vector.
-        ctrl = _finite("control_points", doc["control_points"])
-        if ctrl.shape != (3, n + 1):
-            raise ValueError(f"control_points must have shape (3, {n + 1}), got {ctrl.shape}")
-        kv = clamped_uniform_knots(t0, tf, n, degree)
+        rows = doc["control_points"]
+        if any(len(row) != n + 1 for row in rows):
+            lengths = [len(row) for row in rows]
+            raise ValueError(f"control_points must have shape (3, {n + 1}), got rows of {lengths}")
+        ctrl = _finite("control_points", rows)
+        kv = clamped_uniform_knots(doc["t0"], doc["tf"], n, degree)
         zeta = _finite("zeta", doc["zeta"])
         size = 1 if zeta_mode == "scalar" else n - degree + 1
         if zeta.shape != (size,):
             raise ValueError(
                 f"zeta must hold {size} value(s) in {zeta_mode} mode, got shape {zeta.shape}"
             )
-        # _finite reads True as 1.0 and "1.5" as 1.5: one pass over the entries' types.
-        rows = doc["control_points"]
-        for field, entries in ("control_points", chain(*rows)), ("zeta", doc["zeta"]):
-            for kind in set(map(type, entries)):
-                if kind is bool or not issubclass(kind, (int, float)):
-                    raise ValueError(f"{field} must hold numbers only, not {kind.__name__} entries")
-        stats = SolveStats(
-            status="loaded",
-            solve_time=0.0,
-            iterations=0,
-            max_residual=_number(doc, "max_residual", np.nan),
-            num_vars=0,
-            block_counts={},
-        )
+        stats = SolveStats("loaded", 0.0, 0, doc.get("max_residual", np.nan), 0, {})
         return TrajectoryPlan(
             curve=SplineCurve(kv, ctrl),
             zeta=zeta,
             zeta_mode=zeta_mode,
-            objective=_number(doc, "objective", np.nan),
-            snap=_number(doc, "snap", np.nan),
-            gravity=gravity,
-            name=plan_name,
+            objective=doc.get("objective", np.nan),
+            snap=doc.get("snap", np.nan),
+            gravity=doc["gravity"],
+            name=doc.get("name", "plan"),
             solve_stats=stats,
         )
 

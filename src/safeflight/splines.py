@@ -276,9 +276,12 @@ class KnotVector:
 _shared = lru_cache(maxsize=KNOT_CACHE_SIZE)(KnotVector)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplineCurve:
-    """A vector-valued spline: knots plus control points of shape (dim, n+1)."""
+    """A vector-valued spline: knots plus control points of shape (dim, n+1).
+
+    Equality and hash go by identity: the control points are an array.
+    """
 
     knots: KnotVector
     ctrl: np.ndarray
@@ -404,12 +407,13 @@ def _order_rows(degree: int, q: int) -> slice:
     return slice(start, start + degree - q + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivativePoints:
     """Control points of the r-th derivative curve, in original column indexing.
 
     points[:, j] is nonzero only for r <= j <= n; on span [tau_l, tau_{l+1})
     the derivative curve lies in the convex hull of columns l-d+r .. l.
+    Equality and hash go by identity, as for SplineCurve.
     """
 
     r: int

@@ -15,6 +15,7 @@ import pytest
 import yaml
 
 from oracles import cox_de_boor_matrix, export_csv_per_row
+from test_fuzz import mutate
 import safeflight
 from safeflight.cli import (
     EXIT_INFEASIBLE,
@@ -27,10 +28,11 @@ from safeflight.cli import (
     bundled_scenarios,
     load_scenario,
     main,
-    schema_violation,
 )
+from safeflight.documents import exact_int, violation
 from safeflight.flatness import GRAVITY
 from safeflight.planner import (
+    PLAN_SCHEMA,
     ConvexRegion,
     EndpointPins,
     IntervalConstraint,
@@ -38,7 +40,6 @@ from safeflight.planner import (
     SafetyBounds,
     TrajectoryPlan,
     Waypoint,
-    exact_int,
 )
 from safeflight.simverify import SimConfig, TrackingConfig, span_samples
 from safeflight.splines import SplineCurve
@@ -124,10 +125,11 @@ def dive_plan(tmp_path, hover_plan):
 
 
 class TestLoading:
-    def test_schema_is_valid_under_its_metaschema(self):
-        # Scenario loads no longer re-check the schema, so check it here once.
+    @pytest.mark.parametrize("schema", [SCENARIO_SCHEMA, PLAN_SCHEMA], ids=["scenario", "plan"])
+    def test_schema_is_valid_under_its_metaschema(self, schema):
+        # Loads never check the schemas themselves, so check them here once.
         jsonschema = pytest.importorskip("jsonschema")
-        jsonschema.validators.validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
+        jsonschema.validators.validator_for(schema).check_schema(schema)
 
     def test_bundled_names(self):
         assert bundled_scenarios() == EXPECTED_BUNDLED
@@ -272,63 +274,72 @@ def walk(value, schema, path=()):
             yield from walk(item, schema["items"], path + (i,))
 
 
-def schema_mutations():
-    """(label, document) pairs, each full_dict() with one change at one node."""
-    base = full_dict()
+def changed(base, path, edit):
+    """A deep copy of base with edit(parent, key) applied at path."""
+    doc = copy.deepcopy(base)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    edit(parent, path[-1])
+    return doc
 
-    def changed(path, edit):
-        doc = copy.deepcopy(base)
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        edit(parent, path[-1])
-        return doc
 
-    def put(value):
-        def edit(parent, key):
-            parent[key] = value
-        return edit
+def put(value):
+    def edit(parent, key):
+        parent[key] = value
+    return edit
 
-    for path, value, schema in walk(base, SCENARIO_SCHEMA):
+
+def schema_mutations(base, root_schema):
+    """(label, document) pairs, each base with one change at one node of root_schema."""
+    for path, value, schema in walk(base, root_schema):
         if not path:
             continue
         kind = schema.get("type")
         name = "/".join(map(str, path))
         if kind in ("number", "integer"):
-            yield f"{name} = true", changed(path, put(True))
-            yield f"{name} = '1'", changed(path, put("1"))
+            yield f"{name} = true", changed(base, path, put(True))
+            yield f"{name} = '1'", changed(base, path, put("1"))
         if kind == "integer":
-            yield f"{name} = 3.0", changed(path, put(3.0))
-            yield f"{name} = 3.5", changed(path, put(3.5))
+            yield f"{name} = 3.0", changed(base, path, put(3.0))
+            yield f"{name} = 3.5", changed(base, path, put(3.5))
         if kind == "boolean":
-            yield f"{name} = 1", changed(path, put(1))
+            yield f"{name} = 1", changed(base, path, put(1))
         if kind == "string":
-            yield f"{name} = 1", changed(path, put(1))
+            yield f"{name} = 1", changed(base, path, put(1))
         if kind == "object":
             for key in schema.get("required", ()):
-                yield f"{name} without {key}", changed(path, lambda p, k, key=key: p[k].pop(key))
-            yield f"{name} with an extra key", changed(path, lambda p, k: p[k].update(extra=1))
-            yield f"{name} = []", changed(path, put([]))
+                drop = lambda p, k, key=key: p[k].pop(key)  # noqa: E731
+                yield f"{name} without {key}", changed(base, path, drop)
+            yield f"{name} with an extra key", changed(base, path, lambda p, k: p[k].update(extra=1))
+            yield f"{name} = []", changed(base, path, put([]))
         if kind == "array":
             if schema.get("maxItems") == 3:
-                yield f"{name} short", changed(path, put(value[:2]))
-                yield f"{name} long", changed(path, put(value + [0.0]))
+                yield f"{name} short", changed(base, path, put(value[:2]))
+                yield f"{name} long", changed(base, path, put(value + [0.0]))
             if schema.get("minItems") == 1:
-                yield f"{name} empty", changed(path, put([]))
-            yield f"{name} = {{}}", changed(path, put({}))
+                yield f"{name} empty", changed(base, path, put([]))
+            yield f"{name} = {{}}", changed(base, path, put({}))
         for key in ("const", "enum"):
             if key in schema:
-                yield f"{name} = 'bogus'", changed(path, put("bogus"))
-                yield f"{name} = true", changed(path, put(True))
-    yield "version = 1.0", changed(("version",), put(1.0))
-    yield "zeta_mode = 'per-span'", changed(("zeta_mode",), put("per-span"))
-    yield "top-level key", changed(("comment",), put("x"))
-    yield "two errors at one depth", changed(("spline",), lambda p, k: p[k].update(t0=True, tf="x"))
-    doc = changed(("gravity",), put(None))
+                yield f"{name} = 'bogus'", changed(base, path, put("bogus"))
+                yield f"{name} = true", changed(base, path, put(True))
+    yield "version = 1.0", changed(base, ("version",), put(1.0))
+    yield "zeta_mode = 'per-span'", changed(base, ("zeta_mode",), put("per-span"))
+    yield "top-level key", changed(base, ("comment",), put("x"))
+    for top in (None, [], "document", 3):
+        yield f"document {top!r}", top
+
+
+def scenario_mutations():
+    """schema_mutations of full_dict(), and documents with two errors."""
+    base = full_dict()
+    yield from schema_mutations(base, SCENARIO_SCHEMA)
+    edit = lambda p, k: p[k].update(t0=True, tf="x")  # noqa: E731
+    yield "two errors at one depth", changed(base, ("spline",), edit)
+    doc = changed(base, ("gravity",), put(None))
     doc["spline"]["t0"] = True
     yield "errors at two depths", doc
-    for top in (None, [], "scenario", 3):
-        yield f"document {top!r}", top
 
 
 def bad_input_documents():
@@ -373,24 +384,32 @@ def bad_input_documents():
 
 
 class TestSchemaChecker:
-    """The package's checker against jsonschema on SCENARIO_SCHEMA.
+    """The package's checker against jsonschema on SCENARIO_SCHEMA and PLAN_SCHEMA.
 
     Both must agree on validity. The checker reports the shallowest failing
     path, as jsonschema's best_match does; where jsonschema finds exactly one
     error, both must name the same path.
     """
 
+    @staticmethod
+    def validator_of(schema):
+        jsonschema = pytest.importorskip("jsonschema")
+        return jsonschema.validators.validator_for(schema)(schema)
+
     @pytest.fixture(scope="class")
     def validator(self):
-        jsonschema = pytest.importorskip("jsonschema")
-        return jsonschema.validators.validator_for(SCENARIO_SCHEMA)(SCENARIO_SCHEMA)
+        return self.validator_of(SCENARIO_SCHEMA)
+
+    @pytest.fixture(scope="class")
+    def plan_validator(self):
+        return self.validator_of(PLAN_SCHEMA)
 
     @staticmethod
     def assert_agrees(validator, doc, label):
         import jsonschema
 
         errors = list(validator.iter_errors(doc))
-        got = schema_violation(doc)
+        got = violation(doc, validator.schema)
         assert (got is None) == (not errors), f"{label}: checker {got}, jsonschema {errors}"
         if errors:
             best = jsonschema.exceptions.best_match(errors)
@@ -405,11 +424,11 @@ class TestSchemaChecker:
         for name in bundled_scenarios():
             doc = yaml.safe_load((root / f"{name}.yaml").read_text())
             self.assert_agrees(validator, doc, name)
-            assert schema_violation(doc) is None
+            assert violation(doc, SCENARIO_SCHEMA) is None
 
     def test_full_document_is_valid(self, validator):
         self.assert_agrees(validator, full_dict(), "full")
-        assert schema_violation(full_dict()) is None
+        assert violation(full_dict(), SCENARIO_SCHEMA) is None
 
     def test_bad_input_cases(self, validator):
         for i, doc in enumerate(bad_input_documents()):
@@ -417,10 +436,64 @@ class TestSchemaChecker:
 
     def test_mutations(self, validator):
         labels = []
-        for label, doc in schema_mutations():
+        for label, doc in scenario_mutations():
             self.assert_agrees(validator, doc, label)
             labels.append(label)
         assert len(labels) > 200
+
+    def test_bundled_plan_documents(self, plan_validator, bundled_plan):
+        for name in bundled_scenarios():
+            doc = json.loads(json.dumps(bundled_plan(name).to_dict()))
+            self.assert_agrees(plan_validator, doc, name)
+            assert violation(doc, PLAN_SCHEMA) is None
+
+    def test_bad_plan_documents(self, plan_validator, hover_plan):
+        for label, edit, _ in BAD_PLAN_DOCUMENTS:
+            doc = hover_plan.to_dict()
+            if edit is None:
+                doc = [doc]
+            else:
+                edit(doc)
+            self.assert_agrees(plan_validator, doc, label)
+
+    def test_plan_mutations(self, plan_validator, hover_plan, bundled_plan):
+        labels = []
+        for label, doc in schema_mutations(hover_plan.to_dict(), PLAN_SCHEMA):
+            self.assert_agrees(plan_validator, doc, label)
+            labels.append(label)
+        assert len(labels) > 100
+        rng = np.random.default_rng(27)
+        for name in bundled_scenarios():
+            for _ in range(25):
+                doc, what = mutate(bundled_plan(name).to_dict(), rng)
+                self.assert_agrees(plan_validator, doc, f"{name}: {what}")
+
+    @pytest.mark.parametrize(
+        "path,value,where,message",
+        [
+            (("waypoints",), "x" * 300, "waypoints", "a string is not of type 'array'"),
+            (("zeta_mode",), "x" * 300, "zeta_mode", f"'{'x' * 20}... is not one of"),
+            (("x" * 300,), 1, "<root>", f"unknown field(s) '{'x' * 20}..."),
+            (("endpoints", "initial"), [], "endpoints/initial", "0 items, fewer than the minimum 1"),
+            (
+                ("tracking", "initial_position_offset"),
+                [0.0] * 300,
+                "tracking/initial_position_offset",
+                "300 items, more than the maximum 3",
+            ),
+        ],
+        ids=["type", "enum", "unknown-key", "min-items", "max-items"],
+    )
+    def test_violation_names_the_type_or_length(
+        self, tmp_path, capsys, monkeypatch, path, value, where, message
+    ):
+        # A relative path keeps the message's length independent of tmp_path.
+        monkeypatch.chdir(tmp_path)
+        Path("s.yaml").write_text(yaml.safe_dump(changed(full_dict(), path, put(value))))
+        assert main(["plan", "--scenario", "s.yaml"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"error: s.yaml: schema violation at {where}: {message}" in err
+        assert len(err) < 120, err
 
     @pytest.mark.parametrize(
         "path,value,where",
@@ -1288,8 +1361,8 @@ BAD_PLAN_DOCUMENTS = [
     ("zeta-empty", set_entry("zeta", value=[]), "zeta"),
     ("zeta-scalar-mode", set_entry("zeta_mode", value="scalar"), "zeta"),
     ("zeta-mode-bogus", set_entry("zeta_mode", value="bogus"), "zeta_mode"),
-    ("n-string", set_entry("n", value="12"), "n must"),
-    ("n-bool", set_entry("n", value=True), "n must"),
+    ("n-string", set_entry("n", value="12"), "at n: a string is not of type 'integer'"),
+    ("n-bool", set_entry("n", value=True), "at n: a boolean is not of type 'integer'"),
     ("degree-float", set_entry("degree", value=2.5), "degree"),
     ("t0-null", set_entry("t0", value=None), "t0"),
     ("t0-nan", set_entry("t0", value=float("nan")), "t0"),
@@ -1300,16 +1373,17 @@ BAD_PLAN_DOCUMENTS = [
     ("gravity-negative", set_entry("gravity", value=-9.81), "gravity must be positive"),
     ("objective-null", set_entry("objective", value=None), "objective"),
     ("max-residual-list", set_entry("max_residual", value=[1.0]), "max_residual"),
-    ("list-document", None, "not a plan document"),
-    ("format-missing", lambda d: d.pop("format"), "format must be 'safeflight-plan', got None"),
-    ("format-other", set_entry("format", value="x"), "format must be 'safeflight-plan', got 'x'"),
+    ("list-document", None, "at <root>: an array is not of type 'object'"),
+    ("format-missing", lambda d: d.pop("format"), "'format' is a required property"),
+    ("n-missing", lambda d: d.pop("n"), "'n' is a required property"),
+    ("format-other", set_entry("format", value="x"), "at format: 'safeflight-plan' was expected"),
     # An integer too large for a float, and an n that the control points do
     # not hold, which sized the knot vector before they were checked.
     ("t0-huge", set_entry("t0", value=10**400), "t0: a 401-digit integer is too large for a float"),
     ("tf-huge", set_entry("tf", value=10**400), "tf: a 401-digit integer"),
     ("gravity-huge", set_entry("gravity", value=-(10**400)), "gravity: a 401-digit integer"),
     ("control-point-huge", set_entry("control_points", 0, 3, value=10**400), "control_points"),
-    ("zeta-huge", set_entry("zeta", 1, value=10**400), "zeta must be numbers"),
+    ("zeta-huge", set_entry("zeta", 1, value=10**400), "zeta/1: a 401-digit integer"),
     ("objective-huge", set_entry("objective", value=10**400), "objective: a 401-digit integer"),
     ("snap-huge", set_entry("snap", value=10**400), "snap: a 401-digit integer"),
     ("max-residual-huge", set_entry("max_residual", value=10**400), "max_residual: a 401-digit"),
@@ -1320,23 +1394,25 @@ BAD_PLAN_DOCUMENTS = [
     (
         "control-point-numeric-string-and-bool",
         set_entry("control_points", 0, value=["1.5", True] + [0.0] * 11),
-        "control_points must hold numbers only, not ",
+        "at control_points/0/0: a string is not of type 'number'",
     ),
     (
         "control-point-bool",
         set_entry("control_points", 2, 5, value=True),
-        "control_points must hold numbers only, not bool entries",
+        "at control_points/2/5: a boolean is not of type 'number'",
     ),
     (
         "zeta-numeric-string",
         lambda d: d.update(zeta_mode="scalar", zeta=["9.8"]),
-        "zeta must hold numbers only, not str entries",
+        "at zeta/0: a string is not of type 'number'",
     ),
-    ("zeta-bool", set_entry("zeta", 3, value=False), "zeta must hold numbers only, not bool"),
-    ("version-7", set_entry("version", value=7), "version must be 1, got 7"),
-    ("version-true", set_entry("version", value=True), "version must be 1, got True"),
+    ("zeta-bool", set_entry("zeta", 3, value=False), "at zeta/3: a boolean is not of type"),
+    ("version-7", set_entry("version", value=7), "at version: 1 was expected"),
+    ("version-true", set_entry("version", value=True), "at version: 1 was expected"),
     ("unknown-field", set_entry("comment", value="x"), "unknown field(s) 'comment'"),
-    ("name-list", set_entry("name", value=["x"]), "name must be a string, got ['x']"),
+    ("name-list", set_entry("name", value=["x"]), "at name: an array is not of type 'string'"),
+    # The snap objective needs degree 4 or more, in a plan as in a scenario.
+    ("degree-1", set_entry("degree", value=1), "degree must be >= 4 for the snap objective, got 1"),
 ]
 
 
@@ -1370,9 +1446,8 @@ class TestBadPlanDocument:
         out = capsys.readouterr()
         assert "cannot load plan" in out.err and field in out.err
         assert "unexpected error" not in out.err
-        if "must be finite" in out.err:
-            # A non-finite entry is named by index and value, not by the whole array.
-            assert all(len(line) < 120 for line in out.err.splitlines()), out.err
+        # A value is named by its index, type or length, never printed whole.
+        assert all(len(line) < 120 for line in out.err.splitlines()), out.err
         assert not (tmp_path / "samples.csv").exists()
 
     def test_nan_barrier_fails_the_track_run(self, hover_plan, monkeypatch, capsys):

@@ -37,6 +37,7 @@ from safeflight.cli import (
     main,
 )
 from safeflight.planner import (
+    PLAN_SCHEMA,
     EndpointPins,
     IntervalConstraint,
     PlanningScenario,
@@ -64,12 +65,10 @@ def _schema_keys(schema: dict):
 
 def _field_names() -> set[str]:
     """Names a message may use for a field: scenario and plan keys, dataclass fields."""
-    plan_keys = ("format", "version", "t0", "tf", "n", "degree", "gravity", "zeta_mode")
-    plan_keys += ("control_points", "zeta", "objective", "snap", "max_residual")
     classes = (SafetyBounds, Waypoint, EndpointPins, IntervalConstraint, PlanningScenario)
     classes += (SimConfig, CbfParams, PdGains, TrackingConfig)
     names = {f.name for cls in classes for f in dataclasses.fields(cls)}
-    return names | {*_schema_keys(SCENARIO_SCHEMA), *plan_keys}
+    return names | {*_schema_keys(SCENARIO_SCHEMA), *_schema_keys(PLAN_SCHEMA)}
 
 
 FIELD = re.compile(rf"(?<!\w)({'|'.join(map(re.escape, sorted(_field_names())))})(?!\w)")

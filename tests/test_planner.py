@@ -34,7 +34,14 @@ from safeflight.planner import (
 )
 from safeflight.simverify import span_samples
 from safeflight.socp import MAX_TOL, MIN_TOL, ConeProgram
-from safeflight.splines import clamped_uniform_knots, max_span_width, min_span_width, snap_gram
+from safeflight.splines import (
+    SplineCurve,
+    clamped_uniform_knots,
+    derivative_control_points,
+    max_span_width,
+    min_span_width,
+    snap_gram,
+)
 from safeflight.tracker import CbfParams
 
 G = 9.81
@@ -808,3 +815,25 @@ class TestPlanDocument:
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
             TrajectoryPlan.from_dict({"format": "something-else"})
+
+    def test_integral_floats_load_as_integers(self, hover_plan):
+        # JSON Schema's integer: 12.0 is one, as in a scenario's spline.n.
+        doc = hover_plan.to_dict()
+        doc.update(n=float(doc["n"]), degree=float(doc["degree"]), version=1.0)
+        back = TrajectoryPlan.from_dict(doc)
+        assert back.curve.knots == hover_plan.curve.knots
+        assert type(back.curve.knots.n) is int and type(back.curve.knots.degree) is int
+
+    def test_equality_and_hash_go_by_identity(self, hover_plan):
+        # Each holds arrays, whose == is elementwise: a field-wise == would raise.
+        curve = hover_plan.curve
+        points = derivative_control_points(curve, 1)
+        pairs = [
+            (curve, SplineCurve(curve.knots, curve.ctrl)),
+            (hover_plan, dataclasses.replace(hover_plan)),
+            (points, dataclasses.replace(points)),
+        ]
+        for item, twin in pairs:
+            assert item == item and item != twin
+            assert hash(item) == hash(item)
+            assert len({item, twin}) == 2

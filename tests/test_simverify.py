@@ -676,7 +676,7 @@ def jittered_verify_args(bundled_plan, name, jitter, move_z=True):
     ctrl = np.asarray(doc["control_points"])
     noise = np.random.default_rng(3).normal(size=ctrl.shape)
     noise[2] *= move_z
-    doc["control_points"] = ctrl + jitter * noise
+    doc["control_points"] = (ctrl + jitter * noise).tolist()
     pl = TrajectoryPlan.from_dict(doc)
     return (pl, sc.bounds, sc.waypoints, sc.pins, sc.intervals, sc.corridor, 300)
 
