@@ -5,9 +5,9 @@ scenarios ship inside the package and can be named directly (see
 `safeflight plan --list`). Exit codes: 0 success, 2 parse or validation
 error, 3 infeasible plan, 4 failed verification or tracking certificate,
 5 unexpected runtime failure. Both formats go through the one checker in
-documents: SCENARIO_SCHEMA here, and PLAN_SCHEMA in planner, check a
-document's shape and types, and one pass then makes every number a float
-and every integer an int; a number too large for a float, or an integer
+documents: SCENARIO_SCHEMA here, and PLAN_SCHEMA in planner, and one walk
+checks a document's shape and types and makes every number a float and
+every integer an int; a number too large for a float, or an integer
 beyond +-2**53, exits 2. A scenario key is the field name of the library
 class that owns its section, which takes the section by name and holds
 every default and value check (for a flag's grid, that is

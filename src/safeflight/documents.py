@@ -1,40 +1,33 @@
 """One checker for the package's documents: scenario files and plan documents.
 
 Each format is described once, by a JSON Schema: SCENARIO_SCHEMA in cli and
-PLAN_SCHEMA in planner, whose objects object_schema writes. Two walks of a
-schema read a document. violation finds the shallowest place where the
-document breaks the schema, with JSON Schema's meaning of the keywords those
-schemas use. converted then makes every schema number a float and every
-integer an int; a number too large for a float, or an integer beyond
-+-2**53, is a ValueError naming its path. checked runs both. Where a node
-holds its type alone, both walks settle a value by its exact type, and an
-array of such items by one pass over its entry types; they walk the entries
-one by one only where that pass fails. A message names a value by its
-type, its length or its first 24 characters, never whole. This module
-imports nothing from the package, and no jsonschema.
+PLAN_SCHEMA in planner, whose objects object_schema writes. On first use a
+schema is compiled into one walk per node, and one walk checks a document
+against the keywords, with JSON Schema's meaning, and converts it, every
+schema number to a float and every integer to an int. A node holding its
+type alone keeps a float, string or bool as it stands, and its parent settles
+such values by their exact type without a call, an array of them in one pass
+over its entry types. A message names a value by its type, its length or its
+first 24 characters. A schema may not change after its first use. This
+module imports nothing from the package.
 """
 
 from __future__ import annotations
 
 # The Python types of each JSON type; a bool is only a boolean, and 3.0 is an integer too.
-_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "number": (int, float)}
-_TYPES["integer"] = int
+_TYPES = {"object": (dict,), "array": (list,), "string": (str,), "boolean": (bool,)}
+_TYPES.update(number=(int, float), integer=(int,))
 
 # A value's JSON type, as a message names it; a bool is no integer.
 _TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean"}
 _TYPE_NAMES.update({int: "an integer", float: "a number", type(None): "null"})
 
-# The exact types whose values a node holding its type alone accepts as they stand, so the
-# walks settle them without a call; of those, converted keeps _KEPT's as they are (it bounds
-# every integer, so it keeps none).
-_PLAIN = {"string": {str}, "boolean": {bool}, "number": {int, float}, "integer": {int}}
+# The exact types a node holding its type alone keeps as they stand (it bounds every
+# integer); its parent settles such a value without a call.
 _KEPT = {"string": {str}, "boolean": {bool}, "number": {float}}
-_NONE = frozenset()
 
-
-def _plain(schema: dict, table: dict) -> set:
-    """The exact types in table of schema's type if schema holds its type alone, else none."""
-    return table.get(schema.get("type"), _NONE) if len(schema) == 1 else _NONE
+# Compiled walks by id(schema), each held with its schema so that the id stays its own.
+_WALKS: dict[int, tuple] = {}
 
 
 def _type_name(value) -> str:
@@ -64,88 +57,107 @@ def _is_type(value, kind: str) -> bool:
     )
 
 
-def _errors(value, schema: dict, path: tuple, found: list) -> list:
-    """found, with (path, message) appended for every way value breaks schema.
+def _number(value, kind: str, path: tuple, big: list):
+    """A float at a number node, an int within +-2**53 at an integer node; else value."""
+    try:
+        number = float(value) if kind == "number" else int(value)
+        if kind == "number" or abs(number) <= 2**53:  # past it, floats skip integers
+            return number
+        why = "beyond 2**53"
+    except OverflowError:
+        number, why = value, "too large for a float"
+    big.append(ValueError(f"{_where(path)}: a {len(str(abs(number)))}-digit integer is {why}"))
+    return value
 
-    Covers type, const, enum, and the object and array keywords, which apply
-    only to values of their type.
+
+def _compile(schema: dict) -> tuple[set, object]:
+    """(kept, walk) of one schema node: the exact types it keeps, as _KEPT says, and its walk.
+
+    walk(value, path, found, big) gives value converted. It appends (path,
+    message) to found for each way value breaks schema, in the schema's
+    order, and a ValueError to big for each number it cannot convert, in
+    document order. head checks type, const and enum, which a value of the
+    node's exact type passes without the call where the node has neither
+    const nor enum; then the object or array keywords apply to a value of
+    their type, or a number or integer is converted.
     """
-    kind = schema.get("type")
-    if kind is not None and not _is_type(value, kind):
-        found.append((path, f"{_type_name(value)} is not of type {kind!r}"))
-    if "const" in schema and not _same(value, schema["const"]):
-        found.append((path, f"{schema['const']!r} was expected"))
-    if "enum" in schema and not any(_same(value, v) for v in schema["enum"]):
-        found.append((path, f"{_brief(value)} is not one of {schema['enum']!r}"))
-    if isinstance(value, dict):
+    kind, const, options = schema.get("type"), schema.get("const"), schema.get("enum")
+    plain = _TYPES.get(kind, ()) if "const" not in schema and options is None else ()
+
+    def head(value, path: tuple, found: list) -> bool:
+        typed = kind is None or _is_type(value, kind)
+        if not typed:
+            found.append((path, f"{_type_name(value)} is not of type {kind!r}"))
+        if "const" in schema and not _same(value, const):
+            found.append((path, f"{const!r} was expected"))
+        if options is not None and not any(_same(value, v) for v in options):
+            found.append((path, f"{_brief(value)} is not one of {options!r}"))
+        return typed
+
+    if schema.keys() & {"properties", "required", "additionalProperties"}:
         props = schema.get("properties", {})
-        for key in schema.get("required", ()):
-            if key not in value:
-                found.append((path, f"{key!r} is a required property"))
-        if schema.get("additionalProperties") is False and not value.keys() <= props.keys():
-            extra = ", ".join(_brief(key) for key in value if key not in props)
-            found.append((path, f"unknown field(s) {extra}"))
-        for key, sub in props.items():
-            if key in value and type(value[key]) not in _plain(sub, _PLAIN):
-                _errors(value[key], sub, path + (key,), found)
-    elif isinstance(value, list):
-        if len(value) < schema.get("minItems", 0):
-            found.append((path, f"{len(value)} items, fewer than the minimum {schema['minItems']}"))
-        if len(value) > schema.get("maxItems", len(value)):
-            found.append((path, f"{len(value)} items, more than the maximum {schema['maxItems']}"))
-        items = schema.get("items", {})
-        if not _plain(items, _PLAIN).issuperset(map(type, value)):
-            for i, item in enumerate(value):
-                _errors(item, items, path + (i,), found)
-    return found
+        nodes = {key: _compile(sub) for key, sub in props.items()}
+        rank = {key: i for i, key in enumerate(props)}
+        required = schema.get("required", ())
+        needed, closed = frozenset(required), schema.get("additionalProperties") is False
+
+        def walk(value, path, found, big):
+            if not (type(value) in plain or head(value, path, found) and isinstance(value, dict)):
+                return value
+            if not value.keys() >= needed:
+                missing = (key for key in required if key not in value)
+                found.extend((path, f"{key!r} is a required property") for key in missing)
+            if closed and not value.keys() <= props.keys():
+                extra = ", ".join(_brief(key) for key in value if key not in props)
+                found.append((path, f"unknown field(s) {extra}"))
+            start, out = len(found), dict(value)
+            for key, item in value.items():
+                if key in nodes and type(item) not in nodes[key][0]:
+                    out[key] = nodes[key][1](item, path + (key,), found, big)
+            if len(found) > start:  # the properties' errors in the schema's order, as ties go
+                found[start:] = sorted(found[start:], key=lambda e: rank[e[0][len(path)]])
+            return out
+
+    elif schema.keys() & {"items", "minItems", "maxItems"}:
+        kept, each = _compile(schema.get("items", {}))
+        least, most = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
+
+        def walk(value, path, found, big):
+            if not (type(value) in plain or head(value, path, found) and isinstance(value, list)):
+                return value
+            if len(value) < least:
+                found.append((path, f"{len(value)} items, fewer than the minimum {least}"))
+            if len(value) > most:
+                found.append((path, f"{len(value)} items, more than the maximum {most}"))
+            if kept.issuperset(map(type, value)):
+                return value
+            return [each(item, path + (i,), found, big) for i, item in enumerate(value)]
+
+    else:
+        numeric = kind in ("number", "integer")
+
+        def walk(value, path, found, big):
+            if not (type(value) in plain or head(value, path, found)) or not numeric:
+                return value
+            return _number(value, kind, path, big)
+
+    return _KEPT.get(kind, set()) if len(schema) == 1 else set(), walk
+
+
+def _walk(doc, schema: dict) -> tuple[object, list, list]:
+    """doc converted, the violations found and the conversion errors, from one walk."""
+    entry = _WALKS.get(id(schema))
+    if entry is None:
+        if len(_WALKS) >= 32:
+            _WALKS.clear()
+        entry = _WALKS[id(schema)] = (schema, _compile(schema)[1])
+    found, big = [], []
+    return entry[1](doc, (), found, big), found, big
 
 
 def violation(doc, schema: dict) -> tuple[tuple, str] | None:
     """The shallowest (path, message) where doc breaks schema, or None."""
-    return min(_errors(doc, schema, (), []), key=lambda e: len(e[0]), default=None)
-
-
-def exact_int(name: str, value: int) -> int:
-    """value, or a ValueError naming the field and its digit count where |value| > 2**53.
-
-    Past 2**53 a float no longer holds every integer, and the error never
-    prints the integer itself, which may run to hundreds of digits.
-    """
-    if abs(value) > 2**53:
-        raise ValueError(f"{name}: a {len(str(abs(value)))}-digit integer is beyond 2**53")
-    return value
-
-
-def converted(value, schema: dict, path: tuple = ()):
-    """A schema-valid value with every schema number a float and every integer an int.
-
-    A float, string or bool that its node holds with its type alone is
-    returned as it is, and so is an array of them. A number too large for a
-    float, or an integer beyond +-2**53, is a ValueError naming its path.
-    """
-    kind = schema.get("type")
-    if kind == "number":
-        try:
-            return float(value)
-        except OverflowError:
-            digits = len(str(abs(value)))
-            raise ValueError(
-                f"{_where(path)}: a {digits}-digit integer is too large for a float"
-            ) from None
-    if kind == "integer":
-        return exact_int(_where(path), int(value))
-    if kind == "object":
-        props = schema["properties"]
-        return {
-            k: v if type(v) in _plain(props[k], _KEPT) else converted(v, props[k], path + (k,))
-            for k, v in value.items()
-        }
-    if kind == "array":
-        items = schema["items"]
-        if _plain(items, _KEPT).issuperset(map(type, value)):
-            return value
-        return [converted(v, items, path + (i,)) for i, v in enumerate(value)]
-    return value
+    return min(_walk(doc, schema)[1], key=lambda e: len(e[0]), default=None)
 
 
 def object_schema(properties: dict, required: list | None = None) -> dict:
@@ -155,8 +167,15 @@ def object_schema(properties: dict, required: list | None = None) -> dict:
 
 
 def checked(doc, schema: dict):
-    """converted(doc, schema), or a ValueError naming the path where doc breaks schema."""
-    error = violation(doc, schema)
-    if error is not None:
-        raise ValueError(f"schema violation at {_where(error[0])}: {error[1]}")
-    return converted(doc, schema)
+    """doc converted, or a ValueError naming the shallowest path where it breaks schema.
+
+    Failing that, the error names the first number too large for a float, or
+    integer beyond +-2**53, in document order.
+    """
+    value, found, big = _walk(doc, schema)
+    if found:
+        path, message = min(found, key=lambda e: len(e[0]))
+        raise ValueError(f"schema violation at {_where(path)}: {message}")
+    if big:
+        raise big[0]
+    return value

@@ -61,19 +61,24 @@ def attitude_from_virtual(mu: np.ndarray, psi: float, g: float = GRAVITY) -> Red
 
     Raises:
         InvertedFlightError: if mu_3 + g <= 0 on any row.
+        SingularThrustError: if the thrust of a finite row overflows.
     """
     mu = np.asarray(mu, dtype=float)
     x, y, m3 = mu[..., 0], mu[..., 1], mu[..., 2] + g
     inverted = m3 <= 0.0
-    if np.any(inverted):
-        raise InvertedFlightError(f"vertical thrust component {np.min(m3[inverted]):.3f} <= 0")
+    if inverted.any():
+        raise InvertedFlightError(f"vertical thrust component {m3[inverted].min():.3f} <= 0")
     c_psi, s_psi = np.cos(psi), np.sin(psi)
-    theta = np.arctan2(x * c_psi + y * s_psi, m3)
-    phi = np.arctan2((x * s_psi - y * c_psi) * np.cos(theta), m3)
-    # float_power squares through pow() as a float64 scalar's ** does, so a
-    # batch matches per-row calls bit for bit; array ** squares by x * x,
-    # which rounds differently on some inputs.
-    thrust = np.sqrt(np.float_power(x, 2) + np.float_power(y, 2) + np.float_power(m3, 2))
+    try:
+        with np.errstate(over="raise"):  # an inf entry makes inf without overflowing
+            theta = np.arctan2(x * c_psi + y * s_psi, m3)
+            phi = np.arctan2((x * s_psi - y * c_psi) * np.cos(theta), m3)
+            # float_power squares through pow() as a float64 scalar's ** does, so a
+            # batch matches per-row calls bit for bit; array ** squares by x * x,
+            # which rounds differently on some inputs.
+            thrust = np.sqrt(np.float_power(x, 2) + np.float_power(y, 2) + np.float_power(m3, 2))
+    except FloatingPointError:
+        raise SingularThrustError("thrust not finite") from None
     if mu.ndim == 1:
         thrust, phi, theta = float(thrust), float(phi), float(theta)
     return ReducedInput(thrust=thrust, phi=phi, theta=theta, psi=float(psi))
@@ -102,7 +107,7 @@ def tilt_thrust_rates(
         (thrust, phi, theta, p, q), each of shape (...).
 
     Raises:
-        SingularThrustError: on a free-fall sample (thrust below 1e-6).
+        SingularThrustError: on a thrust below 1e-6 (free fall) or not finite.
         SingularAttitudeError: on a thrust axis within 1e-9 of e_y.
         InvertedFlightError: on a sample whose thrust points down or sideways
             (acc_z + g <= 0), the branch attitude_from_virtual rejects too;
@@ -112,9 +117,11 @@ def tilt_thrust_rates(
     jerk = np.asarray(jerk, dtype=float)
     tx, ty, tz = acc[..., 0], acc[..., 1], acc[..., 2] + g
     # Summed in np.linalg.norm's order, so the thrust matches a norm call bitwise.
-    thrust = np.sqrt((tx * tx + ty * ty) + tz * tz)
-    if np.any(thrust < 1e-6):
-        raise SingularThrustError("free-fall sample in batch")
+    with np.errstate(over="ignore"):  # an overflowing square makes inf, refused below
+        thrust = np.sqrt((tx * tx + ty * ty) + tz * tz)
+    if not ((thrust >= 1e-6) & (thrust < np.inf)).all():
+        free_fall = np.isfinite(thrust).all()
+        raise SingularThrustError("free-fall sample in batch" if free_fall else "thrust not finite")
     z1, z2, z3 = tx / thrust, ty / thrust, tz / thrust
 
     # With psi = 0, y_C = e_y, so x_B = (x1, 0, x3) = (z_b3, 0, -z_b1) / nx and

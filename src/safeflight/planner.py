@@ -74,9 +74,9 @@ def _finite(name: str, value) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be numbers: {exc}") from None
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        at = tuple(int(i) for i in np.argwhere(bad)[0])
+    finite = np.isfinite(arr)
+    if not finite.all():
+        at = tuple(int(i) for i in np.argwhere(~finite)[0])
         where = f" at {at if len(at) > 1 else at[0]}" if at else ""
         raise ValueError(f"{name} must be finite, got {arr[at]}{where}")
     return arr

@@ -170,7 +170,7 @@ def plan_reference(plan: TrajectoryPlan) -> Callable[[np.ndarray], ReferencePoin
 
     def ref(t) -> ReferencePoint:
         t = np.asarray(t, dtype=float)
-        clamped = np.clip(t, kv.t0, kv.tf)
+        clamped = np.minimum(np.maximum(t, kv.t0), kv.tf)
         r, r1, r2 = plan.curve.eval(clamped, (0, 1, 2))
         held = clamped != t
         if held.any():
@@ -227,39 +227,40 @@ def simulate(
 ) -> SimTrace:
     """Run the closed loop and record one row per control tick.
 
-    The reference is called once per run, with the (M,) tick grid
-    t0 + i h, and its fields must broadcast to (M, 3). The controller must
-    be a pure function of (t, state, ref) with two forms. On one tick, t is
-    a Python float, state is (r, r1) and ref is (r, r1, r2), each a triple
-    of Python floats, and it returns mu as three floats. On the whole run,
-    t is the (M,) grid and state and ref are a TrackingState and a
-    ReferencePoint of (M, 3) arrays, and it returns a SafeCommand whose
-    rows are the ticks' commands. Each tick calls the first form once, so
-    the loop builds no arrays; the command computed at tick i acts on
-    [t_i, t_{i+1}), where the state takes the exact zero-order-hold step
-    r + r1*h + 0.5*mu*h*h, r1 + mu*h per axis, evaluated left to right,
-    and the recorded state is the one the controller saw at t_i. One call
-    of the second form after the loop, on every recorded state at once,
-    supplies mu_nominal, mu, the reduced input (v), barriers and active
-    faces for the trace; an InvertedFlightError raised there leaves
-    simulate. The duration, else cfg.duration, must be finite and cover at
-    least one tick and at most MAX_TICKS, as SimConfig requires of its own;
-    a ValueError is raised before the grid is built otherwise.
+    The reference is called once per run, with the (M,) tick grid t0 + i h,
+    and its fields must broadcast to (M, 3), or a ValueError leaves before
+    the loop runs. The controller must be a pure function of (t, state, ref)
+    with two forms. On one tick, t is a Python float, state is (r, r1) and
+    ref is (r, r1, r2), each a triple of Python floats, and it returns mu as
+    three floats. On the whole run, t is the (M,) grid and state and ref are
+    a TrackingState and a ReferencePoint of (M, 3) arrays, and it returns a
+    SafeCommand whose rows are the ticks' commands. Each tick calls the first
+    form once, so the loop builds no arrays; the command computed at tick i
+    acts on [t_i, t_{i+1}), where the state takes the exact zero-order-hold
+    step r + r1*h + 0.5*mu*h*h, r1 + mu*h per axis, evaluated left to right,
+    and the recorded state, three floats per tick, is the one the controller
+    saw at t_i; one np.fromiter each makes the (M, 3) positions and
+    velocities. One call of the second form after the loop, on every
+    recorded state at once, supplies mu_nominal, mu, the reduced input (v),
+    barriers and active faces for the trace; an InvertedFlightError or
+    SingularThrustError raised there leaves simulate. The duration, else
+    cfg.duration, must be finite and cover at least one tick and at most
+    MAX_TICKS, as SimConfig requires of its own; a ValueError is raised
+    before the grid is built otherwise.
     """
     M = _tick_count(duration if duration is not None else cfg.duration, cfg.control_rate)
     h = 1.0 / cfg.control_rate
     ts = t0 + np.arange(M) * h
     ref = reference(ts)
-    ref_r, ref_r1, ref_r2 = (
-        np.broadcast_to(np.asarray(f, dtype=float), (M, 3)).copy() for f in (ref.r, ref.r1, ref.r2)
-    )
+    ref_r, ref_r1, ref_r2 = np.empty((3, M, 3))
+    ref_r[...], ref_r1[...], ref_r2[...] = ref.r, ref.r1, ref.r2
 
     q = tuple((ref_r[0] + cfg.initial_position_offset).tolist())
     q1 = tuple((ref_r1[0] + cfg.initial_velocity_offset).tolist())
     rows, rows1 = [], []
     for t, p, p1, p2 in zip(ts.tolist(), ref_r.tolist(), ref_r1.tolist(), ref_r2.tolist()):
-        rows.append(q)
-        rows1.append(q1)
+        rows += q
+        rows1 += q1
         ax, ay, az = controller(t, (q, q1), (p, p1, p2))
         (x, y, z), (vx, vy, vz) = q, q1
         q = (
@@ -269,7 +270,7 @@ def simulate(
         )
         q1 = (vx + ax * h, vy + ay * h, vz + az * h)
 
-    R, R1 = np.array(rows), np.array(rows1)
+    R, R1 = (np.fromiter(flat, float, 3 * M).reshape(M, 3) for flat in (rows, rows1))
     cmd = controller(ts, TrackingState(R, R1), ReferencePoint(ref_r, ref_r1, ref_r2))
     v = cmd.v
     return SimTrace(

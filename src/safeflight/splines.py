@@ -354,19 +354,22 @@ class SplineCurve:
         """
         kv = self.knots
         d = kv.degree
-        orders = (r,) if np.ndim(r) == 0 else tuple(r)
-        if not orders or not all(0 <= q <= d for q in orders):
+        orders = (r,) if (single := np.ndim(r) == 0) else tuple(r)
+        low, high = (min(orders), max(orders)) if orders else (0, -1)
+        if not 0 <= low <= high <= d:
             raise ValueError(f"need derivative orders in [0, {d}], got {r!r}")
-        ts = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
-        first = _order_rows(d, min(orders)).start
-        table = self._span_table[first : _order_rows(d, max(orders)).stop]
+        ts = np.asarray(t, dtype=float)
+        scalar, ts = ts.ndim == 0, ts.reshape(-1)
+        first = _order_rows(d, low).start
+        table = self._span_table[first : _order_rows(d, high).stop]
         flat = table.reshape(-1, table.shape[-1])
         mid = kv._span_midpoints
         # A NaN fails every comparison, so times holding one are never taken
         # as sorted and the span path's full range check rejects them; sorted
-        # times are in range when their ends are.
+        # times are in range when their ends are (the full check words the error).
         if ts.size > 1 and (ts[1:] >= ts[:-1]).all():
-            kv._check_range(ts[:: ts.size - 1])
+            if not kv.t0 <= ts[0] <= ts[-1] <= kv.tf:
+                kv._check_range(ts)
             edges = ts.searchsorted(kv.tau[d : kv.n + 2])
             edges[-1] = ts.size  # samples at tf belong to the last span
             runs = edges[1:] - edges[:-1]
@@ -386,8 +389,8 @@ class SplineCurve:
             for row in c[-2::-1]:
                 val *= s
                 val += row
-            out.append(val[:, 0] if np.ndim(t) == 0 else val.T)
-        return out[0] if np.ndim(r) == 0 else tuple(out)
+            out.append(val[:, 0] if scalar else val.T)
+        return out[0] if single else tuple(out)
 
 
 @lru_cache(maxsize=None)

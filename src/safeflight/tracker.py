@@ -157,11 +157,11 @@ class SafeCommand(NamedTuple):
         A face is active when mu lies within 1e-9 of its bound; all are
         False for an unfiltered command.
         """
-        lower = self.lower
-        if lower is None:
-            return np.zeros(self.mu.shape[:-1] + (6,), dtype=bool)
-        faces = np.stack([self.upper, lower], axis=-1)
-        return (np.abs(self.mu[..., None] - faces) <= 1e-9).reshape(self.mu.shape[:-1] + (6,))
+        active = np.zeros(self.mu.shape + (2,), dtype=bool)  # [..., axis, upper then lower face]
+        if self.lower is not None:
+            for face, bound in enumerate((self.upper, self.lower)):
+                np.less_equal(np.abs(self.mu - bound), 1e-9, out=active[..., face])
+        return active.reshape(self.mu.shape[:-1] + (6,))
 
 
 class SafetyFilter:

@@ -63,6 +63,14 @@ span, each scaled by the square root of its weight, which factor the Gram
 matrix that the package builds from the span power basis in closed form.
 dense_compile_plan runs the families in compile_plan's order, so the two
 models must agree in census, rows, nonzero pattern and right-hand side.
+
+The document checker has its two-walk reference: schema_violation finds the
+shallowest place where a document breaks its schema in one walk, and
+schema_converted makes every schema number a float and every integer an int
+in a second walk of a valid document; schema_checked runs both, as the
+package's checker did before it compiled each schema into one walk that
+checks and converts at once. The package's violation and checked must agree
+with them in every path, message, value and Python type.
 """
 
 import csv
@@ -654,3 +662,118 @@ def dense_compile_plan(scenario: PlanningScenario) -> DensePlanAssembly:
         asm.compile_interval(ic)
     asm.compile_objective(zeta_cols)
     return asm
+
+
+# ------------------------------------------------------------ document checker
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+_JSON_TYPES.update(number=(int, float), integer=int)
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean"}
+_JSON_NAMES.update({int: "an integer", float: "a number", type(None): "null"})
+# Exact types a node holding its type alone accepts, and of those, the ones converted keeps.
+_PLAIN_TYPES = {"string": {str}, "boolean": {bool}, "number": {int, float}, "integer": {int}}
+_KEPT_TYPES = {"string": {str}, "boolean": {bool}, "number": {float}}
+
+
+def _plain(schema: dict, table: dict) -> set:
+    return table.get(schema.get("type"), set()) if len(schema) == 1 else set()
+
+
+def _json_name(value) -> str:
+    return _JSON_NAMES.get(type(value)) or f"a {type(value).__name__}"
+
+
+def _brief(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 24 else f"{text[:21]}..."
+
+
+def _same(value, expected) -> bool:
+    return isinstance(value, bool) == isinstance(expected, bool) and value == expected
+
+
+def _where(path: tuple) -> str:
+    return "/".join(map(str, path)) or "<root>"
+
+
+def _is_json_type(value, kind: str) -> bool:
+    if type(value) is bool:
+        return kind == "boolean"
+    return isinstance(value, _JSON_TYPES[kind]) or (
+        kind == "integer" and isinstance(value, float) and value.is_integer()
+    )
+
+
+def _schema_errors(value, schema: dict, path: tuple, found: list) -> list:
+    kind = schema.get("type")
+    if kind is not None and not _is_json_type(value, kind):
+        found.append((path, f"{_json_name(value)} is not of type {kind!r}"))
+    if "const" in schema and not _same(value, schema["const"]):
+        found.append((path, f"{schema['const']!r} was expected"))
+    if "enum" in schema and not any(_same(value, v) for v in schema["enum"]):
+        found.append((path, f"{_brief(value)} is not one of {schema['enum']!r}"))
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                found.append((path, f"{key!r} is a required property"))
+        if schema.get("additionalProperties") is False and not value.keys() <= props.keys():
+            extra = ", ".join(_brief(key) for key in value if key not in props)
+            found.append((path, f"unknown field(s) {extra}"))
+        for key, sub in props.items():
+            if key in value and type(value[key]) not in _plain(sub, _PLAIN_TYPES):
+                _schema_errors(value[key], sub, path + (key,), found)
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            found.append((path, f"{len(value)} items, fewer than the minimum {schema['minItems']}"))
+        if len(value) > schema.get("maxItems", len(value)):
+            found.append((path, f"{len(value)} items, more than the maximum {schema['maxItems']}"))
+        items = schema.get("items", {})
+        if not _plain(items, _PLAIN_TYPES).issuperset(map(type, value)):
+            for i, item in enumerate(value):
+                _schema_errors(item, items, path + (i,), found)
+    return found
+
+
+def schema_violation(doc, schema: dict):
+    """The shallowest (path, message) where doc breaks schema, or None: the first walk."""
+    return min(_schema_errors(doc, schema, (), []), key=lambda e: len(e[0]), default=None)
+
+
+def schema_converted(value, schema: dict, path: tuple = ()):
+    """A schema-valid value with every number a float and every integer an int: the second walk."""
+    kind = schema.get("type")
+    if kind == "number":
+        try:
+            return float(value)
+        except OverflowError:
+            digits = len(str(abs(value)))
+            raise ValueError(f"{_where(path)}: a {digits}-digit integer is too large for a float")
+    if kind == "integer":
+        value = int(value)
+        if abs(value) > 2**53:
+            digits = len(str(abs(value)))
+            raise ValueError(f"{_where(path)}: a {digits}-digit integer is beyond 2**53")
+        return value
+    if kind == "object":
+        props = schema["properties"]
+        return {
+            k: v
+            if type(v) in _plain(props[k], _KEPT_TYPES)
+            else schema_converted(v, props[k], path + (k,))
+            for k, v in value.items()
+        }
+    if kind == "array":
+        items = schema["items"]
+        if _plain(items, _KEPT_TYPES).issuperset(map(type, value)):
+            return value
+        return [schema_converted(v, items, path + (i,)) for i, v in enumerate(value)]
+    return value
+
+
+def schema_checked(doc, schema: dict):
+    """schema_converted(doc, schema), or a ValueError naming the shallowest violation."""
+    error = schema_violation(doc, schema)
+    if error is not None:
+        raise ValueError(f"schema violation at {_where(error[0])}: {error[1]}")
+    return schema_converted(doc, schema)

@@ -29,7 +29,7 @@ from safeflight.cli import (
     load_scenario,
     main,
 )
-from safeflight.documents import exact_int, violation
+from safeflight.documents import checked, object_schema, violation
 from safeflight.flatness import GRAVITY
 from safeflight.planner import (
     PLAN_SCHEMA,
@@ -678,10 +678,12 @@ class TestIntegersBeyondExactFloats:
         assert not (tmp_path / "samples.csv").exists()
 
     def test_bound_is_2_to_the_53(self):
-        assert exact_int("n", 2**53) == 2**53
-        assert exact_int("n", -(2**53)) == -(2**53)
+        schema = object_schema({"n": {"type": "integer"}})
+        assert checked({"n": 2**53}, schema) == {"n": 2**53}
+        assert checked({"n": -(2**53)}, schema) == {"n": -(2**53)}
+        assert checked({"n": 2.0**53}, schema) == {"n": 2**53}
         with pytest.raises(ValueError, match=r"^n: a 16-digit integer is beyond 2\*\*53$"):
-            exact_int("n", 2**53 + 1)
+            checked({"n": 2**53 + 1}, schema)
 
 
 class TestScenarioTimes:

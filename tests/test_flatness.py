@@ -219,6 +219,24 @@ class TestBatchedAttitude:
         with pytest.raises(InvertedFlightError):
             attitude_from_virtual(mu, 0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("row", [[1e300, 0.0, 0.0], [0.0, -2e154, 0.0], [0.0, 0.0, 1e200]])
+    def test_overflowing_thrust_raises(self, rng, row):
+        mu = rng.uniform(-2.0, 2.0, size=(50, 3))
+        mu[17] = row
+        for psi in (0.0, 0.7):
+            with pytest.raises(SingularThrustError, match="thrust not finite"):
+                attitude_from_virtual(mu, psi)
+            with pytest.raises(SingularThrustError, match="thrust not finite"):
+                attitude_from_virtual(mu[17], psi)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_rows_come_back_non_finite(self):
+        # An inf entry is no overflow: its row reads inf, and a NaN row NaN, as before.
+        mu = np.array([[np.inf, 0.0, 0.0], [np.nan] * 3, [1e150, 0.0, 0.0]])
+        v = attitude_from_virtual(mu, 0.7)
+        assert v.thrust[0] == np.inf and np.isnan(v.thrust[1]) and np.isfinite(v.thrust[2])
+
 
 def tilt_angle(mu):
     m = mu + G * E3
@@ -349,8 +367,21 @@ class TestBatchRates:
 
     def test_free_fall_sample_raises(self):
         acc = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -G]])
-        with pytest.raises(SingularThrustError):
+        with pytest.raises(SingularThrustError, match="free-fall"):
             tilt_thrust_rates(acc, np.zeros((2, 3)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "sample",
+        [[1e300, 0.0, 0.0], [0.0, 2e154, 0.0], [0.0, 0.0, -1e200], [np.inf, 0, 0], [np.nan] * 3],
+        ids=["x", "y", "z", "inf", "nan"],
+    )
+    def test_thrust_not_finite_raises(self, rng, sample):
+        acc = rng.uniform(-2.0, 2.0, size=(50, 3))
+        acc[17] = sample
+        acc[3] = [0.0, 0.0, -G]  # a free-fall sample too: the thrust that is not finite is named
+        with pytest.raises(SingularThrustError, match="thrust not finite"):
+            tilt_thrust_rates(acc, np.zeros((50, 3)))
 
     def test_sideways_thrust_axis_raises(self):
         acc = np.array([[0.0, 5.0, -G]])

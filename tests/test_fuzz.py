@@ -163,6 +163,7 @@ def test_scenario_mutation(tmp_path, case):
     check_track(["track", "--scenario", scenario, "--plan", plan_path], what, tmp_path, scenario)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", range(PLAN_CASES))
 def test_plan_document_mutation(tmp_path, bundled_plan, case):
     rng = np.random.default_rng([SEED, SCENARIO_CASES + case])

@@ -824,6 +824,21 @@ class TestPlanDocument:
         assert back.curve.knots == hover_plan.curve.knots
         assert type(back.curve.knots.n) is int and type(back.curve.knots.degree) is int
 
+    def test_each_load_reads_the_whole_document(self, hover_plan):
+        # Nothing is kept from one load of a dict to the next: an edit in place
+        # between two loads of the same object is seen by the second.
+        doc = hover_plan.to_dict()
+        first = TrajectoryPlan.from_dict(doc)
+        doc["control_points"][2][3] = float("nan")
+        with pytest.raises(ValueError, match=r"control_points must be finite, got nan at \(2, 3\)"):
+            TrajectoryPlan.from_dict(doc)
+        doc["control_points"][2][3] = 1.5
+        second = TrajectoryPlan.from_dict(doc)
+        assert second.curve.ctrl[2, 3] == 1.5 != first.curve.ctrl[2, 3]
+        del doc["zeta"]
+        with pytest.raises(ValueError, match="'zeta' is a required property"):
+            TrajectoryPlan.from_dict(doc)
+
     def test_equality_and_hash_go_by_identity(self, hover_plan):
         # Each holds arrays, whose == is elementwise: a field-wise == would raise.
         curve = hover_plan.curve

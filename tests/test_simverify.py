@@ -136,6 +136,31 @@ class TestSimulate:
         for name in ("ref_r", "ref_r1", "ref_r2"):
             assert_array_equal(getattr(trace, name), np.zeros((5, 3)))
 
+    @pytest.mark.parametrize("shape", [(5, 2), (6, 3), (2, 5, 3), (3, 5)])
+    @pytest.mark.parametrize("field", ["r", "r1", "r2"])
+    def test_reference_fields_that_do_not_broadcast_raise_before_the_loop(self, field, shape):
+        ticks = []
+
+        def controller(t, state, ref):
+            ticks.append(t)
+            return 0.0, 0.0, 0.0
+
+        def reference(t):
+            return still_air(t)._replace(**{field: np.zeros(shape)})
+
+        with pytest.raises(ValueError, match="broadcast"):
+            simulate(reference, controller, SimConfig(control_rate=10.0), duration=0.5)
+        assert ticks == []
+
+    @pytest.mark.parametrize("shape", [(5, 1), (1, 3), (5, 3)])
+    def test_reference_fields_broadcast_to_the_grid(self, shape):
+        value = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        ctrl = make_filtered_controller(PARAMS, GAINS)
+        reference = lambda t: still_air(t)._replace(r2=value)  # noqa: E731
+        trace = simulate(reference, ctrl, SimConfig(control_rate=10.0), duration=0.5)
+        assert_array_equal(trace.ref_r2, np.broadcast_to(value, (5, 3)))
+        assert_array_equal(trace.ref_r, np.zeros((5, 3)))
+
     def test_zero_order_hold_between_ticks(self):
         # Between rows, the state must advance exactly under the recorded
         # command: r_{i+1} = r_i + v_i h + mu_i h^2 / 2.
@@ -357,6 +382,20 @@ class TestReferenceAndControllers:
         for i in (0, -1):
             assert_array_equal(batch.r1[i], 0.0)
             assert_array_equal(batch.r2[i], 0.0)
+
+    def test_plans_from_different_documents_share_no_span_table(self, hover_plan):
+        doc = hover_plan.to_dict()
+        moved = hover_plan.to_dict()
+        moved["control_points"][2] = [z + 1.0 for z in moved["control_points"][2]]
+        ts = np.linspace(0.0, 10.0, 50)
+        plans = [TrajectoryPlan.from_dict(d) for d in (doc, moved, doc)]
+        points = [plan_reference(pl)(ts) for pl in plans]
+        tables = [pl.curve._span_table for pl in plans]
+        assert len({id(table) for table in tables}) == 3
+        for pl, point in zip(plans, points):
+            assert_array_equal(point.r, pl.curve.eval(ts))
+        assert_allclose(points[1].r - points[0].r, [[0.0, 0.0, 1.0]] * 50, atol=1e-12)
+        assert_array_equal(points[2].r, points[0].r)
 
     def test_filtered_controller_clamps(self):
         ctrl = make_filtered_controller(PARAMS, PdGains(kp=50.0, kd=0.0))
