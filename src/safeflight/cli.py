@@ -16,6 +16,9 @@ _DEGREES' keys, they are converted to radians.
 The CLI builds each object through one wrapper, which reports a ValueError
 as exit 2, prefixed with the scenario file and the field's YAML path, or
 the flag.
+A --plan file must hold the scenario's spline (t0, tf, n and degree) and
+gravity, and --tol, which sets the tolerance of a re-plan, is refused beside
+it: each exits 2.
 A plan that leaves the flatness map's domain (a free-fall sample with no
 thrust direction, a thrust axis along the yaw heading's normal, or a sample
 or command whose thrust points down, which asks for inverted flight) fails
@@ -71,6 +74,7 @@ from .simverify import (
     verify_plan,
     verify_span_minima,
 )
+from .splines import KnotVector
 from .tracker import CbfParams, PdGains, ReferencePoint, TrackingState, check_initial_conditions
 
 EXIT_OK = 0
@@ -310,16 +314,25 @@ def _load_plan_doc(path: str) -> TrajectoryPlan:
 
 
 def _plan_for(planning: PlanningScenario, args) -> TrajectoryPlan:
-    """The --plan file, which must share planning's spline, or else a solve of planning."""
+    """The --plan file, which must share planning's spline and gravity, or else a solve of planning.
+
+    --tol sets the tolerance of that solve, so it is refused with a plan file.
+    """
     if not args.plan:
         return _solve(planning, args.tol)
+    if args.tol is not None:
+        raise ScenarioError("--tol: applies only when re-planning, not with --plan")
     pl = _load_plan_doc(args.plan)
-    kv = pl.curve.knots
-    if (kv.t0, kv.tf, kv.n, kv.degree) != (planning.t0, planning.tf, planning.n, planning.degree):
+    kv, want = pl.curve.knots, KnotVector(planning.t0, planning.tf, planning.n, planning.degree)
+    if kv != want:
         raise ScenarioError(
             f"{args.plan}: plan spline (t0={kv.t0}, tf={kv.tf}, n={kv.n}, d={kv.degree}) does not "
-            f"match scenario (t0={planning.t0}, tf={planning.tf}, n={planning.n}, "
-            f"d={planning.degree})"
+            f"match scenario (t0={want.t0}, tf={want.tf}, n={want.n}, d={want.degree})"
+        )
+    if pl.gravity != planning.gravity:
+        raise ScenarioError(
+            f"{args.plan}: plan gravity {pl.gravity} does not match scenario gravity "
+            f"{planning.gravity}"
         )
     return pl
 
@@ -481,6 +494,10 @@ def _margin_tol(text: str) -> float:
     return value
 
 
+_PLAN_HELP = "plan JSON over the scenario's spline and gravity (re-plans when omitted)"
+_REPLAN_TOL_HELP = "solver tolerance override when re-planning (not with --plan)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="safeflight",
@@ -498,19 +515,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="dense-sample a plan against its scenario")
     p_verify.add_argument("--scenario", required=True)
-    p_verify.add_argument("--plan", help="plan JSON (re-plans when omitted)")
+    p_verify.add_argument("--plan", help=_PLAN_HELP)
     p_verify.add_argument("--samples-per-span", type=int, default=SAMPLES_PER_SPAN)
     p_verify.add_argument("--margin-tol", type=_margin_tol, default=MARGIN_TOL)
-    p_verify.add_argument("--tol", type=float, default=None, help="solver tolerance override")
+    p_verify.add_argument("--tol", type=float, default=None, help=_REPLAN_TOL_HELP)
     p_verify.set_defaults(func=cmd_verify)
 
     p_track = sub.add_parser("track", help="closed-loop tracking run with the safety filter")
     p_track.add_argument("--scenario", required=True)
-    p_track.add_argument("--plan", help="plan JSON (re-plans when omitted)")
+    p_track.add_argument("--plan", help=_PLAN_HELP)
     p_track.add_argument("--out", help="trace CSV path")
     p_track.add_argument("--report", help="certificate report JSON path")
     p_track.add_argument("--no-filter", action="store_true", help="bypass the barrier filter")
-    p_track.add_argument("--tol", type=float, default=None, help="solver tolerance override")
+    p_track.add_argument("--tol", type=float, default=None, help=_REPLAN_TOL_HELP)
     p_track.set_defaults(func=cmd_track)
 
     p_export = sub.add_parser("export", help="convert a plan document to samples or re-emit it")

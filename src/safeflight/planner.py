@@ -32,8 +32,9 @@ import numpy as np
 
 from .documents import checked, object_schema
 from .flatness import GRAVITY
-from .socp import MAX_TOL, MIN_TOL, OPTIMAL, ConeProgram, Solution
+from .socp import DEFAULT_TOL, MAX_TOL, MIN_TOL, OPTIMAL, ConeProgram, Solution
 from .splines import (
+    MIN_DEGREE,
     KnotVector,
     SplineCurve,
     clamped_uniform_knots,
@@ -322,9 +323,6 @@ class IntervalConstraint:
             raise ValueError(f"unknown interval kind '{self.kind}'")
 
 
-# Least spline degree a plan may have: the objective integrates squared snap.
-MIN_DEGREE = 4
-
 # Most control points per axis (n + 1) one plan may hold. The solve factors
 # dense normal equations of order about 4 (n + 1): hover at n = 499 took 59 s
 # and peaked at 415 MB (2-CPU Intel Xeon, one BLAS thread).
@@ -357,7 +355,7 @@ class PlanningScenario:
     cbf: CbfParams | None = None
     apply_tracking_margins: bool = False
     gravity: float = GRAVITY
-    solver_tol: float = 1e-8
+    solver_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.degree < MIN_DEGREE:

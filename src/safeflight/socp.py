@@ -37,11 +37,13 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NUMERICAL_FAILURE = "numerical-failure"
 
-#: Solver tolerances must lie in [MIN_TOL, MAX_TOL). Below MIN_TOL the solve
-#: may not reach the tolerance: at 1e-11 example2_window ends in numerical
-#: failure, and at 1e-12 five of the bundled scenarios do.
+#: Solver tolerances must lie in [MIN_TOL, MAX_TOL); a solve or scenario that
+#: names none uses DEFAULT_TOL. Below MIN_TOL the solve may not reach the
+#: tolerance: at 1e-11 example2_window ends in numerical failure, and at 1e-12
+#: five of the bundled scenarios do.
 MIN_TOL = 1e-10
 MAX_TOL = 1e-2
+DEFAULT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -246,7 +248,7 @@ class ConeProgram:
 
     # ------------------------------------------------------------------ solve
 
-    def solve(self, tol: float = 1e-8, max_iter: int = 200) -> Solution:
+    def solve(self, tol: float = DEFAULT_TOL, max_iter: int = 200) -> Solution:
         """Solve with the interior-point method below and re-check residuals.
 
         Returns a Solution; never raises for infeasible or unbounded models,
@@ -261,7 +263,8 @@ class ConeProgram:
 
         A, b, cones = self._assemble()
         t0 = time.perf_counter()
-        with np.errstate(divide="ignore", invalid="ignore"):  # breakdowns are detected
+        # Breakdowns, an overflow among them, are detected and reported.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             raw_status, x, iterations = _interior_point(self._f, A, b, cones, tol, int(max_iter))
         dt = time.perf_counter() - t0
 
@@ -462,12 +465,13 @@ class _NTScaling:
 class _ScaledMatrix:
     """M = W^-1 G and M'M for the cone rows G of A, on patterns fixed at setup.
 
-    W^-1 mixes the rows of one cone, so each cone's rows share the union of
-    their column patterns and form a dense block; the values follow the
-    formula of _NTScaling.apply. M'M sums the products of the entry pairs of
-    each nonnegative row and the Gram matrices of the cone blocks, batched
-    by block shape. Squaring M keeps the accuracy that forming W^-2 would
-    lose near the cone boundary.
+    M is laid out in dense blocks. A nonnegative row is a block of one row
+    over its own entries, valued g / w_lin. W^-1 mixes the rows of one cone,
+    so each cone's rows share the union of their column patterns and form
+    one block, valued by the formula of _NTScaling.apply. M'M sums the Gram
+    matrices of the blocks, batched by block shape: nonnegative rows first,
+    grouped by length, then the cones. Squaring M keeps the accuracy that
+    forming W^-2 would lose near the cone boundary.
     """
 
     def __init__(self, G: sparse.csr_matrix, alg: _ConeAlgebra):
@@ -497,21 +501,16 @@ class _ScaledMatrix:
         self.indices = np.concatenate([lin.indices, pairs[self.e_pair] % n]).astype(np.int32)
         self.indptr = np.concatenate([lin.indptr, lin.nnz + row_ptr[1:]]).astype(np.int32)
 
-        # Targets in M'M: entry pairs of each nonnegative row, then the
-        # blocks grouped by shape (rows, columns).
+        # Targets in M'M: the Gram matrix of each block, in the order above;
+        # a (d, c) block's entries start at its first and run row by row.
         cols, lengths = self.indices.astype(int), np.diff(lin.indptr)
-        left, right = [np.zeros(0, int)], [np.zeros(0, int)]
-        for k in np.unique(lengths):
-            entries = lin.indptr[:-1][lengths == k, None] + np.arange(k)
-            left.append(np.repeat(entries, k, axis=1).ravel())
-            right.append(np.tile(entries, k).ravel())
-        self.left, self.right = np.concatenate(left), np.concatenate(right)
-        targets = [cols[self.left] * n + cols[self.right]]
-        self.blocks = []
+        shapes = [(1, k, lin.indptr[:-1][lengths == k]) for k in np.unique(lengths).tolist()]
         for d, c in sorted(set(zip(alg.dims.tolist(), width.tolist()))):
-            first = row_ptr[alg.starts[(alg.dims == d) & (width == c)]]
+            shapes.append((d, c, lin.nnz + row_ptr[alg.starts[(alg.dims == d) & (width == c)]]))
+        self.blocks, targets = [], [np.zeros(0, int)]
+        for d, c, first in shapes:
             self.blocks.append(first[:, None, None] + np.arange(d * c).reshape(d, c))
-            block_cols = cols[lin.nnz + self.blocks[-1][:, 0, :]]
+            block_cols = cols[self.blocks[-1][:, 0, :]]
             targets.append((block_cols[:, :, None] * n + block_cols[:, None, :]).ravel())
         self.targets = np.concatenate(targets)
 
@@ -526,13 +525,13 @@ class _ScaledMatrix:
         soc = g + (zeta / (1.0 + scal.w0[pc]) - u0)[self.e_pair] * w1
         soc[self.head] = scal.w0[pc] * u0 - zeta
         soc /= scal.eta[self.e_cone]
-        lin = self.lin_data / scal.w_lin[self.lin_rows]
-        terms = [lin[self.left] * lin[self.right]]
+        data = np.concatenate([self.lin_data / scal.w_lin[self.lin_rows], soc])
+        grams = [np.zeros(0)]
         for idx in self.blocks:
-            block = soc[idx]
-            terms.append(np.matmul(block.transpose(0, 2, 1), block).ravel())
-        H = np.bincount(self.targets, np.concatenate(terms), minlength=self.n**2)
-        M = sparse.csr_matrix((np.concatenate([lin, soc]), self.indices, self.indptr), self.shape)
+            block = data[idx]
+            grams.append(np.matmul(block.transpose(0, 2, 1), block).ravel())
+        H = np.bincount(self.targets, np.concatenate(grams), minlength=self.n**2)
+        M = sparse.csr_matrix((data, self.indices, self.indptr), self.shape)
         return M, H.reshape(self.n, self.n)
 
 

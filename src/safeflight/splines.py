@@ -49,6 +49,9 @@ import numpy as np
 # Knot vectors held by clamped_uniform_knots; each carries its memoized tables.
 KNOT_CACHE_SIZE = 32
 
+# Least degree of a snap Gram, and so of a plan: the objective integrates squared snap.
+MIN_DEGREE = 4
+
 
 def clamped_uniform_knots(t0: float, tf: float, n: int, degree: int) -> "KnotVector":
     """The clamped uniform knot vector over [t0, tf], one shared instance per value.
@@ -471,11 +474,11 @@ def snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
         vector and read-only.
 
     Raises:
-        ValueError: for degree < 4, or a Q that is not finite, as over
+        ValueError: for degree < MIN_DEGREE, or a Q that is not finite, as over
             spans narrower than min_span_width(degree).
     """
-    if knots.degree < 4:
-        raise ValueError(f"snap Gram needs degree >= 4, got {knots.degree}")
+    if knots.degree < MIN_DEGREE:
+        raise ValueError(f"snap Gram needs degree >= {MIN_DEGREE}, got {knots.degree}")
     return knots._snap_gram
 
 

@@ -1093,16 +1093,38 @@ class TestVerifyCommand:
         assert "FAILED" in stdout
         assert "thrust-lower" in stdout
 
-    def test_mismatched_plan_exits_parse(self, tmp_path, hover_plan, capsys):
+    @pytest.mark.parametrize("command", ["verify", "track"])
+    def test_mismatched_plan_exits_parse(self, tmp_path, hover_plan, capsys, command):
         doc = hover_dict()
         doc["spline"]["tf"] = 8.0
         scenario_path = write_scenario(tmp_path, doc)
         plan_path = write_plan(tmp_path, hover_plan)
-        code = main(["verify", "--scenario", scenario_path, "--plan", plan_path])
+        code = main([command, "--scenario", scenario_path, "--plan", plan_path])
         assert code == EXIT_PARSE
         err = capsys.readouterr().err
         assert "does not match" in err
         assert err.startswith(f"error: {plan_path}: plan spline (t0=0.0, tf=10.0, n=12, d=5) ")
+
+    # Verified at g = 3, hover's plan fails every thrust floor; flown at the
+    # scenario's 9.81 it would pass. The plan file is refused instead.
+    @pytest.mark.parametrize("command", ["verify", "track"])
+    def test_plan_of_another_gravity_exits_parse(self, tmp_path, hover_plan, capsys, command):
+        doc = hover_plan.to_dict()
+        doc["gravity"] = 3.0
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(doc))
+        assert main([command, "--scenario", "hover", "--plan", str(plan_path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == f"error: {plan_path}: plan gravity 3.0 does not match scenario gravity 9.81\n"
+
+    # --tol sets the tolerance of a re-plan; a plan file is not solved.
+    @pytest.mark.parametrize("command", ["verify", "track"])
+    def test_tol_beside_a_plan_file_exits_parse(self, tmp_path, hover_plan, capsys, command):
+        plan_path = write_plan(tmp_path, hover_plan)
+        args = [command, "--scenario", "hover", "--plan", plan_path, "--tol", "0.5"]
+        assert main(args) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == "error: --tol: applies only when re-planning, not with --plan\n"
 
     def test_corrupt_plan_file_exits_parse(self, tmp_path, capsys):
         path = tmp_path / "plan.json"

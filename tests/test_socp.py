@@ -479,12 +479,29 @@ class TestConeAlgebra:
             assert min(steps) == pytest.approx(0.0, abs=1e-9)
             assert all(alg.min_eig(scal.lam + 0.999 * a * du[:, j]) > 0.0 for j in range(2))
 
-    def test_scaled_matrix_and_its_gram(self, alg, rng):
+    # lengths, where given, fixes the pattern of the nonnegative rows: row i
+    # holds entries in its first lengths[i] columns.
+    @pytest.mark.parametrize(
+        "nonneg, dims, lengths",
+        [
+            pytest.param(3, (3, 1, 5), None, id="mixed"),
+            pytest.param(3, (3, 1, 5), (2, 0, 3), id="empty-nonnegative-row"),
+            pytest.param(4, (), None, id="nonnegative-only"),
+            pytest.param(0, (3, 2, 4), None, id="cones-only"),
+            pytest.param(5, (2,), (1, 4, 2, 4, 3), id="nonnegative-lengths"),
+        ],
+    )
+    def test_scaled_matrix_and_its_gram(self, rng, nonneg, dims, lengths):
+        alg = _ConeAlgebra(nonneg, dims)
         G = rng.normal(size=(alg.identity.size, 4))
         G[rng.uniform(size=G.shape) < 0.4] = 0.0
+        if lengths is not None:
+            G[:nonneg] = rng.uniform(0.5, 1.5, (nonneg, 4)) * (np.arange(4) < np.array(lengths)[:, None])
         scaled = _ScaledMatrix(sparse.csr_matrix(G), alg)
         scal = alg.scaling(self.interior(alg, rng), self.interior(alg, rng))
         M, H = scaled(scal)
+        # A nonnegative row of M keeps the pattern of its row of G.
+        assert_array_equal(np.diff(M.indptr)[:nonneg], np.count_nonzero(G[:nonneg], axis=1))
         assert_allclose(M.toarray(), scal.apply(G, inverse=True), atol=1e-12)
         assert_allclose(H, M.toarray().T @ M.toarray(), atol=1e-12)
 

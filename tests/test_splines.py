@@ -9,6 +9,7 @@ from scipy.optimize import nnls
 from oracles import cox_de_boor_matrix, dense_derivative_matrix, dense_snap_gram
 from safeflight.cli import bundled_scenarios, load_scenario
 from safeflight.splines import (
+    MIN_DEGREE,
     KnotVector,
     SplineCurve,
     clamped_uniform_knots,
@@ -550,6 +551,12 @@ class TestSnapGram:
             _, moved = snap_gram(kv)
             assert moved.shape == G.shape
             assert np.abs(moved - G).max() <= 1e-11 * np.abs(G).max()
+
+    def test_degree_floor_is_min_degree(self):
+        # The one floor that PlanningScenario and TrajectoryPlan also read.
+        snap_gram(clamped_uniform_knots(0.0, 5.0, 10, MIN_DEGREE))
+        with pytest.raises(ValueError, match=f"^snap Gram needs degree >= {MIN_DEGREE}, got 3$"):
+            snap_gram(clamped_uniform_knots(0.0, 5.0, 10, MIN_DEGREE - 1))
 
     def test_gram_is_psd_and_symmetric(self):
         kv = clamped_uniform_knots(0.0, 5.0, 10, 5)
