@@ -74,7 +74,7 @@ from .simverify import (
     verify_plan,
     verify_span_minima,
 )
-from .splines import KnotVector
+from .splines import plan_knots
 from .tracker import CbfParams, PdGains, ReferencePoint, TrackingState, check_initial_conditions
 
 EXIT_OK = 0
@@ -323,7 +323,7 @@ def _plan_for(planning: PlanningScenario, args) -> TrajectoryPlan:
     if args.tol is not None:
         raise ScenarioError("--tol: applies only when re-planning, not with --plan")
     pl = _load_plan_doc(args.plan)
-    kv, want = pl.curve.knots, KnotVector(planning.t0, planning.tf, planning.n, planning.degree)
+    kv, want = pl.curve.knots, plan_knots(planning.t0, planning.tf, planning.n, planning.degree)
     if kv != want:
         raise ScenarioError(
             f"{args.plan}: plan spline (t0={kv.t0}, tf={kv.tf}, n={kv.n}, d={kv.degree}) does not "

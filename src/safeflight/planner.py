@@ -33,15 +33,7 @@ import numpy as np
 from .documents import checked, object_schema
 from .flatness import GRAVITY
 from .socp import DEFAULT_TOL, MAX_TOL, MIN_TOL, OPTIMAL, ConeProgram, Solution
-from .splines import (
-    MIN_DEGREE,
-    KnotVector,
-    SplineCurve,
-    clamped_uniform_knots,
-    max_span_width,
-    min_span_width,
-    snap_gram,
-)
+from .splines import KnotVector, SplineCurve, plan_knots, snap_gram
 from .tracker import CbfParams
 
 
@@ -323,22 +315,14 @@ class IntervalConstraint:
             raise ValueError(f"unknown interval kind '{self.kind}'")
 
 
-# Most control points per axis (n + 1) one plan may hold. The solve factors
-# dense normal equations of order about 4 (n + 1): hover at n = 499 took 59 s
-# and peaked at 415 MB (2-CPU Intel Xeon, one BLAS thread).
-MAX_CONTROL_POINTS = 500
-
-
 @dataclass(frozen=True)
 class PlanningScenario:
     """Everything the planner needs for one solve.
 
-    Requires degree >= MIN_DEGREE (the snap objective), degree <= n <
-    MAX_CONTROL_POINTS, spans from min_span_width(degree) to
-    max_span_width(degree) wide (so t0 < tf, both finite), waypoint and
-    window times in [t0, tf], at most degree + 1 pinned orders at each
-    end, a positive gravity and a solver_tol in [MIN_TOL, MAX_TOL); a ValueError
-    names the field otherwise, by its path in a scenario file.
+    Requires a spline (t0, tf, n, degree) that splines.plan_knots admits,
+    waypoint and window times in [t0, tf], at most degree + 1 pinned orders
+    at each end, a positive gravity and a solver_tol in [MIN_TOL, MAX_TOL);
+    a ValueError names the field otherwise, by its path in a scenario file.
     """
 
     name: str
@@ -358,28 +342,8 @@ class PlanningScenario:
     solver_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.degree < MIN_DEGREE:
-            raise ValueError(
-                f"spline.degree must be >= {MIN_DEGREE} for the snap objective, got {self.degree}"
-            )
-        if self.n < self.degree:
-            raise ValueError(
-                f"spline.n must be >= degree = {self.degree} for a clamped spline, got {self.n}"
-            )
-        if self.n + 1 > MAX_CONTROL_POINTS:
-            raise ValueError(
-                f"spline.n = {self.n} gives {self.n + 1} control points per axis, more than "
-                f"MAX_CONTROL_POINTS = {MAX_CONTROL_POINTS}"
-            )
+        plan_knots(self.t0, self.tf, self.n, self.degree, "spline.")
         t0, tf = self.t0, self.tf
-        spans = self.n - self.degree + 1
-        width = (tf - t0) / spans
-        least, most = min_span_width(self.degree), max_span_width(self.degree)
-        if not least <= width <= most:
-            raise ValueError(
-                f"spline.tf: (tf - t0) / {spans} spans = {width:g} s, but the snap Gram "
-                f"at degree {self.degree} needs spans from {least:.3g} to {most:.3g} s"
-            )
         times = [(f"waypoints/{i}/time", w.time) for i, w in enumerate(self.waypoints)]
         for i, w in enumerate(self.intervals):
             times += [(f"windows/{i}/t_start", w.t_start), (f"windows/{i}/t_end", w.t_end)]
@@ -494,28 +458,24 @@ class TrajectoryPlan:
         Raises:
             ValueError: naming the field, where doc breaks PLAN_SCHEMA, a
                 number is too large for a float, an integer lies beyond
-                +-2**53, degree is below MIN_DEGREE, t0, tf, gravity,
-                control_points or zeta holds a number that is not finite,
-                gravity is not positive, control_points is not of shape
-                (3, n + 1), or zeta does not hold n - degree + 1 values (one
-                in scalar mode).
+                +-2**53, splines.plan_knots, a scenario's spline rule, refuses
+                (t0, tf, n, degree), gravity, control_points or zeta holds a
+                number that is not finite, gravity is not positive,
+                control_points is not of shape (3, n + 1), or zeta does not
+                hold n - degree + 1 values (one in scalar mode).
         """
         doc = checked(doc, PLAN_SCHEMA)
         n, degree, zeta_mode = doc["n"], doc["degree"], doc["zeta_mode"]
-        if degree < MIN_DEGREE:
-            raise ValueError(f"degree must be >= {MIN_DEGREE} for the snap objective, got {degree}")
-        for name in ("t0", "tf", "gravity"):
-            if not math.isfinite(doc[name]):
-                raise ValueError(f"{name} must be finite, got {doc[name]}")
-        if doc["gravity"] <= 0:
-            raise ValueError(f"gravity must be positive, got {doc['gravity']}")
-        # The shape bounds n by the document's size before n sizes the knot vector.
+        kv = plan_knots(doc["t0"], doc["tf"], n, degree)
+        if not math.isfinite(gravity := doc["gravity"]):
+            raise ValueError(f"gravity must be finite, got {gravity}")
+        if gravity <= 0:
+            raise ValueError(f"gravity must be positive, got {gravity}")
         rows = doc["control_points"]
         if any(len(row) != n + 1 for row in rows):
             lengths = [len(row) for row in rows]
             raise ValueError(f"control_points must have shape (3, {n + 1}), got rows of {lengths}")
         ctrl = _finite("control_points", rows)
-        kv = clamped_uniform_knots(doc["t0"], doc["tf"], n, degree)
         zeta = _finite("zeta", doc["zeta"])
         size = 1 if zeta_mode == "scalar" else n - degree + 1
         if zeta.shape != (size,):
@@ -529,7 +489,7 @@ class TrajectoryPlan:
             zeta_mode=zeta_mode,
             objective=doc.get("objective", np.nan),
             snap=doc.get("snap", np.nan),
-            gravity=doc["gravity"],
+            gravity=gravity,
             name=doc.get("name", "plan"),
             solve_stats=stats,
         )
@@ -842,7 +802,7 @@ def compile_plan(scenario: PlanningScenario) -> tuple[PlanAssembly, np.ndarray]:
     Raises:
         MarginInfeasibleError: tracking margins leave no feasible band.
     """
-    kv = clamped_uniform_knots(scenario.t0, scenario.tf, scenario.n, scenario.degree)
+    kv = plan_knots(scenario.t0, scenario.tf, scenario.n, scenario.degree)
     bounds = scenario.bounds
     if scenario.apply_tracking_margins:
         bounds = compile_tracking_margins(bounds, scenario.cbf, scenario.gravity)

@@ -52,6 +52,13 @@ KNOT_CACHE_SIZE = 32
 # Least degree of a snap Gram, and so of a plan: the objective integrates squared snap.
 MIN_DEGREE = 4
 
+# Greatest degree of a snap Gram, and so of a plan: at 29 its moments' Cholesky fails (cond 4e17).
+MAX_DEGREE = 28
+
+# Most control points per axis (n + 1) of a plan. Its solve factors dense normal equations of
+# order about 4 (n + 1): hover at n = 499 took 59 s and 415 MB (2-CPU Intel Xeon, one BLAS thread).
+MAX_CONTROL_POINTS = 500
+
 
 def clamped_uniform_knots(t0: float, tf: float, n: int, degree: int) -> "KnotVector":
     """The clamped uniform knot vector over [t0, tf], one shared instance per value.
@@ -279,6 +286,34 @@ class KnotVector:
 _shared = lru_cache(maxsize=KNOT_CACHE_SIZE)(KnotVector)
 
 
+def plan_knots(t0: float, tf: float, n: int, degree: int, path: str = "") -> KnotVector:
+    """The shared knot vector of a plan's spline, by the one rule scenarios and plan documents meet.
+
+    A plan needs MIN_DEGREE <= degree <= MAX_DEGREE, the degrees whose snap
+    Gram builds, degree <= n < MAX_CONTROL_POINTS, and uniform spans from
+    min_span_width(degree) to max_span_width(degree) wide, which refuses
+    reversed, non-finite or overflowing ends too; a ValueError names the
+    first of degree, n and tf that breaks it, after path (as "spline.").
+    """
+    if not MIN_DEGREE <= degree <= MAX_DEGREE:
+        raise ValueError(f"{path}degree must lie in [{MIN_DEGREE}, {MAX_DEGREE}], got {degree}")
+    if not degree <= n < MAX_CONTROL_POINTS:
+        raise ValueError(
+            f"{path}n must lie in [degree, MAX_CONTROL_POINTS - 1] = "
+            f"[{degree}, {MAX_CONTROL_POINTS - 1}], got {n}"
+        )
+    spans = n - degree + 1
+    width = (tf - t0) / spans
+    least, most = min_span_width(degree), max_span_width(degree)
+    # Written so that a NaN width, which fails every comparison, is refused.
+    if not least <= width <= most:
+        raise ValueError(
+            f"{path}tf: (tf - t0) / {spans} spans = {width:g} s, "
+            f"outside [{least:.3g}, {most:.3g}] at degree {degree}"
+        )
+    return clamped_uniform_knots(t0, tf, n, degree)
+
+
 @dataclass(frozen=True, eq=False)
 class SplineCurve:
     """A vector-valued spline: knots plus control points of shape (dim, n+1).
@@ -474,11 +509,12 @@ def snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
         vector and read-only.
 
     Raises:
-        ValueError: for degree < MIN_DEGREE, or a Q that is not finite, as over
-            spans narrower than min_span_width(degree).
+        ValueError: for a degree outside [MIN_DEGREE, MAX_DEGREE], or a Q that
+            is not finite, as over spans narrower than min_span_width(degree).
     """
-    if knots.degree < MIN_DEGREE:
-        raise ValueError(f"snap Gram needs degree >= {MIN_DEGREE}, got {knots.degree}")
+    if not MIN_DEGREE <= knots.degree <= MAX_DEGREE:
+        bound = f">= {MIN_DEGREE}" if knots.degree < MIN_DEGREE else f"<= {MAX_DEGREE}"
+        raise ValueError(f"snap Gram needs degree {bound}, got {knots.degree}")
     return knots._snap_gram
 
 
@@ -507,10 +543,14 @@ def _build_snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(d - 3)  # the snap's powers of s on a span: 0 .. d - 4
     e = k[:, None] + k
     H = np.where(e % 2 == 0, 2.0 / (e + 1), 0.0)  # moments of u**e on [-1, 1]
+    try:
+        chol = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"snap Gram has no Cholesky factor of its moments at degree {d}") from None
     rows, scale = (a[_order_rows(d, 4)] for a in _table_layout(d))
     P4 = knots._span_power_basis[:, :, rows] * scale
     half = 0.5 * np.diff(knots.tau[d : n + 2])[:, None, None]
-    F = P4 * half ** (k + 0.5) @ np.linalg.cholesky(H)  # span l's factor, transposed
+    F = P4 * half ** (k + 0.5) @ chol  # span l's factor, transposed
     i = np.arange(n - d + 1)[:, None]
     G = np.zeros((n - d + 1, d - 3, n + 1))
     G[i, :, i + np.arange(d + 1)] = F

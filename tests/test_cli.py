@@ -1053,6 +1053,24 @@ class TestPlanCommand:
         assert "spline.degree" in err
         assert "unexpected error" not in err
 
+    def test_max_degree_plans(self, tmp_path, capsys):
+        doc = hover_dict()
+        doc["spline"].update(degree=28, n=35)
+        assert main(["plan", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_OK
+        assert "hover: optimal" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["plan", "verify", "track"])
+    @pytest.mark.parametrize("degree", [29, 60])
+    def test_degree_above_max_degree_exits_parse(self, tmp_path, capsys, command, degree):
+        # The snap Gram's moments have no Cholesky factor past degree 28; the
+        # solve failed on them with numpy's LinAlgError (exit 5).
+        doc = hover_dict()
+        doc["spline"].update(degree=degree, n=degree + 7)
+        assert main([command, "--scenario", write_scenario(tmp_path, doc)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"spline.degree must lie in [4, 28], got {degree}" in err
+        assert "unexpected error" not in err
+
     def test_unwritable_output_exits_runtime(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "plan.json"
         assert main(["plan", "--scenario", "hover", "--out", str(out)]) == EXIT_RUNTIME
@@ -1368,6 +1386,21 @@ def set_entry(key, *index, value):
     return edit
 
 
+def respline(**spline):
+    """An edit of a plan document onto another spline, its control points and zeta resized to fit.
+
+    Every control point takes the first one's place: the plan rests there.
+    """
+
+    def edit(doc):
+        doc.update(spline)
+        n, degree = doc["n"], doc["degree"]
+        doc["control_points"] = [row[:1] * (n + 1) for row in doc["control_points"]]
+        doc["zeta"] = doc["zeta"][:1] * (n - degree + 1)
+
+    return edit
+
+
 # (label, edit of the hover plan document, field the error must name). The
 # hover plan has n = 12, degree = 5 and per-span zeta, 8 values.
 BAD_PLAN_DOCUMENTS = [
@@ -1401,8 +1434,8 @@ BAD_PLAN_DOCUMENTS = [
     ("format-missing", lambda d: d.pop("format"), "'format' is a required property"),
     ("n-missing", lambda d: d.pop("n"), "'n' is a required property"),
     ("format-other", set_entry("format", value="x"), "at format: 'safeflight-plan' was expected"),
-    # An integer too large for a float, and an n that the control points do
-    # not hold, which sized the knot vector before they were checked.
+    # An integer too large for a float, and an n past MAX_CONTROL_POINTS,
+    # which the control points need not hold to be refused.
     ("t0-huge", set_entry("t0", value=10**400), "t0: a 401-digit integer is too large for a float"),
     ("tf-huge", set_entry("tf", value=10**400), "tf: a 401-digit integer"),
     ("gravity-huge", set_entry("gravity", value=-(10**400)), "gravity: a 401-digit integer"),
@@ -1411,7 +1444,7 @@ BAD_PLAN_DOCUMENTS = [
     ("objective-huge", set_entry("objective", value=10**400), "objective: a 401-digit integer"),
     ("snap-huge", set_entry("snap", value=10**400), "snap: a 401-digit integer"),
     ("max-residual-huge", set_entry("max_residual", value=10**400), "max_residual: a 401-digit"),
-    ("n-10^12", set_entry("n", value=10**12), "control_points must have shape (3, 1000000000001)"),
+    ("n-10^12", set_entry("n", value=10**12), "n must lie in [degree, MAX_CONTROL_POINTS - 1] = "),
     # Numbers only where the format has numbers, only the fields to_dict
     # writes, version 1 and a string name: numpy would read True as 1.0
     # and "1.5" as 1.5.
@@ -1435,8 +1468,27 @@ BAD_PLAN_DOCUMENTS = [
     ("version-true", set_entry("version", value=True), "at version: 1 was expected"),
     ("unknown-field", set_entry("comment", value="x"), "unknown field(s) 'comment'"),
     ("name-list", set_entry("name", value=["x"]), "at name: an array is not of type 'string'"),
-    # The snap objective needs degree 4 or more, in a plan as in a scenario.
-    ("degree-1", set_entry("degree", value=1), "degree must be >= 4 for the snap objective, got 1"),
+    # A plan document meets a scenario's spline rule: a degree in [4, 28], at
+    # most MAX_CONTROL_POINTS control points per axis and spans that the snap
+    # Gram can be built over. Each copy but degree-1 is whole, its control
+    # points and zeta sized to its spline. Export wrote each with exit 0 or
+    # failed on it with exit 5: an OverflowError at degree 200, and an
+    # evaluation time outside [t0, tf] over the ends at +-1e308.
+    ("degree-1", set_entry("degree", value=1), "degree must lie in [4, 28], got 1"),
+    ("degree-29", respline(degree=29, n=36), "degree must lie in [4, 28], got 29"),
+    ("degree-60", respline(degree=60, n=67), "degree must lie in [4, 28], got 60"),
+    ("degree-200", respline(degree=200, n=207), "degree must lie in [4, 28], got 200"),
+    (
+        "n-500",
+        respline(n=500),
+        "n must lie in [degree, MAX_CONTROL_POINTS - 1] = [5, 499], got 500",
+    ),
+    ("ends-1e308", respline(t0=-1.0e308, tf=1.0e308), "tf: (tf - t0) / 8 spans = inf s, outside"),
+    (
+        "tf-1e60",
+        respline(tf=1.0e60),
+        "tf: (tf - t0) / 8 spans = 1.25e+59 s, outside [1e-40, 1e+40] at degree 5",
+    ),
 ]
 
 
@@ -1503,6 +1555,20 @@ class TestInvertedFlight:
         out = tmp_path / "samples.csv"
         assert main(["export", "--plan", dive_plan, "--out", str(out)]) == EXIT_VERIFY
         assert "InvertedFlightError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_hover_squeezed_into_1e_30_s_exits_verify(self, tmp_path, hover_plan, capsys):
+        # Spans of 1.25e-31 s meet the spline rule, whose floor at degree 5 is
+        # 1e-40 s, so the document loads. Over such spans the solve's round-off
+        # in the control points is an acceleration of order 1e52, downward.
+        doc = hover_plan.to_dict()
+        doc["tf"] = 1.0e-30
+        path = tmp_path / "squeezed.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "samples.csv"
+        assert main(["export", "--plan", str(path), "--out", str(out)]) == EXIT_VERIFY
+        err = capsys.readouterr().err
+        assert "error: flatness map undefined on the plan: InvertedFlightError" in err
         assert not out.exists()
 
 

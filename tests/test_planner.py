@@ -35,11 +35,14 @@ from safeflight.planner import (
 from safeflight.simverify import span_samples
 from safeflight.socp import MAX_TOL, MIN_TOL, ConeProgram
 from safeflight.splines import (
+    MAX_DEGREE,
+    MIN_DEGREE,
     SplineCurve,
     clamped_uniform_knots,
     derivative_control_points,
     max_span_width,
     min_span_width,
+    plan_knots,
     snap_gram,
 )
 from safeflight.tracker import CbfParams
@@ -353,6 +356,51 @@ def speed_window(t_start, t_end):
     return (IntervalConstraint(t_start, t_end, "speed", bound=1.0),)
 
 
+def plan_document(t0=0.0, tf=4.0, n=10, degree=5):
+    """A plan document over small_scenario's spline, or the given one: resting at the origin."""
+    return {
+        "format": "safeflight-plan",
+        "t0": t0,
+        "tf": tf,
+        "n": n,
+        "degree": degree,
+        "gravity": G,
+        "zeta_mode": "scalar",
+        "control_points": [[0.0] * max(n + 1, 0)] * 3,
+        "zeta": [G],
+    }
+
+
+DEGREE_RULE = "degree must lie in [4, 28], got "
+N_RULE = "n must lie in [degree, MAX_CONTROL_POINTS - 1] = [5, 499], got "
+SPAN_RULE = "tf: (tf - t0) / 6 spans = "
+
+# Splines that neither a scenario nor a plan document may hold, with the
+# message both give (after "spline." in a scenario). small_scenario and
+# plan_document span [0, 4] with n = 10 and degree 5: 6 spans.
+BAD_SPLINES = [
+    ({"degree": 3}, DEGREE_RULE + "3"),
+    ({"degree": 0}, DEGREE_RULE + "0"),
+    ({"degree": 29, "n": 36}, DEGREE_RULE + "29"),
+    ({"degree": 60, "n": 67}, DEGREE_RULE + "60"),
+    ({"degree": 200, "n": 207}, DEGREE_RULE + "200"),
+    ({"n": 4}, N_RULE + "4"),
+    ({"n": -2}, N_RULE + "-2"),
+    ({"n": 500}, N_RULE + "500"),
+    ({"t0": 4.0}, SPAN_RULE + "0 s, outside [1e-40, 1e+40] at degree 5"),
+    ({"t0": 9.0}, SPAN_RULE + "-0.833333 s, outside [1e-40, 1e+40] at degree 5"),
+    ({"tf": float("inf")}, SPAN_RULE + "inf s, outside [1e-40, 1e+40] at degree 5"),
+    ({"t0": float("nan")}, SPAN_RULE + "nan s, outside [1e-40, 1e+40] at degree 5"),
+    ({"t0": -1.0e308, "tf": 1.0e308}, SPAN_RULE + "inf s, outside [1e-40, 1e+40] at degree 5"),
+    ({"tf": 1.0e60}, SPAN_RULE + "1.66667e+59 s, outside [1e-40, 1e+40] at degree 5"),
+    ({"tf": 1.0e-300}, SPAN_RULE + "1.66667e-301 s, outside [1e-40, 1e+40] at degree 5"),
+    (
+        {"degree": 28, "n": 33, "tf": 1.0e7},
+        SPAN_RULE + "1.66667e+06 s, outside [1e-10, 5.18e+05] at degree 28",
+    ),
+]
+
+
 class TestValidation:
     def test_safety_bounds(self):
         with pytest.raises(ValueError):
@@ -477,29 +525,44 @@ class TestValidation:
             ("solver_tol must be a number in [1e-10, 0.01), got 0.01", {"solver_tol": MAX_TOL}),
             ("solver_tol must be a number in [1e-10, 0.01), got 0.5", {"solver_tol": 0.5}),
             ("solver_tol must be a number in [1e-10, 0.01), got 1e-12", {"solver_tol": 1e-12}),
-            ("spline.degree must be >= 4 for the snap objective, got 3", {"degree": 3}),
-            ("spline.n = 500 gives 501 control points per axis, more than", {"n": 500}),
-            ("spline.tf: (tf - t0) / 6 spans = 0 s", {"t0": 4.0}),
-            ("spline.tf: (tf - t0) / 6 spans = -0.833333 s", {"t0": 9.0}),
-            ("spline.tf: (tf - t0) / 6 spans = inf s", {"tf": float("inf")}),
-            ("spline.tf: (tf - t0) / 6 spans = nan s", {"t0": float("nan")}),
-            ("spline.tf: (tf - t0) / 6 spans = 1.66667e+59 s", {"tf": 1.0e60}),
-            ("spline.tf: (tf - t0) / 6 spans = 1.66667e-301 s", {"tf": 1.0e-300}),
         ],
     )
     def test_scenario_names_the_field(self, message, over):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             small_scenario(**over)
 
-    @pytest.mark.parametrize("degree", range(4, 13))
+    @pytest.mark.parametrize("entry", ["scenario", "document"])
+    @pytest.mark.parametrize(
+        "spline, message",
+        BAD_SPLINES,
+        ids=[",".join(f"{k}={v:g}" for k, v in spline.items()) for spline, _ in BAD_SPLINES],
+    )
+    def test_one_spline_rule_for_scenarios_and_plan_documents(self, entry, spline, message):
+        # The same message, naming the same field: spline.<field> in a
+        # scenario, the bare field in a plan document.
+        if entry == "scenario":
+            with pytest.raises(ValueError, match=rf"^spline\.{re.escape(message)}$"):
+                small_scenario(**spline)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                TrajectoryPlan.from_dict(plan_document(**spline))
+
+    def test_scenarios_and_plan_documents_share_the_rule_s_knot_vector(self):
+        kv = plan_knots(0.0, 4.0, 10, 5)
+        assert kv is clamped_uniform_knots(0.0, 4.0, 10, 5)
+        assert compile_plan(small_scenario())[0].kv is kv
+        assert TrajectoryPlan.from_dict(plan_document()).curve.knots is kv
+
+    @pytest.mark.parametrize("degree", range(MIN_DEGREE, MAX_DEGREE + 1))
     def test_span_width_limits_are_accepted(self, degree):
         # Both limits load; at the widest spans the snap Gram's factor has as
-        # many rows as over 1 s spans, d - 3 per span.
-        n, spans = degree + 5, 6
+        # many rows as over 1 s spans, d - 3 per span. Four spans, a power of
+        # two, give back each limit exactly as (tf - t0) / spans.
+        n, spans = degree + 3, 4
         small_scenario(tf=min_span_width(degree) * spans, n=n, degree=degree)
         widest = small_scenario(tf=max_span_width(degree) * spans, n=n, degree=degree)
         _, G = snap_gram(clamped_uniform_knots(widest.t0, widest.tf, n, degree))
-        assert G.shape[0] == snap_gram(clamped_uniform_knots(0.0, 6.0, n, degree))[1].shape[0]
+        assert G.shape[0] == snap_gram(clamped_uniform_knots(0.0, 4.0, n, degree))[1].shape[0]
         with pytest.raises(ValueError, match=r"^spline\.tf: "):
             small_scenario(tf=2.0 * max_span_width(degree) * spans, n=n, degree=degree)
 
@@ -693,6 +756,11 @@ class TestFullSolves:
         pl = plan(planning)
         assert pl.solve_stats.status == "optimal"
         assert pl.solve_stats.max_residual <= 1e-8
+
+    @pytest.mark.parametrize("degree", range(MIN_DEGREE, MAX_DEGREE + 1))
+    def test_hover_plans_at_every_degree_the_rule_admits(self, hover_scenario, degree):
+        hover = dataclasses.replace(hover_scenario.planning, degree=degree, n=degree + 7)
+        assert plan(hover).solve_stats.status == "optimal"
 
     def test_small_rest_to_rest(self):
         pl = plan(small_scenario())

@@ -9,12 +9,17 @@ from scipy.optimize import nnls
 from oracles import cox_de_boor_matrix, dense_derivative_matrix, dense_snap_gram
 from safeflight.cli import bundled_scenarios, load_scenario
 from safeflight.splines import (
+    MAX_CONTROL_POINTS,
+    MAX_DEGREE,
     MIN_DEGREE,
     KnotVector,
     SplineCurve,
+    _build_snap_gram,
     clamped_uniform_knots,
     derivative_control_points,
+    max_span_width,
     min_span_width,
+    plan_knots,
     snap_gram,
 )
 
@@ -91,6 +96,16 @@ class TestKnotConstruction:
         for build in (clamped_uniform_knots, KnotVector):
             with pytest.raises(ValueError):
                 build(*args)
+
+    @pytest.mark.parametrize("degree", [MIN_DEGREE, MAX_DEGREE])
+    def test_plan_knots_admits_the_edges_of_its_rule(self, degree):
+        # One span of either limit width at n = degree, and the most control points.
+        for width in (min_span_width(degree), max_span_width(degree)):
+            assert plan_knots(0.0, width, degree, degree) is clamped_uniform_knots(
+                0.0, width, degree, degree
+            )
+        kv = plan_knots(0.0, 1.0 * (MAX_CONTROL_POINTS - degree), MAX_CONTROL_POINTS - 1, degree)
+        assert kv.n + 1 == MAX_CONTROL_POINTS
 
     def test_signed_zero_start_is_one_vector(self):
         # -0.0 == 0.0 share a cache key, so both build the +0.0 vector.
@@ -519,6 +534,15 @@ class TestSnapGram:
             Q_ref, _ = dense_snap_gram(kv)
             assert_allclose(Q, Q_ref, rtol=0.0, atol=1e-13 * np.abs(Q_ref).max())
 
+    def test_closed_form_matches_quadrature_at_max_degree(self):
+        # Over hover's eight spans. On a single span the closed form at this
+        # degree is 1.9e-11 (relative) off the exact rational Gram, which the
+        # quadrature meets to 4e-14.
+        kv = clamped_uniform_knots(0.0, 10.0, MAX_DEGREE + 7, MAX_DEGREE)
+        Q, _ = snap_gram(kv)
+        Q_ref, _ = dense_snap_gram(kv)
+        assert_allclose(Q, Q_ref, rtol=0.0, atol=1e-13 * np.abs(Q_ref).max())
+
     def test_factor_reproduces_quadratic_form(self, rng):
         kv = clamped_uniform_knots(0.0, 6.0, 14, 5)
         Q, G = snap_gram(kv)
@@ -552,11 +576,26 @@ class TestSnapGram:
             assert moved.shape == G.shape
             assert np.abs(moved - G).max() <= 1e-11 * np.abs(G).max()
 
-    def test_degree_floor_is_min_degree(self):
-        # The one floor that PlanningScenario and TrajectoryPlan also read.
-        snap_gram(clamped_uniform_knots(0.0, 5.0, 10, MIN_DEGREE))
+    def test_degree_limits_are_min_and_max_degree(self):
+        # The limits that plan_knots also reads. Past MAX_DEGREE a caller gets
+        # a ValueError, not numpy's LinAlgError (29) or an OverflowError (171).
+        for degree in (MIN_DEGREE, MAX_DEGREE):
+            snap_gram(clamped_uniform_knots(0.0, 5.0, degree + 6, degree))
         with pytest.raises(ValueError, match=f"^snap Gram needs degree >= {MIN_DEGREE}, got 3$"):
             snap_gram(clamped_uniform_knots(0.0, 5.0, 10, MIN_DEGREE - 1))
+        for degree in (MAX_DEGREE + 1, 171):
+            kv = clamped_uniform_knots(0.0, 5.0, degree + 6, degree)
+            with pytest.raises(ValueError, match=f"^snap Gram needs degree <= 28, got {degree}$"):
+                snap_gram(kv)
+
+    @pytest.mark.parametrize("degree", [MAX_DEGREE + 1, 60, 171])
+    def test_a_failed_factor_of_the_moments_is_a_value_error(self, degree):
+        # Built past snap_gram's check, as the cached table is, the moments'
+        # Cholesky factor fails, and the build says so as for a Q that is not finite.
+        kv = clamped_uniform_knots(0.0, 5.0, degree + 6, degree)
+        message = f"^snap Gram has no Cholesky factor of its moments at degree {degree}$"
+        with pytest.raises(ValueError, match=message):
+            _build_snap_gram(kv)
 
     def test_gram_is_psd_and_symmetric(self):
         kv = clamped_uniform_knots(0.0, 5.0, 10, 5)
@@ -580,7 +619,7 @@ class TestSnapGram:
         basis = kv._span_power_basis
         assert kv._span_power_basis is basis and not basis.flags.writeable
 
-    @pytest.mark.parametrize("degree", range(4, 13))
+    @pytest.mark.parametrize("degree", range(MIN_DEGREE, MAX_DEGREE + 1))
     def test_finite_down_to_the_minimum_span_width(self, degree):
         for n in (degree, degree + 7):
             kv = clamped_uniform_knots(0.0, min_span_width(degree) * (n - degree + 1), n, degree)
