@@ -8,7 +8,8 @@ error, 3 infeasible plan, 4 failed verification or tracking certificate,
 documents: SCENARIO_SCHEMA here, and PLAN_SCHEMA in planner, and one walk
 checks a document's shape and types and makes every number a float and
 every integer an int; a number too large for a float, or an integer
-beyond +-2**53, exits 2. A scenario key is the field name of the library
+beyond +-2**53, exits 2, as does a scenario or plan file that cannot be
+read as UTF-8 text. A scenario key is the field name of the library
 class that owns its section, which takes the section by name and holds
 every default and value check (for a flag's grid, that is
 check_sample_count). Only the angles differ: written in degrees under
@@ -189,11 +190,19 @@ def bundled_scenarios() -> list[str]:
     return sorted(p.name.removesuffix(".yaml") for p in root.iterdir() if p.name.endswith(".yaml"))
 
 
+def _read_input(path, what: str) -> str:
+    """The text of an input file; a file that cannot be read as UTF-8 exits 2, naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot load {what} '{path}': {exc}") from exc
+
+
 def _resolve_source(source: str) -> tuple[str, str]:
     """Return (text, description) for a path or a bundled scenario name."""
     path = Path(source)
     if path.exists():
-        return path.read_text(), str(path)
+        return _read_input(path, "scenario"), str(path)
     candidate = importlib.resources.files("safeflight") / "scenarios" / f"{source}.yaml"
     if candidate.is_file():
         return candidate.read_text(), f"bundled:{source}"
@@ -306,10 +315,10 @@ def _solve(planning: PlanningScenario, tol: float | None) -> TrajectoryPlan:
 
 
 def _load_plan_doc(path: str) -> TrajectoryPlan:
+    text = _read_input(path, "plan")
     try:
-        with open(path) as fh:
-            return TrajectoryPlan.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+        return TrajectoryPlan.from_dict(json.loads(text))
+    except ValueError as exc:  # json.JSONDecodeError is one
         raise ScenarioError(f"cannot load plan '{path}': {exc}") from exc
 
 
@@ -459,8 +468,7 @@ def cmd_export(args) -> int:
     ts = span_samples(pl, args.samples_per_span)
     pos, vel, acc, jerk = pl.curve.eval(ts, (0, 1, 2, 3))
     thrust, phi, theta, p_rate, q_rate = tilt_thrust_rates(acc, jerk, pl.gravity)
-    zeta_by_span = np.array([pl.zeta_for_span(l) for l in kv.nonempty_spans()])
-    zeta = zeta_by_span[kv.span_index(ts) - kv.degree]
+    zeta = pl.span_zeta[kv.span_index(ts) - kv.degree]
     header = [
         "t", "x", "y", "z", "vx", "vy", "vz", "speed",
         "ax", "ay", "az", "thrust", "phi_deg", "theta_deg",

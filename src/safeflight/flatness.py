@@ -39,7 +39,7 @@ class InvertedFlightError(ValueError):
     """Virtual input demands a non-positive vertical thrust component."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedInput:
     """Thrust and attitude angles commanded to the inner-loop autopilot.
 

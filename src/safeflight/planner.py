@@ -75,7 +75,7 @@ def _finite(name: str, value) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SocSet:
     """One membership constraint ||A p + b|| <= c' p + d on a point p in R^3.
 
@@ -255,7 +255,7 @@ class SafetyBounds:
             raise ValueError("tilt_margin must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Waypoint:
     """Pass within `radius` of `position` at time `time` (radius 0 pins it)."""
 
@@ -270,7 +270,7 @@ class Waypoint:
             raise ValueError("waypoint radius must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EndpointPins:
     """Pinned derivatives at t0 and tf; entry r of each tuple is order r, a finite (3,) vector."""
 
@@ -425,11 +425,10 @@ class TrajectoryPlan:
     name: str
     solve_stats: SolveStats
 
-    def zeta_for_span(self, l: int) -> float:
-        """Rate floor active on knot span l (d <= l <= n)."""
-        if self.zeta_mode == "scalar":
-            return float(self.zeta[0])
-        return float(self.zeta[l - self.curve.knots.degree])
+    @cached_property
+    def span_zeta(self) -> np.ndarray:
+        """Read-only rate floor of each nonempty span l = d..n, at l - d; scalar mode repeats it."""
+        return np.broadcast_to(self.zeta, len(self.curve.knots.nonempty_spans()))
 
     def to_dict(self) -> dict:
         """The plan document, in the format PLAN_SCHEMA describes."""
@@ -516,10 +515,6 @@ class PlanAssembly:
 
     # -- variable addressing
 
-    def axis_cols(self, axis: int) -> np.ndarray:
-        stride = self.n + 1
-        return np.arange(axis * stride, (axis + 1) * stride)
-
     def _axis_blocks(self, W: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows applying weights W[k] on every axis, and their columns.
 
@@ -540,7 +535,7 @@ class PlanAssembly:
 
         Returns (rows, cols) of shapes (k, 3, 3(r+1)) and (k, 3(r+1)): point
         js[k] is made from control points js[k] - r .. js[k], so row [k, a]
-        applied to x[cols[k]] gives points[a, js[k]] of
+        applied to x[cols[k]] gives entry [a, js[k]] of
         derivative_control_points(curve, r). They are picked from the
         order's block of every point r .. n, which the assembly builds once
         and keeps read-only, so families on the same order share it.
@@ -724,7 +719,7 @@ class PlanAssembly:
 
     def compile_objective(self, zeta_cols: np.ndarray) -> None:
         """Snap epigraph per axis minus the sum of rate floors."""
-        _, G = snap_gram(self.kv)
+        G = snap_gram(self.kv)
         s = self.cp.add_quadratic_epigraph(G, self.ctrl_cols.reshape(3, -1), "snap-epigraph")
         self.cp.add_objective(s, np.ones(3))
         if zeta_cols.size:
@@ -839,8 +834,7 @@ def plan(scenario: PlanningScenario) -> TrajectoryPlan:
 
     ctrl = sol.x[: 3 * (kv.n + 1)].reshape(3, kv.n + 1)
     zeta = sol.x[zeta_cols]
-    Q, _ = snap_gram(kv)
-    snap = float(sum(ctrl[a] @ Q @ ctrl[a] for a in range(3)))
+    snap = float(np.square(snap_gram(kv) @ ctrl.T).sum())
     stats = SolveStats(
         status=sol.status,
         solve_time=sol.solve_time,

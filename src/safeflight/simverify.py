@@ -54,7 +54,7 @@ def _tick_count(duration: float | None, control_rate: float) -> int:
     return ticks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimConfig:
     """Closed-loop timing plus the starting offsets from the reference.
 
@@ -100,7 +100,7 @@ class TrackingConfig:
             raise ValueError(f"psi must be finite, got {self.psi}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTrace:
     """Per-tick record of a closed-loop run (everything shaped (M, ...))."""
 
@@ -499,7 +499,7 @@ def verify_span_minima(
     l = np.array(spans)
     seg = np.linspace(kv.tau[l], kv.tau[l + 1], samples_per_span, axis=1)
     acc, jerk = plan.curve.eval(seg.ravel(), (2, 3))
-    zeta = np.array([plan.zeta_for_span(k) for k in spans])
+    zeta = plan.span_zeta
     thrust = np.linalg.norm(acc + np.array([0.0, 0.0, plan.gravity]), axis=1).reshape(seg.shape)
     floor = thrust - zeta[:, None]
     cone = omega_max * zeta[:, None] - np.linalg.norm(jerk, axis=1).reshape(seg.shape)

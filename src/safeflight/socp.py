@@ -46,7 +46,7 @@ MAX_TOL = 1e-2
 DEFAULT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
     """Outcome of a conic solve.
 
@@ -205,11 +205,6 @@ class ConeProgram:
     def _batches(self) -> list[tuple[str, int, int, int]]:
         """(kind, label code, k, m) of every batch, in the row order of _triplets."""
         return [(kind, *batch) for kind, part in self._kinds.items() for batch in part.batches]
-
-    def block_labels(self) -> list[str]:
-        """The label of each constraint, in row order: equalities, inequalities, then cones."""
-        names = list(self._labels)
-        return [names[code] for _, code, k, _ in self._batches() for _ in range(k)]
 
     def block_counts(self) -> dict[str, int]:
         """Number of constraints per label, in order of first use, for infeasibility diagnostics."""

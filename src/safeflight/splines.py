@@ -28,11 +28,12 @@ Derivative control points are banded: the order-r point j is a weighted
 difference of control points j - r .. j. Those r + 1 weights per point, the
 derivative stencil, come from one bidiagonal difference recursion per knot
 vector, vectorized over the points, and build the derivative control points.
-The snap Gram matrix Q = G'G is built from an exact banded factor G: on
-each span, the fourth derivative of the span power basis times a Cholesky
-factor of the moments of s over the span. Equal knot arguments give equal
-knot vectors, and clamped_uniform_knots hands out one shared instance from
-a bounded cache, so plans over the same knots build each of these tables once.
+The snap objective is held as the exact banded factor G of its Gram
+matrix G'G: on each span, the fourth derivative of the span power basis
+times a Cholesky factor of the moments of s over the span. Equal knot
+arguments give equal knot vectors, and clamped_uniform_knots hands out one
+shared instance from a bounded cache, so plans over the same knots build
+each of these tables once.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def clamped_uniform_knots(t0: float, tf: float, n: int, degree: int) -> "KnotVec
 
     Equal arguments give the same KnotVector, held in a bounded LRU cache of
     KNOT_CACHE_SIZE entries, so every plan over one (t0, tf, n, degree)
-    shares its stencils, snap Gram matrix and span power basis.
+    shares its stencils, snap Gram factor and span power basis.
 
     Args:
         t0: Start time (first knot, multiplicity degree + 1).
@@ -90,7 +91,7 @@ class KnotVector:
     vectors with equal hashes. It needs finite scalar ends t0 < tf, degree
     >= 1 and n >= degree, and stores -0.0 as 0.0. Every table that depends
     on the knots alone is memoized per instance and read-only: the knots
-    tau, the derivative stencils, the snap Gram matrix and the span power
+    tau, the derivative stencils, the snap Gram factor and the span power
     basis. Curves over one KnotVector share them, and clamped_uniform_knots
     hands out one instance per value, so a second plan over the same knots
     builds none of them again.
@@ -272,7 +273,7 @@ class KnotVector:
         return tuple(stencils), ends
 
     @cached_property
-    def _snap_gram(self) -> tuple[np.ndarray, np.ndarray]:
+    def _snap_gram(self) -> np.ndarray:
         """snap_gram(self), built on first use."""
         return _build_snap_gram(self)
 
@@ -448,38 +449,13 @@ def _order_rows(degree: int, q: int) -> slice:
     return slice(start, start + degree - q + 1)
 
 
-@dataclass(frozen=True, eq=False)
-class DerivativePoints:
-    """Control points of the r-th derivative curve, in original column indexing.
-
-    points[:, j] is nonzero only for r <= j <= n; on span [tau_l, tau_{l+1})
-    the derivative curve lies in the convex hull of columns l-d+r .. l.
-    Equality and hash go by identity, as for SplineCurve.
-    """
-
-    r: int
-    points: np.ndarray
-    knots: KnotVector
-
-    def span_columns(self, l: int) -> np.ndarray:
-        """The d - r + 1 column indices whose hull bounds the curve on span l."""
-        kv = self.knots
-        if l not in kv.nonempty_spans():
-            raise ValueError(f"span {l} is empty or out of range")
-        return np.arange(l - kv.degree + self.r, l + 1)
-
-    def span_points(self, l: int) -> np.ndarray:
-        """Shape (dim, d - r + 1) slice of the hull points for span l."""
-        return self.points[:, self.span_columns(l)]
-
-
-def derivative_control_points(curve: SplineCurve, r: int) -> DerivativePoints:
-    """Control points of the r-th derivative, each a stencil row over its r + 1 control points.
+def derivative_control_points(curve: SplineCurve, r: int) -> np.ndarray:
+    """Control points of the r-th derivative, as a read-only (dim, n + r + 1) array.
 
     Point j, for r <= j <= n, contracts row j - r of derivative_stencil(r)
-    with control points j - r .. j. The first r and last r of the n + r + 1
-    columns are exactly zero: they pad the points into the original column
-    indexing. The points are read-only.
+    with control points j - r .. j. The first r and last r columns are exactly
+    zero: they pad the points into the original column indexing, in which the
+    curve on span [tau_l, tau_{l+1}) lies in the hull of columns l - d + r .. l.
     """
     kv = curve.knots
     stencil = kv.derivative_stencil(r)
@@ -487,14 +463,14 @@ def derivative_control_points(curve: SplineCurve, r: int) -> DerivativePoints:
     points = np.zeros((curve.dim, kv.n + r + 1))
     points[:, r : kv.n + 1] = np.einsum("ajk,jk->aj", windows, stencil)
     points.setflags(write=False)
-    return DerivativePoints(r=r, points=points, knots=kv)
+    return points
 
 
-def snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix of fourth-derivative inner products, and its banded square-root factor.
+def snap_gram(knots: KnotVector) -> np.ndarray:
+    """Banded square-root factor G of the Gram matrix of fourth-derivative inner products.
 
     For a single-axis curve with coefficients x over these knots,
-    x @ Q @ x equals the integral of the squared fourth derivative over
+    ||G @ x||**2 equals the integral of the squared fourth derivative over
     [t0, tf]. Built in closed form, span by span: the fourth derivative of
     the span's power basis, P4 (columns 4..d, column k + 4 scaled by
     (k + 4)! / k!), is a polynomial in s = t - mid of degree d - 4. The
@@ -503,14 +479,13 @@ def snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     for even i + j, else 0), so chol(H)' D P4' factors the span's share.
 
     Returns:
-        (Q, G) with Q = G.T @ G of shape (n+1, n+1), positive semidefinite,
-        and G stacking the span factors: d - 3 rows per nonempty span l,
-        nonzero only in columns l - d .. l. Both are memoized per knot
-        vector and read-only.
+        G stacking the span factors: d - 3 rows per nonempty span l, nonzero
+        only in columns l - d .. l, of n + 1. Memoized per knot vector and
+        read-only.
 
     Raises:
-        ValueError: for a degree outside [MIN_DEGREE, MAX_DEGREE], or a Q that
-            is not finite, as over spans narrower than min_span_width(degree).
+        ValueError: for a degree outside [MIN_DEGREE, MAX_DEGREE], or a Gram
+            that is not finite, as over spans narrower than min_span_width(degree).
     """
     if not MIN_DEGREE <= knots.degree <= MAX_DEGREE:
         bound = f">= {MIN_DEGREE}" if knots.degree < MIN_DEGREE else f"<= {MAX_DEGREE}"
@@ -538,7 +513,7 @@ def max_span_width(degree: int) -> float:
     return 10.0 ** (280.0 / max(7, 2 * degree - 7))
 
 
-def _build_snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
+def _build_snap_gram(knots: KnotVector) -> np.ndarray:
     d, n = knots.degree, knots.n
     k = np.arange(d - 3)  # the snap's powers of s on a span: 0 .. d - 4
     e = k[:, None] + k
@@ -555,9 +530,7 @@ def _build_snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     G = np.zeros((n - d + 1, d - 3, n + 1))
     G[i, :, i + np.arange(d + 1)] = F
     G = G.reshape(-1, n + 1)
-    Q = G.T @ G
-    if not np.isfinite(Q).all():
+    if not np.isfinite(np.square(G).sum(axis=0)).all():  # G'G's diagonal, which bounds G'G
         raise ValueError(f"snap Gram is not finite over spans {2.0 * half.min():g} s wide")
-    Q.setflags(write=False)
     G.setflags(write=False)
-    return Q, G
+    return G

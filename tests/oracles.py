@@ -421,8 +421,8 @@ def export_csv_per_row(pl, samples_per_span: int, path) -> None:
     ts = span_samples(pl, samples_per_span)
     pos, vel, acc, jerk = pl.curve.eval(ts, (0, 1, 2, 3))
     thrust, phi, theta, p_rate, q_rate = tilt_thrust_rates(acc, jerk, pl.gravity)
-    zeta_by_span = np.array([pl.zeta_for_span(l) for l in kv.nonempty_spans()])
-    zeta = zeta_by_span[kv.span_index(ts) - kv.degree]
+    spans = kv.span_index(ts) - kv.degree
+    zeta = pl.zeta[np.zeros_like(spans) if pl.zeta_mode == "scalar" else spans]
     header = [
         "t", "x", "y", "z", "vx", "vy", "vz", "speed",
         "ax", "ay", "az", "thrust", "phi_deg", "theta_deg",
@@ -634,8 +634,8 @@ class DensePlanAssembly(PlanAssembly):
 
     def compile_objective(self, zeta_cols):
         _, G = dense_snap_gram(self.kv)
-        for axis in range(3):
-            s = self.cp.add_quadratic_epigraph(G, self.axis_cols(axis)[None], "snap-epigraph")
+        for cols in self.ctrl_cols.reshape(3, 1, -1):
+            s = self.cp.add_quadratic_epigraph(G, cols, "snap-epigraph")
             self.cp.add_objective(s, [1.0])
         if zeta_cols.size:
             self.cp.add_objective(zeta_cols, -np.ones(zeta_cols.size))

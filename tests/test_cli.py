@@ -1151,6 +1151,21 @@ class TestVerifyCommand:
         assert code == EXIT_PARSE
         assert "cannot load plan" in capsys.readouterr().err
 
+    # Both inputs are read by one rule: a directory, or a file that is not
+    # UTF-8, exits 2 naming the path (it was exit 5 for a scenario).
+    @pytest.mark.parametrize("flag", ["--scenario", "--plan"])
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_unreadable_input_exits_parse(self, tmp_path, capsys, flag, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes("name: caf\xe9\n".encode("latin-1"))
+        inputs = {"--scenario": "hover", flag: str(path)}
+        assert main(["verify", *(arg for pair in inputs.items() for arg in pair)]) == EXIT_PARSE
+        what = flag.removeprefix("--")
+        assert capsys.readouterr().err.startswith(f"error: cannot load {what} '{path}': ")
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_sample_count_below_one_exits_parse(self, count, capsys):
         assert main(["verify", "--scenario", "hover", "--samples-per-span", count]) == EXIT_PARSE
@@ -1320,7 +1335,8 @@ class TestExportCommand:
         assert main(args) == EXIT_OK
         pl = TrajectoryPlan.from_dict(doc)
         kv = pl.curve.knots
-        want = [f"{pl.zeta_for_span(kv.span_index(float(t))):.12g}" for t in span_samples(pl, 7)]
+        spans = kv.span_index(span_samples(pl, 7)) - kv.degree
+        want = [f"{doc['zeta'][k]:.12g}" for k in spans]
         rows = out.read_text().splitlines()[1:]
         assert [row.split(",")[-1] for row in rows] == want
         assert len(set(want)) == len(doc["zeta"])

@@ -15,6 +15,7 @@ from oracles import (
     soc_margin_direct,
 )
 from safeflight.cli import bundled_scenarios, load_scenario
+from safeflight.flatness import attitude_from_virtual
 from safeflight.planner import (
     ConvexRegion,
     EndpointPins,
@@ -32,14 +33,19 @@ from safeflight.planner import (
     interval_window_columns,
     plan,
 )
-from safeflight.simverify import span_samples
-from safeflight.socp import MAX_TOL, MIN_TOL, ConeProgram
+from safeflight.simverify import (
+    SimConfig,
+    make_unfiltered_controller,
+    plan_reference,
+    simulate,
+    span_samples,
+)
+from safeflight.socp import MAX_TOL, MIN_TOL, ConeProgram, Solution
 from safeflight.splines import (
     MAX_DEGREE,
     MIN_DEGREE,
     SplineCurve,
     clamped_uniform_knots,
-    derivative_control_points,
     max_span_width,
     min_span_width,
     plan_knots,
@@ -561,8 +567,8 @@ class TestValidation:
         n, spans = degree + 3, 4
         small_scenario(tf=min_span_width(degree) * spans, n=n, degree=degree)
         widest = small_scenario(tf=max_span_width(degree) * spans, n=n, degree=degree)
-        _, G = snap_gram(clamped_uniform_knots(widest.t0, widest.tf, n, degree))
-        assert G.shape[0] == snap_gram(clamped_uniform_knots(0.0, 4.0, n, degree))[1].shape[0]
+        factor = snap_gram(clamped_uniform_knots(widest.t0, widest.tf, n, degree))
+        assert factor.shape[0] == snap_gram(clamped_uniform_knots(0.0, 4.0, n, degree)).shape[0]
         with pytest.raises(ValueError, match=r"^spline\.tf: "):
             small_scenario(tf=2.0 * max_span_width(degree) * spans, n=n, degree=degree)
 
@@ -571,8 +577,8 @@ class TestAssemblyLayout:
     def test_point_and_axis_columns(self):
         kv = clamped_uniform_knots(0.0, 4.0, 10, 5)
         asm = PlanAssembly(kv)
-        assert asm.axis_cols(2).tolist() == list(range(22, 33))
         assert asm.ctrl_cols.tolist() == list(range(33))
+        assert asm.ctrl_cols.reshape(3, -1)[2].tolist() == list(range(22, 33))
         rows, cols = asm.point_rows(1, range(1, 11))
         assert rows.shape == (10, 3, 6)
         # Velocity point j reads control points j-1 and j of each axis.
@@ -663,11 +669,17 @@ class TestDenseReference:
         # separately in order of first use.
         self.assert_same_model(TestCensus().scenario(zeta_mode))
 
+    @staticmethod
+    def labels(cp):
+        """The label of each constraint, in row order: equalities, inequalities, then cones."""
+        names = list(cp._labels)
+        return [names[code] for _, code, k, _ in cp._batches() for _ in range(k)]
+
     def assert_same_model(self, ps):
         asm, _ = compile_plan(ps)
         ref = dense_compile_plan(ps)
         assert asm.cp.block_counts() == ref.cp.block_counts()
-        assert asm.cp.block_labels() == ref.cp.block_labels()
+        assert self.labels(asm.cp) == self.labels(ref.cp)
         assert asm.cp.num_vars == ref.cp.num_vars
         A, b, cones = asm.cp._assemble()
         A_ref, b_ref, cones_ref = ref.cp._assemble()
@@ -683,11 +695,9 @@ class TestDenseReference:
         # to roundoff; the epigraphs factor the same Gram matrix.
         end = A.indptr[A.shape[0] - sum(cones.soc[-3:])]
         assert_allclose(A.data[:end], A_ref.data[:end], rtol=1e-14, atol=0.0)
-        Q, G = snap_gram(asm.kv)
+        factor = snap_gram(asm.kv)
         Q_ref, _ = dense_snap_gram(ref.kv)
-        scale = np.abs(Q_ref).max()
-        assert_allclose(Q, Q_ref, rtol=0.0, atol=1e-14 * scale)
-        assert_allclose(G.T @ G, Q, rtol=0.0, atol=1e-12 * scale)
+        assert_allclose(factor.T @ factor, Q_ref, rtol=0.0, atol=1e-14 * np.abs(Q_ref).max())
 
 
 class TestCensus:
@@ -793,6 +803,22 @@ class TestFullSolves:
         assert np.array_equal(a.curve.ctrl, b.curve.ctrl)
         assert a.objective == b.objective
 
+    @pytest.mark.parametrize("name", bundled_scenarios())
+    def test_snap_is_the_integral_of_squared_snap(self, bundled_plan, name):
+        # Gauss-Legendre with d nodes per span integrates |r''''|**2, a
+        # polynomial of degree 2d - 8 there, exactly. Hover's snap is
+        # roundoff (4e-19), so an absolute 1e-15 covers it; a quadratic form
+        # x'Qx, which cancels, read -1.5e-13 there.
+        pl = bundled_plan(name)
+        kv = pl.curve.knots
+        nodes, weights = np.polynomial.legendre.leggauss(kv.degree)
+        l = np.array(kv.nonempty_spans())[:, None]
+        half, mid = 0.5 * (kv.tau[l + 1] - kv.tau[l]), 0.5 * (kv.tau[l + 1] + kv.tau[l])
+        snap = pl.curve.eval((half * nodes + mid).ravel(), 4)
+        integral = float((half * weights).ravel() @ np.square(snap).sum(axis=1))
+        assert pl.snap == pytest.approx(integral, rel=1e-10, abs=1e-15)
+        assert pl.snap >= 0.0
+
     def test_hover_rate_floors_reach_gravity(self, hover_plan):
         # At zero acceleration the floor constraint zeta <= g + V_z is tight
         # at g, and the objective pushes every floor to its cap.
@@ -800,8 +826,8 @@ class TestFullSolves:
         assert hover_plan.snap <= 1e-6
         spans = list(hover_plan.curve.knots.nonempty_spans())
         assert hover_plan.zeta.size == len(spans)
-        assert hover_plan.zeta_for_span(spans[0]) == hover_plan.zeta[0]
-        assert hover_plan.zeta_for_span(spans[-1]) == hover_plan.zeta[-1]
+        assert_array_equal(hover_plan.span_zeta, hover_plan.zeta, strict=True)
+        assert not hover_plan.span_zeta.flags.writeable
 
     def test_rate_floor_optimality(self, example1_plan):
         # Each per-span floor rises to the smallest g + V_z over the span's
@@ -818,7 +844,9 @@ class TestFullSolves:
     def test_scalar_rate_floor(self, hover_scenario):
         pl = plan(dataclasses.replace(hover_scenario.planning, zeta_mode="scalar"))
         assert pl.zeta.size == 1
-        assert pl.zeta_for_span(7) == pl.zeta_for_span(12) == float(pl.zeta[0])
+        spans = pl.curve.knots.nonempty_spans()
+        assert_array_equal(pl.span_zeta, np.full(len(spans), pl.zeta[0]), strict=True)
+        assert not pl.span_zeta.flags.writeable
         assert_allclose(pl.zeta[0], G, atol=1e-6)
 
     def test_exact_waypoint_becomes_equality(self):
@@ -909,12 +937,27 @@ class TestPlanDocument:
 
     def test_equality_and_hash_go_by_identity(self, hover_plan):
         # Each holds arrays, whose == is elementwise: a field-wise == would raise.
+        # A loaded scenario compares field by field, so through its pins and
+        # its run settings by identity: a second load of the file differs.
+        sf, again = load_scenario("hover"), load_scenario("hover")
+        tr = sf.tracking
+        controller = make_unfiltered_controller(tr.cbf, tr.gains, tr.psi, hover_plan.gravity)
+        held = [
+            hover_plan,
+            SocSet(np.eye(3), np.zeros(3), np.zeros(3), 1.0),
+            Waypoint([0.0, 0.0, 1.0], 1.0),
+            sf.planning.pins,
+            SimConfig(),
+            simulate(plan_reference(hover_plan), controller, tr.sim, duration=0.05),
+            attitude_from_virtual(np.zeros((2, 3)), 0.0),
+            Solution("optimal", np.zeros(2), 0.0, 0.0, 0.0, 1, "solved"),
+        ]
         curve = hover_plan.curve
-        points = derivative_control_points(curve, 1)
-        pairs = [
+        pairs = [(item, dataclasses.replace(item)) for item in held] + [
             (curve, SplineCurve(curve.knots, curve.ctrl)),
-            (hover_plan, dataclasses.replace(hover_plan)),
-            (points, dataclasses.replace(points)),
+            (sf, again),
+            (sf.planning, again.planning),
+            (tr, again.tracking),
         ]
         for item, twin in pairs:
             assert item == item and item != twin

@@ -97,6 +97,17 @@ class TestModelValidation:
             getattr(prog, method)(*args)
         assert (prog.num_vars, prog.block_counts(), assembled(prog)) == before
 
+    @pytest.mark.parametrize("cols", [[[0, 3]], [[1, 1]]], ids=["out-of-range", "repeated"])
+    def test_bad_epigraph_columns_leave_the_model_unchanged(self, cols):
+        # The epigraph checks its columns before it adds its variable s;
+        # add_soc's check of the stacked columns would raise only after that.
+        prog = ConeProgram(3)
+        ball_soc(prog, [0, 1], 2.0)
+        before = prog.num_vars, prog.block_counts(), assembled(prog)
+        with pytest.raises(ValueError, match="^column indices"):
+            prog.add_quadratic_epigraph(np.eye(2), cols)
+        assert (prog.num_vars, prog.block_counts(), assembled(prog)) == before
+
     def test_solve_requires_constraints(self):
         with pytest.raises(ValueError):
             ConeProgram(1).solve()
@@ -116,8 +127,10 @@ class TestModelValidation:
         prog.add_inequality([[1.0]], [[1]], [1.0], label="box")
         prog.add_equality(np.ones((1, 1, 1)), [[2]], [[0.5]], label="pin")
         ball_soc(prog, [0, 1], 2.0)
-        assert prog.block_labels() == ["pin", "box", "box", "ball"]
         assert prog.block_counts() == {"box": 2, "pin": 1, "ball": 1}
+        # (kind, label code, constraints, rows each): codes 0, 1, 2 are box, pin, ball.
+        batches = [("eq", 1, 1, 1), ("ineq", 0, 1, 1), ("ineq", 0, 1, 1), ("soc", 2, 1, 3)]
+        assert prog._batches() == batches
 
 
 class TestResiduals:
@@ -220,7 +233,7 @@ class TestBatches:
         _, _, cones = prog._assemble()
         assert (cones.zero, cones.nonneg, cones.soc) == (6, 4, (4, 4))
         assert prog.block_counts() == {"cone": 2, "pin": 3, "lid": 4}
-        assert prog.block_labels() == ["pin"] * 3 + ["lid"] * 4 + ["cone"] * 2
+        assert prog._batches() == [("eq", 1, 3, 2), ("ineq", 2, 4, 1), ("soc", 0, 2, 4)]
         # Each label's worst violation, constraint by constraint.
         x = rng.normal(size=6)
         cone = [np.linalg.norm(A[k] @ x[cols[k]] + b[k]) - c[k] @ x[cols[k]] - d[k] for k in (0, 1)]

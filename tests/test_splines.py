@@ -265,13 +265,13 @@ class TestDerivativeMatrices:
         kv = clamped_uniform_knots(0.0, 10.0, 12, 5)
         assert_array_equal(kv.derivative_stencil(0), np.ones((13, 1)))
         curve = SplineCurve(kv, rng.uniform(-1.0, 1.0, size=(3, 13)))
-        assert_array_equal(derivative_control_points(curve, 0).points, curve.ctrl)
+        assert_array_equal(derivative_control_points(curve, 0), curve.ctrl)
 
     @pytest.mark.parametrize("n", [10, 40])
     def test_boundary_columns_vanish(self, rng, n):
         curve = random_curve(rng, n)
         for r in (1, 2, 3):
-            points = derivative_control_points(curve, r).points
+            points = derivative_control_points(curve, r)
             # The degree d-r basis on the same knot vector has n+1+r
             # members; the r outermost on each side live entirely in the
             # clamped tails, so their derivative points must be zero.
@@ -325,7 +325,7 @@ class TestDerivativeMatrices:
         for n in (degree, degree + 3, 25):
             curve = random_curve(rng, n, degree=degree, t0=t0, tf=t0 + 7.3)
             for r in range(degree + 1):
-                got = derivative_control_points(curve, r).points
+                got = derivative_control_points(curve, r)
                 want = curve.ctrl @ dense_derivative_matrix(curve.knots, r)
                 scale = max(1.0, float(np.abs(want).max()))
                 assert got.shape == want.shape and not got.flags.writeable
@@ -387,15 +387,24 @@ class TestConvexHulls:
             vals = curve.eval(ts, r)
             for t, val in zip(ts, vals):
                 l = curve.knots.span_index(t)
-                pts = dp.span_points(l)
+                pts = dp[:, l - 5 + r : l + 1]
                 assert pts.shape == (3, 5 - r + 1)
                 assert self.hull_residual(pts, val) <= 1e-8
 
     def test_span_columns_indexing(self, rng):
+        # Span 7's order-2 hull, columns 4..7, is made from the control
+        # points 2..7 alive on the span: moving any other point leaves it.
         curve = random_curve(rng, 12)
-        dp = derivative_control_points(curve, 2)
-        cols = dp.span_columns(7)
-        assert list(cols) == [4, 5, 6, 7]
+        ctrl = curve.ctrl.copy()
+        ctrl[:, [0, 1, 8, 9, 10, 11, 12]] += 1.0
+        moved = SplineCurve(curve.knots, ctrl)
+        hull = derivative_control_points(curve, 2)[:, 4:8]
+        assert_array_equal(derivative_control_points(moved, 2)[:, 4:8], hull)
+        for j in (2, 7):
+            ctrl = curve.ctrl.copy()
+            ctrl[:, j] += 1.0
+            moved = SplineCurve(curve.knots, ctrl)
+            assert (derivative_control_points(moved, 2)[:, 4:8] != hull).any()
 
     def test_derivative_points_match_curve_limits(self, rng):
         # The first and last non-phantom derivative points equal the
@@ -403,8 +412,8 @@ class TestConvexHulls:
         curve = random_curve(rng, 9)
         for r in range(6):
             dp = derivative_control_points(curve, r)
-            assert_allclose(dp.points[:, r], curve.eval(0.0, r), atol=1e-10)
-            assert_allclose(dp.points[:, -1 - r], curve.eval(10.0, r), atol=1e-10)
+            assert_allclose(dp[:, r], curve.eval(0.0, r), atol=1e-10)
+            assert_allclose(dp[:, -1 - r], curve.eval(10.0, r), atol=1e-10)
 
 
 class TestCurveEval:
@@ -518,7 +527,8 @@ class TestSnapGram:
         for trial in range(20):
             n = int(rng.integers(8, 20))
             curve = random_curve(rng, n, t0=t0, tf=t0 + float(rng.uniform(3.0, 12.0)))
-            Q, _ = snap_gram(curve.knots)
+            G = snap_gram(curve.knots)
+            Q = G.T @ G
             qform = sum(curve.ctrl[a] @ Q @ curve.ctrl[a] for a in range(3))
             dense = self.dense_snap(curve)
             assert qform == pytest.approx(dense, rel=1e-6, abs=1e-9)
@@ -530,7 +540,8 @@ class TestSnapGram:
         # two, so the comparison stays on [0, 12].
         for n in (degree, degree + 7, 40):
             kv = clamped_uniform_knots(0.0, 12.0, n, degree)
-            Q, _ = snap_gram(kv)
+            G = snap_gram(kv)
+            Q = G.T @ G
             Q_ref, _ = dense_snap_gram(kv)
             assert_allclose(Q, Q_ref, rtol=0.0, atol=1e-13 * np.abs(Q_ref).max())
 
@@ -539,13 +550,15 @@ class TestSnapGram:
         # degree is 1.9e-11 (relative) off the exact rational Gram, which the
         # quadrature meets to 4e-14.
         kv = clamped_uniform_knots(0.0, 10.0, MAX_DEGREE + 7, MAX_DEGREE)
-        Q, _ = snap_gram(kv)
+        G = snap_gram(kv)
+        Q = G.T @ G
         Q_ref, _ = dense_snap_gram(kv)
         assert_allclose(Q, Q_ref, rtol=0.0, atol=1e-13 * np.abs(Q_ref).max())
 
     def test_factor_reproduces_quadratic_form(self, rng):
         kv = clamped_uniform_knots(0.0, 6.0, 14, 5)
-        Q, G = snap_gram(kv)
+        G = snap_gram(kv)
+        Q = G.T @ G
         for _ in range(5):
             x = rng.normal(size=15)
             assert x @ Q @ x == pytest.approx(np.sum((G @ x) ** 2), rel=1e-9, abs=1e-12)
@@ -556,7 +569,7 @@ class TestSnapGram:
         # control points l - d .. l.
         for n in (degree, degree + 7, 40):
             kv = clamped_uniform_knots(0.0, 12.0, n, degree)
-            _, G = snap_gram(kv)
+            G = snap_gram(kv)
             assert G.shape == ((degree - 3) * (n - degree + 1), n + 1)
             for i, l in enumerate(kv.nonempty_spans()):
                 band = np.zeros(n + 1, dtype=bool)
@@ -569,10 +582,10 @@ class TestSnapGram:
         # Shifting a mission in time changes the knots' last bits only, and
         # the factor, like the Gram matrix, must move by as little.
         ps = load_scenario(name).planning
-        _, G = snap_gram(clamped_uniform_knots(ps.t0, ps.tf, ps.n, ps.degree))
+        G = snap_gram(clamped_uniform_knots(ps.t0, ps.tf, ps.n, ps.degree))
         for shift in (1.0, 1000.0):
             kv = clamped_uniform_knots(ps.t0 + shift, ps.tf + shift, ps.n, ps.degree)
-            _, moved = snap_gram(kv)
+            moved = snap_gram(kv)
             assert moved.shape == G.shape
             assert np.abs(moved - G).max() <= 1e-11 * np.abs(G).max()
 
@@ -599,17 +612,16 @@ class TestSnapGram:
 
     def test_gram_is_psd_and_symmetric(self):
         kv = clamped_uniform_knots(0.0, 5.0, 10, 5)
-        Q, _ = snap_gram(kv)
+        G = snap_gram(kv)
+        Q = G.T @ G
         assert_allclose(Q, Q.T, atol=1e-12)
         evals = np.linalg.eigvalsh(Q)
         assert evals.min() > -1e-9
 
     def test_memoized_per_knot_vector_and_read_only(self):
         kv = clamped_uniform_knots(0.0, 6.0, 14, 5)
-        Q, G = snap_gram(kv)
-        again = snap_gram(kv)
-        assert again[0] is Q and again[1] is G
-        assert not Q.flags.writeable and not G.flags.writeable
+        G = snap_gram(kv)
+        assert snap_gram(kv) is G and not G.flags.writeable
         # Equal arguments give the same knot vector, and with it the same
         # tables; different arguments do not.
         assert clamped_uniform_knots(0.0, 6.0, 14, 5) is kv
@@ -623,7 +635,8 @@ class TestSnapGram:
     def test_finite_down_to_the_minimum_span_width(self, degree):
         for n in (degree, degree + 7):
             kv = clamped_uniform_knots(0.0, min_span_width(degree) * (n - degree + 1), n, degree)
-            Q, G = snap_gram(kv)
+            G = snap_gram(kv)
+            Q = G.T @ G
             assert np.isfinite(Q).all() and np.isfinite(G).all() and G.shape[0] > 0
         # Far narrower spans overflow, and the build says so.
         kv = clamped_uniform_knots(0.0, 1e-300, degree + 3, degree)
@@ -638,6 +651,7 @@ class TestSnapGram:
         # A degree-5 spline reproduces polynomials up to degree 5 from
         # their blossom; for a straight line Greville sampling is exact.
         ctrl = (0.3 - 1.7 * g)[None, :]
-        Q, _ = snap_gram(kv)
+        G = snap_gram(kv)
+        Q = G.T @ G
         roundoff = np.abs(Q).max() * np.sum(ctrl**2) * 1e-14
         assert abs(ctrl[0] @ Q @ ctrl[0]) < roundoff
