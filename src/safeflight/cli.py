@@ -199,13 +199,17 @@ def _read_input(path, what: str) -> str:
 
 
 def _resolve_source(source: str) -> tuple[str, str]:
-    """Return (text, description) for a path or a bundled scenario name."""
+    """Return (text, description) for a path or a bundled scenario name.
+
+    An existing file comes first, then a bundled name, then any other
+    existing path, such as a directory, which exits 2 as unreadable.
+    """
     path = Path(source)
+    candidate = importlib.resources.files("safeflight") / "scenarios" / f"{source}.yaml"
+    if candidate.is_file() and not path.is_file():
+        return candidate.read_text(), f"bundled:{source}"
     if path.exists():
         return _read_input(path, "scenario"), str(path)
-    candidate = importlib.resources.files("safeflight") / "scenarios" / f"{source}.yaml"
-    if candidate.is_file():
-        return candidate.read_text(), f"bundled:{source}"
     raise ScenarioError(
         f"scenario '{source}' is neither a file nor one of {', '.join(bundled_scenarios())}"
     )

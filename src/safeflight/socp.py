@@ -8,11 +8,11 @@ a flat variable vector x:
 - second-order    ||A x + b|| <= c' x + d
 
 ConeProgram stores each constraint on arrival in the form the solver reads,
-A x + s = b with s in K: per cone kind, sparse (row, column, value) triplets
-and right-hand sides, plus one label per batch. Every add_* method takes a
-batch of k alike constraints on a leading axis, so a constraint family is
-stored in one call. Variables can be appended after constraints exist (the
-quadratic epigraph below does this). The numerical solve is the primal-dual
+A x + s = b with s in K: one list of batches in row order, each with its cone
+kind, label, (row, column, value) triplets and right-hand sides. Each add_*
+method takes k alike constraints on a leading axis, so a constraint family
+is stored in one call. Variables can be appended after constraints exist
+(the quadratic epigraph does this). The numerical solve is the primal-dual
 interior-point method at the end of this module; solution quality is always
 re-checked by direct residual evaluation, never taken from the solver's own
 report. The residuals read the stored triplets with numpy alone; scipy is
@@ -21,7 +21,11 @@ imported only by the solve, so building and auditing a model never loads it.
 
 from __future__ import annotations
 
+import bisect
+import os
 import time
+from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -63,37 +67,24 @@ class Solution:
     solver_status: str
 
 
-class _Rows:
-    """The constraints of one cone kind as triplets of A x + s = b, one entry per batch.
+#: One add: k constraints of one cone kind and label code, m rows each, as the
+#: (row, column, value) triplets of A x + s = b and the right-hand sides b.
+_Batch = namedtuple("_Batch", "kind code k m rows cols vals rhs")
 
-    Row indices count from the kind's first row. Each add is one batch:
-    its triplets come in the C order of its (k, m, c) coefficients, as
-    np.nonzero gives them, and batches holds its label code, its
-    constraint count k and its rows per constraint m.
+
+def _batch(kind: str, code: int, coeffs: np.ndarray, cols: np.ndarray, rhs: np.ndarray) -> _Batch:
+    """The batch of coeffs (k, m, c) over cols (k, c) and rhs (k, m), rows counted from its first.
+
+    One flat nonzero gives the triplets in np.nonzero's order: entry at of the
+    flat coeffs lies on row at // c, and its column is entry at of cols with
+    each row repeated m times.
     """
-
-    def __init__(self):
-        empty = np.zeros(0, dtype=int)
-        self.rows, self.cols, self.vals, self.rhs = [empty], [empty], [np.zeros(0)], [np.zeros(0)]
-        self.batches: list[tuple[int, int, int]] = []  # (code, k, m) of each batch
-        self.num_rows = 0
-
-    def add(self, coeffs: np.ndarray, cols: np.ndarray, rhs: np.ndarray, code: int) -> None:
-        """Append k constraints: coeffs (k, m, c) over cols (k, c), rhs (k, m).
-
-        One flat nonzero over the coefficients gives every triplet: entry at
-        of the flat coefficients lies on row at // c of the batch, and its
-        column is entry at of cols with each row repeated m times.
-        """
-        k, m, c = coeffs.shape
-        flat = coeffs.reshape(-1)
-        at = flat.nonzero()[0]
-        self.rows.append(self.num_rows + at // c)
-        self.cols.append(cols.repeat(m, axis=0).take(at))
-        self.vals.append(flat.take(at))
-        self.rhs.append(rhs.reshape(-1))
-        self.batches.append((code, k, m))
-        self.num_rows += k * m
+    k, m, c = coeffs.shape
+    flat = coeffs.reshape(-1)
+    at = flat.nonzero()[0]
+    return _Batch(
+        kind, code, k, m, at // c, cols.repeat(m, axis=0).take(at), flat.take(at), rhs.reshape(-1)
+    )
 
 
 class ConeProgram:
@@ -104,7 +95,7 @@ class ConeProgram:
             raise ValueError("need at least one variable")
         self.num_vars = int(num_vars)
         self._f = np.zeros(self.num_vars)
-        self._kinds = {"eq": _Rows(), "ineq": _Rows(), "soc": _Rows()}
+        self._store: list[_Batch] = []  # by kind, then in the order of the adds
         self._labels: dict[str, int] = {}  # label -> code, in order of first use
 
     # ------------------------------------------------------------------ model
@@ -168,17 +159,13 @@ class ConeProgram:
             raise ValueError(f"factor has {G.shape[1]} columns, expected {width}")
         s_idx = self.add_variables(k)
         m = G.shape[0]
-        e = np.eye(width + 1)[-1]  # unit vector on s
-        A = np.vstack([np.column_stack([2.0 * G, np.zeros(m)]), e])
-        b = np.concatenate([np.zeros(m), [-1.0]])
-        self.add_soc(
-            np.broadcast_to(A, (k,) + A.shape),
-            np.broadcast_to(b, (k, m + 1)),
-            np.broadcast_to(e, (k, width + 1)),
-            np.ones(k),
-            np.column_stack([cols, s_idx]),
-            label,
-        )
+        block, rhs = np.zeros((m + 2, width + 1)), np.zeros(m + 2)
+        block[1:-1, :-1] = -2.0 * G  # s = (s + 1, 2 G x, s - 1) = rhs - block (x, s)
+        block[[0, -1], -1] = -1.0
+        rhs[[0, -1]] = 1.0, -1.0
+        coeffs = np.broadcast_to(block, (k,) + block.shape)
+        cols = np.column_stack([cols, s_idx])
+        self._add("soc", coeffs, cols, np.broadcast_to(rhs, (k, m + 2)), label)
         return s_idx
 
     def _check_cols(self, cols) -> np.ndarray:
@@ -198,19 +185,20 @@ class ConeProgram:
         if not rhs.shape[0]:
             return
         code = self._labels.setdefault(label, len(self._labels))
-        self._kinds[kind].add(coeffs, cols, rhs, code)
+        # "eq" < "ineq" < "soc": the store stays in the row order of _triplets.
+        bisect.insort(self._store, _batch(kind, code, coeffs, cols, rhs), key=lambda b: b.kind)
 
     # ------------------------------------------------------------- inspection
 
     def _batches(self) -> list[tuple[str, int, int, int]]:
         """(kind, label code, k, m) of every batch, in the row order of _triplets."""
-        return [(kind, *batch) for kind, part in self._kinds.items() for batch in part.batches]
+        return [batch[:4] for batch in self._store]
 
     def block_counts(self) -> dict[str, int]:
         """Number of constraints per label, in order of first use, for infeasibility diagnostics."""
         counts = [0] * len(self._labels)
-        for _, code, k, _ in self._batches():
-            counts[code] += k
+        for batch in self._store:
+            counts[batch.code] += batch.k
         return dict(zip(self._labels, counts))
 
     def residuals(self, x: np.ndarray) -> dict[str, float]:
@@ -218,7 +206,7 @@ class ConeProgram:
 
         With s = b - A x, equality rows contribute |s|, inequality rows (-s)+
         and each second-order cone (||s_1|| - s_0)+, which for its constraint
-        is (||A x + b|| - c'x - d)+. Each batch's worst is one reduction.
+        is (||A x + b|| - c'x - d)+. Each label's worst is one reduction.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.num_vars,):
@@ -230,12 +218,10 @@ class ConeProgram:
         cone = np.sqrt(alg.tail_dot(s[lin:], s[lin:])) - s[lin:][alg.starts]
         # One violation per linear row and one per cone, batch after batch.
         violation = np.concatenate([np.abs(s[: cones.zero]), -s[cones.zero : lin], cone])
-        batches = [(code, k if kind == "soc" else k * m) for kind, code, k, m in self._batches()]
-        codes, sizes = np.array(batches, dtype=int).reshape(-1, 2).T
-        full = sizes > 0  # an equality batch may have no rows
-        starts = (np.cumsum(sizes) - sizes)[full]
+        codes = np.array([batch.code for batch in self._store], dtype=int)
+        sizes = [b.k if b.kind == "soc" else b.k * b.m for b in self._store]
         worst = np.zeros(len(self._labels))
-        np.maximum.at(worst, codes[full], np.maximum.reduceat(violation, starts))
+        np.maximum.at(worst, codes.repeat(sizes), violation)
         return dict(zip(self._labels, worst.tolist()))
 
     def max_residual(self, x: np.ndarray) -> float:
@@ -259,7 +245,7 @@ class ConeProgram:
         A, b, cones = self._assemble()
         t0 = time.perf_counter()
         # Breakdowns, an overflow among them, are detected and reported.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"), _one_blas_thread():
             raw_status, x, iterations = _interior_point(self._f, A, b, cones, tol, int(max_iter))
         dt = time.perf_counter() - t0
 
@@ -278,20 +264,15 @@ class ConeProgram:
         inequality rows, then one second-order cone per constraint, written
         as s = (c'x + d, A x + b). Each kind keeps the order of its adds.
         """
-        rows, cols, vals, rhs, offset = [], [], [], [], 0
-        for part in self._kinds.values():
-            rows += [r + offset for r in part.rows]
-            cols += part.cols
-            vals += part.vals
-            rhs += part.rhs
-            offset += part.num_rows
-        eq, ineq, soc = self._kinds.values()
-        dims = []
-        for _, k, m in soc.batches:
-            dims += [m] * k
-        cones = _Cones(eq.num_rows, ineq.num_rows, tuple(dims))
-        parts = (np.concatenate(v) for v in (rows, cols, vals, rhs))
-        return (*parts, cones)
+        sizes = [batch.k * batch.m for batch in self._store]
+        zero = sum(n for batch, n in zip(self._store, sizes) if batch.kind == "eq")
+        soc = [batch for batch in self._store if batch.kind == "soc"]
+        dims = np.repeat([b.m for b in soc], [b.k for b in soc]).astype(int).tolist()
+        cones = _Cones(zero, sum(sizes) - zero - sum(dims), tuple(dims))
+        first = np.cumsum([0] + sizes).tolist()
+        empty = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 2
+        parts = [(b.rows + f, b.cols, b.vals, b.rhs) for b, f in zip(self._store, first)]
+        return (*map(np.concatenate, zip(empty, *parts)), cones)
 
     def _assemble(self) -> tuple[sparse.csc_matrix, np.ndarray, _Cones]:
         """The canonical model as (A, b, cones), with A a scipy CSC matrix."""
@@ -300,6 +281,52 @@ class ConeProgram:
         rows, cols, vals, b, cones = self._triplets()
         A = sparse.csc_matrix((vals, (rows, cols)), shape=(b.size, self.num_vars))
         return A, b, cones
+
+
+_BLAS_SETTERS: list | None = None  # thread-count setters of the loaded OpenBLAS libraries
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, and restore each library's count after.
+
+    Threaded kernels split their sums by the thread count, so without the cap
+    a plan's last bits would depend on the machine. The solve calls two
+    libraries: numpy's matmul and scipy's LAPACK each have their own OpenBLAS.
+    Those loaded at the first solve are found in the process's memory map;
+    where none is found, or one lacks openblas_set_num_threads_local, nothing
+    changes. The count is the library's own, so while a solve runs, other
+    threads' calls into it are capped too.
+    """
+    global _BLAS_SETTERS
+    if _BLAS_SETTERS is None:
+        _BLAS_SETTERS = list(_openblas_setters())
+    previous = [set_threads(1) for set_threads in _BLAS_SETTERS]
+    try:
+        yield
+    finally:
+        for set_threads, count in zip(_BLAS_SETTERS, previous):
+            set_threads(count)
+
+
+def _openblas_setters():
+    """Each loaded OpenBLAS's openblas_set_num_threads_local; it returns the count it replaces."""
+    import ctypes
+
+    from scipy.linalg import lapack  # noqa: F401 - the solve's LAPACK, loaded before the search
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "/" in line}
+    except OSError:
+        return
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        yield setter
 
 
 # ------------------------------------------------------------ conic solver

@@ -403,6 +403,12 @@ class SplineCurve:
         table = self._span_table[first : _order_rows(d, high).stop]
         flat = table.reshape(-1, table.shape[-1])
         mid = kv._span_midpoints
+        # Each branch gathers all requested orders' rows in one array. That one
+        # large gather per call also keeps glibc's mmap threshold high:
+        # gathering row by row, or only the order-0 rows, raised minor page
+        # faults from about 2.5 to 220-440 per benchmark `verify` operation
+        # (2-CPU Xeon, glibc 2.36), and the system time they cost ate the
+        # user time saved. Count page faults before splitting this gather.
         # A NaN fails every comparison, so times holding one are never taken
         # as sorted and the span path's full range check rejects them; sorted
         # times are in range when their ends are (the full check words the error).

@@ -146,6 +146,14 @@ class TestLoading:
         assert sf.planning.name == "hover"
         assert sf.source == path
 
+    def test_a_file_named_like_a_bundled_scenario_is_read(self, tmp_path, monkeypatch):
+        doc = hover_dict()
+        doc["name"] = "local"
+        write_scenario(tmp_path, doc, name="hover")
+        monkeypatch.chdir(tmp_path)
+        sf = load_scenario("hover")
+        assert (sf.planning.name, sf.source) == ("local", "hover")
+
     def test_angles_arrive_in_radians(self):
         sf = load_scenario("example1")
         assert sf.planning.bounds.tilt_max == pytest.approx(np.deg2rad(1.75), abs=1e-15)
@@ -1033,6 +1041,22 @@ class TestPlanCommand:
         assert main(["plan", "--scenario", "nonexistent"]) == EXIT_PARSE
         assert "nonexistent" in capsys.readouterr().err
 
+    def test_a_directory_does_not_shadow_a_bundled_name(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "hover").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["plan", "--scenario", "hover"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("hover: optimal")
+
+    def test_infeasible_tracking_margins_exit_infeasible(self, tmp_path, capsys):
+        # The filter may deviate 4 delta a2 = 3.2 per axis from the reference,
+        # so a thrust ceiling of 12 leaves 12 - sqrt(3) 3.2 = 6.457 < g.
+        doc = hover_dict()
+        doc["bounds"]["thrust_max"] = 12.0
+        doc["apply_tracking_margins"] = True
+        assert main(["plan", "--scenario", write_scenario(tmp_path, doc)]) == EXIT_INFEASIBLE
+        fault = "thrust_max - sqrt(3)*4*delta*a2 = 6.457 < g"
+        assert capsys.readouterr().err == f"error: tracking margins infeasible: {fault}\n"
+
     def test_infeasible_scenario_exits_infeasible(self, tmp_path, capsys):
         doc = hover_dict()
         doc["waypoints"] = [{"position": [100.0, 0.0, 0.5], "time": 5.0}]
@@ -1186,13 +1210,27 @@ class TestVerifyCommand:
         assert "--samples-per-span" in err and "MAX_SAMPLES" in err
         assert "unexpected" not in err
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-    def test_bad_margin_tol_exits_parse(self, tmp_path, hover_plan, tol, capsys):
+    @pytest.mark.parametrize(
+        "tol, message",
+        [
+            ("nan", "must be finite and at least 0, got nan"),
+            ("-1", "must be finite and at least 0, got -1"),
+            ("inf", "must be finite and at least 0, got inf"),
+            ("abc", "not a number: 'abc'"),
+        ],
+        ids=["nan", "-1", "inf", "abc"],
+    )
+    def test_bad_margin_tol_exits_parse(self, tmp_path, hover_plan, tol, message, capsys):
         args = ["verify", "--scenario", "hover", "--plan", write_plan(tmp_path, hover_plan)]
         with pytest.raises(SystemExit) as exc:
             main(args + ["--margin-tol", tol])
         assert exc.value.code == EXIT_PARSE
-        assert "--margin-tol" in capsys.readouterr().err
+        assert f"argument --margin-tol: {message}\n" in capsys.readouterr().err
+
+    def test_margin_tol_is_read(self, tmp_path, hover_plan, capsys):
+        args = ["verify", "--scenario", "hover", "--plan", write_plan(tmp_path, hover_plan)]
+        assert main(args + ["--margin-tol", "0.001"]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("all constraints verified\n")
 
     def test_window_between_grid_samples_exits_cleanly(self, tmp_path, capsys):
         # At 3 samples per span no grid sample falls inside either window.
@@ -1588,6 +1626,13 @@ class TestInvertedFlight:
         assert not out.exists()
 
 
+def child_env(**extra) -> dict:
+    """The environment of a new interpreter that imports this safeflight, plus extra."""
+    package_root = str(Path(safeflight.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 class TestColdStart:
     """In a fresh interpreter only a solve loads scipy, and nothing loads jsonschema."""
 
@@ -1601,12 +1646,10 @@ class TestColdStart:
 
     def run(self, cwd, *args):
         """Run one command in a new interpreter; its stdout and the heavy modules it loaded."""
-        package_root = str(Path(safeflight.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", self.PROBE, *args],
             cwd=cwd,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
             capture_output=True,
             text=True,
             timeout=300,
@@ -1625,3 +1668,22 @@ class TestColdStart:
             ["export", "--plan", "plan.json", "--out", "samples.csv"],
         ):
             assert self.run(tmp_path, *args)[1] == [], args[0]
+
+
+@pytest.mark.parametrize("name", ["example1", "margin_demo"])
+def test_plan_documents_do_not_depend_on_the_blas_thread_count(tmp_path, name):
+    # Both solve past the size where OpenBLAS splits a factorization over
+    # threads; the solve caps it at one thread, so the documents match.
+    docs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "safeflight.cli", "plan", "--scenario", name, "--out", out],
+            env=child_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        docs.append(out.read_bytes())
+    assert docs[0] == docs[1]

@@ -172,3 +172,15 @@ def test_a_schema_is_compiled_once_per_object():
     twin = copy.deepcopy(SCENARIO_SCHEMA)
     assert checked(doc, twin) == checked(doc, SCENARIO_SCHEMA)
     assert documents._WALKS[id(twin)][0] is twin
+
+
+def test_the_walk_cache_is_cleared_past_32_schemas():
+    from safeflight import documents
+
+    documents._WALKS.clear()
+    schemas = [{"enum": [i]} for i in range(40)]
+    for i, schema in enumerate(schemas):
+        assert violation(i + 1, schema) == ((), f"{i + 1} is not one of [{i}]")
+        assert checked(i, schema) == i
+        assert len(documents._WALKS) == i % 32 + 1
+    assert documents._WALKS[id(schemas[-1])][0] is schemas[-1]

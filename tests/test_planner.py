@@ -419,6 +419,13 @@ class TestValidation:
             small_bounds(thrust_min=16.0)  # above thrust_max
         with pytest.raises(ValueError):
             small_bounds(omega_max=0.0)
+        with pytest.raises(ValueError, match="^tilt_margin must be nonnegative$"):
+            small_bounds(tilt_margin=-0.1)
+
+    @pytest.mark.parametrize("value", ["fast", [1.0, None, "x"], {"v": 1.0}])
+    def test_safety_bounds_reject_values_that_are_not_numbers(self, value):
+        with pytest.raises(ValueError, match="^v_max must be numbers: "):
+            small_bounds(v_max=value)
 
     def test_waypoint_radius(self):
         with pytest.raises(ValueError):

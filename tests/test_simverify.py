@@ -23,6 +23,7 @@ from safeflight.simverify import (
     MAX_TICKS,
     SimConfig,
     SimTrace,
+    TrackingConfig,
     make_filtered_controller,
     make_unfiltered_controller,
     plan_reference,
@@ -69,6 +70,16 @@ class TestSimConfig:
     def test_offsets_become_vectors(self):
         cfg = SimConfig(initial_position_offset=[0.1, 0.0, 0.0])
         assert cfg.initial_position_offset.shape == (3,)
+
+    @pytest.mark.parametrize("attr", ["initial_position_offset", "initial_velocity_offset"])
+    def test_offsets_must_be_finite(self, attr):
+        with pytest.raises(ValueError, match=rf"^{attr} must be finite, got \[0.0, nan, 0.0\]$"):
+            SimConfig(**{attr: [0.0, float("nan"), 0.0]})
+
+    @pytest.mark.parametrize("psi", [float("nan"), float("inf")])
+    def test_tracking_heading_must_be_finite(self, psi):
+        with pytest.raises(ValueError, match=f"^psi must be finite, got {psi}$"):
+            TrackingConfig(PARAMS, GAINS, SimConfig(), psi=psi)
 
 
 class TestSimulate:

@@ -1,11 +1,14 @@
 """Cone program model: block assembly, solve statuses, residual checks."""
 
+import io
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import sparse
 from scipy.optimize import linprog
 
+from safeflight import socp
 from safeflight.socp import (
     INFEASIBLE,
     MIN_TOL,
@@ -13,8 +16,8 @@ from safeflight.socp import (
     OPTIMAL,
     UNBOUNDED,
     ConeProgram,
+    _batch,
     _ConeAlgebra,
-    _Rows,
     _ScaledMatrix,
 )
 
@@ -176,13 +179,13 @@ class TestResiduals:
 
 
 class TestRowsAdd:
-    """One flat nonzero gives the triplets that np.nonzero gives, in its order."""
+    """One flat nonzero gives the triplets that np.nonzero gives, in its order, rows from 0."""
 
     @staticmethod
-    def reference(coeffs, cols, first_row):
+    def reference(coeffs, cols):
         k, m, _ = coeffs.shape
         i, r, c = np.nonzero(coeffs)
-        return first_row + i * m + r, cols[i, c], coeffs[i, r, c]
+        return i * m + r, cols[i, c], coeffs[i, r, c]
 
     @staticmethod
     def batches(rng):
@@ -202,17 +205,16 @@ class TestRowsAdd:
 
     def test_same_triplets_as_nonzero(self):
         rng = np.random.default_rng(11)
-        part = _Rows()
         for coeffs, cols in self.batches(rng):
             k, m, _ = coeffs.shape
-            first = part.num_rows
-            part.add(coeffs, cols, rng.normal(size=(k, m)), code=3)
-            rows, want_cols, vals = self.reference(coeffs, cols, first)
-            assert_array_equal(part.rows[-1], rows, strict=True)
-            assert_array_equal(part.cols[-1], want_cols, strict=True)
-            assert [v.hex() for v in part.vals[-1].tolist()] == [v.hex() for v in vals.tolist()]
-            assert part.batches[-1] == (3, k, m)
-            assert part.num_rows == first + k * m
+            rhs = rng.normal(size=(k, m))
+            part = _batch("soc", 3, coeffs, cols, rhs)
+            rows, want_cols, vals = self.reference(coeffs, cols)
+            assert_array_equal(part.rows, rows, strict=True)
+            assert_array_equal(part.cols, want_cols, strict=True)
+            assert [v.hex() for v in part.vals.tolist()] == [v.hex() for v in vals.tolist()]
+            assert part[:4] == ("soc", 3, k, m)
+            assert_array_equal(part.rhs, rhs.ravel(), strict=True)
 
 
 class TestBatches:
@@ -562,3 +564,69 @@ class TestSolverEdgeCases:
         assert sol.status == NUMERICAL_FAILURE
         assert sol.solver_status == "MaxIterations"
         assert sol.iterations == 2
+
+    def test_negative_iteration_cap_is_refused(self):
+        prog = ConeProgram(2)
+        ball_soc(prog, [0, 1], 1.0)
+        with pytest.raises(ValueError, match="^max_iter -1 is negative$"):
+            prog.solve(max_iter=-1)
+
+    def test_vanishing_step_ends_in_numerical_failure(self, monkeypatch):
+        # A step of length 0 would leave the iterate where it is forever.
+        monkeypatch.setattr(socp._NTScaling, "max_step", lambda self, du: 0.0)
+        prog = ConeProgram(2)
+        ball_soc(prog, [0, 1], 1.0)
+        prog.add_objective([0, 1], [1.0, 1.0])
+        sol = prog.solve()
+        assert (sol.status, sol.solver_status, sol.iterations) == (
+            NUMERICAL_FAILURE,
+            "NumericalError",
+            1,
+        )
+        assert sol.x is None
+
+
+class TestOneBlasThread:
+    """The solve caps each OpenBLAS at one thread and gives back the count it found."""
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["solves", "raises"])
+    def test_caps_each_library_and_restores_its_count(self, monkeypatch, fails):
+        calls, counts = [], {"numpy": 2, "scipy": 4}
+
+        def setter(name):
+            def set_threads(count):
+                calls.append((name, count))
+                previous, counts[name] = counts[name], count
+                return previous
+
+            return set_threads
+
+        monkeypatch.setattr(socp, "_BLAS_SETTERS", [setter("numpy"), setter("scipy")])
+        def fault(*args):
+            raise RuntimeError("solver fault")
+
+        if fails:
+            monkeypatch.setattr(socp, "_interior_point", fault)
+        prog = ConeProgram(2)
+        ball_soc(prog, [0, 1], 1.0)
+        if fails:
+            with pytest.raises(RuntimeError, match="solver fault"):
+                prog.solve()
+        else:
+            assert prog.solve().status == OPTIMAL
+        assert calls == [("numpy", 1), ("scipy", 1), ("numpy", 2), ("scipy", 4)]
+        assert counts == {"numpy": 2, "scipy": 4}
+
+    @pytest.mark.parametrize(
+        "maps",
+        [None, "7f00-7f01 r-xp 00000000 08:01 1 /no/such/libscipy_openblas.so\n"],
+        ids=["no-memory-map", "unloadable"],
+    )
+    def test_finds_no_setter_without_a_loadable_library(self, monkeypatch, maps):
+        def fake_open(path, *args):
+            if maps is None:
+                raise OSError("no memory map")
+            return io.StringIO(maps)
+
+        monkeypatch.setattr(socp, "open", fake_open, raising=False)
+        assert list(socp._openblas_setters()) == []
