@@ -326,6 +326,13 @@ def _load_plan_doc(path: str) -> TrajectoryPlan:
         raise ScenarioError(f"cannot load plan '{path}': {exc}") from exc
 
 
+def _write_plan_doc(pl: TrajectoryPlan, path: str) -> None:
+    """Write pl's plan document as strict JSON, which holds no NaN or infinity."""
+    with open(path, "w") as fh:
+        json.dump(pl.to_dict(), fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
 def _plan_for(planning: PlanningScenario, args) -> TrajectoryPlan:
     """The --plan file, which must share planning's spline and gravity, or else a solve of planning.
 
@@ -366,9 +373,7 @@ def cmd_plan(args) -> int:
     )
     print(f"objective {pl.objective:.6f} (snap {pl.snap:.6f})")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(pl.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_plan_doc(pl, args.out)
         print(f"plan written to {args.out}")
     return EXIT_OK
 
@@ -463,9 +468,7 @@ def cmd_export(args) -> int:
     count = (len(kv.nonempty_spans()), args.samples_per_span)
     _reported("--samples-per-span", check_sample_count, *count)
     if args.format == "document":
-        with open(args.out, "w") as fh:
-            json.dump(pl.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_plan_doc(pl, args.out)
         print(f"plan document written to {args.out}")
         return EXIT_OK
 

@@ -431,8 +431,18 @@ class TrajectoryPlan:
         return np.broadcast_to(self.zeta, len(self.curve.knots.nonempty_spans()))
 
     def to_dict(self) -> dict:
-        """The plan document, in the format PLAN_SCHEMA describes."""
+        """The plan document, in the format PLAN_SCHEMA describes.
+
+        An optional field that the plan does not know, one that is not a
+        finite number (a loaded document without it reads NaN), is left
+        out, so the document is strict JSON.
+        """
         kv = self.curve.knots
+        optional = {
+            "objective": self.objective,
+            "snap": self.snap,
+            "max_residual": self.solve_stats.max_residual,
+        }
         return {
             "format": "safeflight-plan",
             "version": 1,
@@ -445,9 +455,7 @@ class TrajectoryPlan:
             "zeta_mode": self.zeta_mode,
             "control_points": [row.tolist() for row in np.asarray(self.curve.ctrl)],
             "zeta": np.asarray(self.zeta).tolist(),
-            "objective": self.objective,
-            "snap": self.snap,
-            "max_residual": self.solve_stats.max_residual,
+            **{key: value for key, value in optional.items() if math.isfinite(value)},
         }
 
     @staticmethod

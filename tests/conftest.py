@@ -7,6 +7,8 @@ modules need the same plan, so solves are cached for the whole session.
 import numpy as np
 import pytest
 
+from oracles import csc_scaled_matrix
+from safeflight import socp
 from safeflight.cli import load_scenario
 from safeflight.planner import plan
 
@@ -47,3 +49,42 @@ def bundled_plan():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(91)
+
+
+@pytest.fixture()
+def assert_reference_scaling(monkeypatch):
+    """Check a cone program's scaled matrix, as its solve builds it, bit for bit.
+
+    One solve without iterations records what _interior_point computes: the
+    Ruiz scalings d and c, the dense equality rows E that _KKT receives and
+    the CSR cone rows that _ScaledMatrix receives. Each must equal its part
+    of oracles.csc_scaled_matrix, CSR arrays included.
+    """
+
+    def check(prog):
+        seen = {}
+
+        def spy(func):
+            def record(*args):
+                out = func(*args)
+                seen.setdefault(func.__name__, (args, out))
+                return out
+
+            return record
+
+        with monkeypatch.context() as patch:
+            for name in ("_equilibrate", "_ScaledMatrix", "_KKT"):
+                patch.setattr(socp, name, spy(getattr(socp, name)))
+            prog.solve(max_iter=0)
+        d, c, A = csc_scaled_matrix(prog)
+        p = prog._triplets()[4].zero
+        got_d, got_c = seen["_equilibrate"][1]
+        G = seen["_ScaledMatrix"][0][0]  # the CSR cone rows
+        E = seen["_KKT"][0][2]  # the dense equality rows
+        pairs = [(got_d, d), (got_c, c), (E, A[:p].toarray())]
+        pairs += [(getattr(G, a), getattr(A[p:], a)) for a in ("indptr", "indices", "data")]
+        for got, want in pairs:
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    return check

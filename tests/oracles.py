@@ -64,6 +64,13 @@ matrix that the package builds from the span power basis in closed form.
 dense_compile_plan runs the families in compile_plan's order, so the two
 models must agree in census, rows, nonzero pattern and right-hand side.
 
+The solver's equilibrated matrix has its sparse-product reference:
+csc_scaled_matrix assembles the stored triplets as a CSC matrix, converts
+it to CSR, takes the Ruiz scalings of equilibrate_csr from its row pointers
+and an argsort of its columns, and scales it by two products with
+sparse.diags. The solver builds its one CSR from the triplets, scaled as
+they are read, and must match the scalings and the CSR bit for bit.
+
 The document checker has its two-walk reference: schema_violation finds the
 shallowest place where a document breaks its schema in one walk, and
 schema_converted makes every schema number a float and every integer an int
@@ -99,6 +106,7 @@ from safeflight.simverify import (
     _worst,
     span_samples,
 )
+from safeflight.socp import ConeProgram, _ConeAlgebra
 from safeflight.splines import KnotVector, clamped_uniform_knots
 from safeflight.tracker import (
     CbfParams,
@@ -662,6 +670,42 @@ def dense_compile_plan(scenario: PlanningScenario) -> DensePlanAssembly:
         asm.compile_interval(ic)
     asm.compile_objective(zeta_cols)
     return asm
+
+
+def equilibrate_csr(A, cones, alg, passes: int = 10):
+    """Ruiz scalings d, c of the CSR matrix A over segment maxima of its rows and columns."""
+    (m, n), first = A.shape, cones.zero + cones.nonneg
+    rows = np.repeat(np.arange(m), np.diff(A.indptr))
+    by_col = np.argsort(A.indices, kind="stable")
+    col_ptr = np.searchsorted(A.indices[by_col], np.arange(n + 1))
+
+    def seg_max(vals, ptr):
+        out = np.zeros(ptr.size - 1)
+        full = np.diff(ptr) > 0
+        if full.any():
+            out[full] = np.maximum.reduceat(vals, ptr[:-1][full])
+        return np.where(out > 0.0, out, 1.0)
+
+    d, c = np.ones(m), np.ones(n)
+    data = np.abs(A.data)
+    for _ in range(passes):
+        vals = data * d[rows] * c[A.indices]
+        row_max = seg_max(vals, A.indptr)
+        if alg.starts.size:
+            row_max[first:] = np.maximum.reduceat(row_max[first:], alg.starts)[alg.cone]
+        d /= np.sqrt(row_max)
+        c /= np.sqrt(seg_max(vals[by_col], col_ptr))
+    return d, c
+
+
+def csc_scaled_matrix(prog: ConeProgram):
+    """(d, c, diag(d) A diag(c)) of a cone program, A assembled as CSC and scaled by sparse products."""
+    from scipy import sparse
+
+    rows, cols, vals, b, cones = prog._triplets()
+    A = sparse.csc_matrix((vals, (rows, cols)), shape=(b.size, prog.num_vars)).tocsr()
+    d, c = equilibrate_csr(A, cones, _ConeAlgebra(cones.nonneg, cones.soc))
+    return d, c, sparse.diags(d) @ A @ sparse.diags(c)
 
 
 # ------------------------------------------------------------ document checker

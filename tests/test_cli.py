@@ -1340,6 +1340,20 @@ class TestExportCommand:
         args = ["export", "--plan", plan_path, "--out", str(out), "--format", "document"]
         assert main(args) == EXIT_OK
         assert out.read_bytes() == (tmp_path / "plan.json").read_bytes()
+        # Without its optional fields, which load as NaN, a document comes
+        # back as it went in and as strict JSON, with no NaN written.
+        doc = hover_plan.to_dict()
+        for key in ("objective", "snap", "max_residual"):
+            del doc[key]
+        bare, out = tmp_path / "bare.json", tmp_path / "bare_copy.json"
+        bare.write_text(json.dumps(doc))
+        args = ["export", "--plan", str(bare), "--out", str(out), "--format", "document"]
+        assert main(args) == EXIT_OK
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        assert json.loads(out.read_text(), parse_constant=refuse) == doc
 
     def test_csv_header_and_row_count(self, tmp_path, hover_plan, capsys):
         plan_path = write_plan(tmp_path, hover_plan)
@@ -1580,17 +1594,21 @@ class TestBadPlanDocument:
         assert all(len(line) < 120 for line in out.err.splitlines()), out.err
         assert not (tmp_path / "samples.csv").exists()
 
-    def test_nan_barrier_fails_the_track_run(self, hover_plan, monkeypatch, capsys):
+    def test_nan_barrier_fails_the_track_run(self, tmp_path, hover_plan, monkeypatch, capsys):
         # A NaN reaching the run compares false against 0, so the barrier
-        # check must be written to fail on it.
+        # check must be written to fail on it. The report is still written,
+        # NaN and all: unlike a plan document, it need not be strict JSON.
         ctrl = hover_plan.curve.ctrl.copy()
         ctrl[0, 4] = np.nan
         nan_plan = dataclasses.replace(hover_plan, curve=SplineCurve(hover_plan.curve.knots, ctrl))
         monkeypatch.setattr("safeflight.cli._load_plan_doc", lambda path: nan_plan)
-        assert main(["track", "--scenario", "hover", "--plan", "nan.json"]) == EXIT_VERIFY
+        report = tmp_path / "report.json"
+        args = ["track", "--scenario", "hover", "--plan", "nan.json", "--report", str(report)]
+        assert main(args) == EXIT_VERIFY
         out = capsys.readouterr().out
         assert "min barrier nan" in out
         assert "FAILED: tracking left the safe tube" in out
+        assert np.isnan(json.loads(report.read_text())["certificate"]["min_barrier"])
 
 
 class TestInvertedFlight:

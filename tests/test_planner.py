@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy import sparse
 
 from oracles import (
     dense_compile_plan,
@@ -155,11 +156,12 @@ class TestRegions:
         )
         asm = PlanAssembly(clamped_uniform_knots(0.0, 1.0, 6, 5))
         asm.compile_position([ConvexRegion(cones, "zero-A")])
-        A, b, layout = asm.cp._assemble()
+        rows, cols, vals, b, layout = asm.cp._triplets()
         assert (layout.zero, layout.nonneg, layout.soc) == (0, 2 * 7, ())
         for _ in range(5):
             ctrl = rng.normal(scale=4.0, size=(3, 7))
-            slack = (b - A @ ctrl.ravel()).reshape(7, 2)  # rows point by point
+            Ax = np.bincount(rows, vals * ctrl.ravel()[cols], minlength=b.size)
+            slack = (b - Ax).reshape(7, 2)  # rows point by point
             want = np.column_stack([cone.margin(ctrl.T) for cone in cones])
             assert_allclose(slack, want, rtol=0.0, atol=1e-13)
             got = ConvexRegion(cones).margin(ctrl.T)
@@ -688,20 +690,20 @@ class TestDenseReference:
         assert asm.cp.block_counts() == ref.cp.block_counts()
         assert self.labels(asm.cp) == self.labels(ref.cp)
         assert asm.cp.num_vars == ref.cp.num_vars
-        A, b, cones = asm.cp._assemble()
-        A_ref, b_ref, cones_ref = ref.cp._assemble()
+        # The triplets of both, ordered by row and then column.
+        (rows, cols, vals, b, cones), (ref_rows, ref_cols, ref_vals, b_ref, cones_ref) = (
+            cp._triplets() for cp in (asm.cp, ref.cp)
+        )
         assert cones == cones_ref
         assert_array_equal(b, b_ref)
         assert_array_equal(asm.cp._f, ref.cp._f)
-        A, A_ref = A.tocsr(), A_ref.tocsr()
-        A.sort_indices()
-        A_ref.sort_indices()
-        assert_array_equal(A.indptr, A_ref.indptr)
-        assert_array_equal(A.indices, A_ref.indices)
+        order, ref_order = np.lexsort((cols, rows)), np.lexsort((ref_cols, ref_rows))
+        assert_array_equal(rows[order], ref_rows[ref_order])
+        assert_array_equal(cols[order], ref_cols[ref_order])
         # Outside the three snap epigraphs, the last cones, the values agree
         # to roundoff; the epigraphs factor the same Gram matrix.
-        end = A.indptr[A.shape[0] - sum(cones.soc[-3:])]
-        assert_allclose(A.data[:end], A_ref.data[:end], rtol=1e-14, atol=0.0)
+        end = np.searchsorted(rows[order], b.size - sum(cones.soc[-3:]))
+        assert_allclose(vals[order][:end], ref_vals[ref_order][:end], rtol=1e-14, atol=0.0)
         factor = snap_gram(asm.kv)
         Q_ref, _ = dense_snap_gram(ref.kv)
         assert_allclose(factor.T @ factor, Q_ref, rtol=0.0, atol=1e-14 * np.abs(Q_ref).max())
@@ -760,10 +762,22 @@ class TestCensus:
         assert zeta_cols.size == zeta
         assert asm.cp.num_vars == 3 * (n + 1) + zeta + 3
         # Linear cones and the thrust and rate floors are inequalities.
-        _, _, cones = asm.cp._assemble()
+        *_, cones = asm.cp._triplets()
         soc = n + (n - 1) + (n - 1) + rate[1] + 1 + (d + 1) * 3 + 7 * 2 + 6 + 3
         nonneg = (n + 1) * 6 + (n - 1) + rate[0] + (d + 1) * 3 * 6
         assert (cones.zero, cones.nonneg, len(cones.soc)) == (3 * (1 + 6), nonneg, soc)
+
+
+class TestScaledMatrix:
+    """The solve scales the stored triplets as the sparse-product reference does, bit for bit."""
+
+    @pytest.mark.parametrize("name", bundled_scenarios())
+    def test_bundled_models(self, assert_reference_scaling, name):
+        assert_reference_scaling(compile_plan(load_scenario(name).planning)[0].cp)
+
+    @pytest.mark.parametrize("zeta_mode", ["per-span", "scalar"])
+    def test_census_model(self, assert_reference_scaling, zeta_mode):
+        assert_reference_scaling(compile_plan(TestCensus().scenario(zeta_mode))[0].cp)
 
 
 class TestFullSolves:
@@ -790,19 +804,21 @@ class TestFullSolves:
 
     def test_plan_assembles_the_model_once(self, monkeypatch):
         # The residual audit reads the stored triplets; only the solve
-        # builds the sparse matrix.
-        calls = []
-        assemble = ConeProgram._assemble
+        # builds a sparse matrix from them, the solver's CSR, once. Later
+        # CSR matrices come from arrays that the solve lays out itself.
+        built = []
 
-        def spy(prog):
-            calls.append(prog)
-            return assemble(prog)
+        class Spy(sparse.csr_matrix):
+            def __init__(self, arg1, *args, **kwargs):
+                if isinstance(arg1, tuple) and len(arg1) == 2 and isinstance(arg1[1], tuple):
+                    built.append(arg1[1])
+                super().__init__(arg1, *args, **kwargs)
 
-        monkeypatch.setattr(ConeProgram, "_assemble", spy)
+        monkeypatch.setattr(sparse, "csr_matrix", Spy)
         pl = plan(small_scenario())
         assert pl.solve_stats.status == "optimal"
         assert pl.solve_stats.max_residual <= 1e-7
-        assert len(calls) == 1
+        assert len(built) == 1
 
     def test_deterministic_replan(self):
         a = plan(small_scenario())

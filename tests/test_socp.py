@@ -1,6 +1,7 @@
 """Cone program model: block assembly, solve statuses, residual checks."""
 
 import io
+import time
 
 import numpy as np
 import pytest
@@ -28,10 +29,10 @@ def ball_soc(prog, cols, radius):
     prog.add_soc(np.eye(dim)[None], zeros, zeros, [radius], [cols], label="ball")
 
 
-def assembled(prog):
-    """The assembled model as comparable values: CSC arrays, b and the cone layout."""
-    A, b, cones = prog._assemble()
-    return [a.tolist() for a in (A.indptr, A.indices, A.data, b)] + [cones]
+def stored(prog):
+    """The stored model as comparable values: its triplets, b and the cone layout."""
+    rows, cols, vals, b, cones = prog._triplets()
+    return [a.tolist() for a in (rows, cols, vals, b)] + [cones]
 
 
 class TestModelValidation:
@@ -95,10 +96,10 @@ class TestModelValidation:
         prog = ConeProgram(3)
         prog.add_inequality([[1.0, 2.0]], [[0, 2]], [1.0], label="lid")
         ball_soc(prog, [0, 1], 2.0)
-        before = prog.num_vars, prog.block_counts(), assembled(prog)
+        before = prog.num_vars, prog.block_counts(), stored(prog)
         with pytest.raises(ValueError):
             getattr(prog, method)(*args)
-        assert (prog.num_vars, prog.block_counts(), assembled(prog)) == before
+        assert (prog.num_vars, prog.block_counts(), stored(prog)) == before
 
     @pytest.mark.parametrize("cols", [[[0, 3]], [[1, 1]]], ids=["out-of-range", "repeated"])
     def test_bad_epigraph_columns_leave_the_model_unchanged(self, cols):
@@ -106,10 +107,10 @@ class TestModelValidation:
         # add_soc's check of the stacked columns would raise only after that.
         prog = ConeProgram(3)
         ball_soc(prog, [0, 1], 2.0)
-        before = prog.num_vars, prog.block_counts(), assembled(prog)
+        before = prog.num_vars, prog.block_counts(), stored(prog)
         with pytest.raises(ValueError, match="^column indices"):
             prog.add_quadratic_epigraph(np.eye(2), cols)
-        assert (prog.num_vars, prog.block_counts(), assembled(prog)) == before
+        assert (prog.num_vars, prog.block_counts(), stored(prog)) == before
 
     def test_solve_requires_constraints(self):
         with pytest.raises(ValueError):
@@ -124,7 +125,7 @@ class TestModelValidation:
         assert prog.solve(tol=MIN_TOL).status == OPTIMAL
 
     def test_block_bookkeeping(self):
-        # Labels follow the assembled rows: equalities, inequalities, cones.
+        # Labels follow the stored rows: equalities, inequalities, cones.
         prog = ConeProgram(3)
         prog.add_inequality([[1.0]], [[0]], [1.0], label="box")
         prog.add_inequality([[1.0]], [[1]], [1.0], label="box")
@@ -232,7 +233,7 @@ class TestBatches:
         prog.add_soc(A, b, c, d, cols, label="cone")
         prog.add_equality(E, pin_cols, g, label="pin")
         prog.add_inequality(rows, lid_cols, ub, label="lid")
-        _, _, cones = prog._assemble()
+        *_, cones = prog._triplets()
         assert (cones.zero, cones.nonneg, cones.soc) == (6, 4, (4, 4))
         assert prog.block_counts() == {"cone": 2, "pin": 3, "lid": 4}
         assert prog._batches() == [("eq", 1, 3, 2), ("ineq", 2, 4, 1), ("soc", 0, 2, 4)]
@@ -452,10 +453,27 @@ class TestAssembly:
         ball_soc(prog, [0, 1], 2.0)
         prog.add_inequality([[1.0, -2.0]], [[0, 2]], [3.0], label="lid")
         prog.add_equality(np.array([[[1.0, 1.0]]]), [[1, 2]], [[0.5]], label="pin")
-        A, b, cones = prog._assemble()
+        rows, cols, vals, b, cones = prog._triplets()
         assert (cones.zero, cones.nonneg, cones.soc) == (1, 1, (3,))
-        assert_allclose(A.toarray(), [[0, 1, 1], [1, 0, -2], [0, 0, 0], [-1, 0, 0], [0, -1, 0]])
+        # Each entry is stored once, so the solver's CSR build sums nothing.
+        assert np.unique(rows * prog.num_vars + cols).size == rows.size
+        A = np.zeros((b.size, prog.num_vars))
+        A[rows, cols] = vals
+        assert_allclose(A, [[0, 1, 1], [1, 0, -2], [0, 0, 0], [-1, 0, 0], [0, -1, 0]])
         assert_allclose(b, [0.5, 3.0, 2.0, 0.0, 0.0])
+
+    def test_scaled_matrix_is_the_reference(self, assert_reference_scaling):
+        # Variable 2 appears in no constraint, so its column is empty, and
+        # each batch lists its columns out of order.
+        prog = ConeProgram(5)
+        prog.add_soc(
+            [[[1.0, 0.0, 2.0], [0.0, -3.0, 0.5]]], [[0.1, 0.2]], [[0.0, 0.5, 1.0]], [4.0], [[4, 0, 3]]
+        )
+        prog.add_inequality([[2.0, -1.0], [0.5, 4.0]], [[3, 1], [4, 0]], [1.0, 2.0])
+        prog.add_equality([[[1.0, 1.0, 7.0]]], [[4, 1, 0]], [[0.5]])
+        s = prog.add_quadratic_epigraph([[1.0, 2.0], [0.0, 3.0]], [[1, 0]])
+        prog.add_objective(s, [1.0])
+        assert_reference_scaling(prog)
 
 
 class TestConeAlgebra:
@@ -630,3 +648,20 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(socp, "open", fake_open, raising=False)
         assert list(socp._openblas_setters()) == []
+
+    def test_solve_time_leaves_out_the_setter_search(self, monkeypatch):
+        # The first solve in a process finds the setters; its clock starts after.
+        find = socp._openblas_setters
+
+        def slow_find():
+            time.sleep(0.2)
+            return find()
+
+        monkeypatch.setattr(socp, "_BLAS_SETTERS", None)
+        monkeypatch.setattr(socp, "_openblas_setters", slow_find)
+        prog = ConeProgram(2)
+        ball_soc(prog, [0, 1], 1.0)
+        prog.add_objective([0], [1.0])
+        sol = prog.solve()
+        assert sol.status == OPTIMAL
+        assert sol.solve_time < 0.2
