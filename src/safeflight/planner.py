@@ -466,10 +466,10 @@ class TrajectoryPlan:
             ValueError: naming the field, where doc breaks PLAN_SCHEMA, a
                 number is too large for a float, an integer lies beyond
                 +-2**53, splines.plan_knots, a scenario's spline rule, refuses
-                (t0, tf, n, degree), gravity, control_points or zeta holds a
-                number that is not finite, gravity is not positive,
-                control_points is not of shape (3, n + 1), or zeta does not
-                hold n - degree + 1 values (one in scalar mode).
+                (t0, tf, n, degree), gravity, control_points, zeta or an optional
+                objective, snap or max_residual holds a number that is not finite,
+                gravity is not positive, control_points is not of shape (3, n + 1),
+                or zeta does not hold n - degree + 1 values (one in scalar mode).
         """
         doc = checked(doc, PLAN_SCHEMA)
         n, degree, zeta_mode = doc["n"], doc["degree"], doc["zeta_mode"]
@@ -489,6 +489,9 @@ class TrajectoryPlan:
             raise ValueError(
                 f"zeta must hold {size} value(s) in {zeta_mode} mode, got shape {zeta.shape}"
             )
+        for key in ("objective", "snap", "max_residual"):  # optional: an absent one reads NaN
+            if key in doc and not math.isfinite(doc[key]):
+                raise ValueError(f"{key} must be finite, got {doc[key]}")
         stats = SolveStats("loaded", 0.0, 0, doc.get("max_residual", np.nan), 0, {})
         return TrajectoryPlan(
             curve=SplineCurve(kv, ctrl),
@@ -726,9 +729,16 @@ class PlanAssembly:
         return js
 
     def compile_objective(self, zeta_cols: np.ndarray) -> None:
-        """Snap epigraph per axis minus the sum of rate floors."""
+        """Snap epigraph per axis minus the sum of rate floors.
+
+        ||G P_a||^2 <= s_a is the cone ||(2 G P_a, s_a - 1)|| <= s_a + 1, which forces s_a >= 0.
+        """
         G = snap_gram(self.kv)
-        s = self.cp.add_quadratic_epigraph(G, self.ctrl_cols.reshape(3, -1), "snap-epigraph")
+        (m, w), s = G.shape, self.cp.add_variables(3)
+        A, b, c = np.zeros((3, m + 1, w + 1)), np.zeros((3, m + 1)), np.zeros((3, w + 1))
+        A[:, :m, :w], A[:, m, w], b[:, m], c[:, w] = 2.0 * G, 1.0, -1.0, 1.0
+        cols = np.column_stack([self.ctrl_cols.reshape(3, -1), s])
+        self.cp.add_soc(A, b, c, np.ones(3), cols, "snap-epigraph")
         self.cp.add_objective(s, np.ones(3))
         if zeta_cols.size:
             self.cp.add_objective(zeta_cols, -np.ones(zeta_cols.size))

@@ -447,7 +447,8 @@ def verify_plan(
 
     end_pos, end_vel = (v[w + 2 :].reshape(-1, 2, 3) for v in at[:2])
     for k, ic in enumerate(intervals):
-        inside = (ts >= ic.t_start) & (ts <= ic.t_end)
+        # The grid is sorted, so a window's samples are one slice of it.
+        inside = slice(ts.searchsorted(ic.t_start), ts.searchsorted(ic.t_end, "right"))
         if ic.kind == "position":
             at_ends = ic.region.margin(end_pos[k])
             margins = ic.region.margin(pos[inside])

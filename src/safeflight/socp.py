@@ -11,14 +11,14 @@ ConeProgram stores each constraint on arrival in the form the solver reads,
 A x + s = b with s in K: one list of batches in row order, each with its cone
 kind, label, (row, column, value) triplets and right-hand sides. Each add_*
 method takes k alike constraints on a leading axis, so a constraint family
-is stored in one call. Variables can be appended after constraints exist
-(the quadratic epigraph does this). The numerical solve is the primal-dual
-interior-point method at the end of this module. It reads the same
-triplets and builds its one scipy CSR matrix from them, equilibrated as it
-is built. Solution quality is always re-checked by direct residual
-evaluation, never taken from the solver's own report. The residuals read
-the stored triplets with numpy alone; scipy is imported only by the solve,
-so building and auditing a model never loads it.
+is stored in one call. Variables can be appended after constraints exist:
+the planner's snap epigraph adds its three and then one add_soc batch over
+them. The numerical solve is the primal-dual interior-point method at the
+end of this module. It reads the same triplets and builds its one scipy CSR
+matrix from them, equilibrated as it is built. Solution quality is always
+re-checked by direct residual evaluation, never taken from the solver's own
+report. The residuals read the stored triplets with numpy alone; scipy is
+imported only by the solve, so building and auditing a model never loads it.
 """
 
 from __future__ import annotations
@@ -148,28 +148,6 @@ class ConeProgram:
         coeffs = -np.concatenate([c[:, None], A], axis=1)  # s = (c'x + d, A x + b)
         self._add("soc", coeffs, cols, np.concatenate([d[:, None], b], axis=1), label)
 
-    def add_quadratic_epigraph(self, G, cols, label: str = "epigraph") -> np.ndarray:
-        """Add k variables s with x[cols[i]]' G'G x[cols[i]] <= s[i], cols (k, c); returns s.
-
-        Each is encoded as the second-order constraint ||(2 G x, s - 1)||
-        <= s + 1, which is equivalent for s >= 0 (and forces s >= 0).
-        """
-        cols = self._check_cols(cols)
-        G = np.atleast_2d(np.asarray(G, dtype=float))
-        k, width = cols.shape
-        if G.shape[1] != width:
-            raise ValueError(f"factor has {G.shape[1]} columns, expected {width}")
-        s_idx = self.add_variables(k)
-        m = G.shape[0]
-        block, rhs = np.zeros((m + 2, width + 1)), np.zeros(m + 2)
-        block[1:-1, :-1] = -2.0 * G  # s = (s + 1, 2 G x, s - 1) = rhs - block (x, s)
-        block[[0, -1], -1] = -1.0
-        rhs[[0, -1]] = 1.0, -1.0
-        coeffs = np.broadcast_to(block, (k,) + block.shape)
-        cols = np.column_stack([cols, s_idx])
-        self._add("soc", coeffs, cols, np.broadcast_to(rhs, (k, m + 2)), label)
-        return s_idx
-
     def _check_cols(self, cols) -> np.ndarray:
         """Column indices as a (k, c) array, each row in range and free of repeats."""
         cols = np.asarray(cols, dtype=int)
@@ -191,10 +169,6 @@ class ConeProgram:
         bisect.insort(self._store, _batch(kind, code, coeffs, cols, rhs), key=lambda b: b.kind)
 
     # ------------------------------------------------------------- inspection
-
-    def _batches(self) -> list[tuple[str, int, int, int]]:
-        """(kind, label code, k, m) of every batch, in the row order of _triplets."""
-        return [batch[:4] for batch in self._store]
 
     def block_counts(self) -> dict[str, int]:
         """Number of constraints per label, in order of first use, for infeasibility diagnostics."""

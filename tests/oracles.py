@@ -52,6 +52,13 @@ steps Python floats through the controller's one-tick form and records the
 run with one batched call after the loop. direct_controller gives its
 one-tick form through its array code.
 
+The snap epigraph has its reference encoding: quadratic_epigraph adds k
+variables s and the cones x' G'G x <= s, each written out by hand as one
+block of rows (s + 1, 2 G x, s - 1) and stored without add_soc. The
+planner's snap-epigraph family, which add_soc stores, must equal it in
+every triplet and right-hand side, bit for bit, and the solver's quadratic
+tests build their objectives through it.
+
 The cone model has a dense reference. dense_derivative_matrix is the
 product of bidiagonal difference factors that the derivative stencils
 replace, and DensePlanAssembly compiles every family as rows over all
@@ -568,6 +575,30 @@ def dense_snap_gram(knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
     return G.T @ G, G
 
 
+def quadratic_epigraph(cp: ConeProgram, G, cols, label: str = "epigraph") -> np.ndarray:
+    """Add k variables s with x[cols[i]]' G'G x[cols[i]] <= s[i], cols (k, c); returns s.
+
+    Each is encoded as the second-order constraint ||(2 G x, s - 1)||
+    <= s + 1, which is equivalent for s >= 0 (and forces s >= 0), stored
+    as one batch of the cone program's rows s = (s + 1, 2 G x, s - 1).
+    """
+    cols = cp._check_cols(cols)
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    k, width = cols.shape
+    if G.shape[1] != width:
+        raise ValueError(f"factor has {G.shape[1]} columns, expected {width}")
+    s_idx = cp.add_variables(k)
+    m = G.shape[0]
+    block, rhs = np.zeros((m + 2, width + 1)), np.zeros(m + 2)
+    block[1:-1, :-1] = -2.0 * G  # s = (s + 1, 2 G x, s - 1) = rhs - block (x, s)
+    block[[0, -1], -1] = -1.0
+    rhs[[0, -1]] = 1.0, -1.0
+    coeffs = np.broadcast_to(block, (k,) + block.shape)
+    cols = np.column_stack([cols, s_idx])
+    cp._add("soc", coeffs, cols, np.broadcast_to(rhs, (k, m + 2)), label)
+    return s_idx
+
+
 class DensePlanAssembly(PlanAssembly):
     """Every constraint family compiled as rows over all 3(n+1) control-point columns."""
 
@@ -643,7 +674,7 @@ class DensePlanAssembly(PlanAssembly):
     def compile_objective(self, zeta_cols):
         _, G = dense_snap_gram(self.kv)
         for cols in self.ctrl_cols.reshape(3, 1, -1):
-            s = self.cp.add_quadratic_epigraph(G, cols, "snap-epigraph")
+            s = quadratic_epigraph(self.cp, G, cols, "snap-epigraph")
             self.cp.add_objective(s, [1.0])
         if zeta_cols.size:
             self.cp.add_objective(zeta_cols, -np.ones(zeta_cols.size))

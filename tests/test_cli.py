@@ -1594,6 +1594,29 @@ class TestBadPlanDocument:
         assert all(len(line) < 120 for line in out.err.splitlines()), out.err
         assert not (tmp_path / "samples.csv").exists()
 
+    NON_FINITE = [
+        ("objective", "Infinity"),
+        ("objective", "1e400"),
+        ("snap", "NaN"),
+        ("max_residual", "-1e400"),
+    ]
+
+    @pytest.mark.parametrize("key, literal", NON_FINITE)
+    def test_non_finite_optional_number_exits_parse(
+        self, tmp_path, hover_plan, capsys, key, literal
+    ):
+        # JSON reads 1e400 as inf. Loaded, the field would be left out of the exported document.
+        doc = hover_plan.to_dict()
+        text = json.dumps(doc).replace(f'"{key}": {json.dumps(doc[key])}', f'"{key}": {literal}')
+        assert f'"{key}": {literal}' in text
+        path, out = tmp_path / "bad.json", tmp_path / "copy.json"
+        path.write_text(text)
+        args = ["export", "--plan", str(path), "--out", str(out), "--format", "document"]
+        assert main(args) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "cannot load plan" in err and f"{key} must be finite, got " in err
+        assert not out.exists()
+
     def test_nan_barrier_fails_the_track_run(self, tmp_path, hover_plan, monkeypatch, capsys):
         # A NaN reaching the run compares false against 0, so the barrier
         # check must be written to fail on it. The report is still written,

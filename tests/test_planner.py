@@ -1,6 +1,7 @@
 """Planner: regions, windows, margins, assembly, and full solves."""
 
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from oracles import (
     dense_compile_plan,
     dense_derivative_matrix,
     dense_snap_gram,
+    quadratic_epigraph,
     region_margin_direct,
     soc_margin_direct,
 )
@@ -682,7 +684,7 @@ class TestDenseReference:
     def labels(cp):
         """The label of each constraint, in row order: equalities, inequalities, then cones."""
         names = list(cp._labels)
-        return [names[code] for _, code, k, _ in cp._batches() for _ in range(k)]
+        return [names[batch.code] for batch in cp._store for _ in range(batch.k)]
 
     def assert_same_model(self, ps):
         asm, _ = compile_plan(ps)
@@ -707,6 +709,46 @@ class TestDenseReference:
         factor = snap_gram(asm.kv)
         Q_ref, _ = dense_snap_gram(ref.kv)
         assert_allclose(factor.T @ factor, Q_ref, rtol=0.0, atol=1e-14 * np.abs(Q_ref).max())
+
+
+class TestSnapEpigraph:
+    """compile_objective's cones ||G P_a||^2 <= s_a, one add_soc batch over the three axes."""
+
+    @pytest.mark.parametrize("zeta_mode", ["per-span", "scalar"])
+    @pytest.mark.parametrize("name", bundled_scenarios())
+    def test_bitwise_the_reference_encoding(self, name, zeta_mode):
+        ps = dataclasses.replace(load_scenario(name).planning, zeta_mode=zeta_mode)
+        asm, _ = compile_plan(ps)
+        cp = asm.cp
+        # The reference adds the same three variables after the same columns.
+        ref = ConeProgram(cp.num_vars - 3)
+        s = quadratic_epigraph(ref, snap_gram(asm.kv), asm.ctrl_cols.reshape(3, -1))
+        assert s.tolist() == list(range(ref.num_vars - 3, cp.num_vars))
+        (got,) = [batch for batch in cp._store if batch.code == cp._labels["snap-epigraph"]]
+        (want,) = ref._store
+        assert (got.kind, got.k, got.m) == (want.kind, want.k, want.m)
+        for field in ("rows", "cols", "vals", "rhs"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+        assert cp._f[s].tolist() == [1.0, 1.0, 1.0]
+
+    def test_forces_s_nonnegative(self):
+        # At P = 0 the cone reads ||(0, s - 1)|| <= s + 1, which holds for s >= 0 only.
+        asm = PlanAssembly(clamped_uniform_knots(0.0, 4.0, 10, 5))
+        asm.compile_objective(np.zeros(0, dtype=int))
+        x = np.zeros(asm.cp.num_vars)
+        for value, violation in [(0.0, 0.0), (2.5, 0.0), (-0.5, 1.0)]:
+            x[-3:] = value
+            assert asm.cp.residuals(x) == {"snap-epigraph": violation}
+
+    @pytest.mark.parametrize("name", bundled_scenarios())
+    def test_s_is_the_snap_at_the_optimum(self, name):
+        # Hover's snap is 0, so its s sits on the bound s >= 0.
+        asm, _ = compile_plan(load_scenario(name).planning)
+        x = asm.cp.solve().x
+        snap = np.square(snap_gram(asm.kv) @ x[asm.ctrl_cols].reshape(3, -1).T).sum(axis=0)
+        assert (x[-3:] >= -1e-8).all()
+        assert_allclose(x[-3:], snap, rtol=1e-7, atol=1e-8)
 
 
 class TestCensus:
@@ -934,6 +976,18 @@ class TestPlanDocument:
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
             TrajectoryPlan.from_dict({"format": "something-else"})
+
+    @pytest.mark.parametrize("key", ["objective", "snap", "max_residual"])
+    @pytest.mark.parametrize(
+        "text, shown",
+        [("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"), ("NaN", "nan")],
+    )
+    def test_refuses_non_finite_optional_numbers(self, hover_plan, key, text, shown):
+        # json reads 1e400 as inf; to_dict would leave such a field out.
+        doc = hover_plan.to_dict()
+        doc[key] = json.loads(text)
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got {shown}$"):
+            TrajectoryPlan.from_dict(doc)
 
     def test_integral_floats_load_as_integers(self, hover_plan):
         # JSON Schema's integer: 12.0 is one, as in a scenario's spline.n.

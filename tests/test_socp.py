@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import sparse
 from scipy.optimize import linprog
 
+from oracles import quadratic_epigraph
 from safeflight import socp
 from safeflight.socp import (
     INFEASIBLE,
@@ -33,6 +34,11 @@ def stored(prog):
     """The stored model as comparable values: its triplets, b and the cone layout."""
     rows, cols, vals, b, cones = prog._triplets()
     return [a.tolist() for a in (rows, cols, vals, b)] + [cones]
+
+
+def batches(prog):
+    """(kind, label code, k, m) of every batch, in the row order of _triplets."""
+    return [batch[:4] for batch in prog._store]
 
 
 class TestModelValidation:
@@ -72,8 +78,6 @@ class TestModelValidation:
             prog.add_inequality(np.ones((2, 2)), [[0, 1]], [0.0])
         with pytest.raises(ValueError):
             prog.add_soc(np.eye(2)[None], np.zeros((1, 3)), np.zeros((1, 2)), [1.0], [[0, 1]])
-        with pytest.raises(ValueError):
-            prog.add_quadratic_epigraph(np.eye(3), [[0, 1]])
 
     # One constraint in the shapes of a single call, and single-call parts
     # inside an otherwise batched call: k is always the leading axis.
@@ -88,7 +92,6 @@ class TestModelValidation:
         ("add_soc", (np.eye(2)[None], np.zeros((1, 2)), np.zeros((1, 2)), 1.0, [[0, 1]])),
         ("add_soc", (np.eye(2)[None], np.zeros((1, 2)), np.zeros(2), [1.0], [[0, 1]])),
         ("add_soc", (np.eye(2)[None], np.zeros((1, 2)), np.zeros((1, 2)), [1.0], [0, 1])),
-        ("add_quadratic_epigraph", (np.eye(2), [0, 1])),
     ]
 
     @pytest.mark.parametrize("method, args", SINGLE_SHAPES, ids=[m for m, _ in SINGLE_SHAPES])
@@ -99,17 +102,6 @@ class TestModelValidation:
         before = prog.num_vars, prog.block_counts(), stored(prog)
         with pytest.raises(ValueError):
             getattr(prog, method)(*args)
-        assert (prog.num_vars, prog.block_counts(), stored(prog)) == before
-
-    @pytest.mark.parametrize("cols", [[[0, 3]], [[1, 1]]], ids=["out-of-range", "repeated"])
-    def test_bad_epigraph_columns_leave_the_model_unchanged(self, cols):
-        # The epigraph checks its columns before it adds its variable s;
-        # add_soc's check of the stacked columns would raise only after that.
-        prog = ConeProgram(3)
-        ball_soc(prog, [0, 1], 2.0)
-        before = prog.num_vars, prog.block_counts(), stored(prog)
-        with pytest.raises(ValueError, match="^column indices"):
-            prog.add_quadratic_epigraph(np.eye(2), cols)
         assert (prog.num_vars, prog.block_counts(), stored(prog)) == before
 
     def test_solve_requires_constraints(self):
@@ -133,8 +125,8 @@ class TestModelValidation:
         ball_soc(prog, [0, 1], 2.0)
         assert prog.block_counts() == {"box": 2, "pin": 1, "ball": 1}
         # (kind, label code, constraints, rows each): codes 0, 1, 2 are box, pin, ball.
-        batches = [("eq", 1, 1, 1), ("ineq", 0, 1, 1), ("ineq", 0, 1, 1), ("soc", 2, 1, 3)]
-        assert prog._batches() == batches
+        want = [("eq", 1, 1, 1), ("ineq", 0, 1, 1), ("ineq", 0, 1, 1), ("soc", 2, 1, 3)]
+        assert batches(prog) == want
 
 
 class TestResiduals:
@@ -236,7 +228,7 @@ class TestBatches:
         *_, cones = prog._triplets()
         assert (cones.zero, cones.nonneg, cones.soc) == (6, 4, (4, 4))
         assert prog.block_counts() == {"cone": 2, "pin": 3, "lid": 4}
-        assert prog._batches() == [("eq", 1, 3, 2), ("ineq", 2, 4, 1), ("soc", 0, 2, 4)]
+        assert batches(prog) == [("eq", 1, 3, 2), ("ineq", 2, 4, 1), ("soc", 0, 2, 4)]
         # Each label's worst violation, constraint by constraint.
         x = rng.normal(size=6)
         cone = [np.linalg.norm(A[k] @ x[cols[k]] + b[k]) - c[k] @ x[cols[k]] - d[k] for k in (0, 1)]
@@ -355,7 +347,7 @@ class TestSecondOrderBlocks:
             E = np.hstack([np.eye(3), -np.eye(3)])
             prog.add_equality(E[None], [np.arange(6)], p[None], label="shift")
             ball_soc(prog, x_cols.tolist(), 1.0)
-            s = prog.add_quadratic_epigraph(np.eye(3), [y_cols])
+            s = quadratic_epigraph(prog, np.eye(3), [y_cols])
             prog.add_objective(s, [1.0])
             sol = prog.solve()
             assert sol.status == OPTIMAL
@@ -375,7 +367,7 @@ class TestQuadraticEpigraph:
             prog = ConeProgram(n)
             cols = np.arange(n)
             prog.add_equality(E[None], [cols], g[None], label="pin")
-            (s,) = prog.add_quadratic_epigraph(G, [cols])
+            (s,) = quadratic_epigraph(prog, G, [cols])
             prog.add_objective([s], [1.0])
             sol = prog.solve(tol=1e-10)
             assert sol.status == OPTIMAL
@@ -389,15 +381,6 @@ class TestQuadraticEpigraph:
             assert abs(sol.objective - obj_ref) <= 1e-6 * max(1.0, obj_ref)
             # the epigraph variable is tight at the optimum
             assert_allclose(sol.x[s], sol.x[:n] @ H @ sol.x[:n], atol=1e-7)
-
-    def test_epigraph_variable_is_nonnegative(self):
-        prog = ConeProgram(2)
-        (s,) = prog.add_quadratic_epigraph(np.eye(2), [[0, 1]])
-        prog.add_objective([s], [1.0])
-        sol = prog.solve()
-        assert sol.status == OPTIMAL
-        assert sol.x[s] >= -1e-9
-        assert_allclose(sol.objective, 0.0, atol=1e-7)
 
 
 class TestStatuses:
@@ -438,7 +421,7 @@ class TestStatuses:
             prog = ConeProgram(5)
             cols = np.arange(5)
             prog.add_equality(E[None], [cols], g[None])
-            s = prog.add_quadratic_epigraph(G, [cols])
+            s = quadratic_epigraph(prog, G, [cols])
             prog.add_objective(s, [1.0])
             return prog.solve()
 
@@ -471,7 +454,7 @@ class TestAssembly:
         )
         prog.add_inequality([[2.0, -1.0], [0.5, 4.0]], [[3, 1], [4, 0]], [1.0, 2.0])
         prog.add_equality([[[1.0, 1.0, 7.0]]], [[4, 1, 0]], [[0.5]])
-        s = prog.add_quadratic_epigraph([[1.0, 2.0], [0.0, 3.0]], [[1, 0]])
+        s = quadratic_epigraph(prog, [[1.0, 2.0], [0.0, 3.0]], [[1, 0]])
         prog.add_objective(s, [1.0])
         assert_reference_scaling(prog)
 
