@@ -366,12 +366,12 @@ def cmd_plan(args) -> int:
     if args.zeta_mode:
         planning = dataclasses.replace(planning, zeta_mode=args.zeta_mode)
     pl = _solve(planning, args.tol)
-    stats = pl.solve_stats
+    sol = pl.solution
     print(
-        f"{planning.name}: {stats.status} in {stats.solve_time * 1e3:.1f} ms, "
-        f"{stats.iterations} iterations, residual {stats.max_residual:.2e}"
+        f"{planning.name}: {sol.status} in {sol.solve_time * 1e3:.1f} ms, "
+        f"{sol.iterations} iterations, residual {sol.max_residual:.2e}"
     )
-    print(f"objective {pl.objective:.6f} (snap {pl.snap:.6f})")
+    print(f"objective {sol.objective:.6f} (snap {pl.snap:.6f})")
     if args.out:
         _write_plan_doc(pl, args.out)
         print(f"plan written to {args.out}")

@@ -289,7 +289,9 @@ class EndpointPins:
 class IntervalConstraint:
     """Extra requirement on a time window: position membership or a speed cap.
 
-    The window's ends and the bound, when given, must be finite.
+    The window's ends and the bound, when given, must be finite. A position
+    window takes a region and no bound, a speed window a positive bound and
+    no region: a field that its kind does not read is refused.
     """
 
     t_start: float
@@ -313,6 +315,9 @@ class IntervalConstraint:
                 raise ValueError("speed interval needs a positive bound")
         else:
             raise ValueError(f"unknown interval kind '{self.kind}'")
+        unread = "bound" if self.kind == "position" else "region"
+        if getattr(self, unread) is not None:
+            raise ValueError(f"a {self.kind} interval reads no {unread}, but one is given")
 
 
 @dataclass(frozen=True)
@@ -374,16 +379,6 @@ class PlanningScenario:
             )
 
 
-@dataclass(frozen=True)
-class SolveStats:
-    status: str
-    solve_time: float
-    iterations: int
-    max_residual: float
-    num_vars: int
-    block_counts: dict[str, int]
-
-
 _NUMBER = {"type": "number"}
 _NUMBERS = {"type": "array", "items": _NUMBER}
 
@@ -411,7 +406,7 @@ PLAN_SCHEMA = object_schema(
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryPlan:
-    """A solved spline plan plus its rate floors and solve diagnostics.
+    """A solved spline plan plus its rate floors and the Solution of its solve.
 
     Equality and hash go by identity: the fields hold arrays.
     """
@@ -419,11 +414,10 @@ class TrajectoryPlan:
     curve: SplineCurve
     zeta: np.ndarray
     zeta_mode: str
-    objective: float
     snap: float
     gravity: float
     name: str
-    solve_stats: SolveStats
+    solution: Solution
 
     @cached_property
     def span_zeta(self) -> np.ndarray:
@@ -438,11 +432,8 @@ class TrajectoryPlan:
         out, so the document is strict JSON.
         """
         kv = self.curve.knots
-        optional = {
-            "objective": self.objective,
-            "snap": self.snap,
-            "max_residual": self.solve_stats.max_residual,
-        }
+        sol = self.solution
+        optional = {"objective": sol.objective, "snap": self.snap, "max_residual": sol.max_residual}
         return {
             "format": "safeflight-plan",
             "version": 1,
@@ -492,16 +483,15 @@ class TrajectoryPlan:
         for key in ("objective", "snap", "max_residual"):  # optional: an absent one reads NaN
             if key in doc and not math.isfinite(doc[key]):
                 raise ValueError(f"{key} must be finite, got {doc[key]}")
-        stats = SolveStats("loaded", 0.0, 0, doc.get("max_residual", np.nan), 0, {})
+        objective, max_residual = doc.get("objective", np.nan), doc.get("max_residual", np.nan)
         return TrajectoryPlan(
             curve=SplineCurve(kv, ctrl),
             zeta=zeta,
             zeta_mode=zeta_mode,
-            objective=doc.get("objective", np.nan),
             snap=doc.get("snap", np.nan),
             gravity=gravity,
             name=doc.get("name", "plan"),
-            solve_stats=stats,
+            solution=Solution("loaded", None, objective, max_residual, 0.0, 0, "loaded"),
         )
 
 
@@ -853,21 +843,12 @@ def plan(scenario: PlanningScenario) -> TrajectoryPlan:
     ctrl = sol.x[: 3 * (kv.n + 1)].reshape(3, kv.n + 1)
     zeta = sol.x[zeta_cols]
     snap = float(np.square(snap_gram(kv) @ ctrl.T).sum())
-    stats = SolveStats(
-        status=sol.status,
-        solve_time=sol.solve_time,
-        iterations=sol.iterations,
-        max_residual=sol.max_residual,
-        num_vars=asm.cp.num_vars,
-        block_counts=asm.cp.block_counts(),
-    )
     return TrajectoryPlan(
         curve=SplineCurve(kv, ctrl),
         zeta=zeta,
         zeta_mode=scenario.zeta_mode,
-        objective=sol.objective,
         snap=snap,
         gravity=scenario.gravity,
         name=scenario.name,
-        solve_stats=stats,
+        solution=sol,
     )

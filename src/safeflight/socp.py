@@ -57,7 +57,10 @@ class Solution:
     """Outcome of a conic solve.
 
     max_residual is computed by this module from the returned point and the
-    stored constraints; it is meaningful only when status is "optimal".
+    stored constraints; it is meaningful only when status is "optimal". A
+    plan loaded from its document holds one with status and solver_status
+    "loaded", no x, the document's objective and max_residual (NaN where
+    absent), and zero solve time and iterations.
     """
 
     status: str

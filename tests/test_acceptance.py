@@ -365,7 +365,7 @@ def test_corridor_plans_contained_and_fast(capsys):
         )
         checks = [c for c in report.checks if c.name.startswith("corridor[")]
         assert len(checks) == len(sf.planning.corridor)
-        slowest = max(slowest, pl.solve_stats.solve_time)
+        slowest = max(slowest, pl.solution.solve_time)
         worst_margin = min(worst_margin, min(c.margin for c in checks))
 
     ok = slowest < 0.1 and worst_margin >= -1e-6
@@ -398,7 +398,8 @@ def test_snap_gram_and_objective_stability(capsys, rng, example1_plan, replanned
         worst_rel = max(worst_rel, abs(quad_form - integral) / integral)
 
     fresh, _ = replanned_tour
-    objective_rel = abs(example1_plan.objective - fresh.objective) / abs(example1_plan.objective)
+    before, after = example1_plan.solution.objective, fresh.solution.objective
+    objective_rel = abs(before - after) / abs(before)
 
     ok = worst_rel <= 1e-6 and objective_rel <= 1e-6
     conclude(

@@ -909,6 +909,31 @@ class TestNonFinitePlanning:
         assert err == f"error: {scenario}: {message}\n"
 
 
+class TestWindowFieldOfTheOtherKind:
+    # A speed window that names a region, or a position window that names a
+    # bound, exits 2 under its YAML path. Nothing would compile or verify the
+    # extra field: hover would plan with the FAR box out of its reach.
+    HOME = {"box": {"lo": [-1.0, -1.0, 0.0], "hi": [1.0, 1.0, 1.0]}}  # holds the hover point
+    FAR = {"box": {"lo": [5.0, 5.0, 5.0], "hi": [6.0, 6.0, 6.0]}}
+    CASES = [
+        ({"kind": "speed", "bound": 0.5}, "region", FAR),
+        ({"kind": "position", "region": HOME}, "bound", 0.0001),
+    ]
+
+    @pytest.mark.parametrize("command", ["plan", "verify", "track"])
+    @pytest.mark.parametrize("window, unread, value", CASES, ids=["speed", "position"])
+    def test_exits_parse(self, tmp_path, capsys, hover_plan, command, window, unread, value):
+        doc = hover_dict()
+        doc["windows"] = [{"t_start": 2.0, "t_end": 4.0, **window, unread: value}]
+        scenario = write_scenario(tmp_path, doc)
+        argv = [command, "--scenario", scenario]
+        if command != "plan":
+            argv += ["--plan", write_plan(tmp_path, hover_plan)]
+        assert main(argv) == EXIT_PARSE
+        message = f"windows/0: a {window['kind']} interval reads no {unread}, but one is given"
+        assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
+
+
 class TestBadTracking:
     NAN, INF = float("nan"), float("inf")
     # Each bad tracking value exits 2 on every command, naming its file, its

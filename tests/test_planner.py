@@ -347,7 +347,7 @@ class TestTrackingMargins:
         ps = load_scenario("margin_demo").planning
         bounds = dataclasses.replace(ps.bounds, thrust_max=12.0, tilt_max=np.deg2rad(80.0))
         low = dataclasses.replace(ps, bounds=bounds, gravity=5.0)
-        assert plan(low).solve_stats.status == "optimal"
+        assert plan(low).solution.status == "optimal"
         with pytest.raises(MarginInfeasibleError, match="6.457 < g"):
             plan(dataclasses.replace(low, gravity=G))
 
@@ -474,6 +474,11 @@ class TestValidation:
             IntervalConstraint(1.0, 2.0, "speed", bound=0.0)
         with pytest.raises(ValueError):
             IntervalConstraint(1.0, 2.0, "altitude", bound=1.0)
+        # A field its kind does not read: nothing would compile or verify it.
+        with pytest.raises(ValueError, match="^a speed interval reads no region, but one"):
+            IntervalConstraint(1.0, 2.0, "speed", region=region, bound=1.0)
+        with pytest.raises(ValueError, match="^a position interval reads no bound, but one"):
+            IntervalConstraint(1.0, 2.0, "position", region=region, bound=1e-4)
 
     @pytest.mark.parametrize(
         "message, build",
@@ -827,18 +832,18 @@ class TestFullSolves:
     def test_bundled_scenarios_plan_at_the_tolerance_floor(self, name):
         planning = dataclasses.replace(load_scenario(name).planning, solver_tol=MIN_TOL)
         pl = plan(planning)
-        assert pl.solve_stats.status == "optimal"
-        assert pl.solve_stats.max_residual <= 1e-8
+        assert pl.solution.status == "optimal"
+        assert pl.solution.max_residual <= 1e-8
 
     @pytest.mark.parametrize("degree", range(MIN_DEGREE, MAX_DEGREE + 1))
     def test_hover_plans_at_every_degree_the_rule_admits(self, hover_scenario, degree):
         hover = dataclasses.replace(hover_scenario.planning, degree=degree, n=degree + 7)
-        assert plan(hover).solve_stats.status == "optimal"
+        assert plan(hover).solution.status == "optimal"
 
     def test_small_rest_to_rest(self):
         pl = plan(small_scenario())
-        assert pl.solve_stats.status == "optimal"
-        assert pl.solve_stats.max_residual <= 1e-7
+        assert pl.solution.status == "optimal"
+        assert pl.solution.max_residual <= 1e-7
         assert_allclose(pl.curve.eval(0.0), [0.0, 0.0, 0.5], atol=1e-8)
         assert_allclose(pl.curve.eval(4.0), [1.0, 0.0, 0.5], atol=1e-8)
         assert_allclose(pl.curve.eval(0.0, 1), 0.0, atol=1e-8)
@@ -858,15 +863,15 @@ class TestFullSolves:
 
         monkeypatch.setattr(sparse, "csr_matrix", Spy)
         pl = plan(small_scenario())
-        assert pl.solve_stats.status == "optimal"
-        assert pl.solve_stats.max_residual <= 1e-7
+        assert pl.solution.status == "optimal"
+        assert pl.solution.max_residual <= 1e-7
         assert len(built) == 1
 
     def test_deterministic_replan(self):
         a = plan(small_scenario())
         b = plan(small_scenario())
         assert np.array_equal(a.curve.ctrl, b.curve.ctrl)
-        assert a.objective == b.objective
+        assert a.solution.objective == b.solution.objective
 
     @pytest.mark.parametrize("name", bundled_scenarios())
     def test_snap_is_the_integral_of_squared_snap(self, bundled_plan, name):
@@ -917,9 +922,11 @@ class TestFullSolves:
     def test_exact_waypoint_becomes_equality(self):
         wp = Waypoint(position=[0.4, 0.1, 0.5], time=2.0, radius=0.0)
         scenario = small_scenario(waypoints=(wp,))
-        pl = plan(scenario)
-        assert pl.solve_stats.block_counts["waypoint"] == 1
-        assert_allclose(pl.curve.eval(2.0), wp.position, atol=1e-8)
+        cp = compile_plan(scenario)[0].cp
+        assert cp.block_counts()["waypoint"] == 1
+        (batch,) = [batch for batch in cp._store if batch.code == cp._labels["waypoint"]]
+        assert batch.kind == "eq"
+        assert_allclose(plan(scenario).curve.eval(2.0), wp.position, atol=1e-8)
 
     def test_waypoint_ball_is_respected(self):
         wp = Waypoint(position=[0.5, 0.3, 0.5], time=2.0, radius=0.05)
@@ -969,7 +976,7 @@ class TestPlanDocument:
         assert np.array_equal(back.curve.ctrl, hover_plan.curve.ctrl)
         assert np.array_equal(back.zeta, hover_plan.zeta)
         assert back.zeta_mode == hover_plan.zeta_mode
-        assert back.objective == hover_plan.objective
+        assert back.solution.objective == hover_plan.solution.objective
         ts = np.linspace(0.0, 10.0, 7)
         assert_allclose(back.curve.eval(ts), hover_plan.curve.eval(ts), atol=0)
 

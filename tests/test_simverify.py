@@ -638,7 +638,8 @@ class TestVerifyPlan:
         # the check rests on the window's two ends alone.
         pl = example1_plan
         ball = ConvexRegion.ball(pl.curve.eval(2.0), 0.5, name="near")
-        ic = IntervalConstraint(2.001, 2.002, kind, region=ball, bound=0.5)
+        own = {"region": ball} if kind == "position" else {"bound": 0.5}
+        ic = IntervalConstraint(2.001, 2.002, kind, **own)
         report = verify_plan(pl, small_bounds_for(pl), intervals=(ic,), samples_per_span=3)
         assert report.samples == span_samples(pl, 3).size
         (check,) = [c for c in report.checks if c.name == f"window[0]:{kind}"]
