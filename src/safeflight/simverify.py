@@ -41,14 +41,21 @@ def _tick_count(duration: float | None, control_rate: float) -> int:
     """Control ticks in duration; a ValueError unless it is finite and holds 1 to MAX_TICKS."""
     ticks = math.nan if duration is None else duration * control_rate
     if not (math.isfinite(ticks) and round(ticks) >= 1):
+        if ticks == math.inf and math.isfinite(duration):  # the count overflowed a float
+            raise ValueError(
+                f"control_rate {control_rate:g} Hz over {duration:g} s is more than "
+                f"MAX_TICKS = {MAX_TICKS} ticks"
+            )
         raise ValueError(
             f"duration must be finite and at least one control tick "
             f"({1.0 / control_rate:g} s), got {duration}"
         )
     ticks = round(ticks)
     if ticks > MAX_TICKS:
+        # Past 2**53 the count's digits are the product's rounding: three are written.
+        count = ticks if ticks <= 2**53 else f"{ticks:.3g}"
         raise ValueError(
-            f"control_rate {control_rate:g} Hz over {duration:g} s is {ticks} ticks, "
+            f"control_rate {control_rate:g} Hz over {duration:g} s is {count} ticks, "
             f"more than MAX_TICKS = {MAX_TICKS}"
         )
     return ticks
@@ -350,9 +357,13 @@ def check_sample_count(spans: int, samples_per_span: int) -> None:
     if samples_per_span < 1:
         raise ValueError(f"samples_per_span must be at least 1, got {samples_per_span}")
     if spans * samples_per_span > MAX_SAMPLES:
+        count = samples_per_span
+        if count > 2**53:  # three digits; Decimal formats an int past a float's range too
+            from decimal import Decimal
+
+            count = f"{Decimal(count):.3g}"
         raise ValueError(
-            f"{samples_per_span} samples per span over {spans} spans exceeds "
-            f"MAX_SAMPLES = {MAX_SAMPLES}"
+            f"{count} samples per span over {spans} spans exceeds MAX_SAMPLES = {MAX_SAMPLES}"
         )
 
 

@@ -266,12 +266,15 @@ def _one_blas_thread():
     """Run the block on one OpenBLAS thread, and restore each library's count after.
 
     Threaded kernels split their sums by the thread count, so without the cap
-    a plan's last bits would depend on the machine. The solve calls two
-    libraries: numpy's matmul and scipy's LAPACK each have their own OpenBLAS.
-    Those loaded at the first solve are found in the process's memory map;
-    where none is found, or one lacks openblas_set_num_threads_local, nothing
-    changes. The count is the library's own, so while a solve runs, other
-    threads' calls into it are capped too.
+    a plan's last bits would depend on it. They still depend on the machine:
+    OpenBLAS picks its kernels by CPU (OPENBLAS_CORETYPE), and on other
+    kernels 4 of the 8 bundled plans take 1 or 2 iterations more or fewer.
+    The solve calls two libraries: numpy's matmul and scipy's LAPACK each
+    have their own OpenBLAS. Those loaded at the first solve are found in
+    the process's memory map; where none is found, or one lacks
+    openblas_set_num_threads_local, nothing changes. The count is the
+    library's own, so while a solve runs, other threads' calls into it are
+    capped too.
     """
     global _BLAS_SETTERS
     if _BLAS_SETTERS is None:

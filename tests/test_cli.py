@@ -6,6 +6,7 @@ import importlib.resources
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -753,6 +754,13 @@ class TestSplineShapeAndGravity:
         ("seven-final-pins", pin_count("final", 7), "endpoints.final"),
         ("gravity-zero", lambda d: d.update(gravity=0.0), "gravity must be positive"),
         ("gravity-negative", lambda d: d.update(gravity=-9.81), "gravity must be positive"),
+        # Untracked, spans too wide for a usable snap Gram: the solve would
+        # end in numerical-failure (exit 3).
+        (
+            "tf-1e60-untracked",
+            lambda d: (d.pop("tracking"), d["spline"].update(tf=1.0e60)),
+            "spline.tf: (tf - t0) / ",
+        ),
     ]
 
     @pytest.mark.parametrize("command", ["plan", "verify"])
@@ -964,20 +972,38 @@ class TestBadTracking:
         assert main([command, "--scenario", path]) == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
-    @pytest.mark.parametrize("duration", [10.0, None])
-    def test_tick_count_capped(self, tmp_path, capsys, duration):
-        # 10 s at 10 MHz is 1e8 ticks, past MAX_TICKS: refused at load, with
-        # the scenario's duration or, without one, the planning horizon.
+    # Past MAX_TICKS a run is refused at load, with the scenario's duration
+    # or, without one, the planning horizon: 10 s at 10 MHz is 1e8 ticks.
+    # A count past 2**53 is written to three digits, and one that overflows
+    # a float is named as past the cap, not as an infinite duration.
+    @pytest.mark.parametrize("command", ["plan", "verify"])
+    @pytest.mark.parametrize(
+        "rate, duration, count",
+        [
+            (1.0e7, 10.0, "is 100000000 ticks, more than MAX_TICKS"),
+            (1.0e7, None, "is 100000000 ticks, more than MAX_TICKS"),
+            (100.0, 1.0e306, "is 1e+308 ticks, more than MAX_TICKS"),
+            (1.0e300, 1.0e10, "is more than MAX_TICKS = 1000000 ticks"),
+        ],
+        ids=["10MHz-10s", "10MHz-horizon", "100Hz-1e306s", "1e300Hz-1e10s"],
+    )
+    def test_tick_count_capped(self, tmp_path, capsys, hover_plan, command, rate, duration, count):
         doc = hover_dict()
-        doc["tracking"]["control_rate"] = 1.0e7
+        doc["tracking"]["control_rate"] = rate
         doc["tracking"].pop("duration", None)
         if duration is not None:
             doc["tracking"]["duration"] = duration
         path = write_scenario(tmp_path, doc)
-        with pytest.raises(ScenarioError, match="tracking: control_rate 1e"):
+        want = f"{path}: tracking: control_rate {rate:g} Hz over "
+        with pytest.raises(ScenarioError, match=re.escape(want)):
             load_scenario(path)
-        assert main(["plan", "--scenario", path]) == EXIT_PARSE
-        assert "tracking: control_rate 1e+07 Hz" in capsys.readouterr().err
+        argv = [command, "--scenario", path]
+        if command == "verify":
+            argv += ["--plan", write_plan(tmp_path, hover_plan)]
+        assert main(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {want}")
+        assert count in err and not re.search(r"\d{21}", err)
 
 
 class TestSolverTol:
@@ -1221,19 +1247,25 @@ class TestVerifyCommand:
         message = f"--samples-per-span: samples_per_span must be at least 1, got {count}"
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    # 10**15 per span: numpy refuses such a grid at once, so nothing is
+    # allocated even where the cap is missing. A count past 2**53 is written
+    # to three digits, one past a float's range too.
+    @pytest.mark.parametrize(
+        "count, written",
+        [(10**15, "1000000000000000 "), (10**80, "1.00e+80 "), (10**400, "1.00e+400 ")],
+        ids=["1e15", "1e80", "1e400"],
+    )
     @pytest.mark.parametrize("with_plan", [True, False], ids=["plan-file", "replan"])
     def test_sample_count_past_the_grid_cap_exits_parse(
-        self, tmp_path, hover_plan, with_plan, capsys
+        self, tmp_path, hover_plan, with_plan, count, written, capsys
     ):
-        # 10**15 per span: numpy refuses such a grid at once, so nothing is allocated
-        # even where the cap is missing.
-        args = ["verify", "--scenario", "hover", "--samples-per-span", str(10**15)]
+        args = ["verify", "--scenario", "hover", "--samples-per-span", str(count)]
         if with_plan:
             args += ["--plan", write_plan(tmp_path, hover_plan)]
         assert main(args) == EXIT_PARSE
         err = capsys.readouterr().err
-        assert "--samples-per-span" in err and "MAX_SAMPLES" in err
-        assert "unexpected" not in err
+        assert err.startswith(f"error: --samples-per-span: {written}samples per span over 8 spans")
+        assert "MAX_SAMPLES" in err and not re.search(r"\d{21}", err)
 
     @pytest.mark.parametrize(
         "tol, message",
@@ -1279,13 +1311,15 @@ class TestVerifyCommand:
 
 
 class TestTrackCommand:
-    def test_hover_track_writes_trace_and_report(self, tmp_path, hover_plan, capsys):
+    @pytest.mark.parametrize("filtered", [True, False], ids=["filtered", "no-filter"])
+    def test_hover_track_writes_trace_and_report(self, tmp_path, hover_plan, capsys, filtered):
         plan_path = write_plan(tmp_path, hover_plan)
         out = tmp_path / "trace.csv"
         args = ["track", "--scenario", "hover", "--plan", plan_path, "--out", str(out)]
-        assert main(args) == EXIT_OK
+        assert main(args + ([] if filtered else ["--no-filter"])) == EXIT_OK
         stdout = capsys.readouterr().out
-        assert "filtered run" in stdout
+        label = "filtered" if filtered else "unfiltered"
+        assert stdout.startswith(f"hover: {label} run, 1000 ticks at 100 Hz\n")
         assert "min barrier" in stdout
 
         assert out.exists()
@@ -1294,7 +1328,7 @@ class TestTrackCommand:
 
         report = json.loads((tmp_path / "trace.csv.report.json").read_text())
         assert report["scenario"] == "hover"
-        assert report["filtered"] is True
+        assert report["filtered"] is filtered
         ic = report["initial_conditions"]
         assert set(ic) == {"tube_ok", "slope_ok", "velocity_ok", "e_inf", "e1_inf"}
         assert ic["tube_ok"] is True and ic["e_inf"] == 0.0
@@ -1351,11 +1385,13 @@ class TestTrackCommand:
 
 
 class TestExportCommand:
-    @pytest.mark.parametrize("name", ["example1", "example2_window"])
+    @pytest.mark.parametrize("name", ["example1", "example2_window", "hover"])
     def test_csv_bytes_match_the_per_row_writer(self, tmp_path, bundled_plan, name):
         pl = bundled_plan(name)
         out = tmp_path / "samples.csv"
         assert main(["export", "--plan", write_plan(tmp_path, pl), "--out", str(out)]) == EXIT_OK
+        spans = pl.curve.knots.n - pl.curve.knots.degree + 1
+        assert out.read_text().count("\n") == 1 + spans * 50 + 1  # header, 50 per span, final knot
         export_csv_per_row(pl, 50, tmp_path / "want.csv")
         assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -1702,18 +1738,16 @@ def child_env(**extra) -> dict:
 class TestColdStart:
     """In a fresh interpreter only a solve loads scipy, and nothing loads jsonschema."""
 
-    PROBE = (
-        "import json, sys\n"
-        "from safeflight.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'jsonschema'})))\n"
-        "sys.exit(code)\n"
-    )
+    CLI = "from safeflight.cli import main\nassert main(sys.argv[1:]) == 0"
 
-    def run(self, cwd, *args):
-        """Run one command in a new interpreter; its stdout and the heavy modules it loaded."""
+    def run(self, cwd, code, *args):
+        """Run code in a new interpreter; its stdout and the heavy modules it loaded."""
+        probe = (
+            f"import json, sys\n{code}\n"
+            "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'jsonschema'})))\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c", self.PROBE, *args],
+            [sys.executable, "-c", probe, *args],
             cwd=cwd,
             env=child_env(),
             capture_output=True,
@@ -1725,7 +1759,7 @@ class TestColdStart:
         return "\n".join(out), json.loads(loaded)
 
     def test_only_the_solve_loads_scipy(self, tmp_path):
-        out, loaded = self.run(tmp_path, "plan", "--scenario", "hover", "--out", "plan.json")
+        out, loaded = self.run(tmp_path, self.CLI, "plan", "--scenario", "hover", "--out", "plan.json")
         assert "hover: optimal" in out
         assert loaded == ["scipy"]
         for args in (
@@ -1733,7 +1767,26 @@ class TestColdStart:
             ["track", "--scenario", "hover", "--plan", "plan.json", "--out", "run.csv"],
             ["export", "--plan", "plan.json", "--out", "samples.csv"],
         ):
-            assert self.run(tmp_path, *args)[1] == [], args[0]
+            assert self.run(tmp_path, self.CLI, *args)[1] == [], args[0]
+
+    # Importing the CLI or the document checker loads neither, and nor do
+    # building example1's cone model and auditing a point: the audit reads
+    # the stored triplets with numpy alone.
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import safeflight.cli",
+            "import safeflight.documents",
+            "import numpy as np\n"
+            "from safeflight.cli import load_scenario\n"
+            "from safeflight.planner import compile_plan\n"
+            "cp = compile_plan(load_scenario('example1').planning)[0].cp\n"
+            "cp.residuals(np.zeros(cp.num_vars))",
+        ],
+        ids=["import-cli", "import-documents", "compile-plan-and-residuals"],
+    )
+    def test_loads_neither(self, tmp_path, code):
+        assert self.run(tmp_path, code) == ("", [])
 
 
 @pytest.mark.parametrize("name", ["example1", "margin_demo"])
