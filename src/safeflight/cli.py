@@ -74,6 +74,7 @@ from .simverify import (
     span_samples,
     verify_plan,
     verify_span_minima,
+    write_csv,
 )
 from .splines import plan_knots
 from .tracker import CbfParams, PdGains, ReferencePoint, TrackingState, check_initial_conditions
@@ -489,11 +490,7 @@ def cmd_export(args) -> int:
         [ts, pos, vel, speed, acc, thrust, np.rad2deg(phi), np.rad2deg(theta)]
         + [np.rad2deg(p_rate), np.rad2deg(q_rate), zeta]
     )
-    # One format string per row; the lines end in "\r\n" as csv.writer's do.
-    line = ",".join(["%.12g"] * cols.shape[1]) + "\r\n"
-    with open(args.out, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.write("".join(line % tuple(row) for row in cols.tolist()))
+    write_csv(args.out, header, cols)
     print(f"{ts.size} samples written to {args.out}")
     return EXIT_OK
 

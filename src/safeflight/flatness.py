@@ -67,7 +67,7 @@ def attitude_from_virtual(mu: np.ndarray, psi: float, g: float = GRAVITY) -> Red
     x, y, m3 = mu[..., 0], mu[..., 1], mu[..., 2] + g
     inverted = m3 <= 0.0
     if inverted.any():
-        raise InvertedFlightError(f"vertical thrust component {m3[inverted].min():.3f} <= 0")
+        raise InvertedFlightError(f"vertical thrust component {m3[inverted].min():.4g} <= 0")
     c_psi, s_psi = np.cos(psi), np.sin(psi)
     try:
         with np.errstate(over="raise"):  # an inf entry makes inf without overflowing
@@ -131,7 +131,7 @@ def tilt_thrust_rates(
         raise SingularAttitudeError("thrust axis parallel to e_y in batch")
     inverted = tz <= 0.0
     if np.any(inverted):
-        raise InvertedFlightError(f"vertical thrust component {np.min(tz[inverted]):.3f} <= 0")
+        raise InvertedFlightError(f"vertical thrust component {np.min(tz[inverted]):.4g} <= 0")
     x1, x3 = z3 / nx, -z1 / nx
 
     theta = -np.arcsin(np.clip(x3, -1.0, 1.0))

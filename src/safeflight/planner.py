@@ -599,7 +599,7 @@ class PlanAssembly:
         by the flat map this bounds max(|roll|, |pitch|) over all yaw.
         """
         if margin >= self.g:
-            raise MarginInfeasibleError(f"tilt margin {margin:.3f} exceeds gravity")
+            raise MarginInfeasibleError(f"tilt margin {margin:.4g} exceeds gravity")
         cot = abs(1.0 / np.tan(tilt_max))
         rows, cols = self.point_rows(2, np.arange(2, self.n + 1))
         k = rows.shape[0]
@@ -784,11 +784,11 @@ def compile_tracking_margins(
     new_min = bounds.thrust_min + ball if bounds.thrust_min > 0 else bounds.thrust_min
     problems = []
     if new_max < gravity:
-        problems.append(f"thrust_max - sqrt(3)*4*delta*a2 = {new_max:.3f} < g")
+        problems.append(f"thrust_max - sqrt(3)*4*delta*a2 = {new_max:.4g} < g")
     if new_min > gravity:
-        problems.append(f"thrust_min + sqrt(3)*4*delta*a2 = {new_min:.3f} > g")
+        problems.append(f"thrust_min + sqrt(3)*4*delta*a2 = {new_min:.4g} > g")
     if bounds.tilt_margin + tilt_margin >= gravity:
-        problems.append(f"tilt margin {tilt_margin:.3f} >= g")
+        problems.append(f"tilt margin {tilt_margin:.4g} >= g")
     if problems:
         raise MarginInfeasibleError("; ".join(problems))
     return dataclasses.replace(

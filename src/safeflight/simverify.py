@@ -155,12 +155,20 @@ class SimTrace:
             [self.t, self.r, self.r1, self.ref_r, self.ref_r1, self.ref_r2, self.mu_nominal]
             + [self.mu, self.thrust, np.rad2deg(self.phi), np.rad2deg(self.theta), self.barriers]
         )
-        # One format string per row; the lines end in "\r\n" as csv.writer's do.
-        line = ",".join(["%.12g"] * cols.shape[1]) + ",%s\r\n"
-        faces = [";".join(face_names[act]) for act in self.active]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            fh.write("".join(line % (*row, act) for row, act in zip(cols.tolist(), faces)))
+        write_csv(path, header, cols, [";".join(face_names[act]) for act in self.active])
+
+
+def write_csv(path, header: list[str], cols: np.ndarray, text: list[str] | None = None) -> None:
+    """Write header, then one line per row of cols with each number as %.12g.
+
+    text, when given, is one more column of strings, written as they are.
+    The lines end in "\\r\\n" as csv.writer's do.
+    """
+    line = ",".join(["%.12g"] * cols.shape[1]) + (",%s" if text is not None else "") + "\r\n"
+    rows = cols.tolist() if text is None else [(*row, s) for row, s in zip(cols.tolist(), text)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(line % tuple(row) for row in rows))
 
 
 def plan_reference(plan: TrajectoryPlan) -> Callable[[np.ndarray], ReferencePoint]:
@@ -188,41 +196,38 @@ def plan_reference(plan: TrajectoryPlan) -> Callable[[np.ndarray], ReferencePoin
     return ref
 
 
-def make_filtered_controller(
-    params: CbfParams, gains: PdGains, psi: float = 0.0, g: float = GRAVITY
-) -> Callable:
-    """Nominal PD wrapped in the barrier filter.
+def _controller(safety: SafetyFilter, clamp: bool) -> Callable:
+    """simulate's two-form controller over safety's PD law, clamped to its box if clamp.
 
-    With a Python float t it is one tick, SafetyFilter.tick, and returns mu
-    as three floats; otherwise it returns the SafetyFilter call's command.
+    A tick (a Python float t) is safety.tick and returns mu as three floats.
+    Otherwise it returns a SafeCommand: the filter call's, or unclamped the
+    PD nominal as mu_nominal and mu, barriers still recorded.
     """
-    safety = SafetyFilter(params, gains, psi, g)
     tick = safety.tick
 
     def controller(t, state, ref):
-        return tick(state, ref) if type(t) is float else safety(state, ref)
+        if type(t) is float:
+            return tick(state, ref, clamp)
+        if clamp:
+            return safety(state, ref)
+        mu = safety.inputs(state, ref)[0]
+        return SafeCommand(mu, mu, state, ref, safety.params, safety.psi, safety.g)
 
     return controller
+
+
+def make_filtered_controller(
+    params: CbfParams, gains: PdGains, psi: float = 0.0, g: float = GRAVITY
+) -> Callable:
+    """Nominal PD wrapped in the barrier filter."""
+    return _controller(SafetyFilter(params, gains, psi, g), clamp=True)
 
 
 def make_unfiltered_controller(
     params: CbfParams, gains: PdGains, psi: float = 0.0, g: float = GRAVITY
 ) -> Callable:
-    """Nominal PD passed straight through; barriers still recorded.
-
-    A tick (a Python float t) returns the PD nominal as three floats and
-    computes no box.
-    """
-    safety = SafetyFilter(params, gains, psi, g)
-    tick = safety.tick
-
-    def controller(t, state, ref):
-        if type(t) is float:
-            return tick(state, ref, clamp=False)
-        mu = safety.inputs(state, ref)[0]
-        return SafeCommand(mu, mu, state, ref, params, psi, g)
-
-    return controller
+    """Nominal PD passed straight through; barriers still recorded."""
+    return _controller(SafetyFilter(params, gains, psi, g), clamp=False)
 
 
 def simulate(
@@ -278,8 +283,10 @@ def simulate(
         q1 = (vx + ax * h, vy + ay * h, vz + az * h)
 
     R, R1 = (np.fromiter(flat, float, 3 * M).reshape(M, 3) for flat in (rows, rows1))
-    cmd = controller(ts, TrackingState(R, R1), ReferencePoint(ref_r, ref_r1, ref_r2))
-    v = cmd.v
+    # The record overflows to inf and NaN as silently as the loop's floats.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cmd = controller(ts, TrackingState(R, R1), ReferencePoint(ref_r, ref_r1, ref_r2))
+        v, barriers, active = cmd.v, cmd.barriers, cmd.active
     return SimTrace(
         t=ts,
         r=R,
@@ -292,8 +299,8 @@ def simulate(
         thrust=v.thrust,
         phi=v.phi,
         theta=v.theta,
-        barriers=cmd.barriers,
-        active=cmd.active,
+        barriers=barriers,
+        active=active,
     )
 
 
@@ -367,16 +374,24 @@ def check_sample_count(spans: int, samples_per_span: int) -> None:
         )
 
 
+def _span_grid(plan: TrajectoryPlan, samples_per_span: int, endpoint: bool):
+    """The nonempty spans l, and a (spans, samples) grid whose row k is one linspace over span l[k].
+
+    Each row holds its span's right end if endpoint. A count that
+    check_sample_count refuses is a ValueError, raised before the grid is built.
+    """
+    kv = plan.curve.knots
+    l = np.array(kv.nonempty_spans())
+    check_sample_count(l.size, samples_per_span)
+    return l, np.linspace(kv.tau[l], kv.tau[l + 1], samples_per_span, endpoint=endpoint, axis=1)
+
+
 def span_samples(plan: TrajectoryPlan, samples_per_span: int) -> np.ndarray:
     """Left-closed per-span grids, one linspace over every span, plus the exact final time.
 
     A count that check_sample_count refuses is a ValueError, raised before the grid is built.
     """
-    kv = plan.curve.knots
-    l = np.array(kv.nonempty_spans())
-    check_sample_count(l.size, samples_per_span)
-    grid = np.linspace(kv.tau[l], kv.tau[l + 1], samples_per_span, endpoint=False, axis=1)
-    return np.append(grid.ravel(), kv.tf)
+    return np.append(_span_grid(plan, samples_per_span, endpoint=False)[1], plan.curve.knots.tf)
 
 
 def _worst(ts: np.ndarray, margins: np.ndarray) -> tuple[float, float]:
@@ -477,8 +492,7 @@ def verify_plan(
         # span ends included, and one curve evaluation for all of them. Sets
         # with equal cone tables share one margin call over all their spans'
         # rows, which still multiplies each span's (samples, 3) block alone.
-        spans = kv.degree + np.arange(len(regions))
-        seg = np.linspace(kv.tau[spans], kv.tau[spans + 1], samples_per_span, axis=1)
+        seg = _span_grid(plan, samples_per_span, endpoint=True)[1]
         seg_pos = plan.curve.eval(seg.ravel(), 0).reshape(seg.shape + (3,))
         same: dict[tuple[bytes, ...], list[int]] = {}
         for l, region in enumerate(regions):
@@ -505,11 +519,7 @@ def verify_span_minima(
     evaluation covers every row. A count that check_sample_count refuses is
     a ValueError, raised before the grid is built.
     """
-    kv = plan.curve.knots
-    spans = kv.nonempty_spans()
-    check_sample_count(len(spans), samples_per_span)
-    l = np.array(spans)
-    seg = np.linspace(kv.tau[l], kv.tau[l + 1], samples_per_span, axis=1)
+    spans, seg = _span_grid(plan, samples_per_span, endpoint=True)
     acc, jerk = plan.curve.eval(seg.ravel(), (2, 3))
     zeta = plan.span_zeta
     thrust = np.linalg.norm(acc + np.array([0.0, 0.0, plan.gravity]), axis=1).reshape(seg.shape)
@@ -519,7 +529,7 @@ def verify_span_minima(
     rows = np.arange(len(spans))
     i, j = floor.argmin(axis=1), cone.argmin(axis=1)
     worst = zip(
-        spans,
+        spans.tolist(),
         zeta.tolist(),
         floor[rows, i].tolist(),
         seg[rows, i].tolist(),

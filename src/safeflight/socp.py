@@ -29,7 +29,6 @@ import time
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -193,8 +192,7 @@ class ConeProgram:
         rows, cols, vals, b, cones = self._triplets()
         s = b - np.bincount(rows, vals * x[cols], minlength=b.size)
         lin = cones.zero + cones.nonneg
-        alg = _ConeAlgebra(0, cones.soc)
-        cone = np.sqrt(alg.tail_dot(s[lin:], s[lin:])) - s[lin:][alg.starts]
+        cone = np.sqrt(cones.tail_dot(s[lin:], s[lin:])) - s[lin:][cones.starts]
         # One violation per linear row and one per cone, batch after batch.
         violation = np.concatenate([np.abs(s[: cones.zero]), -s[cones.zero : lin], cone])
         codes = np.array([batch.code for batch in self._store], dtype=int)
@@ -240,18 +238,18 @@ class ConeProgram:
             x, objective, max_residual = None, np.nan, np.inf
         return Solution(status, x, objective, max_residual, dt, iterations, raw_status)
 
-    def _triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, _Cones]:
+    def _triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, _ConeAlgebra]:
         """The canonical A x + s = b, s in K, as (rows, cols, vals, b, cones).
 
-        Rows come in the order of _Cones: all equality rows, then all
-        inequality rows, then one second-order cone per constraint, written
-        as s = (c'x + d, A x + b). Each kind keeps the order of its adds.
+        Rows come in the order of K, which cones records: all equality rows,
+        then all inequality rows, then one second-order cone per constraint,
+        written as s = (c'x + d, A x + b). Each kind keeps the order of its adds.
         """
         sizes = [batch.k * batch.m for batch in self._store]
         zero = sum(n for batch, n in zip(self._store, sizes) if batch.kind == "eq")
         soc = [batch for batch in self._store if batch.kind == "soc"]
         dims = np.repeat([b.m for b in soc], [b.k for b in soc]).astype(int).tolist()
-        cones = _Cones(zero, sum(sizes) - zero - sum(dims), tuple(dims))
+        cones = _ConeAlgebra(zero, sum(sizes) - zero - sum(dims), tuple(dims))
         first = np.cumsum([0] + sizes).tolist()
         empty = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),) * 2
         parts = [(b.rows + f, b.cols, b.vals, b.rhs) for b, f in zip(self._store, first)]
@@ -325,38 +323,29 @@ def _openblas_setters():
 
 
 @dataclass(frozen=True)
-class _Cones:
-    """Row layout of K: zero rows, nonnegative rows, then second-order cones."""
+class _ConeAlgebra:
+    """K's row layout and the Jordan algebra of R+^nonneg x SOC(d_1) x ... on its cone rows.
+
+    K is zero rows, nonneg rows, then a second-order cone of d rows per d in
+    soc. Vectors over the cone rows hold the nonnegative entries first, then
+    each cone with its axis entry (the head) first. Cones are handled as
+    segments, set once at construction, so every operation is a few array
+    calls for any cone count.
+    """
 
     zero: int
     nonneg: int
     soc: tuple[int, ...]
 
-
-class _ConeAlgebra:
-    """Jordan algebra of R+^l x SOC(d_1) x ... on vectors over the cone rows.
-
-    Vectors hold the l nonnegative entries first, then each second-order
-    cone with its axis entry (the head) first. Cones are handled as
-    segments, so every operation is a few array calls for any cone count.
-    """
-
-    def __init__(self, nonneg: int, soc_dims: tuple[int, ...]):
-        self.dims = np.asarray(soc_dims, dtype=int)
-        self.l = int(nonneg)
-        self.degree = self.l + self.dims.size
-        self.starts = np.cumsum(self.dims) - self.dims  # head row of each cone
-
-    @cached_property
-    def cone(self) -> np.ndarray:
-        """The cone of each SOC row."""
-        return np.repeat(np.arange(self.dims.size), self.dims)
-
-    @cached_property
-    def identity(self) -> np.ndarray:
-        head = np.zeros(int(self.dims.sum()))
-        head[self.starts] = 1.0
-        return np.concatenate([np.ones(self.l), head])
+    def __post_init__(self):
+        dims = np.asarray(self.soc, dtype=int)
+        starts = np.cumsum(dims) - dims  # head row of each cone
+        head = np.zeros(dims.sum())
+        head[starts] = 1.0
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "cone", np.repeat(np.arange(dims.size), dims))  # of each SOC row
+        object.__setattr__(self, "identity", np.concatenate([np.ones(self.nonneg), head]))
 
     def seg(self, v: np.ndarray) -> np.ndarray:
         """Per-cone sums over the rows of SOC vectors (axis 0)."""
@@ -376,20 +365,20 @@ class _ConeAlgebra:
         return (u0 - n1) * (u0 + n1)
 
     def min_eig(self, u: np.ndarray) -> float:
-        us = u[self.l :]
+        us = u[self.nonneg :]
         eig = us[self.starts] - np.sqrt(self.tail_dot(us, us))
-        return float(np.concatenate([u[: self.l], eig]).min(initial=np.inf))
+        return float(np.concatenate([u[: self.nonneg], eig]).min(initial=np.inf))
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Jordan product u o v."""
-        l, us, vs = self.l, u[self.l :], v[self.l :]
+        l, us, vs = self.nonneg, u[self.nonneg :], v[self.nonneg :]
         soc = us[self.starts][self.cone] * vs + vs[self.starts][self.cone] * us
         soc[self.starts] = self.seg(us * vs)
         return np.concatenate([u[:l] * v[:l], soc])
 
     def scaling(self, s: np.ndarray, z: np.ndarray) -> _NTScaling:
         """Nesterov-Todd scaling W at (s, z), with W z = W^-1 s = lam."""
-        l = self.l
+        l = self.nonneg
         ss, zs = s[l:], z[l:]
         s_norm = np.sqrt(self.soc_det(ss))
         z_norm = np.sqrt(self.soc_det(zs))
@@ -415,7 +404,7 @@ class _NTScaling:
     def __init__(self, alg: _ConeAlgebra, w_lin, w0, w1, eta, z):
         self.alg, self.w_lin, self.w0, self.w1, self.eta = alg, w_lin, w0, w1, eta
         self.lam = self.apply(z)
-        ls = self.lam[alg.l :]
+        ls = self.lam[alg.nonneg :]
         self.lam_det = alg.soc_det(ls)
         self.lam_norm = np.sqrt(self.lam_det)
         self.lam_unit = ls / self.lam_norm[alg.cone]
@@ -425,25 +414,25 @@ class _NTScaling:
         alg = self.alg
         u2 = u[:, None] if u.ndim == 1 else u
         sign = -1.0 if inverse else 1.0
-        us, w1 = u2[alg.l :], self.w1[:, None]
+        us, w1 = u2[alg.nonneg :], self.w1[:, None]
         zeta = alg.seg(w1 * us)
         u0 = us[alg.starts]
         coef = sign * u0 + zeta / (1.0 + self.w0)[:, None]
         soc = us + coef[alg.cone] * w1
         soc[alg.starts] = self.w0[:, None] * u0 + sign * zeta
         soc *= (self.eta**sign)[alg.cone, None]
-        out = np.concatenate([u2[: alg.l] * (self.w_lin**sign)[:, None], soc])
+        out = np.concatenate([u2[: alg.nonneg] * (self.w_lin**sign)[:, None], soc])
         return out[:, 0] if u.ndim == 1 else out
 
     def divide(self, d: np.ndarray) -> np.ndarray:
         """The x with lam o x = d."""
         alg, lam = self.alg, self.lam
-        ls, ds = lam[alg.l :], d[alg.l :]
+        ls, ds = lam[alg.nonneg :], d[alg.nonneg :]
         l0 = ls[alg.starts]
         x0 = (l0 * ds[alg.starts] - alg.tail_dot(ls, ds)) / self.lam_det
         soc = (ds - x0[alg.cone] * ls) / l0[alg.cone]
         soc[alg.starts] = x0
-        return np.concatenate([d[: alg.l] / lam[: alg.l], soc])
+        return np.concatenate([d[: alg.nonneg] / lam[: alg.nonneg], soc])
 
     def max_step(self, du: np.ndarray) -> float:
         """Largest a with lam + a du[:, j] in K for every column j of du.
@@ -452,7 +441,7 @@ class _NTScaling:
         the boosted direction rho as 1 / (||rho_1|| - rho_0), and as
         1 / max(-du / lam) on the nonnegative rows.
         """
-        alg, l = self.alg, self.alg.l
+        alg, l = self.alg, self.alg.nonneg
         ds, ub, norm = du[l:], self.lam_unit[:, None], self.lam_norm[:, None]
         u0, d0 = ub[alg.starts], ds[alg.starts]
         dot = u0 * d0 - alg.tail_dot(ub, ds)
@@ -477,10 +466,10 @@ class _ScaledMatrix:
     def __init__(self, G: sparse.csr_matrix, alg: _ConeAlgebra):
         n = G.shape[1]
         self.shape, self.n = G.shape, n
-        lin = G[: alg.l]
-        self.lin_rows = np.repeat(np.arange(alg.l), np.diff(lin.indptr))
+        lin = G[: alg.nonneg]
+        self.lin_rows = np.repeat(np.arange(alg.nonneg), np.diff(lin.indptr))
         self.lin_data = lin.data
-        soc = G[alg.l :].tocoo()
+        soc = G[alg.nonneg :].tocoo()
         keys = alg.cone[soc.row] * n + soc.col
         pairs = np.unique(keys)  # (cone, column) pairs of the block patterns
         self.pair_cone = pairs // n
@@ -601,7 +590,7 @@ class _KKT:
         return x, y, v
 
 
-def _equilibrate(rows, cols, vals, shape, cones: _Cones, alg: _ConeAlgebra):
+def _equilibrate(rows, cols, vals, shape, cones: _ConeAlgebra):
     """Ruiz equilibration: scalings d, c that bring the rows and columns of
     diag(d) A diag(c) towards unit infinity norm, for the triplets of A with
     vals = |a|. d is constant on each second-order cone, so that diag(d)
@@ -618,14 +607,14 @@ def _equilibrate(rows, cols, vals, shape, cones: _Cones, alg: _ConeAlgebra):
     for _ in range(10):
         scaled = vals * d[rows] * c[cols]
         row_max = peak(rows, m, scaled)
-        if alg.starts.size:
-            row_max[first:] = np.maximum.reduceat(row_max[first:], alg.starts)[alg.cone]
+        if cones.starts.size:
+            row_max[first:] = np.maximum.reduceat(row_max[first:], cones.starts)[cones.cone]
         d /= np.sqrt(row_max)
         c /= np.sqrt(peak(cols, n, scaled))
     return d, c
 
 
-def _interior_point(q, rows, cols, vals, b, cones: _Cones, tol: float, max_iter: int):
+def _interior_point(q, rows, cols, vals, b, alg: _ConeAlgebra, tol: float, max_iter: int):
     """Solve min q'x s.t. A x + s = b, s in K; returns (status, x, iterations).
 
     A comes as its (row, column, value) triplets. The iterate (x, z, s, tau,
@@ -637,11 +626,10 @@ def _interior_point(q, rows, cols, vals, b, cones: _Cones, tol: float, max_iter:
     """
     from scipy import sparse
 
-    p = cones.zero
-    alg = _ConeAlgebra(cones.nonneg, cones.soc)
+    p = alg.zero
     shape = (b.size, q.size)
     nb, nq = np.abs(b).max(initial=0.0), np.abs(q).max(initial=0.0)
-    d, c = _equilibrate(rows, cols, np.abs(vals), shape, cones, alg)
+    d, c = _equilibrate(rows, cols, np.abs(vals), shape, alg)
     A = sparse.csr_matrix((vals * d[rows] * c[cols], (rows, cols)), shape)
     q, b = q * c, b * d
     AT = A.T.tocsr()
@@ -675,7 +663,7 @@ def _interior_point(q, rows, cols, vals, b, cones: _Cones, tol: float, max_iter:
         rp[p:] -= s
         qx, bz = float(q @ x), float(b @ z)
         rtau = -qx - bz - kappa
-        mu = (float(s @ zc) + tau * kappa) / (alg.degree + 1)
+        mu = (float(s @ zc) + tau * kappa) / (alg.nonneg + alg.dims.size + 1)
 
         # Termination, on the original data. Clarabel measures residuals
         # against the data and the size of the iterate; here they must also

@@ -53,7 +53,7 @@ class CbfParams:
             raise ValueError(f"a1^2 must be finite, got a1 = {self.a1}")
         if self.a1**2 < 4.0 * self.a2:
             raise ValueError(
-                f"a1^2 = {self.a1 ** 2:.3f} < 4 a2 = {4 * self.a2:.3f}: complex error poles"
+                f"a1^2 = {self.a1 ** 2:.4g} < 4 a2 = {4 * self.a2:.4g}: complex error poles"
             )
 
     @property

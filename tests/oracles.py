@@ -32,9 +32,10 @@ the package's filter, which forms each error difference once and holds its
 coefficients as plain floats, must match them bit for bit, on single ticks
 and on whole closed loops.
 
-The export command's samples CSV has a per-row writer here, csv.writer
-over one formatted list per sample with each speed from its own
-np.linalg.norm call; the package's writer must produce the same bytes.
+The export command's samples CSV and the closed loop's trace CSV have
+per-row writers here, csv.writer over one formatted list per row, each
+export speed from its own np.linalg.norm call; the package's one CSV
+writer must produce the same bytes for both.
 
 The membership margins have their direct forms: soc_margin_direct takes
 the norm with np.linalg.norm along the last axis and region_margin_direct
@@ -113,7 +114,7 @@ from safeflight.simverify import (
     _worst,
     span_samples,
 )
-from safeflight.socp import ConeProgram, _ConeAlgebra
+from safeflight.socp import ConeProgram
 from safeflight.splines import KnotVector, clamped_uniform_knots
 from safeflight.tracker import (
     CbfParams,
@@ -455,6 +456,29 @@ def export_csv_per_row(pl, samples_per_span: int, path) -> None:
             writer.writerow([f"{v:.12g}" for v in row])
 
 
+def trace_csv_per_row(trace, path) -> None:
+    """SimTrace.to_csv's file, written row by row through csv.writer."""
+    header = [
+        "t", "x", "y", "z", "vx", "vy", "vz", "ref_x", "ref_y", "ref_z",
+        "ref_vx", "ref_vy", "ref_vz", "ref_ax", "ref_ay", "ref_az",
+        "mu_nom_x", "mu_nom_y", "mu_nom_z", "mu_x", "mu_y", "mu_z",
+        "thrust", "phi_deg", "theta_deg",
+        "h_xu", "h_xl", "h_yu", "h_yl", "h_zu", "h_zl", "active_faces",
+    ]
+    faces = ("x+", "x-", "y+", "y-", "z+", "z-")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(trace.t.size):
+            row = (
+                [trace.t[i], *trace.r[i], *trace.r1[i], *trace.ref_r[i], *trace.ref_r1[i]]
+                + [*trace.ref_r2[i], *trace.mu_nominal[i], *trace.mu[i], trace.thrust[i]]
+                + [np.rad2deg(trace.phi[i]), np.rad2deg(trace.theta[i]), *trace.barriers[i]]
+            )
+            active = ";".join(face for face, on in zip(faces, trace.active[i]) if on)
+            writer.writerow([f"{v:.12g}" for v in row] + [active])
+
+
 def soc_margin_direct(cone, p):
     """SocSet.margin with the norm taken by np.linalg.norm along the last axis."""
     p = np.asarray(p, dtype=float)
@@ -703,7 +727,7 @@ def dense_compile_plan(scenario: PlanningScenario) -> DensePlanAssembly:
     return asm
 
 
-def equilibrate_csr(A, cones, alg, passes: int = 10):
+def equilibrate_csr(A, cones, passes: int = 10):
     """Ruiz scalings d, c of the CSR matrix A over segment maxima of its rows and columns."""
     (m, n), first = A.shape, cones.zero + cones.nonneg
     rows = np.repeat(np.arange(m), np.diff(A.indptr))
@@ -722,8 +746,8 @@ def equilibrate_csr(A, cones, alg, passes: int = 10):
     for _ in range(passes):
         vals = data * d[rows] * c[A.indices]
         row_max = seg_max(vals, A.indptr)
-        if alg.starts.size:
-            row_max[first:] = np.maximum.reduceat(row_max[first:], alg.starts)[alg.cone]
+        if cones.starts.size:
+            row_max[first:] = np.maximum.reduceat(row_max[first:], cones.starts)[cones.cone]
         d /= np.sqrt(row_max)
         c /= np.sqrt(seg_max(vals[by_col], col_ptr))
     return d, c
@@ -735,7 +759,7 @@ def csc_scaled_matrix(prog: ConeProgram):
 
     rows, cols, vals, b, cones = prog._triplets()
     A = sparse.csc_matrix((vals, (rows, cols)), shape=(b.size, prog.num_vars)).tocsr()
-    d, c = equilibrate_csr(A, cones, _ConeAlgebra(cones.nonneg, cones.soc))
+    d, c = equilibrate_csr(A, cones)
     return d, c, sparse.diags(d) @ A @ sparse.diags(c)
 
 

@@ -947,7 +947,8 @@ class TestBadTracking:
     # Each bad tracking value exits 2 on every command, naming its file, its
     # field and the value, before any planning starts.
     CASES = [
-        ("cbf", "a1", 2.0, "tracking.cbf: a1^2 = 4.000 < 4 a2 = 32.000: complex error poles"),
+        ("cbf", "a1", 2.0, "tracking.cbf: a1^2 = 4 < 4 a2 = 32: complex error poles"),
+        ("cbf", "a2", 1.0e301, "tracking.cbf: a1^2 = 36 < 4 a2 = 4e+301: complex error poles"),
         ("cbf", "a1", 1.0e300, "tracking.cbf: a1^2 must be finite, got a1 = 1e+300"),
         ("gains", "kp", -2.0, "tracking.gains: kp must be nonnegative and finite, got -2.0"),
         (None, "control_rate", 0.0, "tracking: control_rate must be positive and finite, got 0.0"),
@@ -1361,6 +1362,23 @@ class TestTrackCommand:
         assert "error: flatness map undefined on the plan: InvertedFlightError" in err
         assert "unexpected error" not in err
 
+    # kp = 1e308 times the 2 m start error overflows the PD law. The loop's
+    # floats turn to inf (and, unfiltered, to NaN) without a warning, and the
+    # record of the run must too: a RuntimeWarning raised as an error would
+    # exit 5. The report keeps its NaN values.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("filtered", [True, False], ids=["filtered", "no-filter"])
+    def test_overflowing_gain_exits_verify(self, tmp_path, hover_plan, capsys, filtered):
+        doc = hover_dict()
+        doc["tracking"]["gains"]["kp"] = 1.0e308
+        doc["tracking"]["initial_position_offset"] = [0.0, 0.0, -2.0]
+        scenario_path = write_scenario(tmp_path, doc)
+        args = ["track", "--scenario", scenario_path, "--plan", write_plan(tmp_path, hover_plan)]
+        assert main(args + ([] if filtered else ["--no-filter"])) == EXIT_VERIFY
+        out = capsys.readouterr()
+        assert out.out.endswith("FAILED: tracking left the safe tube\n") and not out.err
+        assert ("min barrier nan" in out.out) is not filtered
+
     def test_scenario_without_tracking_exits_parse(self, tmp_path, capsys):
         doc = hover_dict()
         del doc["tracking"]
@@ -1726,6 +1744,33 @@ class TestInvertedFlight:
         err = capsys.readouterr().err
         assert "error: flatness map undefined on the plan: InvertedFlightError" in err
         assert not out.exists()
+
+
+def huge_thrust_bounds(tmp_path, bundled_plan):
+    doc = bundled_dict("margin_demo")
+    doc["bounds"].update(thrust_min=1.0e299, thrust_max=1.0e300)
+    message = "tracking margins infeasible: thrust_min + sqrt(3)*4*delta*a2 = 1e+299 > g"
+    return ["plan", "--scenario", write_scenario(tmp_path, doc)], EXIT_INFEASIBLE, message
+
+
+def huge_control_points(tmp_path, bundled_plan):
+    doc = bundled_plan("example1").to_dict()
+    doc["control_points"] = (np.array(doc["control_points"]) * 1.0e306).tolist()
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    message = "flatness map undefined on the plan: InvertedFlightError: vertical thrust component"
+    return ["track", "--scenario", "example1", "--plan", str(path)], EXIT_VERIFY, message
+
+
+# A magnitude far past any flight envelope is written in four digits, not
+# in the hundreds that a fixed-point format spells out.
+@pytest.mark.parametrize("case", [huge_thrust_bounds, huge_control_points], ids=["bounds", "plan"])
+def test_huge_magnitudes_are_written_short(tmp_path, bundled_plan, capsys, case):
+    argv, code, message = case(tmp_path, bundled_plan)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and len(err) < 120, err
+    assert not re.search(r"\d{21}", err)
 
 
 def child_env(**extra) -> dict:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import direct_controller, simulate_per_tick, verify_plan_per_point
+from oracles import direct_controller, simulate_per_tick, trace_csv_per_row, verify_plan_per_point
 from safeflight.cli import bundled_scenarios, load_scenario
 from safeflight.flatness import InvertedFlightError
 from safeflight.planner import (
@@ -514,6 +514,20 @@ class TestTrace:
         assert_allclose(hx, trace.barriers[:, 0], atol=1e-10)
         # the aggressive nominal gets clamped at least once
         assert any("x-" in row[-1] or "x+" in row[-1] for row in data)
+
+    @pytest.mark.parametrize(
+        "maker", [make_filtered_controller, make_unfiltered_controller], ids=["filtered", "no-filter"]
+    )
+    def test_csv_bytes_match_the_per_row_writer(self, hover_plan, tmp_path, maker):
+        # The aggressive nominal is clamped on some faces; unfiltered, the
+        # same run passes it through and the faces column stays empty.
+        cfg = SimConfig(control_rate=50.0, initial_position_offset=[0.08, 0.0, 0.0])
+        ctrl = maker(PARAMS, PdGains(kp=40.0, kd=1.0))
+        trace = simulate(plan_reference(hover_plan), ctrl, cfg, duration=1.0)
+        assert trace.active.any() == (maker is make_filtered_controller)
+        trace.to_csv(tmp_path / "trace.csv")
+        trace_csv_per_row(trace, tmp_path / "want.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_closed_loop_stays_in_tube(self, hover_plan):
         trace = self.make_trace(hover_plan, rate=100.0, duration=2.0)

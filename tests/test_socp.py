@@ -464,7 +464,7 @@ class TestConeAlgebra:
 
     @pytest.fixture()
     def alg(self):
-        return _ConeAlgebra(3, (3, 1, 5))
+        return _ConeAlgebra(0, 3, (3, 1, 5))
 
     @staticmethod
     def interior(alg, rng):
@@ -508,7 +508,7 @@ class TestConeAlgebra:
         ],
     )
     def test_scaled_matrix_and_its_gram(self, rng, nonneg, dims, lengths):
-        alg = _ConeAlgebra(nonneg, dims)
+        alg = _ConeAlgebra(0, nonneg, dims)
         G = rng.normal(size=(alg.identity.size, 4))
         G[rng.uniform(size=G.shape) < 0.4] = 0.0
         if lengths is not None:
