@@ -3,8 +3,9 @@
 Scenarios are YAML documents and plans JSON documents. A handful of
 scenarios ship inside the package and can be named directly (see
 `safeflight plan --list`). Exit codes: 0 success, 2 parse or validation
-error, 3 infeasible plan, 4 failed verification or tracking certificate,
-5 unexpected runtime failure. Both formats go through the one checker in
+error or an output file that cannot be written, 3 infeasible plan, 4
+failed verification or tracking certificate, 5 unexpected runtime
+failure. Both formats go through the one checker in
 documents: SCENARIO_SCHEMA here, and PLAN_SCHEMA in planner, and one walk
 checks a document's shape and types and makes every number a float and
 every integer an int; a number too large for a float, or an integer
@@ -327,11 +328,19 @@ def _load_plan_doc(path: str) -> TrajectoryPlan:
         raise ScenarioError(f"cannot load plan '{path}': {exc}") from exc
 
 
-def _write_plan_doc(pl: TrajectoryPlan, path: str) -> None:
-    """Write pl's plan document as strict JSON, which holds no NaN or infinity."""
+def _write_json(path, doc: dict, allow_nan: bool = True) -> None:
+    """Write doc as sorted, indented JSON; a plan document is strict JSON, allow_nan=False."""
     with open(path, "w") as fh:
-        json.dump(pl.to_dict(), fh, sort_keys=True, indent=2, allow_nan=False)
+        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=allow_nan)
         fh.write("\n")
+
+
+def _write_output(flag: str, path, write, *args) -> None:
+    """write(path, *args); a file that cannot be written exits 2, naming the flag and the path."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise ScenarioError(f"{flag}: cannot write '{path}': {exc}") from exc
 
 
 def _plan_for(planning: PlanningScenario, args) -> TrajectoryPlan:
@@ -374,7 +383,7 @@ def cmd_plan(args) -> int:
     )
     print(f"objective {sol.objective:.6f} (snap {pl.snap:.6f})")
     if args.out:
-        _write_plan_doc(pl, args.out)
+        _write_output("--out", args.out, _write_json, pl.to_dict(), False)
         print(f"plan written to {args.out}")
     return EXIT_OK
 
@@ -430,13 +439,13 @@ def cmd_track(args) -> int:
         f"initial conditions: tube={ic.tube_ok} slope={ic.slope_ok} velocity={ic.velocity_ok}"
     )
     print(
-        f"max |e| {cert.max_position_err:.4f} (tube {cert.position_bound:g}), "
-        f"max |de| {cert.max_velocity_err:.4f} (bound {cert.velocity_bound:g}), "
-        f"max |mu - ref| {cert.max_input_dev:.4f} (bound {cert.input_bound:g}), "
-        f"min barrier {cert.min_barrier:.4f}"
+        f"max |e| {cert.max_position_err:.4g} (tube {cert.position_bound:g}), "
+        f"max |de| {cert.max_velocity_err:.4g} (bound {cert.velocity_bound:g}), "
+        f"max |mu - ref| {cert.max_input_dev:.4g} (bound {cert.input_bound:g}), "
+        f"min barrier {cert.min_barrier:.4g}"
     )
     if args.out:
-        trace.to_csv(args.out)
+        _write_output("--out", args.out, trace.to_csv)
         print(f"trace written to {args.out}")
     report_path = args.report or (str(args.out) + ".report.json" if args.out else None)
     if report_path:
@@ -452,9 +461,7 @@ def cmd_track(args) -> int:
             },
             "certificate": cert.to_dict(),
         }
-        with open(report_path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_output("--report" if args.report else "--out", report_path, _write_json, doc)
         print(f"report written to {report_path}")
     # Written so that a NaN barrier, which fails every comparison, fails the run.
     if not cert.min_barrier >= 0.0:
@@ -469,7 +476,7 @@ def cmd_export(args) -> int:
     count = (len(kv.nonempty_spans()), args.samples_per_span)
     _reported("--samples-per-span", check_sample_count, *count)
     if args.format == "document":
-        _write_plan_doc(pl, args.out)
+        _write_output("--out", args.out, _write_json, pl.to_dict(), False)
         print(f"plan document written to {args.out}")
         return EXIT_OK
 
@@ -490,7 +497,7 @@ def cmd_export(args) -> int:
         [ts, pos, vel, speed, acc, thrust, np.rad2deg(phi), np.rad2deg(theta)]
         + [np.rad2deg(p_rate), np.rad2deg(q_rate), zeta]
     )
-    write_csv(args.out, header, cols)
+    _write_output("--out", args.out, write_csv, header, cols)
     print(f"{ts.size} samples written to {args.out}")
     return EXIT_OK
 

@@ -465,9 +465,7 @@ class TrajectoryPlan:
         doc = checked(doc, PLAN_SCHEMA)
         n, degree, zeta_mode = doc["n"], doc["degree"], doc["zeta_mode"]
         kv = plan_knots(doc["t0"], doc["tf"], n, degree)
-        if not math.isfinite(gravity := doc["gravity"]):
-            raise ValueError(f"gravity must be finite, got {gravity}")
-        if gravity <= 0:
+        if _finite("gravity", gravity := doc["gravity"]) <= 0:
             raise ValueError(f"gravity must be positive, got {gravity}")
         rows = doc["control_points"]
         if any(len(row) != n + 1 for row in rows):

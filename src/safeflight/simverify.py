@@ -394,9 +394,25 @@ def span_samples(plan: TrajectoryPlan, samples_per_span: int) -> np.ndarray:
     return np.append(_span_grid(plan, samples_per_span, endpoint=False)[1], plan.curve.knots.tf)
 
 
-def _worst(ts: np.ndarray, margins: np.ndarray) -> tuple[float, float]:
-    i = int(np.argmin(margins))
-    return float(margins[i]), float(ts[i])
+def _least(grid: np.ndarray, margins: np.ndarray) -> tuple:
+    """The least of margins along its last axis, and the time in grid of that sample.
+
+    The first sample wins a tie. A (samples,) family gives a (margin, time)
+    pair of floats, and a (spans, samples) grid a pair of lists, one entry
+    per row.
+    """
+    i = margins.argmin(axis=-1)
+    at = (*np.indices(i.shape, sparse=True), i)
+    return margins[at].tolist(), grid[at].tolist()
+
+
+def _check(name: str, worst: tuple[float, float], detail: str = "", *values) -> ConstraintCheck:
+    """The check of one family from its (worst margin, time) pair.
+
+    Each of values fills one {} of detail, to four significant digits, so
+    no magnitude prints longer than a few characters.
+    """
+    return ConstraintCheck(name, *worst, detail.format(*(f"{v:.4g}" for v in values)))
 
 
 def verify_plan(
@@ -425,32 +441,19 @@ def verify_plan(
     pos, vel, acc, jerk = plan.curve.eval(ts, (0, 1, 2, 3))
     thrust, phi, theta, p_rate, q_rate = tilt_thrust_rates(acc, jerk, g)
 
-    checks: list[ConstraintCheck] = []
-
     speed = np.linalg.norm(vel, axis=1)
-    m, wt = _worst(ts, bounds.v_max - speed)
-    checks.append(ConstraintCheck("speed", m, wt, f"max {speed.max():.4f} <= {bounds.v_max}"))
-
     tilt = np.maximum(np.abs(phi), np.abs(theta))
-    m, wt = _worst(ts, bounds.tilt_max - tilt)
-    checks.append(
-        ConstraintCheck("tilt", m, wt, f"max {np.rad2deg(tilt.max()):.3f} deg")
-    )
-
-    m, wt = _worst(ts, bounds.thrust_max - thrust)
-    checks.append(ConstraintCheck("thrust-upper", m, wt, f"max {thrust.max():.4f}"))
-    m, wt = _worst(ts, thrust - bounds.thrust_min)
-    checks.append(ConstraintCheck("thrust-lower", m, wt, f"min {thrust.min():.4f}"))
-
     rate = np.maximum(np.abs(p_rate), np.abs(q_rate))
-    m, wt = _worst(ts, bounds.omega_max - rate)
-    checks.append(
-        ConstraintCheck("body-rate", m, wt, f"max {np.rad2deg(rate.max()):.4f} deg/s")
-    )
-
+    v_max, tilt_max, omega_max = bounds.v_max, bounds.tilt_max, bounds.omega_max
+    checks = [
+        _check("speed", _least(ts, v_max - speed), "max {} <= {}", speed.max(), v_max),
+        _check("tilt", _least(ts, tilt_max - tilt), "max {} deg", np.rad2deg(tilt.max())),
+        _check("thrust-upper", _least(ts, bounds.thrust_max - thrust), "max {}", thrust.max()),
+        _check("thrust-lower", _least(ts, thrust - bounds.thrust_min), "min {}", thrust.min()),
+        _check("body-rate", _least(ts, omega_max - rate), "max {} deg/s", np.rad2deg(rate.max())),
+    ]
     for region in bounds.regions:
-        m, wt = _worst(ts, region.margin(pos))
-        checks.append(ConstraintCheck(f"region:{region.name or 'set'}", m, wt))
+        checks.append(_check(f"region:{region.name or 'set'}", _least(ts, region.margin(pos))))
 
     # One curve evaluation serves every point check: the waypoints, both ends
     # of the plan and both ends of every window (clipped to the plan, they
@@ -464,12 +467,12 @@ def verify_plan(
     at = plan.curve.eval(times, range(max(2, *map(len, pinned))))
     for k, (wp, p) in enumerate(zip(waypoints, at[0])):
         err = float(np.linalg.norm(p - wp.position))
-        checks.append(ConstraintCheck(f"waypoint[{k}]", wp.radius - err, wp.time, f"err {err:.5f}"))
+        checks.append(_check(f"waypoint[{k}]", (wp.radius - err, wp.time), "err {}", err))
 
     for i, (t_m, values, side) in enumerate(zip((kv.t0, kv.tf), pinned, ("start", "end"))):
         for r, value in enumerate(values):
             err = float(np.abs(at[r][w + i] - value).max())
-            checks.append(ConstraintCheck(f"pin:{side}[r{r}]", -err, t_m, f"err {err:.2e}"))
+            checks.append(_check(f"pin:{side}[r{r}]", (-err, t_m), "err {}", err))
 
     end_pos, end_vel = (v[w + 2 :].reshape(-1, 2, 3) for v in at[:2])
     for k, ic in enumerate(intervals):
@@ -481,11 +484,11 @@ def verify_plan(
         else:
             at_ends = ic.bound - np.linalg.norm(end_vel[k], axis=1)
             margins = ic.bound - speed[inside]
-        m, wt = _worst(
+        worst = _least(
             np.concatenate((ends[k, :1], ts[inside], ends[k, 1:])),
             np.concatenate((at_ends[:1], margins, at_ends[1:])),
         )
-        checks.append(ConstraintCheck(f"window[{k}]:{ic.kind}", m, wt))
+        checks.append(_check(f"window[{k}]:{ic.kind}", worst))
 
     if regions is not None:
         # Region l covers span d + l - 1: one (regions, samples) grid, both
@@ -500,10 +503,8 @@ def verify_plan(
         margins = np.empty(seg.shape)
         for rows in same.values():
             margins[rows] = regions[rows[0]].margin(seg_pos[rows])
-        worst = margins.argmin(axis=1)
-        for l, (region, i) in enumerate(zip(regions, worst.tolist()), start=1):
-            m, wt = float(margins[l - 1, i]), float(seg[l - 1, i])
-            checks.append(ConstraintCheck(f"corridor[{l}]:{region.name or 'set'}", m, wt))
+        for l, (region, worst) in enumerate(zip(regions, zip(*_least(seg, margins))), start=1):
+            checks.append(_check(f"corridor[{l}]:{region.name or 'set'}", worst))
 
     return ConstraintReport(checks=tuple(checks), samples=ts.size)
 
@@ -525,19 +526,10 @@ def verify_span_minima(
     thrust = np.linalg.norm(acc + np.array([0.0, 0.0, plan.gravity]), axis=1).reshape(seg.shape)
     floor = thrust - zeta[:, None]
     cone = omega_max * zeta[:, None] - np.linalg.norm(jerk, axis=1).reshape(seg.shape)
-    # One argmin per family along the span axis gives every span's worst sample.
-    rows = np.arange(len(spans))
-    i, j = floor.argmin(axis=1), cone.argmin(axis=1)
-    worst = zip(
-        spans.tolist(),
-        zeta.tolist(),
-        floor[rows, i].tolist(),
-        seg[rows, i].tolist(),
-        cone[rows, j].tolist(),
-        seg[rows, j].tolist(),
-    )
+    # One reduction per family along the span axis gives every span's worst sample.
+    worst = zip(spans.tolist(), zeta.tolist(), zip(*_least(seg, floor)), zip(*_least(seg, cone)))
     checks = []
-    for span, z, m1, wt1, m2, wt2 in worst:
-        checks.append(ConstraintCheck(f"span[{span}]:thrust-floor", m1, wt1, f"zeta {z:.4f}"))
-        checks.append(ConstraintCheck(f"span[{span}]:jerk-cone", m2, wt2))
+    for span, z, at_floor, at_cone in worst:
+        checks.append(_check(f"span[{span}]:thrust-floor", at_floor, "zeta {}", z))
+        checks.append(_check(f"span[{span}]:jerk-cone", at_cone))
     return ConstraintReport(checks=tuple(checks), samples=seg.size)

@@ -23,7 +23,7 @@ the six barriers, are always ordered x+, x-, y+, y-, z+, z-: the upper face
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -324,15 +324,7 @@ class CertificateReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "max_position_err": float(self.max_position_err),
-            "max_velocity_err": float(self.max_velocity_err),
-            "max_input_dev": float(self.max_input_dev),
-            "min_barrier": float(self.min_barrier),
-            "position_bound": float(self.position_bound),
-            "velocity_bound": float(self.velocity_bound),
-            "input_bound": float(self.input_bound),
-        }
+        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
 
 def certificates(

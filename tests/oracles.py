@@ -43,8 +43,10 @@ the half-space minimum with .min(axis=-1), and the package's column-wise
 kernels must match them bit for bit. verify_plan_per_point is the dense
 verifier as it was before its point checks were batched: one curve
 evaluation per waypoint, per pin and per window, with the direct region
-margins. The package's report must equal it in every name, margin, worst
-time and detail.
+margins and one np.argmin of its own (worst_sample) per family, window
+and corridor set. The package's report must equal it in every name,
+margin, worst time and detail, each detail number written to four
+significant digits.
 
 The closed loop has a per-tick reference too: simulate_per_tick steps the
 state as (1, 3) arrays and calls the controller's batched form on each
@@ -111,7 +113,6 @@ from safeflight.simverify import (
     ConstraintCheck,
     ConstraintReport,
     SimTrace,
-    _worst,
     span_samples,
 )
 from safeflight.socp import ConeProgram
@@ -499,6 +500,12 @@ def region_margin_direct(region, p):
     return reduce(np.minimum, worst)
 
 
+def worst_sample(ts, margins):
+    """The least margin and its time, by one np.argmin over the whole family."""
+    i = int(np.argmin(margins))
+    return float(margins[i]), float(ts[i])
+
+
 def verify_plan_per_point(
     plan, bounds, waypoints=(), pins=None, intervals=(), corridor=None, samples_per_span=300
 ):
@@ -512,37 +519,37 @@ def verify_plan_per_point(
     checks = []
 
     speed = np.linalg.norm(vel, axis=1)
-    m, wt = _worst(ts, bounds.v_max - speed)
-    checks.append(ConstraintCheck("speed", m, wt, f"max {speed.max():.4f} <= {bounds.v_max}"))
+    m, wt = worst_sample(ts, bounds.v_max - speed)
+    checks.append(ConstraintCheck("speed", m, wt, f"max {speed.max():.4g} <= {bounds.v_max:.4g}"))
 
     tilt = np.maximum(np.abs(phi), np.abs(theta))
-    m, wt = _worst(ts, bounds.tilt_max - tilt)
-    checks.append(ConstraintCheck("tilt", m, wt, f"max {np.rad2deg(tilt.max()):.3f} deg"))
+    m, wt = worst_sample(ts, bounds.tilt_max - tilt)
+    checks.append(ConstraintCheck("tilt", m, wt, f"max {np.rad2deg(tilt.max()):.4g} deg"))
 
-    m, wt = _worst(ts, bounds.thrust_max - thrust)
-    checks.append(ConstraintCheck("thrust-upper", m, wt, f"max {thrust.max():.4f}"))
-    m, wt = _worst(ts, thrust - bounds.thrust_min)
-    checks.append(ConstraintCheck("thrust-lower", m, wt, f"min {thrust.min():.4f}"))
+    m, wt = worst_sample(ts, bounds.thrust_max - thrust)
+    checks.append(ConstraintCheck("thrust-upper", m, wt, f"max {thrust.max():.4g}"))
+    m, wt = worst_sample(ts, thrust - bounds.thrust_min)
+    checks.append(ConstraintCheck("thrust-lower", m, wt, f"min {thrust.min():.4g}"))
 
     rate = np.maximum(np.abs(p_rate), np.abs(q_rate))
-    m, wt = _worst(ts, bounds.omega_max - rate)
-    checks.append(ConstraintCheck("body-rate", m, wt, f"max {np.rad2deg(rate.max()):.4f} deg/s"))
+    m, wt = worst_sample(ts, bounds.omega_max - rate)
+    checks.append(ConstraintCheck("body-rate", m, wt, f"max {np.rad2deg(rate.max()):.4g} deg/s"))
 
     for region in bounds.regions:
-        m, wt = _worst(ts, region_margin_direct(region, pos))
+        m, wt = worst_sample(ts, region_margin_direct(region, pos))
         checks.append(ConstraintCheck(f"region:{region.name or 'set'}", m, wt))
 
     for k, wp in enumerate(waypoints):
         err = float(np.linalg.norm(plan.curve.eval(wp.time) - wp.position))
         checks.append(
-            ConstraintCheck(f"waypoint[{k}]", wp.radius - err, wp.time, f"err {err:.5f}")
+            ConstraintCheck(f"waypoint[{k}]", wp.radius - err, wp.time, f"err {err:.4g}")
         )
 
     if pins is not None:
         for t_m, values, side in ((kv.t0, pins.initial, "start"), (kv.tf, pins.final, "end")):
             for r, value in enumerate(values):
                 err = float(np.abs(plan.curve.eval(t_m, r) - value).max())
-                checks.append(ConstraintCheck(f"pin:{side}[r{r}]", -err, t_m, f"err {err:.2e}"))
+                checks.append(ConstraintCheck(f"pin:{side}[r{r}]", -err, t_m, f"err {err:.4g}"))
 
     for k, ic in enumerate(intervals):
         ends = np.clip([ic.t_start, ic.t_end], kv.t0, kv.tf)
@@ -553,7 +560,7 @@ def verify_plan_per_point(
         else:
             at_ends = ic.bound - np.linalg.norm(plan.curve.eval(ends, 1), axis=1)
             margins = ic.bound - speed[inside]
-        m, wt = _worst(
+        m, wt = worst_sample(
             np.concatenate((ends[:1], ts[inside], ends[1:])),
             np.concatenate((at_ends[:1], margins, at_ends[1:])),
         )
@@ -566,7 +573,7 @@ def verify_plan_per_point(
         seg_pos = plan.curve.eval(seg.ravel(), 0)
         for l, region in enumerate(regions, start=1):
             rows = slice((l - 1) * samples_per_span, l * samples_per_span)
-            m, wt = _worst(seg[l - 1], region_margin_direct(region, seg_pos[rows]))
+            m, wt = worst_sample(seg[l - 1], region_margin_direct(region, seg_pos[rows]))
             checks.append(ConstraintCheck(f"corridor[{l}]:{region.name or 'set'}", m, wt))
 
     return ConstraintReport(checks=tuple(checks), samples=ts.size)

@@ -1147,11 +1147,6 @@ class TestPlanCommand:
         assert f"spline.degree must lie in [4, 28], got {degree}" in err
         assert "unexpected error" not in err
 
-    def test_unwritable_output_exits_runtime(self, tmp_path, capsys):
-        out = tmp_path / "no" / "such" / "dir" / "plan.json"
-        assert main(["plan", "--scenario", "hover", "--out", str(out)]) == EXIT_RUNTIME
-        assert "unexpected error" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command", ["plan", "verify", "track"])
     @pytest.mark.parametrize("tol", [[], ["--tol", "1e-7"]])
     def test_solver_fault_on_valid_input_exits_runtime(self, monkeypatch, capsys, command, tol):
@@ -1518,6 +1513,32 @@ class TestExportCommand:
         assert not out.exists()
 
 
+class TestUnwritableOutput:
+    # Each output flag with a path that cannot be written: one in a missing
+    # directory, or "." for the test's own directory where a file would go.
+    @pytest.mark.parametrize(
+        "argv, flag, target",
+        [
+            (["plan", "--scenario", "hover"], "--out", "no/dir/h.json"),
+            (["track", "--scenario", "hover"], "--out", "no/x.csv"),
+            (["track", "--scenario", "hover"], "--report", "."),
+            (["export"], "--out", "no/x.csv"),
+            (["export", "--format", "document"], "--out", "."),
+        ],
+        ids=["plan-out", "track-out", "track-report", "export-out", "export-document-out"],
+    )
+    def test_exits_parse_naming_the_flag_and_path(
+        self, tmp_path, hover_plan, capsys, argv, flag, target
+    ):
+        # Each write raised its OSError to the CLI boundary, which exited 5.
+        path = tmp_path / target
+        plan_file = [] if argv[0] == "plan" else ["--plan", write_plan(tmp_path, hover_plan)]
+        assert main(argv + plan_file + [flag, str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: cannot write '{path}': "), err
+        assert "unexpected error" not in err
+
+
 def set_entry(key, *index, value):
     """An edit of a plan document that sets doc[key][index...] to value."""
 
@@ -1771,6 +1792,38 @@ def test_huge_magnitudes_are_written_short(tmp_path, bundled_plan, capsys, case)
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and len(err) < 120, err
     assert not re.search(r"\d{21}", err)
+
+
+def greville_speed_plan(tmp_path, hover_plan):
+    """hover's plan with x = 1e100 t: x control points at 1e100 times their Greville abscissae."""
+    doc = hover_plan.to_dict()
+    kv = hover_plan.curve.knots
+    greville = [kv.tau[i + 1 : i + kv.degree + 1].mean() for i in range(kv.n + 1)]
+    doc["control_points"][0] = (1e100 * np.array(greville)).tolist()
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(doc))
+    return ["verify", "--scenario", "hover", "--plan", str(path)], "speed"
+
+
+def far_start_unfiltered(tmp_path, hover_plan):
+    """hover's plan flown unfiltered without feedback from 1e40 above its start."""
+    doc = hover_dict()
+    doc["tracking"].update(initial_position_offset=[0, 0, 1e40], gains={"kp": 0, "kd": 0})
+    argv = ["track", "--scenario", write_scenario(tmp_path, doc), "--no-filter"]
+    return argv + ["--plan", write_plan(tmp_path, hover_plan)], "max |e|"
+
+
+# A report writes each measured magnitude to four significant digits: the
+# speed detail held 101 digits, and max |e| and min barrier 41 each.
+@pytest.mark.parametrize(
+    "case", [greville_speed_plan, far_start_unfiltered], ids=["verify", "track"]
+)
+def test_huge_magnitudes_in_reports_are_written_short(tmp_path, hover_plan, capsys, case):
+    argv, line = case(tmp_path, hover_plan)
+    assert main(argv) == EXIT_VERIFY
+    out, err = capsys.readouterr()
+    assert line in out and "unexpected error" not in err
+    assert not re.search(r"\d{21}", out + err), out
 
 
 def child_env(**extra) -> dict:

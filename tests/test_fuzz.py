@@ -9,7 +9,9 @@ of WRONG_TYPES. Every case must keep these properties:
 - an exit 2 prints one error line naming a field, and for a scenario the
   line starts with its file;
 - a scenario that plans to optimal passes `verify --plan` on that plan;
-- `track` exits 4 only on a negative min barrier or a flatness-map error.
+- `track` exits 4 only on a negative min barrier or a flatness-map error;
+- no stdout or stderr holds a run of more than 20 digits: a report writes
+  a magnitude short, however large it is.
 
 `plan` runs only on scenarios that load. The seed, the case counts, VALUES
 and WRONG_TYPES are the domain; each case draws from its own stream.
@@ -71,6 +73,7 @@ def _field_names() -> set[str]:
     return names | {*_schema_keys(SCENARIO_SCHEMA), *_schema_keys(PLAN_SCHEMA)}
 
 
+LONG_NUMBER = re.compile(r"\d{21}")
 FIELD = re.compile(rf"(?<!\w)({'|'.join(map(re.escape, sorted(_field_names())))})(?!\w)")
 
 
@@ -115,7 +118,9 @@ def run(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
-    return code, out.getvalue(), err.getvalue()
+    out, err = out.getvalue(), err.getvalue()
+    assert not (LONG_NUMBER.search(out) or LONG_NUMBER.search(err)), (argv, out, err)
+    return code, out, err
 
 
 def check_exit(code: int, err: str, what: str, tmp_path, source=None) -> None:
